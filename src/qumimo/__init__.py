@@ -1,6 +1,18 @@
 """Simulation and optimization lab for cloning-purification diversity
 over multi-mode qubit channels with depolarization and crosstalk."""
 
+import os
+
+# One BLAS thread per process.  The work is many small dense solves, for
+# which a multi-threaded BLAS only adds synchronisation cost, and a
+# process pool already spreads tasks over the cores.  The variables are
+# read when NumPy loads, so they are set before any submodule imports it;
+# forked pool workers inherit them, and values already set in the
+# environment win.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 __version__ = "0.1.0"
 
 from .channel import ChannelChoi, ChannelParams, apply_channel, channel_choi  # noqa: F401

@@ -1,12 +1,17 @@
 """Universal asymmetric 1 -> M qubit cloning.
 
-Two routes to the same object:
+The gamma-weighted optimal cloner in closed form: Stinespring amplitudes
+``beta`` from the Perron eigenvector of a weight matrix give both the
+per-clone fidelity vector ``F(gamma)`` and the covariant Choi operator
+(the singlet-monogamy / Cerf-type construction; Kay, Kaszlikowski,
+Ramanathan, PRL 103, 050501 (2009); Cwiklinski, Horodecki, Studzinski,
+Phys. Lett. A 376, 2178 (2012)).
 
-* a closed form for the per-clone fidelity vector ``F(gamma)`` built from
-  the Perron eigenvector of a weight matrix, and
-* a physically valid covariant Choi operator obtained by maximizing the
-  gamma-weighted Haar-averaged clone fidelities over CPTP maps (an SDP)
-  and projecting onto the permutation algebra.
+On simplex faces the optimum is degenerate; the construction used here
+is the continuous extension: a clone with zero weight gets amplitude
+zero and still receives the part of the state the supported clones
+leave behind, so its fidelity follows the same formula as every other
+clone and the cloner is continuous in gamma.
 
 Choi convention: unnormalized, input leg first, so a map ``E`` acts as
 ``E(rho) = Tr_in[J (rho^T (x) I_out)]`` and trace preservation reads
@@ -15,30 +20,20 @@ Choi convention: unnormalized, input leg first, so a map ``E`` acts as
 
 from __future__ import annotations
 
+import functools
 import itertools
-import threading
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
-from . import sdp
-from .errors import ConvergenceError, DimensionLimitError, SimplexError, SolverError
-from .tensor import (
-    I2,
-    PAULIS,
-    PHI_UNNORM,
-    ModeSpace,
-    dagger,
-    embed_two_qubit,
-    partial_trace,
-    partial_transpose,
-    perm_basis_map,
-)
+from .errors import DimensionLimitError, SimplexError
+from .tensor import I2, PHI_UNNORM, ModeSpace, partial_trace
 
 SIMPLEX_TOL = 1e-10
-FIDELITY_TIEBREAK_EPS = 1e-6
-TWIRL_MAX_QUBITS = 6
-_SUPPORT_CUTOFF = 1e-12
+# Covers the M <= 3 search lattices (1 + 21 + 232 points) with room to
+# spare, so a fixed-z run builds each lattice cloner once.
+CLONER_CACHE_SIZE = 512
 
 
 @dataclass(frozen=True)
@@ -91,175 +86,79 @@ def _as_gamma(gamma) -> AsymmetryVector:
     return gamma if isinstance(gamma, AsymmetryVector) else AsymmetryVector(tuple(gamma))
 
 
-def weight_matrix(gamma) -> np.ndarray:
-    """Rank-one-plus-diagonal weight matrix ``alpha 1^T + diag(alpha)``."""
-    gamma = _as_gamma(gamma)
-    alpha = gamma.alpha
-    return np.outer(alpha, np.ones(gamma.m)) + np.diag(alpha)
+def clone_amplitudes(gamma) -> CloneAmplitudes:
+    """Stinespring amplitudes from the Perron eigenvector of the weight
+    matrix ``A = alpha 1^T + diag(alpha)``.
 
-
-def clone_amplitudes(
-    gamma, tol: float = 1e-12, max_iter: int = 10_000
-) -> CloneAmplitudes:
-    """Stinespring amplitudes from the Perron eigenvector of the weight matrix.
-
-    Clones with zero gamma are excluded from the (otherwise strictly
-    positive, hence irreducible) matrix and get amplitude zero.  The
-    returned vector satisfies ``sum(beta^2) + sum(beta)^2 = 2``.
+    ``A`` is similar to the symmetric ``S = sqrt(alpha) sqrt(alpha)^T +
+    diag(alpha)`` through ``diag(sqrt(alpha))``, so the Perron vector is
+    ``sqrt(alpha) * |v|`` for the top eigenvector ``v`` of ``S``; a clone
+    with zero weight gets amplitude zero.  The returned vector satisfies
+    ``sum(beta^2) + sum(beta)^2 = 2``.
     """
     gamma = _as_gamma(gamma)
-    g = np.asarray(gamma.gamma)
-    support = np.flatnonzero(g > _SUPPORT_CUTOFF)
-    alpha = g[support] / g[support].sum()
-    a = np.outer(alpha, np.ones(support.size)) + np.diag(alpha)
-
-    u = np.ones(support.size) / np.sqrt(support.size)
-    lam = 0.0
-    for _ in range(max_iter):
-        v = a @ u
-        lam = float(np.linalg.norm(v))
-        v /= lam
-        if np.linalg.norm(v - u) <= tol:
-            u = v
-            break
-        u = v
-    else:
-        raise ConvergenceError(f"power iteration did not converge in {max_iter} steps")
-    lam = float(u @ (a @ u))
-
-    u_full = np.zeros(gamma.m)
-    u_full[support] = u
-    beta = np.sqrt(2.0 / (u.sum() ** 2 + 1.0)) * u_full
+    root = np.sqrt(np.clip(gamma.alpha, 0.0, None))
+    w, v = np.linalg.eigh(np.outer(root, root) + np.diag(root * root))
+    u = root * np.abs(v[:, -1])
+    u /= np.linalg.norm(u)
+    beta = np.sqrt(2.0 / (u.sum() ** 2 + 1.0)) * u
     return CloneAmplitudes(
-        beta=tuple(beta), perron_value=lam, perron_vector=tuple(u_full)
+        beta=tuple(beta), perron_value=float(w[-1]), perron_vector=tuple(u)
     )
+
+
+def _fidelities(beta: np.ndarray) -> tuple:
+    return tuple(float(x) for x in 1.0 / 3.0 + (beta + beta.sum()) ** 2 / 6.0)
 
 
 def clone_fidelities(gamma) -> CloneFidelityVector:
-    """Per-clone fidelity vector of the optimal asymmetric cloner.
+    """Per-clone fidelity vector ``F_k = 1/3 + (beta_k + sum_j beta_j)^2 / 6``
+    of the optimal asymmetric cloner; a clone with zero weight gets
+    ``1/3 + (sum_j beta_j)^2 / 6``, at least the maximally mixed 1/2."""
+    gamma = _as_gamma(gamma)
+    beta = np.asarray(clone_amplitudes(gamma).beta)
+    return CloneFidelityVector(fidelities=_fidelities(beta), gamma=gamma)
 
-    On the support, ``F_k = 1/3 + (beta_k + sum_j beta_j)^2 / 6``; clones
-    with zero weight sit at the maximally mixed baseline 1/2.
+
+@functools.cache
+def _stinespring_basis(m: int) -> np.ndarray:
+    """``B[k]`` is ``|Phi>_{in,k} (x) sum_w |D_w>_{clones != k} |w>_anc``
+    as a ``2^(m+1) x m`` array (input and clones as rows, ancilla as
+    columns), with ``D_w`` the normalized weight-w Dicke state."""
+    basis = np.zeros((m, 2 ** (m + 1), m))
+    for bits in itertools.product((0, 1), repeat=m + 1):
+        row = int("".join(map(str, bits)), 2)
+        for k in range(m):
+            if bits[0] != bits[k + 1]:
+                continue
+            w = sum(bits[1:]) - bits[k + 1]
+            basis[k, row, w] = 1.0 / np.sqrt(comb(m - 1, w))
+    return basis
+
+
+@functools.lru_cache(maxsize=CLONER_CACHE_SIZE)
+def _cloner_choi(gamma: tuple) -> ClonerChoi:
+    m = len(gamma)
+    beta = np.asarray(clone_amplitudes(gamma).beta)
+    x = np.tensordot(beta, _stinespring_basis(m), axes=1)
+    j = (x @ x.T / m).astype(complex)
+    _validate_cloner(j, m, ModeSpace.qubits(range(1, m + 2)))
+    return ClonerChoi(choi=j, m=m, fidelities=_fidelities(beta))
+
+
+def cloner_choi(gamma) -> ClonerChoi:
+    """Covariant Choi operator of the gamma-weighted optimal cloner,
+    ``J = (1/M) Tr_anc |chi><chi|`` with
+    ``|chi> = sum_k beta_k |Phi>_{in,k} (x) sum_w |D_w>_{clones != k} |w>_anc``.
+
+    Its clone fidelities are ``clone_fidelities(gamma)``.  Results are
+    memoized per gamma in a bounded LRU cache, keyed by the exact gamma
+    so that the result is a function of gamma alone.
     """
     gamma = _as_gamma(gamma)
-    amp = clone_amplitudes(gamma)
-    beta = np.asarray(amp.beta)
-    total = beta.sum()
-    f = np.full(gamma.m, 0.5)
-    support = np.flatnonzero(np.asarray(gamma.gamma) > _SUPPORT_CUTOFF)
-    f[support] = 1.0 / 3.0 + (beta[support] + total) ** 2 / 6.0
-    return CloneFidelityVector(fidelities=tuple(float(x) for x in f), gamma=gamma)
-
-
-def fidelity_functionals(m: int) -> list[np.ndarray]:
-    """Haar-averaged clone-fidelity functionals ``G_k`` with
-    ``F_k = Tr[J G_k]`` for an unnormalized cloner Choi ``J``.
-
-    ``G_k`` places ``(I + |Phi><Phi|)/6`` on the (input, clone-k) pair,
-    identity elsewhere; the partial transpose of the two-qubit twirl
-    identity is already folded in.
-    """
-    pair = (np.eye(4, dtype=complex) + PHI_UNNORM) / 6.0
-    return [embed_two_qubit(pair, m + 1, 1, k + 1) for k in range(1, m + 1)]
-
-
-_TWIRL_CACHE: dict = {}
-_TWIRL_LOCK = threading.Lock()
-
-
-def _twirl_data(n: int):
-    with _TWIRL_LOCK:
-        if n in _TWIRL_CACHE:
-            return _TWIRL_CACHE[n]
-    dim = 2 ** n
-    maps = np.array(
-        [perm_basis_map(p, n) for p in itertools.permutations(range(1, n + 1))]
-    )
-    count = maps.shape[0]
-    gram = np.zeros((count, count))
-    for b in range(dim):
-        col = maps[:, b]
-        gram += col[:, None] == col[None, :]
-    gram_pinv = np.linalg.pinv(gram, rcond=1e-10)
-    with _TWIRL_LOCK:
-        _TWIRL_CACHE[n] = (maps, gram_pinv)
-    return maps, gram_pinv
-
-
-def twirl_permutation_algebra(j: np.ndarray, n: int) -> np.ndarray:
-    """Orthogonal projection onto ``span{P_sigma : sigma in S_n}``.
-
-    Equals the Haar average over diagonal unitary conjugations
-    ``U^(x)n (.) U^(x)n dagger`` by Schur-Weyl duality.  The permutation
-    operators are linearly dependent for n > 2, so the Gram system is
-    solved in the least-squares sense with a rank cutoff of 1e-10.
-    """
-    if n > TWIRL_MAX_QUBITS:
-        raise DimensionLimitError(f"twirl limited to {TWIRL_MAX_QUBITS} qubits, got {n}")
-    dim = 2 ** n
-    if j.shape != (dim, dim):
-        raise ValueError(f"operator shape {j.shape} does not match {n} qubits")
-    maps, gram_pinv = _twirl_data(n)
-    basis = np.arange(dim)
-    overlaps = j[maps, basis[None, :]].sum(axis=1)
-    coeff = gram_pinv @ overlaps
-    out = np.zeros_like(j, dtype=complex)
-    for qmap, x in zip(maps, coeff):
-        out[qmap, basis] += x
-    return out
-
-
-_CLONER_CACHE: dict = {}
-_CLONER_LOCK = threading.Lock()
-
-
-def cloner_choi(gamma, solver_tol: float = 1e-8) -> ClonerChoi:
-    """Covariant Choi operator of the gamma-weighted optimal cloner.
-
-    Maximizes ``sum_k (gamma_k + eps) Tr[J G_k]`` over CPTP maps (the
-    eps term resolves degenerate optima at simplex vertices), then
-    projects the input-transposed operator onto the permutation algebra
-    to enforce universality.  Results are memoized per (M, gamma).
-    """
-    gamma = _as_gamma(gamma)
-    m = gamma.m
-    if m > 5:
-        raise DimensionLimitError(f"cloner limited to M <= 5, got {m}")
-    key = (m, tuple(round(g, 9) for g in gamma.gamma))
-    with _CLONER_LOCK:
-        cached = _CLONER_CACHE.get(key)
-    if cached is not None:
-        return cached
-
-    g_ops = fidelity_functionals(m)
-    objective = sum(
-        (gamma.gamma[k] + FIDELITY_TIEBREAK_EPS) * g_ops[k] for k in range(m)
-    )
-    dim_out = 2 ** m
-    equalities = []
-    for alpha, pauli in enumerate(PAULIS):
-        coeff = np.kron(pauli, np.eye(dim_out, dtype=complex))
-        equalities.append(({0: coeff}, 2.0 if alpha == 0 else 0.0))
-    problem = sdp.SdpProblem(
-        block_dims=[2 * dim_out], objective=[objective], equalities=equalities
-    )
-    sol = sdp.solve(problem, tol=solver_tol)
-    if sol.status != sdp.OPTIMAL:
-        raise SolverError(sol.status, f"cloner SDP failed: {sol.message}")
-
-    space = ModeSpace.qubits(range(1, m + 2))
-    j_raw = sol.X_blocks[0]
-    k_op = partial_transpose(j_raw, space, (1,))
-    k_tw = twirl_permutation_algebra(k_op, m + 1)
-    j = partial_transpose(k_tw, space, (1,))
-    j = (j + dagger(j)) / 2.0
-
-    _validate_cloner(j, m, space)
-    fids = tuple(float(np.real(np.trace(j @ g_ops[k]))) for k in range(m))
-    result = ClonerChoi(choi=j, m=m, fidelities=fids)
-    with _CLONER_LOCK:
-        _CLONER_CACHE[key] = result
-    return result
+    if gamma.m > 5:
+        raise DimensionLimitError(f"cloner limited to M <= 5, got {gamma.m}")
+    return _cloner_choi(gamma.gamma)
 
 
 def _validate_cloner(j: np.ndarray, m: int, space: ModeSpace) -> None:
@@ -278,10 +177,6 @@ def _validate_cloner(j: np.ndarray, m: int, space: ModeSpace) -> None:
         resid = marg - c_i * np.eye(4) - c_phi * PHI_UNNORM
         if np.max(np.abs(resid)) > 1e-7:
             raise ValueError(f"clone {k - 1} marginal not isotropic")
-
-
-def clone_fidelities_from_choi(choi: ClonerChoi) -> np.ndarray:
-    return np.asarray(choi.fidelities)
 
 
 def simplex_grid(m: int, steps: int) -> list[tuple]:

@@ -19,7 +19,7 @@ quotient whose top eigenvalue upper-bounds the SDP for every p.
 from __future__ import annotations
 
 import csv
-import threading
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -279,38 +279,24 @@ def rank_one_certificate(qr: QROperators, p: float) -> np.ndarray:
     return p * (rinv @ projector(v) @ rinv)
 
 
-_BLIND_QR_CACHE: dict = {}
-_BLIND_DEC_CACHE: dict = {}
-_BLIND_LOCK = threading.Lock()
-
-
+@functools.cache
 def blind_qr(m: int, k: int) -> QROperators:
     """Haar operators of the symmetric cloner under an identity-channel
     prior; the non-adaptive decoder design point."""
     if m != k:
         raise ValueError(f"blind design requires M == K, got {m} != {k}")
-    with _BLIND_LOCK:
-        cached = _BLIND_QR_CACHE.get(m)
-    if cached is not None:
-        return cached
     enc = cloner_choi(tuple([1.0 / m] * m))
     emap = EffectiveMap(choi=enc.choi, t=tuple(range(1, m + 1)), r=tuple(range(1, m + 1)), k=m)
-    qr = build_qr(emap)
-    with _BLIND_LOCK:
-        _BLIND_QR_CACHE[m] = qr
-    return qr
+    return build_qr(emap)
 
 
 def blind_decoder(m: int, p: float) -> DecoderSolution:
-    key = (m, round(p, 12))
-    with _BLIND_LOCK:
-        cached = _BLIND_DEC_CACHE.get(key)
-    if cached is not None:
-        return cached
-    dec = purification_sdp(blind_qr(m, m), p)
-    with _BLIND_LOCK:
-        _BLIND_DEC_CACHE[key] = dec
-    return dec
+    return _blind_decoder(m, round(p, 12))
+
+
+@functools.cache
+def _blind_decoder(m: int, p: float) -> DecoderSolution:
+    return purification_sdp(blind_qr(m, m), p)
 
 
 def evaluate_gamma_surrogate(gamma, chan: ChannelChoi, t, r) -> float:

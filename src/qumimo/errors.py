@@ -25,10 +25,6 @@ class SimplexError(QumimoError):
     """A probability vector violates the simplex constraints."""
 
 
-class ConvergenceError(QumimoError):
-    """An iterative routine exhausted its iteration budget."""
-
-
 class UndefinedIndexError(QumimoError):
     """The asymmetry index is undefined (no branch above the mixed baseline)."""
 

@@ -50,15 +50,6 @@ class MeanAllocation:
         return len(self.lam)
 
 
-@dataclass(frozen=True)
-class FluctuationParams:
-    mu: float
-
-    @property
-    def shape(self) -> float:
-        return gamma_shape(self.mu)
-
-
 def gamma_shape(mu: float) -> float:
     """Gamma shape giving the product of two unit-mean factors variance mu^2."""
     if mu <= 0:

@@ -67,13 +67,6 @@ def kron(a: np.ndarray, b: np.ndarray, dim_cap: int = DEFAULT_DIM_CAP) -> np.nda
     return np.kron(a, b)
 
 
-def kron_all(mats: Sequence[np.ndarray], dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
-    out = np.asarray(mats[0])
-    for m in mats[1:]:
-        out = kron(out, m, dim_cap=dim_cap)
-    return out
-
-
 @dataclass(frozen=True)
 class ModeSpace:
     """Ordered collection of labeled local modes.
@@ -129,19 +122,6 @@ def partial_trace(x: np.ndarray, space: ModeSpace, keep: Iterable) -> np.ndarray
     return np.einsum("abcb->ac", t)
 
 
-def partial_transpose(x: np.ndarray, space: ModeSpace, subset: Iterable) -> np.ndarray:
-    """Transpose the listed modes only; involutive and trace-preserving."""
-    sub_axes = set(space.axes(subset))
-    n = len(space.dims)
-    t = _as_tensor(np.asarray(x), space)
-    perm = []
-    for i in range(n):
-        perm.append(i + n if i in sub_axes else i)
-    for i in range(n):
-        perm.append(i if i in sub_axes else i + n)
-    return t.transpose(perm).reshape(space.dim, space.dim)
-
-
 def hermitian_eig(x: np.ndarray, rtol: float = HERMITIAN_RTOL):
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
@@ -183,11 +163,6 @@ def haar_qubit(rng: np.random.Generator) -> np.ndarray:
     return z / np.linalg.norm(z)
 
 
-def haar_state(rng: np.random.Generator, n_qubits: int = 1) -> np.ndarray:
-    z = rng.standard_normal(2 ** n_qubits) + 1j * rng.standard_normal(2 ** n_qubits)
-    return z / np.linalg.norm(z)
-
-
 def projector(psi: np.ndarray) -> np.ndarray:
     psi = np.asarray(psi).reshape(-1)
     return np.outer(psi, psi.conj())
@@ -210,22 +185,4 @@ def perm_basis_map(perm: Sequence[int], n: int) -> np.ndarray:
     for i, target in enumerate(perm, start=1):
         bits = (basis >> (n - i)) & 1
         out |= bits << (n - target)
-    return out
-
-
-def embed_two_qubit(op4: np.ndarray, n: int, i: int, j: int) -> np.ndarray:
-    """Embed a two-qubit operator on qubits ``(i, j)`` of ``n`` qubits."""
-    if i == j or not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError(f"invalid qubit pair ({i}, {j}) for n={n}")
-    rest = [q for q in range(1, n + 1) if q not in (i, j)]
-    # Build on position order (i, j, rest...) then relabel positions.
-    base = kron(op4, np.eye(2 ** (n - 2), dtype=complex))
-    perm = [0] * n
-    perm[0] = i
-    perm[1] = j
-    for pos, q in enumerate(rest, start=3):
-        perm[pos - 1] = q
-    qmap = perm_basis_map(perm, n)
-    out = np.zeros_like(base)
-    out[np.ix_(qmap, qmap)] = base
     return out

@@ -1,0 +1,142 @@
+"""Test-side oracle for the cloner: the optimal cloner built by SDP.
+
+Maximizes the gamma-weighted Haar-averaged clone fidelities
+``sum_k (gamma_k + eps) Tr[J G_k]`` over CPTP maps and projects the
+input-transposed result onto the permutation algebra to enforce
+universality.  The program runs the closed form in ``qumimo.cloner``;
+the tests check it against this route.  The eps term resolves the degenerate optimum at simplex vertices
+(and moves clones weighted about eps or less off the optimum).
+"""
+
+from __future__ import annotations
+
+import functools
+import itertools
+
+import numpy as np
+
+from qumimo import sdp
+from qumimo.cloner import ClonerChoi, _as_gamma, _validate_cloner
+from qumimo.errors import DimensionLimitError, SolverError
+from qumimo.tensor import (
+    PAULIS,
+    PHI_UNNORM,
+    ModeSpace,
+    _as_tensor,
+    dagger,
+    kron,
+    perm_basis_map,
+)
+
+FIDELITY_TIEBREAK_EPS = 1e-6
+TWIRL_MAX_QUBITS = 6
+
+
+def partial_transpose(x: np.ndarray, space: ModeSpace, subset) -> np.ndarray:
+    """Transpose the listed modes only; involutive and trace-preserving."""
+    sub_axes = set(space.axes(subset))
+    n = len(space.dims)
+    t = _as_tensor(np.asarray(x), space)
+    perm = []
+    for i in range(n):
+        perm.append(i + n if i in sub_axes else i)
+    for i in range(n):
+        perm.append(i if i in sub_axes else i + n)
+    return t.transpose(perm).reshape(space.dim, space.dim)
+
+
+def embed_two_qubit(op4: np.ndarray, n: int, i: int, j: int) -> np.ndarray:
+    """Embed a two-qubit operator on qubits ``(i, j)`` of ``n`` qubits."""
+    if i == j or not (1 <= i <= n and 1 <= j <= n):
+        raise ValueError(f"invalid qubit pair ({i}, {j}) for n={n}")
+    rest = [q for q in range(1, n + 1) if q not in (i, j)]
+    # Build on position order (i, j, rest...) then relabel positions.
+    base = kron(op4, np.eye(2 ** (n - 2), dtype=complex))
+    perm = [0] * n
+    perm[0] = i
+    perm[1] = j
+    for pos, q in enumerate(rest, start=3):
+        perm[pos - 1] = q
+    qmap = perm_basis_map(perm, n)
+    out = np.zeros_like(base)
+    out[np.ix_(qmap, qmap)] = base
+    return out
+
+
+def fidelity_functionals(m: int) -> list[np.ndarray]:
+    """Haar-averaged clone-fidelity functionals ``G_k`` with
+    ``F_k = Tr[J G_k]`` for an unnormalized cloner Choi ``J``.
+
+    ``G_k`` places ``(I + |Phi><Phi|)/6`` on the (input, clone-k) pair,
+    identity elsewhere; the partial transpose of the two-qubit twirl
+    identity is already folded in.
+    """
+    pair = (np.eye(4, dtype=complex) + PHI_UNNORM) / 6.0
+    return [embed_two_qubit(pair, m + 1, 1, k + 1) for k in range(1, m + 1)]
+
+
+@functools.cache
+def _twirl_data(n: int):
+    dim = 2 ** n
+    maps = np.array(
+        [perm_basis_map(p, n) for p in itertools.permutations(range(1, n + 1))]
+    )
+    count = maps.shape[0]
+    gram = np.zeros((count, count))
+    for b in range(dim):
+        col = maps[:, b]
+        gram += col[:, None] == col[None, :]
+    return maps, np.linalg.pinv(gram, rcond=1e-10)
+
+
+def twirl_permutation_algebra(j: np.ndarray, n: int) -> np.ndarray:
+    """Orthogonal projection onto ``span{P_sigma : sigma in S_n}``.
+
+    Equals the Haar average over diagonal unitary conjugations
+    ``U^(x)n (.) U^(x)n dagger`` by Schur-Weyl duality.  The permutation
+    operators are linearly dependent for n > 2, so the Gram system is
+    solved in the least-squares sense with a rank cutoff of 1e-10.
+    """
+    if n > TWIRL_MAX_QUBITS:
+        raise DimensionLimitError(f"twirl limited to {TWIRL_MAX_QUBITS} qubits, got {n}")
+    dim = 2 ** n
+    if j.shape != (dim, dim):
+        raise ValueError(f"operator shape {j.shape} does not match {n} qubits")
+    maps, gram_pinv = _twirl_data(n)
+    basis = np.arange(dim)
+    overlaps = j[maps, basis[None, :]].sum(axis=1)
+    coeff = gram_pinv @ overlaps
+    out = np.zeros_like(j, dtype=complex)
+    for qmap, x in zip(maps, coeff):
+        out[qmap, basis] += x
+    return out
+
+
+def cloner_choi_sdp(gamma, solver_tol: float = 1e-8) -> ClonerChoi:
+    """Covariant Choi operator of the gamma-weighted optimal cloner, by SDP
+    and permutation-algebra twirl."""
+    gamma = _as_gamma(gamma)
+    m = gamma.m
+    g_ops = fidelity_functionals(m)
+    objective = sum(
+        (gamma.gamma[k] + FIDELITY_TIEBREAK_EPS) * g_ops[k] for k in range(m)
+    )
+    dim_out = 2 ** m
+    equalities = [
+        ({0: np.kron(pauli, np.eye(dim_out, dtype=complex))}, 2.0 if a == 0 else 0.0)
+        for a, pauli in enumerate(PAULIS)
+    ]
+    problem = sdp.SdpProblem(
+        block_dims=[2 * dim_out], objective=[objective], equalities=equalities
+    )
+    sol = sdp.solve(problem, tol=solver_tol)
+    if sol.status != sdp.OPTIMAL:
+        raise SolverError(sol.status, f"cloner SDP failed: {sol.message}")
+
+    space = ModeSpace.qubits(range(1, m + 2))
+    k_tw = twirl_permutation_algebra(partial_transpose(sol.X_blocks[0], space, (1,)), m + 1)
+    j = partial_transpose(k_tw, space, (1,))
+    j = (j + dagger(j)) / 2.0
+    _validate_cloner(j, m, space)
+    fids = tuple(float(np.real(np.trace(j @ g))) for g in g_ops)
+    return ClonerChoi(choi=j, m=m, fidelities=fids)

@@ -22,6 +22,7 @@ import time
 import numpy as np
 import pytest
 
+import cloner_oracle
 from qumimo import channel, cloner, decoder, experiments, noise, sdp, strategies
 from qumimo.tensor import I2, ModeSpace, dagger, haar_qubit, partial_trace, projector
 
@@ -41,8 +42,10 @@ def test_criterion_01_cloning_benchmarks():
         want = (2 * m + 1) / (3 * m)
         closed = np.asarray(cloner.clone_fidelities(tuple([1 / m] * m)).fidelities)
         ok &= bool(np.max(np.abs(closed - want)) < 1e-6)
-        via_sdp = np.asarray(cloner.cloner_choi(tuple([1 / m] * m)).fidelities)
-        ok &= bool(np.max(np.abs(via_sdp - want)) < 1e-4)
+        via_choi = np.asarray(cloner.cloner_choi(tuple([1 / m] * m)).fidelities)
+        ok &= bool(np.max(np.abs(via_choi - want)) < 1e-6)
+        via_sdp = np.asarray(cloner_oracle.cloner_choi_sdp(tuple([1 / m] * m)).fidelities)
+        ok &= bool(np.max(np.abs(via_sdp - want)) < 1e-6)
     for m in (2, 3):
         for k in range(m):
             e_k = tuple(1.0 if i == k else 0.0 for i in range(m))
@@ -50,8 +53,10 @@ def test_criterion_01_cloning_benchmarks():
             want[k] = 1.0
             closed = np.asarray(cloner.clone_fidelities(e_k).fidelities)
             ok &= bool(np.max(np.abs(closed - want)) < 1e-6)
-            via_sdp = np.asarray(cloner.cloner_choi(e_k).fidelities)
-            ok &= bool(np.max(np.abs(via_sdp - want)) < 1e-4)
+            via_choi = np.asarray(cloner.cloner_choi(e_k).fidelities)
+            ok &= bool(np.max(np.abs(via_choi - want)) < 1e-6)
+            via_sdp = np.asarray(cloner_oracle.cloner_choi_sdp(e_k).fidelities)
+            ok &= bool(np.max(np.abs(via_sdp - want)) < 1e-6)
     elapsed = time.time() - t0
     ok &= elapsed < 60.0
     assert report("criterion 1: cloning benchmarks", ok, f"{elapsed:.1f}s")

