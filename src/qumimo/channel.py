@@ -9,21 +9,12 @@ legs: noise first, then mode shuffling.
 from __future__ import annotations
 
 import itertools
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionLimitError
-from .tensor import (
-    DEFAULT_DIM_CAP,
-    I2,
-    PHI_UNNORM,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    perm_basis_map,
-)
+from .tensor import DEFAULT_DIM_CAP, PHI_UNNORM, ModeSpace, partial_trace, perm_basis_map
 
 MAX_MODES = 6
 
@@ -71,15 +62,6 @@ class ChannelChoi:
         return self.params.n
 
 
-def depolarizing_kraus(lam: float) -> list[np.ndarray]:
-    """Kraus set of ``rho -> (1 - lam) rho + lam I/2``."""
-    if not (0.0 <= lam <= 1.0):
-        raise ValueError(f"depolarization strength {lam} outside [0, 1]")
-    w0 = np.sqrt(1.0 - 3.0 * lam / 4.0)
-    w1 = np.sqrt(lam / 4.0)
-    return [w0 * I2, w1 * SIGMA_X, w1 * SIGMA_Y, w1 * SIGMA_Z]
-
-
 def depolarizing_choi_1q(lam: float) -> np.ndarray:
     """Unnormalized single-qubit depolarizing Choi on (in, out)."""
     if not (0.0 <= lam <= 1.0):
@@ -121,15 +103,6 @@ def permutation_weights(kernel: CouplingKernel) -> PermutationEnsemble:
     raw = np.asarray(raw)
     weights = raw / raw.sum()
     return PermutationEnsemble(perms=tuple(perms), weights=tuple(float(w) for w in weights))
-
-
-def permutation_unitary(pi, n: int) -> np.ndarray:
-    """Unitary sending the value on mode i to mode pi(i)."""
-    qmap = perm_basis_map(pi, n)
-    dim = 2 ** n
-    u = np.zeros((dim, dim), dtype=complex)
-    u[qmap, np.arange(dim)] = 1.0
-    return u
 
 
 def _depolarizing_choi(lam: tuple) -> np.ndarray:
@@ -179,6 +152,29 @@ def channel_choi(params: ChannelParams) -> ChannelChoi:
     return ChannelChoi(choi=j, params=params)
 
 
+def branch_fidelities(chan: ChannelChoi) -> np.ndarray:
+    """Average fidelity of every single-branch map as an (N, N) array.
+
+    Entry ``[t - 1, j - 1]`` belongs to the qubit map from input mode t,
+    the other inputs fed I/2, to output mode j alone.  Its Choi is
+    ``J_tj = Tr_{in != t, out != j} J / 2^(N-1)``, and a qubit map with
+    unnormalized Choi J has average fidelity ``(1 + <Phi|J|Phi>/2) / 3``
+    (Horodecki, Horodecki, Horodecki, PRA 60, 1888 (1999)).
+    """
+    n = chan.n
+    space = ModeSpace.qubits(range(1, 2 * n + 1))
+    # Labels of the 1 -> N map from mode t: 0 is its input, 1..N the outputs.
+    one_to_n = ModeSpace.qubits(range(n + 1))
+    outputs = tuple(range(n + 1, 2 * n + 1))
+    table = np.empty((n, n))
+    for t in range(1, n + 1):
+        j_t = partial_trace(chan.choi, space, (t,) + outputs) / 2 ** (n - 1)
+        for j in range(1, n + 1):
+            j_tj = partial_trace(j_t, one_to_n, (0, j))
+            table[t - 1, j - 1] = (1.0 + np.real(np.trace(PHI_UNNORM @ j_tj)) / 2.0) / 3.0
+    return table
+
+
 def coupling_report(params: ChannelParams) -> np.ndarray:
     """Mode-level mixing matrix ``P = (1 - eta) I + eta C`` (plot data only)."""
     if params.n == 1:
@@ -197,35 +193,3 @@ def apply_channel(channel, rho: np.ndarray) -> np.ndarray:
     d_out = dim_sq // d_in
     j4 = j.reshape(d_in, d_out, d_in, d_out)
     return np.einsum("iokp,ik->op", j4, rho)
-
-
-# Binary cache ("QMCH"): little-endian header (magic, version u32, N u32,
-# dim u32) followed by the row-major complex128 entries of the Choi in
-# the *normalized* convention (Tr_out J = I / 2^N), i.e. the stored
-# matrix is the in-memory operator divided by 2^N.
-_MAGIC = b"QMCH"
-_CACHE_VERSION = 1
-
-
-def cache_key(params: ChannelParams) -> str:
-    lam = "_".join(f"{x:.9f}" for x in params.lam)
-    return f"qmch_N{params.n}_eta{params.eta:.9f}_delta{params.delta:.9f}_lam{lam}"
-
-
-def save_channel_cache(path, channel: ChannelChoi) -> None:
-    j = channel.choi / (2 ** channel.n)
-    dim = j.shape[0]
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sIII", _MAGIC, _CACHE_VERSION, channel.n, dim))
-        fh.write(np.ascontiguousarray(j, dtype="<c16").tobytes())
-
-
-def load_channel_cache(path, params: ChannelParams) -> ChannelChoi:
-    with open(path, "rb") as fh:
-        magic, version, n, dim = struct.unpack("<4sIII", fh.read(16))
-        if magic != _MAGIC or version != _CACHE_VERSION:
-            raise ValueError(f"not a QMCH v{_CACHE_VERSION} cache: {path}")
-        if n != params.n:
-            raise ValueError(f"cache holds N={n}, expected {params.n}")
-        data = np.frombuffer(fh.read(), dtype="<c16").reshape(dim, dim)
-    return ChannelChoi(choi=data.astype(complex) * (2 ** n), params=params)

@@ -10,7 +10,8 @@ Subcommands::
 
 Grid/stochastic runs write plot-ready CSV plus manifest.json into the
 output directory; `validate` executes the built-in invariant suite and
-exits nonzero on any failure.
+exits nonzero on any failure.  Exit status: 2 for an invalid config, 1
+when a run fails (a failed task is named by its coordinates), else 0.
 """
 
 from __future__ import annotations
@@ -133,15 +134,11 @@ def _run_checks(quick: bool) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "fixed-z":
-            cfg, out = _load(args, "fixed_z")
-            manifest = experiments.run_fixed_z(cfg, out, workers=args.workers)
-        elif args.command == "scaling":
-            cfg, out = _load(args, "scaling")
-            manifest = experiments.run_scaling(cfg, out, workers=args.workers)
-        elif args.command == "stochastic":
-            cfg, out = _load(args, "stochastic")
-            manifest = experiments.run_stochastic(cfg, out, workers=args.workers)
+        if args.command in ("fixed-z", "scaling", "stochastic"):
+            cfg, out = _load(args, args.command.replace("-", "_"))
+            run = (experiments.run_stochastic if cfg.regime == "stochastic"
+                   else experiments.run_grid_regime)
+            manifest = run(cfg, out, workers=args.workers)
         elif args.command == "boundary":
             manifest = experiments.run_boundary(args.out, m_values=tuple(args.m),
                                                 resolution=args.resolution)

@@ -42,9 +42,7 @@ from .tensor import (
     dagger,
     hermitian_eig,
     perm_basis_map,
-    projector,
     psd_sqrt_pinv,
-    support_projector,
 )
 
 SURROGATE_TIE_TOL = 1e-6
@@ -162,12 +160,8 @@ def build_qr(emap: EffectiveMap) -> QROperators:
     return QROperators(qt=qt, rt=rt, k=emap.k)
 
 
-_HERM_BASIS_CACHE: dict = {}
-
-
+@functools.cache
 def _hermitian_basis(d: int) -> list[np.ndarray]:
-    if d in _HERM_BASIS_CACHE:
-        return _HERM_BASIS_CACHE[d]
     basis = []
     for i in range(d):
         e = np.zeros((d, d), dtype=complex)
@@ -182,7 +176,6 @@ def _hermitian_basis(d: int) -> list[np.ndarray]:
             y[i, j] = 1j
             y[j, i] = -1j
             basis.append(y)
-    _HERM_BASIS_CACHE[d] = basis
     return basis
 
 
@@ -236,6 +229,16 @@ def purification_sdp(
     )
 
 
+def evaluate_decoder(j: np.ndarray, qr: QROperators) -> tuple[float, float, float]:
+    """``(p_real, f_success, f_avg)`` of decoder Choi ``j`` on the cascade
+    ``qr``: realized acceptance, heralded fidelity and averaged fidelity
+    (a rejected run counts as the maximally mixed output)."""
+    p_real = float(np.real(np.trace(j @ qr.rt)))
+    accepted = float(np.real(np.trace(j @ qr.qt)))
+    f_success = accepted / p_real if p_real > 1e-12 else 0.5
+    return p_real, f_success, accepted + (1.0 - p_real) / 2.0
+
+
 def _validate_decoder(j: np.ndarray, qr: QROperators, p: float) -> None:
     floor = float(np.linalg.eigvalsh(j)[0])
     if floor < -1e-8:
@@ -264,19 +267,6 @@ def rayleigh_bound(qr: QROperators, support_tol: float = 1e-10):
     mat = (mat + dagger(mat)) / 2.0
     w, v = hermitian_eig(mat)
     return float(w[-1]), v[:, -1]
-
-
-def rank_one_certificate(qr: QROperators, p: float) -> np.ndarray:
-    """Relaxation witness ``p R^{-1/2} |v><v| R^{-1/2}``; PSD and on
-    budget, but free to violate the partial-trace dominance."""
-    _, v = rayleigh_bound(qr)
-    rinv = psd_sqrt_pinv(qr.rt)
-    proj = support_projector(qr.rt)
-    v = proj @ v
-    nrm = np.linalg.norm(v)
-    if nrm > 0:
-        v = v / nrm
-    return p * (rinv @ projector(v) @ rinv)
 
 
 @functools.cache
@@ -400,7 +390,7 @@ def optimize_gamma(
 
     qr = build_qr(compose_effective_map(cloner_choi(gamma_star), chan, t, r))
     dec = purification_sdp(qr, p)
-    p_real = float(np.real(np.trace(dec.j @ qr.rt)))
+    p_real, _, _ = evaluate_decoder(dec.j, qr)
     trace_rows = (
         tuple(
             (g, surrogates[g], dec.f_success if g == gamma_star else None)

@@ -1,8 +1,12 @@
 """Reproducible experiment runner for the three operating regimes.
 
-Configs are single JSON documents (schema below).  Every sampled object
-derives its seed from the master seed and its task coordinates through
-SHA-256, so outputs are byte-identical across runs and worker counts.
+``run_grid_regime`` drives the fixed_z and scaling regimes and
+``run_stochastic`` the stochastic one; both write every CSV through
+``_write_csv`` and a manifest.  Configs are single JSON documents
+(schema below).  Every sampled object derives its seed from the master
+seed and its task coordinates through SHA-256, so outputs are
+byte-identical across runs and worker counts.  An error inside a task
+is re-raised as ``QumimoError`` naming the task and its coordinates.
 
 Config schema (JSON object; keys marked (s) are stochastic-only,
 (f) fixed_z-only, (x) scaling-only)::
@@ -44,6 +48,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import time
@@ -56,9 +61,9 @@ import numpy as np
 
 from . import __version__
 from . import decoder as dec_mod
-from .channel import ChannelParams, channel_choi, coupling_report
+from .channel import ChannelParams, branch_fidelities, channel_choi, coupling_report
 from .cloner import clone_fidelities, cloner_choi, feasible_boundary
-from .errors import ConfigError
+from .errors import ConfigError, QumimoError
 from .metrics import asymmetry_index, empirical_density
 from .noise import (
     MeanAllocation,
@@ -68,16 +73,8 @@ from .noise import (
     perturb_and_project,
     sample_fluctuation,
     sample_mean_allocations,
-    write_allocations_csv,
 )
-from .strategies import (
-    STRATEGIES,
-    FidelityRecord,
-    haar_fidelity_no_decode,
-    run_strategy,
-    select_modes,
-    write_records_csv,
-)
+from .strategies import STRATEGIES, FidelityRecord, csv_header, csv_row, run_strategy, select_modes
 
 REGIMES = ("fixed_z", "scaling", "stochastic")
 SYMMETRY_CLASSES = ("symmetric", "asymmetric")
@@ -244,6 +241,7 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path, header, rows) -> None:
+    """The one CSV writer: floats as ``.12g``, ``None`` as an empty field."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -314,11 +312,31 @@ def _eval_cell(args):
     return (sym, z, lx, n, eta, mean_id), records
 
 
+# Names of the task fields after the config, per pool worker.
+_TASK_FIELDS = {
+    "_eval_cell": ("symmetry", "Z", "lambda_x", "N", "eta", "mean_id", "lambda"),
+    "_stochastic_task": ("eta", "mean_id", "lambda", "Z"),
+    "_boxplot_task": ("mean_id", "lambda", "Z", "mu"),
+    "_cluster_only_task": ("mean_id", "lambda", "Z", "mu"),
+}
+
+
+def _run_task(worker, task):
+    """Run one pool task; an error is re-raised naming the task."""
+    try:
+        return worker(task)
+    except Exception as exc:
+        name = worker.__name__
+        coords = ", ".join(f"{k}={v!r}" for k, v in zip(_TASK_FIELDS[name], task[1:]))
+        raise QumimoError(f"{name}({coords}) failed: {type(exc).__name__}: {exc}") from exc
+
+
 def _run_pool(tasks, worker, workers: int):
+    run = functools.partial(_run_task, worker)
     if workers <= 1:
-        return [worker(t) for t in tasks]
+        return [run(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, tasks, chunksize=1))
+        return list(pool.map(run, tasks, chunksize=1))
 
 
 def _write_crosstalk_csv(path, cfg: ExperimentConfig) -> None:
@@ -374,7 +392,9 @@ def run_grid_regime(cfg: ExperimentConfig, out_dir, workers: int = 1) -> dict:
 
     all_records = [rec for _, recs in results for rec in recs]
     m_max = max(cfg.n_list)
-    write_records_csv(out_dir / "records.csv", all_records, m_max)
+    _write_csv(
+        out_dir / "records.csv", csv_header(m_max), [csv_row(r, m_max) for r in all_records]
+    )
 
     # Aggregates: mean / standard error per cell and strategy.
     groups: dict = {}
@@ -442,18 +462,6 @@ def _agg_sort_key(gkey):
     return (sym, z, -1.0 if lx is None else lx, n, eta, p, STRATEGIES.index(strategy))
 
 
-def run_fixed_z(cfg: ExperimentConfig, out_dir, workers: int = 1) -> dict:
-    if cfg.regime != "fixed_z":
-        raise ConfigError("$.regime", f"expected fixed_z, got {cfg.regime}")
-    return run_grid_regime(cfg, out_dir, workers)
-
-
-def run_scaling(cfg: ExperimentConfig, out_dir, workers: int = 1) -> dict:
-    if cfg.regime != "scaling":
-        raise ConfigError("$.regime", f"expected scaling, got {cfg.regime}")
-    return run_grid_regime(cfg, out_dir, workers)
-
-
 # ---------------------------------------------------------------------------
 # Stochastic regime
 
@@ -463,8 +471,7 @@ def _design_on_mean(cfg: ExperimentConfig, eta: float, mean: MeanAllocation, p_e
     n = mean.n
     params = ChannelParams(n=n, eta=eta, lam=mean.lam, delta=cfg.delta)
     chan = channel_choi(params)
-    t, _ = select_modes(mean.lam, n, chan)
-    r = tuple(range(1, n + 1))
+    t, r = select_modes(mean.lam, n, chan)
     gamma_seed = derive_seed(
         cfg.seed, "gamma-opt", n, eta, cfg.delta,
         tuple(round(x, 12) for x in mean.lam), "stochastic",
@@ -483,8 +490,7 @@ def _design_on_mean(cfg: ExperimentConfig, eta: float, mean: MeanAllocation, p_e
         "t": t,
         "r": r,
         "t_dir": t_dir,
-        "r_dir": (r_dir[0],),
-        "chan_mean": chan,
+        "r_dir": r_dir,
     }
 
 
@@ -495,24 +501,8 @@ def _evaluate_on_realization(design, cfg, eta, x: MeanAllocation):
     qr_x = dec_mod.build_qr(
         dec_mod.compose_effective_map(design["enc"], chan_x, design["t"], design["r"])
     )
-    out = {}
-    for p, dec in design["decoders"].items():
-        p_real = float(np.real(np.trace(dec.j @ qr_x.rt)))
-        acc = float(np.real(np.trace(dec.j @ qr_x.qt)))
-        f_success = acc / p_real if p_real > 1e-12 else 0.5
-        f_avg = acc + (1.0 - p_real) / 2.0
-        out[p] = (p_real, f_success, f_avg)
+    out = {p: dec_mod.evaluate_decoder(dec.j, qr_x) for p, dec in design["decoders"].items()}
     return out, chan_x
-
-
-def _dir_fidelity(design, cfg, eta, x: MeanAllocation, chan_x=None):
-    if chan_x is None:
-        params = ChannelParams(n=x.n, eta=eta, lam=x.lam, delta=cfg.delta)
-        chan_x = channel_choi(params)
-    emap = dec_mod.compose_effective_map(
-        cloner_choi((1.0,)), chan_x, design["t_dir"], design["r_dir"]
-    )
-    return haar_fidelity_no_decode(dec_mod.build_qr(emap))
 
 
 def _stochastic_task(args):
@@ -521,11 +511,10 @@ def _stochastic_task(args):
     p_eval = tuple(sorted(set(cfg.p) | {1.0}))
     design = _design_on_mean(cfg, eta, mean, p_eval)
 
+    j_index = asymmetry_index(clone_fidelities(design["gamma"]).fidelities)
+
     base_eval, _ = _evaluate_on_realization(design, cfg, eta, mean)
-    baseline_row = [
-        eta, mean_id, base_eval[1.0][1], base_eval[1.0][2],
-        asymmetry_index(clone_fidelities(design["gamma"]).fidelities),
-    ] + list(design["gamma"])
+    baseline_row = [eta, mean_id, base_eval[1.0][1], base_eval[1.0][2], j_index, *design["gamma"]]
 
     rows = []
     records = []
@@ -533,7 +522,7 @@ def _stochastic_task(args):
         seed = derive_seed(cfg.seed, "stochastic", "xi", cfg.heatmap_mu, mean_id, rid)
         xi = sample_fluctuation(cfg.heatmap_mu, mean.n, make_rng(seed))
         x = perturb_and_project(mean, xi)
-        evals, chan_x = _evaluate_on_realization(design, cfg, eta, x)
+        evals, _ = _evaluate_on_realization(design, cfg, eta, x)
         p1_real, p1_fs, p1_favg = evals[1.0]
         for p in p_eval:
             p_real, fs, favg = evals[p]
@@ -544,29 +533,34 @@ def _stochastic_task(args):
                     regime="stochastic", eta=eta, delta=cfg.delta,
                     p_target=p, p_real=p_real, mu=cfg.heatmap_mu,
                     mean_id=mean_id, realization_id=rid, f_avg=favg,
-                    j_index=asymmetry_index(clone_fidelities(design["gamma"]).fidelities),
-                    gamma=design["gamma"], t=design["t"], r=design["r"],
+                    j_index=j_index, gamma=design["gamma"], t=design["t"], r=design["r"],
                     seed=seed, f_success=fs,
                 )
             )
     return (eta, mean_id), baseline_row, rows, records
 
 
+def _box_realizations(cfg: ExperimentConfig, mean: MeanAllocation, mean_id: int, mu: float):
+    """Realizations of the panel around one mean vector at strength mu."""
+    cluster = []
+    for rid in range(cfg.num_realizations):
+        seed = derive_seed(cfg.seed, "stochastic", "box-xi", mu, mean_id, rid)
+        cluster.append(perturb_and_project(mean, sample_fluctuation(mu, mean.n, make_rng(seed))))
+    return cluster
+
+
 def _boxplot_task(args):
     cfg, mean_id, lam, z, mu = args
     mean = MeanAllocation(lam=lam, z=z)
     design = _design_on_mean(cfg, cfg.box_eta, mean, (cfg.box_p, 1.0))
+    t_dir, r_dir = design["t_dir"][0], design["r_dir"][0]
+    cluster = _box_realizations(cfg, mean, mean_id, mu)
     rows = []
-    cluster = []
-    for rid in range(cfg.num_realizations):
-        seed = derive_seed(cfg.seed, "stochastic", "box-xi", mu, mean_id, rid)
-        xi = sample_fluctuation(mu, mean.n, make_rng(seed))
-        x = perturb_and_project(mean, xi)
+    for rid, x in enumerate(cluster):
         evals, chan_x = _evaluate_on_realization(design, cfg, cfg.box_eta, x)
-        f_dir = _dir_fidelity(design, cfg, cfg.box_eta, x, chan_x)
+        f_dir = float(branch_fidelities(chan_x)[t_dir - 1, r_dir - 1])
         p_real, fs, favg = evals[cfg.box_p]
         rows.append([mu, rid, f_dir, fs, favg, p_real])
-        cluster.append(x)
     return mu, rows, cluster
 
 
@@ -619,14 +613,14 @@ def run_stochastic(cfg: ExperimentConfig, out_dir, workers: int = 1) -> dict:
         + [f"gamma_{i + 1}" for i in range(n)],
         baseline_rows,
     )
-    write_records_csv(out_dir / "records.csv", records, n)
+    _write_csv(out_dir / "records.csv", csv_header(n), [csv_row(r, n) for r in records])
 
     # Realization panel at the box operating point, mean vector 0.
     box_tasks = [(cfg, 0, means[0].lam, z, mu) for mu in cfg.mu]
     box_results = _run_pool(box_tasks, _boxplot_task, workers)
     box_results.sort(key=lambda out: out[0])
     box_rows, cv_rows, alloc_rows, kde_rows = [], [], [], []
-    alloc_rows.append((0, "", 0.0, means[0].lam))
+    alloc_rows.append([0, "", 0.0, *means[0].lam])
     variances = {}
     for mu, rows, cluster in box_results:
         box_rows.extend(rows)
@@ -634,7 +628,7 @@ def run_stochastic(cfg: ExperimentConfig, out_dir, workers: int = 1) -> dict:
         variances[mu] = v
         cv_rows.append([0, mu, v])
         for rid, x in enumerate(cluster):
-            alloc_rows.append((0, rid, mu, x.lam))
+            alloc_rows.append([0, rid, mu, *x.lam])
     # Per-mean cluster variances across all means for the KDE panel.
     cvk_tasks = [
         (cfg, mean_id, mean.lam, z, mu)
@@ -663,7 +657,11 @@ def run_stochastic(cfg: ExperimentConfig, out_dir, workers: int = 1) -> dict:
     )
     _write_csv(out_dir / "cluster_variance.csv", ["mean_id", "mu", "v"], cv_rows)
     _write_csv(out_dir / "cv_kde.csv", ["mu", "x", "density"], kde_rows)
-    write_allocations_csv(out_dir / "allocations.csv", alloc_rows)
+    _write_csv(
+        out_dir / "allocations.csv",
+        ["mean_id", "realization_id", "mu"] + [f"lambda_{i + 1}" for i in range(n)],
+        alloc_rows,
+    )
 
     files = [
         "gain_heatmap.csv", "gain_samples.csv", "baseline.csv", "records.csv",
@@ -678,12 +676,7 @@ def run_stochastic(cfg: ExperimentConfig, out_dir, workers: int = 1) -> dict:
 def _cluster_only_task(args):
     cfg, mean_id, lam, z, mu = args
     mean = MeanAllocation(lam=lam, z=z)
-    cluster = []
-    for rid in range(cfg.num_realizations):
-        seed = derive_seed(cfg.seed, "stochastic", "box-xi", mu, mean_id, rid)
-        xi = sample_fluctuation(mu, mean.n, make_rng(seed))
-        cluster.append(perturb_and_project(mean, xi))
-    return mu, mean_id, cluster_variance(mean, cluster)
+    return mu, mean_id, cluster_variance(mean, _box_realizations(cfg, mean, mean_id, mu))
 
 
 def run_boundary(out_dir, m_values=(2, 3), resolution: float = 0.05) -> dict:

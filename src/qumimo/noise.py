@@ -13,7 +13,6 @@ reproducible regardless of scheduling.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 from dataclasses import dataclass
 
@@ -124,19 +123,3 @@ def cluster_variance(mean: MeanAllocation, realizations) -> float:
     for r in realizations:
         sq += float(np.sum((np.asarray(r.lam) - lam) ** 2))
     return sq / (len(realizations) * mean.n)
-
-
-def write_allocations_csv(path, rows) -> None:
-    """Rows: (mean_id, realization_id, mu, allocation vector)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        first = rows[0][3]
-        writer.writerow(
-            ["mean_id", "realization_id", "mu"]
-            + [f"lambda_{i + 1}" for i in range(len(first))]
-        )
-        for mean_id, realization_id, mu, lam in rows:
-            writer.writerow(
-                [mean_id, realization_id, format(float(mu), ".12g")]
-                + [format(float(x), ".12g") for x in lam]
-            )

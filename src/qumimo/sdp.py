@@ -420,31 +420,3 @@ def verify(problem: SdpProblem, solution: SdpSolution, tol: float = 1e-7) -> Ver
         feasible=feasible,
         psd_floor=min(floors),
     )
-
-
-def dump_problem(problem: SdpProblem, path) -> None:
-    """Write the problem as sparse triplets for external cross-checking.
-
-    Format (text, one record per line):
-
-    * ``blocks d1 d2 ...`` - complex Hermitian block dimensions
-    * ``obj blk row col re im`` - nonzero objective entries
-    * ``con i blk row col re im`` - nonzero constraint coefficients
-    * ``rhs i value`` - right-hand sides
-    """
-    lines = ["# qumimo sdp triplet dump v1"]
-    lines.append("blocks " + " ".join(str(d) for d in problem.block_dims))
-    for blk, c in enumerate(problem.objective):
-        rows, cols = np.nonzero(np.abs(c) > 1e-15)
-        for r, cc in zip(rows, cols):
-            lines.append(f"obj {blk} {r} {cc} {c[r, cc].real:.17g} {c[r, cc].imag:.17g}")
-    for i, (coeffs, rhs) in enumerate(problem.equalities):
-        for blk, a in coeffs.items():
-            rows, cols = np.nonzero(np.abs(a) > 1e-15)
-            for r, cc in zip(rows, cols):
-                lines.append(
-                    f"con {i} {blk} {r} {cc} {a[r, cc].real:.17g} {a[r, cc].imag:.17g}"
-                )
-        lines.append(f"rhs {i} {float(rhs):.17g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

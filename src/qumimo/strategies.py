@@ -12,18 +12,13 @@ Strategies (all sharing the same channel and decoder machinery):
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from . import decoder as dec_mod
-from . import metrics
-from .channel import ChannelChoi, ChannelParams, channel_choi
+from .channel import ChannelChoi, ChannelParams, branch_fidelities, channel_choi
 from .cloner import clone_fidelities, cloner_choi
-from .metrics import asymmetry_index, empirical_density  # noqa: F401
-from .tensor import PHI_UNNORM
+from .metrics import asymmetry_index
 
 STRATEGIES = ("dir", "pur", "div", "sym", "blind")
 
@@ -53,49 +48,28 @@ class FidelityRecord:
     surrogate: Optional[float] = None
 
 
-def haar_fidelity_no_decode(qr: dec_mod.QROperators) -> float:
-    """Average fidelity when the single received qubit is used as-is."""
-    if qr.k != 1:
-        raise ValueError("direct readout defined for a single receive mode")
-    return float(np.real(np.trace(PHI_UNNORM @ qr.qt)))
+def select_modes(lam, m: int, chan: ChannelChoi, k: Optional[int] = None):
+    """Transmit on the M least depolarized modes; receive on K modes
+    (default K = M).
 
-
-def _branch_fidelity(chan: ChannelChoi, t_mode: int, r_mode: int) -> float:
-    enc = cloner_choi((1.0,))
-    emap = dec_mod.compose_effective_map(enc, chan, (t_mode,), (r_mode,))
-    return haar_fidelity_no_decode(dec_mod.build_qr(emap))
-
-
-def select_modes(lam, m: int, chan: ChannelChoi):
-    """Transmit on the M least depolarized modes; receive on the modes
-    with the best single-branch output fidelity given that choice.
-
-    Deterministic: ties resolve by mode index.  With no crosstalk the
-    receive set equals the transmit set.
+    With K = N every mode is received, in index order.  With K < N the
+    receive modes are ranked by their best single-branch fidelity from
+    a transmit mode (``branch_fidelities``).  Deterministic: ties
+    resolve by mode index, so with no crosstalk the receive set equals
+    the transmit set.
     """
     lam = tuple(float(x) for x in lam)
     n = len(lam)
+    k = m if k is None else k
     if m > n:
         raise ValueError(f"cannot transmit {m} clones over {n} modes")
     order = sorted(range(1, n + 1), key=lambda i: (lam[i - 1], i))
     t = tuple(order[:m])
-    scores = {}
-    for j in range(1, n + 1):
-        scores[j] = max(_branch_fidelity(chan, tk, j) for tk in t)
-    ranked = sorted(range(1, n + 1), key=lambda j: (-round(scores[j], 12), j))
-    r = tuple(ranked[:m])
-    return t, r
-
-
-def _receive_modes(lam, t, k: int, chan: ChannelChoi):
-    n = chan.n
     if k == n:
-        return tuple(range(1, n + 1))
-    scores = {}
-    for j in range(1, n + 1):
-        scores[j] = max(_branch_fidelity(chan, tk, j) for tk in t)
-    ranked = sorted(range(1, n + 1), key=lambda j: (-round(scores[j], 12), j))
-    return tuple(ranked[:k])
+        return t, tuple(range(1, n + 1))
+    scores = branch_fidelities(chan)[[x - 1 for x in t]].max(axis=0)
+    ranked = sorted(range(1, n + 1), key=lambda j: (-round(float(scores[j - 1]), 12), j))
+    return t, tuple(ranked[:k])
 
 
 def run_strategy(
@@ -135,19 +109,17 @@ def run_strategy(
 
     if strategy == "dir":
         t, r = select_modes(lam, 1, chan)
-        emap = dec_mod.compose_effective_map(cloner_choi((1.0,)), chan, t, (r[0],))
-        f = haar_fidelity_no_decode(dec_mod.build_qr(emap))
+        f = float(branch_fidelities(chan)[t[0] - 1, r[0] - 1])
         return FidelityRecord(
             strategy="dir", m=1, k=1, p_target=1.0, p_real=1.0,
-            f_avg=f, f_success=f, j_index=1.0, gamma=(1.0,), t=t, r=(r[0],),
+            f_avg=f, f_success=f, j_index=1.0, gamma=(1.0,), t=t, r=r,
             **common,
         )
 
     if strategy == "pur":
         if m != 1:
             raise ValueError("pur requires M = 1")
-        t, _ = select_modes(lam, 1, chan)
-        r = _receive_modes(lam, t, k, chan)
+        t, r = select_modes(lam, 1, chan, k)
         emap = dec_mod.compose_effective_map(cloner_choi((1.0,)), chan, t, r)
         sol = dec_mod.purification_sdp(dec_mod.build_qr(emap), p)
         return FidelityRecord(
@@ -159,8 +131,7 @@ def run_strategy(
     if strategy in ("sym", "blind") and m != k:
         raise ValueError(f"{strategy} requires M = K")
 
-    t, _ = select_modes(lam, m, chan)
-    r = _receive_modes(lam, t, k, chan)
+    t, r = select_modes(lam, m, chan, k)
 
     if strategy == "sym":
         gamma = tuple([1.0 / m] * m)
@@ -179,10 +150,7 @@ def run_strategy(
         qr_true = dec_mod.build_qr(
             dec_mod.compose_effective_map(cloner_choi(gamma), chan, t, r)
         )
-        p_real = float(np.real(np.trace(designed.j @ qr_true.rt)))
-        accepted = float(np.real(np.trace(designed.j @ qr_true.qt)))
-        f_avg = accepted + (1.0 - p_real) / 2.0
-        f_success = accepted / p_real if p_real > 1e-12 else 0.5
+        p_real, f_success, f_avg = dec_mod.evaluate_decoder(designed.j, qr_true)
         return FidelityRecord(
             strategy="blind", m=m, k=k, p_target=p, p_real=p_real,
             f_avg=f_avg, f_success=f_success,
@@ -201,23 +169,7 @@ def run_strategy(
     )
 
 
-def purification_gain(record_at_p: FidelityRecord, record_at_one: FidelityRecord) -> float:
-    """Average-fidelity gain of a probabilistic run over its deterministic
-    twin; the records must agree on everything except the target p."""
-    a, b = record_at_p, record_at_one
-    matched = (
-        a.strategy == b.strategy and a.n == b.n and a.m == b.m and a.k == b.k
-        and a.eta == b.eta and a.delta == b.delta and a.mean_id == b.mean_id
-        and a.realization_id == b.realization_id and abs(a.z - b.z) < 1e-12
-    )
-    if not matched:
-        raise ValueError("gain requires records with matched parameters")
-    if abs(b.p_target - 1.0) > 1e-12:
-        raise ValueError(f"baseline record must have p = 1, got {b.p_target}")
-    return metrics.purification_gain(a.f_avg, b.f_avg)
-
-
-# Stable CSV schema for strategy records.
+# Stable CSV schema for strategy records; ``experiments`` writes the rows.
 def csv_header(m_max: int) -> list[str]:
     return (
         [
@@ -230,32 +182,15 @@ def csv_header(m_max: int) -> list[str]:
     )
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return format(x, ".12g")
-    return str(x)
-
-
-def csv_row(rec: FidelityRecord, m_max: int) -> list[str]:
+def csv_row(rec: FidelityRecord, m_max: int) -> list:
     gammas = list(rec.gamma) if rec.gamma is not None else []
     gammas += [None] * (m_max - len(gammas))
     return (
         [
-            rec.strategy, str(rec.n), str(rec.m), str(rec.k), _fmt(rec.z),
-            rec.regime, _fmt(rec.eta), _fmt(rec.delta), _fmt(rec.p_target),
-            _fmt(rec.p_real), _fmt(rec.mu), _fmt(rec.mean_id),
-            _fmt(rec.realization_id), _fmt(rec.f_avg), _fmt(rec.j_index),
+            rec.strategy, rec.n, rec.m, rec.k, rec.z, rec.regime, rec.eta,
+            rec.delta, rec.p_target, rec.p_real, rec.mu, rec.mean_id,
+            rec.realization_id, rec.f_avg, rec.j_index,
         ]
-        + [_fmt(g) for g in gammas]
-        + [";".join(str(x) for x in rec.t), ";".join(str(x) for x in rec.r), _fmt(rec.seed)]
+        + gammas
+        + [";".join(str(x) for x in rec.t), ";".join(str(x) for x in rec.r), rec.seed]
     )
-
-
-def write_records_csv(path, records, m_max: int) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(csv_header(m_max))
-        for rec in records:
-            writer.writerow(csv_row(rec, m_max))

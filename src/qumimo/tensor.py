@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionLimitError, LabelError, NotHermitianError, NotPsdError
+from .errors import LabelError, NotHermitianError, NotPsdError
 
 # Any single constructed matrix is capped at this dimension so that a
 # misconfigured pipeline fails loudly instead of thrashing memory.
@@ -52,19 +52,6 @@ def dagger(x: np.ndarray) -> np.ndarray:
 def is_hermitian(x: np.ndarray, rtol: float = HERMITIAN_RTOL) -> bool:
     scale = max(1.0, float(np.max(np.abs(x))) if x.size else 0.0)
     return bool(np.max(np.abs(x - dagger(x))) <= rtol * scale)
-
-
-def kron(a: np.ndarray, b: np.ndarray, dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
-    """Kronecker product with a loud failure above the dimension cap."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    out_rows = a.shape[0] * b.shape[0]
-    out_cols = a.shape[1] * b.shape[1]
-    if max(out_rows, out_cols) > dim_cap:
-        raise DimensionLimitError(
-            f"kron result {out_rows}x{out_cols} exceeds cap {dim_cap}"
-        )
-    return np.kron(a, b)
 
 
 @dataclass(frozen=True)
@@ -149,23 +136,6 @@ def psd_sqrt_pinv(x: np.ndarray, support_tol: float = PSD_SUPPORT_TOL) -> np.nda
         raise NotPsdError(f"eigenvalue {w[0]:.3e} below -{support_tol:.1e}")
     inv_sqrt = np.where(w > support_tol, 1.0 / np.sqrt(np.clip(w, support_tol, None)), 0.0)
     return (v * inv_sqrt) @ dagger(v)
-
-
-def support_projector(x: np.ndarray, support_tol: float = PSD_SUPPORT_TOL) -> np.ndarray:
-    w, v = hermitian_eig(x)
-    mask = (w > support_tol).astype(float)
-    return (v * mask) @ dagger(v)
-
-
-def haar_qubit(rng: np.random.Generator) -> np.ndarray:
-    """Uniformly random pure qubit state as a length-2 complex vector."""
-    z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    return z / np.linalg.norm(z)
-
-
-def projector(psi: np.ndarray) -> np.ndarray:
-    psi = np.asarray(psi).reshape(-1)
-    return np.outer(psi, psi.conj())
 
 
 def perm_basis_map(perm: Sequence[int], n: int) -> np.ndarray:

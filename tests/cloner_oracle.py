@@ -18,13 +18,13 @@ import numpy as np
 from qumimo import sdp
 from qumimo.cloner import ClonerChoi, _as_gamma, _validate_cloner
 from qumimo.errors import DimensionLimitError, SolverError
+from reference_ops import kron
 from qumimo.tensor import (
     PAULIS,
     PHI_UNNORM,
     ModeSpace,
     _as_tensor,
     dagger,
-    kron,
     perm_basis_map,
 )
 

@@ -24,7 +24,8 @@ import pytest
 
 import cloner_oracle
 from qumimo import channel, cloner, decoder, experiments, noise, sdp, strategies
-from qumimo.tensor import I2, ModeSpace, dagger, haar_qubit, partial_trace, projector
+from qumimo.tensor import I2, ModeSpace, dagger, partial_trace
+from reference_ops import haar_qubit, projector
 
 PGRID = (0.2, 0.5, 0.8, 1.0)
 
@@ -346,8 +347,8 @@ def test_criterion_10_determinism(tmp_path):
         "seed": 1010,
     }
     cfg = experiments.validate_config(cfg_dict, profile="ci")
-    man_a = experiments.run_fixed_z(cfg, tmp_path / "a")
-    man_b = experiments.run_fixed_z(cfg, tmp_path / "b")
+    man_a = experiments.run_grid_regime(cfg, tmp_path / "a")
+    man_b = experiments.run_grid_regime(cfg, tmp_path / "b")
     ok = True
     for name in man_a["files"]:
         ok &= (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()

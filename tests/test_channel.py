@@ -11,8 +11,14 @@ from qumimo.tensor import (
     SWAP2,
     ModeSpace,
     dagger,
-    haar_qubit,
     partial_trace,
+)
+from reference_ops import (
+    branch_fidelity_via_compose,
+    choi_from_kraus,
+    depolarizing_kraus,
+    haar_qubit,
+    permutation_unitary,
     projector,
 )
 
@@ -28,36 +34,40 @@ def rand_params(rng, n=None):
 
 
 class TestDepolarizingKraus:
+    """``depolarizing_choi_1q`` against the Choi of the Kraus set."""
+
     def test_identity_limit(self):
-        ks = channel.depolarizing_kraus(0.0)
-        assert np.allclose(ks[0], I2)
-        for k in ks[1:]:
-            assert np.allclose(k, 0.0)
+        assert np.max(np.abs(channel.depolarizing_choi_1q(0.0) - PHI_UNNORM)) < 1e-15
+        assert np.max(np.abs(choi_from_kraus(depolarizing_kraus(0.0)) - PHI_UNNORM)) < 1e-15
 
     def test_completeness(self):
         for lam in (0.0, 0.3, 1.0):
-            ks = channel.depolarizing_kraus(lam)
+            ks = depolarizing_kraus(lam)
             total = sum(dagger(k) @ k for k in ks)
             assert np.max(np.abs(total - I2)) < 1e-12
+            j = channel.depolarizing_choi_1q(lam)
+            assert np.max(np.abs(j - choi_from_kraus(ks))) < 1e-12
 
     def test_haar_fidelity(self):
         # analytic: mean fidelity of rho -> (1-lam) rho + lam I/2 is 1 - lam/2;
-        # Monte Carlo cross-check via Kraus application
+        # Monte Carlo cross-check, applying the Choi and the Kraus set
         rng = np.random.default_rng(0)
         for lam, want in ((1.0, 0.5), (0.4, 0.8)):
-            ks = channel.depolarizing_kraus(lam)
+            ks = depolarizing_kraus(lam)
+            j = channel.depolarizing_choi_1q(lam)
             fids = []
             for _ in range(400):
                 psi = haar_qubit(rng)
                 rho = projector(psi)
-                out = sum(k @ rho @ dagger(k) for k in ks)
+                out = channel.apply_channel(j, rho)
+                assert np.max(np.abs(out - sum(k @ rho @ dagger(k) for k in ks))) < 1e-12
                 fids.append(float(np.real(psi.conj() @ out @ psi)))
             assert abs(np.mean(fids) - want) < 0.02
             assert np.allclose(np.mean(fids), want, atol=5 * np.std(fids) / 20 + 1e-9)
 
     def test_range_check(self):
         with pytest.raises(ValueError):
-            channel.depolarizing_kraus(1.5)
+            channel.depolarizing_choi_1q(1.5)
 
 
 class TestCouplingKernel:
@@ -106,7 +116,7 @@ class TestPermutationWeights:
 
 class TestPermutationUnitary:
     def test_swap_action(self):
-        u = channel.permutation_unitary((2, 1), 2)
+        u = permutation_unitary((2, 1), 2)
         ket01 = np.zeros(4)
         ket01[1] = 1.0
         ket10 = np.zeros(4)
@@ -120,11 +130,11 @@ class TestPermutationUnitary:
             pi = perms[rng.integers(len(perms))]
             sigma = perms[rng.integers(len(perms))]
             composed = tuple(pi[sigma[i] - 1] for i in range(3))
-            u = channel.permutation_unitary(pi, 3) @ channel.permutation_unitary(sigma, 3)
-            assert np.array_equal(u, channel.permutation_unitary(composed, 3))
+            u = permutation_unitary(pi, 3) @ permutation_unitary(sigma, 3)
+            assert np.array_equal(u, permutation_unitary(composed, 3))
 
     def test_unitarity_exact(self):
-        u = channel.permutation_unitary((3, 1, 2), 3)
+        u = permutation_unitary((3, 1, 2), 3)
         assert np.array_equal(dagger(u) @ u, np.eye(8).astype(complex))
 
 
@@ -183,7 +193,7 @@ class TestChannelChoi:
         params = channel.ChannelParams(n=3, eta=0.6, lam=(0.3, 0.3, 0.3), delta=1.1)
         ch = channel.channel_choi(params)
         cyc = (2, 3, 1)
-        u = channel.permutation_unitary(cyc, 3)
+        u = permutation_unitary(cyc, 3)
         big = np.kron(u.conj(), u)  # acts on (in x out) with Ubar on the input leg
         rotated = big @ ch.choi @ dagger(big)
         assert np.max(np.abs(rotated - ch.choi)) < 1e-8
@@ -237,27 +247,26 @@ class TestCouplingReport:
         assert np.allclose(p.sum(axis=1), 1.0)
 
 
-class TestBinaryCache:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(9)
-        params = rand_params(rng, n=2)
-        ch = channel.channel_choi(params)
-        path = tmp_path / (channel.cache_key(params) + ".qmch")
-        channel.save_channel_cache(path, ch)
-        loaded = channel.load_channel_cache(path, params)
-        assert np.max(np.abs(loaded.choi - ch.choi)) < 1e-14
-        # on-disk representation is the normalized Choi (header + payload)
-        raw = path.read_bytes()
-        assert raw[:4] == b"QMCH"
-        dim = 2 ** params.n
-        stored = np.frombuffer(raw[16:], dtype="<c16").reshape(dim * dim, dim * dim)
-        assert np.max(np.abs(stored * (2 ** params.n) - ch.choi)) < 1e-14
+class TestBranchFidelities:
+    def test_matches_compose_route(self):
+        rng = np.random.default_rng(10)
+        for n in (1, 2, 3, 4):
+            for _ in range(3 if n < 4 else 2):
+                ch = channel.channel_choi(rand_params(rng, n=n))
+                table = channel.branch_fidelities(ch)
+                assert table.shape == (n, n)
+                want = np.array([
+                    [branch_fidelity_via_compose(ch, t, j) for j in range(1, n + 1)]
+                    for t in range(1, n + 1)
+                ])
+                assert np.max(np.abs(table - want)) < 1e-12
 
-    def test_wrong_mode_count(self, tmp_path):
-        params = channel.ChannelParams(n=2, eta=0.2, lam=(0.1, 0.2), delta=1.0)
-        ch = channel.channel_choi(params)
-        path = tmp_path / "c.qmch"
-        channel.save_channel_cache(path, ch)
-        other = channel.ChannelParams(n=1, eta=0.2, lam=(0.1,), delta=1.0)
-        with pytest.raises(ValueError):
-            channel.load_channel_cache(path, other)
+    def test_no_crosstalk_closed_form(self):
+        # eta = 0: mode t keeps 1 - lam_t/2, every other mode carries I/2
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 3, 4):
+            lam = tuple(rng.uniform(0, 1, n))
+            ch = channel.channel_choi(channel.ChannelParams(n=n, eta=0.0, lam=lam, delta=1.0))
+            want = np.full((n, n), 0.5)
+            np.fill_diagonal(want, 1.0 - np.asarray(lam) / 2.0)
+            assert np.max(np.abs(channel.branch_fidelities(ch) - want)) < 1e-12

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from qumimo import cli, experiments
-from qumimo.errors import ConfigError
+from qumimo import cli, decoder, experiments
+from qumimo.errors import ConfigError, QumimoError, SolverError
 
 
 def tiny_fixed_cfg(**overrides):
@@ -121,7 +121,7 @@ class TestFixedZRun:
 
     def test_infeasible_cells_skipped(self, tmp_path):
         cfg = experiments.validate_config(tiny_fixed_cfg(Z=[1.5]))
-        manifest = experiments.run_fixed_z(cfg, tmp_path / "out")
+        manifest = experiments.run_grid_regime(cfg, tmp_path / "out")
         assert {"symmetry": "asymmetric", "Z": 1.5, "N": 1, "reason": "Z > N"} in manifest[
             "skipped_cells"
         ]
@@ -135,7 +135,7 @@ class TestFixedZRun:
             tiny_fixed_cfg(Z=[1e-9], N=[2], eta=[0.0], p=[1.0], num_mean_vectors=1,
                            channel_symmetry=["symmetric"])
         )
-        experiments.run_fixed_z(cfg, tmp_path / "out")
+        experiments.run_grid_regime(cfg, tmp_path / "out")
         rows = (tmp_path / "out" / "records.csv").read_text().strip().splitlines()[1:]
         by_strategy = {r.split(",")[0]: float(r.split(",")[13]) for r in rows}
         assert abs(by_strategy["dir"] - 1.0) < 1e-5
@@ -160,7 +160,7 @@ class TestScalingRun:
                 "seed": 5,
             }
         )
-        experiments.run_scaling(cfg, tmp_path / "out")
+        experiments.run_grid_regime(cfg, tmp_path / "out")
         rows = (tmp_path / "out" / "records.csv").read_text().strip().splitlines()[1:]
         by_n = {}
         for row in rows:
@@ -180,8 +180,8 @@ class TestRegimeCoincidence:
         )
         cfg_f = experiments.validate_config({"regime": "fixed_z", "Z": [0.2], **base})
         cfg_s = experiments.validate_config({"regime": "scaling", "Lambda_x": [0.2], **base})
-        experiments.run_fixed_z(cfg_f, tmp_path / "f")
-        experiments.run_scaling(cfg_s, tmp_path / "s")
+        experiments.run_grid_regime(cfg_f, tmp_path / "f")
+        experiments.run_grid_regime(cfg_s, tmp_path / "s")
 
         def fvals(path):
             rows = (path / "records.csv").read_text().strip().splitlines()[1:]
@@ -242,3 +242,28 @@ class TestBoundaryAndValidate:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(tiny_fixed_cfg()))
         assert cli.main(["stochastic", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
+
+
+class TestTaskErrors:
+    @staticmethod
+    def _failing_sdp(qr, p, **kwargs):
+        raise SolverError("max_iter", "purification SDP: stalled")
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_grid_error_names_cell(self, tmp_path, monkeypatch, capsys, workers):
+        monkeypatch.setattr(decoder, "purification_sdp", self._failing_sdp)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_fixed_cfg(N=[2], strategies=["dir", "pur"])))
+        argv = ["fixed-z", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                "--workers", workers]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: _eval_cell(symmetry='asymmetric', Z=0.6, "
+                              "lambda_x=None, N=2, eta=0.5, mean_id=0, lambda=(")
+        assert "SolverError: purification SDP: stalled" in err
+
+    def test_stochastic_error_names_task(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(decoder, "purification_sdp", self._failing_sdp)
+        cfg = experiments.validate_config(tiny_stoch_cfg())
+        with pytest.raises(QumimoError, match=r"^_stochastic_task\(eta=0\.5, mean_id=0, "):
+            experiments.run_stochastic(cfg, tmp_path / "out")

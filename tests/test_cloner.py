@@ -9,10 +9,9 @@ from qumimo.tensor import (
     PHI_UNNORM,
     ModeSpace,
     dagger,
-    haar_qubit,
     partial_trace,
-    projector,
 )
+from reference_ops import haar_qubit, projector
 
 UNIT3 = 1.0 / np.sqrt(3.0)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qumimo import noise
+from qumimo import experiments, noise
 
 
 class TestGammaShape:
@@ -147,12 +147,17 @@ class TestDeterminism:
 
 class TestCsv:
     def test_schema(self, tmp_path):
-        rows = [
-            (0, "", 0.0, (0.3, 0.7)),
-            (0, 0, 0.5, (0.4, 0.6)),
-        ]
-        path = tmp_path / "alloc.csv"
-        noise.write_allocations_csv(path, rows)
-        lines = path.read_text().strip().splitlines()
+        # allocations.csv of a stochastic run: the mean vector, then its
+        # realizations at each fluctuation strength
+        cfg = experiments.validate_config({
+            "regime": "stochastic", "N": 2, "Z": 0.8, "eta": [0.0], "delta": 1.0,
+            "p": [1.0], "mu": [0.5], "num_mean_vectors": 1, "num_realizations": 2,
+            "seed": 3,
+        })
+        experiments.run_stochastic(cfg, tmp_path)
+        lines = (tmp_path / "allocations.csv").read_text().strip().splitlines()
         assert lines[0] == "mean_id,realization_id,mu,lambda_1,lambda_2"
         assert lines[1].startswith("0,,0,")
+        assert [ln.split(",")[:3] for ln in lines[2:]] == [["0", "0", "0.5"], ["0", "1", "0.5"]]
+        for ln in lines[1:]:
+            assert abs(sum(float(x) for x in ln.split(",")[3:]) - 0.8) < 1e-9

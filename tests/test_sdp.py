@@ -134,15 +134,3 @@ class TestVerify:
             iterations=sol.iterations, value=sol.value, dual_value=sol.dual_value,
         )
         assert not sdp.verify(prob, bad).feasible
-
-
-class TestDump:
-    def test_round_trip_parse(self, tmp_path):
-        rng = np.random.default_rng(6)
-        prob = lambda_max_problem(random_hermitian(rng, 3))
-        path = tmp_path / "problem.txt"
-        sdp.dump_problem(prob, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[1].startswith("blocks 3")
-        kinds = {line.split()[0] for line in lines[1:]}
-        assert {"blocks", "obj", "con", "rhs"} <= kinds

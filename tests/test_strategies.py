@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qumimo import channel, metrics, strategies
+from qumimo import channel, experiments, metrics, strategies
 from qumimo.errors import UndefinedIndexError
 
 
@@ -72,26 +72,6 @@ class TestPurificationGain:
         # clean channel: deterministic decoding wins, gain negative
         assert metrics.purification_gain(0.9, 1.0) == pytest.approx(-0.1)
 
-    def test_record_level(self):
-        params = channel.ChannelParams(n=2, eta=0.4, lam=(0.4, 0.3), delta=1.0)
-        ch = channel.channel_choi(params)
-        rec_p = strategies.run_strategy("sym", params, 2, 2, 0.8, chan=ch, mean_id=0)
-        rec_1 = strategies.run_strategy("sym", params, 2, 2, 1.0, chan=ch, mean_id=0)
-        g = strategies.purification_gain(rec_p, rec_1)
-        assert g == pytest.approx(rec_p.f_avg - rec_1.f_avg)
-        assert strategies.purification_gain(rec_1, rec_1) == 0.0
-
-    def test_record_mismatch_rejected(self):
-        params_a = channel.ChannelParams(n=2, eta=0.4, lam=(0.4, 0.3), delta=1.0)
-        params_b = channel.ChannelParams(n=2, eta=0.6, lam=(0.4, 0.3), delta=1.0)
-        rec_p = strategies.run_strategy("sym", params_a, 2, 2, 0.8)
-        rec_1 = strategies.run_strategy("sym", params_b, 2, 2, 1.0)
-        with pytest.raises(ValueError):
-            strategies.purification_gain(rec_p, rec_1)
-        rec_bad = strategies.run_strategy("sym", params_a, 2, 2, 0.9)
-        with pytest.raises(ValueError):
-            strategies.purification_gain(rec_p, rec_bad)
-
 
 class TestSelectModes:
     def test_argmin_rule(self):
@@ -118,6 +98,41 @@ class TestSelectModes:
         t, r = strategies.select_modes(params.lam, 2, ch)
         assert t == (2, 3)
         assert set(r) == set(t)
+
+    def test_full_receive_is_index_order(self):
+        # K = N keeps every mode in index order, whatever the scores
+        params = channel.ChannelParams(n=3, eta=0.0, lam=(0.5, 0.1, 0.3), delta=1.0)
+        ch = channel.channel_choi(params)
+        assert strategies.select_modes(params.lam, 3, ch) == ((2, 3, 1), (1, 2, 3))
+        assert strategies.select_modes(params.lam, 1, ch, k=3) == ((2,), (1, 2, 3))
+
+    def test_partial_receive_ranked_by_branch_table(self):
+        rng = np.random.default_rng(3)
+        for n in (2, 3, 4):
+            params = channel.ChannelParams(
+                n=n, eta=float(rng.uniform(0.3, 1)), lam=tuple(rng.uniform(0, 1, n)),
+                delta=float(rng.uniform(0.3, 2)),
+            )
+            ch = channel.channel_choi(params)
+            table = channel.branch_fidelities(ch)
+            for m in range(1, n):
+                t, r = strategies.select_modes(params.lam, m, ch)
+                assert t == tuple(sorted(range(1, n + 1), key=lambda i: (params.lam[i - 1], i))[:m])
+                scores = table[[x - 1 for x in t]].max(axis=0)
+                want = sorted(range(1, n + 1), key=lambda j: (-round(scores[j - 1], 12), j))
+                assert r == tuple(want[:m])
+                assert strategies.select_modes(params.lam, m, ch, k=n - 1)[1] == tuple(want[:n - 1])
+
+    def test_score_ties_break_by_index(self):
+        # eta = 0 and equal lam: both single-copy receive scores tie at 1/2
+        # off the transmit mode, so K = 2 of N = 3 takes the transmit mode
+        # and then the lower index
+        params = channel.ChannelParams(n=3, eta=0.0, lam=(0.4, 0.4, 0.4), delta=1.0)
+        ch = channel.channel_choi(params)
+        assert strategies.select_modes(params.lam, 1, ch, k=2) == ((1,), (1, 2))
+        params = channel.ChannelParams(n=3, eta=0.0, lam=(0.4, 0.4, 0.2), delta=1.0)
+        ch = channel.channel_choi(params)
+        assert strategies.select_modes(params.lam, 1, ch, k=2) == ((3,), (3, 1))
 
 
 class TestRunStrategy:
@@ -187,7 +202,7 @@ class TestRecordsCsv:
             "sym", params, 2, 2, 0.8, regime="fixed_z", z=0.6, mean_id=0, seed=7
         )
         path = tmp_path / "records.csv"
-        strategies.write_records_csv(path, [rec], m_max=3)
+        experiments._write_csv(path, strategies.csv_header(3), [strategies.csv_row(rec, 3)])
         lines = path.read_text().strip().splitlines()
         assert lines[0] == (
             "strategy,N,M,K,Z,regime,eta,delta,p_target,p_real,mu,mean_id,"

@@ -12,14 +12,12 @@ from qumimo.tensor import (
     SWAP2,
     ModeSpace,
     dagger,
-    haar_qubit,
     hermitian_eig,
-    kron,
     partial_trace,
     perm_basis_map,
-    projector,
     psd_sqrt_pinv,
 )
+from reference_ops import haar_qubit, kron, projector
 
 
 def random_hermitian(rng, n):
