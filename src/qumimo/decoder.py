@@ -18,9 +18,8 @@ quotient whose top eigenvalue upper-bounds the SDP for every p.
 
 from __future__ import annotations
 
-import csv
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -85,9 +84,7 @@ class DecoderSolution:
 class GammaOptimum:
     gamma: AsymmetryVector
     surrogate: float
-    decoder: DecoderSolution
-    p_real: float
-    trace_rows: tuple = field(default=(), repr=False)
+    qr: QROperators
 
 
 def compose_effective_map(
@@ -340,27 +337,21 @@ def _refine_candidates(m: int, chan, t, r, rng: np.random.Generator) -> list[tup
     return out
 
 
-def optimize_gamma(
-    m: int,
-    chan: ChannelChoi,
-    t,
-    r,
-    p: float,
-    seed: Optional[int] = None,
-    trace: bool = False,
-) -> GammaOptimum:
+def optimize_gamma(m: int, chan: ChannelChoi, t, r, seed: Optional[int] = None) -> GammaOptimum:
     """Search the asymmetry simplex for the best Rayleigh surrogate.
+
+    The design is p-independent: one search per channel, whose result
+    carries the cascade operators ``qr`` at gamma*; callers solve the
+    decoder SDP on ``qr`` for each success probability they need.
 
     M <= 3 scans an exhaustive 1/20 lattice (augmented with the exact
     uniform point, which the lattice misses for M = 3); larger M runs
-    Dirichlet multistarts with simplex-descent refinement.  The
-    surrogate is the spectral relaxation, independent of p; ties within
+    Dirichlet multistarts with simplex-descent refinement.  Ties within
     1e-6 break toward the most uniform gamma (highest asymmetry index),
-    then lexicographically smallest.  The winner's reported fidelity is
-    always re-evaluated through the full decoder SDP at the requested p.
+    then lexicographically smallest.
 
     Dominance over the single-branch strategies holds for the surrogate,
-    not at the operating p: the candidates include the single-branch
+    not at an operating p: the candidates include the single-branch
     vertices, so the chosen surrogate is at least the one-copy value, but
     the chosen gamma's SDP fidelity at p can fall below one copy's.  On a
     noiseless N = 2 channel every non-uniform candidate ties at
@@ -376,52 +367,13 @@ def optimize_gamma(
         refined = _refine_candidates(m, chan, t, r, rng)
         candidates = sorted(set(refined) | {tuple([1.0 / m] * m)})
 
-    surrogates = {}
-    best_val = -np.inf
-    for g in candidates:
-        val = evaluate_gamma_surrogate(g, chan, t, r)
-        surrogates[g] = val
-        if val > best_val:
-            best_val = val
-
+    surrogates = {g: evaluate_gamma_surrogate(g, chan, t, r) for g in candidates}
+    best_val = max(surrogates.values())
     ties = [g for g, val in surrogates.items() if val >= best_val - SURROGATE_TIE_TOL]
     ties.sort(key=lambda g: (-asymmetry_index(clone_fidelities(g).fidelities), g))
     gamma_star = ties[0]
-
-    qr = build_qr(compose_effective_map(cloner_choi(gamma_star), chan, t, r))
-    dec = purification_sdp(qr, p)
-    p_real, _, _ = evaluate_decoder(dec.j, qr)
-    trace_rows = (
-        tuple(
-            (g, surrogates[g], dec.f_success if g == gamma_star else None)
-            for g in sorted(surrogates)
-        )
-        if trace
-        else ()
-    )
     return GammaOptimum(
         gamma=AsymmetryVector(gamma_star),
         surrogate=surrogates[gamma_star],
-        decoder=dec,
-        p_real=p_real,
-        trace_rows=trace_rows,
+        qr=build_qr(compose_effective_map(cloner_choi(gamma_star), chan, t, r)),
     )
-
-
-def write_candidate_trace(path, optimum: GammaOptimum) -> None:
-    """Per-candidate optimizer diagnostics CSV."""
-    m = optimum.gamma.m
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [f"gamma_{i + 1}" for i in range(m)] + ["surrogate", "sdp_value", "p_real"]
-        )
-        chosen = tuple(round(x, 12) for x in optimum.gamma.gamma)
-        for g, val, sdp_val in optimum.trace_rows:
-            row = [format(x, ".12g") for x in g] + [format(val, ".12g")]
-            row.append("" if sdp_val is None else format(sdp_val, ".12g"))
-            if tuple(round(x, 12) for x in g) == chosen:
-                row.append(format(optimum.p_real, ".12g"))
-            else:
-                row.append("")
-            writer.writerow(row)

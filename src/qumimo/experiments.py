@@ -2,7 +2,10 @@
 
 ``run_grid_regime`` drives the fixed_z and scaling regimes and
 ``run_stochastic`` the stochastic one; both write every CSV through
-``_write_csv`` and a manifest.  Configs are single JSON documents
+``_write_csv`` and a manifest.  One design per channel, decoders per p:
+the asymmetry search, the cloner and the cascade operators do not depend
+on p, so a task builds them once and solves one decoder SDP per p, and
+the realization panel is designed once for every mu.  Configs are single JSON documents
 (schema below).  Every sampled object derives its seed from the master
 seed and its task coordinates through SHA-256, so outputs are
 byte-identical across runs and worker counts.  An error inside a task
@@ -148,6 +151,7 @@ def validate_config(cfg: dict, profile: str = "ci") -> ExperimentConfig:
             cfg.get("mu", [0.25, 0.5, 0.75, 1.0]), "mu", lambda x: is_num(x) and x > 0,
             "a positive number",
         )
+        mu = tuple(float(x) for x in mu)
         num_real = cfg.get("num_realizations", 50)
         if not isinstance(num_real, int) or num_real < 1:
             raise ConfigError("$.num_realizations", f"expected positive int, got {num_real!r}")
@@ -287,28 +291,29 @@ def _grid_cells(cfg: ExperimentConfig):
 
 
 def _eval_cell(args):
-    """One (symmetry, Z, lambda_x, N, eta, mean) task of a grid regime."""
+    """One (symmetry, Z, lambda_x, N, eta, mean) task of a grid regime:
+    one design per strategy, its decoders for every p; records in
+    p-major order (``dir`` only in the first p block)."""
     cfg, sym, z, lx, n, eta, mean_id, lam = args
     params = ChannelParams(n=n, eta=eta, lam=lam, delta=cfg.delta)
     chan = channel_choi(params)
     task_seed = derive_seed(cfg.seed, cfg.regime, sym, round(z, 12), n, eta, mean_id)
-    records = []
-    for pi, p in enumerate(cfg.p):
-        for strategy in cfg.strategies:
-            if strategy == "dir" and pi > 0:
-                continue  # deterministic; independent of p
-            m = 1 if strategy in ("dir", "pur") else n
-            k = 1 if strategy == "dir" else n
-            p_eff = 1.0 if strategy == "dir" else p
-            gamma_seed = derive_seed(
-                cfg.seed, "gamma-opt", n, eta, cfg.delta,
-                tuple(round(x, 12) for x in lam), p_eff,
-            )
-            rec = run_strategy(
-                strategy, params, m, k, p_eff, chan=chan, seed=gamma_seed,
-                regime=cfg.regime, z=z, mean_id=mean_id,
-            )
-            records.append(dataclasses.replace(rec, seed=task_seed))
+    gamma_seed = derive_seed(
+        cfg.seed, "gamma-opt", n, eta, cfg.delta, tuple(round(x, 12) for x in lam), max(cfg.p),
+    )
+    by_strategy = [
+        run_strategy(
+            s, params, 1 if s in ("dir", "pur") else n, 1 if s == "dir" else n, cfg.p,
+            chan=chan, seed=gamma_seed, regime=cfg.regime, z=z, mean_id=mean_id,
+        )
+        for s in cfg.strategies
+    ]
+    records = [
+        dataclasses.replace(recs[pi], seed=task_seed)
+        for pi in range(len(cfg.p))
+        for recs in by_strategy
+        if pi < len(recs)
+    ]
     return (sym, z, lx, n, eta, mean_id), records
 
 
@@ -316,8 +321,7 @@ def _eval_cell(args):
 _TASK_FIELDS = {
     "_eval_cell": ("symmetry", "Z", "lambda_x", "N", "eta", "mean_id", "lambda"),
     "_stochastic_task": ("eta", "mean_id", "lambda", "Z"),
-    "_boxplot_task": ("mean_id", "lambda", "Z", "mu"),
-    "_cluster_only_task": ("mean_id", "lambda", "Z", "mu"),
+    "_boxplot_task": ("mean_id", "lambda", "Z"),
 }
 
 
@@ -401,7 +405,7 @@ def run_grid_regime(cfg: ExperimentConfig, out_dir, workers: int = 1) -> dict:
     for key, recs in results:
         sym, z, lx, n, eta, mean_id = key
         for rec in recs:
-            gkey = (sym, z, lx, n, eta, rec.p_target if rec.strategy != "dir" else 1.0, rec.strategy)
+            gkey = (sym, z, lx, n, eta, rec.p_target, rec.strategy)
             groups.setdefault(gkey, []).append(rec)
     agg_rows = []
     for gkey in sorted(groups, key=_agg_sort_key):
@@ -476,17 +480,12 @@ def _design_on_mean(cfg: ExperimentConfig, eta: float, mean: MeanAllocation, p_e
         cfg.seed, "gamma-opt", n, eta, cfg.delta,
         tuple(round(x, 12) for x in mean.lam), "stochastic",
     )
-    opt = dec_mod.optimize_gamma(n, chan, t, r, max(cfg.p), seed=gamma_seed)
-    enc = cloner_choi(opt.gamma.gamma)
-    qr_mean = dec_mod.build_qr(dec_mod.compose_effective_map(enc, chan, t, r))
-    decoders = {}
-    for p in p_eval:
-        decoders[p] = dec_mod.purification_sdp(qr_mean, p)
+    opt = dec_mod.optimize_gamma(n, chan, t, r, seed=gamma_seed)
     t_dir, r_dir = select_modes(mean.lam, 1, chan)
     return {
         "gamma": opt.gamma.gamma,
-        "enc": enc,
-        "decoders": decoders,
+        "enc": cloner_choi(opt.gamma.gamma),
+        "decoders": {p: dec_mod.purification_sdp(opt.qr, p) for p in p_eval},
         "t": t,
         "r": r,
         "t_dir": t_dir,
@@ -550,18 +549,23 @@ def _box_realizations(cfg: ExperimentConfig, mean: MeanAllocation, mean_id: int,
 
 
 def _boxplot_task(args):
-    cfg, mean_id, lam, z, mu = args
+    """The realization panel around one mean vector: one design at the
+    box operating point, evaluated on the realizations of every mu."""
+    cfg, mean_id, lam, z = args
     mean = MeanAllocation(lam=lam, z=z)
-    design = _design_on_mean(cfg, cfg.box_eta, mean, (cfg.box_p, 1.0))
+    design = _design_on_mean(cfg, cfg.box_eta, mean, (cfg.box_p,))
     t_dir, r_dir = design["t_dir"][0], design["r_dir"][0]
-    cluster = _box_realizations(cfg, mean, mean_id, mu)
-    rows = []
-    for rid, x in enumerate(cluster):
-        evals, chan_x = _evaluate_on_realization(design, cfg, cfg.box_eta, x)
-        f_dir = float(branch_fidelities(chan_x)[t_dir - 1, r_dir - 1])
-        p_real, fs, favg = evals[cfg.box_p]
-        rows.append([mu, rid, f_dir, fs, favg, p_real])
-    return mu, rows, cluster
+    panels = []
+    for mu in sorted(cfg.mu):
+        cluster = _box_realizations(cfg, mean, mean_id, mu)
+        rows = []
+        for rid, x in enumerate(cluster):
+            evals, chan_x = _evaluate_on_realization(design, cfg, cfg.box_eta, x)
+            f_dir = float(branch_fidelities(chan_x)[t_dir - 1, r_dir - 1])
+            p_real, fs, favg = evals[cfg.box_p]
+            rows.append([mu, rid, f_dir, fs, favg, p_real])
+        panels.append((mu, rows, cluster))
+    return panels
 
 
 def run_stochastic(cfg: ExperimentConfig, out_dir, workers: int = 1) -> dict:
@@ -616,13 +620,11 @@ def run_stochastic(cfg: ExperimentConfig, out_dir, workers: int = 1) -> dict:
     _write_csv(out_dir / "records.csv", csv_header(n), [csv_row(r, n) for r in records])
 
     # Realization panel at the box operating point, mean vector 0.
-    box_tasks = [(cfg, 0, means[0].lam, z, mu) for mu in cfg.mu]
-    box_results = _run_pool(box_tasks, _boxplot_task, workers)
-    box_results.sort(key=lambda out: out[0])
+    panels = _run_task(_boxplot_task, (cfg, 0, means[0].lam, z))
     box_rows, cv_rows, alloc_rows, kde_rows = [], [], [], []
     alloc_rows.append([0, "", 0.0, *means[0].lam])
     variances = {}
-    for mu, rows, cluster in box_results:
+    for mu, rows, cluster in panels:
         box_rows.extend(rows)
         v = cluster_variance(means[0], cluster)
         variances[mu] = v
@@ -630,17 +632,12 @@ def run_stochastic(cfg: ExperimentConfig, out_dir, workers: int = 1) -> dict:
         for rid, x in enumerate(cluster):
             alloc_rows.append([0, rid, mu, *x.lam])
     # Per-mean cluster variances across all means for the KDE panel.
-    cvk_tasks = [
-        (cfg, mean_id, mean.lam, z, mu)
-        for mu in cfg.mu
-        for mean_id, mean in enumerate(means)
-        if mean_id > 0
-    ]
-    cvk_results = _run_pool(cvk_tasks, _cluster_only_task, workers)
     all_v = {mu: [variances[mu]] for mu in cfg.mu}
-    for mu, mean_id, v in sorted(cvk_results, key=lambda r: (r[0], r[1])):
-        cv_rows.append([mean_id, mu, v])
-        all_v[mu].append(v)
+    for mu in sorted(cfg.mu):
+        for mean_id, mean in enumerate(means[1:], start=1):
+            v = cluster_variance(mean, _box_realizations(cfg, mean, mean_id, mu))
+            cv_rows.append([mean_id, mu, v])
+            all_v[mu].append(v)
     cv_rows.sort(key=lambda r: (r[1], r[0]))
     for mu in cfg.mu:
         vals = all_v[mu]
@@ -671,12 +668,6 @@ def run_stochastic(cfg: ExperimentConfig, out_dir, workers: int = 1) -> dict:
         _write_crosstalk_csv(out_dir / "crosstalk.csv", cfg)
         files.append("crosstalk.csv")
     return _finish(cfg, out_dir, files, t0)
-
-
-def _cluster_only_task(args):
-    cfg, mean_id, lam, z, mu = args
-    mean = MeanAllocation(lam=lam, z=z)
-    return mu, mean_id, cluster_variance(mean, _box_realizations(cfg, mean, mean_id, mu))
 
 
 def run_boundary(out_dir, m_values=(2, 3), resolution: float = 0.05) -> dict:

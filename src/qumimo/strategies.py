@@ -77,96 +77,79 @@ def run_strategy(
     params: ChannelParams,
     m: int,
     k: int,
-    p: float,
+    ps: tuple,
     chan: Optional[ChannelChoi] = None,
     seed: Optional[int] = None,
     regime: str = "single",
     z: Optional[float] = None,
-    mu: Optional[float] = None,
     mean_id: Optional[int] = None,
-    realization_id: Optional[int] = None,
-) -> FidelityRecord:
-    """Evaluate one strategy on one channel realization."""
+) -> list[FidelityRecord]:
+    """Evaluate one strategy on one channel realization, one record per
+    success probability in ``ps`` (``dir`` is deterministic: one record
+    at p = 1).
+
+    The modes, the cloner, the cascade operators and, for ``div``, the
+    gamma search depend on the channel only and are built once; each p
+    adds one decoder SDP (``blind``: one evaluation of its prior-designed
+    decoder).
+    """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     if chan is None:
         chan = channel_choi(params)
-    n = params.n
     lam = params.lam
-    z_val = float(sum(lam)) if z is None else float(z)
-
     common = dict(
-        n=n,
-        z=z_val,
+        strategy=strategy,
+        n=params.n,
+        z=float(sum(lam)) if z is None else float(z),
         regime=regime,
         eta=params.eta,
         delta=params.delta,
-        mu=mu,
+        mu=None,
         mean_id=mean_id,
-        realization_id=realization_id,
+        realization_id=None,
         seed=seed,
     )
 
     if strategy == "dir":
         t, r = select_modes(lam, 1, chan)
         f = float(branch_fidelities(chan)[t[0] - 1, r[0] - 1])
-        return FidelityRecord(
-            strategy="dir", m=1, k=1, p_target=1.0, p_real=1.0,
-            f_avg=f, f_success=f, j_index=1.0, gamma=(1.0,), t=t, r=r,
-            **common,
-        )
+        return [FidelityRecord(
+            m=1, k=1, p_target=1.0, p_real=1.0, f_avg=f, f_success=f,
+            j_index=1.0, gamma=(1.0,), t=t, r=r, **common,
+        )]
 
-    if strategy == "pur":
-        if m != 1:
-            raise ValueError("pur requires M = 1")
-        t, r = select_modes(lam, 1, chan, k)
-        emap = dec_mod.compose_effective_map(cloner_choi((1.0,)), chan, t, r)
-        sol = dec_mod.purification_sdp(dec_mod.build_qr(emap), p)
-        return FidelityRecord(
-            strategy="pur", m=1, k=k, p_target=p, p_real=p,
-            f_avg=sol.f_avg, f_success=sol.f_success, j_index=1.0,
-            gamma=(1.0,), t=t, r=r, **common,
-        )
-
+    if strategy == "pur" and m != 1:
+        raise ValueError("pur requires M = 1")
     if strategy in ("sym", "blind") and m != k:
         raise ValueError(f"{strategy} requires M = K")
 
     t, r = select_modes(lam, m, chan, k)
-
-    if strategy == "sym":
+    surrogate = None
+    if strategy == "div":
+        opt = dec_mod.optimize_gamma(m, chan, t, r, seed=seed)
+        gamma, surrogate, qr = opt.gamma.gamma, opt.surrogate, opt.qr
+    else:
         gamma = tuple([1.0 / m] * m)
-        emap = dec_mod.compose_effective_map(cloner_choi(gamma), chan, t, r)
-        sol = dec_mod.purification_sdp(dec_mod.build_qr(emap), p)
-        return FidelityRecord(
-            strategy="sym", m=m, k=k, p_target=p, p_real=p,
-            f_avg=sol.f_avg, f_success=sol.f_success,
-            j_index=asymmetry_index(clone_fidelities(gamma).fidelities),
-            gamma=gamma, t=t, r=r, **common,
-        )
+        qr = dec_mod.build_qr(dec_mod.compose_effective_map(cloner_choi(gamma), chan, t, r))
+    j_index = asymmetry_index(clone_fidelities(gamma).fidelities)
 
-    if strategy == "blind":
-        gamma = tuple([1.0 / m] * m)
-        designed = dec_mod.blind_decoder(m, p)
-        qr_true = dec_mod.build_qr(
-            dec_mod.compose_effective_map(cloner_choi(gamma), chan, t, r)
-        )
-        p_real, f_success, f_avg = dec_mod.evaluate_decoder(designed.j, qr_true)
-        return FidelityRecord(
-            strategy="blind", m=m, k=k, p_target=p, p_real=p_real,
-            f_avg=f_avg, f_success=f_success,
-            j_index=asymmetry_index(clone_fidelities(gamma).fidelities),
-            gamma=gamma, t=t, r=r, **common,
-        )
-
-    # div
-    opt = dec_mod.optimize_gamma(m, chan, t, r, p, seed=seed)
-    fvec = clone_fidelities(opt.gamma).fidelities
-    return FidelityRecord(
-        strategy="div", m=m, k=k, p_target=p, p_real=opt.p_real,
-        f_avg=opt.decoder.f_avg, f_success=opt.decoder.f_success,
-        j_index=asymmetry_index(fvec), gamma=opt.gamma.gamma, t=t, r=r,
-        surrogate=opt.surrogate, **common,
-    )
+    records = []
+    for p in ps:
+        if strategy == "blind":
+            p_real, f_success, f_avg = dec_mod.evaluate_decoder(
+                dec_mod.blind_decoder(m, p).j, qr
+            )
+        else:
+            sol = dec_mod.purification_sdp(qr, p)
+            p_real, f_success, f_avg = p, sol.f_success, sol.f_avg
+            if strategy == "div":
+                p_real = dec_mod.evaluate_decoder(sol.j, qr)[0]
+        records.append(FidelityRecord(
+            m=m, k=k, p_target=p, p_real=p_real, f_avg=f_avg, f_success=f_success,
+            j_index=j_index, gamma=gamma, t=t, r=r, surrogate=surrogate, **common,
+        ))
+    return records
 
 
 # Stable CSV schema for strategy records; ``experiments`` writes the rows.

@@ -111,6 +111,26 @@ class TestFixedZRun:
         ) == 0
         assert (out_1 / "records.csv").read_bytes() == (out_2 / "records.csv").read_bytes()
 
+    def test_one_gamma_search_per_task(self, tmp_path, monkeypatch):
+        # the design is p-independent: one search per div task serves
+        # every p, and records.csv stays in p-major order per task
+        searches = []
+        search = decoder.optimize_gamma
+
+        def counted(*args, **kwargs):
+            searches.append(args[0])
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(decoder, "optimize_gamma", counted)
+        cfg = experiments.validate_config(tiny_fixed_cfg(p=[0.5, 0.9]))
+        experiments.run_grid_regime(cfg, tmp_path / "out")
+        assert searches == [1, 1, 2, 2]  # (N, mean) tasks: N = 1, 2 by 2 means
+        rows = (tmp_path / "out" / "records.csv").read_text().strip().splitlines()[1:]
+        order = [(r.split(",")[0], r.split(",")[8]) for r in rows]
+        task = [("dir", "1"), ("pur", "0.5"), ("div", "0.5"), ("sym", "0.5"), ("blind", "0.5"),
+                ("pur", "0.9"), ("div", "0.9"), ("sym", "0.9"), ("blind", "0.9")]
+        assert order == task * 4
+
     def test_seed_override_changes_bytes(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(tiny_fixed_cfg()))
@@ -213,6 +233,52 @@ class TestStochasticRun:
         box = (tmp_path / "out" / "boxplot.csv").read_text().strip().splitlines()[1:]
         f_dir = [float(r.split(",")[2]) for r in box]
         assert max(f_dir) - min(f_dir) < 1e-6  # realizations collapse onto the mean
+
+    def test_box_panel_designed_once(self, tmp_path, monkeypatch):
+        # the panel's design does not depend on mu: one design serves all
+        designs = []
+        design = experiments._design_on_mean
+
+        def counted(cfg, eta, mean, p_eval):
+            designs.append(eta)
+            return design(cfg, eta, mean, p_eval)
+
+        monkeypatch.setattr(experiments, "_design_on_mean", counted)
+        cfg = experiments.validate_config(tiny_stoch_cfg(mu=[0.5, 1.0]))
+        experiments.run_stochastic(cfg, tmp_path / "out")
+        # one design per heatmap task (eta 0.5, two means), one for the
+        # panel (box_eta 0.8)
+        assert designs == [0.5, 0.5, 0.8]
+        box = (tmp_path / "out" / "boxplot.csv").read_text().strip().splitlines()[1:]
+        assert [r.split(",")[0] for r in box] == ["0.5"] * 3 + ["1"] * 3
+
+    def test_mu_spelling_invariant(self, tmp_path):
+        # "mu": [1] and [1.0] name one fluctuation strength and draw the
+        # same realizations
+        for name, mu in (("int", [1]), ("float", [1.0])):
+            cfg = experiments.validate_config(tiny_stoch_cfg(mu=mu))
+            experiments.run_stochastic(cfg, tmp_path / name)
+        for name in ("boxplot.csv", "allocations.csv", "cluster_variance.csv"):
+            int_bytes = (tmp_path / "int" / name).read_bytes()
+            assert int_bytes == (tmp_path / "float" / name).read_bytes(), name
+
+    def test_worker_count_invariance(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_stoch_cfg(p=[0.8, 1.0], mu=[0.5, 1.0])))
+        out_1, out_2 = tmp_path / "w1", tmp_path / "w2"
+        assert cli.main(["stochastic", "--config", str(cfg_path), "--out", str(out_1)]) == 0
+        assert cli.main(
+            ["stochastic", "--config", str(cfg_path), "--out", str(out_2), "--workers", "2"]
+        ) == 0
+        names = sorted(p.name for p in out_1.glob("*.csv"))
+        assert names == sorted(p.name for p in out_2.glob("*.csv"))
+        for name in names:
+            assert (out_1 / name).read_bytes() == (out_2 / name).read_bytes(), name
+        man_1 = json.loads((out_1 / "manifest.json").read_text())
+        man_2 = json.loads((out_2 / "manifest.json").read_text())
+        man_1.pop("timing")
+        man_2.pop("timing")
+        assert man_1 == man_2
 
     def test_determinism(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -9,8 +9,8 @@ import qumimo
 
 SRC = Path(qumimo.__file__).resolve().parent
 
-# Not called yet; run telemetry (ROADMAP item 4) is to wire them in.
-WAITING = {("sdp", "verify"), ("decoder", "write_candidate_trace")}
+# Not called yet; run telemetry (ROADMAP item 4) is to wire it in.
+WAITING = {("sdp", "verify")}
 
 
 def _definitions_and_references():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qumimo import channel, cloner, decoder
+from qumimo import channel, cloner, decoder, strategies
 from qumimo.tensor import (
     I2,
     PHI_UNNORM,
@@ -240,13 +240,12 @@ class TestOptimizeGamma:
         ch = channel.channel_choi(
             channel.ChannelParams(n=2, eta=0.0, lam=(0.0, 0.0), delta=1.0)
         )
-        opt = decoder.optimize_gamma(2, ch, (1, 2), (1, 2), 0.8, trace=True)
+        opt = decoder.optimize_gamma(2, ch, (1, 2), (1, 2))
         assert abs(opt.surrogate - 1.0) < 1e-6
-        by_gamma = {g: val for g, val, _ in opt.trace_rows}
-        assert abs(by_gamma[(1.0, 0.0)] - 1.0) < 1e-6
-        assert abs(by_gamma[(0.0, 1.0)] - 1.0) < 1e-6
+        for vertex in ((1.0, 0.0), (0.0, 1.0)):
+            assert abs(decoder.evaluate_gamma_surrogate(vertex, ch, (1, 2), (1, 2)) - 1.0) < 1e-6
         # deterministic result
-        b = decoder.optimize_gamma(2, ch, (1, 2), (1, 2), 0.8).gamma.gamma
+        b = decoder.optimize_gamma(2, ch, (1, 2), (1, 2)).gamma.gamma
         assert opt.gamma.gamma == b
 
     def test_symmetric_channel_prefers_uniform_tie(self):
@@ -255,28 +254,29 @@ class TestOptimizeGamma:
         ch = channel.channel_choi(
             channel.ChannelParams(n=3, eta=0.8, lam=(0.8, 0.8, 0.8), delta=1.0)
         )
-        opt = decoder.optimize_gamma(3, ch, (1, 2, 3), (1, 2, 3), 0.8)
+        opt = decoder.optimize_gamma(3, ch, (1, 2, 3), (1, 2, 3))
         assert np.allclose(opt.gamma.gamma, (1 / 3, 1 / 3, 1 / 3))
 
-    def test_argmax_invariant_in_p(self):
-        # surrogate ignores p, so the argmax cannot move with p
+    def test_returns_cascade_at_optimum(self):
+        # the design carries the cascade operators at gamma*, from which
+        # the surrogate is read and every per-p decoder is solved
         ch = channel.channel_choi(
             channel.ChannelParams(n=2, eta=0.4, lam=(0.5, 0.2), delta=1.0)
         )
-        g1 = decoder.optimize_gamma(2, ch, (1, 2), (1, 2), 0.5).gamma.gamma
-        g2 = decoder.optimize_gamma(2, ch, (1, 2), (1, 2), 0.9).gamma.gamma
-        assert g1 == g2
+        opt = decoder.optimize_gamma(2, ch, (2, 1), (1, 2))
+        enc = cloner.cloner_choi(opt.gamma.gamma)
+        want = decoder.build_qr(decoder.compose_effective_map(enc, ch, (2, 1), (1, 2)))
+        assert np.array_equal(opt.qr.qt, want.qt) and np.array_equal(opt.qr.rt, want.rt)
+        assert decoder.rayleigh_bound(opt.qr)[0] == opt.surrogate
 
-    def test_candidate_trace_csv(self, tmp_path):
-        ch = channel.channel_choi(
-            channel.ChannelParams(n=2, eta=0.3, lam=(0.4, 0.1), delta=1.0)
-        )
-        opt = decoder.optimize_gamma(2, ch, (1, 2), (1, 2), 0.8, trace=True)
-        path = tmp_path / "trace.csv"
-        decoder.write_candidate_trace(path, opt)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "gamma_1,gamma_2,surrogate,sdp_value,p_real"
-        assert len(lines) >= 22  # 21 lattice points + uniform merge + header
+    def test_argmax_invariant_in_p(self):
+        # surrogate ignores p: one search serves every p, so the records
+        # of one channel carry one gamma
+        params = channel.ChannelParams(n=2, eta=0.4, lam=(0.5, 0.2), delta=1.0)
+        recs = strategies.run_strategy("div", params, 2, 2, (0.5, 0.9))
+        assert [r.p_target for r in recs] == [0.5, 0.9]
+        assert recs[0].gamma == recs[1].gamma
+        assert recs[0].surrogate == recs[1].surrogate
 
 
 class TestBlind:

@@ -138,19 +138,19 @@ class TestSelectModes:
 class TestRunStrategy:
     def test_dir_identity_channel(self):
         params = channel.ChannelParams(n=2, eta=0.0, lam=(0.0, 0.0), delta=1.0)
-        rec = strategies.run_strategy("dir", params, 1, 1, 1.0)
+        [rec] = strategies.run_strategy("dir", params, 1, 1, (1.0,))
         assert abs(rec.f_avg - 1.0) < 1e-6
 
     def test_dir_analytic(self):
         params = channel.ChannelParams(n=2, eta=0.0, lam=(0.2, 0.6), delta=1.0)
-        rec = strategies.run_strategy("dir", params, 1, 1, 1.0)
+        [rec] = strategies.run_strategy("dir", params, 1, 1, (1.0,))
         assert abs(rec.f_avg - 0.9) < 1e-8  # 1 - lam_min / 2
 
     def test_f_avg_identity(self):
         params = channel.ChannelParams(n=2, eta=0.5, lam=(0.4, 0.2), delta=1.0)
         for s in ("pur", "sym", "div"):
             m = 1 if s == "pur" else 2
-            rec = strategies.run_strategy(s, params, m, 2, 0.8)
+            [rec] = strategies.run_strategy(s, params, m, 2, (0.8,))
             assert abs(rec.f_avg - (0.8 * rec.f_success + 0.1)) < 1e-10
             assert 0.5 - 1e-6 <= rec.f_avg <= 1 + 1e-6
 
@@ -162,10 +162,10 @@ class TestRunStrategy:
                 delta=1.0,
             )
             ch = channel.channel_choi(params)
-            div = strategies.run_strategy("div", params, 2, 2, 0.8, chan=ch)
-            sym = strategies.run_strategy("sym", params, 2, 2, 0.8, chan=ch)
-            pur = strategies.run_strategy("pur", params, 1, 2, 0.8, chan=ch)
-            blind = strategies.run_strategy("blind", params, 2, 2, 0.8, chan=ch)
+            [div] = strategies.run_strategy("div", params, 2, 2, (0.8,), chan=ch)
+            [sym] = strategies.run_strategy("sym", params, 2, 2, (0.8,), chan=ch)
+            [pur] = strategies.run_strategy("pur", params, 1, 2, (0.8,), chan=ch)
+            [blind] = strategies.run_strategy("blind", params, 2, 2, (0.8,), chan=ch)
             assert div.f_avg >= sym.f_avg - 1e-6
             # dominance over one copy holds for the design surrogate (the
             # search scores the single-branch vertex), not at the operating p
@@ -175,31 +175,45 @@ class TestRunStrategy:
     def test_symmetric_channel_invariant_under_mode_relabeling(self):
         base = channel.ChannelParams(n=3, eta=0.5, lam=(0.4, 0.2, 0.3), delta=1.0)
         rolled = channel.ChannelParams(n=3, eta=0.5, lam=(0.2, 0.3, 0.4), delta=1.0)
-        a = strategies.run_strategy("sym", base, 3, 3, 0.8)
-        b = strategies.run_strategy("sym", rolled, 3, 3, 0.8)
+        [a] = strategies.run_strategy("sym", base, 3, 3, (0.8,))
+        [b] = strategies.run_strategy("sym", rolled, 3, 3, (0.8,))
         # cyclic relabeling of a circulant channel leaves fidelity unchanged
         assert abs(a.f_avg - b.f_avg) < 1e-8
 
     def test_blind_reports_realized_probability(self):
         params = channel.ChannelParams(n=2, eta=0.3, lam=(0.5, 0.2), delta=1.0)
-        rec = strategies.run_strategy("blind", params, 2, 2, 0.8)
+        [rec] = strategies.run_strategy("blind", params, 2, 2, (0.8,))
         assert rec.p_target == 0.8
         assert 0.0 <= rec.p_real <= 1.0
         assert abs(rec.f_avg - (rec.p_real * rec.f_success + (1 - rec.p_real) / 2)) < 1e-9
 
+    def test_one_record_per_p(self):
+        # one design serves every p: each record equals a single-p run,
+        # and dir returns its one p = 1 record whatever p is asked for
+        params = channel.ChannelParams(n=2, eta=0.3, lam=(0.5, 0.2), delta=1.0)
+        ch = channel.channel_choi(params)
+        ps = (0.5, 0.8, 1.0)
+        for s, m, k in (("pur", 1, 2), ("div", 2, 2), ("sym", 2, 2), ("blind", 2, 2)):
+            recs = strategies.run_strategy(s, params, m, k, ps, chan=ch)
+            assert [r.p_target for r in recs] == list(ps)
+            for p, rec in zip(ps, recs):
+                assert [rec] == strategies.run_strategy(s, params, m, k, (p,), chan=ch)
+        [rec] = strategies.run_strategy("dir", params, 1, 1, ps, chan=ch)
+        assert rec.p_target == rec.p_real == 1.0
+
     def test_rejects_bad_combo(self):
         params = channel.ChannelParams(n=2, eta=0.0, lam=(0.1, 0.1), delta=1.0)
         with pytest.raises(ValueError):
-            strategies.run_strategy("pur", params, 2, 2, 0.8)
+            strategies.run_strategy("pur", params, 2, 2, (0.8,))
         with pytest.raises(ValueError):
-            strategies.run_strategy("nope", params, 1, 1, 1.0)
+            strategies.run_strategy("nope", params, 1, 1, (1.0,))
 
 
 class TestRecordsCsv:
     def test_stable_schema(self, tmp_path):
         params = channel.ChannelParams(n=2, eta=0.0, lam=(0.2, 0.4), delta=1.0)
-        rec = strategies.run_strategy(
-            "sym", params, 2, 2, 0.8, regime="fixed_z", z=0.6, mean_id=0, seed=7
+        [rec] = strategies.run_strategy(
+            "sym", params, 2, 2, (0.8,), regime="fixed_z", z=0.6, mean_id=0, seed=7
         )
         path = tmp_path / "records.csv"
         experiments._write_csv(path, strategies.csv_header(3), [strategies.csv_row(rec, 3)])
