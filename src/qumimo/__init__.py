@@ -30,5 +30,5 @@ from .decoder import (  # noqa: F401
     purification_sdp,
     rayleigh_bound,
 )
-from .metrics import asymmetry_index, empirical_density, purification_gain  # noqa: F401
+from .metrics import asymmetry_index, empirical_density  # noqa: F401
 from .strategies import STRATEGIES, FidelityRecord, run_strategy  # noqa: F401

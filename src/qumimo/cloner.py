@@ -31,9 +31,6 @@ from .errors import DimensionLimitError, SimplexError
 from .tensor import I2, PHI_UNNORM, ModeSpace, partial_trace
 
 SIMPLEX_TOL = 1e-10
-# Covers the M <= 3 search lattices (1 + 21 + 232 points) with room to
-# spare, so a fixed-z run builds each lattice cloner once.
-CLONER_CACHE_SIZE = 512
 
 
 @dataclass(frozen=True)
@@ -136,29 +133,22 @@ def _stinespring_basis(m: int) -> np.ndarray:
     return basis
 
 
-@functools.lru_cache(maxsize=CLONER_CACHE_SIZE)
-def _cloner_choi(gamma: tuple) -> ClonerChoi:
-    m = len(gamma)
-    beta = np.asarray(clone_amplitudes(gamma).beta)
-    x = np.tensordot(beta, _stinespring_basis(m), axes=1)
-    j = (x @ x.T / m).astype(complex)
-    _validate_cloner(j, m, ModeSpace.qubits(range(1, m + 2)))
-    return ClonerChoi(choi=j, m=m, fidelities=_fidelities(beta))
-
-
 def cloner_choi(gamma) -> ClonerChoi:
     """Covariant Choi operator of the gamma-weighted optimal cloner,
     ``J = (1/M) Tr_anc |chi><chi|`` with
     ``|chi> = sum_k beta_k |Phi>_{in,k} (x) sum_w |D_w>_{clones != k} |w>_anc``.
 
-    Its clone fidelities are ``clone_fidelities(gamma)``.  Results are
-    memoized per gamma in a bounded LRU cache, keyed by the exact gamma
-    so that the result is a function of gamma alone.
+    Its clone fidelities are ``clone_fidelities(gamma)``.
     """
     gamma = _as_gamma(gamma)
-    if gamma.m > 5:
-        raise DimensionLimitError(f"cloner limited to M <= 5, got {gamma.m}")
-    return _cloner_choi(gamma.gamma)
+    m = gamma.m
+    if m > 5:
+        raise DimensionLimitError(f"cloner limited to M <= 5, got {m}")
+    beta = np.asarray(clone_amplitudes(gamma).beta)
+    x = np.tensordot(beta, _stinespring_basis(m), axes=1)
+    j = (x @ x.T / m).astype(complex)
+    _validate_cloner(j, m, ModeSpace.qubits(range(1, m + 2)))
+    return ClonerChoi(choi=j, m=m, fidelities=_fidelities(beta))
 
 
 def _validate_cloner(j: np.ndarray, m: int, space: ModeSpace) -> None:

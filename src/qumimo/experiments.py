@@ -50,7 +50,6 @@ deterministic fidelity on the mean vectors themselves.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import functools
 import hashlib
 import json
@@ -298,22 +297,14 @@ def _eval_cell(args):
     params = ChannelParams(n=n, eta=eta, lam=lam, delta=cfg.delta)
     chan = channel_choi(params)
     task_seed = derive_seed(cfg.seed, cfg.regime, sym, round(z, 12), n, eta, mean_id)
-    gamma_seed = derive_seed(
-        cfg.seed, "gamma-opt", n, eta, cfg.delta, tuple(round(x, 12) for x in lam), max(cfg.p),
-    )
     by_strategy = [
         run_strategy(
             s, params, 1 if s in ("dir", "pur") else n, 1 if s == "dir" else n, cfg.p,
-            chan=chan, seed=gamma_seed, regime=cfg.regime, z=z, mean_id=mean_id,
+            chan=chan, seed=task_seed, regime=cfg.regime, z=z, mean_id=mean_id,
         )
         for s in cfg.strategies
     ]
-    records = [
-        dataclasses.replace(recs[pi], seed=task_seed)
-        for pi in range(len(cfg.p))
-        for recs in by_strategy
-        if pi < len(recs)
-    ]
+    records = [recs[pi] for pi in range(len(cfg.p)) for recs in by_strategy if pi < len(recs)]
     return (sym, z, lx, n, eta, mean_id), records
 
 
@@ -476,11 +467,7 @@ def _design_on_mean(cfg: ExperimentConfig, eta: float, mean: MeanAllocation, p_e
     params = ChannelParams(n=n, eta=eta, lam=mean.lam, delta=cfg.delta)
     chan = channel_choi(params)
     t, r = select_modes(mean.lam, n, chan)
-    gamma_seed = derive_seed(
-        cfg.seed, "gamma-opt", n, eta, cfg.delta,
-        tuple(round(x, 12) for x in mean.lam), "stochastic",
-    )
-    opt = dec_mod.optimize_gamma(n, chan, t, r, seed=gamma_seed)
+    opt = dec_mod.optimize_gamma(n, chan, t, r)
     t_dir, r_dir = select_modes(mean.lam, 1, chan)
     return {
         "gamma": opt.gamma.gamma,

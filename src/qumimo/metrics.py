@@ -1,4 +1,4 @@
-"""Summary metrics: asymmetry index, empirical densities, purification gain."""
+"""Summary metrics: asymmetry index and empirical densities."""
 
 from __future__ import annotations
 
@@ -62,9 +62,3 @@ def empirical_density(values, bounds, grid_points: int = DENSITY_GRID_POINTS):
     z = (grid[:, None] - sources[None, :]) / h
     dens = np.exp(-0.5 * z ** 2).sum(axis=1) / (values.size * h * np.sqrt(2 * np.pi))
     return grid, dens
-
-
-def purification_gain(f_at_p: float, f_at_one: float) -> float:
-    """Average-fidelity improvement of probabilistic over deterministic
-    decoding; may be negative on clean channels."""
-    return float(f_at_p) - float(f_at_one)

@@ -127,7 +127,7 @@ def run_strategy(
     t, r = select_modes(lam, m, chan, k)
     surrogate = None
     if strategy == "div":
-        opt = dec_mod.optimize_gamma(m, chan, t, r, seed=seed)
+        opt = dec_mod.optimize_gamma(m, chan, t, r)
         gamma, surrogate, qr = opt.gamma.gamma, opt.surrogate, opt.qr
     else:
         gamma = tuple([1.0 / m] * m)

@@ -9,16 +9,16 @@ import qumimo
 
 SRC = Path(qumimo.__file__).resolve().parent
 
-# Not called yet; run telemetry (ROADMAP item 4) is to wire it in.
+# Not called yet; run telemetry (ROADMAP item 5) is to wire it in.
 WAITING = {("sdp", "verify")}
 
 
 def _definitions_and_references():
     """Module-level (module, name) definitions, and the (module, name)
     pairs that code in the package refers to.  A reference is a bare name
-    (resolved through ``from .module import name``), an attribute of a
-    module bound by ``from . import module``, or an export from
-    ``__init__.py``."""
+    (resolved through ``from .module import name``) or an attribute of a
+    module bound by ``from . import module``; a re-export from
+    ``__init__.py`` alone is not a caller."""
     defs, refs = set(), set()
     for path in sorted(SRC.glob("*.py")):
         mod = path.stem
@@ -36,8 +36,6 @@ def _definitions_and_references():
                         modules[local] = alias.name
                     else:
                         names[local] = (node.module, alias.name)
-                        if mod == "__init__":
-                            refs.add((node.module, alias.name))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 refs.add(names.get(node.id, (mod, node.id)))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qumimo import channel, cloner, decoder, strategies
+from qumimo.metrics import asymmetry_index
 from qumimo.tensor import (
     I2,
     PHI_UNNORM,
@@ -30,6 +31,18 @@ def random_cascade(rng, n=2):
     ch = channel.channel_choi(params)
     emap = decoder.compose_effective_map(enc, ch, tuple(range(1, m + 1)), tuple(range(1, n + 1)))
     return decoder.build_qr(emap), emap
+
+
+def lattice_channel(n, eta, lam):
+    return channel.channel_choi(channel.ChannelParams(n=n, eta=eta, lam=lam, delta=1.0))
+
+
+def assert_scorer_matches(m, ch, t, r, index=None):
+    points, weights = decoder._lattice(m)
+    index = range(len(points)) if index is None else index
+    scores = decoder._lattice_surrogates(weights[index], *decoder._surrogate_pieces(m, ch, t, r))
+    for i, score in zip(index, scores):
+        assert abs(score - decoder.evaluate_gamma_surrogate(points[i], ch, t, r)) < 1e-12
 
 
 class TestCompose:
@@ -277,6 +290,69 @@ class TestOptimizeGamma:
         assert [r.p_target for r in recs] == [0.5, 0.9]
         assert recs[0].gamma == recs[1].gamma
         assert recs[0].surrogate == recs[1].surrogate
+
+    def test_lattice_argmax_n4(self):
+        # the M = 4 search starts its polish from the point the per-point
+        # cascade scores best on the lattice under the documented tie rule
+        lam = (0.15, 0.35, 0.5, 0.7)
+        ch = lattice_channel(4, 0.6, lam)
+        t, r = strategies.select_modes(lam, 4, ch)
+        points = decoder._lattice(4)[0]
+        vals = [decoder.evaluate_gamma_surrogate(g, ch, t, r) for g in points]
+        ties = [g for g, v in zip(points, vals) if v >= max(vals) - decoder.SURROGATE_TIE_TOL]
+        start = min(ties, key=lambda g: (-asymmetry_index(cloner.clone_fidelities(g).fidelities), g))
+        opt = decoder.optimize_gamma(4, ch, t, r)
+        assert opt.gamma.gamma == decoder._polish(start, decoder._surrogate_pieces(4, ch, t, r))
+        assert opt.surrogate >= max(vals) - 1e-12
+        again = decoder.optimize_gamma(4, ch, t, r)
+        assert again.gamma == opt.gamma and again.surrogate == opt.surrogate
+        assert np.array_equal(again.qr.qt, opt.qr.qt) and np.array_equal(again.qr.rt, opt.qr.rt)
+
+    def test_polish_reaches_off_lattice_optimum(self):
+        # the optimum lies on an edge between lattice points: the best
+        # lattice point (0.85, 0.15, 0, 0) is 1.7e-4 below a continuous
+        # search's (0.8232, 0.1768, 0, 0)
+        lam = (0.38487011085303435, 0.015129889146965558, 1.0, 1.0)
+        ch = lattice_channel(4, 0.8, lam)
+        t, r = strategies.select_modes(lam, 4, ch)
+        opt = decoder.optimize_gamma(4, ch, t, r)
+        ref = decoder.evaluate_gamma_surrogate((0.8232, 0.1768, 0.0, 0.0), ch, t, r)
+        lattice = decoder.evaluate_gamma_surrogate((0.85, 0.15, 0.0, 0.0), ch, t, r)
+        assert lattice < ref - 1e-4
+        assert opt.surrogate >= ref - 1e-6
+
+    def test_symmetric_crosstalk_n4_dominates_vertices_and_uniform(self):
+        ch = lattice_channel(4, 0.5, (0.6,) * 4)
+        modes = (1, 2, 3, 4)
+        opt = decoder.optimize_gamma(4, ch, modes, modes)
+        for g in [tuple(np.eye(4)[k]) for k in range(4)] + [(0.25,) * 4]:
+            ref = decoder.evaluate_gamma_surrogate(g, ch, modes, modes)
+            assert opt.surrogate >= ref - decoder.SURROGATE_TIE_TOL
+
+
+class TestLatticeScorer:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_every_point_m_le_3(self, m):
+        lam = (0.7, 0.2, 0.45)[:m]
+        ch = lattice_channel(m, 0.7, lam)
+        t, r = strategies.select_modes(lam, m, ch)
+        assert_scorer_matches(m, ch, t, r)
+
+    def test_m4_vertices_faces_interior(self):
+        points = decoder._lattice(4)[0]
+        index = [i for i, g in enumerate(points) if i % 8 == 0 or max(g) == 1.0]
+        assert len(index) >= 200
+        assert sum(min(points[i]) == 0.0 for i in index) >= 100
+        assert sum(min(points[i]) > 0.0 for i in index) >= 50
+        lam = (0.4, 0.1, 0.8, 0.3)
+        ch = lattice_channel(4, 0.8, lam)
+        t, r = strategies.select_modes(lam, 4, ch)
+        assert_scorer_matches(4, ch, t, r, index)
+
+    def test_noiseless_rank_deficient(self):
+        # on a noiseless channel sigma loses rank at the uniform point;
+        # the support rule must still match rayleigh_bound's
+        assert_scorer_matches(2, lattice_channel(2, 0.0, (0.0, 0.0)), (1, 2), (1, 2))
 
 
 class TestBlind:

@@ -64,15 +64,6 @@ class TestEmpiricalDensity:
             metrics.empirical_density([0.5, 0.6], (1.0, 0.0))
 
 
-class TestPurificationGain:
-    def test_zero_at_same_p(self):
-        assert metrics.purification_gain(0.83, 0.83) == 0.0
-
-    def test_signed(self):
-        # clean channel: deterministic decoding wins, gain negative
-        assert metrics.purification_gain(0.9, 1.0) == pytest.approx(-0.1)
-
-
 class TestSelectModes:
     def test_argmin_rule(self):
         params = channel.ChannelParams(n=2, eta=0.0, lam=(0.2, 0.6), delta=1.0)
