@@ -127,6 +127,16 @@ def _run_checks(quick: bool) -> int:
         ok &= abs(sol.value - np.linalg.eigvalsh(c)[-1]) < 1e-7
     check("sdp eigenvalue oracle", ok)
 
+    params = channel.ChannelParams(n=2, eta=float(rng.uniform(0, 1)),
+                                   lam=tuple(rng.uniform(0, 1, 2)), delta=1.0)
+    qr = decoder.build_qr(decoder.compose_effective_map(
+        cloner.cloner_choi(tuple(rng.dirichlet(np.ones(2)))), channel.channel_choi(params),
+        (1, 2), (1, 2)))
+    dense = sdp_mod.solve(decoder.dense_purification_problem(qr, 0.8))
+    err = abs(decoder.purification_sdp(qr, 0.8).f_success * 0.8 - dense.value)
+    check("decoder SDP: partial-trace = dense", dense.status == sdp_mod.OPTIMAL and err < 1e-7,
+          f"|dF| {err:.1e}")
+
     print(f"{failures} failure(s)" if failures else "all checks passed")
     return 1 if failures else 0
 

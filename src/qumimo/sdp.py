@@ -1,4 +1,4 @@
-"""Dense semidefinite programming over Hermitian cones.
+"""Semidefinite programming over Hermitian cones.
 
 Solves problems of the form
 
@@ -12,14 +12,21 @@ the cone boundary).  Complex Hermitian data is embedded into real
 symmetric matrices with :func:`realify`; the reported objective undoes
 the factor of two introduced by the embedding.
 
-The solver is deliberately small and dense: the problems in this
-package have realified dimension at most a few hundred.
+The iteration reads its constraints through an operator
+(:class:`ConstraintOperator`): ``A(X)``, ``A*(y)`` and the HKM Schur
+matrix.  :class:`DenseOperator` holds any :class:`SdpProblem` as dense
+realified stacks; it serves small generic problems and is the reference
+route.  :class:`PartialTraceOperator` is the decoder problem, whose
+constraints are a partial trace and one trace: it forms the Schur matrix
+in O(d_A^4) from Kronecker factors, never storing a constraint matrix,
+so K = 5 decoders (d_A = 32, a 1,025-row Schur system) fit in memory.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 import scipy.linalg as sla
@@ -48,12 +55,20 @@ def realify(h: np.ndarray) -> np.ndarray:
     return np.block([[re, -im], [im, re]])
 
 
+def _complex_part(r: np.ndarray) -> np.ndarray:
+    """The complex matrix whose realification pairs with ``r``:
+    ``<realify(A), r> = 2 Re Tr[A h]`` for every Hermitian ``A``."""
+    n = r.shape[0] // 2
+    h = np.empty((n, n), dtype=complex)
+    np.add(r[:n, :n], r[n:, n:], out=h.real)
+    np.subtract(r[n:, :n], r[:n, n:], out=h.imag)
+    h *= 0.5
+    return h
+
+
 def _complex_restore(r: np.ndarray) -> np.ndarray:
     """Project a real 2n x 2n block back to an n x n Hermitian matrix."""
-    n = r.shape[0] // 2
-    b11, b12 = r[:n, :n], r[:n, n:]
-    b21, b22 = r[n:, :n], r[n:, n:]
-    h = (b11 + b22) / 2.0 + 1j * (b21 - b12) / 2.0
+    h = _complex_part(r)
     return (h + dagger(h)) / 2.0
 
 
@@ -119,8 +134,32 @@ def _sym(v: np.ndarray) -> np.ndarray:
     return (v + v.T) / 2.0
 
 
-class _RealProblem:
-    """Realified min-form data: min <C,X> s.t. <A_i,X> = b_i, X >= 0."""
+class ConstraintOperator(Protocol):
+    """Realified min-form data ``min <C,X> s.t. <A_i,X> = b_i, X >= 0``
+    as :func:`solve` reads it: the blocks' realified dimensions, the
+    objective ``C`` (maximize objective negated) and right-hand side
+    ``b`` (both doubled by the embedding), the constraint maps, and the
+    largest entry of any realified ``A_i`` (at least 1) for the
+    infeasibility test."""
+
+    dims: list
+    C: list
+    b: np.ndarray
+    max_entry: float
+
+    def a_apply(self, X: list) -> np.ndarray:
+        """``(<A_i, X>)_i``."""
+
+    def a_adjoint(self, y: np.ndarray) -> list:
+        """``sum_i y_i A_i`` per block."""
+
+    def schur(self, X: list, sinv: list) -> np.ndarray:
+        """The HKM Schur matrix ``<A_i, X A_j S^-1>`` summed over blocks."""
+
+
+class DenseOperator:
+    """Any :class:`SdpProblem`, its realified constraints held as dense
+    ``m x d x d`` stacks per block."""
 
     def __init__(self, problem: SdpProblem):
         self.dims = [2 * d for d in problem.block_dims]
@@ -128,39 +167,171 @@ class _RealProblem:
             raise DimensionLimitError(
                 f"total realified dimension {sum(self.dims)} exceeds {MAX_REALIFIED_DIM}"
             )
-        self.nblocks = len(self.dims)
-        self.m = problem.num_constraints
+        m = problem.num_constraints
         # Maximize <C_ext, X> == minimize <-C_ext, X>.
         self.C = [-realify(c) for c in problem.objective]
-        self.b = np.zeros(self.m)
-        self.A = [np.zeros((self.m, d, d)) for d in self.dims]
+        self.b = np.zeros(m)
+        self.A = [np.zeros((m, d, d)) for d in self.dims]
         for i, (coeffs, rhs) in enumerate(problem.equalities):
             self.b[i] = 2.0 * float(rhs)
             for blk, a in coeffs.items():
                 self.A[blk][i] = realify(a)
-        self.nu = float(sum(self.dims))
+        self.max_entry = max(1.0, max(float(np.max(np.abs(a))) if a.size else 0.0 for a in self.A))
 
     def a_apply(self, X: list) -> np.ndarray:
-        out = np.zeros(self.m)
-        for blk in range(self.nblocks):
-            out += np.einsum("mij,ij->m", self.A[blk], X[blk])
-        return out
+        return sum(np.einsum("mij,ij->m", a, x) for a, x in zip(self.A, X))
 
     def a_adjoint(self, y: np.ndarray) -> list:
-        return [np.einsum("m,mij->ij", y, self.A[blk]) for blk in range(self.nblocks)]
+        return [np.einsum("m,mij->ij", y, a) for a in self.A]
 
-    def inner_c(self, X: list) -> float:
-        return float(sum(np.tensordot(c, x) for c, x in zip(self.C, X)))
+    def schur(self, X: list, sinv: list) -> np.ndarray:
+        m = len(self.b)
+        out = np.zeros((m, m))
+        for a, x, si in zip(self.A, X, sinv):
+            t = np.matmul(np.matmul(x[None, :, :], a), si[None, :, :])
+            out += a.reshape(m, -1) @ t.reshape(m, -1).T
+        return out
+
+
+@functools.cache
+def _hermitian_coords(d: int):
+    """Fixed index maps between coordinates in the Hermitian basis of
+    ``d x d`` matrices and realified matrices.
+
+    The basis is the diagonal units ``E_kk``, then for each pair ``k < l``
+    in row-major order ``x = E_kl + E_lk`` and ``y = i E_kl - i E_lk``.
+    ``realify(sum_i y_i h_i)`` is ``out.flat[pos] = sign * y[src]``; read
+    the other way, ``(<realify(h_i), z>)_i`` is the ``sign``-weighted sum
+    of ``z.flat[pos]`` per ``src``.  ``gather`` reads a map
+    ``E_ce -> E_ag`` laid out ``[a, c, g, e]`` into a matrix with rows
+    ``(a, g)`` and columns ``(c, e)``, each ordered diagonal, then the
+    pairs' ``(k, l)``, then their ``(l, k)``.
+    """
+    ku, lu = np.triu_indices(d, 1)
+    npair = len(ku)
+    k = np.arange(d)
+    # Realified [[Re, -Im], [Im, Re]] on a 2d x 2d grid of flat index r * 2d + c.
+    n = 2 * d
+    ix, iy = d + 2 * np.arange(npair), d + 1 + 2 * np.arange(npair)
+    pos = np.concatenate([
+        k * (n + 1), (k + d) * (n + 1),
+        ku * n + lu, lu * n + ku, (ku + d) * n + lu + d, (lu + d) * n + ku + d,
+        ku * n + lu + d, lu * n + ku + d, (ku + d) * n + lu, (lu + d) * n + ku,
+    ])
+    src = np.concatenate([k, k, ix, ix, ix, ix, iy, iy, iy, iy])
+    sign = np.concatenate([np.ones(2 * d + 4 * npair), -np.ones(npair), np.ones(2 * npair),
+                           -np.ones(npair)])
+    first = np.concatenate([k, ku, lu])
+    second = np.concatenate([k, lu, ku])
+    gather = (first * d ** 3 + second * d)[:, None] + (first * d * d + second)[None, :]
+    return pos, src, sign, gather
+
+
+class PartialTraceOperator:
+    """The decoder SDP on a Choi matrix ``J`` over ``A (x) B``, B a qubit:
+
+        maximize Tr[C J]  s.t.  Tr_B J + S = I,  Tr[R J] = p,  J, S >= 0   (p < 1)
+        maximize Tr[C J]  s.t.  Tr_B J = I,  J >= 0                        (p = 1)
+
+    with the identity constraint in Hermitian-basis coordinates
+    (:func:`_hermitian_coords`), then the ``R`` row: the constraints of
+    ``decoder.dense_purification_problem``, in its order.  ``A(J, S)`` is
+    ``(Tr_B J + S, Tr[R J])``, ``A*(Y, t)`` is ``(Y (x) I + t R, Y)``, and
+    the HKM Schur map ``Y -> Tr_B[X_J (Y (x) I) S_J^-1] + X_S Y S_S^-1``
+    is a sum of four Kronecker products of ``d_A x d_A`` factors, one per
+    pair of B indices, formed as one ``(d_A^2, 4) @ (4, d_A^2)`` product
+    (a fifth column and row carry the slack block) and bordered by the
+    ``R`` row.
+    """
+
+    def __init__(self, c: np.ndarray, r: np.ndarray, p: float):
+        da = c.shape[0] // 2
+        self.da = da
+        self.slack = p < 1.0
+        self.r_real = realify(r)
+        self.pos, self.src, self.sign, self.gather = _hermitian_coords(da)
+        self.dims = [4 * da, 2 * da] if self.slack else [4 * da]
+        self.C = [-realify(c)]
+        self.b = np.zeros(da * da + self.slack)
+        self.b[:da] = 2.0
+        if self.slack:
+            self.C.append(np.zeros((2 * da, 2 * da)))
+            self.b[-1] = 2.0 * p
+        self.max_entry = max(1.0, float(np.max(np.abs(self.r_real))))
+
+    def _coords(self, z: np.ndarray) -> np.ndarray:
+        """``(<realify(h_i), z>)_i`` for a realified d_A-block ``z``."""
+        return np.bincount(self.src, weights=self.sign * z.ravel()[self.pos],
+                           minlength=self.da * self.da)
+
+    def _trace_b(self, j: np.ndarray) -> np.ndarray:
+        """``Tr_B`` of a realified J-block: realify(J) indexes (part, a, b)."""
+        n = 2 * self.da
+        return np.trace(j.reshape(n, 2, n, 2), axis1=1, axis2=3)
+
+    def a_apply(self, X: list) -> np.ndarray:
+        z = self._trace_b(X[0])
+        if not self.slack:
+            return self._coords(z)
+        return np.append(self._coords(z + X[1]), np.vdot(self.r_real, X[0]))
+
+    def a_adjoint(self, y: np.ndarray) -> list:
+        n = 2 * self.da
+        yr = np.zeros(n * n)
+        yr[self.pos] = self.sign * y[self.src]
+        yr = yr.reshape(n, n)
+        # realify(Y (x) I) == realify(Y) (x) I.
+        yj = (yr[:, None, :, None] * np.eye(2)[None, :, None, :]).reshape(2 * n, 2 * n)
+        if not self.slack:
+            return [yj]
+        return [yj + y[-1] * self.r_real, yr]
+
+    def schur(self, X: list, sinv: list) -> np.ndarray:
+        da = self.da
+        nh, npair = da * da, da * (da - 1) // 2
+        # Entry ((a, g), (c, e)) of the map is sum_{b, d} X[ab, cd] S^-1[ed, gb]
+        # (+ X_S[a, c] S_S^-1[e, g]); the product lays it out as [a, c, g, e].
+        left = _complex_part(X[0]).reshape(da, 2, da, 2).transpose(0, 2, 1, 3).reshape(nh, 4)
+        right = _complex_part(sinv[0]).reshape(da, 2, da, 2).transpose(3, 1, 2, 0).reshape(4, nh)
+        if self.slack:
+            left = np.hstack([left, _complex_part(X[1]).reshape(nh, 1)])
+            right = np.vstack([right, _complex_part(sinv[1]).T.reshape(1, nh)])
+        kmap = np.take(left @ right, self.gather)
+        # Columns: the images of h_j (diagonal, x = kl + lk, y = i (kl - lk)).
+        img = np.empty((nh, nh), dtype=complex)
+        img[:, :da] = kmap[:, :da]
+        up, lo = kmap[:, da:da + npair], kmap[:, da + npair:]
+        img[:, da::2] = up + lo
+        diff = up - lo
+        img.real[:, da + 1::2] = -diff.imag
+        img.imag[:, da + 1::2] = diff.real
+        # Rows: <realify(h_i), realify(image)> = 2 Re Tr[h_i image].
+        out = np.empty((len(self.b), len(self.b)))
+        out[:da, :nh] = 2.0 * img[:da].real
+        up, lo = img[da:da + npair], img[da + npair:]
+        out[da:nh:2, :nh] = 2.0 * (up.real + lo.real)
+        out[da + 1:nh:2, :nh] = 2.0 * (up.imag - lo.imag)
+        if self.slack:
+            v = X[0] @ self.r_real @ sinv[0]
+            out[:-1, -1] = out[-1, :-1] = self._coords(self._trace_b(v))
+            out[-1, -1] = np.vdot(self.r_real, v)
+        return out
+
+
+# SciPy's LAPACK Cholesky, triangular and Cholesky solves, called without
+# the input-checking wrappers (no finite check, no array conversion):
+# every matrix here is a finite float64 iterate, and at the block sizes
+# solved here the wrappers cost more than the factorizations.
+_potrf, _potrs, _trtrs = sla.lapack.dpotrf, sla.lapack.dpotrs, sla.lapack.dtrtrs
 
 
 def _max_step(mat: np.ndarray, dmat: np.ndarray) -> float:
     """Largest alpha with mat + alpha*dmat >= 0, given mat > 0."""
-    try:
-        chol = np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError:
+    chol, info = _potrf(mat, lower=1)
+    if info:
         return 0.0
-    w = sla.solve_triangular(chol, dmat, lower=True)
-    w = sla.solve_triangular(chol, w.T, lower=True)
+    w = _trtrs(chol, dmat, lower=1)[0]
+    w = _trtrs(chol, w.T, lower=1)[0]
     lam_min = float(np.linalg.eigvalsh(_sym(w))[0])
     if lam_min >= -1e-14:
         return np.inf
@@ -168,7 +339,7 @@ def _max_step(mat: np.ndarray, dmat: np.ndarray) -> float:
 
 
 def solve(
-    problem: SdpProblem,
+    problem: SdpProblem | ConstraintOperator,
     tol: float = 1e-8,
     max_iter: int = 200,
     soft_tol: float = 1e-7,
@@ -179,21 +350,24 @@ def solve(
     If the iteration stalls in numerical noise after effectively
     converging, the best iterate is accepted as optimal provided it
     meets ``soft_tol`` (the certificate tolerances promised on an
-    optimal status).
+    optimal status).  An :class:`SdpProblem` is read through a
+    :class:`DenseOperator`; a structured problem passes its own operator.
     """
-    rp_ = _RealProblem(problem)
-    m, nb = rp_.m, rp_.nblocks
+    op = DenseOperator(problem) if isinstance(problem, SdpProblem) else problem
+    m, nb = len(op.b), len(op.dims)
     if m == 0:
         raise ValueError("at least one equality constraint is required")
+    nu = float(sum(op.dims))
 
-    norm_b = max(1.0, float(np.linalg.norm(rp_.b)))
-    norm_c = max(1.0, max(float(np.linalg.norm(c)) for c in rp_.C))
-    norm_a = max(1.0, max(float(np.max(np.abs(a))) if a.size else 0.0 for a in rp_.A))
+    norm_b = max(1.0, float(np.linalg.norm(op.b)))
+    norm_c = max(1.0, max(float(np.linalg.norm(c)) for c in op.C))
+    norm_a = op.max_entry
 
-    xi_p = max(1.0, float(np.max(np.abs(rp_.b))))
-    xi_d = max(1.0, max(float(np.linalg.norm(c)) for c in rp_.C) / np.sqrt(max(rp_.dims)))
-    X = [xi_p * np.eye(d) for d in rp_.dims]
-    S = [xi_d * np.eye(d) for d in rp_.dims]
+    xi_p = max(1.0, float(np.max(np.abs(op.b))))
+    xi_d = max(1.0, max(float(np.linalg.norm(c)) for c in op.C) / np.sqrt(max(op.dims)))
+    eyes = [np.eye(d) for d in op.dims]
+    X = [xi_p * e for e in eyes]
+    S = [xi_d * e for e in eyes]
     y = np.zeros(m)
     tau, kappa = 1.0, 1.0
 
@@ -205,22 +379,22 @@ def solve(
 
     for it in range(1, max_iter + 1):
         # Residuals of the homogeneous model.
-        ax = rp_.a_apply(X)
-        aty = rp_.a_adjoint(y)
-        rp_vec = rp_.b * tau - ax
-        rd_mats = [rp_.C[blk] * tau - aty[blk] - S[blk] for blk in range(nb)]
-        cx = rp_.inner_c(X)
-        by = float(rp_.b @ y)
+        ax = op.a_apply(X)
+        aty = op.a_adjoint(y)
+        rp_vec = op.b * tau - ax
+        rd_mats = [op.C[blk] * tau - aty[blk] - S[blk] for blk in range(nb)]
+        cx = float(sum(np.vdot(c, x) for c, x in zip(op.C, X)))
+        by = float(op.b @ y)
         rg = by - cx - kappa
 
-        xs = float(sum(np.tensordot(X[blk], S[blk]) for blk in range(nb)))
-        mu = (xs + tau * kappa) / (rp_.nu + 1.0)
+        xs = float(sum(np.vdot(X[blk], S[blk]) for blk in range(nb)))
+        mu = (xs + tau * kappa) / (nu + 1.0)
 
         # Normalized convergence checks.
         pobj, dobj = cx / tau, by / tau
-        pres = float(np.linalg.norm(rp_.b - ax / tau)) / norm_b
+        pres = float(np.linalg.norm(op.b - ax / tau)) / norm_b
         dres = max(
-            float(np.linalg.norm(rp_.C[blk] - aty[blk] / tau - S[blk] / tau))
+            float(np.linalg.norm(op.C[blk] - aty[blk] / tau - S[blk] / tau))
             for blk in range(nb)
         ) / norm_c
         relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
@@ -251,43 +425,37 @@ def solve(
             break
 
         # Factorizations shared by predictor and corrector.
-        try:
-            sinv = []
-            for blk in range(nb):
-                cf = sla.cho_factor(S[blk], lower=True, check_finite=False)
-                sinv.append(sla.cho_solve(cf, np.eye(rp_.dims[blk]), check_finite=False))
-        except np.linalg.LinAlgError:
+        sinv = []
+        for blk in range(nb):
+            chol, info = _potrf(S[blk], lower=1)
+            if info:
+                break
+            sinv.append(_potrs(chol, eyes[blk], lower=1)[0])
+        if len(sinv) < nb:
             if best_merit <= soft_tol:
                 status, message = OPTIMAL, "accepted best iterate at relaxed tolerance"
             else:
                 status, message = MAX_ITER, "dual block lost positive definiteness"
             break
 
-        schur = np.zeros((m, m))
-        t_store = []
-        for blk in range(nb):
-            t_blk = np.matmul(np.matmul(X[blk][None, :, :], rp_.A[blk]), sinv[blk][None, :, :])
-            t_store.append(t_blk)
-            schur += rp_.A[blk].reshape(m, -1) @ t_blk.reshape(m, -1).T
-        schur = _sym(schur)
+        schur = _sym(op.schur(X, sinv))
         jitter = 0.0
         for _ in range(4):
-            try:
-                schur_cf = sla.cho_factor(schur + jitter * np.eye(m), check_finite=False)
+            schur_cf, info = _potrf(schur + jitter * np.eye(m), lower=0, clean=0)
+            if not info:
                 break
-            except np.linalg.LinAlgError:
-                jitter = max(1e-12 * np.trace(schur) / m, 10.0 * jitter, 1e-14)
+            jitter = max(1e-12 * np.trace(schur) / m, 10.0 * jitter, 1e-14)
         else:
             status, message = MAX_ITER, "Schur complement not positive definite"
             break
 
-        wc = [_sym(X[blk] @ rp_.C[blk] @ sinv[blk]) for blk in range(nb)]
-        awc = rp_.a_apply(wc)
-        cwc = float(sum(np.tensordot(rp_.C[blk], wc[blk]) for blk in range(nb)))
+        wc = [_sym(X[blk] @ op.C[blk] @ sinv[blk]) for blk in range(nb)]
+        awc = op.a_apply(wc)
+        cwc = float(sum(np.vdot(op.C[blk], wc[blk]) for blk in range(nb)))
 
         def direction(sigma, corr_blocks, corr_tk):
             rc = [
-                sigma * mu * np.eye(rp_.dims[blk]) - X[blk] @ S[blk]
+                sigma * mu * eyes[blk] - X[blk] @ S[blk]
                 - (corr_blocks[blk] if corr_blocks is not None else 0.0)
                 for blk in range(nb)
             ]
@@ -299,19 +467,19 @@ def solve(
 
             e_blocks = [_sym(rc[blk] @ sinv[blk]) for blk in range(nb)]
             wr2 = [_sym(X[blk] @ r2[blk] @ sinv[blk]) for blk in range(nb)]
-            rhs1 = r1 - rp_.a_apply(e_blocks) + rp_.a_apply(wr2)
-            g = sla.cho_solve(schur_cf, rhs1, check_finite=False)
-            h = sla.cho_solve(schur_cf, awc + rp_.b, check_finite=False)
+            rhs1 = r1 - op.a_apply(e_blocks) + op.a_apply(wr2)
+            g = _potrs(schur_cf, rhs1, lower=0)[0]
+            h = _potrs(schur_cf, awc + op.b, lower=0)[0]
 
-            ce = float(sum(np.tensordot(rp_.C[blk], e_blocks[blk]) for blk in range(nb)))
-            wcr2 = float(sum(np.tensordot(wc[blk], r2[blk]) for blk in range(nb)))
+            ce = float(sum(np.vdot(op.C[blk], e_blocks[blk]) for blk in range(nb)))
+            wcr2 = float(sum(np.vdot(wc[blk], r2[blk]) for blk in range(nb)))
             rhs2 = -r3 + ce - wcr2 + rc_tau / tau
-            den = float((rp_.b - awc) @ h) + cwc + kappa / tau
-            num = rhs2 - float((rp_.b - awc) @ g)
+            den = float((op.b - awc) @ h) + cwc + kappa / tau
+            num = rhs2 - float((op.b - awc) @ g)
             dtau = num / den if abs(den) > 1e-14 else 0.0
             dy = g + h * dtau
-            aty_d = rp_.a_adjoint(dy)
-            ds = [rp_.C[blk] * dtau - aty_d[blk] + r2[blk] for blk in range(nb)]
+            aty_d = op.a_adjoint(dy)
+            ds = [op.C[blk] * dtau - aty_d[blk] + r2[blk] for blk in range(nb)]
             dx = [_sym((rc[blk] - X[blk] @ ds[blk]) @ sinv[blk]) for blk in range(nb)]
             dkappa = (rc_tau - kappa * dtau) / tau
             return dx, dy, ds, dtau, dkappa
@@ -331,12 +499,12 @@ def solve(
         alpha_aff = min(1.0, 0.98 * max_alpha(dxa, dsa, dtaua, dkappaa))
         xs_aff = float(
             sum(
-                np.tensordot(X[blk] + alpha_aff * dxa[blk], S[blk] + alpha_aff * dsa[blk])
+                np.vdot(X[blk] + alpha_aff * dxa[blk], S[blk] + alpha_aff * dsa[blk])
                 for blk in range(nb)
             )
         )
         mu_aff = (xs_aff + (tau + alpha_aff * dtaua) * (kappa + alpha_aff * dkappaa)) / (
-            rp_.nu + 1.0
+            nu + 1.0
         )
         sigma = float(np.clip((max(mu_aff, 0.0) / mu) ** 3, 1e-8, 1.0 - 1e-8))
 

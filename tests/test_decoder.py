@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qumimo import channel, cloner, decoder, strategies
+from qumimo import channel, cloner, decoder, sdp, strategies
 from qumimo.metrics import asymmetry_index
 from qumimo.tensor import (
     I2,
@@ -203,6 +203,78 @@ class TestPurificationSdp:
             decoder.purification_sdp(qr, 1.2)
 
 
+def realified_pd(rng, n):
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return sdp.realify(a @ dagger(a) + np.eye(n))
+
+
+class TestPartialTraceOperator:
+    """The decoder's operator against the dense stacks of the same problem."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("p", [0.6, 1.0])
+    def test_matches_dense_operator(self, k, p):
+        rng = np.random.default_rng(10 + k)
+        qr, _ = random_cascade(rng, n=k)
+        op = sdp.PartialTraceOperator(qr.qt, qr.rt, p)
+        dense = sdp.DenseOperator(decoder.dense_purification_problem(qr, p))
+        assert op.dims == dense.dims and op.max_entry == dense.max_entry
+        assert np.array_equal(op.b, dense.b)
+        assert all(np.array_equal(a, b) for a, b in zip(op.C, dense.C))
+        X = [realified_pd(rng, d // 2) for d in op.dims]
+        sinv = [realified_pd(rng, d // 2) for d in op.dims]
+        y = rng.standard_normal(len(op.b))
+        assert np.allclose(op.a_apply(X), dense.a_apply(X), rtol=0, atol=1e-12)
+        for a, b in zip(op.a_adjoint(y), dense.a_adjoint(y)):
+            assert np.allclose(a, b, rtol=0, atol=1e-12)
+        want = dense.schur(X, sinv)
+        assert np.max(np.abs(op.schur(X, sinv) - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("p", [0.6, 1.0])
+    def test_adjoint(self, p):
+        # <A(X), y> = <X, A*(y)> on random symmetric blocks, realified or not
+        rng = np.random.default_rng(20)
+        for k in (1, 2, 3):
+            qr, _ = random_cascade(rng, n=k)
+            op = sdp.PartialTraceOperator(qr.qt, qr.rt, p)
+            for _ in range(3):
+                X = [rng.standard_normal((d, d)) for d in op.dims]
+                X = [x + x.T for x in X]
+                y = rng.standard_normal(len(op.b))
+                lhs = op.a_apply(X) @ y
+                rhs = sum(np.vdot(x, a) for x, a in zip(X, op.a_adjoint(y)))
+                assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+    def test_matches_dense_route_on_criterion4_sweep(self):
+        rng = np.random.default_rng(1004)
+        worst = 0.0
+        for _ in range(50):
+            qr, _ = random_cascade(rng, n=int(rng.integers(1, 3)))
+            for p in (0.2, 0.5, 0.8, 1.0):
+                dec = decoder.purification_sdp(qr, p)
+                ref = sdp.solve(decoder.dense_purification_problem(qr, p))
+                assert dec.iterations == ref.iterations
+                worst = max(worst, abs(dec.f_success * p - ref.value))
+        assert worst < 1e-7
+
+    @pytest.mark.parametrize("p", [0.2, 0.5, 0.8, 1.0])
+    def test_matches_dense_route_k4(self, p):
+        rng = np.random.default_rng(44)
+        qr, _ = random_cascade(rng, n=4)
+        dec = decoder.purification_sdp(qr, p)
+        ref = sdp.solve(decoder.dense_purification_problem(qr, p))
+        assert dec.iterations == ref.iterations
+        assert abs(dec.f_success * p - ref.value) < 1e-7
+
+    def test_every_solve_is_validated(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(decoder, "_validate_decoder", lambda *a: calls.append(a))
+        qr, _ = random_cascade(np.random.default_rng(8), n=2)
+        for p in (0.5, 1.0):
+            decoder.purification_sdp(qr, p)
+        assert [c[2] for c in calls] == [0.5, 1.0]
+
+
 class TestRayleigh:
     def test_identity_value(self):
         # 1e-7 covers the SDP-built encoder's certificate slop
@@ -328,6 +400,79 @@ class TestOptimizeGamma:
         for g in [tuple(np.eye(4)[k]) for k in range(4)] + [(0.25,) * 4]:
             ref = decoder.evaluate_gamma_surrogate(g, ch, modes, modes)
             assert opt.surrogate >= ref - decoder.SURROGATE_TIE_TOL
+
+
+def rescore_all_gamma(m, ch, t, r):
+    """The search's choice with every point in the tie band rescored per
+    point, then polished at M >= 4."""
+    points, weights = decoder._lattice(m)
+    pieces = decoder._surrogate_pieces(m, ch, t, r)
+    scores = decoder._lattice_surrogates(weights, *pieces)
+    near = np.flatnonzero(scores >= scores.max() - decoder.SURROGATE_TIE_TOL - 1e-9)
+    vals = {i: decoder.evaluate_gamma_surrogate(points[i], ch, t, r) for i in near}
+    best = max(vals.values())
+    ties = [points[i] for i, v in vals.items() if v >= best - decoder.SURROGATE_TIE_TOL]
+    gamma = min(ties, key=lambda g: (-asymmetry_index(cloner.clone_fidelities(g).fidelities), g))
+    return decoder._polish(gamma, pieces) if m >= 4 else gamma
+
+
+def counting_surrogate(monkeypatch):
+    calls = []
+    inner = decoder.evaluate_gamma_surrogate
+
+    def wrapped(*args):
+        calls.append(args[0])
+        return inner(*args)
+
+    monkeypatch.setattr(decoder, "evaluate_gamma_surrogate", wrapped)
+    return calls
+
+
+RULE_CHANNELS = [
+    (2, 0.0, (0.0, 0.0), (1, 2), (1, 2)),
+    (3, 0.0, (0.0, 0.0, 0.0), (1, 2, 3), (1, 2, 3)),
+    (3, 0.8, (0.8, 0.8, 0.8), (1, 2, 3), (1, 2, 3)),
+    (2, 0.4, (0.5, 0.2), (2, 1), (1, 2)),
+    (4, 0.6, (0.15, 0.35, 0.5, 0.7), None, None),
+    (4, 0.8, (0.38487011085303435, 0.015129889146965558, 1.0, 1.0), None, None),
+    (4, 0.5, (0.6,) * 4, (1, 2, 3, 4), (1, 2, 3, 4)),
+]
+
+
+class TestTieRescoring:
+    @pytest.mark.parametrize("n, eta, lam, t, r", RULE_CHANNELS)
+    def test_equals_rescore_all_rule(self, n, eta, lam, t, r):
+        ch = lattice_channel(n, eta, lam)
+        if t is None:
+            t, r = strategies.select_modes(lam, n, ch)
+        want = rescore_all_gamma(n, ch, t, r)
+        opt = decoder.optimize_gamma(n, ch, t, r)
+        assert opt.gamma.gamma == want
+        assert opt.surrogate == decoder.evaluate_gamma_surrogate(want, ch, t, r)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_noiseless_ties_are_not_rescored(self, n, monkeypatch):
+        # every non-uniform point ties at surrogate 1, far from the tie line
+        ch = lattice_channel(n, 0.0, (0.0,) * n)
+        calls = counting_surrogate(monkeypatch)
+        modes = tuple(range(1, n + 1))
+        decoder.optimize_gamma(n, ch, modes, modes)
+        assert calls == []
+
+    @pytest.mark.parametrize("n, eta, lam, t, r", RULE_CHANNELS[2:4])
+    def test_point_on_the_tie_line_is_rescored(self, n, eta, lam, t, r, monkeypatch):
+        # move the tie line onto the runner-up lattice score, where the
+        # rounding margin leaves the runner-up's tie status open
+        ch = lattice_channel(n, eta, lam)
+        points, weights = decoder._lattice(n)
+        scores = decoder._lattice_surrogates(weights, *decoder._surrogate_pieces(n, ch, t, r))
+        distinct = np.unique(scores)
+        monkeypatch.setattr(decoder, "SURROGATE_TIE_TOL", float(distinct[-1] - distinct[-2]))
+        want = rescore_all_gamma(n, ch, t, r)
+        calls = counting_surrogate(monkeypatch)
+        opt = decoder.optimize_gamma(n, ch, t, r)
+        assert opt.gamma.gamma == want
+        assert set(calls) >= {points[i] for i in np.flatnonzero(scores == distinct[-2])}
 
 
 class TestLatticeScorer:
