@@ -212,8 +212,8 @@ def purification_sdp(
     on its K-qubit factor), so the slack block is dropped and the trace
     constraint becomes that equality.  The constraints are read through
     :class:`sdp.PartialTraceOperator`, which forms the solver's Schur
-    matrix from partial traces (about 0.1 s at K = 4); the same problem
-    written out densely is :func:`dense_purification_problem`.
+    matrix from partial traces without storing a constraint matrix; the
+    same problem written out densely is :func:`dense_purification_problem`.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"success probability {p} outside (0, 1]")

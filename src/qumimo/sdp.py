@@ -137,10 +137,10 @@ def _sym(v: np.ndarray) -> np.ndarray:
 class ConstraintOperator(Protocol):
     """Realified min-form data ``min <C,X> s.t. <A_i,X> = b_i, X >= 0``
     as :func:`solve` reads it: the blocks' realified dimensions, the
-    objective ``C`` (maximize objective negated) and right-hand side
-    ``b`` (both doubled by the embedding), the constraint maps, and the
-    largest entry of any realified ``A_i`` (at least 1) for the
-    infeasibility test."""
+    realified objective ``C`` (the maximize objective, negated), the
+    right-hand side ``b`` (doubled, as the embedding doubles traces), the
+    constraint maps, and the largest entry of any realified ``A_i`` (at
+    least 1) for the infeasibility test."""
 
     dims: list
     C: list
