@@ -132,10 +132,12 @@ def _run_checks(quick: bool) -> int:
     qr = decoder.build_qr(decoder.compose_effective_map(
         cloner.cloner_choi(tuple(rng.dirichlet(np.ones(2)))), channel.channel_choi(params),
         (1, 2), (1, 2)))
-    dense = sdp_mod.solve(decoder.dense_purification_problem(qr, 0.8))
-    err = abs(decoder.purification_sdp(qr, 0.8).f_success * 0.8 - dense.value)
-    check("decoder SDP: partial-trace = dense", dense.status == sdp_mod.OPTIMAL and err < 1e-7,
-          f"|dF| {err:.1e}")
+    # p < 1 carries the slack block; p = 1 drops it.
+    for p in (0.8, 1.0):
+        dense = sdp_mod.solve(decoder.dense_purification_problem(qr, p))
+        err = abs(decoder.purification_sdp(qr, p).f_success * p - dense.value)
+        check(f"decoder SDP: partial-trace = dense, p = {p:g}",
+              dense.status == sdp_mod.OPTIMAL and err < 1e-7, f"|dF| {err:.1e}")
 
     print(f"{failures} failure(s)" if failures else "all checks passed")
     return 1 if failures else 0

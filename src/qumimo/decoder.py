@@ -80,7 +80,6 @@ class DecoderSolution:
     p_target: float
     f_success: float
     f_avg: float
-    gap: float = 0.0
     iterations: int = 0
 
 
@@ -230,7 +229,6 @@ def purification_sdp(
         p_target=p,
         f_success=f_success,
         f_avg=f_avg,
-        gap=sol.gap,
         iterations=sol.iterations,
     )
 

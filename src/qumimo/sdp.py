@@ -8,18 +8,21 @@ Solves problems of the form
 
 via a homogeneous self-dual primal-dual interior-point method (HKM
 search direction, Mehrotra predictor-corrector, step fraction 0.98 to
-the cone boundary).  Complex Hermitian data is embedded into real
-symmetric matrices with :func:`realify`; the reported objective undoes
-the factor of two introduced by the embedding.
+the cone boundary).  The iterates are complex Hermitian blocks, paired
+by ``<A, X> = Re Tr[A X]``; the dual vector, the Schur system and its
+Cholesky factor are real.
 
 The iteration reads its constraints through an operator
 (:class:`ConstraintOperator`): ``A(X)``, ``A*(y)`` and the HKM Schur
 matrix.  :class:`DenseOperator` holds any :class:`SdpProblem` as dense
-realified stacks; it serves small generic problems and is the reference
+complex stacks; it serves small generic problems and is the reference
 route.  :class:`PartialTraceOperator` is the decoder problem, whose
 constraints are a partial trace and one trace: it forms the Schur matrix
 in O(d_A^4) from Kronecker factors, never storing a constraint matrix,
 so K = 5 decoders (d_A = 32, a 1,025-row Schur system) fit in memory.
+With one BLAS thread on a 2-core x86-64 machine a decoder solve took
+(p = 1 / p = 0.8, median of three processes) 4.5 / 7.2 ms at K = 2,
+7.2 / 12 ms at K = 3, 44 / 50 ms at K = 4 and 0.63 / 0.80 s at K = 5.
 """
 
 from __future__ import annotations
@@ -34,42 +37,13 @@ import scipy.linalg as sla
 from .errors import DimensionLimitError, NotHermitianError
 from .tensor import dagger, is_hermitian
 
-MAX_REALIFIED_DIM = 512
+# Largest total block dimension a DenseOperator holds.
+MAX_DIM = 256
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 MAX_ITER = "max_iter"
-
-
-def realify(h: np.ndarray) -> np.ndarray:
-    """Embed a Hermitian matrix as ``[[Re H, -Im H], [Im H, Re H]]``.
-
-    The embedding is real symmetric, doubles every eigenvalue's
-    multiplicity and doubles the trace.
-    """
-    h = np.asarray(h)
-    if not is_hermitian(h):
-        raise NotHermitianError("realify requires a Hermitian input")
-    re, im = h.real, h.imag
-    return np.block([[re, -im], [im, re]])
-
-
-def _complex_part(r: np.ndarray) -> np.ndarray:
-    """The complex matrix whose realification pairs with ``r``:
-    ``<realify(A), r> = 2 Re Tr[A h]`` for every Hermitian ``A``."""
-    n = r.shape[0] // 2
-    h = np.empty((n, n), dtype=complex)
-    np.add(r[:n, :n], r[n:, n:], out=h.real)
-    np.subtract(r[n:, :n], r[:n, n:], out=h.imag)
-    h *= 0.5
-    return h
-
-
-def _complex_restore(r: np.ndarray) -> np.ndarray:
-    """Project a real 2n x 2n block back to an n x n Hermitian matrix."""
-    h = _complex_part(r)
-    return (h + dagger(h)) / 2.0
 
 
 @dataclass
@@ -114,7 +88,6 @@ class SdpSolution:
     iterations: int
     value: float = 0.0
     dual_value: float = 0.0
-    primal_residual: float = np.inf
     iteration_log: list = field(default_factory=list)
     message: str = ""
 
@@ -130,17 +103,16 @@ class VerifyReport:
     psd_floor: float
 
 
-def _sym(v: np.ndarray) -> np.ndarray:
-    return (v + v.T) / 2.0
+def _herm(v: np.ndarray) -> np.ndarray:
+    return (v + dagger(v)) / 2.0
 
 
 class ConstraintOperator(Protocol):
-    """Realified min-form data ``min <C,X> s.t. <A_i,X> = b_i, X >= 0``
-    as :func:`solve` reads it: the blocks' realified dimensions, the
-    realified objective ``C`` (the maximize objective, negated), the
-    right-hand side ``b`` (doubled, as the embedding doubles traces), the
-    constraint maps, and the largest entry of any realified ``A_i`` (at
-    least 1) for the infeasibility test."""
+    """Min-form data ``min <C,X> s.t. <A_i,X> = b_i, X >= 0`` as
+    :func:`solve` reads it, with ``<A, X> = Re Tr[A X]``: the block
+    dimensions, the objective ``C`` (the maximize objective, negated), the
+    right-hand side ``b``, the constraint maps, and the largest entry
+    modulus of any ``A_i`` (at least 1) for the infeasibility test."""
 
     dims: list
     C: list
@@ -154,32 +126,30 @@ class ConstraintOperator(Protocol):
         """``sum_i y_i A_i`` per block."""
 
     def schur(self, X: list, sinv: list) -> np.ndarray:
-        """The HKM Schur matrix ``<A_i, X A_j S^-1>`` summed over blocks."""
+        """The HKM Schur matrix ``Re Tr[A_i X A_j S^-1]`` summed over blocks."""
 
 
 class DenseOperator:
-    """Any :class:`SdpProblem`, its realified constraints held as dense
+    """Any :class:`SdpProblem`, its constraints held as dense complex
     ``m x d x d`` stacks per block."""
 
     def __init__(self, problem: SdpProblem):
-        self.dims = [2 * d for d in problem.block_dims]
-        if sum(self.dims) > MAX_REALIFIED_DIM:
-            raise DimensionLimitError(
-                f"total realified dimension {sum(self.dims)} exceeds {MAX_REALIFIED_DIM}"
-            )
+        self.dims = list(problem.block_dims)
+        if sum(self.dims) > MAX_DIM:
+            raise DimensionLimitError(f"total block dimension {sum(self.dims)} exceeds {MAX_DIM}")
         m = problem.num_constraints
         # Maximize <C_ext, X> == minimize <-C_ext, X>.
-        self.C = [-realify(c) for c in problem.objective]
+        self.C = [-np.asarray(c, dtype=complex) for c in problem.objective]
         self.b = np.zeros(m)
-        self.A = [np.zeros((m, d, d)) for d in self.dims]
+        self.A = [np.zeros((m, d, d), dtype=complex) for d in self.dims]
         for i, (coeffs, rhs) in enumerate(problem.equalities):
-            self.b[i] = 2.0 * float(rhs)
+            self.b[i] = float(rhs)
             for blk, a in coeffs.items():
-                self.A[blk][i] = realify(a)
+                self.A[blk][i] = a
         self.max_entry = max(1.0, max(float(np.max(np.abs(a))) if a.size else 0.0 for a in self.A))
 
     def a_apply(self, X: list) -> np.ndarray:
-        return sum(np.einsum("mij,ij->m", a, x) for a, x in zip(self.A, X))
+        return sum(np.einsum("mij,ji->m", a, x).real for a, x in zip(self.A, X))
 
     def a_adjoint(self, y: np.ndarray) -> list:
         return [np.einsum("m,mij->ij", y, a) for a in self.A]
@@ -189,42 +159,29 @@ class DenseOperator:
         out = np.zeros((m, m))
         for a, x, si in zip(self.A, X, sinv):
             t = np.matmul(np.matmul(x[None, :, :], a), si[None, :, :])
-            out += a.reshape(m, -1) @ t.reshape(m, -1).T
+            out += np.real(a.reshape(m, -1).conj() @ t.reshape(m, -1).T)
         return out
 
 
 @functools.cache
 def _hermitian_coords(d: int):
-    """Fixed index maps between coordinates in the Hermitian basis of
-    ``d x d`` matrices and realified matrices.
+    """Fixed index maps for coordinates in the Hermitian basis of
+    ``d x d`` matrices.
 
     The basis is the diagonal units ``E_kk``, then for each pair ``k < l``
     in row-major order ``x = E_kl + E_lk`` and ``y = i E_kl - i E_lk``.
-    ``realify(sum_i y_i h_i)`` is ``out.flat[pos] = sign * y[src]``; read
-    the other way, ``(<realify(h_i), z>)_i`` is the ``sign``-weighted sum
-    of ``z.flat[pos]`` per ``src``.  ``gather`` reads a map
+    ``diag``, ``upper`` and ``lower`` are the flat indices of the
+    entries ``(k, k)``, ``(k, l)`` and ``(l, k)``.  ``gather`` reads a map
     ``E_ce -> E_ag`` laid out ``[a, c, g, e]`` into a matrix with rows
     ``(a, g)`` and columns ``(c, e)``, each ordered diagonal, then the
     pairs' ``(k, l)``, then their ``(l, k)``.
     """
     ku, lu = np.triu_indices(d, 1)
-    npair = len(ku)
     k = np.arange(d)
-    # Realified [[Re, -Im], [Im, Re]] on a 2d x 2d grid of flat index r * 2d + c.
-    n = 2 * d
-    ix, iy = d + 2 * np.arange(npair), d + 1 + 2 * np.arange(npair)
-    pos = np.concatenate([
-        k * (n + 1), (k + d) * (n + 1),
-        ku * n + lu, lu * n + ku, (ku + d) * n + lu + d, (lu + d) * n + ku + d,
-        ku * n + lu + d, lu * n + ku + d, (ku + d) * n + lu, (lu + d) * n + ku,
-    ])
-    src = np.concatenate([k, k, ix, ix, ix, ix, iy, iy, iy, iy])
-    sign = np.concatenate([np.ones(2 * d + 4 * npair), -np.ones(npair), np.ones(2 * npair),
-                           -np.ones(npair)])
     first = np.concatenate([k, ku, lu])
     second = np.concatenate([k, lu, ku])
     gather = (first * d ** 3 + second * d)[:, None] + (first * d * d + second)[None, :]
-    return pos, src, sign, gather
+    return k * (d + 1), ku * d + lu, lu * d + ku, gather
 
 
 class PartialTraceOperator:
@@ -248,54 +205,60 @@ class PartialTraceOperator:
         da = c.shape[0] // 2
         self.da = da
         self.slack = p < 1.0
-        self.r_real = realify(r)
-        self.pos, self.src, self.sign, self.gather = _hermitian_coords(da)
-        self.dims = [4 * da, 2 * da] if self.slack else [4 * da]
-        self.C = [-realify(c)]
+        self.r = r
+        self.diag, self.upper, self.lower, self.gather = _hermitian_coords(da)
+        self.dims = [2 * da, da] if self.slack else [2 * da]
+        self.C = [-c]
         self.b = np.zeros(da * da + self.slack)
-        self.b[:da] = 2.0
+        self.b[:da] = 1.0
         if self.slack:
-            self.C.append(np.zeros((2 * da, 2 * da)))
-            self.b[-1] = 2.0 * p
-        self.max_entry = max(1.0, float(np.max(np.abs(self.r_real))))
+            self.C.append(np.zeros((da, da), dtype=complex))
+            self.b[-1] = p
+        self.max_entry = max(1.0, float(np.max(np.abs(self.r))))
 
     def _coords(self, z: np.ndarray) -> np.ndarray:
-        """``(<realify(h_i), z>)_i`` for a realified d_A-block ``z``."""
-        return np.bincount(self.src, weights=self.sign * z.ravel()[self.pos],
-                           minlength=self.da * self.da)
+        """``(Re Tr[h_i z])_i`` for a d_A x d_A matrix ``z``."""
+        z = z.ravel()
+        out = np.empty(self.da * self.da)
+        up, lo = z[self.upper], z[self.lower]
+        out[:self.da] = z[self.diag].real
+        out[self.da::2] = up.real + lo.real
+        out[self.da + 1::2] = up.imag - lo.imag
+        return out
 
     def _trace_b(self, j: np.ndarray) -> np.ndarray:
-        """``Tr_B`` of a realified J-block: realify(J) indexes (part, a, b)."""
-        n = 2 * self.da
-        return np.trace(j.reshape(n, 2, n, 2), axis1=1, axis2=3)
+        da = self.da
+        return np.trace(j.reshape(da, 2, da, 2), axis1=1, axis2=3)
 
     def a_apply(self, X: list) -> np.ndarray:
         z = self._trace_b(X[0])
         if not self.slack:
             return self._coords(z)
-        return np.append(self._coords(z + X[1]), np.vdot(self.r_real, X[0]))
+        return np.append(self._coords(z + X[1]), np.vdot(self.r, X[0]).real)
 
     def a_adjoint(self, y: np.ndarray) -> list:
-        n = 2 * self.da
-        yr = np.zeros(n * n)
-        yr[self.pos] = self.sign * y[self.src]
-        yr = yr.reshape(n, n)
-        # realify(Y (x) I) == realify(Y) (x) I.
-        yj = (yr[:, None, :, None] * np.eye(2)[None, :, None, :]).reshape(2 * n, 2 * n)
+        da = self.da
+        yh = np.empty(da * da, dtype=complex)
+        yh[self.diag] = y[:da]
+        yx, yy = y[da:da * da:2], y[da + 1:da * da:2]
+        yh[self.upper] = yx + 1j * yy
+        yh[self.lower] = yx - 1j * yy
+        yh = yh.reshape(da, da)
+        yj = (yh[:, None, :, None] * np.eye(2)[None, :, None, :]).reshape(2 * da, 2 * da)
         if not self.slack:
             return [yj]
-        return [yj + y[-1] * self.r_real, yr]
+        return [yj + y[-1] * self.r, yh]
 
     def schur(self, X: list, sinv: list) -> np.ndarray:
         da = self.da
         nh, npair = da * da, da * (da - 1) // 2
         # Entry ((a, g), (c, e)) of the map is sum_{b, d} X[ab, cd] S^-1[ed, gb]
         # (+ X_S[a, c] S_S^-1[e, g]); the product lays it out as [a, c, g, e].
-        left = _complex_part(X[0]).reshape(da, 2, da, 2).transpose(0, 2, 1, 3).reshape(nh, 4)
-        right = _complex_part(sinv[0]).reshape(da, 2, da, 2).transpose(3, 1, 2, 0).reshape(4, nh)
+        left = X[0].reshape(da, 2, da, 2).transpose(0, 2, 1, 3).reshape(nh, 4)
+        right = sinv[0].reshape(da, 2, da, 2).transpose(3, 1, 2, 0).reshape(4, nh)
         if self.slack:
-            left = np.hstack([left, _complex_part(X[1]).reshape(nh, 1)])
-            right = np.vstack([right, _complex_part(sinv[1]).T.reshape(1, nh)])
+            left = np.hstack([left, X[1].reshape(nh, 1)])
+            right = np.vstack([right, sinv[1].T.reshape(1, nh)])
         kmap = np.take(left @ right, self.gather)
         # Columns: the images of h_j (diagonal, x = kl + lk, y = i (kl - lk)).
         img = np.empty((nh, nh), dtype=complex)
@@ -305,34 +268,36 @@ class PartialTraceOperator:
         diff = up - lo
         img.real[:, da + 1::2] = -diff.imag
         img.imag[:, da + 1::2] = diff.real
-        # Rows: <realify(h_i), realify(image)> = 2 Re Tr[h_i image].
+        # Rows: Re Tr[h_i image].
         out = np.empty((len(self.b), len(self.b)))
-        out[:da, :nh] = 2.0 * img[:da].real
+        out[:da, :nh] = img[:da].real
         up, lo = img[da:da + npair], img[da + npair:]
-        out[da:nh:2, :nh] = 2.0 * (up.real + lo.real)
-        out[da + 1:nh:2, :nh] = 2.0 * (up.imag - lo.imag)
+        out[da:nh:2, :nh] = up.real + lo.real
+        out[da + 1:nh:2, :nh] = up.imag - lo.imag
         if self.slack:
-            v = X[0] @ self.r_real @ sinv[0]
+            v = X[0] @ self.r @ sinv[0]
             out[:-1, -1] = out[-1, :-1] = self._coords(self._trace_b(v))
-            out[-1, -1] = np.vdot(self.r_real, v)
+            out[-1, -1] = np.vdot(self.r, v).real
         return out
 
 
 # SciPy's LAPACK Cholesky, triangular and Cholesky solves, called without
 # the input-checking wrappers (no finite check, no array conversion):
-# every matrix here is a finite float64 iterate, and at the block sizes
-# solved here the wrappers cost more than the factorizations.
-_potrf, _potrs, _trtrs = sla.lapack.dpotrf, sla.lapack.dpotrs, sla.lapack.dtrtrs
+# every matrix here is a finite iterate, and at the block sizes solved
+# here the wrappers cost more than the factorizations.  The blocks are
+# complex; the Schur system is real.
+_zpotrf, _zpotrs, _ztrtrs = sla.lapack.zpotrf, sla.lapack.zpotrs, sla.lapack.ztrtrs
+_dpotrf, _dpotrs = sla.lapack.dpotrf, sla.lapack.dpotrs
 
 
 def _max_step(mat: np.ndarray, dmat: np.ndarray) -> float:
     """Largest alpha with mat + alpha*dmat >= 0, given mat > 0."""
-    chol, info = _potrf(mat, lower=1)
+    chol, info = _zpotrf(mat, lower=1)
     if info:
         return 0.0
-    w = _trtrs(chol, dmat, lower=1)[0]
-    w = _trtrs(chol, w.T, lower=1)[0]
-    lam_min = float(np.linalg.eigvalsh(_sym(w))[0])
+    w = _ztrtrs(chol, dmat, lower=1)[0]
+    w = _ztrtrs(chol, dagger(w), lower=1)[0]
+    lam_min = float(np.linalg.eigvalsh(_herm(w))[0])
     if lam_min >= -1e-14:
         return np.inf
     return -1.0 / lam_min
@@ -365,7 +330,7 @@ def solve(
 
     xi_p = max(1.0, float(np.max(np.abs(op.b))))
     xi_d = max(1.0, max(float(np.linalg.norm(c)) for c in op.C) / np.sqrt(max(op.dims)))
-    eyes = [np.eye(d) for d in op.dims]
+    eyes = [np.eye(d, dtype=complex) for d in op.dims]
     X = [xi_p * e for e in eyes]
     S = [xi_d * e for e in eyes]
     y = np.zeros(m)
@@ -383,11 +348,11 @@ def solve(
         aty = op.a_adjoint(y)
         rp_vec = op.b * tau - ax
         rd_mats = [op.C[blk] * tau - aty[blk] - S[blk] for blk in range(nb)]
-        cx = float(sum(np.vdot(c, x) for c, x in zip(op.C, X)))
+        cx = float(sum(np.vdot(c, x).real for c, x in zip(op.C, X)))
         by = float(op.b @ y)
         rg = by - cx - kappa
 
-        xs = float(sum(np.vdot(X[blk], S[blk]) for blk in range(nb)))
+        xs = float(sum(np.vdot(X[blk], S[blk]).real for blk in range(nb)))
         mu = (xs + tau * kappa) / (nu + 1.0)
 
         # Normalized convergence checks.
@@ -403,7 +368,7 @@ def solve(
         merit = max(pres, dres, relgap)
         if merit < best_merit:
             best_merit = merit
-            best = ([x.copy() for x in X], y.copy(), tau, pobj, dobj, relgap, pres)
+            best = ([x.copy() for x in X], y.copy(), tau, pobj, dobj)
         if merit <= tol:
             status = OPTIMAL
             break
@@ -427,10 +392,10 @@ def solve(
         # Factorizations shared by predictor and corrector.
         sinv = []
         for blk in range(nb):
-            chol, info = _potrf(S[blk], lower=1)
+            chol, info = _zpotrf(S[blk], lower=1)
             if info:
                 break
-            sinv.append(_potrs(chol, eyes[blk], lower=1)[0])
+            sinv.append(_zpotrs(chol, eyes[blk], lower=1)[0])
         if len(sinv) < nb:
             if best_merit <= soft_tol:
                 status, message = OPTIMAL, "accepted best iterate at relaxed tolerance"
@@ -438,10 +403,10 @@ def solve(
                 status, message = MAX_ITER, "dual block lost positive definiteness"
             break
 
-        schur = _sym(op.schur(X, sinv))
+        schur = _herm(op.schur(X, sinv))
         jitter = 0.0
         for _ in range(4):
-            schur_cf, info = _potrf(schur + jitter * np.eye(m), lower=0, clean=0)
+            schur_cf, info = _dpotrf(schur + jitter * np.eye(m), lower=0, clean=0)
             if not info:
                 break
             jitter = max(1e-12 * np.trace(schur) / m, 10.0 * jitter, 1e-14)
@@ -449,9 +414,9 @@ def solve(
             status, message = MAX_ITER, "Schur complement not positive definite"
             break
 
-        wc = [_sym(X[blk] @ op.C[blk] @ sinv[blk]) for blk in range(nb)]
+        wc = [_herm(X[blk] @ op.C[blk] @ sinv[blk]) for blk in range(nb)]
         awc = op.a_apply(wc)
-        cwc = float(sum(np.vdot(op.C[blk], wc[blk]) for blk in range(nb)))
+        cwc = float(sum(np.vdot(op.C[blk], wc[blk]).real for blk in range(nb)))
 
         def direction(sigma, corr_blocks, corr_tk):
             rc = [
@@ -465,14 +430,14 @@ def solve(
             r2 = [scale * rd_mats[blk] for blk in range(nb)]
             r3 = scale * rg
 
-            e_blocks = [_sym(rc[blk] @ sinv[blk]) for blk in range(nb)]
-            wr2 = [_sym(X[blk] @ r2[blk] @ sinv[blk]) for blk in range(nb)]
+            e_blocks = [_herm(rc[blk] @ sinv[blk]) for blk in range(nb)]
+            wr2 = [_herm(X[blk] @ r2[blk] @ sinv[blk]) for blk in range(nb)]
             rhs1 = r1 - op.a_apply(e_blocks) + op.a_apply(wr2)
-            g = _potrs(schur_cf, rhs1, lower=0)[0]
-            h = _potrs(schur_cf, awc + op.b, lower=0)[0]
+            g = _dpotrs(schur_cf, rhs1, lower=0)[0]
+            h = _dpotrs(schur_cf, awc + op.b, lower=0)[0]
 
-            ce = float(sum(np.vdot(op.C[blk], e_blocks[blk]) for blk in range(nb)))
-            wcr2 = float(sum(np.vdot(wc[blk], r2[blk]) for blk in range(nb)))
+            ce = float(sum(np.vdot(op.C[blk], e_blocks[blk]).real for blk in range(nb)))
+            wcr2 = float(sum(np.vdot(wc[blk], r2[blk]).real for blk in range(nb)))
             rhs2 = -r3 + ce - wcr2 + rc_tau / tau
             den = float((op.b - awc) @ h) + cwc + kappa / tau
             num = rhs2 - float((op.b - awc) @ g)
@@ -480,7 +445,7 @@ def solve(
             dy = g + h * dtau
             aty_d = op.a_adjoint(dy)
             ds = [op.C[blk] * dtau - aty_d[blk] + r2[blk] for blk in range(nb)]
-            dx = [_sym((rc[blk] - X[blk] @ ds[blk]) @ sinv[blk]) for blk in range(nb)]
+            dx = [_herm((rc[blk] - X[blk] @ ds[blk]) @ sinv[blk]) for blk in range(nb)]
             dkappa = (rc_tau - kappa * dtau) / tau
             return dx, dy, ds, dtau, dkappa
 
@@ -499,7 +464,7 @@ def solve(
         alpha_aff = min(1.0, 0.98 * max_alpha(dxa, dsa, dtaua, dkappaa))
         xs_aff = float(
             sum(
-                np.vdot(X[blk] + alpha_aff * dxa[blk], S[blk] + alpha_aff * dsa[blk])
+                np.vdot(X[blk] + alpha_aff * dxa[blk], S[blk] + alpha_aff * dsa[blk]).real
                 for blk in range(nb)
             )
         )
@@ -519,8 +484,8 @@ def solve(
             break
 
         for blk in range(nb):
-            X[blk] = _sym(X[blk] + alpha * dx[blk])
-            S[blk] = _sym(S[blk] + alpha * ds[blk])
+            X[blk] = _herm(X[blk] + alpha * dx[blk])
+            S[blk] = _herm(S[blk] + alpha * ds[blk])
         y = y + alpha * dy
         tau += alpha * dtau
         kappa += alpha * dkappa
@@ -528,27 +493,23 @@ def solve(
     if status == MAX_ITER and best_merit <= soft_tol:
         status, message = OPTIMAL, "accepted best iterate at relaxed tolerance"
 
-    # Translate back to the complex maximize convention.
+    # Translate back to the maximize convention.
     if status == OPTIMAL:
-        x_best, y_best, tau_best, pobj, dobj, relgap, pres = best
-        x_ext = [_complex_restore(x / tau_best) for x in x_best]
-        y_ext = -y_best / tau_best
-        value = -pobj / 2.0
-        dual_value = -dobj / 2.0
+        x_best, y_best, tau_best, pobj, dobj = best
+        value, dual_value = -pobj, -dobj
         return SdpSolution(
-            X_blocks=x_ext,
-            y=y_ext,
+            X_blocks=[x / tau_best for x in x_best],
+            y=-y_best / tau_best,
             status=OPTIMAL,
             gap=abs(value - dual_value),
             iterations=it,
             value=value,
             dual_value=dual_value,
-            primal_residual=pres,
             iteration_log=log,
             message=message,
         )
     return SdpSolution(
-        X_blocks=[_complex_restore(x) for x in X],
+        X_blocks=X,
         y=-y,
         status=status,
         gap=np.inf,

@@ -303,7 +303,8 @@ class TestBoundaryAndValidate:
         assert cli.main(["validate", "--quick"]) == 0
         out = capsys.readouterr().out
         assert "[PASS]" in out and "[FAIL]" not in out
-        assert "[PASS] decoder SDP: partial-trace = dense" in out
+        assert "[PASS] decoder SDP: partial-trace = dense, p = 0.8" in out
+        assert "[PASS] decoder SDP: partial-trace = dense, p = 1" in out
 
     def test_wrong_regime_subcommand(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -203,9 +203,9 @@ class TestPurificationSdp:
             decoder.purification_sdp(qr, 1.2)
 
 
-def realified_pd(rng, n):
+def random_pd(rng, n):
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return sdp.realify(a @ dagger(a) + np.eye(n))
+    return a @ dagger(a) + np.eye(n)
 
 
 class TestPartialTraceOperator:
@@ -221,8 +221,8 @@ class TestPartialTraceOperator:
         assert op.dims == dense.dims and op.max_entry == dense.max_entry
         assert np.array_equal(op.b, dense.b)
         assert all(np.array_equal(a, b) for a, b in zip(op.C, dense.C))
-        X = [realified_pd(rng, d // 2) for d in op.dims]
-        sinv = [realified_pd(rng, d // 2) for d in op.dims]
+        X = [random_pd(rng, d) for d in op.dims]
+        sinv = [random_pd(rng, d) for d in op.dims]
         y = rng.standard_normal(len(op.b))
         assert np.allclose(op.a_apply(X), dense.a_apply(X), rtol=0, atol=1e-12)
         for a, b in zip(op.a_adjoint(y), dense.a_adjoint(y)):
@@ -232,17 +232,18 @@ class TestPartialTraceOperator:
 
     @pytest.mark.parametrize("p", [0.6, 1.0])
     def test_adjoint(self, p):
-        # <A(X), y> = <X, A*(y)> on random symmetric blocks, realified or not
+        # <A(X), y> = <X, A*(y)> on random Hermitian blocks
         rng = np.random.default_rng(20)
         for k in (1, 2, 3):
             qr, _ = random_cascade(rng, n=k)
             op = sdp.PartialTraceOperator(qr.qt, qr.rt, p)
             for _ in range(3):
-                X = [rng.standard_normal((d, d)) for d in op.dims]
-                X = [x + x.T for x in X]
+                X = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                     for d in op.dims]
+                X = [x + dagger(x) for x in X]
                 y = rng.standard_normal(len(op.b))
                 lhs = op.a_apply(X) @ y
-                rhs = sum(np.vdot(x, a) for x, a in zip(X, op.a_adjoint(y)))
+                rhs = sum(np.vdot(x, a).real for x, a in zip(X, op.a_adjoint(y)))
                 assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
     def test_matches_dense_route_on_criterion4_sweep(self):

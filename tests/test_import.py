@@ -1,0 +1,42 @@
+"""Importing ``qumimo`` pins BLAS to one thread, which only works before
+NumPy loads; importing it after NumPy, with the pin unset, warns."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import qumimo
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+SRC = str(Path(qumimo.__file__).resolve().parent.parent)
+
+
+def import_in_fresh_process(script: str, env_extra: dict) -> subprocess.CompletedProcess:
+    """Run ``script`` with the thread variables unset, then ``env_extra``,
+    turning RuntimeWarnings into errors."""
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env.update(env_extra)
+    env["PYTHONPATH"] = SRC
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_qumimo_first_pins_threads():
+    proc = import_in_fresh_process(
+        "import os, qumimo, numpy; print(os.environ['OPENBLAS_NUM_THREADS'])", {})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1"
+
+
+def test_numpy_first_warns():
+    proc = import_in_fresh_process("import numpy, qumimo", {})
+    assert proc.returncode != 0
+    assert "RuntimeWarning" in proc.stderr and "imported after NumPy" in proc.stderr
+
+
+def test_numpy_first_with_threads_set_is_silent():
+    proc = import_in_fresh_process("import numpy, qumimo", {v: "2" for v in THREAD_VARS})
+    assert proc.returncode == 0, proc.stderr

@@ -3,7 +3,7 @@ import pytest
 
 from qumimo import sdp
 from qumimo.errors import DimensionLimitError, NotHermitianError
-from qumimo.tensor import SIGMA_X, SIGMA_Y, dagger
+from qumimo.tensor import SIGMA_X, dagger
 
 
 def random_hermitian(rng, n):
@@ -18,26 +18,14 @@ def lambda_max_problem(c):
     )
 
 
-class TestRealify:
-    def test_identity(self):
-        assert np.array_equal(sdp.realify(np.eye(2, dtype=complex)), np.eye(4))
-
-    def test_sigma_y_eigenvalues(self):
-        r = sdp.realify(SIGMA_Y)
-        # eigen-oracle on the embedding: doubled multiplicities
-        assert np.allclose(np.linalg.eigvalsh(r), [-1, -1, 1, 1])
-
-    def test_trace_doubles(self):
-        rng = np.random.default_rng(0)
-        h = random_hermitian(rng, 5)
-        assert abs(np.trace(sdp.realify(h)) - 2 * np.trace(h).real) < 1e-12
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitianError):
-            sdp.realify(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
 class TestSolve:
+    def test_rejects_non_hermitian(self):
+        bad = np.array([[0, 1], [0, 0]], dtype=complex)
+        with pytest.raises(NotHermitianError):
+            lambda_max_problem(bad)
+        with pytest.raises(NotHermitianError):
+            sdp.SdpProblem([2], [np.eye(2, dtype=complex)], [({0: bad}, 1.0)])
+
     def test_diagonal_objective(self):
         sol = sdp.solve(lambda_max_problem(np.diag([1.0, 2.0]).astype(complex)))
         assert sol.status == sdp.OPTIMAL
@@ -101,12 +89,12 @@ class TestSolve:
         rng = np.random.default_rng(3)
         sol = sdp.solve(lambda_max_problem(random_hermitian(rng, 8)))
         for pobj, dobj, relgap, _, _, _ in sol.iteration_log:
-            primal_ext, dual_ext = -pobj / 2, -dobj / 2
+            primal_ext, dual_ext = -pobj, -dobj
             gap = abs(primal_ext - dual_ext)
             assert dual_ext >= primal_ext - gap - 1e-15
 
     def test_dimension_cap(self):
-        n = 300  # realified 600 > 512
+        n = 300  # total block dimension 300 > 256
         with pytest.raises(DimensionLimitError):
             sdp.solve(lambda_max_problem(np.eye(n, dtype=complex)))
 
