@@ -34,20 +34,11 @@ from .cloner import (
     cloner_choi,
     simplex_grid,
 )
-from .errors import SolverError
+from .errors import NotPsdError, SolverError
 from .metrics import asymmetry_index
-from .tensor import (
-    I2,
-    SWAP2,
-    dagger,
-    hermitian_eig,
-    perm_basis_map,
-    psd_sqrt_pinv,
-)
+from .tensor import I2, PSD_SUPPORT_TOL, SWAP2, dagger, perm_basis_map
 
 SURROGATE_TIE_TOL = 1e-6
-# Bound on |lattice score - evaluate_gamma_surrogate| (measured: 3.3e-15).
-RESCORE_MARGIN = 1e-9
 GRID_STEP_DENOM = 20
 # Lattice points per scoring batch: 8 MB of stacked Qt at K = 5 (0.7 GB unchunked).
 SCORE_CHUNK = 128
@@ -199,9 +190,7 @@ def dense_purification_problem(qr: QROperators, p: float) -> sdp.SdpProblem:
     return sdp.SdpProblem(block_dims=[2 * da], objective=[qr.qt], equalities=equalities)
 
 
-def purification_sdp(
-    qr: QROperators, p: float, tol: float = 1e-8, max_iter: int = 200
-) -> DecoderSolution:
+def purification_sdp(qr: QROperators, p: float) -> DecoderSolution:
     """Optimal probabilistic purification map at success probability p.
 
     Maximizes ``Tr[J Qt]`` over decoder Choi matrices ``J >= 0`` with
@@ -216,7 +205,7 @@ def purification_sdp(
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"success probability {p} outside (0, 1]")
-    sol = sdp.solve(sdp.PartialTraceOperator(qr.qt, qr.rt, p), tol=tol, max_iter=max_iter)
+    sol = sdp.solve(sdp.PartialTraceOperator(qr.qt, qr.rt, p))
     if sol.status != sdp.OPTIMAL:
         raise SolverError(sol.status, f"purification SDP: {sol.message}")
 
@@ -257,20 +246,17 @@ def _validate_decoder(j: np.ndarray, qr: QROperators, p: float) -> None:
         raise ValueError(f"acceptance probability {acc:.9f} != target {p}")
 
 
-def rayleigh_bound(qr: QROperators, support_tol: float = 1e-10):
-    """Spectral relaxation of the decoder problem.
+def rayleigh_bound(qr: QROperators) -> float:
+    """Spectral relaxation of the decoder problem: the top eigenvalue of
+    ``Rt^{-1/2} Qt Rt^{-1/2}`` on the support of Rt, which dominates the
+    SDP conditional fidelity for every p.
 
-    Returns ``(value, vector)`` where value is the top eigenvalue of the
-    Hermitian part of ``Rt^{-1/2} Qt Rt^{-1/2}`` on the support of Rt;
-    it dominates the SDP conditional fidelity for every p.
+    Scored by :func:`_surrogates` on ``sigma^T = Rt[::2, ::2]``: valid
+    because :func:`build_qr`, the only constructor of
+    :class:`QROperators`, forms ``Rt = sigma^T (x) I`` and makes both
+    operators Hermitian.
     """
-    rinv = psd_sqrt_pinv(qr.rt, support_tol=support_tol)
-    if np.max(np.abs(rinv)) == 0.0:
-        raise ValueError("Rt has empty support")
-    mat = rinv @ qr.qt @ rinv
-    mat = (mat + dagger(mat)) / 2.0
-    w, v = hermitian_eig(mat)
-    return float(w[-1]), v[:, -1]
+    return float(_surrogates(qr.qt[None], qr.rt[None, ::2, ::2])[0])
 
 
 @functools.cache
@@ -294,7 +280,7 @@ def _blind_decoder(m: int, p: float) -> DecoderSolution:
 
 
 def evaluate_gamma_surrogate(gamma, chan: ChannelChoi, t, r) -> float:
-    return rayleigh_bound(build_qr(compose_effective_map(cloner_choi(gamma), chan, t, r)))[0]
+    return rayleigh_bound(build_qr(compose_effective_map(cloner_choi(gamma), chan, t, r)))
 
 
 def _pair_weights(points) -> np.ndarray:
@@ -334,24 +320,37 @@ def _surrogate_pieces(m: int, chan: ChannelChoi, t, r):
     return np.array(qts), np.array(sts)
 
 
+def _surrogates(qts, sts) -> np.ndarray:
+    """The Rayleigh surrogate of each stacked pair ``(Qt, sigma^T)``, where
+    ``Rt = sigma^T (x) I``: the top eigenvalue of ``R^{-1/2} Qt R^{-1/2}``,
+    with the pseudo-inverse square root taken on ``sigma^T``.  Eigenvalues
+    at or below ``PSD_SUPPORT_TOL`` lie outside the support; one below
+    ``-PSD_SUPPORT_TOL`` raises :class:`NotPsdError`."""
+    ev, vec = np.linalg.eigh(sts)
+    floor = ev[:, 0].min()
+    if floor < -PSD_SUPPORT_TOL:
+        raise NotPsdError(f"eigenvalue {floor:.3e} below -{PSD_SUPPORT_TOL:.1e}")
+    inv_sqrt = np.where(ev > PSD_SUPPORT_TOL,
+                        1.0 / np.sqrt(np.clip(ev, PSD_SUPPORT_TOL, None)), 0.0)
+    if not inv_sqrt.any(axis=1).all():
+        raise ValueError("Rt has empty support")
+    s = (vec * inv_sqrt[:, None, :]) @ vec.conj().swapaxes(1, 2)
+    rinv = (s[:, :, None, :, None] * I2[None, None, :, None, :]).reshape(qts.shape)
+    return np.linalg.eigvalsh(rinv @ qts @ rinv)[:, -1]
+
+
 def _lattice_surrogates(weights, qts, sts) -> np.ndarray:
-    """``rayleigh_bound`` at every row of quadratic-form weights, with the
-    pseudo-inverse square root taken on ``sigma`` under its 1e-10 support rule.
-    Weights act on the float view of the pieces: one BLAS product, where a
-    real-by-complex matmul is far slower."""
+    """:func:`_surrogates` of the cascade at every row of quadratic-form
+    weights, scored in chunks of ``SCORE_CHUNK`` rows.  Weights act on the
+    float view of the pieces: one BLAS product, where a real-by-complex
+    matmul is far slower."""
     q_flat, s_flat = (x.reshape(len(x), -1).view(float) for x in (qts, sts))
-    d = sts.shape[1]
     out = np.empty(len(weights))
     for lo in range(0, len(weights), SCORE_CHUNK):
         w = weights[lo:lo + SCORE_CHUNK]
-        qt = (w @ q_flat).view(complex).reshape(len(w), 2 * d, 2 * d)
-        ev, vec = np.linalg.eigh((w @ s_flat).view(complex).reshape(len(w), d, d))
-        inv_sqrt = np.where(ev > 1e-10, 1.0 / np.sqrt(np.clip(ev, 1e-10, None)), 0.0)
-        if not inv_sqrt.any(axis=1).all():
-            raise ValueError("Rt has empty support")
-        s = (vec * inv_sqrt[:, None, :]) @ vec.conj().swapaxes(1, 2)
-        rinv = (s[:, :, None, :, None] * I2[None, None, :, None, :]).reshape(qt.shape)
-        out[lo:lo + len(w)] = np.linalg.eigvalsh(rinv @ qt @ rinv)[:, -1]
+        qt = (w @ q_flat).view(complex).reshape(len(w), *qts.shape[1:])
+        st = (w @ s_flat).view(complex).reshape(len(w), *sts.shape[1:])
+        out[lo:lo + len(w)] = _surrogates(qt, st)
     return out
 
 
@@ -383,10 +382,9 @@ def optimize_gamma(m: int, chan: ChannelChoi, t, r) -> GammaOptimum:
     Every M scores the 1/20 lattice plus the exact uniform point from the
     cascade's quadratic-form pieces.  Points within 1e-6 of the best tie,
     and the tie breaks toward the most uniform gamma (highest asymmetry
-    index), then lexicographically smallest; only points whose tie status
-    the scorer's rounding leaves open are rescored per point.  At
-    M >= 4 the winner is polished off the lattice (``_polish``), where
-    the lattice alone fell up to 1.7e-4 short of a continuous search.
+    index), then lexicographically smallest.  At M >= 4 the winner is
+    polished off the lattice (``_polish``), where the lattice alone fell
+    up to 1.7e-4 short of a continuous search.
 
     Dominance over the single-branch strategies holds for the surrogate,
     not at an operating p: the candidates include the single-branch
@@ -401,21 +399,10 @@ def optimize_gamma(m: int, chan: ChannelChoi, t, r) -> GammaOptimum:
     points, weights = _lattice(m)
     pieces = _surrogate_pieces(m, chan, t, r)
     scores = _lattice_surrogates(weights, *pieces)
-    top = scores.max()
-    # The lattice scores match the per-point surrogate within RESCORE_MARGIN
-    # (rounding), so a point is rescored only where that margin leaves its
-    # tie status open; its exact tie line then needs the exact maximum.
-    near = np.flatnonzero(scores >= top - SURROGATE_TIE_TOL - RESCORE_MARGIN)
-    sure = scores[near] >= top - SURROGATE_TIE_TOL + 2 * RESCORE_MARGIN
-    ties = list(near[sure])
-    if not sure.all():
-        best = max(evaluate_gamma_surrogate(points[i], chan, t, r)
-                   for i in np.flatnonzero(scores >= top - 2 * RESCORE_MARGIN))
-        ties += [i for i in near[~sure]
-                 if evaluate_gamma_surrogate(points[i], chan, t, r) >= best - SURROGATE_TIE_TOL]
+    ties = np.flatnonzero(scores >= scores.max() - SURROGATE_TIE_TOL)
     gamma_star = min((points[i] for i in ties),
                      key=lambda g: (-asymmetry_index(clone_fidelities(g).fidelities), g))
     if m >= 4:
         gamma_star = _polish(gamma_star, pieces)
     qr = build_qr(compose_effective_map(cloner_choi(gamma_star), chan, t, r))
-    return GammaOptimum(AsymmetryVector(gamma_star), rayleigh_bound(qr)[0], qr)
+    return GammaOptimum(AsymmetryVector(gamma_star), rayleigh_bound(qr), qr)

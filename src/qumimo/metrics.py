@@ -42,12 +42,12 @@ def silverman_bandwidth(values: np.ndarray) -> float:
     return max(h, BANDWIDTH_FLOOR)
 
 
-def empirical_density(values, bounds, grid_points: int = DENSITY_GRID_POINTS):
+def empirical_density(values, bounds):
     """Gaussian KDE with boundary reflection on a bounded support.
 
-    Returns ``(grid, density)`` on ``grid_points`` evenly spaced points;
-    the density integrates to 1 over the support up to reflection
-    leakage (within 1e-3 for well-scaled bandwidths).
+    Returns ``(grid, density)`` on ``DENSITY_GRID_POINTS`` evenly spaced
+    points; the density integrates to 1 over the support up to
+    reflection leakage (within 1e-3 for well-scaled bandwidths).
     """
     values = np.asarray(values, dtype=float)
     lo, hi = float(bounds[0]), float(bounds[1])
@@ -56,7 +56,7 @@ def empirical_density(values, bounds, grid_points: int = DENSITY_GRID_POINTS):
     if not lo < hi:
         raise ValueError(f"invalid bounds ({lo}, {hi})")
     h = silverman_bandwidth(values)
-    grid = np.linspace(lo, hi, grid_points)
+    grid = np.linspace(lo, hi, DENSITY_GRID_POINTS)
     # Reflect once across each boundary to remove edge bias.
     sources = np.concatenate([values, 2 * lo - values, 2 * hi - values])
     z = (grid[:, None] - sources[None, :]) / h

@@ -45,6 +45,13 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 MAX_ITER = "max_iter"
 
+# Merit (worst of the relative primal and dual residuals and gap) at
+# which an iterate is optimal, and at which the best iterate of a
+# stalled iteration is accepted instead.
+TOL = 1e-8
+SOFT_TOL = 1e-7
+ITERATION_CAP = 200
+
 
 @dataclass
 class SdpProblem:
@@ -303,18 +310,14 @@ def _max_step(mat: np.ndarray, dmat: np.ndarray) -> float:
     return -1.0 / lam_min
 
 
-def solve(
-    problem: SdpProblem | ConstraintOperator,
-    tol: float = 1e-8,
-    max_iter: int = 200,
-    soft_tol: float = 1e-7,
-) -> SdpSolution:
-    """Run the interior-point iteration until an optimal certificate,
-    an infeasibility/unboundedness flag, or the iteration cap.
+def solve(problem: SdpProblem | ConstraintOperator) -> SdpSolution:
+    """Run the interior-point iteration until an optimal certificate
+    (merit at most ``TOL``), an infeasibility/unboundedness flag, or
+    ``ITERATION_CAP`` iterations.
 
     If the iteration stalls in numerical noise after effectively
     converging, the best iterate is accepted as optimal provided it
-    meets ``soft_tol`` (the certificate tolerances promised on an
+    meets ``SOFT_TOL`` (the certificate tolerances promised on an
     optimal status).  An :class:`SdpProblem` is read through a
     :class:`DenseOperator`; a structured problem passes its own operator.
     """
@@ -342,7 +345,7 @@ def solve(
     best_merit = np.inf
     best = None
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, ITERATION_CAP + 1):
         # Residuals of the homogeneous model.
         ax = op.a_apply(X)
         aty = op.a_adjoint(y)
@@ -369,16 +372,16 @@ def solve(
         if merit < best_merit:
             best_merit = merit
             best = ([x.copy() for x in X], y.copy(), tau, pobj, dobj)
-        if merit <= tol:
+        if merit <= TOL:
             status = OPTIMAL
             break
-        if best_merit <= soft_tol and merit > 10.0 * best_merit:
+        if best_merit <= SOFT_TOL and merit > 10.0 * best_merit:
             # The iteration has entered numerical noise past the best point.
             status, message = OPTIMAL, "accepted best iterate at relaxed tolerance"
             break
 
         # Homogeneous-embedding infeasibility flags.
-        if tau <= 1e-9 * max(1.0, kappa) or (mu <= tol * 1e-4 and tau <= 1e-7 * kappa):
+        if tau <= 1e-9 * max(1.0, kappa) or (mu <= TOL * 1e-4 and tau <= 1e-7 * kappa):
             ray_d = max(float(np.linalg.norm(aty[blk] + S[blk])) for blk in range(nb))
             ray_p = float(np.linalg.norm(ax))
             if by > 0 and ray_d <= 1e-6 * norm_a * max(1.0, by):
@@ -397,7 +400,7 @@ def solve(
                 break
             sinv.append(_zpotrs(chol, eyes[blk], lower=1)[0])
         if len(sinv) < nb:
-            if best_merit <= soft_tol:
+            if best_merit <= SOFT_TOL:
                 status, message = OPTIMAL, "accepted best iterate at relaxed tolerance"
             else:
                 status, message = MAX_ITER, "dual block lost positive definiteness"
@@ -477,7 +480,7 @@ def solve(
         dx, dy, ds, dtau, dkappa = direction(sigma, corr, dtaua * dkappaa)
         alpha = min(1.0, 0.98 * max_alpha(dx, ds, dtau, dkappa))
         if alpha <= 1e-9:
-            if best_merit <= soft_tol:
+            if best_merit <= SOFT_TOL:
                 status, message = OPTIMAL, "accepted best iterate at relaxed tolerance"
             else:
                 status, message = MAX_ITER, "step length collapsed"
@@ -490,7 +493,7 @@ def solve(
         tau += alpha * dtau
         kappa += alpha * dkappa
 
-    if status == MAX_ITER and best_merit <= soft_tol:
+    if status == MAX_ITER and best_merit <= SOFT_TOL:
         status, message = OPTIMAL, "accepted best iterate at relaxed tolerance"
 
     # Translate back to the maximize convention.

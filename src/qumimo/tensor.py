@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import LabelError, NotHermitianError, NotPsdError
+from .errors import LabelError
 
 # Any single constructed matrix is capped at this dimension so that a
 # misconfigured pipeline fails loudly instead of thrashing memory.
@@ -28,10 +28,6 @@ HERMITIAN_RTOL = 1e-12
 PSD_SUPPORT_TOL = 1e-10
 
 I2 = np.eye(2, dtype=complex)
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULIS = (I2, SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 # Swap of two qubits and the unnormalized maximally entangled projector
 # |Phi><Phi| with |Phi> = |00> + |11> (so <Phi|Phi> = 2).
@@ -49,9 +45,9 @@ def dagger(x: np.ndarray) -> np.ndarray:
     return x.conj().T
 
 
-def is_hermitian(x: np.ndarray, rtol: float = HERMITIAN_RTOL) -> bool:
+def is_hermitian(x: np.ndarray) -> bool:
     scale = max(1.0, float(np.max(np.abs(x))) if x.size else 0.0)
-    return bool(np.max(np.abs(x - dagger(x))) <= rtol * scale)
+    return bool(np.max(np.abs(x - dagger(x))) <= HERMITIAN_RTOL * scale)
 
 
 @dataclass(frozen=True)
@@ -107,35 +103,6 @@ def partial_trace(x: np.ndarray, space: ModeSpace, keep: Iterable) -> np.ndarray
     dt = space.dim // dk
     t = t.reshape(dk, dt, dk, dt)
     return np.einsum("abcb->ac", t)
-
-
-def hermitian_eig(x: np.ndarray, rtol: float = HERMITIAN_RTOL):
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
-
-    Returns ``(w, v)`` with ``x @ v == v @ diag(w)``.  Backed by LAPACK's
-    Hermitian solver; inputs failing the Hermiticity tolerance are
-    rejected rather than silently symmetrized.
-    """
-    x = np.asarray(x, dtype=complex)
-    if not is_hermitian(x, rtol=rtol):
-        raise NotHermitianError(
-            f"matrix deviates from Hermiticity by {np.max(np.abs(x - dagger(x))):.3e}"
-        )
-    w, v = np.linalg.eigh((x + dagger(x)) / 2.0)
-    return w, v
-
-
-def psd_sqrt_pinv(x: np.ndarray, support_tol: float = PSD_SUPPORT_TOL) -> np.ndarray:
-    """Inverse square root of a PSD matrix on its support, zero elsewhere.
-
-    Eigenvalues in ``(-support_tol, support_tol]`` are treated as zero;
-    anything below ``-support_tol`` raises.
-    """
-    w, v = hermitian_eig(x)
-    if w[0] < -support_tol:
-        raise NotPsdError(f"eigenvalue {w[0]:.3e} below -{support_tol:.1e}")
-    inv_sqrt = np.where(w > support_tol, 1.0 / np.sqrt(np.clip(w, support_tol, None)), 0.0)
-    return (v * inv_sqrt) @ dagger(v)
 
 
 def perm_basis_map(perm: Sequence[int], n: int) -> np.ndarray:

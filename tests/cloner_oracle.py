@@ -18,9 +18,8 @@ import numpy as np
 from qumimo import sdp
 from qumimo.cloner import ClonerChoi, _as_gamma, _validate_cloner
 from qumimo.errors import DimensionLimitError, SolverError
-from reference_ops import kron
+from reference_ops import PAULIS, kron
 from qumimo.tensor import (
-    PAULIS,
     PHI_UNNORM,
     ModeSpace,
     _as_tensor,
@@ -112,7 +111,7 @@ def twirl_permutation_algebra(j: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def cloner_choi_sdp(gamma, solver_tol: float = 1e-8) -> ClonerChoi:
+def cloner_choi_sdp(gamma) -> ClonerChoi:
     """Covariant Choi operator of the gamma-weighted optimal cloner, by SDP
     and permutation-algebra twirl."""
     gamma = _as_gamma(gamma)
@@ -129,7 +128,7 @@ def cloner_choi_sdp(gamma, solver_tol: float = 1e-8) -> ClonerChoi:
     problem = sdp.SdpProblem(
         block_dims=[2 * dim_out], objective=[objective], equalities=equalities
     )
-    sol = sdp.solve(problem, tol=solver_tol)
+    sol = sdp.solve(problem)
     if sol.status != sdp.OPTIMAL:
         raise SolverError(sol.status, f"cloner SDP failed: {sol.message}")
 

@@ -1,10 +1,12 @@
 """Test-side reference operators, samplers and routes.
 
 The program does not call these.  Tests use them as independent
-references for run-time code: Haar sampling for Monte Carlo checks, the
-permutation unitaries behind the channel's crosstalk symmetry, the Kraus
-set of the depolarizing map, the rank-one witness of the Rayleigh bound,
-and the compose -> ``build_qr`` route that ``channel.branch_fidelities``
+references for run-time code: the Pauli matrices, Haar sampling for
+Monte Carlo checks, the permutation unitaries behind the channel's
+crosstalk symmetry, the Kraus set of the depolarizing map, the rank-one
+witness of the Rayleigh bound on the full ``Rt`` (the reference for
+``decoder.rayleigh_bound``, which scores on ``sigma^T``), and the
+compose -> ``build_qr`` route that ``channel.branch_fidelities``
 replaces.
 """
 
@@ -13,20 +15,21 @@ from __future__ import annotations
 import numpy as np
 
 from qumimo import cloner, decoder
-from qumimo.errors import DimensionLimitError
+from qumimo.errors import DimensionLimitError, NotHermitianError, NotPsdError
 from qumimo.tensor import (
     DEFAULT_DIM_CAP,
     I2,
     PHI_UNNORM,
     PSD_SUPPORT_TOL,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
     dagger,
-    hermitian_eig,
+    is_hermitian,
     perm_basis_map,
-    psd_sqrt_pinv,
 )
+
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+PAULIS = (I2, SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 
 def kron(a: np.ndarray, b: np.ndarray, dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
@@ -51,6 +54,34 @@ def haar_qubit(rng: np.random.Generator) -> np.ndarray:
 def projector(psi: np.ndarray) -> np.ndarray:
     psi = np.asarray(psi).reshape(-1)
     return np.outer(psi, psi.conj())
+
+
+def hermitian_eig(x: np.ndarray):
+    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
+
+    Returns ``(w, v)`` with ``x @ v == v @ diag(w)``.  Backed by LAPACK's
+    Hermitian solver; inputs failing the Hermiticity tolerance are
+    rejected rather than silently symmetrized.
+    """
+    x = np.asarray(x, dtype=complex)
+    if not is_hermitian(x):
+        raise NotHermitianError(
+            f"matrix deviates from Hermiticity by {np.max(np.abs(x - dagger(x))):.3e}"
+        )
+    return np.linalg.eigh((x + dagger(x)) / 2.0)
+
+
+def psd_sqrt_pinv(x: np.ndarray, support_tol: float = PSD_SUPPORT_TOL) -> np.ndarray:
+    """Inverse square root of a PSD matrix on its support, zero elsewhere.
+
+    Eigenvalues in ``(-support_tol, support_tol]`` are treated as zero;
+    anything below ``-support_tol`` raises.
+    """
+    w, v = hermitian_eig(x)
+    if w[0] < -support_tol:
+        raise NotPsdError(f"eigenvalue {w[0]:.3e} below -{support_tol:.1e}")
+    inv_sqrt = np.where(w > support_tol, 1.0 / np.sqrt(np.clip(w, support_tol, None)), 0.0)
+    return (v * inv_sqrt) @ dagger(v)
 
 
 def support_projector(x: np.ndarray, support_tol: float = PSD_SUPPORT_TOL) -> np.ndarray:
@@ -81,11 +112,13 @@ def choi_from_kraus(kraus) -> np.ndarray:
 
 
 def rank_one_certificate(qr: decoder.QROperators, p: float) -> np.ndarray:
-    """Relaxation witness ``p R^{-1/2} |v><v| R^{-1/2}``; PSD and on
+    """Relaxation witness ``p R^{-1/2} |v><v| R^{-1/2}``, with ``v`` the top
+    eigenvector of ``R^{-1/2} Qt R^{-1/2}`` on the full ``Rt``; PSD and on
     budget, but free to violate the partial-trace dominance."""
-    _, v = decoder.rayleigh_bound(qr)
     rinv = psd_sqrt_pinv(qr.rt)
-    v = support_projector(qr.rt) @ v
+    mat = rinv @ qr.qt @ rinv
+    _, vecs = hermitian_eig((mat + dagger(mat)) / 2.0)
+    v = support_projector(qr.rt) @ vecs[:, -1]
     nrm = np.linalg.norm(v)
     if nrm > 0:
         v = v / nrm

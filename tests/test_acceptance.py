@@ -133,7 +133,7 @@ def test_criterion_04_decoder_sanity():
             tuple(range(1, n + 1)), tuple(range(1, n + 1)),
         )
         qr = decoder.build_qr(emap)
-        ray, _ = decoder.rayleigh_bound(qr)
+        ray = decoder.rayleigh_bound(qr)
         values = [decoder.purification_sdp(qr, p).f_success for p in PGRID]
         worst_margin = min(worst_margin, min(ray - v for v in values))
         worst_mono = min(

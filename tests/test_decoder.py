@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qumimo import channel, cloner, decoder, sdp, strategies
+from qumimo.errors import NotPsdError
 from qumimo.metrics import asymmetry_index
 from qumimo.tensor import (
     I2,
@@ -108,8 +109,7 @@ class TestBuildQR:
         enc = cloner.cloner_choi((1.0,))
         ch = channel.channel_choi(channel.ChannelParams(n=1, eta=0.0, lam=(1.0,), delta=1.0))
         qr = decoder.build_qr(decoder.compose_effective_map(enc, ch, (1,), (1,)))
-        value, _ = decoder.rayleigh_bound(qr)
-        assert abs(value - 0.5) < 1e-9
+        assert abs(decoder.rayleigh_bound(qr) - 0.5) < 1e-9
 
     def test_monte_carlo_agreement(self):
         # 1e4-sample Haar estimate of the averaged operator, 3 standard
@@ -279,20 +279,18 @@ class TestPartialTraceOperator:
 class TestRayleigh:
     def test_identity_value(self):
         # 1e-7 covers the SDP-built encoder's certificate slop
-        value, _ = decoder.rayleigh_bound(identity_qr())
-        assert abs(value - 1.0) < 1e-7
+        assert abs(decoder.rayleigh_bound(identity_qr()) - 1.0) < 1e-7
 
     def test_proportional_operators(self):
         qr = identity_qr()
         prop = decoder.QROperators(qt=qr.rt / 2.0, rt=qr.rt, k=qr.k)
-        value, _ = decoder.rayleigh_bound(prop)
-        assert abs(value - 0.5) < 1e-10
+        assert abs(decoder.rayleigh_bound(prop) - 0.5) < 1e-10
 
     def test_dominates_sdp(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
             qr, _ = random_cascade(rng, n=2)
-            ray, _ = decoder.rayleigh_bound(qr)
+            ray = decoder.rayleigh_bound(qr)
             for p in (0.2, 0.5, 0.8, 1.0):
                 assert ray >= decoder.purification_sdp(qr, p).f_success - 1e-6
 
@@ -309,7 +307,7 @@ class TestRankOneCertificate:
             qr, _ = random_cascade(rng, n=2)
             p = float(rng.uniform(0.2, 1.0))
             j_ray = rank_one_certificate(qr, p)
-            ray, _ = decoder.rayleigh_bound(qr)
+            ray = decoder.rayleigh_bound(qr)
             assert np.linalg.eigvalsh(j_ray)[0] >= -1e-12
             assert abs(np.real(np.trace(j_ray @ qr.rt)) - p) < 1e-9
             assert abs(np.real(np.trace(j_ray @ qr.qt)) / p - ray) < 1e-9
@@ -353,7 +351,7 @@ class TestOptimizeGamma:
         enc = cloner.cloner_choi(opt.gamma.gamma)
         want = decoder.build_qr(decoder.compose_effective_map(enc, ch, (2, 1), (1, 2)))
         assert np.array_equal(opt.qr.qt, want.qt) and np.array_equal(opt.qr.rt, want.rt)
-        assert decoder.rayleigh_bound(opt.qr)[0] == opt.surrogate
+        assert decoder.rayleigh_bound(opt.qr) == opt.surrogate
 
     def test_argmax_invariant_in_p(self):
         # surrogate ignores p: one search serves every p, so the records
@@ -405,7 +403,8 @@ class TestOptimizeGamma:
 
 def rescore_all_gamma(m, ch, t, r):
     """The search's choice with every point in the tie band rescored per
-    point, then polished at M >= 4."""
+    point through ``evaluate_gamma_surrogate``, then polished at M >= 4:
+    the reference for the tie rule on the lattice scores."""
     points, weights = decoder._lattice(m)
     pieces = decoder._surrogate_pieces(m, ch, t, r)
     scores = decoder._lattice_surrogates(weights, *pieces)
@@ -417,18 +416,6 @@ def rescore_all_gamma(m, ch, t, r):
     return decoder._polish(gamma, pieces) if m >= 4 else gamma
 
 
-def counting_surrogate(monkeypatch):
-    calls = []
-    inner = decoder.evaluate_gamma_surrogate
-
-    def wrapped(*args):
-        calls.append(args[0])
-        return inner(*args)
-
-    monkeypatch.setattr(decoder, "evaluate_gamma_surrogate", wrapped)
-    return calls
-
-
 RULE_CHANNELS = [
     (2, 0.0, (0.0, 0.0), (1, 2), (1, 2)),
     (3, 0.0, (0.0, 0.0, 0.0), (1, 2, 3), (1, 2, 3)),
@@ -437,6 +424,8 @@ RULE_CHANNELS = [
     (4, 0.6, (0.15, 0.35, 0.5, 0.7), None, None),
     (4, 0.8, (0.38487011085303435, 0.015129889146965558, 1.0, 1.0), None, None),
     (4, 0.5, (0.6,) * 4, (1, 2, 3, 4), (1, 2, 3, 4)),
+    (4, 0.0, (0.0,) * 4, (1, 2, 3, 4), (1, 2, 3, 4)),
+    (3, 1.0, (0.2, 0.55, 0.9), None, None),
 ]
 
 
@@ -450,30 +439,6 @@ class TestTieRescoring:
         opt = decoder.optimize_gamma(n, ch, t, r)
         assert opt.gamma.gamma == want
         assert opt.surrogate == decoder.evaluate_gamma_surrogate(want, ch, t, r)
-
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_noiseless_ties_are_not_rescored(self, n, monkeypatch):
-        # every non-uniform point ties at surrogate 1, far from the tie line
-        ch = lattice_channel(n, 0.0, (0.0,) * n)
-        calls = counting_surrogate(monkeypatch)
-        modes = tuple(range(1, n + 1))
-        decoder.optimize_gamma(n, ch, modes, modes)
-        assert calls == []
-
-    @pytest.mark.parametrize("n, eta, lam, t, r", RULE_CHANNELS[2:4])
-    def test_point_on_the_tie_line_is_rescored(self, n, eta, lam, t, r, monkeypatch):
-        # move the tie line onto the runner-up lattice score, where the
-        # rounding margin leaves the runner-up's tie status open
-        ch = lattice_channel(n, eta, lam)
-        points, weights = decoder._lattice(n)
-        scores = decoder._lattice_surrogates(weights, *decoder._surrogate_pieces(n, ch, t, r))
-        distinct = np.unique(scores)
-        monkeypatch.setattr(decoder, "SURROGATE_TIE_TOL", float(distinct[-1] - distinct[-2]))
-        want = rescore_all_gamma(n, ch, t, r)
-        calls = counting_surrogate(monkeypatch)
-        opt = decoder.optimize_gamma(n, ch, t, r)
-        assert opt.gamma.gamma == want
-        assert set(calls) >= {points[i] for i in np.flatnonzero(scores == distinct[-2])}
 
 
 class TestLatticeScorer:
@@ -499,6 +464,26 @@ class TestLatticeScorer:
         # on a noiseless channel sigma loses rank at the uniform point;
         # the support rule must still match rayleigh_bound's
         assert_scorer_matches(2, lattice_channel(2, 0.0, (0.0, 0.0)), (1, 2), (1, 2))
+
+
+def score_with_sigma(route, sigma_t):
+    """The surrogate of the identity cascade's ``Qt`` against
+    ``Rt = sigma^T (x) I``, through the per-cascade or the lattice scorer."""
+    qt = identity_qr().qt
+    if route == "rayleigh_bound":
+        return decoder.rayleigh_bound(decoder.QROperators(qt=qt, rt=np.kron(sigma_t, I2), k=1))
+    return decoder._lattice_surrogates(np.ones((1, 1)), qt[None], sigma_t[None])[0]
+
+
+@pytest.mark.parametrize("route", ["rayleigh_bound", "lattice"])
+class TestScorerGuards:
+    def test_negative_eigenvalue_raises(self, route):
+        with pytest.raises(NotPsdError):
+            score_with_sigma(route, np.diag([1.0, -1e-9]).astype(complex))
+
+    def test_empty_support_raises(self, route):
+        with pytest.raises(ValueError, match="Rt has empty support"):
+            score_with_sigma(route, np.zeros((2, 2), dtype=complex))
 
 
 class TestBlind:

@@ -3,7 +3,8 @@ import pytest
 
 from qumimo import sdp
 from qumimo.errors import DimensionLimitError, NotHermitianError
-from qumimo.tensor import SIGMA_X, dagger
+from qumimo.tensor import dagger
+from reference_ops import SIGMA_X
 
 
 def random_hermitian(rng, n):

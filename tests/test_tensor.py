@@ -7,17 +7,21 @@ from qumimo.errors import DimensionLimitError, LabelError, NotHermitianError, No
 from qumimo.tensor import (
     I2,
     PHI_UNNORM,
-    SIGMA_X,
-    SIGMA_Z,
     SWAP2,
     ModeSpace,
     dagger,
-    hermitian_eig,
     partial_trace,
     perm_basis_map,
+)
+from reference_ops import (
+    SIGMA_X,
+    SIGMA_Z,
+    haar_qubit,
+    hermitian_eig,
+    kron,
+    projector,
     psd_sqrt_pinv,
 )
-from reference_ops import haar_qubit, kron, projector
 
 
 def random_hermitian(rng, n):
