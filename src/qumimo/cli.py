@@ -127,17 +127,21 @@ def _run_checks(quick: bool) -> int:
         ok &= abs(sol.value - np.linalg.eigvalsh(c)[-1]) < 1e-7
     check("sdp eigenvalue oracle", ok)
 
-    params = channel.ChannelParams(n=2, eta=float(rng.uniform(0, 1)),
-                                   lam=tuple(rng.uniform(0, 1, 2)), delta=1.0)
-    qr = decoder.build_qr(decoder.compose_effective_map(
-        cloner.cloner_choi(tuple(rng.dirichlet(np.ones(2)))), channel.channel_choi(params),
-        (1, 2), (1, 2)))
-    # p < 1 carries the slack block; p = 1 drops it.
-    for p in (0.8, 1.0):
-        dense = sdp_mod.solve(decoder.dense_purification_problem(qr, p))
-        err = abs(decoder.purification_sdp(qr, p).f_success * p - dense.value)
-        check(f"decoder SDP: partial-trace = dense, p = {p:g}",
-              dense.status == sdp_mod.OPTIMAL and err < 1e-7, f"|dF| {err:.1e}")
+    for n in (2, 3):
+        params = channel.ChannelParams(n=n, eta=float(rng.uniform(0, 1)),
+                                       lam=tuple(rng.uniform(0, 1, n)), delta=1.0)
+        modes = tuple(range(1, n + 1))
+        qr = decoder.build_qr(decoder.compose_effective_map(
+            cloner.cloner_choi(tuple(rng.dirichlet(np.ones(n)))), channel.channel_choi(params),
+            modes, modes))
+        resid = decoder.covariant_operators(qr)[1]
+        check(f"Qt, Rt on the SU(2) commutant, N = {n}", resid <= 1e-12, f"residual {resid:.1e}")
+        # p < 1 carries the slack block; p = 1 drops it.
+        for p in (0.8, 1.0):
+            dense = sdp_mod.solve(decoder.dense_purification_problem(qr, p))
+            err = abs(decoder.purification_sdp(qr, p).f_success * p - dense.value)
+            check(f"decoder SDP: covariant blocks = dense, K = {n}, p = {p:g}",
+                  dense.status == sdp_mod.OPTIMAL and err < 1e-7, f"|dF| {err:.1e}")
 
     print(f"{failures} failure(s)" if failures else "all checks passed")
     return 1 if failures else 0

@@ -523,7 +523,11 @@ def _stochastic_task(args):
                     seed=seed, f_success=fs,
                 )
             )
-    return (eta, mean_id), baseline_row, rows, records
+    # The realization panel's design, when this task already made it.
+    box = None
+    if eta == cfg.box_eta and mean_id == 0 and cfg.box_p in p_eval:
+        box = dict(design, decoders={cfg.box_p: design["decoders"][cfg.box_p]})
+    return (eta, mean_id), baseline_row, rows, records, box
 
 
 def _box_realizations(cfg: ExperimentConfig, mean: MeanAllocation, mean_id: int, mu: float):
@@ -537,10 +541,11 @@ def _box_realizations(cfg: ExperimentConfig, mean: MeanAllocation, mean_id: int,
 
 def _boxplot_task(args):
     """The realization panel around one mean vector: one design at the
-    box operating point, evaluated on the realizations of every mu."""
-    cfg, mean_id, lam, z = args
+    box operating point (made here unless a heatmap task passed it in),
+    evaluated on the realizations of every mu."""
+    cfg, mean_id, lam, z, design = args
     mean = MeanAllocation(lam=lam, z=z)
-    design = _design_on_mean(cfg, cfg.box_eta, mean, (cfg.box_p,))
+    design = design or _design_on_mean(cfg, cfg.box_eta, mean, (cfg.box_p,))
     t_dir, r_dir = design["t_dir"][0], design["r_dir"][0]
     panels = []
     for mu in sorted(cfg.mu):
@@ -607,7 +612,8 @@ def run_stochastic(cfg: ExperimentConfig, out_dir, workers: int = 1) -> dict:
     _write_csv(out_dir / "records.csv", csv_header(n), [csv_row(r, n) for r in records])
 
     # Realization panel at the box operating point, mean vector 0.
-    panels = _run_task(_boxplot_task, (cfg, 0, means[0].lam, z))
+    box_design = next((res[4] for res in results if res[4] is not None), None)
+    panels = _run_task(_boxplot_task, (cfg, 0, means[0].lam, z, box_design))
     box_rows, cv_rows, alloc_rows, kde_rows = [], [], [], []
     alloc_rows.append([0, "", 0.0, *means[0].lam])
     variances = {}

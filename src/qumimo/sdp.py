@@ -12,24 +12,18 @@ the cone boundary).  The iterates are complex Hermitian blocks, paired
 by ``<A, X> = Re Tr[A X]``; the dual vector, the Schur system and its
 Cholesky factor are real.
 
-The iteration reads its constraints through an operator
-(:class:`ConstraintOperator`): ``A(X)``, ``A*(y)`` and the HKM Schur
-matrix.  :class:`DenseOperator` holds any :class:`SdpProblem` as dense
-complex stacks; it serves small generic problems and is the reference
-route.  :class:`PartialTraceOperator` is the decoder problem, whose
-constraints are a partial trace and one trace: it forms the Schur matrix
-in O(d_A^4) from Kronecker factors, never storing a constraint matrix,
-so K = 5 decoders (d_A = 32, a 1,025-row Schur system) fit in memory.
-With one BLAS thread on a 2-core x86-64 machine a decoder solve took
-(p = 1 / p = 0.8, median of three processes) 4.5 / 7.2 ms at K = 2,
-7.2 / 12 ms at K = 3, 44 / 50 ms at K = 4 and 0.63 / 0.80 s at K = 5.
+Constraints are held as dense complex ``m x d x d`` stacks per block
+(:class:`DenseOperator`), read as ``A(X)``, ``A*(y)`` and the HKM Schur
+matrix ``Re Tr[A_i X A_j S^-1]``.  That suits problems with few
+constraints on small blocks, such as the decoder problem after its
+symmetry reduction (``decoder.purification_sdp``: at most 20 + 10 wide
+and 43 constraints at K = 5).  ``MAX_DIM`` caps the total block width.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg as sla
@@ -114,28 +108,6 @@ def _herm(v: np.ndarray) -> np.ndarray:
     return (v + dagger(v)) / 2.0
 
 
-class ConstraintOperator(Protocol):
-    """Min-form data ``min <C,X> s.t. <A_i,X> = b_i, X >= 0`` as
-    :func:`solve` reads it, with ``<A, X> = Re Tr[A X]``: the block
-    dimensions, the objective ``C`` (the maximize objective, negated), the
-    right-hand side ``b``, the constraint maps, and the largest entry
-    modulus of any ``A_i`` (at least 1) for the infeasibility test."""
-
-    dims: list
-    C: list
-    b: np.ndarray
-    max_entry: float
-
-    def a_apply(self, X: list) -> np.ndarray:
-        """``(<A_i, X>)_i``."""
-
-    def a_adjoint(self, y: np.ndarray) -> list:
-        """``sum_i y_i A_i`` per block."""
-
-    def schur(self, X: list, sinv: list) -> np.ndarray:
-        """The HKM Schur matrix ``Re Tr[A_i X A_j S^-1]`` summed over blocks."""
-
-
 class DenseOperator:
     """Any :class:`SdpProblem`, its constraints held as dense complex
     ``m x d x d`` stacks per block."""
@@ -170,124 +142,6 @@ class DenseOperator:
         return out
 
 
-@functools.cache
-def _hermitian_coords(d: int):
-    """Fixed index maps for coordinates in the Hermitian basis of
-    ``d x d`` matrices.
-
-    The basis is the diagonal units ``E_kk``, then for each pair ``k < l``
-    in row-major order ``x = E_kl + E_lk`` and ``y = i E_kl - i E_lk``.
-    ``diag``, ``upper`` and ``lower`` are the flat indices of the
-    entries ``(k, k)``, ``(k, l)`` and ``(l, k)``.  ``gather`` reads a map
-    ``E_ce -> E_ag`` laid out ``[a, c, g, e]`` into a matrix with rows
-    ``(a, g)`` and columns ``(c, e)``, each ordered diagonal, then the
-    pairs' ``(k, l)``, then their ``(l, k)``.
-    """
-    ku, lu = np.triu_indices(d, 1)
-    k = np.arange(d)
-    first = np.concatenate([k, ku, lu])
-    second = np.concatenate([k, lu, ku])
-    gather = (first * d ** 3 + second * d)[:, None] + (first * d * d + second)[None, :]
-    return k * (d + 1), ku * d + lu, lu * d + ku, gather
-
-
-class PartialTraceOperator:
-    """The decoder SDP on a Choi matrix ``J`` over ``A (x) B``, B a qubit:
-
-        maximize Tr[C J]  s.t.  Tr_B J + S = I,  Tr[R J] = p,  J, S >= 0   (p < 1)
-        maximize Tr[C J]  s.t.  Tr_B J = I,  J >= 0                        (p = 1)
-
-    with the identity constraint in Hermitian-basis coordinates
-    (:func:`_hermitian_coords`), then the ``R`` row: the constraints of
-    ``decoder.dense_purification_problem``, in its order.  ``A(J, S)`` is
-    ``(Tr_B J + S, Tr[R J])``, ``A*(Y, t)`` is ``(Y (x) I + t R, Y)``, and
-    the HKM Schur map ``Y -> Tr_B[X_J (Y (x) I) S_J^-1] + X_S Y S_S^-1``
-    is a sum of four Kronecker products of ``d_A x d_A`` factors, one per
-    pair of B indices, formed as one ``(d_A^2, 4) @ (4, d_A^2)`` product
-    (a fifth column and row carry the slack block) and bordered by the
-    ``R`` row.
-    """
-
-    def __init__(self, c: np.ndarray, r: np.ndarray, p: float):
-        da = c.shape[0] // 2
-        self.da = da
-        self.slack = p < 1.0
-        self.r = r
-        self.diag, self.upper, self.lower, self.gather = _hermitian_coords(da)
-        self.dims = [2 * da, da] if self.slack else [2 * da]
-        self.C = [-c]
-        self.b = np.zeros(da * da + self.slack)
-        self.b[:da] = 1.0
-        if self.slack:
-            self.C.append(np.zeros((da, da), dtype=complex))
-            self.b[-1] = p
-        self.max_entry = max(1.0, float(np.max(np.abs(self.r))))
-
-    def _coords(self, z: np.ndarray) -> np.ndarray:
-        """``(Re Tr[h_i z])_i`` for a d_A x d_A matrix ``z``."""
-        z = z.ravel()
-        out = np.empty(self.da * self.da)
-        up, lo = z[self.upper], z[self.lower]
-        out[:self.da] = z[self.diag].real
-        out[self.da::2] = up.real + lo.real
-        out[self.da + 1::2] = up.imag - lo.imag
-        return out
-
-    def _trace_b(self, j: np.ndarray) -> np.ndarray:
-        da = self.da
-        return np.trace(j.reshape(da, 2, da, 2), axis1=1, axis2=3)
-
-    def a_apply(self, X: list) -> np.ndarray:
-        z = self._trace_b(X[0])
-        if not self.slack:
-            return self._coords(z)
-        return np.append(self._coords(z + X[1]), np.vdot(self.r, X[0]).real)
-
-    def a_adjoint(self, y: np.ndarray) -> list:
-        da = self.da
-        yh = np.empty(da * da, dtype=complex)
-        yh[self.diag] = y[:da]
-        yx, yy = y[da:da * da:2], y[da + 1:da * da:2]
-        yh[self.upper] = yx + 1j * yy
-        yh[self.lower] = yx - 1j * yy
-        yh = yh.reshape(da, da)
-        yj = (yh[:, None, :, None] * np.eye(2)[None, :, None, :]).reshape(2 * da, 2 * da)
-        if not self.slack:
-            return [yj]
-        return [yj + y[-1] * self.r, yh]
-
-    def schur(self, X: list, sinv: list) -> np.ndarray:
-        da = self.da
-        nh, npair = da * da, da * (da - 1) // 2
-        # Entry ((a, g), (c, e)) of the map is sum_{b, d} X[ab, cd] S^-1[ed, gb]
-        # (+ X_S[a, c] S_S^-1[e, g]); the product lays it out as [a, c, g, e].
-        left = X[0].reshape(da, 2, da, 2).transpose(0, 2, 1, 3).reshape(nh, 4)
-        right = sinv[0].reshape(da, 2, da, 2).transpose(3, 1, 2, 0).reshape(4, nh)
-        if self.slack:
-            left = np.hstack([left, X[1].reshape(nh, 1)])
-            right = np.vstack([right, sinv[1].T.reshape(1, nh)])
-        kmap = np.take(left @ right, self.gather)
-        # Columns: the images of h_j (diagonal, x = kl + lk, y = i (kl - lk)).
-        img = np.empty((nh, nh), dtype=complex)
-        img[:, :da] = kmap[:, :da]
-        up, lo = kmap[:, da:da + npair], kmap[:, da + npair:]
-        img[:, da::2] = up + lo
-        diff = up - lo
-        img.real[:, da + 1::2] = -diff.imag
-        img.imag[:, da + 1::2] = diff.real
-        # Rows: Re Tr[h_i image].
-        out = np.empty((len(self.b), len(self.b)))
-        out[:da, :nh] = img[:da].real
-        up, lo = img[da:da + npair], img[da + npair:]
-        out[da:nh:2, :nh] = up.real + lo.real
-        out[da + 1:nh:2, :nh] = up.imag - lo.imag
-        if self.slack:
-            v = X[0] @ self.r @ sinv[0]
-            out[:-1, -1] = out[-1, :-1] = self._coords(self._trace_b(v))
-            out[-1, -1] = np.vdot(self.r, v).real
-        return out
-
-
 # SciPy's LAPACK Cholesky, triangular and Cholesky solves, called without
 # the input-checking wrappers (no finite check, no array conversion):
 # every matrix here is a finite iterate, and at the block sizes solved
@@ -310,7 +164,7 @@ def _max_step(mat: np.ndarray, dmat: np.ndarray) -> float:
     return -1.0 / lam_min
 
 
-def solve(problem: SdpProblem | ConstraintOperator) -> SdpSolution:
+def solve(problem: SdpProblem) -> SdpSolution:
     """Run the interior-point iteration until an optimal certificate
     (merit at most ``TOL``), an infeasibility/unboundedness flag, or
     ``ITERATION_CAP`` iterations.
@@ -318,10 +172,10 @@ def solve(problem: SdpProblem | ConstraintOperator) -> SdpSolution:
     If the iteration stalls in numerical noise after effectively
     converging, the best iterate is accepted as optimal provided it
     meets ``SOFT_TOL`` (the certificate tolerances promised on an
-    optimal status).  An :class:`SdpProblem` is read through a
-    :class:`DenseOperator`; a structured problem passes its own operator.
+    optimal status).  The constraints are read through
+    :class:`DenseOperator`.
     """
-    op = DenseOperator(problem) if isinstance(problem, SdpProblem) else problem
+    op = DenseOperator(problem)
     m, nb = len(op.b), len(op.dims)
     if m == 0:
         raise ValueError("at least one equality constraint is required")

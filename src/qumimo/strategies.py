@@ -48,15 +48,15 @@ class FidelityRecord:
     surrogate: Optional[float] = None
 
 
-def select_modes(lam, m: int, chan: ChannelChoi, k: Optional[int] = None):
+def select_modes(lam, m: int, chan: ChannelChoi, k: Optional[int] = None, table=None):
     """Transmit on the M least depolarized modes; receive on K modes
     (default K = M).
 
     With K = N every mode is received, in index order.  With K < N the
     receive modes are ranked by their best single-branch fidelity from
-    a transmit mode (``branch_fidelities``).  Deterministic: ties
-    resolve by mode index, so with no crosstalk the receive set equals
-    the transmit set.
+    a transmit mode (``table``, else ``branch_fidelities(chan)``).
+    Deterministic: ties resolve by mode index, so with no crosstalk the
+    receive set equals the transmit set.
     """
     lam = tuple(float(x) for x in lam)
     n = len(lam)
@@ -67,7 +67,7 @@ def select_modes(lam, m: int, chan: ChannelChoi, k: Optional[int] = None):
     t = tuple(order[:m])
     if k == n:
         return t, tuple(range(1, n + 1))
-    scores = branch_fidelities(chan)[[x - 1 for x in t]].max(axis=0)
+    scores = (branch_fidelities(chan) if table is None else table)[[x - 1 for x in t]].max(axis=0)
     ranked = sorted(range(1, n + 1), key=lambda j: (-round(float(scores[j - 1]), 12), j))
     return t, tuple(ranked[:k])
 
@@ -112,8 +112,9 @@ def run_strategy(
     )
 
     if strategy == "dir":
-        t, r = select_modes(lam, 1, chan)
-        f = float(branch_fidelities(chan)[t[0] - 1, r[0] - 1])
+        table = branch_fidelities(chan)
+        t, r = select_modes(lam, 1, chan, table=table)
+        f = float(table[t[0] - 1, r[0] - 1])
         return [FidelityRecord(
             m=1, k=1, p_target=1.0, p_real=1.0, f_avg=f, f_success=f,
             j_index=1.0, gamma=(1.0,), t=t, r=r, **common,

@@ -252,6 +252,29 @@ class TestStochasticRun:
         box = (tmp_path / "out" / "boxplot.csv").read_text().strip().splitlines()[1:]
         assert [r.split(",")[0] for r in box] == ["0.5"] * 3 + ["1"] * 3
 
+    def test_box_panel_reuses_heatmap_design(self, tmp_path, monkeypatch):
+        # with box_eta among the heatmap's eta and box_p among its p, the
+        # heatmap task of (box_eta, mean 0) already made the panel's design
+        designs = []
+        design = experiments._design_on_mean
+
+        def counted(cfg, eta, mean, p_eval):
+            designs.append(eta)
+            return design(cfg, eta, mean, p_eval)
+
+        monkeypatch.setattr(experiments, "_design_on_mean", counted)
+        cfg = experiments.validate_config(tiny_stoch_cfg(eta=[0.5, 0.8], mu=[0.5, 1.0]))
+        experiments.run_stochastic(cfg, tmp_path / "reused")
+        assert designs == [0.5, 0.5, 0.8, 0.8]
+        # the panel does not depend on the heatmap's eta: a run that makes
+        # its own design writes the same bytes
+        cfg = experiments.validate_config(tiny_stoch_cfg(eta=[0.5], mu=[0.5, 1.0]))
+        experiments.run_stochastic(cfg, tmp_path / "fresh")
+        assert designs[4:] == [0.5, 0.5, 0.8]
+        for name in ("boxplot.csv", "allocations.csv", "cluster_variance.csv", "cv_kde.csv"):
+            fresh = (tmp_path / "fresh" / name).read_bytes()
+            assert (tmp_path / "reused" / name).read_bytes() == fresh, name
+
     def test_mu_spelling_invariant(self, tmp_path):
         # "mu": [1] and [1.0] name one fluctuation strength and draw the
         # same realizations
@@ -263,8 +286,9 @@ class TestStochasticRun:
             assert int_bytes == (tmp_path / "float" / name).read_bytes(), name
 
     def test_worker_count_invariance(self, tmp_path):
+        # eta 0.8 = box_eta: the panel's design comes back from a pool worker
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(tiny_stoch_cfg(p=[0.8, 1.0], mu=[0.5, 1.0])))
+        cfg_path.write_text(json.dumps(tiny_stoch_cfg(p=[0.8, 1.0], mu=[0.5, 1.0], eta=[0.5, 0.8])))
         out_1, out_2 = tmp_path / "w1", tmp_path / "w2"
         assert cli.main(["stochastic", "--config", str(cfg_path), "--out", str(out_1)]) == 0
         assert cli.main(
@@ -303,8 +327,10 @@ class TestBoundaryAndValidate:
         assert cli.main(["validate", "--quick"]) == 0
         out = capsys.readouterr().out
         assert "[PASS]" in out and "[FAIL]" not in out
-        assert "[PASS] decoder SDP: partial-trace = dense, p = 0.8" in out
-        assert "[PASS] decoder SDP: partial-trace = dense, p = 1" in out
+        for k in (2, 3):
+            for p in ("0.8", "1"):
+                assert f"[PASS] decoder SDP: covariant blocks = dense, K = {k}, p = {p}" in out
+        assert "[PASS] Qt, Rt on the SU(2) commutant, N = 3" in out
 
     def test_wrong_regime_subcommand(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

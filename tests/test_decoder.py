@@ -203,48 +203,83 @@ class TestPurificationSdp:
             decoder.purification_sdp(qr, 1.2)
 
 
-def random_pd(rng, n):
+def random_hermitian(rng, n):
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return a @ dagger(a) + np.eye(n)
+    return (a + dagger(a)) / 2
+
+
+def hermitian_coords(g):
+    """Coefficients of a Hermitian ``g`` in ``decoder._hermitian_basis``
+    order: the diagonal, then ``(Re g_kl, Im g_kl)`` for each k < l."""
+    ku, lu = np.triu_indices(len(g), 1)
+    return np.concatenate([np.diag(g).real, np.stack([g[ku, lu].real, g[ku, lu].imag], 1).ravel()])
+
+
+def row_image(w, e):
+    """``e`` lifted to the full space, and ``2j + 1`` of the block it sits in."""
+    g = decoder._lift(w, e)
+    return g, float(np.real(np.trace(g @ g) / np.trace(e @ e)))
+
+
+def random_reduced(rng, paths):
+    """A random Hermitian matrix on the spin blocks of a frame's paths."""
+    spin = np.array([path[-1] for path in paths])
+    x = rng.standard_normal((len(spin),) * 2) + 1j * rng.standard_normal((len(spin),) * 2)
+    return (x + dagger(x)) * (spin[:, None] == spin[None, :])
 
 
 class TestPartialTraceOperator:
-    """The decoder's operator against the dense stacks of the same problem."""
+    """The decoder SDP's constraint operator, ``Tr_B J + S`` and
+    ``Tr[Rt J]``, as the covariant route reads it on the Schur-Weyl
+    blocks, against the dense stacks of the same problem on the full
+    space; and the covariant route's decoders against the dense route's."""
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("p", [0.6, 1.0])
     def test_matches_dense_operator(self, k, p):
+        # row i of the reduced A(X) is Tr[lift(E_i) (Tr_B J + S)] / (2j + 1)
+        # on the lifted blocks; the objective and the Rt row agree too
         rng = np.random.default_rng(10 + k)
         qr, _ = random_cascade(rng, n=k)
-        op = sdp.PartialTraceOperator(qr.qt, qr.rt, p)
+        (w_j, paths_j), (w_s, paths_s) = decoder._frame(k + 1, k), decoder._frame(k, k)
+        rows = decoder._covariant_rows(k)
+        reduced = sdp.DenseOperator(decoder._covariant_problem(qr, p))
         dense = sdp.DenseOperator(decoder.dense_purification_problem(qr, p))
-        assert op.dims == dense.dims and op.max_entry == dense.max_entry
-        assert np.array_equal(op.b, dense.b)
-        assert all(np.array_equal(a, b) for a, b in zip(op.C, dense.C))
-        X = [random_pd(rng, d) for d in op.dims]
-        sinv = [random_pd(rng, d) for d in op.dims]
-        y = rng.standard_normal(len(op.b))
-        assert np.allclose(op.a_apply(X), dense.a_apply(X), rtol=0, atol=1e-12)
-        for a, b in zip(op.a_adjoint(y), dense.a_adjoint(y)):
-            assert np.allclose(a, b, rtol=0, atol=1e-12)
-        want = dense.schur(X, sinv)
-        assert np.max(np.abs(op.schur(X, sinv) - want)) <= 1e-12 * np.max(np.abs(want))
+        x_red = [random_reduced(rng, paths_j), random_reduced(rng, paths_s)]
+        x_full = [decoder._lift(w_j, x_red[0]), decoder._lift(w_s, x_red[1])]
+        nb = len(reduced.dims)
+        got, want = reduced.a_apply(x_red[:nb]), dense.a_apply(x_full[:nb])
+        nh = 4 ** k
+        for i, (_, e, _) in enumerate(rows):
+            g, d = row_image(w_s, e)
+            assert abs(got[i] - want[:nh] @ hermitian_coords(g) / d) < 1e-11
+        assert len(got) == len(rows) + (p < 1.0)
+        if p < 1.0:
+            assert abs(got[-1] - want[-1]) < 1e-11
+        assert abs(np.vdot(reduced.C[0], x_red[0]).real - np.vdot(dense.C[0], x_full[0]).real) < 1e-11
 
     @pytest.mark.parametrize("p", [0.6, 1.0])
     def test_adjoint(self, p):
-        # <A(X), y> = <X, A*(y)> on random Hermitian blocks
+        # the reduced A*(y) is the reduction of the dense A* at the
+        # full-space image of y, block by block
         rng = np.random.default_rng(20)
         for k in (1, 2, 3):
             qr, _ = random_cascade(rng, n=k)
-            op = sdp.PartialTraceOperator(qr.qt, qr.rt, p)
+            w_j, w_s = decoder._frame(k + 1, k)[0], decoder._frame(k, k)[0]
+            rows = decoder._covariant_rows(k)
+            reduced = sdp.DenseOperator(decoder._covariant_problem(qr, p))
+            dense = sdp.DenseOperator(decoder.dense_purification_problem(qr, p))
             for _ in range(3):
-                X = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-                     for d in op.dims]
-                X = [x + dagger(x) for x in X]
-                y = rng.standard_normal(len(op.b))
-                lhs = op.a_apply(X) @ y
-                rhs = sum(np.vdot(x, a).real for x, a in zip(X, op.a_adjoint(y)))
-                assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+                y = rng.standard_normal(len(reduced.b))
+                y_full = np.zeros(len(dense.b))
+                for yi, (_, e, _) in zip(y, rows):
+                    g, d = row_image(w_s, e)
+                    y_full[:4 ** k] += yi * hermitian_coords(g) / d
+                if p < 1.0:
+                    y_full[-1] = y[-1]
+                got, want = reduced.a_adjoint(y), dense.a_adjoint(y_full)
+                for w, a, b in zip((w_j, w_s), got, want):
+                    assert np.max(np.abs(a - decoder._reduce(w, b))) < 1e-12
 
     def test_matches_dense_route_on_criterion4_sweep(self):
         rng = np.random.default_rng(1004)
@@ -254,9 +289,16 @@ class TestPartialTraceOperator:
             for p in (0.2, 0.5, 0.8, 1.0):
                 dec = decoder.purification_sdp(qr, p)
                 ref = sdp.solve(decoder.dense_purification_problem(qr, p))
-                assert dec.iterations == ref.iterations
                 worst = max(worst, abs(dec.f_success * p - ref.value))
         assert worst < 1e-7
+
+    @pytest.mark.parametrize("p", [0.2, 0.5, 0.8, 1.0])
+    def test_matches_dense_route_k3(self, p):
+        rng = np.random.default_rng(33)
+        qr, _ = random_cascade(rng, n=3)
+        dec = decoder.purification_sdp(qr, p)
+        ref = sdp.solve(decoder.dense_purification_problem(qr, p))
+        assert abs(dec.f_success * p - ref.value) < 1e-7
 
     @pytest.mark.parametrize("p", [0.2, 0.5, 0.8, 1.0])
     def test_matches_dense_route_k4(self, p):
@@ -264,7 +306,6 @@ class TestPartialTraceOperator:
         qr, _ = random_cascade(rng, n=4)
         dec = decoder.purification_sdp(qr, p)
         ref = sdp.solve(decoder.dense_purification_problem(qr, p))
-        assert dec.iterations == ref.iterations
         assert abs(dec.f_success * p - ref.value) < 1e-7
 
     def test_every_solve_is_validated(self, monkeypatch):
@@ -274,6 +315,33 @@ class TestPartialTraceOperator:
         for p in (0.5, 1.0):
             decoder.purification_sdp(qr, p)
         assert [c[2] for c in calls] == [0.5, 1.0]
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_rejects_non_covariant(self, k):
+        # a generic Hermitian perturbation of 1e-6 leaves the commutant;
+        # the route raises instead of solving another problem
+        rng = np.random.default_rng(50 + k)
+        qr, _ = random_cascade(rng, n=k)
+        assert decoder.covariant_operators(qr)[1] < 1e-14
+        bent = decoder.QROperators(qt=qr.qt + 1e-6 * random_hermitian(rng, 2 ** (k + 1)),
+                                   rt=qr.rt, k=k)
+        for p in (0.8, 1.0):
+            with pytest.raises(ValueError, match="SU\\(2\\) commutant"):
+                decoder.purification_sdp(bent, p)
+
+    def test_k5_decoder(self):
+        # K = 5: 20 + 10 wide, 43 constraints; the full J passes
+        # _validate_decoder and stays under the Rayleigh surrogate
+        rng = np.random.default_rng(55)
+        qr, _ = random_cascade(rng, n=5)
+        ray = decoder.rayleigh_bound(qr)
+        problem = decoder._covariant_problem(qr, 0.8)
+        assert list(problem.block_dims) == [20, 10] and problem.num_constraints == 43
+        for p in (0.8, 1.0):
+            dec = decoder.purification_sdp(qr, p)
+            decoder._validate_decoder(dec.j, qr, p)
+            assert dec.j.shape == (64, 64)
+            assert dec.f_success <= ray + 1e-7
 
 
 class TestRayleigh:

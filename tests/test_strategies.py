@@ -137,6 +137,17 @@ class TestRunStrategy:
         [rec] = strategies.run_strategy("dir", params, 1, 1, (1.0,))
         assert abs(rec.f_avg - 0.9) < 1e-8  # 1 - lam_min / 2
 
+    def test_dir_reads_branch_table_once(self, monkeypatch):
+        # mode selection and the fidelity read one table per channel
+        calls = []
+        table = channel.branch_fidelities
+        monkeypatch.setattr(strategies, "branch_fidelities", lambda c: calls.append(c) or table(c))
+        params = channel.ChannelParams(n=4, eta=0.5, lam=(0.3, 0.1, 0.6, 0.2), delta=1.0)
+        (rec,) = strategies.run_strategy("dir", params, 1, 1, (0.8,))
+        assert len(calls) == 1
+        t, r = strategies.select_modes(params.lam, 1, calls[0])
+        assert (rec.t, rec.r) == (t, r) and rec.f_avg == table(calls[0])[t[0] - 1, r[0] - 1]
+
     def test_f_avg_identity(self):
         params = channel.ChannelParams(n=2, eta=0.5, lam=(0.4, 0.2), delta=1.0)
         for s in ("pur", "sym", "div"):

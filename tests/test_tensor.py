@@ -1,5 +1,9 @@
+from functools import reduce
+from math import comb
+
 import numpy as np
 import pytest
+from scipy.linalg import block_diag, expm
 
 from cloner_oracle import partial_transpose
 from qumimo import tensor
@@ -242,3 +246,48 @@ class TestPermBasisMap:
     def test_invalid(self):
         with pytest.raises(ValueError):
             perm_basis_map((1, 1), 2)
+
+
+def spin_matrices(two_j):
+    """``(J_x, J_y, J_z)`` of spin j in the basis ``m = j, ..., -j``
+    (Condon-Shortley: ``J_+`` has nonnegative entries)."""
+    m = two_j / 2 - np.arange(two_j + 1)
+    j = two_j / 2
+    up = np.diag(np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1)), 1)
+    return (up + up.T) / 2, (up - up.T) / 2j, np.diag(m)
+
+
+class TestSchurWeylBasis:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_unitary_and_multiplicities(self, n):
+        v, blocks = tensor.schur_weyl_basis(n)
+        assert np.max(np.abs(v.T @ v - np.eye(2 ** n))) < 1e-14
+        for two_j, paths in blocks:
+            k = (n - two_j) // 2
+            assert len(paths) == comb(n, k) - (comb(n, k - 1) if k else 0)
+            assert all(len(path) == n and path[-1] == two_j for path in paths)
+        assert sum(len(paths) * (two_j + 1) for two_j, paths in blocks) == 2 ** n
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_block_diagonalizes_su2(self, n):
+        # v^T U^{(x)n} v = (+)_j I_{m_j} (x) D^j(U), with D^j = exp(-i t a.J)
+        # for U = exp(-i t a.sigma / 2)
+        rng = np.random.default_rng(n)
+        v, blocks = tensor.schur_weyl_basis(n)
+        for _ in range(3):
+            axis = rng.standard_normal(3)
+            axis /= np.linalg.norm(axis)
+            angle = rng.uniform(0.0, 4.0 * np.pi)
+
+            def rep(two_j):
+                return expm(-1j * angle * sum(a * s for a, s in zip(axis, spin_matrices(two_j))))
+
+            u_n = reduce(np.kron, [rep(1)] * n)
+            want = block_diag(*[np.kron(np.eye(len(paths)), rep(two_j)) for two_j, paths in blocks])
+            assert np.max(np.abs(v.T @ u_n @ v - want)) < 1e-12
+
+    def test_rebuilt_bytes_equal(self):
+        v, blocks = tensor.schur_weyl_basis(4)
+        tensor.schur_weyl_basis.cache_clear()
+        again, blocks_again = tensor.schur_weyl_basis(4)
+        assert again.tobytes() == v.tobytes() and blocks_again == blocks
