@@ -27,7 +27,7 @@ del _var
 
 __version__ = "0.1.0"
 
-from .channel import ChannelChoi, ChannelParams, apply_channel, channel_choi  # noqa: F401
+from .channel import Channel, ChannelParams, channel_choi  # noqa: F401
 from .cloner import (  # noqa: F401
     AsymmetryVector,
     clone_amplitudes,

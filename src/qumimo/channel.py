@@ -1,9 +1,13 @@
-"""N x N multi-mode qubit channel: per-branch depolarization composed
-with a stochastic permutation-unitary crosstalk mixture.
+"""N x N multi-mode qubit channel in factored form.
 
-The channel Choi operator lives on (N input qubits) (x) (N output
-qubits), unnormalized (``Tr_out J = I``).  Crosstalk permutes the output
-legs: noise first, then mode shuffling.
+The channel depolarizes mode i by ``lam_i`` and then, with probability
+eta, permutes the modes: ``(1 - eta) D + eta sum_pi w_pi P_pi o D``,
+with product weights ``w_pi`` from a spatial coupling kernel.  Under pi
+the value on mode i moves to mode ``pi(i)``, so receive mode j reads
+source mode ``pi^{-1}(j)``, and depolarization keeps the I/2 of an
+unused mode.  A cascade that keeps K receive modes therefore needs only
+the weights of the source tuples those modes read
+(:func:`source_weights`), never the 4^N x 4^N channel Choi.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionLimitError
-from .tensor import DEFAULT_DIM_CAP, PHI_UNNORM, ModeSpace, partial_trace, perm_basis_map
 
 MAX_MODES = 6
 
@@ -53,20 +56,16 @@ class PermutationEnsemble:
 
 
 @dataclass(frozen=True)
-class ChannelChoi:
-    choi: np.ndarray
+class Channel:
+    """The channel in factored form: its parameters and the permutation
+    ensemble of its crosstalk (the identity alone at N = 1)."""
+
     params: ChannelParams
+    ensemble: PermutationEnsemble
 
     @property
     def n(self) -> int:
         return self.params.n
-
-
-def depolarizing_choi_1q(lam: float) -> np.ndarray:
-    """Unnormalized single-qubit depolarizing Choi on (in, out)."""
-    if not (0.0 <= lam <= 1.0):
-        raise ValueError(f"depolarization strength {lam} outside [0, 1]")
-    return (1.0 - lam) * PHI_UNNORM + lam * np.eye(4, dtype=complex) / 2.0
 
 
 def circular_distance(i: int, j: int, n: int) -> int:
@@ -105,74 +104,50 @@ def permutation_weights(kernel: CouplingKernel) -> PermutationEnsemble:
     return PermutationEnsemble(perms=tuple(perms), weights=tuple(float(w) for w in weights))
 
 
-def _depolarizing_choi(lam: tuple) -> np.ndarray:
-    """Choi of the tensor product of per-mode depolarizing maps,
-    rearranged from the per-mode (in_i, out_i) pairing to the block
-    layout (all inputs) (x) (all outputs)."""
-    n = len(lam)
-    t = depolarizing_choi_1q(lam[0])
-    for x in lam[1:]:
-        t = np.kron(t, depolarizing_choi_1q(x))
-    if n == 1:
-        return t
-    # Qubit at interleaved position 2i-1 (in_i) moves to position i,
-    # position 2i (out_i) moves to position n+i.
-    perm = [0] * (2 * n)
-    for i in range(1, n + 1):
-        perm[2 * i - 2] = i
-        perm[2 * i - 1] = n + i
-    qmap = perm_basis_map(perm, 2 * n)
-    out = np.zeros_like(t)
-    out[np.ix_(qmap, qmap)] = t
-    return out
+def channel_choi(params: ChannelParams) -> Channel:
+    """The channel of ``params`` in factored form: the parameters and the
+    permutation ensemble of the crosstalk."""
+    if params.n == 1:
+        return Channel(params, PermutationEnsemble(perms=((1,),), weights=(1.0,)))
+    return Channel(params, permutation_weights(coupling_kernel(params.n, params.delta)))
 
 
-def channel_choi(params: ChannelParams) -> ChannelChoi:
-    """Complete channel Choi: depolarize every branch, then mix modes
-    with probability eta according to the permutation ensemble."""
-    n = params.n
-    dim = 2 ** n
-    if dim * dim > DEFAULT_DIM_CAP:
-        raise DimensionLimitError(f"channel Choi dimension {dim * dim} exceeds cap")
-    j_dep = _depolarizing_choi(params.lam)
-    if params.eta == 0.0 or n == 1:
-        return ChannelChoi(choi=j_dep, params=params)
+def source_weights(chan: Channel, r) -> tuple[np.ndarray, np.ndarray]:
+    """``(src, w)``: the distinct source tuples of receive modes ``r``, one
+    per row of ``src`` (1-indexed), and their weights.
 
-    ens = permutation_weights(coupling_kernel(n, params.delta))
-    mixed = np.zeros_like(j_dep)
-    full = np.arange(dim * dim)
-    in_idx, out_idx = full // dim, full % dim
-    for pi, w in zip(ens.perms, ens.weights):
-        qmap = perm_basis_map(pi, n)
-        inv = np.empty_like(qmap)
-        inv[qmap] = np.arange(dim)
-        src = in_idx * dim + inv[out_idx]
-        mixed += w * j_dep[np.ix_(src, src)]
-    j = (1.0 - params.eta) * j_dep + params.eta * mixed
-    return ChannelChoi(choi=j, params=params)
+    Under permutation pi receive mode ``r_j`` reads source mode
+    ``s_j = pi^{-1}(r_j)``, so ``W_s = (1 - eta) [s = r] + eta sum_{pi:
+    pi^{-1}(r) = s} w_pi``.  Tuples of zero weight are dropped; the weights
+    sum to 1.
+    """
+    n, eta = chan.n, chan.params.eta
+    shape = (n,) * len(r)
+    r0 = np.asarray(r, dtype=int) - 1
+    inv = np.argsort(np.array(chan.ensemble.perms), axis=1)
+    code = np.ravel_multi_index(inv[:, r0].T, shape)
+    w = eta * np.bincount(code, weights=chan.ensemble.weights, minlength=n ** len(r))
+    w[np.ravel_multi_index(r0, shape)] += 1.0 - eta
+    nz = np.flatnonzero(w)
+    return np.stack(np.unravel_index(nz, shape), axis=1) + 1, w[nz]
 
 
-def branch_fidelities(chan: ChannelChoi) -> np.ndarray:
+def branch_fidelities(chan: Channel) -> np.ndarray:
     """Average fidelity of every single-branch map as an (N, N) array.
 
     Entry ``[t - 1, j - 1]`` belongs to the qubit map from input mode t,
-    the other inputs fed I/2, to output mode j alone.  Its Choi is
-    ``J_tj = Tr_{in != t, out != j} J / 2^(N-1)``, and a qubit map with
-    unnormalized Choi J has average fidelity ``(1 + <Phi|J|Phi>/2) / 3``
-    (Horodecki, Horodecki, Horodecki, PRA 60, 1888 (1999)).
+    the other inputs fed I/2, to output mode j alone.  Mode j reads mode
+    t, depolarized by ``lam_t`` (average fidelity ``1 - lam_t / 2``), with
+    probability ``q_tj``, the weight of the source tuple ``(t,)`` of
+    receive mode j, and otherwise a mode fed I/2 (fidelity 1/2).
     """
     n = chan.n
-    space = ModeSpace.qubits(range(1, 2 * n + 1))
-    # Labels of the 1 -> N map from mode t: 0 is its input, 1..N the outputs.
-    one_to_n = ModeSpace.qubits(range(n + 1))
-    outputs = tuple(range(n + 1, 2 * n + 1))
-    table = np.empty((n, n))
-    for t in range(1, n + 1):
-        j_t = partial_trace(chan.choi, space, (t,) + outputs) / 2 ** (n - 1)
-        for j in range(1, n + 1):
-            j_tj = partial_trace(j_t, one_to_n, (0, j))
-            table[t - 1, j - 1] = (1.0 + np.real(np.trace(PHI_UNNORM @ j_tj)) / 2.0) / 3.0
-    return table
+    q = np.zeros((n, n))
+    for j in range(1, n + 1):
+        src, w = source_weights(chan, (j,))
+        q[src[:, 0] - 1, j - 1] = w
+    f_read = 1.0 - np.asarray(chan.params.lam) / 2.0
+    return q * f_read[:, None] + (1.0 - q) / 2.0
 
 
 def coupling_report(params: ChannelParams) -> np.ndarray:
@@ -181,15 +156,3 @@ def coupling_report(params: ChannelParams) -> np.ndarray:
         return np.ones((1, 1))
     c = coupling_kernel(params.n, params.delta).c
     return (1.0 - params.eta) * np.eye(params.n) + params.eta * c
-
-
-def apply_channel(channel, rho: np.ndarray) -> np.ndarray:
-    """Apply a Choi operator: ``Tr_in[J (rho^T (x) I_out)]``."""
-    j = channel.choi if isinstance(channel, ChannelChoi) else channel
-    dim_sq = j.shape[0]
-    d_in = rho.shape[0]
-    if dim_sq % d_in != 0:
-        raise ValueError(f"Choi dim {dim_sq} incompatible with input dim {d_in}")
-    d_out = dim_sq // d_in
-    j4 = j.reshape(d_in, d_out, d_in, d_out)
-    return np.einsum("iokp,ik->op", j4, rho)

@@ -17,6 +17,7 @@ when a run fails (a failed task is named by its coordinates), else 0.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -84,8 +85,10 @@ def _run_checks(quick: bool) -> int:
     )
     check("amplitude identity", worst < 1e-9, f"worst {worst:.1e}")
 
+    # The channel in factored form: every receive tuple's source weights
+    # are a distribution, and the cascade built from them preserves trace.
     draws = 3 if quick else 10
-    ok = True
+    ok, worst = True, 0.0
     for _ in range(draws):
         n = int(rng.integers(1, 4))
         params = channel.ChannelParams(
@@ -93,12 +96,18 @@ def _run_checks(quick: bool) -> int:
             delta=float(rng.uniform(0.3, 2)),
         )
         ch = channel.channel_choi(params)
-        space = ModeSpace.qubits(range(1, 2 * n + 1))
-        tp = partial_trace(ch.choi, space, tuple(range(1, n + 1)))
-        ident = np.eye(2 ** n) / 2 ** n
-        ok &= bool(np.max(np.abs(tp - np.eye(2 ** n))) < 1e-8)
-        ok &= bool(np.max(np.abs(channel.apply_channel(ch, ident) - ident)) < 1e-8)
-    check("channel CPTP + unital", ok)
+        m = int(rng.integers(1, n + 1))
+        enc = cloner.cloner_choi(tuple(rng.dirichlet(np.ones(m))))
+        t = tuple(int(x) + 1 for x in rng.permutation(n)[:m])
+        for k in range(1, n + 1):
+            for r in itertools.permutations(range(1, n + 1), k):
+                w = channel.source_weights(ch, r)[1]
+                ok &= bool(w.min() >= 0.0 and abs(w.sum() - 1.0) < 1e-12)
+                j = decoder.compose_effective_map(enc, ch, t, r).choi
+                tp = partial_trace(j, ModeSpace.qubits(range(k + 1)), (0,))
+                worst = max(worst, float(np.max(np.abs(tp - np.eye(2)))))
+    check("channel source weights + cascade trace preserving", ok and worst < 1e-12,
+          f"worst |Tr_out J - I| {worst:.1e}")
 
     xi = noise.sample_fluctuation(0.5, 10_000 if quick else 100_000, noise.make_rng(7))
     check("fluctuation moments", abs(xi.mean() - 1) < 0.02 and abs(xi.var() - 0.25) < 0.02,

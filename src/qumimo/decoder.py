@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sdp
-from .channel import ChannelChoi
+from .channel import Channel, source_weights
 from .cloner import (
     AsymmetryVector,
     ClonerChoi,
@@ -36,7 +36,7 @@ from .cloner import (
 )
 from .errors import NotPsdError, SolverError
 from .metrics import asymmetry_index
-from .tensor import I2, PSD_SUPPORT_TOL, SWAP2, dagger, perm_basis_map, schur_weyl_basis
+from .tensor import I2, PSD_SUPPORT_TOL, SWAP2, dagger, schur_weyl_basis
 
 SURROGATE_TIE_TOL = 1e-6
 GRID_STEP_DENOM = 20
@@ -86,13 +86,17 @@ class GammaOptimum:
     qr: QROperators
 
 
-def compose_effective_map(
-    encoder: ClonerChoi, chan: ChannelChoi, t, r
-) -> EffectiveMap:
-    """Embed clones onto transmit modes, feed unused modes with I/2,
-    push through the channel, keep the receive modes.
+def compose_effective_map(encoder: ClonerChoi, chan: Channel, t, r) -> EffectiveMap:
+    """The Choi of the encoder-channel cascade on (input) (x) (receive
+    modes ``r``), built on 1 + K qubits.
 
-    Composition is the link product over the intermediate N-mode space.
+    Clone k goes to mode ``t_k`` and is depolarized there by ``lam_{t_k}``;
+    every other mode carries I/2, which the channel keeps.  For each source
+    tuple s of ``r`` (:func:`channel.source_weights`) receive leg j holds
+    the clone on mode ``s_j``, or I/2 where ``s_j`` carries no clone: the
+    marginal of the depolarized cloner on the clones in s, its legs ordered
+    by s and padded with I/2.  Source tuples that place the same clones on
+    the same legs share one term.
     """
     t = tuple(int(x) for x in t)
     r = tuple(int(x) for x in r)
@@ -105,41 +109,40 @@ def compose_effective_map(
     if any(not 1 <= x <= n for x in t + r):
         raise ValueError(f"mode indices outside 1..{n}")
 
-    j_enc = encoder.choi
-    if m < n:
-        extra = np.eye(2 ** (n - m), dtype=complex) / 2 ** (n - m)
-        j_enc = np.kron(j_enc, extra)
-    # Route clone k to mode t_k; leftover modes take the I/2 legs.
-    rest = [q for q in range(1, n + 1) if q not in t]
-    perm = list(t) + rest
-    if perm != list(range(1, n + 1)):
-        qmap = perm_basis_map(perm, n)
-        inv = np.empty_like(qmap)
-        inv[qmap] = np.arange(2 ** n)
-        dim = 2 ** n
-        flat = np.arange(2 * dim)
-        src = (flat // dim) * dim + inv[flat % dim]
-        j_enc = j_enc[np.ix_(src, src)]
+    jt = encoder.choi
+    for c, mode in enumerate(t, start=1):
+        # Depolarize clone c: (1 - lam) J + lam Tr_c J (x) I/2 on its leg.
+        lam = chan.params.lam[mode - 1]
+        x = jt.reshape(2 ** c, 2, 2 ** (m - c), 2 ** c, 2, 2 ** (m - c))
+        half_tr = lam / 2.0 * (x[:, 0, :, :, 0] + x[:, 1, :, :, 1])
+        x = (1.0 - lam) * x
+        x[:, 0, :, :, 0] += half_tr
+        x[:, 1, :, :, 1] += half_tr
+        jt = x
 
-    dim = 2 ** n
-    je4 = j_enc.reshape(2, dim, 2, dim)
-    jh4 = chan.choi.reshape(dim, dim, dim, dim)
-    jc4 = np.einsum("imjn,monp->iojp", je4, jh4)
-
-    keep_axes = [x - 1 for x in r]
-    drop_axes = [x for x in range(n) if x not in keep_axes]
-    tens = jc4.reshape([2] + [2] * n + [2] + [2] * n)
-    for ax in sorted(drop_axes, reverse=True):
-        tens = np.trace(tens, axis1=1 + ax, axis2=1 + tens.ndim // 2 + ax)
-    # Reorder kept output axes to follow the order of r.
-    kept_sorted = sorted(keep_axes)
-    pos = [kept_sorted.index(x) for x in keep_axes]
-    half = 1 + len(keep_axes)
-    axes = [0] + [1 + p for p in pos] + [half] + [half + 1 + p for p in pos]
-    tens = tens.transpose(axes)
+    # A pattern holds, per receive leg, the clone its source carries (0: I/2).
     k = len(r)
+    clone_on = np.zeros(n + 1, dtype=int)
+    clone_on[list(t)] = np.arange(1, m + 1)
+    src, w = source_weights(chan, r)
+    shape = (m + 1,) * k
+    weights = np.bincount(np.ravel_multi_index(clone_on[src].T, shape), weights=w)
+    nz = np.flatnonzero(weights)
+    patterns, weights = np.stack(np.unravel_index(nz, shape), axis=1), weights[nz]
+    # Legs m + 1 .. q - 1 carry the I/2 the patterns need; leg a is einsum
+    # label a on the ket side and q + a on the bra side, or a when traced.
+    pads = int((patterns == 0).sum(axis=1).max())
+    q = m + 1 + pads
+    pad = np.eye(2 ** pads) / 2 ** pads
+    jt = (jt.reshape(2 ** (m + 1), 1, 2 ** (m + 1), 1) * pad[:, None]).reshape((2,) * (2 * q))
+    out = np.zeros((2,) * (2 * k + 2), dtype=complex)
+    for pattern, weight in zip(patterns.tolist(), weights):
+        free = iter(range(m + 1, q))
+        ket = [0] + [c if c else next(free) for c in pattern]
+        bra = [q + a if a in ket else a for a in range(q)]
+        out += weight * np.einsum(jt, list(range(q)) + bra, ket + [q + a for a in ket])
     dk = 2 ** k
-    return EffectiveMap(choi=tens.reshape(2 * dk, 2 * dk), t=t, r=r, k=k)
+    return EffectiveMap(choi=out.reshape(2 * dk, 2 * dk), t=t, r=r, k=k)
 
 
 def build_qr(emap: EffectiveMap) -> QROperators:
@@ -362,7 +365,7 @@ def _blind_decoder(m: int, p: float) -> DecoderSolution:
     return purification_sdp(blind_qr(m, m), p)
 
 
-def evaluate_gamma_surrogate(gamma, chan: ChannelChoi, t, r) -> float:
+def evaluate_gamma_surrogate(gamma, chan: Channel, t, r) -> float:
     return rayleigh_bound(build_qr(compose_effective_map(cloner_choi(gamma), chan, t, r)))
 
 
@@ -384,7 +387,7 @@ def _lattice(m: int):
     return points, _pair_weights(points)
 
 
-def _surrogate_pieces(m: int, chan: ChannelChoi, t, r):
+def _surrogate_pieces(m: int, chan: Channel, t, r):
     """Stacked ``Qt_kl`` and ``sigma_kl^T`` (k <= l) of the cascade.
 
     The cloner Choi is ``sum_{k<=l} w_kl beta_k beta_l J_kl`` with
@@ -455,7 +458,7 @@ def _polish(start: tuple, pieces) -> tuple:
     return tuple(float(c) / POLISH_DENOM for c in counts)
 
 
-def optimize_gamma(m: int, chan: ChannelChoi, t, r) -> GammaOptimum:
+def optimize_gamma(m: int, chan: Channel, t, r) -> GammaOptimum:
     """Search the asymmetry simplex for the best Rayleigh surrogate.
 
     The design is p-independent: one search per channel, whose result

@@ -482,13 +482,11 @@ def _design_on_mean(cfg: ExperimentConfig, eta: float, mean: MeanAllocation, p_e
 
 def _evaluate_on_realization(design, cfg, eta, x: MeanAllocation):
     """Realized (acceptance, accepted-fidelity-mass) of each designed decoder."""
-    params = ChannelParams(n=x.n, eta=eta, lam=x.lam, delta=cfg.delta)
-    chan_x = channel_choi(params)
+    chan_x = channel_choi(ChannelParams(n=x.n, eta=eta, lam=x.lam, delta=cfg.delta))
     qr_x = dec_mod.build_qr(
         dec_mod.compose_effective_map(design["enc"], chan_x, design["t"], design["r"])
     )
-    out = {p: dec_mod.evaluate_decoder(dec.j, qr_x) for p, dec in design["decoders"].items()}
-    return out, chan_x
+    return {p: dec_mod.evaluate_decoder(dec.j, qr_x) for p, dec in design["decoders"].items()}
 
 
 def _stochastic_task(args):
@@ -499,7 +497,7 @@ def _stochastic_task(args):
 
     j_index = asymmetry_index(clone_fidelities(design["gamma"]).fidelities)
 
-    base_eval, _ = _evaluate_on_realization(design, cfg, eta, mean)
+    base_eval = _evaluate_on_realization(design, cfg, eta, mean)
     baseline_row = [eta, mean_id, base_eval[1.0][1], base_eval[1.0][2], j_index, *design["gamma"]]
 
     rows = []
@@ -508,7 +506,7 @@ def _stochastic_task(args):
         seed = derive_seed(cfg.seed, "stochastic", "xi", cfg.heatmap_mu, mean_id, rid)
         xi = sample_fluctuation(cfg.heatmap_mu, mean.n, make_rng(seed))
         x = perturb_and_project(mean, xi)
-        evals, _ = _evaluate_on_realization(design, cfg, eta, x)
+        evals = _evaluate_on_realization(design, cfg, eta, x)
         p1_real, p1_fs, p1_favg = evals[1.0]
         for p in p_eval:
             p_real, fs, favg = evals[p]
@@ -552,7 +550,8 @@ def _boxplot_task(args):
         cluster = _box_realizations(cfg, mean, mean_id, mu)
         rows = []
         for rid, x in enumerate(cluster):
-            evals, chan_x = _evaluate_on_realization(design, cfg, cfg.box_eta, x)
+            evals = _evaluate_on_realization(design, cfg, cfg.box_eta, x)
+            chan_x = channel_choi(ChannelParams(n=x.n, eta=cfg.box_eta, lam=x.lam, delta=cfg.delta))
             f_dir = float(branch_fidelities(chan_x)[t_dir - 1, r_dir - 1])
             p_real, fs, favg = evals[cfg.box_p]
             rows.append([mu, rid, f_dir, fs, favg, p_real])

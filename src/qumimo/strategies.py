@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import decoder as dec_mod
-from .channel import ChannelChoi, ChannelParams, branch_fidelities, channel_choi
+from .channel import Channel, ChannelParams, branch_fidelities, channel_choi
 from .cloner import clone_fidelities, cloner_choi
 from .metrics import asymmetry_index
 
@@ -48,7 +48,7 @@ class FidelityRecord:
     surrogate: Optional[float] = None
 
 
-def select_modes(lam, m: int, chan: ChannelChoi, k: Optional[int] = None, table=None):
+def select_modes(lam, m: int, chan: Channel, k: Optional[int] = None, table=None):
     """Transmit on the M least depolarized modes; receive on K modes
     (default K = M).
 
@@ -78,7 +78,7 @@ def run_strategy(
     m: int,
     k: int,
     ps: tuple,
-    chan: Optional[ChannelChoi] = None,
+    chan: Optional[Channel] = None,
     seed: Optional[int] = None,
     regime: str = "single",
     z: Optional[float] = None,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -104,26 +104,6 @@ def partial_trace(x: np.ndarray, space: ModeSpace, keep: Iterable) -> np.ndarray
     dt = space.dim // dk
     t = t.reshape(dk, dt, dk, dt)
     return np.einsum("abcb->ac", t)
-
-
-def perm_basis_map(perm: Sequence[int], n: int) -> np.ndarray:
-    """Basis-index action of a qubit permutation.
-
-    ``perm`` is 1-indexed with ``perm[i-1] = pi(i)``: the value held by
-    qubit ``i`` moves to qubit ``pi(i)``.  Returns ``map`` such that the
-    permutation unitary acts as ``U |b> = |map[b]>`` on computational
-    basis indices (mode 1 = most significant bit).
-    """
-    perm = tuple(perm)
-    if sorted(perm) != list(range(1, n + 1)):
-        raise ValueError(f"{perm} is not a permutation of 1..{n}")
-    dim = 2 ** n
-    out = np.zeros(dim, dtype=np.int64)
-    basis = np.arange(dim, dtype=np.int64)
-    for i, target in enumerate(perm, start=1):
-        bits = (basis >> (n - i)) & 1
-        out |= bits << (n - target)
-    return out
 
 
 @functools.cache

@@ -18,13 +18,12 @@ import numpy as np
 from qumimo import sdp
 from qumimo.cloner import ClonerChoi, _as_gamma, _validate_cloner
 from qumimo.errors import DimensionLimitError, SolverError
-from reference_ops import PAULIS, kron
+from reference_ops import PAULIS, kron, perm_basis_map
 from qumimo.tensor import (
     PHI_UNNORM,
     ModeSpace,
     _as_tensor,
     dagger,
-    perm_basis_map,
 )
 
 FIDELITY_TIEBREAK_EPS = 1e-6

@@ -5,25 +5,29 @@ references for run-time code: the Pauli matrices, Haar sampling for
 Monte Carlo checks, the permutation unitaries behind the channel's
 crosstalk symmetry, the Kraus set of the depolarizing map, the rank-one
 witness of the Rayleigh bound on the full ``Rt`` (the reference for
-``decoder.rayleigh_bound``, which scores on ``sigma^T``), and the
-compose -> ``build_qr`` route that ``channel.branch_fidelities``
-replaces.
+``decoder.rayleigh_bound``, which scores on ``sigma^T``), the
+compose -> ``build_qr`` route to one branch fidelity, and the dense
+channel route: the 4^N x 4^N channel Choi, its action on states, its
+partial-trace branch table and the link product with the cloner, which
+``channel.source_weights`` and ``decoder.compose_effective_map`` replace
+on 1 + K qubits.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from qumimo import cloner, decoder
+from qumimo import channel, cloner, decoder
 from qumimo.errors import DimensionLimitError, NotHermitianError, NotPsdError
 from qumimo.tensor import (
     DEFAULT_DIM_CAP,
     I2,
     PHI_UNNORM,
     PSD_SUPPORT_TOL,
+    ModeSpace,
     dagger,
     is_hermitian,
-    perm_basis_map,
+    partial_trace,
 )
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -90,6 +94,26 @@ def support_projector(x: np.ndarray, support_tol: float = PSD_SUPPORT_TOL) -> np
     return (v * mask) @ dagger(v)
 
 
+def perm_basis_map(perm, n: int) -> np.ndarray:
+    """Basis-index action of a qubit permutation.
+
+    ``perm`` is 1-indexed with ``perm[i-1] = pi(i)``: the value held by
+    qubit ``i`` moves to qubit ``pi(i)``.  Returns ``map`` such that the
+    permutation unitary acts as ``U |b> = |map[b]>`` on computational
+    basis indices (mode 1 = most significant bit).
+    """
+    perm = tuple(perm)
+    if sorted(perm) != list(range(1, n + 1)):
+        raise ValueError(f"{perm} is not a permutation of 1..{n}")
+    dim = 2 ** n
+    out = np.zeros(dim, dtype=np.int64)
+    basis = np.arange(dim, dtype=np.int64)
+    for i, target in enumerate(perm, start=1):
+        bits = (basis >> (n - i)) & 1
+        out |= bits << (n - target)
+    return out
+
+
 def permutation_unitary(pi, n: int) -> np.ndarray:
     """Unitary sending the value on mode i to mode pi(i)."""
     qmap = perm_basis_map(pi, n)
@@ -131,3 +155,126 @@ def branch_fidelity_via_compose(chan, t_mode: int, r_mode: int) -> float:
     ``Tr[Phi Qt]`` for the received qubit used as it is."""
     emap = decoder.compose_effective_map(cloner.cloner_choi((1.0,)), chan, (t_mode,), (r_mode,))
     return float(np.real(np.trace(PHI_UNNORM @ decoder.build_qr(emap).qt)))
+
+
+def depolarizing_choi_1q(lam: float) -> np.ndarray:
+    """Unnormalized single-qubit depolarizing Choi on (in, out)."""
+    if not (0.0 <= lam <= 1.0):
+        raise ValueError(f"depolarization strength {lam} outside [0, 1]")
+    return (1.0 - lam) * PHI_UNNORM + lam * np.eye(4, dtype=complex) / 2.0
+
+
+def _depolarizing_choi(lam: tuple) -> np.ndarray:
+    """Choi of the tensor product of per-mode depolarizing maps,
+    rearranged from the per-mode (in_i, out_i) pairing to the block
+    layout (all inputs) (x) (all outputs)."""
+    n = len(lam)
+    t = depolarizing_choi_1q(lam[0])
+    for x in lam[1:]:
+        t = np.kron(t, depolarizing_choi_1q(x))
+    if n == 1:
+        return t
+    # Qubit at interleaved position 2i-1 (in_i) moves to position i,
+    # position 2i (out_i) moves to position n+i.
+    perm = [0] * (2 * n)
+    for i in range(1, n + 1):
+        perm[2 * i - 2] = i
+        perm[2 * i - 1] = n + i
+    qmap = perm_basis_map(perm, 2 * n)
+    out = np.zeros_like(t)
+    out[np.ix_(qmap, qmap)] = t
+    return out
+
+
+def dense_channel_choi(params: channel.ChannelParams) -> np.ndarray:
+    """The channel's Choi on (N input qubits) (x) (N output qubits),
+    unnormalized: depolarize every branch, then mix modes with
+    probability eta, one gathered copy of the Choi per permutation."""
+    n = params.n
+    dim = 2 ** n
+    if dim * dim > DEFAULT_DIM_CAP:
+        raise DimensionLimitError(f"channel Choi dimension {dim * dim} exceeds cap")
+    j_dep = _depolarizing_choi(params.lam)
+    if params.eta == 0.0 or n == 1:
+        return j_dep
+    ens = channel.permutation_weights(channel.coupling_kernel(n, params.delta))
+    mixed = np.zeros_like(j_dep)
+    full = np.arange(dim * dim)
+    in_idx, out_idx = full // dim, full % dim
+    for pi, w in zip(ens.perms, ens.weights):
+        qmap = perm_basis_map(pi, n)
+        inv = np.empty_like(qmap)
+        inv[qmap] = np.arange(dim)
+        src = in_idx * dim + inv[out_idx]
+        mixed += w * j_dep[np.ix_(src, src)]
+    return (1.0 - params.eta) * j_dep + params.eta * mixed
+
+
+def apply_choi(j: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Apply a Choi operator: ``Tr_in[J (rho^T (x) I_out)]``."""
+    dim_sq = j.shape[0]
+    d_in = rho.shape[0]
+    if dim_sq % d_in != 0:
+        raise ValueError(f"Choi dim {dim_sq} incompatible with input dim {d_in}")
+    d_out = dim_sq // d_in
+    j4 = j.reshape(d_in, d_out, d_in, d_out)
+    return np.einsum("iokp,ik->op", j4, rho)
+
+
+def dense_branch_fidelities(j: np.ndarray, n: int) -> np.ndarray:
+    """The branch table of ``channel.branch_fidelities`` from partial
+    traces of the dense channel Choi: ``J_tj = Tr_{in != t, out != j} J /
+    2^(N-1)``, and a qubit map with unnormalized Choi J has average
+    fidelity ``(1 + <Phi|J|Phi>/2) / 3`` (Horodecki, Horodecki,
+    Horodecki, PRA 60, 1888 (1999))."""
+    space = ModeSpace.qubits(range(1, 2 * n + 1))
+    # Labels of the 1 -> N map from mode t: 0 is its input, 1..N the outputs.
+    one_to_n = ModeSpace.qubits(range(n + 1))
+    outputs = tuple(range(n + 1, 2 * n + 1))
+    table = np.empty((n, n))
+    for t in range(1, n + 1):
+        j_t = partial_trace(j, space, (t,) + outputs) / 2 ** (n - 1)
+        for r in range(1, n + 1):
+            j_tr = partial_trace(j_t, one_to_n, (0, r))
+            table[t - 1, r - 1] = (1.0 + np.real(np.trace(PHI_UNNORM @ j_tr)) / 2.0) / 3.0
+    return table
+
+
+def dense_compose(encoder: cloner.ClonerChoi, j_chan: np.ndarray, n: int, t, r) -> np.ndarray:
+    """The cascade Choi of ``decoder.compose_effective_map`` by the link
+    product over the N-mode space: clone k routed to mode ``t_k``, unused
+    modes fed I/2, the dense channel Choi applied, every mode outside
+    ``r`` traced out, the kept legs ordered by r."""
+    m = encoder.m
+    j_enc = encoder.choi
+    if m < n:
+        extra = np.eye(2 ** (n - m), dtype=complex) / 2 ** (n - m)
+        j_enc = np.kron(j_enc, extra)
+    # Route clone k to mode t_k; leftover modes take the I/2 legs.
+    rest = [q for q in range(1, n + 1) if q not in t]
+    perm = list(t) + rest
+    dim = 2 ** n
+    if perm != list(range(1, n + 1)):
+        qmap = perm_basis_map(perm, n)
+        inv = np.empty_like(qmap)
+        inv[qmap] = np.arange(dim)
+        flat = np.arange(2 * dim)
+        src = (flat // dim) * dim + inv[flat % dim]
+        j_enc = j_enc[np.ix_(src, src)]
+
+    je4 = j_enc.reshape(2, dim, 2, dim)
+    jh4 = j_chan.reshape(dim, dim, dim, dim)
+    jc4 = np.einsum("imjn,monp->iojp", je4, jh4)
+
+    keep_axes = [x - 1 for x in r]
+    drop_axes = [x for x in range(n) if x not in keep_axes]
+    tens = jc4.reshape([2] + [2] * n + [2] + [2] * n)
+    for ax in sorted(drop_axes, reverse=True):
+        tens = np.trace(tens, axis1=1 + ax, axis2=1 + tens.ndim // 2 + ax)
+    # Reorder kept output axes to follow the order of r.
+    kept_sorted = sorted(keep_axes)
+    pos = [kept_sorted.index(x) for x in keep_axes]
+    half = 1 + len(keep_axes)
+    axes = [0] + [1 + p for p in pos] + [half] + [half + 1 + p for p in pos]
+    dk = 2 ** len(r)
+    return tens.transpose(axes).reshape(2 * dk, 2 * dk)

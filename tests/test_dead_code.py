@@ -4,6 +4,7 @@ Helpers that only tests use belong in the test tree
 (``tests/reference_ops.py``, ``tests/cloner_oracle.py``)."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import qumimo
@@ -73,3 +74,17 @@ def test_external_list_is_current():
             and isinstance(node.value, ast.Name) and node.value.id == mod
             for node in ast.walk(tree)
         ), f"{caller} no longer calls {mod}.{name}; drop it from EXTERNAL"
+
+
+def test_tracer_targets_resolve():
+    """Every ``(layer, attr)`` the benchmark's tracer wraps is a callable of
+    ``qumimo.<layer>``: the tracer skips a missing target, and its metrics
+    would then read 0 without a word."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    [targets] = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)]
+    pairs = ast.literal_eval(targets)
+    assert pairs
+    missing = [f"{layer}.{attr}" for layer, attr in pairs
+               if not callable(getattr(importlib.import_module(f"qumimo.{layer}"), attr, None))]
+    assert not missing, f"tracer targets missing from qumimo: {missing}"

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from qumimo.tensor import (
     dagger,
     partial_trace,
 )
-from reference_ops import haar_qubit, projector, rank_one_certificate
+from reference_ops import depolarizing_choi_1q, haar_qubit, projector, rank_one_certificate
 
 
 def identity_qr():
@@ -60,7 +62,7 @@ class TestCompose:
             channel.ChannelParams(n=2, eta=0.0, lam=(0.4, 0.77), delta=1.0)
         )
         emap = decoder.compose_effective_map(enc, ch, (1,), (1,))
-        want = channel.depolarizing_choi_1q(0.4)
+        want = depolarizing_choi_1q(0.4)
         assert np.max(np.abs(emap.choi - want)) < 1e-8
 
     def test_transmit_mode_routing(self):
@@ -70,7 +72,7 @@ class TestCompose:
             channel.ChannelParams(n=2, eta=0.0, lam=(0.9, 0.1), delta=1.0)
         )
         emap = decoder.compose_effective_map(enc, ch, (2,), (2,))
-        want = channel.depolarizing_choi_1q(0.1)
+        want = depolarizing_choi_1q(0.1)
         assert np.max(np.abs(emap.choi - want)) < 1e-8
 
     def test_cptp_contract(self):
@@ -81,6 +83,20 @@ class TestCompose:
             space = ModeSpace.qubits(range(1, k + 2))
             tr_out = partial_trace(emap.choi, space, (1,))
             assert np.max(np.abs(tr_out - I2)) < 1e-8
+
+    def test_six_modes(self):
+        # No dense route reaches N = 6: its channel Choi is 4096 x 4096,
+        # gathered once per each of 720 permutations.
+        params = channel.ChannelParams(
+            n=6, eta=0.8, lam=tuple(np.linspace(0.05, 0.55, 6)), delta=1.0)
+        enc = cloner.cloner_choi(tuple(np.random.default_rng(15).dirichlet(np.ones(5))))
+        start = time.perf_counter()
+        emap = decoder.compose_effective_map(
+            enc, channel.channel_choi(params), (2, 4, 6, 1, 3), (6, 1, 5, 2, 4, 3))
+        assert time.perf_counter() - start < 1.0
+        tr_out = partial_trace(emap.choi, ModeSpace.qubits(range(7)), (0,))
+        assert np.max(np.abs(tr_out - I2)) < 1e-12
+        assert decoder.covariant_operators(decoder.build_qr(emap))[1] <= 1e-12
 
     def test_rejects_overlap(self):
         enc = cloner.cloner_choi((0.5, 0.5))

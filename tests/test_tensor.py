@@ -15,7 +15,6 @@ from qumimo.tensor import (
     ModeSpace,
     dagger,
     partial_trace,
-    perm_basis_map,
 )
 from reference_ops import (
     SIGMA_X,
@@ -23,6 +22,7 @@ from reference_ops import (
     haar_qubit,
     hermitian_eig,
     kron,
+    perm_basis_map,
     projector,
     psd_sqrt_pinv,
 )
