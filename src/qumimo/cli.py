@@ -66,7 +66,6 @@ def _load(args, expected_regime: str):
 
 def _run_checks(quick: bool) -> int:
     from . import channel, cloner, decoder, noise
-    from .tensor import ModeSpace, partial_trace
 
     failures = 0
 
@@ -104,7 +103,7 @@ def _run_checks(quick: bool) -> int:
                 w = channel.source_weights(ch, r)[1]
                 ok &= bool(w.min() >= 0.0 and abs(w.sum() - 1.0) < 1e-12)
                 j = decoder.compose_effective_map(enc, ch, t, r).choi
-                tp = partial_trace(j, ModeSpace.qubits(range(k + 1)), (0,))
+                tp = np.trace(j.reshape(2, 2 ** k, 2, 2 ** k), axis1=1, axis2=3)
                 worst = max(worst, float(np.max(np.abs(tp - np.eye(2)))))
     check("channel source weights + cascade trace preserving", ok and worst < 1e-12,
           f"worst |Tr_out J - I| {worst:.1e}")

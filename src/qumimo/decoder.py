@@ -43,6 +43,10 @@ GRID_STEP_DENOM = 20
 # Lattice points per scoring batch: 8 MB of stacked Qt at K = 5 (0.7 GB unchunked).
 SCORE_CHUNK = 128
 POLISH_DENOM = 640
+# Polish steps this close to the best step tie: above the float64 rounding
+# of the surrogate (up to 7e-13 on crosstalk-only M = 4 channels), far
+# below SURROGATE_TIE_TOL.
+POLISH_TIE_TOL = 1e-10
 
 # Largest entry of Qt or Rt off the SU(2) commutant, relative to
 # max(1, largest entry), that the decoder SDP accepts.
@@ -346,23 +350,19 @@ def rayleigh_bound(qr: QROperators) -> float:
 
 
 @functools.cache
-def blind_qr(m: int, k: int) -> QROperators:
+def blind_qr(m: int) -> QROperators:
     """Haar operators of the symmetric cloner under an identity-channel
-    prior; the non-adaptive decoder design point."""
-    if m != k:
-        raise ValueError(f"blind design requires M == K, got {m} != {k}")
+    prior, every clone received (K = M); the non-adaptive decoder design
+    point."""
     enc = cloner_choi(tuple([1.0 / m] * m))
     emap = EffectiveMap(choi=enc.choi, t=tuple(range(1, m + 1)), r=tuple(range(1, m + 1)), k=m)
     return build_qr(emap)
 
 
-def blind_decoder(m: int, p: float) -> DecoderSolution:
-    return _blind_decoder(m, round(p, 12))
-
-
 @functools.cache
-def _blind_decoder(m: int, p: float) -> DecoderSolution:
-    return purification_sdp(blind_qr(m, m), p)
+def blind_decoder(m: int, p: float) -> DecoderSolution:
+    """The decoder designed on :func:`blind_qr` at success probability p."""
+    return purification_sdp(blind_qr(m), p)
 
 
 def evaluate_gamma_surrogate(gamma, chan: Channel, t, r) -> float:
@@ -443,7 +443,10 @@ def _lattice_surrogates(weights, qts, sts) -> np.ndarray:
 def _polish(start: tuple, pieces) -> tuple:
     """Compass search from a lattice point along the simplex edges
     ``e_i - e_j``: take the best step that gains more than the tie
-    tolerance, else halve the step, from 1/40 down to 1/640."""
+    tolerance, else halve the step, from 1/40 down to 1/640.  Steps
+    within ``POLISH_TIE_TOL`` of the best tie (mirror images on a
+    symmetric channel, equal up to rounding), and the first in ``edges``
+    order is taken."""
     m = len(start)
     counts = np.rint(np.asarray(start) * POLISH_DENOM).astype(int)
     edges = (np.eye(m, dtype=int)[:, None] - np.eye(m, dtype=int))[~np.eye(m, dtype=bool)]
@@ -452,7 +455,8 @@ def _polish(start: tuple, pieces) -> tuple:
         moves = [c for c in counts + step * edges if c.min() >= 0]
         vals = _lattice_surrogates(_pair_weights([c / POLISH_DENOM for c in moves]), *pieces)
         if vals.max() > best + SURROGATE_TIE_TOL:
-            counts, best = moves[int(np.argmax(vals))], vals.max()
+            first = int(np.flatnonzero(vals >= vals.max() - POLISH_TIE_TOL)[0])
+            counts, best = moves[first], vals[first]
         else:
             step //= 2
     return tuple(float(c) / POLISH_DENOM for c in counts)

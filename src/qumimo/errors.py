@@ -9,10 +9,6 @@ class DimensionLimitError(QumimoError):
     """A constructed object would exceed the configured dimension cap."""
 
 
-class LabelError(QumimoError, KeyError):
-    """A tensor-mode label does not exist in the given mode space."""
-
-
 class NotHermitianError(QumimoError):
     """Input matrix is not Hermitian within tolerance."""
 

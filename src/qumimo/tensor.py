@@ -1,29 +1,23 @@
-"""Dense complex linear algebra and multi-qubit tensor bookkeeping.
+"""Shared qubit constants, Hermitian helpers and the Schur-Weyl basis.
 
 Conventions used throughout the package:
 
 * Operators are dense ``complex128`` numpy arrays.
-* A multi-mode operator lives on the tensor product of its modes with
-  mode 1 as the *most significant* factor, i.e. the basis index of
+* A multi-qubit operator lives on the tensor product of its qubits with
+  qubit 1 as the *most significant* factor, i.e. the basis index of
   ``|a_1 ... a_n>`` is ``sum_i a_i * 2**(n-i)``.  This matches the order
   produced by chaining ``np.kron(A_1, np.kron(A_2, ...))``.
-* Kept deliberately free of any channel/Choi semantics; those live in
-  the higher-level modules.
+* No mode bookkeeping: each module traces out or reorders the legs of
+  its own fixed layout with ``reshape`` and ``trace``.  The labeled mode
+  space and its generic partial trace are a test-side reference
+  (``tests/reference_ops.py``).
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
-
-from .errors import LabelError
-
-# Any single constructed matrix is capped at this dimension so that a
-# misconfigured pipeline fails loudly instead of thrashing memory.
-DEFAULT_DIM_CAP = 2 ** 14
 
 HERMITIAN_RTOL = 1e-12
 PSD_SUPPORT_TOL = 1e-10
@@ -49,61 +43,6 @@ def dagger(x: np.ndarray) -> np.ndarray:
 def is_hermitian(x: np.ndarray) -> bool:
     scale = max(1.0, float(np.max(np.abs(x))) if x.size else 0.0)
     return bool(np.max(np.abs(x - dagger(x))) <= HERMITIAN_RTOL * scale)
-
-
-@dataclass(frozen=True)
-class ModeSpace:
-    """Ordered collection of labeled local modes.
-
-    ``labels[i]`` names the i-th tensor factor (most significant first)
-    and ``dims[i]`` is its local dimension (2 for qubits).
-    """
-
-    labels: tuple
-    dims: tuple
-
-    def __post_init__(self):
-        if len(self.labels) != len(self.dims):
-            raise ValueError("labels and dims must have equal length")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError(f"duplicate mode labels: {self.labels}")
-
-    @staticmethod
-    def qubits(labels: Iterable) -> "ModeSpace":
-        labels = tuple(labels)
-        return ModeSpace(labels=labels, dims=(2,) * len(labels))
-
-    @property
-    def dim(self) -> int:
-        return int(np.prod(self.dims, dtype=np.int64)) if self.dims else 1
-
-    def axes(self, subset: Iterable) -> list[int]:
-        subset = tuple(subset)
-        missing = [s for s in subset if s not in self.labels]
-        if missing:
-            raise LabelError(f"unknown mode labels {missing}; have {self.labels}")
-        return [self.labels.index(s) for s in subset]
-
-
-def _as_tensor(x: np.ndarray, space: ModeSpace) -> np.ndarray:
-    if x.shape != (space.dim, space.dim):
-        raise ValueError(f"matrix shape {x.shape} does not match space dim {space.dim}")
-    return x.reshape(space.dims + space.dims)
-
-
-def partial_trace(x: np.ndarray, space: ModeSpace, keep: Iterable) -> np.ndarray:
-    """Trace out every mode not listed in ``keep`` (order of ``keep`` kept)."""
-    keep = tuple(keep)
-    keep_axes = space.axes(keep)
-    n = len(space.dims)
-    traced_axes = [i for i in range(n) if i not in keep_axes]
-    t = _as_tensor(np.asarray(x), space)
-    perm = keep_axes + traced_axes + [a + n for a in keep_axes] + [a + n for a in traced_axes]
-    t = t.transpose(perm)
-    dk = int(np.prod([space.dims[a] for a in keep_axes], dtype=np.int64)) if keep_axes else 1
-    dt = space.dim // dk
-    t = t.reshape(dk, dt, dk, dt)
-    return np.einsum("abcb->ac", t)
 
 
 @functools.cache

@@ -4,8 +4,14 @@ Maximizes the gamma-weighted Haar-averaged clone fidelities
 ``sum_k (gamma_k + eps) Tr[J G_k]`` over CPTP maps and projects the
 input-transposed result onto the permutation algebra to enforce
 universality.  The program runs the closed form in ``qumimo.cloner``;
-the tests check it against this route.  The eps term resolves the degenerate optimum at simplex vertices
-(and moves clones weighted about eps or less off the optimum).
+the tests check it against this route.  The eps term resolves the
+degenerate optimum at simplex vertices (and moves clones weighted about
+eps or less off the optimum).
+
+The result is checked on its Choi (:func:`validate_cloner_choi`:
+eigenvalue floor, trace preservation and isotropic marginals by partial
+traces); the run-time cloner checks the last two on its Stinespring
+factor, where the first cannot fail.
 """
 
 from __future__ import annotations
@@ -16,15 +22,10 @@ import itertools
 import numpy as np
 
 from qumimo import sdp
-from qumimo.cloner import ClonerChoi, _as_gamma, _validate_cloner
+from qumimo.cloner import ClonerChoi, _as_gamma
 from qumimo.errors import DimensionLimitError, SolverError
-from reference_ops import PAULIS, kron, perm_basis_map
-from qumimo.tensor import (
-    PHI_UNNORM,
-    ModeSpace,
-    _as_tensor,
-    dagger,
-)
+from qumimo.tensor import I2, PHI_UNNORM, dagger
+from reference_ops import PAULIS, ModeSpace, _as_tensor, kron, partial_trace, perm_basis_map
 
 FIDELITY_TIEBREAK_EPS = 1e-6
 TWIRL_MAX_QUBITS = 6
@@ -110,6 +111,28 @@ def twirl_permutation_algebra(j: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def validate_cloner_choi(j: np.ndarray, m: int, space: ModeSpace) -> None:
+    """The cloner checks of ``cloner._validate_cloner`` on the Choi itself:
+    eigenvalue floor, ``Tr_out J = I_2`` and an isotropic (input, clone)
+    marginal for every clone, by generic partial traces.  The SDP-built
+    cloner has no Stinespring factor to check them on."""
+    floor = float(np.linalg.eigvalsh(j)[0])
+    if floor < -1e-9:
+        raise ValueError(f"cloner Choi eigenvalue floor {floor:.2e} below -1e-9")
+    tp = partial_trace(j, space, (1,))
+    if np.max(np.abs(tp - I2)) > 1e-8:
+        raise ValueError("cloner Choi violates trace preservation")
+    # Isotropic marginals: each (input, clone) pair lies in span{Phi, I4}.
+    gram = np.array([[4.0, 2.0], [2.0, 4.0]])
+    for k in range(2, m + 2):
+        marg = partial_trace(j, space, (1, k))
+        v = np.array([np.real(np.trace(marg)), np.real(np.trace(PHI_UNNORM @ marg))])
+        c_i, c_phi = np.linalg.solve(gram, v)
+        resid = marg - c_i * np.eye(4) - c_phi * PHI_UNNORM
+        if np.max(np.abs(resid)) > 1e-7:
+            raise ValueError(f"clone {k - 1} marginal not isotropic")
+
+
 def cloner_choi_sdp(gamma) -> ClonerChoi:
     """Covariant Choi operator of the gamma-weighted optimal cloner, by SDP
     and permutation-algebra twirl."""
@@ -135,6 +158,6 @@ def cloner_choi_sdp(gamma) -> ClonerChoi:
     k_tw = twirl_permutation_algebra(partial_transpose(sol.X_blocks[0], space, (1,)), m + 1)
     j = partial_transpose(k_tw, space, (1,))
     j = (j + dagger(j)) / 2.0
-    _validate_cloner(j, m, space)
+    validate_cloner_choi(j, m, space)
     fids = tuple(float(np.real(np.trace(j @ g))) for g in g_ops)
     return ClonerChoi(choi=j, m=m, fidelities=fids)

@@ -1,7 +1,9 @@
 """Test-side reference operators, samplers and routes.
 
 The program does not call these.  Tests use them as independent
-references for run-time code: the Pauli matrices, Haar sampling for
+references for run-time code: the Pauli matrices, the labeled mode
+space and its generic partial trace (the program traces the legs of its
+own fixed layouts with ``reshape`` and ``trace``), Haar sampling for
 Monte Carlo checks, the permutation unitaries behind the channel's
 crosstalk symmetry, the Kraus set of the depolarizing map, the rank-one
 witness of the Rayleigh bound on the full ``Rt`` (the reference for
@@ -15,25 +17,82 @@ on 1 + K qubits.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Iterable
+
 import numpy as np
 
 from qumimo import channel, cloner, decoder
-from qumimo.errors import DimensionLimitError, NotHermitianError, NotPsdError
-from qumimo.tensor import (
-    DEFAULT_DIM_CAP,
-    I2,
-    PHI_UNNORM,
-    PSD_SUPPORT_TOL,
-    ModeSpace,
-    dagger,
-    is_hermitian,
-    partial_trace,
-)
+from qumimo.errors import DimensionLimitError, NotHermitianError, NotPsdError, QumimoError
+from qumimo.tensor import I2, PHI_UNNORM, PSD_SUPPORT_TOL, dagger, is_hermitian
+
+# Any single constructed matrix is capped at this dimension so that a
+# misconfigured reference fails loudly instead of thrashing memory.
+DEFAULT_DIM_CAP = 2 ** 14
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (I2, SIGMA_X, SIGMA_Y, SIGMA_Z)
+
+
+class LabelError(QumimoError, KeyError):
+    """A tensor-mode label does not exist in the given mode space."""
+
+
+@dataclass(frozen=True)
+class ModeSpace:
+    """Ordered collection of labeled local modes.
+
+    ``labels[i]`` names the i-th tensor factor (most significant first)
+    and ``dims[i]`` is its local dimension (2 for qubits).
+    """
+
+    labels: tuple
+    dims: tuple
+
+    def __post_init__(self):
+        if len(self.labels) != len(self.dims):
+            raise ValueError("labels and dims must have equal length")
+        if len(set(self.labels)) != len(self.labels):
+            raise ValueError(f"duplicate mode labels: {self.labels}")
+
+    @staticmethod
+    def qubits(labels: Iterable) -> "ModeSpace":
+        labels = tuple(labels)
+        return ModeSpace(labels=labels, dims=(2,) * len(labels))
+
+    @property
+    def dim(self) -> int:
+        return int(np.prod(self.dims, dtype=np.int64)) if self.dims else 1
+
+    def axes(self, subset: Iterable) -> list[int]:
+        subset = tuple(subset)
+        missing = [s for s in subset if s not in self.labels]
+        if missing:
+            raise LabelError(f"unknown mode labels {missing}; have {self.labels}")
+        return [self.labels.index(s) for s in subset]
+
+
+def _as_tensor(x: np.ndarray, space: ModeSpace) -> np.ndarray:
+    if x.shape != (space.dim, space.dim):
+        raise ValueError(f"matrix shape {x.shape} does not match space dim {space.dim}")
+    return x.reshape(space.dims + space.dims)
+
+
+def partial_trace(x: np.ndarray, space: ModeSpace, keep: Iterable) -> np.ndarray:
+    """Trace out every mode not listed in ``keep`` (order of ``keep`` kept)."""
+    keep = tuple(keep)
+    keep_axes = space.axes(keep)
+    n = len(space.dims)
+    traced_axes = [i for i in range(n) if i not in keep_axes]
+    t = _as_tensor(np.asarray(x), space)
+    perm = keep_axes + traced_axes + [a + n for a in keep_axes] + [a + n for a in traced_axes]
+    t = t.transpose(perm)
+    dk = int(np.prod([space.dims[a] for a in keep_axes], dtype=np.int64)) if keep_axes else 1
+    dt = space.dim // dk
+    t = t.reshape(dk, dt, dk, dt)
+    return np.einsum("abcb->ac", t)
 
 
 def kron(a: np.ndarray, b: np.ndarray, dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:

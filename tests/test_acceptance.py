@@ -24,8 +24,15 @@ import pytest
 
 import cloner_oracle
 from qumimo import channel, cloner, decoder, experiments, noise, sdp, strategies
-from qumimo.tensor import I2, ModeSpace, dagger, partial_trace
-from reference_ops import apply_choi, dense_channel_choi, haar_qubit, projector
+from qumimo.tensor import I2, dagger
+from reference_ops import (
+    ModeSpace,
+    apply_choi,
+    dense_channel_choi,
+    haar_qubit,
+    partial_trace,
+    projector,
+)
 
 PGRID = (0.2, 0.5, 0.8, 1.0)
 

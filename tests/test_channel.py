@@ -5,15 +5,9 @@ import pytest
 
 from qumimo import channel, cloner, decoder
 from qumimo.errors import DimensionLimitError
-from qumimo.tensor import (
-    I2,
-    PHI_UNNORM,
-    SWAP2,
-    ModeSpace,
-    dagger,
-    partial_trace,
-)
+from qumimo.tensor import I2, PHI_UNNORM, SWAP2, dagger
 from reference_ops import (
+    ModeSpace,
     apply_choi,
     branch_fidelity_via_compose,
     choi_from_kraus,
@@ -23,6 +17,7 @@ from reference_ops import (
     depolarizing_choi_1q,
     depolarizing_kraus,
     haar_qubit,
+    partial_trace,
     permutation_unitary,
     projector,
 )

@@ -4,14 +4,8 @@ import pytest
 import cloner_oracle as oracle
 from qumimo import cloner
 from qumimo.errors import DimensionLimitError, SimplexError
-from qumimo.tensor import (
-    I2,
-    PHI_UNNORM,
-    ModeSpace,
-    dagger,
-    partial_trace,
-)
-from reference_ops import haar_qubit, projector
+from qumimo.tensor import I2, PHI_UNNORM, dagger
+from reference_ops import ModeSpace, haar_qubit, partial_trace, projector
 
 UNIT3 = 1.0 / np.sqrt(3.0)
 
@@ -211,6 +205,50 @@ class TestClonerChoi:
             ]
             assert max(fids) - min(fids) < 1e-6
             assert abs(np.mean(fids) - ch.fidelities[k - 1]) < 1e-6
+
+
+def stinespring_factor(gamma):
+    """The factor ``X`` of ``cloner_choi``: ``J = X X^T / M``."""
+    beta = np.asarray(cloner.clone_amplitudes(gamma).beta)
+    return np.tensordot(beta, cloner._stinespring_basis(len(beta)), axes=1)
+
+
+class TestFactorCheck:
+    """``cloner._validate_cloner`` checks the build on its Stinespring
+    factor; the Choi-form check runs on the oracle's SDP cloner."""
+
+    def test_rejects_trace_violation(self):
+        x = stinespring_factor((0.6, 0.3, 0.1))
+        with pytest.raises(ValueError, match="trace preservation"):
+            cloner._validate_cloner(1.01 * x, 3)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_rejects_non_isotropic_marginal(self, m):
+        # swapping the clones' basis states |0..01> and |0..10> for input
+        # |0> keeps Tr_out J = I_2 but breaks covariance
+        x = stinespring_factor(tuple(np.random.default_rng(m).dirichlet(np.ones(m))))
+        x[[1, 2]] = x[[2, 1]]
+        with pytest.raises(ValueError, match="marginal not isotropic"):
+            cloner._validate_cloner(x, m)
+
+    def test_marginals_match_partial_trace(self):
+        rng = np.random.default_rng(17)
+        points = [tuple(rng.dirichlet(np.ones(m))) for m in (1, 2, 3, 4, 5) for _ in range(3)]
+        points += [g for m in (2, 3, 4, 5) for g in face_points(m)]
+        for g in points:
+            m = len(g)
+            x = stinespring_factor(g)
+            j = cloner.cloner_choi(g).choi
+            space = ModeSpace.qubits(range(1, m + 2))
+            for k, marg in enumerate(cloner._clone_marginals(x, m), start=1):
+                assert np.max(np.abs(marg - partial_trace(j, space, (1, k + 1)))) < 1e-14
+
+    def test_oracle_checks_the_choi(self):
+        j = cloner.cloner_choi((0.6, 0.3, 0.1)).choi
+        space = ModeSpace.qubits(range(1, 5))
+        oracle.validate_cloner_choi(j, 3, space)
+        with pytest.raises(ValueError, match="eigenvalue floor"):
+            oracle.validate_cloner_choi(j - 1e-8 * np.eye(16), 3, space)
 
 
 class TestTwirl:

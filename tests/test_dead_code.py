@@ -1,7 +1,8 @@
-"""Every module-level function and class in ``src/qumimo`` has a caller
-in ``src/``, or is listed with the file outside it that calls it.
-Helpers that only tests use belong in the test tree
-(``tests/reference_ops.py``, ``tests/cloner_oracle.py``)."""
+"""Every module-level function, class and UPPER_CASE constant in
+``src/qumimo`` has a caller in ``src/``, or is listed with the file
+outside it that calls it.  Helpers and constants that only tests use
+belong in the test tree (``tests/reference_ops.py``,
+``tests/cloner_oracle.py``)."""
 
 import ast
 import importlib
@@ -21,10 +22,12 @@ EXTERNAL = {("decoder", "evaluate_gamma_surrogate"): "perfbench/workload.py"}
 
 def _definitions_and_references():
     """Module-level (module, name) definitions, and the (module, name)
-    pairs that code in the package refers to.  A reference is a bare name
-    (resolved through ``from .module import name``) or an attribute of a
-    module bound by ``from . import module``; a re-export from
-    ``__init__.py`` alone is not a caller."""
+    pairs that code in the package refers to.  A definition is a function,
+    a class or an UPPER_CASE name assigned at module level.  A reference is
+    a bare name read in Load context (resolved through ``from .module
+    import name``), so a constant's own assignment is not one, or an
+    attribute of a module bound by ``from . import module``; a re-export
+    from ``__init__.py`` alone is not a caller."""
     defs, refs = set(), set()
     for path in sorted(SRC.glob("*.py")):
         mod = path.stem
@@ -32,6 +35,10 @@ def _definitions_and_references():
         defs |= {
             (mod, node.name) for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        }
+        defs |= {
+            (mod, target.id) for node in tree.body if isinstance(node, ast.Assign)
+            for target in node.targets if isinstance(target, ast.Name) and target.id.isupper()
         }
         names, modules = {}, {}
         for node in ast.walk(tree):
@@ -43,7 +50,7 @@ def _definitions_and_references():
                     else:
                         names[local] = (node.module, alias.name)
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 refs.add(names.get(node.id, (mod, node.id)))
             elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                   and node.value.id in modules):

@@ -7,21 +7,17 @@ from scipy.linalg import block_diag, expm
 
 from cloner_oracle import partial_transpose
 from qumimo import tensor
-from qumimo.errors import DimensionLimitError, LabelError, NotHermitianError, NotPsdError
-from qumimo.tensor import (
-    I2,
-    PHI_UNNORM,
-    SWAP2,
-    ModeSpace,
-    dagger,
-    partial_trace,
-)
+from qumimo.errors import DimensionLimitError, NotHermitianError, NotPsdError
+from qumimo.tensor import I2, PHI_UNNORM, SWAP2, dagger
 from reference_ops import (
     SIGMA_X,
     SIGMA_Z,
+    LabelError,
+    ModeSpace,
     haar_qubit,
     hermitian_eig,
     kron,
+    partial_trace,
     perm_basis_map,
     projector,
     psd_sqrt_pinv,
