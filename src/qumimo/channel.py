@@ -45,11 +45,6 @@ class ChannelParams:
 
 
 @dataclass(frozen=True)
-class CouplingKernel:
-    c: np.ndarray
-
-
-@dataclass(frozen=True)
 class PermutationEnsemble:
     perms: tuple
     weights: tuple
@@ -73,7 +68,7 @@ def circular_distance(i: int, j: int, n: int) -> int:
     return min(d, n - d)
 
 
-def coupling_kernel(n: int, delta: float) -> CouplingKernel:
+def coupling_kernel(n: int, delta: float) -> np.ndarray:
     """Row-stochastic spatial coupling, exponential in circular distance."""
     if n < 2:
         raise ValueError("coupling kernel needs at least 2 modes")
@@ -83,12 +78,12 @@ def coupling_kernel(n: int, delta: float) -> CouplingKernel:
         [[circular_distance(i, j, n) for j in range(n)] for i in range(n)], dtype=float
     )
     w = np.exp(-delta * d)
-    return CouplingKernel(c=w / w.sum(axis=1, keepdims=True))
+    return w / w.sum(axis=1, keepdims=True)
 
 
-def permutation_weights(kernel: CouplingKernel) -> PermutationEnsemble:
-    """Normalized product weights over all N! mode permutations."""
-    c = kernel.c
+def permutation_weights(c: np.ndarray) -> PermutationEnsemble:
+    """Normalized product weights over all N! mode permutations of the
+    coupling kernel ``c``."""
     n = c.shape[0]
     if n > MAX_MODES:
         raise DimensionLimitError(f"permutation enumeration capped at N={MAX_MODES}")
@@ -154,5 +149,5 @@ def coupling_report(params: ChannelParams) -> np.ndarray:
     """Mode-level mixing matrix ``P = (1 - eta) I + eta C`` (plot data only)."""
     if params.n == 1:
         return np.ones((1, 1))
-    c = coupling_kernel(params.n, params.delta).c
+    c = coupling_kernel(params.n, params.delta)
     return (1.0 - params.eta) * np.eye(params.n) + params.eta * c

@@ -10,8 +10,9 @@ Subcommands::
 
 Grid/stochastic runs write plot-ready CSV plus manifest.json into the
 output directory; `validate` executes the built-in invariant suite and
-exits nonzero on any failure.  Exit status: 2 for an invalid config, 1
-when a run fails (a failed task is named by its coordinates), else 0.
+exits nonzero on any failure.  Exit status: 2 for an invalid config or
+argument, 1 when a run fails (a failed task is named by its
+coordinates), else 0.
 """
 
 from __future__ import annotations
@@ -27,10 +28,18 @@ from . import __version__, experiments
 from .errors import ConfigError, QumimoError
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+    return value
+
+
 def _add_run_args(sub):
     sub.add_argument("--config", required=True, help="JSON experiment config")
     sub.add_argument("--seed", type=int, default=None, help="override config seed")
-    sub.add_argument("--workers", type=int, default=1)
+    sub.add_argument("--workers", type=_positive_int, default=1,
+                     help="worker processes, at most one per task")
     sub.add_argument("--out", default=None, help="output directory")
     sub.add_argument("--profile", choices=("ci", "full"), default="ci")
 
@@ -129,7 +138,7 @@ def _run_checks(quick: bool) -> int:
         n = int(rng.integers(4, 17))
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         c = (a + a.conj().T) / 2
-        prob = sdp_mod.SdpProblem([n], [c], [({0: np.eye(n, dtype=complex)}, 1.0)])
+        prob = sdp_mod.SdpProblem([c], [np.eye(n, dtype=complex)[None]], [1.0])
         sol = sdp_mod.solve(prob)
         ok &= sol.status == sdp_mod.OPTIMAL
         ok &= abs(sol.value - np.linalg.eigvalsh(c)[-1]) < 1e-7

@@ -62,8 +62,6 @@ class EffectiveMap:
     """Choi of the encoder-channel cascade restricted to receive modes."""
 
     choi: np.ndarray
-    t: tuple
-    r: tuple
     k: int
 
 
@@ -146,7 +144,7 @@ def compose_effective_map(encoder: ClonerChoi, chan: Channel, t, r) -> Effective
         bra = [q + a if a in ket else a for a in range(q)]
         out += weight * np.einsum(jt, list(range(q)) + bra, ket + [q + a for a in ket])
     dk = 2 ** k
-    return EffectiveMap(choi=out.reshape(2 * dk, 2 * dk), t=t, r=r, k=k)
+    return EffectiveMap(choi=out.reshape(2 * dk, 2 * dk), k=k)
 
 
 def build_qr(emap: EffectiveMap) -> QROperators:
@@ -164,14 +162,17 @@ def build_qr(emap: EffectiveMap) -> QROperators:
 
 
 @functools.cache
-def _hermitian_basis(d: int) -> list[np.ndarray]:
-    """The units ``E_kk``, then ``E_kl + E_lk`` and ``i E_kl - i E_lk``
-    for each pair k < l in row-major order."""
-    basis = [np.diag(np.eye(d, dtype=complex)[k]) for k in range(d)]
-    for k, l in zip(*np.triu_indices(d, 1)):
-        unit = np.zeros((d, d), dtype=complex)
-        unit[k, l] = 1.0
-        basis += [unit + unit.T, 1j * (unit - unit.T)]
+def _hermitian_basis(d: int) -> np.ndarray:
+    """The ``d^2 x d x d`` stack of Hermitian units: ``E_kk``, then
+    ``E_kl + E_lk`` and ``i E_kl - i E_lk`` for each pair k < l in
+    row-major order."""
+    basis = np.zeros((d * d, d, d), dtype=complex)
+    diag = np.arange(d)
+    basis[diag, diag, diag] = 1.0
+    k, l = np.triu_indices(d, 1)
+    sym = d + 2 * np.arange(len(k))
+    basis[sym, k, l] = basis[sym, l, k] = 1.0
+    basis[sym + 1, k, l], basis[sym + 1, l, k] = 1j, -1j
     return basis
 
 
@@ -179,20 +180,23 @@ def dense_purification_problem(qr: QROperators, p: float) -> sdp.SdpProblem:
     """The decoder SDP of :func:`purification_sdp` on the full space, one
     row of ``Tr_B J + S = I`` per Hermitian unit: the reference route
     that ``qumimo validate`` and the tests solve it against."""
-    rows = [(np.kron(h, I2), h, np.trace(h).real) for h in _hermitian_basis(2 ** qr.k)]
+    h = _hermitian_basis(2 ** qr.k)
+    rows = (np.kron(h, I2), h, np.trace(h, axis1=1, axis2=2).real)
     return _decoder_problem(qr.qt, qr.rt, rows, p)
 
 
 def _decoder_problem(c: np.ndarray, r: np.ndarray, rows, p: float) -> sdp.SdpProblem:
-    """Maximize ``Tr[c J]`` with ``Tr[A J] + Tr[E S] = rhs`` for each row
-    ``(A, E, rhs)`` and ``Tr[r J] = p``, J block 0 and S block 1; at
-    p = 1, ``Tr[A J] = rhs`` alone."""
+    """Maximize ``Tr[c J]`` with ``Tr[A_i J] + Tr[E_i S] = rhs_i`` for the
+    stacked rows ``(A, E, rhs)`` and ``Tr[r J] = p``, J block 0 and S
+    block 1; at p = 1, ``Tr[A_i J] = rhs_i`` alone."""
+    a, e, rhs = rows
     if p == 1.0:
-        return sdp.SdpProblem([len(c)], [c], [({0: a}, rhs) for a, _, rhs in rows])
-    ws = len(rows[0][1])
+        return sdp.SdpProblem([c], [a], rhs)
+    ws = e.shape[1]
     return sdp.SdpProblem(
-        [len(c), ws], [c, np.zeros((ws, ws), dtype=complex)],
-        [({0: a, 1: e}, rhs) for a, e, rhs in rows] + [({0: r}, p)],
+        [c, np.zeros((ws, ws), dtype=complex)],
+        [np.concatenate([a, r[None]]), np.concatenate([e, np.zeros((1, ws, ws))])],
+        np.append(rhs, p),
     )
 
 
@@ -286,12 +290,12 @@ def covariant_operators(qr: QROperators):
 
 @functools.cache
 def _covariant_rows(k: int) -> tuple:
-    """``Tr_B J + S = I`` on the commutant: ``(A, E, Tr E)`` for each
-    Hermitian unit E within one spin block of S, ``Tr[A J] = Tr[E Tr_B J]``
-    on the reduced blocks.  A path of J extends a path of S by one
-    spin-1/2, so ``Tr_B (J_j (x) I_{2j+1})`` adds ``(2j+1)/(2j'+1)`` times
-    the part of ``J_j`` on the paths through spin j' to ``S_j'``, and the
-    rest cancels (Schur's lemma): ``A = P^T E P``, P the weighted
+    """``Tr_B J + S = I`` on the commutant, stacked: ``(A, E, Tr E)`` over
+    the Hermitian units E within one spin block of S, ``Tr[A J] =
+    Tr[E Tr_B J]`` on the reduced blocks.  A path of J extends a path of S
+    by one spin-1/2, so ``Tr_B (J_j (x) I_{2j+1})`` adds ``(2j+1)/(2j'+1)``
+    times the part of ``J_j`` on the paths through spin j' to ``S_j'``,
+    and the rest cancels (Schur's lemma): ``A = P^T E P``, P the weighted
     path-prefix map, masked to the spin blocks of J.
     """
     paths_j, paths_s = _frame(k + 1, k)[1], _frame(k, k)[1]
@@ -300,8 +304,10 @@ def _covariant_rows(k: int) -> tuple:
     for a, path in enumerate(paths_j):
         prefix[row[path[:-1]], a] = np.sqrt((path[-1] + 1) / (path[-2] + 1))
     spin_j, spin_s = (np.array([path[-1] for path in ps]) for ps in (paths_j, paths_s))
-    return tuple(((prefix.T @ e @ prefix) * (spin_j[:, None] == spin_j), e, np.trace(e).real)
-                 for e in _hermitian_basis(len(paths_s)) if not e[spin_s[:, None] != spin_s].any())
+    units = _hermitian_basis(len(paths_s))
+    e = units[~units[:, spin_s[:, None] != spin_s].any(axis=1)]
+    a = (prefix.T @ e @ prefix) * (spin_j[:, None] == spin_j)
+    return a, e, np.trace(e, axis1=1, axis2=2).real
 
 
 def _covariant_problem(qr: QROperators, p: float) -> sdp.SdpProblem:
@@ -355,8 +361,7 @@ def blind_qr(m: int) -> QROperators:
     prior, every clone received (K = M); the non-adaptive decoder design
     point."""
     enc = cloner_choi(tuple([1.0 / m] * m))
-    emap = EffectiveMap(choi=enc.choi, t=tuple(range(1, m + 1)), r=tuple(range(1, m + 1)), k=m)
-    return build_qr(emap)
+    return build_qr(EffectiveMap(choi=enc.choi, k=m))
 
 
 @functools.cache

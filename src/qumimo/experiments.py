@@ -31,7 +31,9 @@ Config schema (JSON object; keys marked (s) are stochastic-only,
                        the stochastic regime (always asymmetric means)
     num_mean_vectors   L, mean allocations per cell
     num_realizations   (s) R, realizations per mean vector
-    strategies         subset of {dir, pur, div, sym, blind}
+    strategies         subset of {dir, pur, div, sym, blind}; ignored by
+                       the stochastic regime, which always evaluates div
+                       and dir
     seed               master seed (unsigned 64-bit)
     output_dir         optional default output directory
 
@@ -133,10 +135,11 @@ def validate_config(cfg: dict, profile: str = "ci") -> ExperimentConfig:
 
     n_cap = 4 if profile == "ci" else 5
     is_num = lambda x: isinstance(x, (int, float)) and not isinstance(x, bool)
+    is_int = lambda x: isinstance(x, int) and not isinstance(x, bool)
 
     if regime == "stochastic":
         n_val = _require(cfg, "N")
-        if not isinstance(n_val, int) or isinstance(n_val, bool):
+        if not is_int(n_val):
             raise ConfigError("$.N", "stochastic regime takes a single integer N")
         if not 1 <= n_val <= n_cap:
             raise ConfigError("$.N", f"N={n_val} outside 1..{n_cap} (profile {profile})")
@@ -152,12 +155,12 @@ def validate_config(cfg: dict, profile: str = "ci") -> ExperimentConfig:
         )
         mu = tuple(float(x) for x in mu)
         num_real = cfg.get("num_realizations", 50)
-        if not isinstance(num_real, int) or num_real < 1:
+        if not is_int(num_real) or num_real < 1:
             raise ConfigError("$.num_realizations", f"expected positive int, got {num_real!r}")
     else:
         n_raw = _require(cfg, "N")
         n_list = _check_list(
-            n_raw, "N", lambda x: isinstance(x, int) and not isinstance(x, bool) and 1 <= x <= n_cap,
+            n_raw, "N", lambda x: is_int(x) and 1 <= x <= n_cap,
             f"an int in 1..{n_cap} (profile {profile})",
         )
         if regime == "fixed_z":
@@ -173,8 +176,7 @@ def validate_config(cfg: dict, profile: str = "ci") -> ExperimentConfig:
             )
             lambda_x = tuple(float(x) for x in lambda_x)
             z_list = ()
-        mu = tuple(float(x) for x in cfg.get("mu", []) or ())
-        num_real = int(cfg.get("num_realizations", 0) or 0)
+        mu, num_real = (), 0
 
     eta = _check_list(
         _require(cfg, "eta"), "eta", lambda x: is_num(x) and 0 <= x <= 1, "a number in [0, 1]"
@@ -193,25 +195,25 @@ def validate_config(cfg: dict, profile: str = "ci") -> ExperimentConfig:
         lambda x: x in SYMMETRY_CLASSES, f"one of {SYMMETRY_CLASSES}",
     )
     num_means = cfg.get("num_mean_vectors", 50)
-    if not isinstance(num_means, int) or num_means < 1:
+    if not is_int(num_means) or num_means < 1:
         raise ConfigError("$.num_mean_vectors", f"expected positive int, got {num_means!r}")
     strategies = _check_list(
         cfg.get("strategies", list(STRATEGIES)), "strategies",
         lambda x: x in STRATEGIES, f"one of {STRATEGIES}",
     )
     seed = _require(cfg, "seed")
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2 ** 64:
+    if not is_int(seed) or not 0 <= seed < 2 ** 64:
         raise ConfigError("$.seed", f"expected unsigned 64-bit int, got {seed!r}")
 
-    heatmap_mu = float(cfg.get("heatmap_mu", 0.5))
-    if heatmap_mu <= 0:
-        raise ConfigError("$.heatmap_mu", "must be positive")
-    box_p = float(cfg.get("box_p", 0.8))
-    if not 0 < box_p <= 1:
-        raise ConfigError("$.box_p", "must lie in (0, 1]")
-    box_eta = float(cfg.get("box_eta", 0.8))
-    if not 0 <= box_eta <= 1:
-        raise ConfigError("$.box_eta", "must lie in [0, 1]")
+    heatmap_mu = cfg.get("heatmap_mu", 0.5)
+    if not is_num(heatmap_mu) or heatmap_mu <= 0:
+        raise ConfigError("$.heatmap_mu", f"expected a positive number, got {heatmap_mu!r}")
+    box_p = cfg.get("box_p", 0.8)
+    if not is_num(box_p) or not 0 < box_p <= 1:
+        raise ConfigError("$.box_p", f"expected a number in (0, 1], got {box_p!r}")
+    box_eta = cfg.get("box_eta", 0.8)
+    if not is_num(box_eta) or not 0 <= box_eta <= 1:
+        raise ConfigError("$.box_eta", f"expected a number in [0, 1], got {box_eta!r}")
 
     out_dir = cfg.get("output_dir")
     if out_dir is not None and not isinstance(out_dir, str):
@@ -219,8 +221,8 @@ def validate_config(cfg: dict, profile: str = "ci") -> ExperimentConfig:
 
     return ExperimentConfig(
         regime=regime, n_list=n_list, z_list=z_list, lambda_x=lambda_x,
-        eta=eta, delta=float(delta), p=p, mu=mu, heatmap_mu=heatmap_mu,
-        box_p=box_p, box_eta=box_eta, channel_symmetry=sym,
+        eta=eta, delta=float(delta), p=p, mu=mu, heatmap_mu=float(heatmap_mu),
+        box_p=float(box_p), box_eta=float(box_eta), channel_symmetry=sym,
         num_mean_vectors=num_means, num_realizations=num_real,
         strategies=strategies, seed=seed, output_dir=out_dir, raw=dict(cfg),
     )
@@ -327,7 +329,10 @@ def _run_task(worker, task):
 
 
 def _run_pool(tasks, worker, workers: int):
+    """Run the tasks in order, on at most ``workers`` processes and never
+    more processes than tasks (a forking pool starts all of them at once)."""
     run = functools.partial(_run_task, worker)
+    workers = min(workers, len(tasks))
     if workers <= 1:
         return [run(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -12,12 +12,14 @@ the cone boundary).  The iterates are complex Hermitian blocks, paired
 by ``<A, X> = Re Tr[A X]``; the dual vector, the Schur system and its
 Cholesky factor are real.
 
-Constraints are held as dense complex ``m x d x d`` stacks per block
-(:class:`DenseOperator`), read as ``A(X)``, ``A*(y)`` and the HKM Schur
-matrix ``Re Tr[A_i X A_j S^-1]``.  That suits problems with few
-constraints on small blocks, such as the decoder problem after its
-symmetry reduction (``decoder.purification_sdp``: at most 20 + 10 wide
-and 43 constraints at K = 5).  ``MAX_DIM`` caps the total block width.
+A problem holds its constraints as one dense complex ``m x d x d`` stack
+per block, row i of every stack and ``rhs[i]`` making constraint i (a
+row that leaves a block out is zero there); the solver reads ``A(X)``,
+``A*(y)`` and the HKM Schur matrix ``Re Tr[A_i X A_j S^-1]`` straight
+off the stacks.  That suits problems with few constraints on small
+blocks, such as the decoder problem after its symmetry reduction
+(``decoder.purification_sdp``: at most 20 + 10 wide and 43 constraints
+at K = 5).  ``MAX_DIM`` caps the total block width.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import scipy.linalg as sla
 from .errors import DimensionLimitError, NotHermitianError
 from .tensor import dagger, is_hermitian
 
-# Largest total block dimension a DenseOperator holds.
+# Largest total block dimension the solver accepts.
 MAX_DIM = 256
 
 OPTIMAL = "optimal"
@@ -49,35 +51,36 @@ ITERATION_CAP = 200
 
 @dataclass
 class SdpProblem:
-    """Block SDP in maximize form with Hermitian data.
+    """Block SDP in maximize form with Hermitian data: ``constraints[b]``
+    is block b's ``m x d_b x d_b`` stack (zero where a constraint leaves
+    the block out), ``rhs`` the m right-hand sides.  Both are kept as
+    contiguous copies: the solver's reductions round by memory layout, so
+    a strided ``rhs`` would move the last bits of a solve."""
 
-    ``equalities`` is a list of ``(coeffs, rhs)`` where ``coeffs`` maps a
-    block index to its Hermitian coefficient matrix (blocks absent from
-    the mapping contribute zero).
-    """
-
-    block_dims: Sequence[int]
     objective: Sequence[np.ndarray]
-    equalities: Sequence[tuple]
+    constraints: Sequence[np.ndarray]
+    rhs: np.ndarray
 
     def __post_init__(self):
-        if len(self.objective) != len(self.block_dims):
-            raise ValueError("one objective matrix per block required")
-        for b, (dim, c) in enumerate(zip(self.block_dims, self.objective)):
+        self.rhs = np.array(self.rhs, dtype=float)
+        self.constraints = [np.ascontiguousarray(a, dtype=complex) for a in self.constraints]
+        if self.rhs.ndim != 1:
+            raise ValueError(f"rhs has shape {self.rhs.shape}, expected a vector")
+        if len(self.constraints) != len(self.objective):
+            raise ValueError("one constraint stack per objective block required")
+        m = len(self.rhs)
+        for b, (c, a) in enumerate(zip(self.objective, self.constraints)):
+            dim = len(c)
             if c.shape != (dim, dim):
-                raise ValueError(f"objective block {b} has shape {c.shape}, expected {dim}")
+                raise ValueError(f"objective block {b} has shape {c.shape}, expected square")
             if not is_hermitian(c):
                 raise NotHermitianError(f"objective block {b} not Hermitian")
-        for i, (coeffs, _) in enumerate(self.equalities):
-            for b, a in coeffs.items():
-                if a.shape != (self.block_dims[b], self.block_dims[b]):
-                    raise ValueError(f"constraint {i} block {b} dimension mismatch")
-                if not is_hermitian(a):
+            if a.shape != (m, dim, dim):
+                raise ValueError(f"constraint stack {b} has shape {a.shape}, "
+                                 f"expected {(m, dim, dim)}")
+            for i, ai in enumerate(a):
+                if not is_hermitian(ai):
                     raise NotHermitianError(f"constraint {i} block {b} not Hermitian")
-
-    @property
-    def num_constraints(self) -> int:
-        return len(self.equalities)
 
 
 @dataclass
@@ -108,38 +111,14 @@ def _herm(v: np.ndarray) -> np.ndarray:
     return (v + dagger(v)) / 2.0
 
 
-class DenseOperator:
-    """Any :class:`SdpProblem`, its constraints held as dense complex
-    ``m x d x d`` stacks per block."""
+def _a_apply(A: list, X: list) -> np.ndarray:
+    """``A(X)``: ``Re Tr[A_i X]`` summed over the blocks, for every row i."""
+    return sum(np.einsum("mij,ji->m", a, x).real for a, x in zip(A, X))
 
-    def __init__(self, problem: SdpProblem):
-        self.dims = list(problem.block_dims)
-        if sum(self.dims) > MAX_DIM:
-            raise DimensionLimitError(f"total block dimension {sum(self.dims)} exceeds {MAX_DIM}")
-        m = problem.num_constraints
-        # Maximize <C_ext, X> == minimize <-C_ext, X>.
-        self.C = [-np.asarray(c, dtype=complex) for c in problem.objective]
-        self.b = np.zeros(m)
-        self.A = [np.zeros((m, d, d), dtype=complex) for d in self.dims]
-        for i, (coeffs, rhs) in enumerate(problem.equalities):
-            self.b[i] = float(rhs)
-            for blk, a in coeffs.items():
-                self.A[blk][i] = a
-        self.max_entry = max(1.0, max(float(np.max(np.abs(a))) if a.size else 0.0 for a in self.A))
 
-    def a_apply(self, X: list) -> np.ndarray:
-        return sum(np.einsum("mij,ji->m", a, x).real for a, x in zip(self.A, X))
-
-    def a_adjoint(self, y: np.ndarray) -> list:
-        return [np.einsum("m,mij->ij", y, a) for a in self.A]
-
-    def schur(self, X: list, sinv: list) -> np.ndarray:
-        m = len(self.b)
-        out = np.zeros((m, m))
-        for a, x, si in zip(self.A, X, sinv):
-            t = np.matmul(np.matmul(x[None, :, :], a), si[None, :, :])
-            out += np.real(a.reshape(m, -1).conj() @ t.reshape(m, -1).T)
-        return out
+def _a_adjoint(A: list, y: np.ndarray) -> list:
+    """``A*(y)``: ``sum_i y_i A_i`` per block."""
+    return [np.einsum("m,mij->ij", y, a) for a in A]
 
 
 # SciPy's LAPACK Cholesky, triangular and Cholesky solves, called without
@@ -172,22 +151,26 @@ def solve(problem: SdpProblem) -> SdpSolution:
     If the iteration stalls in numerical noise after effectively
     converging, the best iterate is accepted as optimal provided it
     meets ``SOFT_TOL`` (the certificate tolerances promised on an
-    optimal status).  The constraints are read through
-    :class:`DenseOperator`.
+    optimal status).  The constraint stacks are read as they stand.
     """
-    op = DenseOperator(problem)
-    m, nb = len(op.b), len(op.dims)
+    dims = [len(c) for c in problem.objective]
+    if sum(dims) > MAX_DIM:
+        raise DimensionLimitError(f"total block dimension {sum(dims)} exceeds {MAX_DIM}")
+    A, b = problem.constraints, problem.rhs
+    m, nb = len(b), len(dims)
     if m == 0:
         raise ValueError("at least one equality constraint is required")
-    nu = float(sum(op.dims))
+    nu = float(sum(dims))
+    # Maximize <C_ext, X> == minimize <-C_ext, X>.
+    C = [-np.asarray(c, dtype=complex) for c in problem.objective]
 
-    norm_b = max(1.0, float(np.linalg.norm(op.b)))
-    norm_c = max(1.0, max(float(np.linalg.norm(c)) for c in op.C))
-    norm_a = op.max_entry
+    norm_b = max(1.0, float(np.linalg.norm(b)))
+    norm_c = max(1.0, max(float(np.linalg.norm(c)) for c in C))
+    norm_a = max(1.0, max(float(np.max(np.abs(a))) if a.size else 0.0 for a in A))
 
-    xi_p = max(1.0, float(np.max(np.abs(op.b))))
-    xi_d = max(1.0, max(float(np.linalg.norm(c)) for c in op.C) / np.sqrt(max(op.dims)))
-    eyes = [np.eye(d, dtype=complex) for d in op.dims]
+    xi_p = max(1.0, float(np.max(np.abs(b))))
+    xi_d = max(1.0, max(float(np.linalg.norm(c)) for c in C) / np.sqrt(max(dims)))
+    eyes = [np.eye(d, dtype=complex) for d in dims]
     X = [xi_p * e for e in eyes]
     S = [xi_d * e for e in eyes]
     y = np.zeros(m)
@@ -201,12 +184,12 @@ def solve(problem: SdpProblem) -> SdpSolution:
 
     for it in range(1, ITERATION_CAP + 1):
         # Residuals of the homogeneous model.
-        ax = op.a_apply(X)
-        aty = op.a_adjoint(y)
-        rp_vec = op.b * tau - ax
-        rd_mats = [op.C[blk] * tau - aty[blk] - S[blk] for blk in range(nb)]
-        cx = float(sum(np.vdot(c, x).real for c, x in zip(op.C, X)))
-        by = float(op.b @ y)
+        ax = _a_apply(A, X)
+        aty = _a_adjoint(A, y)
+        rp_vec = b * tau - ax
+        rd_mats = [C[blk] * tau - aty[blk] - S[blk] for blk in range(nb)]
+        cx = float(sum(np.vdot(c, x).real for c, x in zip(C, X)))
+        by = float(b @ y)
         rg = by - cx - kappa
 
         xs = float(sum(np.vdot(X[blk], S[blk]).real for blk in range(nb)))
@@ -214,9 +197,9 @@ def solve(problem: SdpProblem) -> SdpSolution:
 
         # Normalized convergence checks.
         pobj, dobj = cx / tau, by / tau
-        pres = float(np.linalg.norm(op.b - ax / tau)) / norm_b
+        pres = float(np.linalg.norm(b - ax / tau)) / norm_b
         dres = max(
-            float(np.linalg.norm(op.C[blk] - aty[blk] / tau - S[blk] / tau))
+            float(np.linalg.norm(C[blk] - aty[blk] / tau - S[blk] / tau))
             for blk in range(nb)
         ) / norm_c
         relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
@@ -254,13 +237,15 @@ def solve(problem: SdpProblem) -> SdpSolution:
                 break
             sinv.append(_zpotrs(chol, eyes[blk], lower=1)[0])
         if len(sinv) < nb:
-            if best_merit <= SOFT_TOL:
-                status, message = OPTIMAL, "accepted best iterate at relaxed tolerance"
-            else:
-                status, message = MAX_ITER, "dual block lost positive definiteness"
+            status, message = MAX_ITER, "dual block lost positive definiteness"
             break
 
-        schur = _herm(op.schur(X, sinv))
+        # The HKM Schur matrix Re Tr[A_i X A_j S^-1], summed over the blocks.
+        schur = np.zeros((m, m))
+        for a, x, si in zip(A, X, sinv):
+            t = np.matmul(np.matmul(x[None, :, :], a), si[None, :, :])
+            schur += np.real(a.reshape(m, -1).conj() @ t.reshape(m, -1).T)
+        schur = _herm(schur)
         jitter = 0.0
         for _ in range(4):
             schur_cf, info = _dpotrf(schur + jitter * np.eye(m), lower=0, clean=0)
@@ -271,9 +256,9 @@ def solve(problem: SdpProblem) -> SdpSolution:
             status, message = MAX_ITER, "Schur complement not positive definite"
             break
 
-        wc = [_herm(X[blk] @ op.C[blk] @ sinv[blk]) for blk in range(nb)]
-        awc = op.a_apply(wc)
-        cwc = float(sum(np.vdot(op.C[blk], wc[blk]).real for blk in range(nb)))
+        wc = [_herm(X[blk] @ C[blk] @ sinv[blk]) for blk in range(nb)]
+        awc = _a_apply(A, wc)
+        cwc = float(sum(np.vdot(C[blk], wc[blk]).real for blk in range(nb)))
 
         def direction(sigma, corr_blocks, corr_tk):
             rc = [
@@ -289,19 +274,19 @@ def solve(problem: SdpProblem) -> SdpSolution:
 
             e_blocks = [_herm(rc[blk] @ sinv[blk]) for blk in range(nb)]
             wr2 = [_herm(X[blk] @ r2[blk] @ sinv[blk]) for blk in range(nb)]
-            rhs1 = r1 - op.a_apply(e_blocks) + op.a_apply(wr2)
+            rhs1 = r1 - _a_apply(A, e_blocks) + _a_apply(A, wr2)
             g = _dpotrs(schur_cf, rhs1, lower=0)[0]
-            h = _dpotrs(schur_cf, awc + op.b, lower=0)[0]
+            h = _dpotrs(schur_cf, awc + b, lower=0)[0]
 
-            ce = float(sum(np.vdot(op.C[blk], e_blocks[blk]).real for blk in range(nb)))
+            ce = float(sum(np.vdot(C[blk], e_blocks[blk]).real for blk in range(nb)))
             wcr2 = float(sum(np.vdot(wc[blk], r2[blk]).real for blk in range(nb)))
             rhs2 = -r3 + ce - wcr2 + rc_tau / tau
-            den = float((op.b - awc) @ h) + cwc + kappa / tau
-            num = rhs2 - float((op.b - awc) @ g)
+            den = float((b - awc) @ h) + cwc + kappa / tau
+            num = rhs2 - float((b - awc) @ g)
             dtau = num / den if abs(den) > 1e-14 else 0.0
             dy = g + h * dtau
-            aty_d = op.a_adjoint(dy)
-            ds = [op.C[blk] * dtau - aty_d[blk] + r2[blk] for blk in range(nb)]
+            aty_d = _a_adjoint(A, dy)
+            ds = [C[blk] * dtau - aty_d[blk] + r2[blk] for blk in range(nb)]
             dx = [_herm((rc[blk] - X[blk] @ ds[blk]) @ sinv[blk]) for blk in range(nb)]
             dkappa = (rc_tau - kappa * dtau) / tau
             return dx, dy, ds, dtau, dkappa
@@ -334,10 +319,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
         dx, dy, ds, dtau, dkappa = direction(sigma, corr, dtaua * dkappaa)
         alpha = min(1.0, 0.98 * max_alpha(dx, ds, dtau, dkappa))
         if alpha <= 1e-9:
-            if best_merit <= SOFT_TOL:
-                status, message = OPTIMAL, "accepted best iterate at relaxed tolerance"
-            else:
-                status, message = MAX_ITER, "step length collapsed"
+            status, message = MAX_ITER, "step length collapsed"
             break
 
         for blk in range(nb):
@@ -379,15 +361,10 @@ def solve(problem: SdpProblem) -> SdpSolution:
 def verify(problem: SdpProblem, solution: SdpSolution, tol: float = 1e-7) -> VerifyReport:
     """Recompute feasibility residuals and eigenvalue floors from scratch.
 
-    Independent of solver internals: uses only the problem data and the
-    returned blocks.
+    Uses only the problem data and the returned blocks, not the solver's
+    iterates: the residuals are ``A(X) - rhs``.
     """
-    res = np.zeros(problem.num_constraints)
-    for i, (coeffs, rhs) in enumerate(problem.equalities):
-        val = sum(
-            float(np.real(np.trace(a @ solution.X_blocks[blk]))) for blk, a in coeffs.items()
-        )
-        res[i] = val - float(rhs)
+    res = _a_apply(problem.constraints, solution.X_blocks) - problem.rhs
     floors = [float(np.linalg.eigvalsh(x)[0]) if x.size else 0.0 for x in solution.X_blocks]
     pval = float(
         sum(

@@ -143,13 +143,9 @@ def cloner_choi_sdp(gamma) -> ClonerChoi:
         (gamma.gamma[k] + FIDELITY_TIEBREAK_EPS) * g_ops[k] for k in range(m)
     )
     dim_out = 2 ** m
-    equalities = [
-        ({0: np.kron(pauli, np.eye(dim_out, dtype=complex))}, 2.0 if a == 0 else 0.0)
-        for a, pauli in enumerate(PAULIS)
-    ]
-    problem = sdp.SdpProblem(
-        block_dims=[2 * dim_out], objective=[objective], equalities=equalities
-    )
+    constraints = np.array([np.kron(pauli, np.eye(dim_out, dtype=complex)) for pauli in PAULIS])
+    rhs = [2.0 if a == 0 else 0.0 for a in range(len(PAULIS))]
+    problem = sdp.SdpProblem(objective=[objective], constraints=[constraints], rhs=rhs)
     sol = sdp.solve(problem)
     if sol.status != sdp.OPTIMAL:
         raise SolverError(sol.status, f"cloner SDP failed: {sol.message}")

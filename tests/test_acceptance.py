@@ -172,19 +172,18 @@ def test_criterion_05_sdp_oracle():
         n = int(rng.integers(4, 33))
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         c = (a + dagger(a)) / 2
-        prob = sdp.SdpProblem([n], [c], [({0: np.eye(n, dtype=complex)}, 1.0)])
+        prob = sdp.SdpProblem([c], [np.eye(n, dtype=complex)[None]], [1.0])
         sol = sdp.solve(prob)
         err = abs(sol.value - np.linalg.eigvalsh(c)[-1])
         worst = max(worst, err)
         ok &= sol.status == sdp.OPTIMAL and err < 1e-7
     infeas = sdp.solve(
-        sdp.SdpProblem([3], [np.zeros((3, 3), dtype=complex)],
-                       [({0: np.eye(3, dtype=complex)}, -1.0)])
+        sdp.SdpProblem([np.zeros((3, 3), dtype=complex)], [np.eye(3, dtype=complex)[None]], [-1.0])
     )
     ok &= infeas.status == sdp.INFEASIBLE
     unbnd = sdp.solve(
-        sdp.SdpProblem([2], [np.eye(2, dtype=complex)],
-                       [({0: np.diag([1.0, -1.0]).astype(complex)}, 0.0)])
+        sdp.SdpProblem([np.eye(2, dtype=complex)], [np.diag([1.0, -1.0]).astype(complex)[None]],
+                       [0.0])
     )
     ok &= unbnd.status == sdp.UNBOUNDED
     assert report("criterion 5: SDP oracle equivalence", ok, f"worst {worst:.2e}")

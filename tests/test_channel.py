@@ -73,37 +73,36 @@ class TestDepolarizingKraus:
 class TestCouplingKernel:
     def test_sharp_decay_is_identity(self):
         k = channel.coupling_kernel(4, 50.0)
-        assert np.max(np.abs(k.c - np.eye(4))) < 1e-9
+        assert np.max(np.abs(k - np.eye(4))) < 1e-9
 
     def test_uniform_limit(self):
         k = channel.coupling_kernel(5, 1e-9)
-        assert np.max(np.abs(k.c - 0.2)) < 1e-8
+        assert np.max(np.abs(k - 0.2)) < 1e-8
 
     def test_frozen_value(self):
         # direct evaluation of the kernel formula for N=5, delta=1
         k = channel.coupling_kernel(5, 1.0)
         want = 1.0 / (1.0 + 2 * np.exp(-1.0) + 2 * np.exp(-2.0))
-        assert abs(k.c[0, 0] - want) < 1e-12
+        assert abs(k[0, 0] - want) < 1e-12
         assert abs(want - 0.498398) < 1e-6
 
     def test_row_stochastic_circulant(self):
         k = channel.coupling_kernel(6, 0.7)
-        assert np.allclose(k.c.sum(axis=1), 1.0, atol=1e-12)
+        assert np.allclose(k.sum(axis=1), 1.0, atol=1e-12)
         for i in range(6):
-            assert np.allclose(np.roll(k.c[0], i), k.c[i], atol=1e-12)
+            assert np.allclose(np.roll(k[0], i), k[i], atol=1e-12)
 
 
 class TestPermutationWeights:
     def test_two_mode_uniform(self):
-        kernel = channel.CouplingKernel(c=np.full((2, 2), 0.5))
-        ens = channel.permutation_weights(kernel)
+        ens = channel.permutation_weights(np.full((2, 2), 0.5))
         assert np.allclose(ens.weights, [0.5, 0.5])
 
     def test_normalized(self):
         rng = np.random.default_rng(1)
         c = rng.uniform(0.1, 1.0, (4, 4))
         c /= c.sum(axis=1, keepdims=True)
-        ens = channel.permutation_weights(channel.CouplingKernel(c=c))
+        ens = channel.permutation_weights(c)
         assert abs(sum(ens.weights) - 1.0) < 1e-12
         assert len(ens.perms) == 24
 
@@ -243,7 +242,7 @@ class TestCouplingReport:
         p0 = channel.coupling_report(channel.ChannelParams(n=4, eta=0.0, lam=(0.1,) * 4, delta=1.0))
         assert np.allclose(p0, np.eye(4))
         p1 = channel.coupling_report(channel.ChannelParams(n=4, eta=1.0, lam=(0.1,) * 4, delta=1.0))
-        assert np.allclose(p1, channel.coupling_kernel(4, 1.0).c)
+        assert np.allclose(p1, channel.coupling_kernel(4, 1.0))
 
     def test_rows_stochastic(self):
         p = channel.coupling_report(channel.ChannelParams(n=5, eta=0.3, lam=(0.1,) * 5, delta=0.8))

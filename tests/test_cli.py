@@ -71,6 +71,26 @@ class TestConfigValidation:
             experiments.validate_config(tiny_fixed_cfg(seed=-1))
         assert "$.seed" in str(err.value)
 
+    @pytest.mark.parametrize("key, value", [
+        ("heatmap_mu", "abc"), ("heatmap_mu", "0.5"), ("box_p", None), ("box_p", True),
+        ("box_eta", [1]), ("num_mean_vectors", True), ("num_realizations", True),
+    ])
+    def test_scalar_types(self, key, value):
+        with pytest.raises(ConfigError) as err:
+            experiments.validate_config(tiny_stoch_cfg(**{key: value}))
+        assert err.value.path == f"$.{key}"
+
+    def test_grid_ignores_stochastic_keys(self):
+        cfg = experiments.validate_config(tiny_fixed_cfg(mu=["x"], num_realizations="y"))
+        assert cfg.mu == () and cfg.num_realizations == 0
+
+    def test_bad_scalar_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_stoch_cfg(box_eta=[1])))
+        argv = ["stochastic", "--config", str(cfg_path), "--out", str(tmp_path / "x")]
+        assert cli.main(argv) == 2
+        assert "config error: $.box_eta: " in capsys.readouterr().err
+
     def test_json_syntax_error_line(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"regime": "fixed_z",\n  broken\n}')
@@ -336,6 +356,56 @@ class TestBoundaryAndValidate:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(tiny_fixed_cfg()))
         assert cli.main(["stochastic", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
+
+
+class TestWorkerPool:
+    @pytest.fixture
+    def sizes(self, monkeypatch):
+        """The pool sizes asked of ProcessPoolExecutor, replaced by a pool
+        that maps serially, so no process is started."""
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        return sizes
+
+    def test_pool_capped_at_task_count(self, sizes):
+        def worker(task):
+            return 2 * task[1]
+        tasks = [(None, 1), (None, 2), (None, 3)]
+        assert experiments._run_pool(tasks, worker, 64) == [2, 4, 6]
+        assert experiments._run_pool(tasks, worker, 2) == [2, 4, 6]
+        assert experiments._run_pool(tasks[:1], worker, 8) == [2]
+        assert experiments._run_pool(tasks, worker, 1) == [2, 4, 6]
+        assert sizes == [3, 2]
+
+    def test_cli_workers_capped(self, tmp_path, sizes):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_fixed_cfg(N=[2], strategies=["dir"])))
+        argv = ["fixed-z", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                "--workers", "64"]
+        assert cli.main(argv) == 0
+        assert sizes == [2]
+
+    @pytest.mark.parametrize("workers", ["0", "-3", "two"])
+    def test_cli_rejects_nonpositive_workers(self, tmp_path, workers, sizes):
+        argv = ["fixed-z", "--config", str(tmp_path / "cfg.json"), "--workers", workers]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert sizes == []
 
 
 class TestTaskErrors:

@@ -95,3 +95,17 @@ def test_tracer_targets_resolve():
     missing = [f"{layer}.{attr}" for layer, attr in pairs
                if not callable(getattr(importlib.import_module(f"qumimo.{layer}"), attr, None))]
     assert not missing, f"tracer targets missing from qumimo: {missing}"
+
+
+def test_workload_references_resolve():
+    """Every ``channel.X``, ``cloner.X`` and ``decoder.X`` the benchmark's
+    workload reads is an attribute of that ``qumimo`` module: a rename
+    there would fail every benchmark run while the package tests pass."""
+    tree = ast.parse((ROOT / "perfbench" / "workload.py").read_text())
+    read = {(node.value.id, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in ("channel", "cloner", "decoder")}
+    assert {mod for mod, _ in read} == {"channel", "cloner", "decoder"}
+    missing = sorted(f"{mod}.{attr}" for mod, attr in read
+                     if not hasattr(importlib.import_module(f"qumimo.{mod}"), attr))
+    assert not missing, f"perfbench/workload.py reads names missing from qumimo: {missing}"

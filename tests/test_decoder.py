@@ -259,21 +259,23 @@ class TestPartialTraceOperator:
         rng = np.random.default_rng(10 + k)
         qr, _ = random_cascade(rng, n=k)
         (w_j, paths_j), (w_s, paths_s) = decoder._frame(k + 1, k), decoder._frame(k, k)
-        rows = decoder._covariant_rows(k)
-        reduced = sdp.DenseOperator(decoder._covariant_problem(qr, p))
-        dense = sdp.DenseOperator(decoder.dense_purification_problem(qr, p))
+        units = decoder._covariant_rows(k)[1]
+        reduced = decoder._covariant_problem(qr, p)
+        dense = decoder.dense_purification_problem(qr, p)
         x_red = [random_reduced(rng, paths_j), random_reduced(rng, paths_s)]
         x_full = [decoder._lift(w_j, x_red[0]), decoder._lift(w_s, x_red[1])]
-        nb = len(reduced.dims)
-        got, want = reduced.a_apply(x_red[:nb]), dense.a_apply(x_full[:nb])
+        nb = len(reduced.objective)
+        got = sdp._a_apply(reduced.constraints, x_red[:nb])
+        want = sdp._a_apply(dense.constraints, x_full[:nb])
         nh = 4 ** k
-        for i, (_, e, _) in enumerate(rows):
+        for i, e in enumerate(units):
             g, d = row_image(w_s, e)
             assert abs(got[i] - want[:nh] @ hermitian_coords(g) / d) < 1e-11
-        assert len(got) == len(rows) + (p < 1.0)
+        assert len(got) == len(units) + (p < 1.0)
         if p < 1.0:
             assert abs(got[-1] - want[-1]) < 1e-11
-        assert abs(np.vdot(reduced.C[0], x_red[0]).real - np.vdot(dense.C[0], x_full[0]).real) < 1e-11
+        assert abs(np.vdot(reduced.objective[0], x_red[0]).real
+                   - np.vdot(dense.objective[0], x_full[0]).real) < 1e-11
 
     @pytest.mark.parametrize("p", [0.6, 1.0])
     def test_adjoint(self, p):
@@ -283,18 +285,19 @@ class TestPartialTraceOperator:
         for k in (1, 2, 3):
             qr, _ = random_cascade(rng, n=k)
             w_j, w_s = decoder._frame(k + 1, k)[0], decoder._frame(k, k)[0]
-            rows = decoder._covariant_rows(k)
-            reduced = sdp.DenseOperator(decoder._covariant_problem(qr, p))
-            dense = sdp.DenseOperator(decoder.dense_purification_problem(qr, p))
+            units = decoder._covariant_rows(k)[1]
+            reduced = decoder._covariant_problem(qr, p)
+            dense = decoder.dense_purification_problem(qr, p)
             for _ in range(3):
-                y = rng.standard_normal(len(reduced.b))
-                y_full = np.zeros(len(dense.b))
-                for yi, (_, e, _) in zip(y, rows):
+                y = rng.standard_normal(len(reduced.rhs))
+                y_full = np.zeros(len(dense.rhs))
+                for yi, e in zip(y, units):
                     g, d = row_image(w_s, e)
                     y_full[:4 ** k] += yi * hermitian_coords(g) / d
                 if p < 1.0:
                     y_full[-1] = y[-1]
-                got, want = reduced.a_adjoint(y), dense.a_adjoint(y_full)
+                got = sdp._a_adjoint(reduced.constraints, y)
+                want = sdp._a_adjoint(dense.constraints, y_full)
                 for w, a, b in zip((w_j, w_s), got, want):
                     assert np.max(np.abs(a - decoder._reduce(w, b))) < 1e-12
 
@@ -353,7 +356,7 @@ class TestPartialTraceOperator:
         qr, _ = random_cascade(rng, n=5)
         ray = decoder.rayleigh_bound(qr)
         problem = decoder._covariant_problem(qr, 0.8)
-        assert list(problem.block_dims) == [20, 10] and problem.num_constraints == 43
+        assert [len(c) for c in problem.objective] == [20, 10] and len(problem.rhs) == 43
         for p in (0.8, 1.0):
             dec = decoder.purification_sdp(qr, p)
             decoder._validate_decoder(dec.j, qr, p)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qumimo import sdp
+from qumimo import channel, cloner, decoder, sdp
 from qumimo.errors import DimensionLimitError, NotHermitianError
 from qumimo.tensor import dagger
 from reference_ops import SIGMA_X
@@ -14,9 +14,7 @@ def random_hermitian(rng, n):
 
 def lambda_max_problem(c):
     n = c.shape[0]
-    return sdp.SdpProblem(
-        block_dims=[n], objective=[c], equalities=[({0: np.eye(n, dtype=complex)}, 1.0)]
-    )
+    return sdp.SdpProblem(objective=[c], constraints=[np.eye(n, dtype=complex)[None]], rhs=[1.0])
 
 
 class TestSolve:
@@ -25,7 +23,7 @@ class TestSolve:
         with pytest.raises(NotHermitianError):
             lambda_max_problem(bad)
         with pytest.raises(NotHermitianError):
-            sdp.SdpProblem([2], [np.eye(2, dtype=complex)], [({0: bad}, 1.0)])
+            sdp.SdpProblem([np.eye(2, dtype=complex)], [bad[None]], [1.0])
 
     def test_diagonal_objective(self):
         sol = sdp.solve(lambda_max_problem(np.diag([1.0, 2.0]).astype(complex)))
@@ -51,15 +49,13 @@ class TestSolve:
 
     def test_infeasible(self):
         prob = sdp.SdpProblem(
-            [3], [np.zeros((3, 3), dtype=complex)],
-            [({0: np.eye(3, dtype=complex)}, -1.0)],
+            [np.zeros((3, 3), dtype=complex)], [np.eye(3, dtype=complex)[None]], [-1.0]
         )
         assert sdp.solve(prob).status == sdp.INFEASIBLE
 
     def test_unbounded(self):
         prob = sdp.SdpProblem(
-            [2], [np.eye(2, dtype=complex)],
-            [({0: np.diag([1.0, -1.0]).astype(complex)}, 0.0)],
+            [np.eye(2, dtype=complex)], [np.diag([1.0, -1.0]).astype(complex)[None]], [0.0]
         )
         assert sdp.solve(prob).status == sdp.UNBOUNDED
 
@@ -67,11 +63,8 @@ class TestSolve:
         # maximize Tr[C X] s.t. Tr[X] + Tr[S] = 1 with both PSD:
         # optimum puts all mass on the larger top-eigenvalue block.
         c = np.diag([1.0, 3.0]).astype(complex)
-        prob = sdp.SdpProblem(
-            [2, 2],
-            [c, np.zeros((2, 2), dtype=complex)],
-            [({0: np.eye(2, dtype=complex), 1: np.eye(2, dtype=complex)}, 1.0)],
-        )
+        eye = np.eye(2, dtype=complex)[None]
+        prob = sdp.SdpProblem([c, np.zeros((2, 2), dtype=complex)], [eye, eye], [1.0])
         sol = sdp.solve(prob)
         assert sol.status == sdp.OPTIMAL
         assert abs(sol.value - 3.0) < 1e-7
@@ -98,6 +91,45 @@ class TestSolve:
         n = 300  # total block dimension 300 > 256
         with pytest.raises(DimensionLimitError):
             sdp.solve(lambda_max_problem(np.eye(n, dtype=complex)))
+
+
+class TestProblemFormat:
+    def test_rejects_mismatched_shapes(self):
+        eye2 = np.eye(2, dtype=complex)
+        with pytest.raises(ValueError, match="constraint stack 0"):
+            sdp.SdpProblem([eye2], [np.eye(3, dtype=complex)[None]], [1.0])
+        with pytest.raises(ValueError, match="constraint stack 0"):
+            sdp.SdpProblem([eye2], [np.stack([eye2, eye2])], [1.0])
+        with pytest.raises(ValueError, match="one constraint stack per objective block"):
+            sdp.SdpProblem([eye2, eye2], [eye2[None]], [1.0])
+        with pytest.raises(ValueError, match="rhs"):
+            sdp.SdpProblem([eye2], [eye2[None]], [[1.0]])
+
+    def test_rejects_non_hermitian_row(self):
+        eye2 = np.eye(2, dtype=complex)
+        bad = np.array([[0, 1], [0, 0]], dtype=complex)
+        with pytest.raises(NotHermitianError, match="constraint 1 block 1"):
+            sdp.SdpProblem([eye2, eye2], [np.stack([eye2, eye2]), np.stack([eye2, bad])],
+                           [1.0, 2.0])
+
+    def test_strided_rhs_solves_bit_for_bit(self):
+        # The K = 3 decoder problem at p = 1, its rhs the traces of its
+        # units: a strided .real view.  A solve that read the view in
+        # place would round differently in its last bits.
+        enc = cloner.cloner_choi((0.2, 0.3, 0.5))
+        params = channel.ChannelParams(n=3, eta=0.6, lam=(0.1, 0.3, 0.2), delta=1.0)
+        chan = channel.channel_choi(params)
+        qr = decoder.build_qr(decoder.compose_effective_map(enc, chan, (1, 2, 3), (1, 2, 3)))
+        (c, _), _ = decoder.covariant_operators(qr)
+        a, e, _ = decoder._covariant_rows(3)
+        view = np.trace(e, axis1=1, axis2=2).real
+        assert not view.flags.c_contiguous
+        sol_view = sdp.solve(sdp.SdpProblem([c], [a], view))
+        sol_copy = sdp.solve(sdp.SdpProblem([c], [a], view.copy()))
+        assert sol_view.status == sol_copy.status == sdp.OPTIMAL
+        assert sol_view.iterations == sol_copy.iterations
+        assert sol_view.value == sol_copy.value
+        assert np.array_equal(sol_view.X_blocks[0], sol_copy.X_blocks[0])
 
 
 class TestVerify:
