@@ -151,8 +151,10 @@ def _run_checks(quick: bool) -> int:
         qr = decoder.build_qr(decoder.compose_effective_map(
             cloner.cloner_choi(tuple(rng.dirichlet(np.ones(n)))), channel.channel_choi(params),
             modes, modes))
-        resid = decoder.covariant_operators(qr)[1]
+        reduced, resid = decoder.covariant_operators(qr)
         check(f"Qt, Rt on the SU(2) commutant, N = {n}", resid <= 1e-12, f"residual {resid:.1e}")
+        check(f"reduced decoder data real, N = {n}", not any(map(np.iscomplexobj, reduced)),
+              f"dtype {reduced[0].dtype}")
         # p < 1 carries the slack block; p = 1 drops it.
         for p in (0.8, 1.0):
             dense = sdp_mod.solve(decoder.dense_purification_problem(qr, p))

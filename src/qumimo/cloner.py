@@ -152,7 +152,7 @@ def cloner_choi(gamma) -> ClonerChoi:
     beta = np.asarray(clone_amplitudes(gamma).beta)
     x = np.tensordot(beta, _stinespring_basis(m), axes=1)
     _validate_cloner(x, m)
-    j = (x @ x.T / m).astype(complex)
+    j = x @ x.T / m
     return ClonerChoi(choi=j, m=m, fidelities=_fidelities(beta))
 
 
@@ -180,10 +180,9 @@ def _validate_cloner(x: np.ndarray, m: int) -> None:
     # Isotropic marginals: each (input, clone) pair lies in span{Phi, I4},
     # fitted by least squares (Gram matrix of I4 and Phi: [[4, 2], [2, 4]]).
     margs = _clone_marginals(x, m)
-    phi = PHI_UNNORM.real
-    v = np.stack([np.trace(margs, axis1=1, axis2=2), np.einsum("ab,kab->k", phi, margs)])
+    v = np.stack([np.trace(margs, axis1=1, axis2=2), np.einsum("ab,kab->k", PHI_UNNORM, margs)])
     c_i, c_phi = np.linalg.solve(np.array([[4.0, 2.0], [2.0, 4.0]]), v)
-    resid = margs - c_i[:, None, None] * np.eye(4) - c_phi[:, None, None] * phi
+    resid = margs - c_i[:, None, None] * np.eye(4) - c_phi[:, None, None] * PHI_UNNORM
     bad = np.flatnonzero(np.abs(resid).max(axis=(1, 2)) > 1e-7)
     if bad.size:
         raise ValueError(f"clone {bad[0] + 1} marginal not isotropic")

@@ -40,7 +40,7 @@ from .tensor import I2, PSD_SUPPORT_TOL, SWAP2, dagger, schur_weyl_basis
 
 SURROGATE_TIE_TOL = 1e-6
 GRID_STEP_DENOM = 20
-# Lattice points per scoring batch: 8 MB of stacked Qt at K = 5 (0.7 GB unchunked).
+# Lattice points per scoring batch: 4 MB of stacked Qt at K = 5 (0.35 GB unchunked).
 SCORE_CHUNK = 128
 POLISH_DENOM = 640
 # Polish steps this close to the best step tie: above the float64 rounding
@@ -48,13 +48,15 @@ POLISH_DENOM = 640
 # below SURROGATE_TIE_TOL.
 POLISH_TIE_TOL = 1e-10
 
-# Largest entry of Qt or Rt off the SU(2) commutant, relative to
-# max(1, largest entry), that the decoder SDP accepts.
+# Largest entry of Qt or Rt off the SU(2) commutant, and largest
+# imaginary part of their reduced blocks, relative to max(1, largest
+# entry), that the decoder SDP accepts.
 COVARIANCE_TOL = 1e-10
-SIGMA_Y = np.array([[0, -1j], [1j, 0]])
+# The real spin flip: FLIP conj(U) FLIP^T = U for U in SU(2).
+FLIP = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 # Haar second moment of psi (x) psi on two qubits.
-TWIRL_SECOND_MOMENT = (np.eye(4, dtype=complex) + SWAP2) / 6.0
+TWIRL_SECOND_MOMENT = (np.eye(4) + SWAP2) / 6.0
 
 
 @dataclass(frozen=True)
@@ -137,7 +139,7 @@ def compose_effective_map(encoder: ClonerChoi, chan: Channel, t, r) -> Effective
     q = m + 1 + pads
     pad = np.eye(2 ** pads) / 2 ** pads
     jt = (jt.reshape(2 ** (m + 1), 1, 2 ** (m + 1), 1) * pad[:, None]).reshape((2,) * (2 * q))
-    out = np.zeros((2,) * (2 * k + 2), dtype=complex)
+    out = np.zeros((2,) * (2 * k + 2))
     for pattern, weight in zip(patterns.tolist(), weights):
         free = iter(range(m + 1, q))
         ket = [0] + [c if c else next(free) for c in pattern]
@@ -194,7 +196,7 @@ def _decoder_problem(c: np.ndarray, r: np.ndarray, rows, p: float) -> sdp.SdpPro
         return sdp.SdpProblem([c], [a], rhs)
     ws = e.shape[1]
     return sdp.SdpProblem(
-        [c, np.zeros((ws, ws), dtype=complex)],
+        [c, np.zeros((ws, ws))],
         [np.concatenate([a, r[None]]), np.concatenate([e, np.zeros((1, ws, ws))])],
         np.append(rhs, p),
     )
@@ -215,15 +217,18 @@ def purification_sdp(qr: QROperators, p: float) -> DecoderSolution:
     that commutant (Gatermann and Parrilo, J. Pure Appl. Algebra 192, 95
     (2004)): ``J = (+)_j J_j (x) I_{2j+1}`` and ``S = (+)_j S_j (x)
     I_{2j+1}`` in the frames of :func:`_frame`, with ``Tr_B J + S = I``
-    imposed on the ``S_j`` (:func:`_covariant_rows`).  At K = 4 the
-    solver sees blocks 10 + 6 wide and 15 constraints, where the same
+    imposed on the ``S_j`` (:func:`_covariant_rows`).  The cascade and
+    the frame are real, so the blocks are real symmetric and only the
+    real symmetric units of that equality are kept.  At K = 4 the solver
+    sees real blocks 10 + 6 wide and 11 constraints, where the same
     problem on the full space (:func:`dense_purification_problem`) has
-    32 + 16 and 257.  With one BLAS thread on a 2-core x86-64 machine a
-    solve took (p = 1 / p = 0.8, median of three processes) 4.0 / 7.8 ms
-    at K = 2, 5.3 / 9.2 ms at K = 3, 7.2 / 11 ms at K = 4 and 21 / 30 ms
-    at K = 5.  ``Qt`` or ``Rt`` off the commutant by more than
-    ``COVARIANCE_TOL`` raises ``ValueError``; the full ``J`` is rebuilt
-    and validated.
+    complex blocks 32 + 16 and 257.  With one BLAS thread on a shared
+    2-core x86-64 machine a solve took (p = 1 / p = 0.8, median of six
+    processes, each the median of 30 solves on six cascades) 2.9 / 2.1 ms
+    at K = 2, 3.3 / 3.4 ms at K = 3, 3.1 / 4.4 ms at K = 4 and 6.2 / 12 ms
+    at K = 5.  ``Qt`` or ``Rt`` off the commutant, or reduced blocks with
+    an imaginary part, by more than ``COVARIANCE_TOL`` raise
+    ``ValueError``; the full ``J`` is rebuilt and validated.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"success probability {p} outside (0, 1]")
@@ -247,30 +252,31 @@ def purification_sdp(qr: QROperators, p: float) -> DecoderSolution:
 @functools.cache
 def _frame(n: int, flip: int):
     """``(w, paths)``: the Schur-Weyl basis of n qubits
-    (:func:`tensor.schur_weyl_basis`), its first ``flip`` qubits conjugated
-    by ``sigma_y`` (which maps ``conj(U)`` to ``U``), cut into ``w[t]``,
+    (:func:`tensor.schur_weyl_basis`), its first ``flip`` qubits mapped by
+    ``FLIP^T`` (``FLIP`` takes ``conj(U)`` to ``U``), cut into ``w[t]``,
     whose column a is the vector of path ``paths[a]`` (spin j) at
-    ``m = j - t`` (zero for t > 2j).  An operator on the commutant of
-    ``conj(U)^{(x)flip} (x) U^{(x)(n - flip)}`` is ``sum_t w[t] X w[t]^H``
-    for one X, block-diagonal by spin: ``X_j`` on the paths of spin j."""
+    ``m = j - t`` (zero for t > 2j).  All of it is real.  An operator on
+    the commutant of ``conj(U)^{(x)flip} (x) U^{(x)(n - flip)}`` is
+    ``sum_t w[t] X w[t]^T`` for one X, block-diagonal by spin: ``X_j`` on
+    the paths of spin j."""
     v, blocks = schur_weyl_basis(n)
-    flipper = functools.reduce(np.kron, [SIGMA_Y] * flip + [I2] * (n - flip))
+    flipper = functools.reduce(np.kron, [FLIP.T] * flip + [I2] * (n - flip))
     basis = flipper @ v
     two_j = np.array([tj for tj, paths in blocks for _ in paths])
     first = np.cumsum(two_j + 1) - two_j - 1
-    w = np.zeros((two_j.max() + 1, 2 ** n, len(two_j)), dtype=complex)
+    w = np.zeros((two_j.max() + 1, 2 ** n, len(two_j)))
     for t in range(len(w)):
         w[t][:, two_j >= t] = basis[:, (first + t)[two_j >= t]]
     return w, tuple(path for _, paths in blocks for path in paths)
 
 
 def _lift(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return np.sum(w @ x @ w.conj().transpose(0, 2, 1), axis=0)
+    return np.sum(w @ x @ w.transpose(0, 2, 1), axis=0)
 
 
 def _reduce(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The adjoint of :func:`_lift`: ``(2j + 1) X_j`` on the commutant."""
-    return np.sum(w.conj().transpose(0, 2, 1) @ x @ w, axis=0)
+    return np.sum(w.transpose(0, 2, 1) @ x @ w, axis=0)
 
 
 def covariant_operators(qr: QROperators):
@@ -291,12 +297,14 @@ def covariant_operators(qr: QROperators):
 @functools.cache
 def _covariant_rows(k: int) -> tuple:
     """``Tr_B J + S = I`` on the commutant, stacked: ``(A, E, Tr E)`` over
-    the Hermitian units E within one spin block of S, ``Tr[A J] =
-    Tr[E Tr_B J]`` on the reduced blocks.  A path of J extends a path of S
-    by one spin-1/2, so ``Tr_B (J_j (x) I_{2j+1})`` adds ``(2j+1)/(2j'+1)``
-    times the part of ``J_j`` on the paths through spin j' to ``S_j'``,
-    and the rest cancels (Schur's lemma): ``A = P^T E P``, P the weighted
-    path-prefix map, masked to the spin blocks of J.
+    the real symmetric units E within one spin block of S, ``Tr[A J] =
+    Tr[E Tr_B J]`` on the reduced blocks; the antisymmetric units' rows
+    vanish on the real J and S of real data, so they are left out.  A
+    path of J extends a path of S by one spin-1/2, so ``Tr_B (J_j (x)
+    I_{2j+1})`` adds ``(2j+1)/(2j'+1)`` times the part of ``J_j`` on the
+    paths through spin j' to ``S_j'``, and the rest cancels (Schur's
+    lemma): ``A = P^T E P``, P the weighted path-prefix map, masked to
+    the spin blocks of J.
     """
     paths_j, paths_s = _frame(k + 1, k)[1], _frame(k, k)[1]
     row = {path: i for i, path in enumerate(paths_s)}
@@ -305,17 +313,21 @@ def _covariant_rows(k: int) -> tuple:
         prefix[row[path[:-1]], a] = np.sqrt((path[-1] + 1) / (path[-2] + 1))
     spin_j, spin_s = (np.array([path[-1] for path in ps]) for ps in (paths_j, paths_s))
     units = _hermitian_basis(len(paths_s))
-    e = units[~units[:, spin_s[:, None] != spin_s].any(axis=1)]
+    in_block = ~units[:, spin_s[:, None] != spin_s].any(axis=1)
+    e = units[in_block & ~units.imag.any(axis=(1, 2))].real
     a = (prefix.T @ e @ prefix) * (spin_j[:, None] == spin_j)
-    return a, e, np.trace(e, axis1=1, axis2=2).real
+    return a, e, np.trace(e, axis1=1, axis2=2)
 
 
 def _covariant_problem(qr: QROperators, p: float) -> sdp.SdpProblem:
-    """The decoder SDP on the reduced blocks of J and S."""
+    """The decoder SDP on the real reduced blocks of J and S."""
     (c, r), resid = covariant_operators(qr)
     if resid > COVARIANCE_TOL:
         raise ValueError(f"Qt, Rt off the SU(2) commutant by {resid:.1e} (relative)")
-    return _decoder_problem(c, r, _covariant_rows(qr.k), p)
+    imag = max(float(np.max(np.abs(x.imag))) / max(1.0, float(np.max(np.abs(x)))) for x in (c, r))
+    if imag > COVARIANCE_TOL:
+        raise ValueError(f"reduced Qt, Rt not real: imaginary part {imag:.1e} (relative)")
+    return _decoder_problem(c.real, r.real, _covariant_rows(qr.k), p)
 
 
 def evaluate_decoder(j: np.ndarray, qr: QROperators) -> tuple[float, float, float]:
@@ -404,7 +416,7 @@ def _surrogate_pieces(m: int, chan: Channel, t, r):
     qts, sts = [], []
     for k, l in zip(*np.triu_indices(m)):
         outer = basis[k] @ basis[l].T
-        piece = ClonerChoi(choi=((outer + outer.T) / (2 * m)).astype(complex), m=m, fidelities=())
+        piece = ClonerChoi(choi=(outer + outer.T) / (2 * m), m=m, fidelities=())
         qr = build_qr(compose_effective_map(piece, chan, t, r))
         qts.append(qr.qt)
         sts.append(qr.rt[::2, ::2])
@@ -432,15 +444,14 @@ def _surrogates(qts, sts) -> np.ndarray:
 
 def _lattice_surrogates(weights, qts, sts) -> np.ndarray:
     """:func:`_surrogates` of the cascade at every row of quadratic-form
-    weights, scored in chunks of ``SCORE_CHUNK`` rows.  Weights act on the
-    float view of the pieces: one BLAS product, where a real-by-complex
-    matmul is far slower."""
-    q_flat, s_flat = (x.reshape(len(x), -1).view(float) for x in (qts, sts))
+    weights, scored in chunks of ``SCORE_CHUNK`` rows, each chunk one BLAS
+    product on the flattened pieces."""
+    q_flat, s_flat = (x.reshape(len(x), -1) for x in (qts, sts))
     out = np.empty(len(weights))
     for lo in range(0, len(weights), SCORE_CHUNK):
         w = weights[lo:lo + SCORE_CHUNK]
-        qt = (w @ q_flat).view(complex).reshape(len(w), *qts.shape[1:])
-        st = (w @ s_flat).view(complex).reshape(len(w), *sts.shape[1:])
+        qt = (w @ q_flat).reshape(len(w), *qts.shape[1:])
+        st = (w @ s_flat).reshape(len(w), *sts.shape[1:])
         out[lo:lo + len(w)] = _surrogates(qt, st)
     return out
 

@@ -55,6 +55,7 @@ import csv
 import functools
 import hashlib
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -134,7 +135,8 @@ def validate_config(cfg: dict, profile: str = "ci") -> ExperimentConfig:
         raise ConfigError("$.regime", f"must be one of {REGIMES}, got {regime!r}")
 
     n_cap = 4 if profile == "ci" else 5
-    is_num = lambda x: isinstance(x, (int, float)) and not isinstance(x, bool)
+    is_num = lambda x: (isinstance(x, int) and not isinstance(x, bool)
+                        or isinstance(x, float) and math.isfinite(x))
     is_int = lambda x: isinstance(x, int) and not isinstance(x, bool)
 
     if regime == "stochastic":

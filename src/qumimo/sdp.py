@@ -1,25 +1,27 @@
-"""Semidefinite programming over Hermitian cones.
+"""Semidefinite programming over symmetric and Hermitian cones.
 
 Solves problems of the form
 
     maximize    sum_b Tr[C_b X_b]
     subject to  sum_b Tr[A_{i,b} X_b] = b_i      (i = 1..m)
-                X_b >= 0                          (Hermitian PSD blocks)
+                X_b >= 0                          (PSD blocks)
 
 via a homogeneous self-dual primal-dual interior-point method (HKM
 search direction, Mehrotra predictor-corrector, step fraction 0.98 to
-the cone boundary).  The iterates are complex Hermitian blocks, paired
-by ``<A, X> = Re Tr[A X]``; the dual vector, the Schur system and its
-Cholesky factor are real.
+the cone boundary), paired by ``<A, X> = Re Tr[A X]``.
 
-A problem holds its constraints as one dense complex ``m x d x d`` stack
-per block, row i of every stack and ``rhs[i]`` making constraint i (a
-row that leaves a block out is zero there); the solver reads ``A(X)``,
-``A*(y)`` and the HKM Schur matrix ``Re Tr[A_i X A_j S^-1]`` straight
-off the stacks.  That suits problems with few constraints on small
-blocks, such as the decoder problem after its symmetry reduction
-(``decoder.purification_sdp``: at most 20 + 10 wide and 43 constraints
-at K = 5).  ``MAX_DIM`` caps the total block width.
+A problem holds its constraints as one dense ``m x d x d`` stack per
+block, row i of every stack and ``rhs[i]`` making constraint i (a row
+that leaves a block out is zero there).  The solver merges the blocks
+into one block-diagonal iterate, so ``A(X)`` and ``A*(y)`` are one
+matrix product each on the flattened stack, and it works in the dtype
+of the data: real symmetric ``float64`` when every objective and
+constraint block is real, complex Hermitian ``complex128`` otherwise.
+The dual vector and the Schur system are real either way.  That suits
+problems with few constraints on small blocks, such as the decoder
+problem after its symmetry reduction (``decoder.purification_sdp``: real
+blocks of at most 20 + 10 and 27 constraints at K = 5).  ``MAX_DIM``
+caps the total block width.
 """
 
 from __future__ import annotations
@@ -28,10 +30,9 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import DimensionLimitError, NotHermitianError
-from .tensor import dagger, is_hermitian
+from .tensor import is_hermitian
 
 # Largest total block dimension the solver accepts.
 MAX_DIM = 256
@@ -63,7 +64,9 @@ class SdpProblem:
 
     def __post_init__(self):
         self.rhs = np.array(self.rhs, dtype=float)
-        self.constraints = [np.ascontiguousarray(a, dtype=complex) for a in self.constraints]
+        self.objective = [np.asarray(c, dtype=np.result_type(c, float)) for c in self.objective]
+        self.constraints = [np.ascontiguousarray(a, dtype=np.result_type(a, float))
+                            for a in self.constraints]
         if self.rhs.ndim != 1:
             raise ValueError(f"rhs has shape {self.rhs.shape}, expected a vector")
         if len(self.constraints) != len(self.objective):
@@ -108,39 +111,26 @@ class VerifyReport:
 
 
 def _herm(v: np.ndarray) -> np.ndarray:
-    return (v + dagger(v)) / 2.0
+    return (v + v.swapaxes(-1, -2).conj()) / 2.0
 
 
-def _a_apply(A: list, X: list) -> np.ndarray:
-    """``A(X)``: ``Re Tr[A_i X]`` summed over the blocks, for every row i."""
-    return sum(np.einsum("mij,ji->m", a, x).real for a, x in zip(A, X))
+def _block_diag(blocks) -> np.ndarray:
+    """The blocks (square matrices, or ``m x d x d`` stacks) on the
+    diagonal of one matrix (or stack), in the dtype of their data."""
+    n = sum(x.shape[-1] for x in blocks)
+    out = np.zeros(blocks[0].shape[:-2] + (n, n), dtype=np.result_type(*blocks, float))
+    lo = 0
+    for x in blocks:
+        hi = lo + x.shape[-1]
+        out[..., lo:hi, lo:hi] = x
+        lo = hi
+    return out
 
 
-def _a_adjoint(A: list, y: np.ndarray) -> list:
-    """``A*(y)``: ``sum_i y_i A_i`` per block."""
-    return [np.einsum("m,mij->ij", y, a) for a in A]
-
-
-# SciPy's LAPACK Cholesky, triangular and Cholesky solves, called without
-# the input-checking wrappers (no finite check, no array conversion):
-# every matrix here is a finite iterate, and at the block sizes solved
-# here the wrappers cost more than the factorizations.  The blocks are
-# complex; the Schur system is real.
-_zpotrf, _zpotrs, _ztrtrs = sla.lapack.zpotrf, sla.lapack.zpotrs, sla.lapack.ztrtrs
-_dpotrf, _dpotrs = sla.lapack.dpotrf, sla.lapack.dpotrs
-
-
-def _max_step(mat: np.ndarray, dmat: np.ndarray) -> float:
-    """Largest alpha with mat + alpha*dmat >= 0, given mat > 0."""
-    chol, info = _zpotrf(mat, lower=1)
-    if info:
-        return 0.0
-    w = _ztrtrs(chol, dmat, lower=1)[0]
-    w = _ztrtrs(chol, dagger(w), lower=1)[0]
-    lam_min = float(np.linalg.eigvalsh(_herm(w))[0])
-    if lam_min >= -1e-14:
-        return np.inf
-    return -1.0 / lam_min
+def _a_apply(a_conj: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``A(X)``: ``Re Tr[A_i X]`` for every row i, from the conjugated
+    flat stack (rows of ``conj(A_i)``) and a Hermitian X."""
+    return (a_conj @ x.ravel()).real
 
 
 def solve(problem: SdpProblem) -> SdpSolution:
@@ -151,28 +141,38 @@ def solve(problem: SdpProblem) -> SdpSolution:
     If the iteration stalls in numerical noise after effectively
     converging, the best iterate is accepted as optimal provided it
     meets ``SOFT_TOL`` (the certificate tolerances promised on an
-    optimal status).  The constraint stacks are read as they stand.
+    optimal status).  The residual norms behind the merit and the
+    infeasibility flags are taken per block, the worst block counting.
     """
     dims = [len(c) for c in problem.objective]
-    if sum(dims) > MAX_DIM:
-        raise DimensionLimitError(f"total block dimension {sum(dims)} exceeds {MAX_DIM}")
-    A, b = problem.constraints, problem.rhs
-    m, nb = len(b), len(dims)
+    n = sum(dims)
+    if n > MAX_DIM:
+        raise DimensionLimitError(f"total block dimension {n} exceeds {MAX_DIM}")
+    b = problem.rhs
+    m = len(b)
     if m == 0:
         raise ValueError("at least one equality constraint is required")
-    nu = float(sum(dims))
-    # Maximize <C_ext, X> == minimize <-C_ext, X>.
-    C = [-np.asarray(c, dtype=complex) for c in problem.objective]
+    nu = float(n)
+    # Maximize <C_ext, X> == minimize <-C_ext, X>, on the merged block.
+    dtype = np.result_type(*problem.objective, *problem.constraints)
+    C = -_block_diag(problem.objective).astype(dtype)
+    a_flat = _block_diag(problem.constraints).reshape(m, n * n).astype(dtype)
+    a_conj = a_flat.conj()
+    eye = np.eye(n, dtype=dtype)
+    edges = np.cumsum([0] + dims)
+    blocks = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+
+    def block_norm(v):
+        return max(float(np.linalg.norm(v[s, s])) for s in blocks)
 
     norm_b = max(1.0, float(np.linalg.norm(b)))
-    norm_c = max(1.0, max(float(np.linalg.norm(c)) for c in C))
-    norm_a = max(1.0, max(float(np.max(np.abs(a))) if a.size else 0.0 for a in A))
+    norm_c = max(1.0, block_norm(C))
+    norm_a = max(1.0, float(np.max(np.abs(a_flat))))
 
     xi_p = max(1.0, float(np.max(np.abs(b))))
-    xi_d = max(1.0, max(float(np.linalg.norm(c)) for c in C) / np.sqrt(max(dims)))
-    eyes = [np.eye(d, dtype=complex) for d in dims]
-    X = [xi_p * e for e in eyes]
-    S = [xi_d * e for e in eyes]
+    xi_d = max(1.0, block_norm(C) / np.sqrt(max(dims)))
+    X = xi_p * eye
+    S = xi_d * eye
     y = np.zeros(m)
     tau, kappa = 1.0, 1.0
 
@@ -184,31 +184,28 @@ def solve(problem: SdpProblem) -> SdpSolution:
 
     for it in range(1, ITERATION_CAP + 1):
         # Residuals of the homogeneous model.
-        ax = _a_apply(A, X)
-        aty = _a_adjoint(A, y)
+        ax = _a_apply(a_conj, X)
+        aty = (y @ a_flat).reshape(n, n)
         rp_vec = b * tau - ax
-        rd_mats = [C[blk] * tau - aty[blk] - S[blk] for blk in range(nb)]
-        cx = float(sum(np.vdot(c, x).real for c, x in zip(C, X)))
+        rd = C * tau - aty - S
+        cx = float(np.vdot(C, X).real)
         by = float(b @ y)
         rg = by - cx - kappa
 
-        xs = float(sum(np.vdot(X[blk], S[blk]).real for blk in range(nb)))
+        xs = float(np.vdot(X, S).real)
         mu = (xs + tau * kappa) / (nu + 1.0)
 
         # Normalized convergence checks.
         pobj, dobj = cx / tau, by / tau
         pres = float(np.linalg.norm(b - ax / tau)) / norm_b
-        dres = max(
-            float(np.linalg.norm(C[blk] - aty[blk] / tau - S[blk] / tau))
-            for blk in range(nb)
-        ) / norm_c
+        dres = block_norm(C - aty / tau - S / tau) / norm_c
         relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         log.append((pobj, dobj, relgap, pres, dres, mu))
 
         merit = max(pres, dres, relgap)
         if merit < best_merit:
             best_merit = merit
-            best = ([x.copy() for x in X], y.copy(), tau, pobj, dobj)
+            best = (X.copy(), y.copy(), tau, pobj, dobj)
         if merit <= TOL:
             status = OPTIMAL
             break
@@ -219,7 +216,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
 
         # Homogeneous-embedding infeasibility flags.
         if tau <= 1e-9 * max(1.0, kappa) or (mu <= TOL * 1e-4 and tau <= 1e-7 * kappa):
-            ray_d = max(float(np.linalg.norm(aty[blk] + S[blk])) for blk in range(nb))
+            ray_d = block_norm(aty + S)
             ray_p = float(np.linalg.norm(ax))
             if by > 0 and ray_d <= 1e-6 * norm_a * max(1.0, by):
                 status, message = INFEASIBLE, "dual improving ray found"
@@ -229,102 +226,85 @@ def solve(problem: SdpProblem) -> SdpSolution:
                 status, message = MAX_ITER, "tau collapsed without certificate"
             break
 
-        # Factorizations shared by predictor and corrector.
-        sinv = []
-        for blk in range(nb):
-            chol, info = _zpotrf(S[blk], lower=1)
-            if info:
-                break
-            sinv.append(_zpotrs(chol, eyes[blk], lower=1)[0])
-        if len(sinv) < nb:
-            status, message = MAX_ITER, "dual block lost positive definiteness"
+        # X and S factored once: L^-1 of both serve S^-1 and the step lengths.
+        try:
+            linv = np.linalg.inv(np.linalg.cholesky(np.stack([X, S])))
+        except np.linalg.LinAlgError:
+            status, message = MAX_ITER, "iterate lost positive definiteness"
             break
+        linv_h = linv.swapaxes(1, 2).conj()
+        sinv = linv_h[1] @ linv[1]
 
-        # The HKM Schur matrix Re Tr[A_i X A_j S^-1], summed over the blocks.
-        schur = np.zeros((m, m))
-        for a, x, si in zip(A, X, sinv):
-            t = np.matmul(np.matmul(x[None, :, :], a), si[None, :, :])
-            schur += np.real(a.reshape(m, -1).conj() @ t.reshape(m, -1).T)
-        schur = _herm(schur)
+        # The HKM Schur matrix Re Tr[A_i X A_j S^-1], jittered until its
+        # Cholesky factorization succeeds.  Its systems are solved by LU:
+        # an explicit inverse lost the primal residual near the optimum.
+        t = X @ a_flat.reshape(m, n, n) @ sinv
+        schur = _herm((a_conj @ t.reshape(m, -1).T).real)
         jitter = 0.0
         for _ in range(4):
-            schur_cf, info = _dpotrf(schur + jitter * np.eye(m), lower=0, clean=0)
-            if not info:
+            try:
+                np.linalg.cholesky(schur + jitter * np.eye(m))
                 break
-            jitter = max(1e-12 * np.trace(schur) / m, 10.0 * jitter, 1e-14)
+            except np.linalg.LinAlgError:
+                jitter = max(1e-12 * np.trace(schur) / m, 10.0 * jitter, 1e-14)
         else:
             status, message = MAX_ITER, "Schur complement not positive definite"
             break
+        schur += jitter * np.eye(m)
 
-        wc = [_herm(X[blk] @ C[blk] @ sinv[blk]) for blk in range(nb)]
-        awc = _a_apply(A, wc)
-        cwc = float(sum(np.vdot(C[blk], wc[blk]).real for blk in range(nb)))
+        # The sigma-independent parts of the direction.
+        wc = _herm(X @ C @ sinv)
+        awc = _a_apply(a_conj, wc)
+        cwc = float(np.vdot(C, wc).real)
+        h = np.linalg.solve(schur, awc + b)
+        den = float((b - awc) @ h) + cwc + kappa / tau
+        wrd = _herm(X @ rd @ sinv)
+        rp_wrd = rp_vec + _a_apply(a_conj, wrd)
+        wcrd = float(np.vdot(wc, rd).real)
+        xs_mat = X @ S
 
-        def direction(sigma, corr_blocks, corr_tk):
-            rc = [
-                sigma * mu * eyes[blk] - X[blk] @ S[blk]
-                - (corr_blocks[blk] if corr_blocks is not None else 0.0)
-                for blk in range(nb)
-            ]
+        def direction(sigma, corr, corr_tk):
+            rc = sigma * mu * eye - xs_mat - corr
             rc_tau = sigma * mu - tau * kappa - corr_tk
             scale = 1.0 - sigma
-            r1 = scale * rp_vec
-            r2 = [scale * rd_mats[blk] for blk in range(nb)]
-            r3 = scale * rg
-
-            e_blocks = [_herm(rc[blk] @ sinv[blk]) for blk in range(nb)]
-            wr2 = [_herm(X[blk] @ r2[blk] @ sinv[blk]) for blk in range(nb)]
-            rhs1 = r1 - _a_apply(A, e_blocks) + _a_apply(A, wr2)
-            g = _dpotrs(schur_cf, rhs1, lower=0)[0]
-            h = _dpotrs(schur_cf, awc + b, lower=0)[0]
-
-            ce = float(sum(np.vdot(C[blk], e_blocks[blk]).real for blk in range(nb)))
-            wcr2 = float(sum(np.vdot(wc[blk], r2[blk]).real for blk in range(nb)))
-            rhs2 = -r3 + ce - wcr2 + rc_tau / tau
-            den = float((b - awc) @ h) + cwc + kappa / tau
+            e = _herm(rc @ sinv)
+            g = np.linalg.solve(schur, scale * rp_wrd - _a_apply(a_conj, e))
+            ce = float(np.vdot(C, e).real)
+            rhs2 = -scale * rg + ce - scale * wcrd + rc_tau / tau
             num = rhs2 - float((b - awc) @ g)
             dtau = num / den if abs(den) > 1e-14 else 0.0
             dy = g + h * dtau
-            aty_d = _a_adjoint(A, dy)
-            ds = [C[blk] * dtau - aty_d[blk] + r2[blk] for blk in range(nb)]
-            dx = [_herm((rc[blk] - X[blk] @ ds[blk]) @ sinv[blk]) for blk in range(nb)]
+            ds = C * dtau - (dy @ a_flat).reshape(n, n) + scale * rd
+            dx = _herm((rc - X @ ds) @ sinv)
             dkappa = (rc_tau - kappa * dtau) / tau
             return dx, dy, ds, dtau, dkappa
 
         def max_alpha(dx, ds, dtau, dkappa):
-            alpha = np.inf
-            for blk in range(nb):
-                alpha = min(alpha, _max_step(X[blk], dx[blk]))
-                alpha = min(alpha, _max_step(S[blk], ds[blk]))
+            # Smallest eigenvalue of L^-1 dM L^-H over X and S at once.
+            lam_min = float(np.linalg.eigvalsh(_herm(linv @ np.stack([dx, ds]) @ linv_h)).min())
+            alpha = np.inf if lam_min >= -1e-14 else -1.0 / lam_min
             if dtau < 0:
                 alpha = min(alpha, -tau / dtau)
             if dkappa < 0:
                 alpha = min(alpha, -kappa / dkappa)
             return alpha
 
-        dxa, dya, dsa, dtaua, dkappaa = direction(0.0, None, 0.0)
+        dxa, dya, dsa, dtaua, dkappaa = direction(0.0, 0.0, 0.0)
         alpha_aff = min(1.0, 0.98 * max_alpha(dxa, dsa, dtaua, dkappaa))
-        xs_aff = float(
-            sum(
-                np.vdot(X[blk] + alpha_aff * dxa[blk], S[blk] + alpha_aff * dsa[blk]).real
-                for blk in range(nb)
-            )
-        )
+        xs_aff = float(np.vdot(X + alpha_aff * dxa, S + alpha_aff * dsa).real)
         mu_aff = (xs_aff + (tau + alpha_aff * dtaua) * (kappa + alpha_aff * dkappaa)) / (
             nu + 1.0
         )
         sigma = float(np.clip((max(mu_aff, 0.0) / mu) ** 3, 1e-8, 1.0 - 1e-8))
 
-        corr = [dxa[blk] @ dsa[blk] for blk in range(nb)]
-        dx, dy, ds, dtau, dkappa = direction(sigma, corr, dtaua * dkappaa)
+        dx, dy, ds, dtau, dkappa = direction(sigma, dxa @ dsa, dtaua * dkappaa)
         alpha = min(1.0, 0.98 * max_alpha(dx, ds, dtau, dkappa))
         if alpha <= 1e-9:
             status, message = MAX_ITER, "step length collapsed"
             break
 
-        for blk in range(nb):
-            X[blk] = _herm(X[blk] + alpha * dx[blk])
-            S[blk] = _herm(S[blk] + alpha * ds[blk])
+        X = _herm(X + alpha * dx)
+        S = _herm(S + alpha * ds)
         y = y + alpha * dy
         tau += alpha * dtau
         kappa += alpha * dkappa
@@ -337,7 +317,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
         x_best, y_best, tau_best, pobj, dobj = best
         value, dual_value = -pobj, -dobj
         return SdpSolution(
-            X_blocks=[x / tau_best for x in x_best],
+            X_blocks=[x_best[s, s] / tau_best for s in blocks],
             y=-y_best / tau_best,
             status=OPTIMAL,
             gap=abs(value - dual_value),
@@ -348,7 +328,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
             message=message,
         )
     return SdpSolution(
-        X_blocks=X,
+        X_blocks=[X[s, s] for s in blocks],
         y=-y,
         status=status,
         gap=np.inf,
@@ -364,7 +344,9 @@ def verify(problem: SdpProblem, solution: SdpSolution, tol: float = 1e-7) -> Ver
     Uses only the problem data and the returned blocks, not the solver's
     iterates: the residuals are ``A(X) - rhs``.
     """
-    res = _a_apply(problem.constraints, solution.X_blocks) - problem.rhs
+    m = len(problem.rhs)
+    a_conj = _block_diag(problem.constraints).reshape(m, -1).conj()
+    res = _a_apply(a_conj, _block_diag(solution.X_blocks)) - problem.rhs
     floors = [float(np.linalg.eigvalsh(x)[0]) if x.size else 0.0 for x in solution.X_blocks]
     pval = float(
         sum(

@@ -2,7 +2,11 @@
 
 Conventions used throughout the package:
 
-* Operators are dense ``complex128`` numpy arrays.
+* Operators are dense ``float64`` numpy arrays: every map of the
+  pipeline, and the Schur-Weyl frame, is real.  An operator is
+  ``complex128`` only where its data is complex (the Hermitian units of
+  the dense decoder problem, complex test data).  The SDP solver works
+  in the dtype it is given.
 * A multi-qubit operator lives on the tensor product of its qubits with
   qubit 1 as the *most significant* factor, i.e. the basis index of
   ``|a_1 ... a_n>`` is ``sum_i a_i * 2**(n-i)``.  This matches the order
@@ -22,18 +26,14 @@ import numpy as np
 HERMITIAN_RTOL = 1e-12
 PSD_SUPPORT_TOL = 1e-10
 
-I2 = np.eye(2, dtype=complex)
+I2 = np.eye(2)
 
 # Swap of two qubits and the unnormalized maximally entangled projector
-# |Phi><Phi| with |Phi> = |00> + |11> (so <Phi|Phi> = 2).
+# |Phi><Phi| with |Phi> = |00> + |11> = vec(I_2) (so <Phi|Phi> = 2).
 SWAP2 = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
+    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=float
 )
-PHI_UNNORM = np.zeros((4, 4), dtype=complex)
-for _i in range(2):
-    for _j in range(2):
-        PHI_UNNORM[3 * _i, 3 * _j] = 1.0
-del _i, _j
+PHI_UNNORM = np.outer(I2.ravel(), I2.ravel())
 
 
 def dagger(x: np.ndarray) -> np.ndarray:

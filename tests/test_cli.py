@@ -91,6 +91,25 @@ class TestConfigValidation:
         assert cli.main(argv) == 2
         assert "config error: $.box_eta: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                             ids=["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("key, path", [
+        ("heatmap_mu", "$.heatmap_mu"), ("delta", "$.delta"), ("mu", "$.mu[0]"), ("Z", "$.Z"),
+        ("p", "$.p[0]"), ("eta", "$.eta[0]"), ("box_p", "$.box_p"), ("box_eta", "$.box_eta"),
+    ])
+    def test_non_finite_numbers(self, tmp_path, capsys, key, path, value):
+        # json reads NaN and Infinity literals; no numeric entry takes them
+        cfg = tiny_stoch_cfg(**{key: [value] if path.endswith("[0]") else value})
+        with pytest.raises(ConfigError) as err:
+            experiments.validate_config(cfg)
+        assert err.value.path == path
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        argv = ["stochastic", "--config", str(cfg_path), "--out", str(tmp_path / "x")]
+        assert cli.main(argv) == 2
+        assert f"config error: {path}: " in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_json_syntax_error_line(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"regime": "fixed_z",\n  broken\n}')
@@ -351,6 +370,7 @@ class TestBoundaryAndValidate:
             for p in ("0.8", "1"):
                 assert f"[PASS] decoder SDP: covariant blocks = dense, K = {k}, p = {p}" in out
         assert "[PASS] Qt, Rt on the SU(2) commutant, N = 3" in out
+        assert "[PASS] reduced decoder data real, N = 3" in out
 
     def test_wrong_regime_subcommand(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

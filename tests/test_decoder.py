@@ -238,6 +238,20 @@ def row_image(w, e):
     return g, float(np.real(np.trace(g @ g) / np.trace(e @ e)))
 
 
+def apply_rows(problem, blocks):
+    """``A(X)`` of ``problem`` on ``blocks``, as the solver reads it on the
+    merged block-diagonal stack."""
+    a_conj = sdp._block_diag(problem.constraints).reshape(len(problem.rhs), -1).conj()
+    return sdp._a_apply(a_conj, sdp._block_diag(blocks))
+
+
+def adjoint_blocks(problem, y):
+    """``A*(y)`` of ``problem`` on the merged stack, cut into its blocks."""
+    merged = np.tensordot(y, sdp._block_diag(problem.constraints), axes=1)
+    edges = np.cumsum([0] + [len(c) for c in problem.objective])
+    return [merged[lo:hi, lo:hi] for lo, hi in zip(edges[:-1], edges[1:])]
+
+
 def random_reduced(rng, paths):
     """A random Hermitian matrix on the spin blocks of a frame's paths."""
     spin = np.array([path[-1] for path in paths])
@@ -255,7 +269,8 @@ class TestPartialTraceOperator:
     @pytest.mark.parametrize("p", [0.6, 1.0])
     def test_matches_dense_operator(self, k, p):
         # row i of the reduced A(X) is Tr[lift(E_i) (Tr_B J + S)] / (2j + 1)
-        # on the lifted blocks; the objective and the Rt row agree too
+        # on the lifted blocks, read off the dense route's real symmetric
+        # unit rows (lift(E_i) is real); the objective and the Rt row agree too
         rng = np.random.default_rng(10 + k)
         qr, _ = random_cascade(rng, n=k)
         (w_j, paths_j), (w_s, paths_s) = decoder._frame(k + 1, k), decoder._frame(k, k)
@@ -265,12 +280,13 @@ class TestPartialTraceOperator:
         x_red = [random_reduced(rng, paths_j), random_reduced(rng, paths_s)]
         x_full = [decoder._lift(w_j, x_red[0]), decoder._lift(w_s, x_red[1])]
         nb = len(reduced.objective)
-        got = sdp._a_apply(reduced.constraints, x_red[:nb])
-        want = sdp._a_apply(dense.constraints, x_full[:nb])
+        got = apply_rows(reduced, x_red[:nb])
+        want = apply_rows(dense, x_full[:nb])
         nh = 4 ** k
+        real = ~decoder._hermitian_basis(2 ** k).imag.any(axis=(1, 2))
         for i, e in enumerate(units):
             g, d = row_image(w_s, e)
-            assert abs(got[i] - want[:nh] @ hermitian_coords(g) / d) < 1e-11
+            assert abs(got[i] - want[:nh][real] @ hermitian_coords(g)[real] / d) < 1e-11
         assert len(got) == len(units) + (p < 1.0)
         if p < 1.0:
             assert abs(got[-1] - want[-1]) < 1e-11
@@ -280,7 +296,8 @@ class TestPartialTraceOperator:
     @pytest.mark.parametrize("p", [0.6, 1.0])
     def test_adjoint(self, p):
         # the reduced A*(y) is the reduction of the dense A* at the
-        # full-space image of y, block by block
+        # full-space image of y (on the real symmetric unit rows), block
+        # by block
         rng = np.random.default_rng(20)
         for k in (1, 2, 3):
             qr, _ = random_cascade(rng, n=k)
@@ -296,8 +313,8 @@ class TestPartialTraceOperator:
                     y_full[:4 ** k] += yi * hermitian_coords(g) / d
                 if p < 1.0:
                     y_full[-1] = y[-1]
-                got = sdp._a_adjoint(reduced.constraints, y)
-                want = sdp._a_adjoint(dense.constraints, y_full)
+                got = adjoint_blocks(reduced, y)
+                want = adjoint_blocks(dense, y_full)
                 for w, a, b in zip((w_j, w_s), got, want):
                     assert np.max(np.abs(a - decoder._reduce(w, b))) < 1e-12
 
@@ -350,18 +367,63 @@ class TestPartialTraceOperator:
                 decoder.purification_sdp(bent, p)
 
     def test_k5_decoder(self):
-        # K = 5: 20 + 10 wide, 43 constraints; the full J passes
+        # K = 5: real blocks 20 + 10 wide, 27 constraints; the full J passes
         # _validate_decoder and stays under the Rayleigh surrogate
         rng = np.random.default_rng(55)
         qr, _ = random_cascade(rng, n=5)
         ray = decoder.rayleigh_bound(qr)
         problem = decoder._covariant_problem(qr, 0.8)
-        assert [len(c) for c in problem.objective] == [20, 10] and len(problem.rhs) == 43
+        assert [len(c) for c in problem.objective] == [20, 10] and len(problem.rhs) == 27
         for p in (0.8, 1.0):
             dec = decoder.purification_sdp(qr, p)
             decoder._validate_decoder(dec.j, qr, p)
             assert dec.j.shape == (64, 64)
             assert dec.f_success <= ray + 1e-7
+
+
+class TestRealData:
+    """The cascade, its frame and the reduced decoder data are real; the
+    covariant route refuses reduced data with an imaginary part."""
+
+    def test_flip_maps_conjugate_to_u(self):
+        # FLIP conj(U) FLIP^T = U on SU(2): the real frame's flipped legs
+        rng = np.random.default_rng(80)
+        for _ in range(20):
+            a, b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            u = np.array([[a, b], [-np.conj(b), np.conj(a)]]) / np.hypot(abs(a), abs(b))
+            assert np.max(np.abs(decoder.FLIP @ u.conj() @ decoder.FLIP.T - u)) < 1e-15
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("eta", [0.0, 0.5, 1.0])
+    def test_reduced_operators_real(self, k, eta):
+        rng = np.random.default_rng(60 + k)
+        params = channel.ChannelParams(n=k, eta=eta, lam=tuple(rng.uniform(0, 1, k)), delta=1.0)
+        enc = cloner.cloner_choi(tuple(rng.dirichlet(np.ones(k))))
+        modes = tuple(range(1, k + 1))
+        qr = decoder.build_qr(
+            decoder.compose_effective_map(enc, channel.channel_choi(params), modes, modes))
+        reduced, resid = decoder.covariant_operators(qr)
+        assert resid < 1e-12
+        # real dtype: the imaginary part is exactly 0, not small
+        for x in (qr.qt, qr.rt, *reduced, decoder.purification_sdp(qr, 0.8).j):
+            assert not np.iscomplexobj(x)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_rejects_imaginary_part_on_commutant(self, k):
+        # i A, A real antisymmetric inside one spin block, lifts onto the
+        # commutant: it passes the commutant check and fails the realness one
+        rng = np.random.default_rng(70 + k)
+        qr, _ = random_cascade(rng, n=k)
+        w, paths = decoder._frame(k + 1, k)
+        spin = np.array([path[-1] for path in paths])
+        a, b = np.flatnonzero(spin == np.flatnonzero(np.bincount(spin) >= 2)[0])[:2]
+        anti = np.zeros((len(spin),) * 2)
+        anti[a, b], anti[b, a] = 1.0, -1.0
+        bent = decoder.QROperators(qt=qr.qt + 1e-6 * decoder._lift(w, 1j * anti), rt=qr.rt, k=k)
+        assert decoder.covariant_operators(bent)[1] < 1e-14
+        for p in (0.8, 1.0):
+            with pytest.raises(ValueError, match="not real"):
+                decoder.purification_sdp(bent, p)
 
 
 class TestRayleigh:

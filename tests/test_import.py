@@ -1,5 +1,6 @@
 """Importing ``qumimo`` pins BLAS to one thread, which only works before
-NumPy loads; importing it after NumPy, with the pin unset, warns."""
+NumPy loads; importing it after NumPy, with the pin unset, warns.  The
+package and its CLI load no SciPy."""
 
 import os
 import subprocess
@@ -40,3 +41,11 @@ def test_numpy_first_warns():
 def test_numpy_first_with_threads_set_is_silent():
     proc = import_in_fresh_process("import numpy, qumimo", {v: "2" for v in THREAD_VARS})
     assert proc.returncode == 0, proc.stderr
+
+
+def test_scipy_not_imported_at_run_time():
+    # SciPy is a test dependency only: the package and its CLI run on NumPy
+    proc = import_in_fresh_process(
+        "import sys, qumimo, qumimo.cli; print('scipy' in sys.modules)", {})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -114,15 +114,15 @@ class TestProblemFormat:
 
     def test_strided_rhs_solves_bit_for_bit(self):
         # The K = 3 decoder problem at p = 1, its rhs the traces of its
-        # units: a strided .real view.  A solve that read the view in
-        # place would round differently in its last bits.
+        # units read through a strided .real view.  A solve that read the
+        # view in place would round differently in its last bits.
         enc = cloner.cloner_choi((0.2, 0.3, 0.5))
         params = channel.ChannelParams(n=3, eta=0.6, lam=(0.1, 0.3, 0.2), delta=1.0)
         chan = channel.channel_choi(params)
         qr = decoder.build_qr(decoder.compose_effective_map(enc, chan, (1, 2, 3), (1, 2, 3)))
         (c, _), _ = decoder.covariant_operators(qr)
         a, e, _ = decoder._covariant_rows(3)
-        view = np.trace(e, axis1=1, axis2=2).real
+        view = np.trace(e.astype(complex), axis1=1, axis2=2).real
         assert not view.flags.c_contiguous
         sol_view = sdp.solve(sdp.SdpProblem([c], [a], view))
         sol_copy = sdp.solve(sdp.SdpProblem([c], [a], view.copy()))
