@@ -162,6 +162,18 @@ def _run_checks(quick: bool) -> int:
             check(f"decoder SDP: covariant blocks = dense, K = {n}, p = {p:g}",
                   dense.status == sdp_mod.OPTIMAL and err < 1e-7, f"|dF| {err:.1e}")
 
+    # The blind decoder's closed form reaches the SDP optimum on its prior.
+    for m in (2, 3):
+        modes = tuple(range(1, m + 1))
+        prior = channel.channel_choi(channel.ChannelParams(n=m, eta=0.0, lam=(0.0,) * m, delta=1.0))
+        qr = decoder.build_qr(decoder.compose_effective_map(
+            cloner.cloner_choi(tuple([1 / m] * m)), prior, modes, modes))
+        for p in (0.8, 1.0):
+            f_avg = decoder.evaluate_decoder(decoder.blind_choi(m, p), qr)[2]
+            err = abs(f_avg - decoder.purification_sdp(qr, p).f_avg)
+            check(f"blind decoder: closed form = identity-prior SDP, M = {m}, p = {p:g}",
+                  err < 1e-7, f"|dF| {err:.1e}")
+
     print(f"{failures} failure(s)" if failures else "all checks passed")
     return 1 if failures else 0
 

@@ -14,6 +14,7 @@ decoder with Choi ``J`` (K qubits -> 1) is ``Tr[J Qt] / p`` subject to
 convention is pinned by the identity-channel sanity value of exactly 1.
 Dropping the partial-trace dominance yields a generalized Rayleigh
 quotient whose top eigenvalue upper-bounds the SDP for every p.
+The blind baseline's decoder needs no SDP: :func:`blind_choi`.
 """
 
 from __future__ import annotations
@@ -367,19 +368,19 @@ def rayleigh_bound(qr: QROperators) -> float:
     return float(_surrogates(qr.qt[None], qr.rt[None, ::2, ::2])[0])
 
 
-@functools.cache
-def blind_qr(m: int) -> QROperators:
-    """Haar operators of the symmetric cloner under an identity-channel
-    prior, every clone received (K = M); the non-adaptive decoder design
-    point."""
-    enc = cloner_choi(tuple([1.0 / m] * m))
-    return build_qr(EffectiveMap(choi=enc.choi, k=m))
-
-
-@functools.cache
-def blind_decoder(m: int, p: float) -> DecoderSolution:
-    """The decoder designed on :func:`blind_qr` at success probability p."""
-    return purification_sdp(blind_qr(m), p)
+def blind_choi(m: int, p: float) -> np.ndarray:
+    """The blind decoder (K = M), optimal under an identity-channel prior:
+    ``p (2j+1)/(2j'+1)`` on each path of :func:`_frame` from a K-qubit
+    spin j to its lowest spin j', the universal purifier (Keyl and Werner,
+    Ann. Henri Poincare 2, 1 (2001)), so ``Tr_B J = p I`` on that spin.
+    At p = 1 every path has it; at p < 1 only Sym^M does, which makes
+    ``p (M+1)/M Pi_{(M-1)/2}`` there and rejection elsewhere."""
+    if not 0.0 < p <= 1.0:
+        raise ValueError(f"success probability {p} outside (0, 1]")
+    w, paths = _frame(m + 1, m)
+    x = [p * (a[-2] + 1) / (a[-1] + 1) if a[-1] == abs(a[-2] - 1)
+         and (p == 1.0 or a[:-1] == tuple(range(1, m + 1))) else 0.0 for a in paths]
+    return _lift(w, np.diag(x))
 
 
 def evaluate_gamma_surrogate(gamma, chan: Channel, t, r) -> float:

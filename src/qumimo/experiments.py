@@ -56,6 +56,7 @@ import functools
 import hashlib
 import json
 import math
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -135,7 +136,10 @@ def validate_config(cfg: dict, profile: str = "ci") -> ExperimentConfig:
         raise ConfigError("$.regime", f"must be one of {REGIMES}, got {regime!r}")
 
     n_cap = 4 if profile == "ci" else 5
+    # A finite number that converts to a float: NaN, Infinity and an int
+    # beyond the float range (float(x) would raise) are rejected.
     is_num = lambda x: (isinstance(x, int) and not isinstance(x, bool)
+                        and abs(x) <= sys.float_info.max
                         or isinstance(x, float) and math.isfinite(x))
     is_int = lambda x: isinstance(x, int) and not isinstance(x, bool)
 

@@ -6,8 +6,8 @@ Strategies (all sharing the same channel and decoder machinery):
 * ``pur``   - one copy on the best branch, probabilistic K-mode purifier.
 * ``div``   - asymmetric clones with the asymmetry optimized from CSI.
 * ``sym``   - uniform clones, CSI-aware decoder.
-* ``blind`` - uniform clones, decoder designed under an identity-channel
-  prior and evaluated with its realized acceptance probability.
+* ``blind`` - uniform clones, the identity-channel-prior decoder in closed
+  form (``decoder.blind_choi``), at its realized acceptance probability.
 """
 
 from __future__ import annotations
@@ -90,8 +90,8 @@ def run_strategy(
 
     The modes, the cloner, the cascade operators and, for ``div``, the
     gamma search depend on the channel only and are built once; each p
-    adds one decoder SDP (``blind``: one evaluation of its prior-designed
-    decoder).
+    adds one decoder SDP (``blind``: one evaluation of its closed-form
+    decoder, no SDP).
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -138,9 +138,7 @@ def run_strategy(
     records = []
     for p in ps:
         if strategy == "blind":
-            p_real, f_success, f_avg = dec_mod.evaluate_decoder(
-                dec_mod.blind_decoder(m, p).j, qr
-            )
+            p_real, f_success, f_avg = dec_mod.evaluate_decoder(dec_mod.blind_choi(m, p), qr)
         else:
             sol = dec_mod.purification_sdp(qr, p)
             p_real, f_success, f_avg = p, sol.f_success, sol.f_avg

@@ -110,6 +110,19 @@ class TestConfigValidation:
         assert f"config error: {path}: " in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("key", ["delta", "Z", "heatmap_mu"])
+    def test_integer_beyond_float_range(self, tmp_path, capsys, key):
+        # json reads a 400-digit integer exactly; float() of it overflows
+        cfg = tiny_stoch_cfg(**{key: 10 ** 400})
+        with pytest.raises(ConfigError) as err:
+            experiments.validate_config(cfg)
+        assert err.value.path == f"$.{key}"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        argv = ["stochastic", "--config", str(cfg_path), "--out", str(tmp_path / "x")]
+        assert cli.main(argv) == 2
+        assert f"config error: $.{key}: " in capsys.readouterr().err
+
     def test_json_syntax_error_line(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"regime": "fixed_z",\n  broken\n}')

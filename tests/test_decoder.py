@@ -658,12 +658,22 @@ class TestScorerGuards:
             score_with_sigma(route, np.zeros((2, 2), dtype=complex))
 
 
+def prior_qr(m, eps=0.0):
+    """The blind decoder's prior: uniform cloner, every mode depolarized
+    by ``eps`` (0: the identity channel), every clone received."""
+    modes = tuple(range(1, m + 1))
+    ch = channel.channel_choi(channel.ChannelParams(n=m, eta=0.0, lam=(eps,) * m, delta=1.0))
+    enc = cloner.cloner_choi(tuple([1 / m] * m))
+    return decoder.build_qr(decoder.compose_effective_map(enc, ch, modes, modes))
+
+
 class TestBlind:
     def test_degenerate_single_mode(self):
-        qr_blind = decoder.blind_qr(1)
-        qr_true = identity_qr()
-        assert np.max(np.abs(qr_blind.qt - qr_true.qt)) < 1e-6
-        assert np.max(np.abs(qr_blind.rt - qr_true.rt)) < 1e-6
+        # one clone: the closed form accepts with p and passes the qubit
+        for p in (0.5, 1.0):
+            j = decoder.blind_choi(1, p)
+            assert np.max(np.abs(j - p * PHI_UNNORM)) < 1e-12
+            assert decoder.evaluate_decoder(j, identity_qr())[:2] == pytest.approx((p, 1.0))
 
     def test_requires_square(self):
         params = channel.ChannelParams(n=2, eta=0.0, lam=(0.1, 0.1), delta=1.0)
@@ -671,23 +681,31 @@ class TestBlind:
             strategies.run_strategy("blind", params, 2, 1, (0.8,))
 
     def test_contracts(self):
-        qr = decoder.blind_qr(3)
-        assert abs(np.trace(qr.qt).real - 1.0) < 1e-6
-        assert abs(np.trace(qr.rt).real - 2.0) < 1e-6
+        # feasible, and optimal: the identity-prior SDP is the oracle
+        for m in range(1, 6):
+            qr = prior_qr(m)
+            for p in (0.2, 0.5, 0.8, 1.0):
+                j = decoder.blind_choi(m, p)
+                decoder._validate_decoder(j, qr, p)
+                sol = decoder.purification_sdp(qr, p)
+                assert abs(np.trace(j @ qr.qt) - p * sol.f_success) < 1e-7
 
     def test_matches_csi_on_identity_channel(self):
-        # definitional agreement when the true channel equals the prior
-        m = 2
-        ch = channel.channel_choi(
-            channel.ChannelParams(n=m, eta=0.0, lam=(0.0, 0.0), delta=1.0)
-        )
-        enc = cloner.cloner_choi(tuple([1 / m] * m))
-        qr_csi = decoder.build_qr(
-            decoder.compose_effective_map(enc, ch, (1, 2), (1, 2))
-        )
-        qr_blind = decoder.blind_qr(m)
-        assert np.max(np.abs(qr_csi.qt - qr_blind.qt)) < 1e-6
-        assert np.max(np.abs(qr_csi.rt - qr_blind.rt)) < 1e-6
+        # on its prior the blind decoder accepts with p and purifies to
+        # the symmetric cloner's fidelity (2M + 1) / 3M
+        for m in range(1, 6):
+            qr = prior_qr(m)
+            for p in (0.2, 0.5, 0.8, 1.0):
+                p_real, f_success, _ = decoder.evaluate_decoder(decoder.blind_choi(m, p), qr)
+                assert abs(p_real - p) < 1e-12
+                assert abs(f_success - (2 * m + 1) / (3 * m)) < 1e-12
+
+    @pytest.mark.parametrize("p", [0.5, 0.8, 1.0])
+    def test_limit_of_depolarized_prior(self, p):
+        # the identity-prior optimum is degenerate; a depolarized prior's
+        # is not, and tends to the closed form as the noise vanishes
+        j = decoder.purification_sdp(prior_qr(2, eps=1e-3), p).j
+        assert np.max(np.abs(j - decoder.blind_choi(2, p))) < 1e-3
 
     def test_blind_never_beats_csi(self):
         rng = np.random.default_rng(9)
@@ -702,7 +720,18 @@ class TestBlind:
                 decoder.compose_effective_map(enc, ch, (1, 2), (1, 2))
             )
             csi = decoder.purification_sdp(qr_true, 0.8)
-            designed = decoder.blind_decoder(2, 0.8)
-            p_real = float(np.real(np.trace(designed.j @ qr_true.rt)))
-            f_blind = float(np.real(np.trace(designed.j @ qr_true.qt))) + (1 - p_real) / 2
+            f_blind = decoder.evaluate_decoder(decoder.blind_choi(2, 0.8), qr_true)[2]
             assert f_blind <= csi.f_avg + 1e-6
+
+    def test_run_strategy_solves_no_sdp(self, monkeypatch):
+        def no_solve(problem):
+            raise AssertionError("blind solved an SDP")
+
+        monkeypatch.setattr(sdp, "solve", no_solve)
+        rng = np.random.default_rng(4)
+        for m in (2, 3):
+            params = channel.ChannelParams(n=m, eta=float(rng.uniform(0, 1)),
+                                           lam=tuple(rng.uniform(0, 1, m)), delta=1.0)
+            records = strategies.run_strategy("blind", params, m, m, (0.5, 0.8, 1.0))
+            assert [rec.p_target for rec in records] == [0.5, 0.8, 1.0]
+            assert all(rec.p_real <= rec.p_target + 1e-12 for rec in records)
