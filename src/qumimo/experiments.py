@@ -5,11 +5,17 @@
 ``_write_csv`` and a manifest.  One design per channel, decoders per p:
 the asymmetry search, the cloner and the cascade operators do not depend
 on p, so a task builds them once and solves one decoder SDP per p, and
-the realization panel is designed once for every mu.  Configs are single JSON documents
-(schema below).  Every sampled object derives its seed from the master
-seed and its task coordinates through SHA-256, so outputs are
-byte-identical across runs and worker counts.  An error inside a task
-is re-raised as ``QumimoError`` naming the task and its coordinates.
+the realization panel is designed once for every mu.  A grid task is one
+distinct channel of a cell: a symmetric cell is one channel for every
+mean vector (as are most N = 1 draws), evaluated once at its first
+mean_id, and its rows are written once per mean_id with that mean_id's
+seed.  The strategies return only what they compute; the drivers here
+hold the run context and write it into ``records.csv`` (``csv_header``).
+Configs are single JSON documents (schema below).  Every sampled object
+derives its seed from the master seed and its task coordinates through
+SHA-256, so outputs are byte-identical across runs and worker counts.
+An error inside a task is re-raised as ``QumimoError`` naming the task
+and its coordinates.
 
 Config schema (JSON object; keys marked (s) are stochastic-only,
 (f) fixed_z-only, (x) scaling-only)::
@@ -80,7 +86,7 @@ from .noise import (
     sample_fluctuation,
     sample_mean_allocations,
 )
-from .strategies import STRATEGIES, FidelityRecord, csv_header, csv_row, run_strategy, select_modes
+from .strategies import STRATEGIES, FidelityRecord, run_strategy, select_modes
 
 REGIMES = ("fixed_z", "scaling", "stochastic")
 SYMMETRY_CLASSES = ("symmetric", "asymmetric")
@@ -260,6 +266,41 @@ def _write_csv(path, header, rows) -> None:
             writer.writerow([_fmt(x) for x in row])
 
 
+def _mean_se(values) -> tuple:
+    """Sample mean and its standard error (0 for a single sample)."""
+    x = np.array(values)
+    return float(x.mean()), float(x.std(ddof=1) / np.sqrt(x.size)) if x.size > 1 else 0.0
+
+
+def _modes(modes) -> str:
+    return ";".join(str(x) for x in modes)
+
+
+def csv_header(m_max: int) -> list[str]:
+    """The ``records.csv`` columns.  A strategy computes the ``FidelityRecord``
+    fields; N, Z, regime, eta, delta, mu, mean_id, realization_id and seed
+    are the run context its driver holds."""
+    return [
+        "strategy", "N", "M", "K", "Z", "regime", "eta", "delta", "p_target", "p_real", "mu",
+        "mean_id", "realization_id", "F_avg", "J_index",
+        *(f"gamma_{i + 1}" for i in range(m_max)), "t", "r", "seed",
+    ]
+
+
+def csv_row(rec: FidelityRecord, m_max: int, n, z, regime, eta, delta, mean_id, seed) -> list:
+    """One grid-regime ``records.csv`` row (mu and realization_id are
+    stochastic-only and stay empty)."""
+    gammas = list(rec.gamma) + [None] * (m_max - len(rec.gamma))
+    return [
+        rec.strategy, n, rec.m, rec.k, z, regime, eta, delta, rec.p_target, rec.p_real,
+        None, mean_id, None, rec.f_avg, rec.j_index, *gammas, _modes(rec.t), _modes(rec.r), seed,
+    ]
+
+
+def _channel(cfg: ExperimentConfig, eta: float, lam: tuple):
+    return channel_choi(ChannelParams(n=len(lam), eta=eta, lam=lam, delta=cfg.delta))
+
+
 def _hash_file(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -298,22 +339,18 @@ def _grid_cells(cfg: ExperimentConfig):
 
 
 def _eval_cell(args):
-    """One (symmetry, Z, lambda_x, N, eta, mean) task of a grid regime:
+    """One (symmetry, Z, lambda_x, N, eta, lambda) task of a grid regime:
     one design per strategy, its decoders for every p; records in
-    p-major order (``dir`` only in the first p block)."""
+    p-major order (``dir`` only in the first p block).  ``mean_id`` is the
+    first mean vector of the cell with this lambda; it only names the
+    task in an error."""
     cfg, sym, z, lx, n, eta, mean_id, lam = args
-    params = ChannelParams(n=n, eta=eta, lam=lam, delta=cfg.delta)
-    chan = channel_choi(params)
-    task_seed = derive_seed(cfg.seed, cfg.regime, sym, round(z, 12), n, eta, mean_id)
+    chan = _channel(cfg, eta, lam)
     by_strategy = [
-        run_strategy(
-            s, params, 1 if s in ("dir", "pur") else n, 1 if s == "dir" else n, cfg.p,
-            chan=chan, seed=task_seed, regime=cfg.regime, z=z, mean_id=mean_id,
-        )
+        run_strategy(s, chan, 1 if s in ("dir", "pur") else n, 1 if s == "dir" else n, cfg.p)
         for s in cfg.strategies
     ]
-    records = [recs[pi] for pi in range(len(cfg.p)) for recs in by_strategy if pi < len(recs)]
-    return (sym, z, lx, n, eta, mean_id), records
+    return [recs[pi] for pi in range(len(cfg.p)) for recs in by_strategy if pi < len(recs)]
 
 
 # Names of the task fields after the config, per pool worker.
@@ -387,40 +424,47 @@ def run_grid_regime(cfg: ExperimentConfig, out_dir, workers: int = 1) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
 
+    # One task per distinct channel of a cell, run at the first mean_id
+    # that draws it: a symmetric cell draws one lambda for every mean_id,
+    # and asymmetric draws can repeat (N = 1, or clipped at Z near N).
+    # Its records serve every mean_id that draws the same lambda.
     cells, skipped = _grid_cells(cfg)
-    tasks = []
+    tasks, mean_ids = [], []
     for sym, z, lx, n, eta in cells:
-        means = _mean_vectors(cfg, sym, z, n)
-        for mean_id, mean in enumerate(means):
-            tasks.append((cfg, sym, z, lx, n, eta, mean_id, mean.lam))
-    results = _run_pool(tasks, _eval_cell, workers)
-    results.sort(key=lambda kr: _cell_sort_key(kr[0]))
-
-    all_records = [rec for _, recs in results for rec in recs]
-    m_max = max(cfg.n_list)
-    _write_csv(
-        out_dir / "records.csv", csv_header(m_max), [csv_row(r, m_max) for r in all_records]
+        task_of = {}
+        for mean_id, mean in enumerate(_mean_vectors(cfg, sym, z, n)):
+            if mean.lam not in task_of:
+                task_of[mean.lam] = len(tasks)
+                tasks.append((cfg, sym, z, lx, n, eta, mean_id, mean.lam))
+                mean_ids.append([])
+            mean_ids[task_of[mean.lam]].append(mean_id)
+    records = _run_pool(tasks, _eval_cell, workers)
+    results = sorted(
+        ((task[1:6] + (mean_id,), recs)
+         for task, ids, recs in zip(tasks, mean_ids, records) for mean_id in ids),
+        key=lambda kr: _cell_sort_key(kr[0]),
     )
 
-    # Aggregates: mean / standard error per cell and strategy.
-    groups: dict = {}
-    for key, recs in results:
-        sym, z, lx, n, eta, mean_id = key
+    # records.csv in its run context, and the records grouped per cell
+    # and strategy for the aggregates.
+    m_max = max(cfg.n_list)
+    rows, groups = [], {}
+    for (sym, z, lx, n, eta, mean_id), recs in results:
+        seed = derive_seed(cfg.seed, cfg.regime, sym, round(z, 12), n, eta, mean_id)
         for rec in recs:
-            gkey = (sym, z, lx, n, eta, rec.p_target, rec.strategy)
-            groups.setdefault(gkey, []).append(rec)
+            rows.append(csv_row(rec, m_max, n, z, cfg.regime, eta, cfg.delta, mean_id, seed))
+            groups.setdefault((sym, z, lx, n, eta, rec.p_target, rec.strategy), []).append(rec)
+    _write_csv(out_dir / "records.csv", csv_header(m_max), rows)
+
     agg_rows = []
     for gkey in sorted(groups, key=_agg_sort_key):
         recs = groups[gkey]
         sym, z, lx, n, eta, p, strategy = gkey
-        f = np.array([r.f_avg for r in recs])
-        fs = np.array([r.f_success for r in recs])
-        js = np.array([r.j_index for r in recs if r.j_index is not None])
-        se = float(f.std(ddof=1) / np.sqrt(f.size)) if f.size > 1 else 0.0
+        f_mean, f_se = _mean_se([r.f_avg for r in recs])
         agg_rows.append([
-            sym, z, "" if lx is None else lx, n, n, eta, p, strategy,
-            float(f.mean()), se, float(fs.mean()),
-            float(js.mean()) if js.size else "", f.size,
+            sym, z, "" if lx is None else lx, n, n, eta, p, strategy, f_mean, f_se,
+            float(np.mean([r.f_success for r in recs])),
+            float(np.mean([r.j_index for r in recs])), len(recs),
         ])
     _write_csv(
         out_dir / "aggregate.csv",
@@ -438,7 +482,7 @@ def run_grid_regime(cfg: ExperimentConfig, out_dir, workers: int = 1) -> dict:
             sym, z, lx, n, eta, p, strategy = gkey
             if strategy != "div" or n < 2:
                 continue
-            js = [r.j_index for r in groups[gkey] if r.j_index is not None]
+            js = [r.j_index for r in groups[gkey]]
             if len(js) < 2:
                 continue
             grid, dens = empirical_density(js, (1.0 / n, 1.0))
@@ -475,11 +519,10 @@ def _agg_sort_key(gkey):
 def _design_on_mean(cfg: ExperimentConfig, eta: float, mean: MeanAllocation, p_eval):
     """Design gamma*, decoders (one per p) and mode choices on the mean."""
     n = mean.n
-    params = ChannelParams(n=n, eta=eta, lam=mean.lam, delta=cfg.delta)
-    chan = channel_choi(params)
-    t, r = select_modes(mean.lam, n, chan)
+    chan = _channel(cfg, eta, mean.lam)
+    t, r = select_modes(chan, n)
     opt = dec_mod.optimize_gamma(n, chan, t, r)
-    t_dir, r_dir = select_modes(mean.lam, 1, chan)
+    t_dir, r_dir = select_modes(chan, 1)
     return {
         "gamma": opt.gamma.gamma,
         "enc": cloner_choi(opt.gamma.gamma),
@@ -491,9 +534,9 @@ def _design_on_mean(cfg: ExperimentConfig, eta: float, mean: MeanAllocation, p_e
     }
 
 
-def _evaluate_on_realization(design, cfg, eta, x: MeanAllocation):
-    """Realized (acceptance, accepted-fidelity-mass) of each designed decoder."""
-    chan_x = channel_choi(ChannelParams(n=x.n, eta=eta, lam=x.lam, delta=cfg.delta))
+def _evaluate_on_realization(design, chan_x):
+    """Realized (acceptance, accepted-fidelity-mass) of each designed decoder
+    on the channel ``chan_x`` of one realization."""
     qr_x = dec_mod.build_qr(
         dec_mod.compose_effective_map(design["enc"], chan_x, design["t"], design["r"])
     )
@@ -501,37 +544,35 @@ def _evaluate_on_realization(design, cfg, eta, x: MeanAllocation):
 
 
 def _stochastic_task(args):
+    """The heatmap rows of one (eta, mean vector): its gain samples and,
+    in ``csv_header``'s columns, its ``records.csv`` rows."""
     cfg, eta, mean_id, lam, z = args
     mean = MeanAllocation(lam=lam, z=z)
     p_eval = tuple(sorted(set(cfg.p) | {1.0}))
     design = _design_on_mean(cfg, eta, mean, p_eval)
+    n, gamma = mean.n, design["gamma"]
+    t, r = _modes(design["t"]), _modes(design["r"])
 
-    j_index = asymmetry_index(clone_fidelities(design["gamma"]).fidelities)
+    j_index = asymmetry_index(clone_fidelities(gamma).fidelities)
 
-    base_eval = _evaluate_on_realization(design, cfg, eta, mean)
-    baseline_row = [eta, mean_id, base_eval[1.0][1], base_eval[1.0][2], j_index, *design["gamma"]]
+    base_eval = _evaluate_on_realization(design, _channel(cfg, eta, mean.lam))
+    baseline_row = [eta, mean_id, base_eval[1.0][1], base_eval[1.0][2], j_index, *gamma]
 
     rows = []
     records = []
     for rid in range(cfg.num_realizations):
         seed = derive_seed(cfg.seed, "stochastic", "xi", cfg.heatmap_mu, mean_id, rid)
-        xi = sample_fluctuation(cfg.heatmap_mu, mean.n, make_rng(seed))
+        xi = sample_fluctuation(cfg.heatmap_mu, n, make_rng(seed))
         x = perturb_and_project(mean, xi)
-        evals = _evaluate_on_realization(design, cfg, eta, x)
+        evals = _evaluate_on_realization(design, _channel(cfg, eta, x.lam))
         p1_real, p1_fs, p1_favg = evals[1.0]
         for p in p_eval:
             p_real, fs, favg = evals[p]
             rows.append([eta, p, mean_id, rid, fs - p1_fs, favg - p1_favg, fs, favg, p_real])
-            records.append(
-                FidelityRecord(
-                    strategy="div", n=mean.n, m=mean.n, k=mean.n, z=z,
-                    regime="stochastic", eta=eta, delta=cfg.delta,
-                    p_target=p, p_real=p_real, mu=cfg.heatmap_mu,
-                    mean_id=mean_id, realization_id=rid, f_avg=favg,
-                    j_index=j_index, gamma=design["gamma"], t=design["t"], r=design["r"],
-                    seed=seed, f_success=fs,
-                )
-            )
+            records.append([
+                "div", n, n, n, z, "stochastic", eta, cfg.delta, p, p_real, cfg.heatmap_mu,
+                mean_id, rid, favg, j_index, *gamma, t, r, seed,
+            ])
     # The realization panel's design, when this task already made it.
     box = None
     if eta == cfg.box_eta and mean_id == 0 and cfg.box_p in p_eval:
@@ -561,10 +602,9 @@ def _boxplot_task(args):
         cluster = _box_realizations(cfg, mean, mean_id, mu)
         rows = []
         for rid, x in enumerate(cluster):
-            evals = _evaluate_on_realization(design, cfg, cfg.box_eta, x)
-            chan_x = channel_choi(ChannelParams(n=x.n, eta=cfg.box_eta, lam=x.lam, delta=cfg.delta))
+            chan_x = _channel(cfg, cfg.box_eta, x.lam)
+            p_real, fs, favg = _evaluate_on_realization(design, chan_x)[cfg.box_p]
             f_dir = float(branch_fidelities(chan_x)[t_dir - 1, r_dir - 1])
-            p_real, fs, favg = evals[cfg.box_p]
             rows.append([mu, rid, f_dir, fs, favg, p_real])
         panels.append((mu, rows, cluster))
     return panels
@@ -592,17 +632,18 @@ def run_stochastic(cfg: ExperimentConfig, out_dir, workers: int = 1) -> dict:
 
     baseline_rows = [res[1] for res in results]
     gain_rows = [row for res in results for row in res[2]]
-    records = [rec for res in results for rec in res[3]]
 
+    # Gain samples per (eta, p), in row order.
+    by_cell: dict = {}
+    for row in gain_rows:
+        by_cell.setdefault((row[0], row[1]), []).append(row)
     p_eval = tuple(sorted(set(cfg.p) | {1.0}))
     heat_rows = []
     for eta in cfg.eta:
         for p in p_eval:
-            sel = [r for r in gain_rows if r[0] == eta and r[1] == p]
-            g = np.array([r[4] for r in sel])
-            g_avg = np.array([r[5] for r in sel])
-            se = float(g.std(ddof=1) / np.sqrt(g.size)) if g.size > 1 else 0.0
-            heat_rows.append([p, eta, float(g.mean()), se, float(g_avg.mean()), g.size])
+            sel = by_cell[eta, p]
+            g_mean, g_se = _mean_se([r[4] for r in sel])
+            heat_rows.append([p, eta, g_mean, g_se, float(np.mean([r[5] for r in sel])), len(sel)])
     _write_csv(
         out_dir / "gain_heatmap.csv",
         ["p", "eta", "G", "G_se", "G_avg", "n_samples"], heat_rows,
@@ -619,7 +660,7 @@ def run_stochastic(cfg: ExperimentConfig, out_dir, workers: int = 1) -> dict:
         + [f"gamma_{i + 1}" for i in range(n)],
         baseline_rows,
     )
-    _write_csv(out_dir / "records.csv", csv_header(n), [csv_row(r, n) for r in records])
+    _write_csv(out_dir / "records.csv", csv_header(n), [rec for res in results for rec in res[3]])
 
     # Realization panel at the box operating point, mean vector 0.
     box_design = next((res[4] for res in results if res[4] is not None), None)

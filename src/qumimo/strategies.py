@@ -8,6 +8,11 @@ Strategies (all sharing the same channel and decoder machinery):
 * ``sym``   - uniform clones, CSI-aware decoder.
 * ``blind`` - uniform clones, the identity-channel-prior decoder in closed
   form (``decoder.blind_choi``), at its realized acceptance probability.
+
+A strategy takes the channel (its ``ChannelParams`` included) and returns
+only what it computes: one ``FidelityRecord`` per p.  The run context of a
+record (budget, regime, mean and realization ids, seed) is held by the
+driver in ``experiments``, which also owns the ``records.csv`` layout.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import decoder as dec_mod
-from .channel import Channel, ChannelParams, branch_fidelities, channel_choi
+from .channel import Channel, branch_fidelities
 from .cloner import clone_fidelities, cloner_choi
 from .metrics import asymmetry_index
 
@@ -25,30 +30,23 @@ STRATEGIES = ("dir", "pur", "div", "sym", "blind")
 
 @dataclass(frozen=True)
 class FidelityRecord:
+    """What one strategy computes at one p on one channel."""
+
     strategy: str
-    n: int
     m: int
     k: int
-    z: float
-    regime: str
-    eta: float
-    delta: float
     p_target: float
     p_real: float
-    mu: Optional[float]
-    mean_id: Optional[int]
-    realization_id: Optional[int]
     f_avg: float
-    j_index: Optional[float]
-    gamma: Optional[tuple]
+    f_success: float
+    j_index: float
+    gamma: tuple
     t: tuple
     r: tuple
-    seed: Optional[int]
-    f_success: float = 0.0
     surrogate: Optional[float] = None
 
 
-def select_modes(lam, m: int, chan: Channel, k: Optional[int] = None, table=None):
+def select_modes(chan: Channel, m: int, k: Optional[int] = None, table=None):
     """Transmit on the M least depolarized modes; receive on K modes
     (default K = M).
 
@@ -58,7 +56,7 @@ def select_modes(lam, m: int, chan: Channel, k: Optional[int] = None, table=None
     Deterministic: ties resolve by mode index, so with no crosstalk the
     receive set equals the transmit set.
     """
-    lam = tuple(float(x) for x in lam)
+    lam = chan.params.lam
     n = len(lam)
     k = m if k is None else k
     if m > n:
@@ -72,18 +70,7 @@ def select_modes(lam, m: int, chan: Channel, k: Optional[int] = None, table=None
     return t, tuple(ranked[:k])
 
 
-def run_strategy(
-    strategy: str,
-    params: ChannelParams,
-    m: int,
-    k: int,
-    ps: tuple,
-    chan: Optional[Channel] = None,
-    seed: Optional[int] = None,
-    regime: str = "single",
-    z: Optional[float] = None,
-    mean_id: Optional[int] = None,
-) -> list[FidelityRecord]:
+def run_strategy(strategy: str, chan: Channel, m: int, k: int, ps: tuple) -> list[FidelityRecord]:
     """Evaluate one strategy on one channel realization, one record per
     success probability in ``ps`` (``dir`` is deterministic: one record
     at p = 1).
@@ -95,29 +82,14 @@ def run_strategy(
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    if chan is None:
-        chan = channel_choi(params)
-    lam = params.lam
-    common = dict(
-        strategy=strategy,
-        n=params.n,
-        z=float(sum(lam)) if z is None else float(z),
-        regime=regime,
-        eta=params.eta,
-        delta=params.delta,
-        mu=None,
-        mean_id=mean_id,
-        realization_id=None,
-        seed=seed,
-    )
 
     if strategy == "dir":
         table = branch_fidelities(chan)
-        t, r = select_modes(lam, 1, chan, table=table)
+        t, r = select_modes(chan, 1, table=table)
         f = float(table[t[0] - 1, r[0] - 1])
         return [FidelityRecord(
-            m=1, k=1, p_target=1.0, p_real=1.0, f_avg=f, f_success=f,
-            j_index=1.0, gamma=(1.0,), t=t, r=r, **common,
+            strategy=strategy, m=1, k=1, p_target=1.0, p_real=1.0, f_avg=f, f_success=f,
+            j_index=1.0, gamma=(1.0,), t=t, r=r,
         )]
 
     if strategy == "pur" and m != 1:
@@ -125,7 +97,7 @@ def run_strategy(
     if strategy in ("sym", "blind") and m != k:
         raise ValueError(f"{strategy} requires M = K")
 
-    t, r = select_modes(lam, m, chan, k)
+    t, r = select_modes(chan, m, k)
     surrogate = None
     if strategy == "div":
         opt = dec_mod.optimize_gamma(m, chan, t, r)
@@ -145,34 +117,8 @@ def run_strategy(
             if strategy == "div":
                 p_real = dec_mod.evaluate_decoder(sol.j, qr)[0]
         records.append(FidelityRecord(
-            m=m, k=k, p_target=p, p_real=p_real, f_avg=f_avg, f_success=f_success,
-            j_index=j_index, gamma=gamma, t=t, r=r, surrogate=surrogate, **common,
+            strategy=strategy, m=m, k=k, p_target=p, p_real=p_real, f_avg=f_avg,
+            f_success=f_success, j_index=j_index, gamma=gamma, t=t, r=r, surrogate=surrogate,
         ))
     return records
 
-
-# Stable CSV schema for strategy records; ``experiments`` writes the rows.
-def csv_header(m_max: int) -> list[str]:
-    return (
-        [
-            "strategy", "N", "M", "K", "Z", "regime", "eta", "delta",
-            "p_target", "p_real", "mu", "mean_id", "realization_id",
-            "F_avg", "J_index",
-        ]
-        + [f"gamma_{i + 1}" for i in range(m_max)]
-        + ["t", "r", "seed"]
-    )
-
-
-def csv_row(rec: FidelityRecord, m_max: int) -> list:
-    gammas = list(rec.gamma) if rec.gamma is not None else []
-    gammas += [None] * (m_max - len(gammas))
-    return (
-        [
-            rec.strategy, rec.n, rec.m, rec.k, rec.z, rec.regime, rec.eta,
-            rec.delta, rec.p_target, rec.p_real, rec.mu, rec.mean_id,
-            rec.realization_id, rec.f_avg, rec.j_index,
-        ]
-        + gammas
-        + [";".join(str(x) for x in rec.t), ";".join(str(x) for x in rec.r), rec.seed]
-    )

@@ -226,7 +226,7 @@ def criterion7_records():
                     m = 1 if s in ("dir", "pur") else 3
                     k = 1 if s == "dir" else 3
                     # dir is deterministic: its one record is at p = 1
-                    [recs[s]] = strategies.run_strategy(s, params, m, k, (0.8,), chan=ch)
+                    [recs[s]] = strategies.run_strategy(s, ch, m, k, (0.8,))
                 rows.append((z, eta, mean_id, recs))
     return rows, time.time() - t0
 
@@ -291,14 +291,14 @@ def test_criterion_08_asymmetry_index_trend():
     means = noise.sample_mean_allocations(3, z, 50, noise.make_rng(seed))
     js_asym = []
     for mean in means:
-        params = channel.ChannelParams(n=3, eta=0.0, lam=mean.lam, delta=1.0)
-        js_asym.append(strategies.run_strategy("div", params, 3, 3, (0.8,))[0].j_index)
+        ch = channel.channel_choi(channel.ChannelParams(n=3, eta=0.0, lam=mean.lam, delta=1.0))
+        js_asym.append(strategies.run_strategy("div", ch, 3, 3, (0.8,))[0].j_index)
     mean_asym = float(np.mean(js_asym))
     ok = abs(mean_asym - 1 / 3) <= 0.15
 
     # symmetric channels at eta = 0.8 (identical mean vectors, L = 50)
     params = channel.ChannelParams(n=3, eta=0.8, lam=(0.8, 0.8, 0.8), delta=1.0)
-    j_sym = strategies.run_strategy("div", params, 3, 3, (0.8,))[0].j_index
+    j_sym = strategies.run_strategy("div", channel.channel_choi(params), 3, 3, (0.8,))[0].j_index
     js_sym = [j_sym] * 50
     mean_sym = float(np.mean(js_sym))
     ok &= mean_sym >= 0.8

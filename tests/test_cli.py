@@ -1,9 +1,10 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
-from qumimo import cli, decoder, experiments
+from qumimo import cli, decoder, experiments, noise
 from qumimo.errors import ConfigError, QumimoError, SolverError
 
 
@@ -165,7 +166,8 @@ class TestFixedZRun:
 
     def test_one_gamma_search_per_task(self, tmp_path, monkeypatch):
         # the design is p-independent: one search per div task serves
-        # every p, and records.csv stays in p-major order per task
+        # every p, and records.csv stays in p-major order per task.  Both
+        # N = 1 means draw lambda = (Z,), one channel and so one task
         searches = []
         search = decoder.optimize_gamma
 
@@ -176,7 +178,7 @@ class TestFixedZRun:
         monkeypatch.setattr(decoder, "optimize_gamma", counted)
         cfg = experiments.validate_config(tiny_fixed_cfg(p=[0.5, 0.9]))
         experiments.run_grid_regime(cfg, tmp_path / "out")
-        assert searches == [1, 1, 2, 2]  # (N, mean) tasks: N = 1, 2 by 2 means
+        assert searches == [1, 2, 2]  # channels: one at N = 1, two means at N = 2
         rows = (tmp_path / "out" / "records.csv").read_text().strip().splitlines()[1:]
         order = [(r.split(",")[0], r.split(",")[8]) for r in rows]
         task = [("dir", "1"), ("pur", "0.5"), ("div", "0.5"), ("sym", "0.5"), ("blind", "0.5"),
@@ -214,6 +216,38 @@ class TestFixedZRun:
         assert abs(by_strategy["pur"] - 1.0) < 1e-5
         for s in ("sym", "blind", "div"):
             assert 0.8 <= by_strategy[s] < 1.0 - 1e-4
+
+
+    def test_symmetric_cell_evaluated_once(self, tmp_path, monkeypatch):
+        # every mean vector of a symmetric cell is the same channel: one
+        # run per strategy writes the rows of all L mean_ids, each with
+        # its own task seed
+        calls = []
+        run = experiments.run_strategy
+
+        def counted(strategy, *args, **kwargs):
+            calls.append(strategy)
+            return run(strategy, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_strategy", counted)
+        cfg = experiments.validate_config(tiny_fixed_cfg(
+            N=[2], p=[0.8, 1.0], channel_symmetry=["symmetric"], num_mean_vectors=3,
+        ))
+        experiments.run_grid_regime(cfg, tmp_path / "out")
+        assert calls == list(cfg.strategies)
+        with open(tmp_path / "out" / "records.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        by_record = {}
+        for row in rows:
+            by_record.setdefault((row["strategy"], row["p_target"]), []).append(row)
+        assert len(by_record) == 9  # dir at p = 1 only, four strategies at both p
+        for recs in by_record.values():
+            assert [r["mean_id"] for r in recs] == ["0", "1", "2"]
+            for mean_id, r in enumerate(recs):
+                assert r["seed"] == str(noise.derive_seed(
+                    cfg.seed, "fixed_z", "symmetric", round(0.6, 12), 2, 0.5, mean_id))
+            rest = [{k: v for k, v in r.items() if k not in ("mean_id", "seed")} for r in recs]
+            assert rest[1] == rest[0] and rest[2] == rest[0]
 
 
 class TestScalingRun:
@@ -276,6 +310,22 @@ class TestStochasticRun:
             "cv_kde.csv", "allocations.csv", "gain_samples.csv", "records.csv",
         ):
             assert (tmp_path / "out" / name).exists()
+
+    def test_records_match_gain_samples(self, tmp_path):
+        # records.csv carries each gain sample in the stochastic run context
+        cfg = experiments.validate_config(tiny_stoch_cfg(p=[0.5, 0.8], eta=[0.5, 0.8]))
+        experiments.run_stochastic(cfg, tmp_path / "out")
+        tables = {}
+        for name in ("records", "gain_samples"):
+            with open(tmp_path / "out" / f"{name}.csv", newline="") as fh:
+                tables[name] = list(csv.DictReader(fh))
+        records, samples = tables["records"], tables["gain_samples"]
+        assert len(records) == len(samples) == 2 * 3 * 2 * 3  # eta, p, mean, realization
+        for rec, sample in zip(records, samples):
+            for col in ("eta", "p", "mean_id", "realization_id", "F_avg", "p_real"):
+                assert rec["p_target" if col == "p" else col] == sample[col], col
+            assert (rec["strategy"], rec["regime"], rec["mu"]) == ("div", "stochastic", "0.5")
+            assert rec["N"] == rec["M"] == rec["K"] == "2"
 
     def test_mu_zero_like_degenerate(self, tmp_path):
         cfg = experiments.validate_config(

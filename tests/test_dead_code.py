@@ -1,8 +1,8 @@
 """Every module-level function, class and UPPER_CASE constant in
-``src/qumimo`` has a caller in ``src/``, or is listed with the file
-outside it that calls it.  Helpers and constants that only tests use
-belong in the test tree (``tests/reference_ops.py``,
-``tests/cloner_oracle.py``)."""
+``src/qumimo`` has a caller in ``src/``, and every dataclass field is read
+there, or is listed with the file outside it that calls or reads it.
+Helpers and constants that only tests use belong in the test tree
+(``tests/reference_ops.py``, ``tests/cloner_oracle.py``)."""
 
 import ast
 import importlib
@@ -13,11 +13,26 @@ import qumimo
 SRC = Path(qumimo.__file__).resolve().parent
 ROOT = Path(__file__).resolve().parents[1]
 
-# Not called yet; run telemetry (ROADMAP item 5) is to wire it in.
+# Not called yet; a sampled per-run check (ROADMAP item 4) is to wire it in.
 WAITING = {("sdp", "verify")}
 # Called from outside src/ only, by the named file: the benchmark's
 # gamma_scan_m4 workload scores fresh asymmetry points through it.
 EXTERNAL = {("decoder", "evaluate_gamma_surrogate"): "perfbench/workload.py"}
+
+# Dataclass fields read outside src/ only, by the named file.
+EXTERNAL_FIELDS = {
+    ("cloner", "CloneAmplitudes", "perron_value"): "tests/test_cloner.py",
+    ("cloner", "CloneAmplitudes", "perron_vector"): "tests/test_cloner.py",
+    ("sdp", "SdpSolution", "y"): "tests/test_sdp.py",
+    ("sdp", "SdpSolution", "gap"): "tests/test_sdp.py",
+    ("sdp", "SdpSolution", "iteration_log"): "tests/test_sdp.py",
+}
+# The report of the waiting ``sdp.verify``: its caller is to read these.
+WAITING_FIELDS = {
+    ("sdp", "VerifyReport", name) for name in (
+        "constraint_residuals", "min_eigenvalues", "primal_value", "gap", "feasible", "psd_floor",
+    )
+}
 
 
 def _definitions_and_references():
@@ -109,3 +124,53 @@ def test_workload_references_resolve():
     missing = sorted(f"{mod}.{attr}" for mod, attr in read
                      if not hasattr(importlib.import_module(f"qumimo.{mod}"), attr))
     assert not missing, f"perfbench/workload.py reads names missing from qumimo: {missing}"
+
+
+def _attribute_reads(path) -> set:
+    """Names read as an attribute (``x.name`` in Load context) in a file."""
+    return {node.attr for node in ast.walk(ast.parse(Path(path).read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def _dataclass_fields() -> set:
+    """(module, class, field) for every annotated field of a module-level
+    ``@dataclass`` class in the package."""
+    fields = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            decorators = [d.func if isinstance(d, ast.Call) else d
+                          for d in getattr(node, "decorator_list", ())]
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+                fields |= {(path.stem, node.name, stmt.target.id) for stmt in node.body
+                           if isinstance(stmt, ast.AnnAssign)
+                           and isinstance(stmt.target, ast.Name)}
+    return fields
+
+
+def _src_reads() -> set:
+    return set().union(*(_attribute_reads(path) for path in SRC.glob("*.py")))
+
+
+def test_dataclass_fields_are_read():
+    """A field nothing reads is run context carried only to be passed on,
+    or a result no caller wants.  The check goes by name: ``x.gap`` anywhere
+    in ``src/`` counts as a read of every field called ``gap``."""
+    reads = _src_reads()
+    unread = sorted(".".join(key[1:]) for key in _dataclass_fields()
+                    if key[2] not in reads and key not in EXTERNAL_FIELDS.keys() | WAITING_FIELDS)
+    assert not unread, f"dataclass fields read nowhere in src/: {unread}"
+
+
+def test_field_lists_are_current():
+    fields, reads = _dataclass_fields(), _src_reads()
+    assert ("sdp", "verify") in WAITING
+    for key in WAITING_FIELDS:
+        assert key in fields
+        name = ".".join(key[1:])
+        assert key[2] not in reads, f"{name} is now read in src/; drop it from WAITING_FIELDS"
+    for key, reader in EXTERNAL_FIELDS.items():
+        name = ".".join(key[1:])
+        assert key in fields
+        assert key[2] not in reads, f"{name} is now read in src/; drop it from EXTERNAL_FIELDS"
+        assert key[2] in _attribute_reads(ROOT / reader), f"{reader} no longer reads {name}"

@@ -507,7 +507,7 @@ class TestOptimizeGamma:
         # surrogate ignores p: one search serves every p, so the records
         # of one channel carry one gamma
         params = channel.ChannelParams(n=2, eta=0.4, lam=(0.5, 0.2), delta=1.0)
-        recs = strategies.run_strategy("div", params, 2, 2, (0.5, 0.9))
+        recs = strategies.run_strategy("div", channel.channel_choi(params), 2, 2, (0.5, 0.9))
         assert [r.p_target for r in recs] == [0.5, 0.9]
         assert recs[0].gamma == recs[1].gamma
         assert recs[0].surrogate == recs[1].surrogate
@@ -517,7 +517,7 @@ class TestOptimizeGamma:
         # cascade scores best on the lattice under the documented tie rule
         lam = (0.15, 0.35, 0.5, 0.7)
         ch = lattice_channel(4, 0.6, lam)
-        t, r = strategies.select_modes(lam, 4, ch)
+        t, r = strategies.select_modes(ch, 4)
         points = decoder._lattice(4)[0]
         vals = [decoder.evaluate_gamma_surrogate(g, ch, t, r) for g in points]
         ties = [g for g, v in zip(points, vals) if v >= max(vals) - decoder.SURROGATE_TIE_TOL]
@@ -535,7 +535,7 @@ class TestOptimizeGamma:
         # search's (0.8232, 0.1768, 0, 0)
         lam = (0.38487011085303435, 0.015129889146965558, 1.0, 1.0)
         ch = lattice_channel(4, 0.8, lam)
-        t, r = strategies.select_modes(lam, 4, ch)
+        t, r = strategies.select_modes(ch, 4)
         opt = decoder.optimize_gamma(4, ch, t, r)
         ref = decoder.evaluate_gamma_surrogate((0.8232, 0.1768, 0.0, 0.0), ch, t, r)
         lattice = decoder.evaluate_gamma_surrogate((0.85, 0.15, 0.0, 0.0), ch, t, r)
@@ -606,7 +606,7 @@ class TestTieRescoring:
     def test_equals_rescore_all_rule(self, n, eta, lam, t, r):
         ch = lattice_channel(n, eta, lam)
         if t is None:
-            t, r = strategies.select_modes(lam, n, ch)
+            t, r = strategies.select_modes(ch, n)
         want = rescore_all_gamma(n, ch, t, r)
         opt = decoder.optimize_gamma(n, ch, t, r)
         assert opt.gamma.gamma == want
@@ -618,7 +618,7 @@ class TestLatticeScorer:
     def test_every_point_m_le_3(self, m):
         lam = (0.7, 0.2, 0.45)[:m]
         ch = lattice_channel(m, 0.7, lam)
-        t, r = strategies.select_modes(lam, m, ch)
+        t, r = strategies.select_modes(ch, m)
         assert_scorer_matches(m, ch, t, r)
 
     def test_m4_vertices_faces_interior(self):
@@ -629,7 +629,7 @@ class TestLatticeScorer:
         assert sum(min(points[i]) > 0.0 for i in index) >= 50
         lam = (0.4, 0.1, 0.8, 0.3)
         ch = lattice_channel(4, 0.8, lam)
-        t, r = strategies.select_modes(lam, 4, ch)
+        t, r = strategies.select_modes(ch, 4)
         assert_scorer_matches(4, ch, t, r, index)
 
     def test_noiseless_rank_deficient(self):
@@ -678,7 +678,7 @@ class TestBlind:
     def test_requires_square(self):
         params = channel.ChannelParams(n=2, eta=0.0, lam=(0.1, 0.1), delta=1.0)
         with pytest.raises(ValueError, match="blind requires M = K"):
-            strategies.run_strategy("blind", params, 2, 1, (0.8,))
+            strategies.run_strategy("blind", channel.channel_choi(params), 2, 1, (0.8,))
 
     def test_contracts(self):
         # feasible, and optimal: the identity-prior SDP is the oracle
@@ -732,6 +732,7 @@ class TestBlind:
         for m in (2, 3):
             params = channel.ChannelParams(n=m, eta=float(rng.uniform(0, 1)),
                                            lam=tuple(rng.uniform(0, 1, m)), delta=1.0)
-            records = strategies.run_strategy("blind", params, m, m, (0.5, 0.8, 1.0))
+            ch = channel.channel_choi(params)
+            records = strategies.run_strategy("blind", ch, m, m, (0.5, 0.8, 1.0))
             assert [rec.p_target for rec in records] == [0.5, 0.8, 1.0]
             assert all(rec.p_real <= rec.p_target + 1e-12 for rec in records)

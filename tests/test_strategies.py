@@ -68,25 +68,25 @@ class TestSelectModes:
     def test_argmin_rule(self):
         params = channel.ChannelParams(n=2, eta=0.0, lam=(0.2, 0.6), delta=1.0)
         ch = channel.channel_choi(params)
-        t, r = strategies.select_modes(params.lam, 1, ch)
+        t, r = strategies.select_modes(ch, 1)
         assert t == (1,) and r == (1,)
 
     def test_tie_break_by_index(self):
         params = channel.ChannelParams(n=2, eta=0.0, lam=(0.3, 0.3), delta=1.0)
         ch = channel.channel_choi(params)
-        t, r = strategies.select_modes(params.lam, 1, ch)
+        t, r = strategies.select_modes(ch, 1)
         assert t == (1,)
 
     def test_all_modes(self):
         params = channel.ChannelParams(n=3, eta=0.4, lam=(0.2, 0.2, 0.2), delta=1.0)
         ch = channel.channel_choi(params)
-        t, r = strategies.select_modes(params.lam, 3, ch)
+        t, r = strategies.select_modes(ch, 3)
         assert sorted(t) == [1, 2, 3] and sorted(r) == [1, 2, 3]
 
     def test_no_crosstalk_receive_equals_transmit(self):
         params = channel.ChannelParams(n=3, eta=0.0, lam=(0.5, 0.1, 0.3), delta=1.0)
         ch = channel.channel_choi(params)
-        t, r = strategies.select_modes(params.lam, 2, ch)
+        t, r = strategies.select_modes(ch, 2)
         assert t == (2, 3)
         assert set(r) == set(t)
 
@@ -94,8 +94,8 @@ class TestSelectModes:
         # K = N keeps every mode in index order, whatever the scores
         params = channel.ChannelParams(n=3, eta=0.0, lam=(0.5, 0.1, 0.3), delta=1.0)
         ch = channel.channel_choi(params)
-        assert strategies.select_modes(params.lam, 3, ch) == ((2, 3, 1), (1, 2, 3))
-        assert strategies.select_modes(params.lam, 1, ch, k=3) == ((2,), (1, 2, 3))
+        assert strategies.select_modes(ch, 3) == ((2, 3, 1), (1, 2, 3))
+        assert strategies.select_modes(ch, 1, k=3) == ((2,), (1, 2, 3))
 
     def test_partial_receive_ranked_by_branch_table(self):
         rng = np.random.default_rng(3)
@@ -107,12 +107,12 @@ class TestSelectModes:
             ch = channel.channel_choi(params)
             table = channel.branch_fidelities(ch)
             for m in range(1, n):
-                t, r = strategies.select_modes(params.lam, m, ch)
+                t, r = strategies.select_modes(ch, m)
                 assert t == tuple(sorted(range(1, n + 1), key=lambda i: (params.lam[i - 1], i))[:m])
                 scores = table[[x - 1 for x in t]].max(axis=0)
                 want = sorted(range(1, n + 1), key=lambda j: (-round(scores[j - 1], 12), j))
                 assert r == tuple(want[:m])
-                assert strategies.select_modes(params.lam, m, ch, k=n - 1)[1] == tuple(want[:n - 1])
+                assert strategies.select_modes(ch, m, k=n - 1)[1] == tuple(want[:n - 1])
 
     def test_score_ties_break_by_index(self):
         # eta = 0 and equal lam: both single-copy receive scores tie at 1/2
@@ -120,21 +120,21 @@ class TestSelectModes:
         # and then the lower index
         params = channel.ChannelParams(n=3, eta=0.0, lam=(0.4, 0.4, 0.4), delta=1.0)
         ch = channel.channel_choi(params)
-        assert strategies.select_modes(params.lam, 1, ch, k=2) == ((1,), (1, 2))
+        assert strategies.select_modes(ch, 1, k=2) == ((1,), (1, 2))
         params = channel.ChannelParams(n=3, eta=0.0, lam=(0.4, 0.4, 0.2), delta=1.0)
         ch = channel.channel_choi(params)
-        assert strategies.select_modes(params.lam, 1, ch, k=2) == ((3,), (3, 1))
+        assert strategies.select_modes(ch, 1, k=2) == ((3,), (3, 1))
 
 
 class TestRunStrategy:
     def test_dir_identity_channel(self):
         params = channel.ChannelParams(n=2, eta=0.0, lam=(0.0, 0.0), delta=1.0)
-        [rec] = strategies.run_strategy("dir", params, 1, 1, (1.0,))
+        [rec] = strategies.run_strategy("dir", channel.channel_choi(params), 1, 1, (1.0,))
         assert abs(rec.f_avg - 1.0) < 1e-6
 
     def test_dir_analytic(self):
         params = channel.ChannelParams(n=2, eta=0.0, lam=(0.2, 0.6), delta=1.0)
-        [rec] = strategies.run_strategy("dir", params, 1, 1, (1.0,))
+        [rec] = strategies.run_strategy("dir", channel.channel_choi(params), 1, 1, (1.0,))
         assert abs(rec.f_avg - 0.9) < 1e-8  # 1 - lam_min / 2
 
     def test_dir_reads_branch_table_once(self, monkeypatch):
@@ -143,16 +143,16 @@ class TestRunStrategy:
         table = channel.branch_fidelities
         monkeypatch.setattr(strategies, "branch_fidelities", lambda c: calls.append(c) or table(c))
         params = channel.ChannelParams(n=4, eta=0.5, lam=(0.3, 0.1, 0.6, 0.2), delta=1.0)
-        (rec,) = strategies.run_strategy("dir", params, 1, 1, (0.8,))
+        (rec,) = strategies.run_strategy("dir", channel.channel_choi(params), 1, 1, (0.8,))
         assert len(calls) == 1
-        t, r = strategies.select_modes(params.lam, 1, calls[0])
+        t, r = strategies.select_modes(calls[0], 1)
         assert (rec.t, rec.r) == (t, r) and rec.f_avg == table(calls[0])[t[0] - 1, r[0] - 1]
 
     def test_f_avg_identity(self):
         params = channel.ChannelParams(n=2, eta=0.5, lam=(0.4, 0.2), delta=1.0)
         for s in ("pur", "sym", "div"):
             m = 1 if s == "pur" else 2
-            [rec] = strategies.run_strategy(s, params, m, 2, (0.8,))
+            [rec] = strategies.run_strategy(s, channel.channel_choi(params), m, 2, (0.8,))
             assert abs(rec.f_avg - (0.8 * rec.f_success + 0.1)) < 1e-10
             assert 0.5 - 1e-6 <= rec.f_avg <= 1 + 1e-6
 
@@ -164,10 +164,10 @@ class TestRunStrategy:
                 delta=1.0,
             )
             ch = channel.channel_choi(params)
-            [div] = strategies.run_strategy("div", params, 2, 2, (0.8,), chan=ch)
-            [sym] = strategies.run_strategy("sym", params, 2, 2, (0.8,), chan=ch)
-            [pur] = strategies.run_strategy("pur", params, 1, 2, (0.8,), chan=ch)
-            [blind] = strategies.run_strategy("blind", params, 2, 2, (0.8,), chan=ch)
+            [div] = strategies.run_strategy("div", ch, 2, 2, (0.8,))
+            [sym] = strategies.run_strategy("sym", ch, 2, 2, (0.8,))
+            [pur] = strategies.run_strategy("pur", ch, 1, 2, (0.8,))
+            [blind] = strategies.run_strategy("blind", ch, 2, 2, (0.8,))
             assert div.f_avg >= sym.f_avg - 1e-6
             # dominance over one copy holds for the design surrogate (the
             # search scores the single-branch vertex), not at the operating p
@@ -177,14 +177,14 @@ class TestRunStrategy:
     def test_symmetric_channel_invariant_under_mode_relabeling(self):
         base = channel.ChannelParams(n=3, eta=0.5, lam=(0.4, 0.2, 0.3), delta=1.0)
         rolled = channel.ChannelParams(n=3, eta=0.5, lam=(0.2, 0.3, 0.4), delta=1.0)
-        [a] = strategies.run_strategy("sym", base, 3, 3, (0.8,))
-        [b] = strategies.run_strategy("sym", rolled, 3, 3, (0.8,))
+        [a] = strategies.run_strategy("sym", channel.channel_choi(base), 3, 3, (0.8,))
+        [b] = strategies.run_strategy("sym", channel.channel_choi(rolled), 3, 3, (0.8,))
         # cyclic relabeling of a circulant channel leaves fidelity unchanged
         assert abs(a.f_avg - b.f_avg) < 1e-8
 
     def test_blind_reports_realized_probability(self):
         params = channel.ChannelParams(n=2, eta=0.3, lam=(0.5, 0.2), delta=1.0)
-        [rec] = strategies.run_strategy("blind", params, 2, 2, (0.8,))
+        [rec] = strategies.run_strategy("blind", channel.channel_choi(params), 2, 2, (0.8,))
         assert rec.p_target == 0.8
         assert 0.0 <= rec.p_real <= 1.0
         assert abs(rec.f_avg - (rec.p_real * rec.f_success + (1 - rec.p_real) / 2)) < 1e-9
@@ -196,29 +196,28 @@ class TestRunStrategy:
         ch = channel.channel_choi(params)
         ps = (0.5, 0.8, 1.0)
         for s, m, k in (("pur", 1, 2), ("div", 2, 2), ("sym", 2, 2), ("blind", 2, 2)):
-            recs = strategies.run_strategy(s, params, m, k, ps, chan=ch)
+            recs = strategies.run_strategy(s, ch, m, k, ps)
             assert [r.p_target for r in recs] == list(ps)
             for p, rec in zip(ps, recs):
-                assert [rec] == strategies.run_strategy(s, params, m, k, (p,), chan=ch)
-        [rec] = strategies.run_strategy("dir", params, 1, 1, ps, chan=ch)
+                assert [rec] == strategies.run_strategy(s, ch, m, k, (p,))
+        [rec] = strategies.run_strategy("dir", ch, 1, 1, ps)
         assert rec.p_target == rec.p_real == 1.0
 
     def test_rejects_bad_combo(self):
         params = channel.ChannelParams(n=2, eta=0.0, lam=(0.1, 0.1), delta=1.0)
         with pytest.raises(ValueError):
-            strategies.run_strategy("pur", params, 2, 2, (0.8,))
+            strategies.run_strategy("pur", channel.channel_choi(params), 2, 2, (0.8,))
         with pytest.raises(ValueError):
-            strategies.run_strategy("nope", params, 1, 1, (1.0,))
+            strategies.run_strategy("nope", channel.channel_choi(params), 1, 1, (1.0,))
 
 
 class TestRecordsCsv:
     def test_stable_schema(self, tmp_path):
         params = channel.ChannelParams(n=2, eta=0.0, lam=(0.2, 0.4), delta=1.0)
-        [rec] = strategies.run_strategy(
-            "sym", params, 2, 2, (0.8,), regime="fixed_z", z=0.6, mean_id=0, seed=7
-        )
+        [rec] = strategies.run_strategy("sym", channel.channel_choi(params), 2, 2, (0.8,))
         path = tmp_path / "records.csv"
-        experiments._write_csv(path, strategies.csv_header(3), [strategies.csv_row(rec, 3)])
+        row = experiments.csv_row(rec, 3, 2, 0.6, "fixed_z", 0.0, 1.0, mean_id=0, seed=7)
+        experiments._write_csv(path, experiments.csv_header(3), [row])
         lines = path.read_text().strip().splitlines()
         assert lines[0] == (
             "strategy,N,M,K,Z,regime,eta,delta,p_target,p_real,mu,mean_id,"
