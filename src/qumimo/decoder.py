@@ -223,31 +223,56 @@ def purification_sdp(qr: QROperators, p: float) -> DecoderSolution:
     real symmetric units of that equality are kept.  At K = 4 the solver
     sees real blocks 10 + 6 wide and 11 constraints, where the same
     problem on the full space (:func:`dense_purification_problem`) has
-    complex blocks 32 + 16 and 257.  With one BLAS thread on a shared
-    2-core x86-64 machine a solve took (p = 1 / p = 0.8, median of six
-    processes, each the median of 30 solves on six cascades) 2.9 / 2.1 ms
-    at K = 2, 3.3 / 3.4 ms at K = 3, 3.1 / 4.4 ms at K = 4 and 6.2 / 12 ms
-    at K = 5.  ``Qt`` or ``Rt`` off the commutant, or reduced blocks with
+    complex blocks 32 + 16 and 257.  A solve is about ten iterations, and
+    many problems are solved as one stack (:func:`purification_sdps`).
+    With one BLAS thread on a shared 2-core x86-64 machine a problem cost
+    (p = 1 / p = 0.8, best of seven rounds on twelve random cascades), in
+    a stack of one: 4.9 / 5.7 ms at K = 2, 6.0 / 7.3 ms at K = 3,
+    6.7 / 10 ms at K = 4 and 7.4 / 11 ms at K = 5; in a stack of twelve:
+    0.63 / 0.77, 0.85 / 1.3, 1.3 / 2.8 and 4.2 / 7.6 ms.  ``Qt`` or ``Rt``
+    off the commutant, or reduced blocks with
     an imaginary part, by more than ``COVARIANCE_TOL`` raise
     ``ValueError``; the full ``J`` is rebuilt and validated.
     """
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"success probability {p} outside (0, 1]")
-    sol = sdp.solve(_covariant_problem(qr, p))
-    if sol.status != sdp.OPTIMAL:
-        raise SolverError(sol.status, f"purification SDP: {sol.message}")
+    return purification_sdps([(qr, p)])[0]
 
-    j = _lift(_frame(qr.k + 1, qr.k)[0], sol.X_blocks[0])
-    f_success = float(np.real(np.trace(j @ qr.qt))) / p
-    f_avg = p * f_success + (1.0 - p) / 2.0
-    _validate_decoder(j, qr, p)
-    return DecoderSolution(
-        j=j,
-        p_target=p,
-        f_success=f_success,
-        f_avg=f_avg,
-        iterations=sol.iterations,
-    )
+
+def purification_sdps(pairs) -> list:
+    """:func:`purification_sdp` of many ``(qr, p)`` pairs, in order.
+
+    The problems of one shape (one K, and whether p = 1) are solved as one
+    stack (:func:`sdp.solve_many`), whose arithmetic per problem does not
+    depend on the rest of the stack, so a pair's solution is the same
+    whatever it is solved with.  The first pair without an optimal
+    certificate raises :class:`SolverError`.
+    """
+    pairs = list(pairs)
+    for _, p in pairs:
+        if not 0.0 < p <= 1.0:
+            raise ValueError(f"success probability {p} outside (0, 1]")
+    shapes = {}
+    for i, (qr, p) in enumerate(pairs):
+        shapes.setdefault((qr.k, p == 1.0), []).append(i)
+    sols = [None] * len(pairs)
+    for idx in shapes.values():
+        for i, sol in zip(idx, sdp.solve_many([_covariant_problem(*pairs[i]) for i in idx])):
+            sols[i] = sol
+
+    out = []
+    for (qr, p), sol in zip(pairs, sols):
+        if sol.status != sdp.OPTIMAL:
+            raise SolverError(sol.status, f"purification SDP: {sol.message}")
+        j = _lift(_frame(qr.k + 1, qr.k)[0], sol.X_blocks[0])
+        f_success = float(np.real(np.trace(j @ qr.qt))) / p
+        _validate_decoder(j, qr, p)
+        out.append(DecoderSolution(
+            j=j,
+            p_target=p,
+            f_success=f_success,
+            f_avg=p * f_success + (1.0 - p) / 2.0,
+            iterations=sol.iterations,
+        ))
+    return out
 
 
 @functools.cache

@@ -9,13 +9,18 @@ the realization panel is designed once for every mu.  A grid task is one
 distinct channel of a cell: a symmetric cell is one channel for every
 mean vector (as are most N = 1 draws), evaluated once at its first
 mean_id, and its rows are written once per mean_id with that mean_id's
-seed.  The strategies return only what they compute; the drivers here
-hold the run context and write it into ``records.csv`` (``csv_header``).
+seed.  A pool task is a chunk of up to ``TASK_CHUNK`` grid tasks, whose
+designs are built first and whose decoder SDPs are then solved in one
+batched call (``strategies.run_strategies``); a task's arithmetic does not
+depend on its chunk, so the bytes do not depend on the worker count.  The
+strategies return only what they compute; the drivers here hold the run
+context and write it into ``records.csv`` (``csv_header``).
 Configs are single JSON documents (schema below).  Every sampled object
 derives its seed from the master seed and its task coordinates through
 SHA-256, so outputs are byte-identical across runs and worker counts.
 An error inside a task is re-raised as ``QumimoError`` naming the task
-and its coordinates.
+and its coordinates (in a chunk, the first task that fails when run
+alone).
 
 Config schema (JSON object; keys marked (s) are stochastic-only,
 (f) fixed_z-only, (x) scaling-only)::
@@ -86,12 +91,18 @@ from .noise import (
     sample_fluctuation,
     sample_mean_allocations,
 )
-from .strategies import STRATEGIES, FidelityRecord, run_strategy, select_modes
+from .strategies import STRATEGIES, FidelityRecord, run_strategies, select_modes
 
 REGIMES = ("fixed_z", "scaling", "stochastic")
 SYMMETRY_CLASSES = ("symmetric", "asymmetric")
 SEED_RULE = "sha256('|'.join(repr(part) for part in (master_seed, *coords)))[:8 bytes, little-endian]"
 CROSSTALK_NOTE = "P = (1 - eta) * I + eta * C; reporting-only mode-level mixing model"
+# Grid tasks per pool task, their decoder SDPs solved as stacks.  With
+# all five strategies (three solve SDPs) 8 tasks make stacks of up to 24
+# problems per (K, p), where a K <= 4 problem costs a fifth to two fifths
+# of a one-problem solve (CHANGES.md), and configs/fixed_z.json's 262
+# tasks still split into 33 chunks to keep two workers evenly loaded.
+TASK_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -338,19 +349,30 @@ def _grid_cells(cfg: ExperimentConfig):
     return cells, skipped
 
 
-def _eval_cell(args):
-    """One (symmetry, Z, lambda_x, N, eta, lambda) task of a grid regime:
-    one design per strategy, its decoders for every p; records in
-    p-major order (``dir`` only in the first p block).  ``mean_id`` is the
-    first mean vector of the cell with this lambda; it only names the
-    task in an error."""
-    cfg, sym, z, lx, n, eta, mean_id, lam = args
-    chan = _channel(cfg, eta, lam)
-    by_strategy = [
-        run_strategy(s, chan, 1 if s in ("dir", "pur") else n, 1 if s == "dir" else n, cfg.p)
-        for s in cfg.strategies
-    ]
-    return [recs[pi] for pi in range(len(cfg.p)) for recs in by_strategy if pi < len(recs)]
+def _eval_cells(tasks):
+    """A chunk of (symmetry, Z, lambda_x, N, eta, lambda) tasks of a grid
+    regime: one design per task and strategy, then the decoders of every
+    task and p in one batched solve (``run_strategies``).  Each task's
+    records come in p-major order (``dir`` only in the first p block).
+    ``mean_id`` is the first mean vector of the cell with this lambda; it
+    only names the task in an error."""
+    jobs = []
+    for cfg, sym, z, lx, n, eta, mean_id, lam in tasks:
+        chan = _channel(cfg, eta, lam)
+        jobs += [(s, chan, 1 if s in ("dir", "pur") else n, 1 if s == "dir" else n, cfg.p)
+                 for s in cfg.strategies]
+    by_job = iter(run_strategies(jobs))
+    out = []
+    for cfg, *_ in tasks:
+        by_strategy = [next(by_job) for _ in cfg.strategies]
+        out.append([recs[pi] for pi in range(len(cfg.p))
+                    for recs in by_strategy if pi < len(recs)])
+    return out
+
+
+def _eval_cell(task):
+    """One grid task alone."""
+    return _eval_cells([task])[0]
 
 
 # Names of the task fields after the config, per pool worker.
@@ -362,7 +384,7 @@ _TASK_FIELDS = {
 
 
 def _run_task(worker, task):
-    """Run one pool task; an error is re-raised naming the task."""
+    """Run one task; an error is re-raised naming the task."""
     try:
         return worker(task)
     except Exception as exc:
@@ -371,10 +393,24 @@ def _run_task(worker, task):
         raise QumimoError(f"{name}({coords}) failed: {type(exc).__name__}: {exc}") from exc
 
 
-def _run_pool(tasks, worker, workers: int):
-    """Run the tasks in order, on at most ``workers`` processes and never
-    more processes than tasks (a forking pool starts all of them at once)."""
-    run = functools.partial(_run_task, worker)
+def _run_chunk(chunk):
+    """One pool task of a grid regime: a chunk of grid tasks in one call.
+    On an error each task is run alone, and the first that fails is named:
+    a task's arithmetic does not depend on the rest of its chunk, so it
+    fails alone as it failed there."""
+    try:
+        return _eval_cells(chunk)
+    except Exception as exc:
+        for task in chunk:
+            _run_task(_eval_cell, task)
+        raise QumimoError(f"a chunk of {len(chunk)} grid tasks failed, and none of them "
+                          f"fails alone: {type(exc).__name__}: {exc}") from exc
+
+
+def _run_pool(tasks, run, workers: int):
+    """``run`` on every task, in order, on at most ``workers`` processes and
+    never more processes than tasks (a forking pool starts all of them at
+    once)."""
     workers = min(workers, len(tasks))
     if workers <= 1:
         return [run(t) for t in tasks]
@@ -438,7 +474,11 @@ def run_grid_regime(cfg: ExperimentConfig, out_dir, workers: int = 1) -> dict:
                 tasks.append((cfg, sym, z, lx, n, eta, mean_id, mean.lam))
                 mean_ids.append([])
             mean_ids[task_of[mean.lam]].append(mean_id)
-    records = _run_pool(tasks, _eval_cell, workers)
+    # A pool task is a chunk of at most TASK_CHUNK grid tasks, whose
+    # decoders are solved together, and no worker is left without one.
+    size = max(1, min(TASK_CHUNK, -(-len(tasks) // workers)))
+    chunks = [tasks[lo:lo + size] for lo in range(0, len(tasks), size)]
+    records = [recs for out in _run_pool(chunks, _run_chunk, workers) for recs in out]
     results = sorted(
         ((task[1:6] + (mean_id,), recs)
          for task, ids, recs in zip(tasks, mean_ids, records) for mean_id in ids),
@@ -526,7 +566,7 @@ def _design_on_mean(cfg: ExperimentConfig, eta: float, mean: MeanAllocation, p_e
     return {
         "gamma": opt.gamma.gamma,
         "enc": cloner_choi(opt.gamma.gamma),
-        "decoders": {p: dec_mod.purification_sdp(opt.qr, p) for p in p_eval},
+        "decoders": dict(zip(p_eval, dec_mod.purification_sdps((opt.qr, p) for p in p_eval))),
         "t": t,
         "r": r,
         "t_dir": t_dir,
@@ -627,7 +667,7 @@ def run_stochastic(cfg: ExperimentConfig, out_dir, workers: int = 1) -> dict:
         for eta in cfg.eta
         for mean_id, mean in enumerate(means)
     ]
-    results = _run_pool(tasks, _stochastic_task, workers)
+    results = _run_pool(tasks, functools.partial(_run_task, _stochastic_task), workers)
     results.sort(key=lambda out: out[0])
 
     baseline_rows = [res[1] for res in results]

@@ -71,54 +71,77 @@ def select_modes(chan: Channel, m: int, k: Optional[int] = None, table=None):
 
 
 def run_strategy(strategy: str, chan: Channel, m: int, k: int, ps: tuple) -> list[FidelityRecord]:
-    """Evaluate one strategy on one channel realization, one record per
-    success probability in ``ps`` (``dir`` is deterministic: one record
-    at p = 1).
+    """Evaluate one strategy on one channel realization: :func:`run_strategies`
+    on one job."""
+    return run_strategies([(strategy, chan, m, k, ps)])[0]
 
-    The modes, the cloner, the cascade operators and, for ``div``, the
-    gamma search depend on the channel only and are built once; each p
-    adds one decoder SDP (``blind``: one evaluation of its closed-form
-    decoder, no SDP).
-    """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
 
-    if strategy == "dir":
-        table = branch_fidelities(chan)
-        t, r = select_modes(chan, 1, table=table)
-        f = float(table[t[0] - 1, r[0] - 1])
-        return [FidelityRecord(
-            strategy=strategy, m=1, k=1, p_target=1.0, p_real=1.0, f_avg=f, f_success=f,
-            j_index=1.0, gamma=(1.0,), t=t, r=r,
-        )]
-
+def _design(strategy: str, chan: Channel, m: int, k: int, uniform: dict):
+    """``(t, r, gamma, surrogate, qr)`` of a cloning strategy.  ``uniform``
+    holds the uniform-cloner cascades built so far, by channel and modes:
+    ``sym`` and ``blind`` on one channel share one."""
     if strategy == "pur" and m != 1:
         raise ValueError("pur requires M = 1")
     if strategy in ("sym", "blind") and m != k:
         raise ValueError(f"{strategy} requires M = K")
-
     t, r = select_modes(chan, m, k)
-    surrogate = None
     if strategy == "div":
         opt = dec_mod.optimize_gamma(m, chan, t, r)
-        gamma, surrogate, qr = opt.gamma.gamma, opt.surrogate, opt.qr
-    else:
-        gamma = tuple([1.0 / m] * m)
-        qr = dec_mod.build_qr(dec_mod.compose_effective_map(cloner_choi(gamma), chan, t, r))
-    j_index = asymmetry_index(clone_fidelities(gamma).fidelities)
+        return t, r, opt.gamma.gamma, opt.surrogate, opt.qr
+    gamma = tuple([1.0 / m] * m)
+    key = (chan.params, t, r)
+    if key not in uniform:
+        uniform[key] = dec_mod.build_qr(
+            dec_mod.compose_effective_map(cloner_choi(gamma), chan, t, r))
+    return t, r, gamma, None, uniform[key]
 
-    records = []
-    for p in ps:
-        if strategy == "blind":
-            p_real, f_success, f_avg = dec_mod.evaluate_decoder(dec_mod.blind_choi(m, p), qr)
-        else:
-            sol = dec_mod.purification_sdp(qr, p)
-            p_real, f_success, f_avg = p, sol.f_success, sol.f_avg
-            if strategy == "div":
-                p_real = dec_mod.evaluate_decoder(sol.j, qr)[0]
-        records.append(FidelityRecord(
-            strategy=strategy, m=m, k=k, p_target=p, p_real=p_real, f_avg=f_avg,
-            f_success=f_success, j_index=j_index, gamma=gamma, t=t, r=r, surrogate=surrogate,
-        ))
-    return records
 
+def run_strategies(jobs) -> list[list[FidelityRecord]]:
+    """Evaluate many ``(strategy, chan, m, k, ps)`` jobs, one record list
+    per job, one record per success probability in ``ps`` (``dir`` is
+    deterministic: one record at p = 1).
+
+    The modes, the cloner, the cascade operators and, for ``div``, the
+    gamma search depend on the channel only: every job's design is built
+    first, once.  Then each (job, p) adds one decoder SDP (``blind``: one
+    evaluation of its closed-form decoder, no SDP), and all of them are
+    solved in one call (:func:`decoder.purification_sdps`).
+    """
+    designs, uniform = [], {}
+    for strategy, chan, m, k, _ in jobs:
+        if strategy not in STRATEGIES:
+            raise ValueError(f"unknown strategy {strategy!r}")
+        designs.append(None if strategy == "dir" else _design(strategy, chan, m, k, uniform))
+    sols = iter(dec_mod.purification_sdps(
+        (design[4], p) for (strategy, *_, ps), design in zip(jobs, designs)
+        if strategy in ("pur", "div", "sym") for p in ps))
+
+    out = []
+    for (strategy, chan, m, k, ps), design in zip(jobs, designs):
+        if strategy == "dir":
+            table = branch_fidelities(chan)
+            t, r = select_modes(chan, 1, table=table)
+            f = float(table[t[0] - 1, r[0] - 1])
+            out.append([FidelityRecord(
+                strategy=strategy, m=1, k=1, p_target=1.0, p_real=1.0, f_avg=f, f_success=f,
+                j_index=1.0, gamma=(1.0,), t=t, r=r,
+            )])
+            continue
+        t, r, gamma, surrogate, qr = design
+        j_index = asymmetry_index(clone_fidelities(gamma).fidelities)
+        records = []
+        for p in ps:
+            if strategy == "blind":
+                p_real, f_success, f_avg = dec_mod.evaluate_decoder(dec_mod.blind_choi(m, p), qr)
+            else:
+                sol = next(sols)
+                p_real, f_success, f_avg = p, sol.f_success, sol.f_avg
+                if strategy == "div":
+                    p_real = dec_mod.evaluate_decoder(sol.j, qr)[0]
+            records.append(FidelityRecord(
+                strategy=strategy, m=m, k=k, p_target=p, p_real=p_real, f_avg=f_avg,
+                f_success=f_success, j_index=j_index, gamma=gamma, t=t, r=r,
+                surrogate=surrogate,
+            ))
+        out.append(records)
+    return out

@@ -164,6 +164,53 @@ class TestFixedZRun:
         ) == 0
         assert (out_1 / "records.csv").read_bytes() == (out_2 / "records.csv").read_bytes()
 
+    def test_worker_count_invariance_across_chunks(self, tmp_path, monkeypatch):
+        # more tasks than one chunk holds, so the chunks (and with them the
+        # decoder stacks) differ between one and two workers; the bytes do not
+        chunks = {}
+        run_pool = experiments._run_pool
+
+        def recorded(tasks, run, workers):
+            chunks[workers] = [len(chunk) for chunk in tasks]
+            return run_pool(tasks, run, workers)
+
+        monkeypatch.setattr(experiments, "_run_pool", recorded)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_fixed_cfg(
+            N=[2, 3], Z=[0.9], eta=[0.0, 0.7], p=[0.5, 1.0], num_mean_vectors=3)))
+        outs = {}
+        for workers in ("1", "2"):
+            outs[workers] = tmp_path / f"w{workers}"
+            argv = ["fixed-z", "--config", str(cfg_path), "--out", str(outs[workers]),
+                    "--workers", workers]
+            assert cli.main(argv) == 0
+        assert sum(chunks[1]) == sum(chunks[2]) > experiments.TASK_CHUNK
+        assert chunks[1] != chunks[2]
+        manifests = [json.loads((outs[w] / "manifest.json").read_text()) for w in ("1", "2")]
+        for man in manifests:
+            man.pop("timing")
+        assert manifests[0] == manifests[1]
+        for name in manifests[0]["files"]:
+            assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes()
+
+    def test_sym_and_blind_share_one_cascade(self, tmp_path, monkeypatch):
+        # sym and blind use the uniform cloner on the same modes: a task
+        # that runs both composes that cascade once
+        calls = []
+        compose = decoder.compose_effective_map
+
+        def counted(*args):
+            calls.append(args)
+            return compose(*args)
+
+        monkeypatch.setattr(decoder, "compose_effective_map", counted)
+        for names, per_task in ((["sym"], 1), (["blind"], 1), (["sym", "blind"], 1),
+                                (["pur", "sym", "blind"], 2)):
+            calls.clear()
+            cfg = experiments.validate_config(tiny_fixed_cfg(N=[2], strategies=names))
+            experiments.run_grid_regime(cfg, tmp_path / "-".join(names))
+            assert len(calls) == 2 * per_task  # two tasks: the two mean vectors
+
     def test_one_gamma_search_per_task(self, tmp_path, monkeypatch):
         # the design is p-independent: one search per div task serves
         # every p, and records.csv stays in p-major order per task.  Both
@@ -223,13 +270,13 @@ class TestFixedZRun:
         # run per strategy writes the rows of all L mean_ids, each with
         # its own task seed
         calls = []
-        run = experiments.run_strategy
+        run = experiments.run_strategies
 
-        def counted(strategy, *args, **kwargs):
-            calls.append(strategy)
-            return run(strategy, *args, **kwargs)
+        def counted(jobs):
+            calls.extend(strategy for strategy, *_ in jobs)
+            return run(jobs)
 
-        monkeypatch.setattr(experiments, "run_strategy", counted)
+        monkeypatch.setattr(experiments, "run_strategies", counted)
         cfg = experiments.validate_config(tiny_fixed_cfg(
             N=[2], p=[0.8, 1.0], channel_symmetry=["symmetric"], num_mean_vectors=3,
         ))
@@ -493,12 +540,12 @@ class TestWorkerPool:
 
 class TestTaskErrors:
     @staticmethod
-    def _failing_sdp(qr, p, **kwargs):
+    def _failing_sdp(pairs, **kwargs):
         raise SolverError("max_iter", "purification SDP: stalled")
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_grid_error_names_cell(self, tmp_path, monkeypatch, capsys, workers):
-        monkeypatch.setattr(decoder, "purification_sdp", self._failing_sdp)
+        monkeypatch.setattr(decoder, "purification_sdps", self._failing_sdp)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(tiny_fixed_cfg(N=[2], strategies=["dir", "pur"])))
         argv = ["fixed-z", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
@@ -509,8 +556,40 @@ class TestTaskErrors:
                               "lambda_x=None, N=2, eta=0.5, mean_id=0, lambda=(")
         assert "SolverError: purification SDP: stalled" in err
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_error_in_second_task_of_chunk(self, tmp_path, monkeypatch, capsys, workers):
+        # only the N = 2 tasks fail, and the first chunk holds the N = 1
+        # task and then one at N = 2: the error names that second task
+        solve = decoder.purification_sdps
+
+        def failing_k2(pairs):
+            pairs = list(pairs)
+            if any(qr.k == 2 for qr, _ in pairs):
+                raise SolverError("max_iter", "purification SDP: stalled")
+            return solve(pairs)
+
+        chunks = []
+        run_pool = experiments._run_pool
+
+        def recorded(tasks, run, workers):
+            chunks.extend([task[4] for task in chunk] for chunk in tasks)
+            return run_pool(tasks, run, workers)
+
+        monkeypatch.setattr(decoder, "purification_sdps", failing_k2)
+        monkeypatch.setattr(experiments, "_run_pool", recorded)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_fixed_cfg(strategies=["dir", "pur"])))
+        argv = ["fixed-z", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                "--workers", workers]
+        assert cli.main(argv) == 1
+        assert chunks[0][:2] == [1, 2]
+        err = capsys.readouterr().err
+        assert err.startswith("error: _eval_cell(symmetry='asymmetric', Z=0.6, "
+                              "lambda_x=None, N=2, eta=0.5, mean_id=0, lambda=(")
+        assert "SolverError: purification SDP: stalled" in err
+
     def test_stochastic_error_names_task(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(decoder, "purification_sdp", self._failing_sdp)
+        monkeypatch.setattr(decoder, "purification_sdps", self._failing_sdp)
         cfg = experiments.validate_config(tiny_stoch_cfg())
         with pytest.raises(QumimoError, match=r"^_stochastic_task\(eta=0\.5, mean_id=0, "):
             experiments.run_stochastic(cfg, tmp_path / "out")

@@ -17,7 +17,12 @@ ROOT = Path(__file__).resolve().parents[1]
 WAITING = {("sdp", "verify")}
 # Called from outside src/ only, by the named file: the benchmark's
 # gamma_scan_m4 workload scores fresh asymmetry points through it.
-EXTERNAL = {("decoder", "evaluate_gamma_surrogate"): "perfbench/workload.py"}
+# ``run_strategy`` is the one-job form of ``run_strategies``: the tests
+# evaluate single strategies through it, and the benchmark's tracer wraps it.
+EXTERNAL = {
+    ("decoder", "evaluate_gamma_surrogate"): "perfbench/workload.py",
+    ("strategies", "run_strategy"): "tests/test_strategies.py",
+}
 
 # Dataclass fields read outside src/ only, by the named file.
 EXTERNAL_FIELDS = {

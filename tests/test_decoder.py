@@ -240,9 +240,9 @@ def row_image(w, e):
 
 def apply_rows(problem, blocks):
     """``A(X)`` of ``problem`` on ``blocks``, as the solver reads it on the
-    merged block-diagonal stack."""
-    a_conj = sdp._block_diag(problem.constraints).reshape(len(problem.rhs), -1).conj()
-    return sdp._a_apply(a_conj, sdp._block_diag(blocks))
+    merged block-diagonal stack (a stack of one problem)."""
+    a_conj = sdp._block_diag(problem.constraints).reshape(1, len(problem.rhs), -1).conj()
+    return sdp._a_apply(a_conj, sdp._block_diag(blocks)[None])[0]
 
 
 def adjoint_blocks(problem, y):

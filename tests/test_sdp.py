@@ -155,3 +155,100 @@ class TestVerify:
             iterations=sol.iterations, value=sol.value, dual_value=sol.dual_value,
         )
         assert not sdp.verify(prob, bad).feasible
+
+
+def decoder_problems(k, p, count, seed):
+    """Covariant decoder problems of random K-mode cascades at p."""
+    rng = np.random.default_rng(seed)
+    modes = tuple(range(1, k + 1))
+    out = []
+    for _ in range(count):
+        params = channel.ChannelParams(n=k, eta=float(rng.uniform(0, 1)),
+                                       lam=tuple(rng.uniform(0, 0.9, k)), delta=1.0)
+        enc = cloner.cloner_choi(tuple(rng.dirichlet(np.ones(k))))
+        qr = decoder.build_qr(decoder.compose_effective_map(
+            enc, channel.channel_choi(params), modes, modes))
+        out.append(decoder._covariant_problem(qr, p))
+    return out
+
+
+def assert_same_solution(a, b):
+    assert (a.status, a.message, a.iterations) == (b.status, b.message, b.iterations)
+    assert a.value == b.value and a.dual_value == b.dual_value
+    assert np.array_equal(a.y, b.y)
+    assert len(a.X_blocks) == len(b.X_blocks)
+    assert all(np.array_equal(x, y) for x, y in zip(a.X_blocks, b.X_blocks))
+
+
+class TestStack:
+    """``solve_many``: one interior-point run for a stack of problems."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("p", [0.6, 1.0])
+    def test_batch_invariance(self, k, p):
+        # bit for bit: a problem's solution does not depend on what else
+        # is in its stack, nor on its place there
+        probs = decoder_problems(k, p, 4, seed=10 * k + int(10 * p))
+        alone = [sdp.solve(prob) for prob in probs]
+        stacks = [[0, 1, 2, 3], [3, 2, 1, 0], [2, 0], [1, 1, 3, 0, 2, 3]]
+        for order in stacks:
+            for i, sol in zip(order, sdp.solve_many([probs[i] for i in order])):
+                assert_same_solution(sol, alone[i])
+
+    def test_batch_invariance_complex(self):
+        # the complex Hermitian (dense) route: the full-space decoder problem
+        probs = [decoder.dense_purification_problem(qr, 0.7) for qr in (
+            decoder.build_qr(decoder.compose_effective_map(
+                cloner.cloner_choi(g), channel.channel_choi(channel.ChannelParams(
+                    n=2, eta=eta, lam=lam, delta=1.0)), (1, 2), (1, 2)))
+            for g, eta, lam in [((0.3, 0.7), 0.4, (0.1, 0.5)), ((0.5, 0.5), 0.9, (0.3, 0.2)),
+                                ((0.8, 0.2), 0.0, (0.6, 0.05))])]
+        assert all(np.iscomplexobj(prob.constraints[0]) for prob in probs)
+        alone = [sdp.solve(prob) for prob in probs]
+        for order in ([0, 1, 2], [2, 0, 1, 0]):
+            for i, sol in zip(order, sdp.solve_many([probs[i] for i in order])):
+                assert_same_solution(sol, alone[i])
+
+    def test_mixed_statuses(self):
+        # an infeasible and an unbounded problem beside feasible ones of the
+        # same shape: each keeps its own status, the feasible their optima
+        rng = np.random.default_rng(6)
+        eye = np.eye(3, dtype=complex)
+        infeasible = sdp.SdpProblem([np.zeros((3, 3), dtype=complex)], [eye[None]], [-1.0])
+        unbounded = sdp.SdpProblem([eye], [np.diag([1.0, -1.0, 0.0]).astype(complex)[None]], [0.0])
+        feasible = [lambda_max_problem(random_hermitian(rng, 3)) for _ in range(3)]
+        stack = [feasible[0], infeasible, feasible[1], unbounded, feasible[2]]
+        sols = sdp.solve_many(stack)
+        assert [s.status for s in sols] == [sdp.OPTIMAL, sdp.INFEASIBLE, sdp.OPTIMAL,
+                                            sdp.UNBOUNDED, sdp.OPTIMAL]
+        for prob, sol in zip(feasible, sols[::2]):
+            assert abs(sol.value - np.linalg.eigvalsh(prob.objective[0])[-1]) < 1e-7
+        for prob, sol in zip(stack, sols):
+            assert_same_solution(sol, sdp.solve(prob))
+
+    def test_rejects_mixed_shapes(self):
+        eye2, eye3 = np.eye(2, dtype=complex), np.eye(3, dtype=complex)
+        base = sdp.SdpProblem([eye2], [eye2[None]], [1.0])
+        others = [
+            sdp.SdpProblem([eye3], [eye3[None]], [1.0]),  # block size
+            sdp.SdpProblem([eye2], [np.stack([eye2, eye2])], [1.0, 2.0]),  # constraints
+            sdp.SdpProblem([eye2.real], [eye2.real[None]], [1.0]),  # dtype
+            sdp.SdpProblem([eye2, eye2], [eye2[None], eye2[None]], [1.0]),  # blocks
+        ]
+        for other in others:
+            with pytest.raises(ValueError, match="must share"):
+                sdp.solve_many([base, other])
+        assert sdp.solve_many([]) == []
+
+    def test_soft_accept_message(self, monkeypatch):
+        # no iterate meets TOL = 0: each problem stalls in numerical noise
+        # and leaves with its best iterate, accepted at SOFT_TOL; the
+        # benchmark's tracer counts these by the message's wording
+        monkeypatch.setattr(sdp, "TOL", 0.0)
+        rng = np.random.default_rng(7)
+        probs = [lambda_max_problem(random_hermitian(rng, 6)) for _ in range(3)]
+        for prob, sol in zip(probs, sdp.solve_many(probs)):
+            assert sol.status == sdp.OPTIMAL
+            assert "relaxed tolerance" in sol.message
+            assert abs(sol.value - np.linalg.eigvalsh(prob.objective[0])[-1]) < 1e-7
+            assert_same_solution(sol, sdp.solve(prob))
