@@ -78,10 +78,8 @@ class QROperators:
 @dataclass(frozen=True)
 class DecoderSolution:
     j: np.ndarray
-    p_target: float
     f_success: float
     f_avg: float
-    iterations: int = 0
 
 
 @dataclass(frozen=True)
@@ -267,10 +265,8 @@ def purification_sdps(pairs) -> list:
         _validate_decoder(j, qr, p)
         out.append(DecoderSolution(
             j=j,
-            p_target=p,
             f_success=f_success,
             f_avg=p * f_success + (1.0 - p) / 2.0,
-            iterations=sol.iterations,
         ))
     return out
 

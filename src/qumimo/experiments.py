@@ -13,8 +13,9 @@ seed.  A pool task is a chunk of up to ``TASK_CHUNK`` grid tasks, whose
 designs are built first and whose decoder SDPs are then solved in one
 batched call (``strategies.run_strategies``); a task's arithmetic does not
 depend on its chunk, so the bytes do not depend on the worker count.  The
-strategies return only what they compute; the drivers here hold the run
-context and write it into ``records.csv`` (``csv_header``).
+strategies return only what they compute; ``run_grid_regime`` holds the
+run context and writes it into ``records.csv`` (``csv_header``).
+``run_stochastic`` writes each gain sample once, in ``gain_samples.csv``.
 Configs are single JSON documents (schema below).  Every sampled object
 derives its seed from the master seed and its task coordinates through
 SHA-256, so outputs are byte-identical across runs and worker counts.
@@ -48,6 +49,9 @@ Config schema (JSON object; keys marked (s) are stochastic-only,
     seed               master seed (unsigned 64-bit)
     output_dir         optional default output directory
 
+The entries of a list are distinct: an entry equal to an earlier one
+(``1`` and ``1.0`` are equal) is a ``ConfigError`` at its own index.
+
 Stochastic-regime semantics: instantaneous realizations are unknown to
 both endpoints, so the cloning asymmetry, mode selection and decoders
 are designed on the *mean* channel (the only statistic available) and
@@ -57,7 +61,11 @@ heatmap column ``G`` compares conditional (success) fidelities of the
 probabilistic and deterministic designs on the same realization, so the
 p = 1 column is identically zero; ``G_avg`` carries the
 average-fidelity accounting, and ``baseline.csv`` holds the
-deterministic fidelity on the mean vectors themselves.
+deterministic fidelity on the mean vectors themselves, with each
+design's transmit and receive modes ``t`` and ``r``.  Realization
+``realization_id`` of mean vector ``mean_id`` is drawn from seed
+``derive_seed(seed, "stochastic", "xi", heatmap_mu, mean_id,
+realization_id)`` (``"box-xi"`` and the panel's mu for the panel).
 """
 
 from __future__ import annotations
@@ -142,6 +150,15 @@ def _check_list(value, key, pred, what, path="$"):
     return tuple(value)
 
 
+def _distinct(key: str, values) -> tuple:
+    """``values`` as a tuple, with no entry equal to an earlier one."""
+    values = tuple(values)
+    for i, x in enumerate(values):
+        if x in values[:i]:
+            raise ConfigError(f"$.{key}[{i}]", f"repeats an earlier entry, {x!r}")
+    return values
+
+
 def validate_config(cfg: dict, profile: str = "ci") -> ExperimentConfig:
     """Fail-fast validation with JSON-path-precise messages."""
     if profile not in ("ci", "full"):
@@ -176,54 +193,54 @@ def validate_config(cfg: dict, profile: str = "ci") -> ExperimentConfig:
             cfg.get("mu", [0.25, 0.5, 0.75, 1.0]), "mu", lambda x: is_num(x) and x > 0,
             "a positive number",
         )
-        mu = tuple(float(x) for x in mu)
+        mu = _distinct("mu", (float(x) for x in mu))
         num_real = cfg.get("num_realizations", 50)
         if not is_int(num_real) or num_real < 1:
             raise ConfigError("$.num_realizations", f"expected positive int, got {num_real!r}")
     else:
         n_raw = _require(cfg, "N")
-        n_list = _check_list(
+        n_list = _distinct("N", _check_list(
             n_raw, "N", lambda x: is_int(x) and 1 <= x <= n_cap,
             f"an int in 1..{n_cap} (profile {profile})",
-        )
+        ))
         if regime == "fixed_z":
             z_list = _check_list(
                 _require(cfg, "Z"), "Z", lambda x: is_num(x) and x > 0, "a positive number"
             )
-            z_list = tuple(float(z) for z in z_list)
+            z_list = _distinct("Z", (float(z) for z in z_list))
             lambda_x = ()
         else:
             lambda_x = _check_list(
                 _require(cfg, "Lambda_x"), "Lambda_x",
                 lambda x: is_num(x) and 0 < x <= 1, "a number in (0, 1]",
             )
-            lambda_x = tuple(float(x) for x in lambda_x)
+            lambda_x = _distinct("Lambda_x", (float(x) for x in lambda_x))
             z_list = ()
         mu, num_real = (), 0
 
     eta = _check_list(
         _require(cfg, "eta"), "eta", lambda x: is_num(x) and 0 <= x <= 1, "a number in [0, 1]"
     )
-    eta = tuple(float(x) for x in eta)
+    eta = _distinct("eta", (float(x) for x in eta))
     delta = _require(cfg, "delta")
     if not is_num(delta) or delta <= 0:
         raise ConfigError("$.delta", f"expected a positive number, got {delta!r}")
     p = _check_list(
         _require(cfg, "p"), "p", lambda x: is_num(x) and 0 < x <= 1, "a number in (0, 1]"
     )
-    p = tuple(float(x) for x in p)
+    p = _distinct("p", (float(x) for x in p))
 
-    sym = _check_list(
+    sym = _distinct("channel_symmetry", _check_list(
         cfg.get("channel_symmetry", ["asymmetric"]), "channel_symmetry",
         lambda x: x in SYMMETRY_CLASSES, f"one of {SYMMETRY_CLASSES}",
-    )
+    ))
     num_means = cfg.get("num_mean_vectors", 50)
     if not is_int(num_means) or num_means < 1:
         raise ConfigError("$.num_mean_vectors", f"expected positive int, got {num_means!r}")
-    strategies = _check_list(
+    strategies = _distinct("strategies", _check_list(
         cfg.get("strategies", list(STRATEGIES)), "strategies",
         lambda x: x in STRATEGIES, f"one of {STRATEGIES}",
-    )
+    ))
     seed = _require(cfg, "seed")
     if not is_int(seed) or not 0 <= seed < 2 ** 64:
         raise ConfigError("$.seed", f"expected unsigned 64-bit int, got {seed!r}")
@@ -288,9 +305,10 @@ def _modes(modes) -> str:
 
 
 def csv_header(m_max: int) -> list[str]:
-    """The ``records.csv`` columns.  A strategy computes the ``FidelityRecord``
-    fields; N, Z, regime, eta, delta, mu, mean_id, realization_id and seed
-    are the run context its driver holds."""
+    """The ``records.csv`` columns of the grid regimes.  A strategy computes
+    the ``FidelityRecord`` fields; N, Z, regime, eta, delta, mean_id and
+    seed are the run context ``run_grid_regime`` holds; mu and realization_id
+    stay empty, which keeps the schema stable."""
     return [
         "strategy", "N", "M", "K", "Z", "regime", "eta", "delta", "p_target", "p_real", "mu",
         "mean_id", "realization_id", "F_avg", "J_index",
@@ -299,8 +317,7 @@ def csv_header(m_max: int) -> list[str]:
 
 
 def csv_row(rec: FidelityRecord, m_max: int, n, z, regime, eta, delta, mean_id, seed) -> list:
-    """One grid-regime ``records.csv`` row (mu and realization_id are
-    stochastic-only and stay empty)."""
+    """One ``records.csv`` row."""
     gammas = list(rec.gamma) + [None] * (m_max - len(rec.gamma))
     return [
         rec.strategy, n, rec.m, rec.k, z, regime, eta, delta, rec.p_target, rec.p_real,
@@ -557,7 +574,7 @@ def _agg_sort_key(gkey):
 
 
 def _design_on_mean(cfg: ExperimentConfig, eta: float, mean: MeanAllocation, p_eval):
-    """Design gamma*, decoders (one per p) and mode choices on the mean."""
+    """Design gamma*, its cascade ``qr``, decoders (one per p) and modes on the mean."""
     n = mean.n
     chan = _channel(cfg, eta, mean.lam)
     t, r = select_modes(chan, n)
@@ -566,6 +583,7 @@ def _design_on_mean(cfg: ExperimentConfig, eta: float, mean: MeanAllocation, p_e
     return {
         "gamma": opt.gamma.gamma,
         "enc": cloner_choi(opt.gamma.gamma),
+        "qr": opt.qr,
         "decoders": dict(zip(p_eval, dec_mod.purification_sdps((opt.qr, p) for p in p_eval))),
         "t": t,
         "r": r,
@@ -584,40 +602,35 @@ def _evaluate_on_realization(design, chan_x):
 
 
 def _stochastic_task(args):
-    """The heatmap rows of one (eta, mean vector): its gain samples and,
-    in ``csv_header``'s columns, its ``records.csv`` rows."""
+    """The heatmap rows of one (eta, mean vector): its ``baseline.csv`` row
+    and its gain samples."""
     cfg, eta, mean_id, lam, z = args
     mean = MeanAllocation(lam=lam, z=z)
     p_eval = tuple(sorted(set(cfg.p) | {1.0}))
     design = _design_on_mean(cfg, eta, mean, p_eval)
-    n, gamma = mean.n, design["gamma"]
-    t, r = _modes(design["t"]), _modes(design["r"])
+    gamma = design["gamma"]
 
-    j_index = asymmetry_index(clone_fidelities(gamma).fidelities)
-
-    base_eval = _evaluate_on_realization(design, _channel(cfg, eta, mean.lam))
-    baseline_row = [eta, mean_id, base_eval[1.0][1], base_eval[1.0][2], j_index, *gamma]
+    # The p = 1 decoder on the cascade it was designed on.
+    _, base_fs, base_favg = dec_mod.evaluate_decoder(design["decoders"][1.0].j, design["qr"])
+    baseline_row = [eta, mean_id, base_fs, base_favg,
+                    asymmetry_index(clone_fidelities(gamma).fidelities), *gamma,
+                    _modes(design["t"]), _modes(design["r"])]
 
     rows = []
-    records = []
     for rid in range(cfg.num_realizations):
         seed = derive_seed(cfg.seed, "stochastic", "xi", cfg.heatmap_mu, mean_id, rid)
-        xi = sample_fluctuation(cfg.heatmap_mu, n, make_rng(seed))
+        xi = sample_fluctuation(cfg.heatmap_mu, mean.n, make_rng(seed))
         x = perturb_and_project(mean, xi)
         evals = _evaluate_on_realization(design, _channel(cfg, eta, x.lam))
         p1_real, p1_fs, p1_favg = evals[1.0]
         for p in p_eval:
             p_real, fs, favg = evals[p]
             rows.append([eta, p, mean_id, rid, fs - p1_fs, favg - p1_favg, fs, favg, p_real])
-            records.append([
-                "div", n, n, n, z, "stochastic", eta, cfg.delta, p, p_real, cfg.heatmap_mu,
-                mean_id, rid, favg, j_index, *gamma, t, r, seed,
-            ])
     # The realization panel's design, when this task already made it.
     box = None
     if eta == cfg.box_eta and mean_id == 0 and cfg.box_p in p_eval:
         box = dict(design, decoders={cfg.box_p: design["decoders"][cfg.box_p]})
-    return (eta, mean_id), baseline_row, rows, records, box
+    return (eta, mean_id), baseline_row, rows, box
 
 
 def _box_realizations(cfg: ExperimentConfig, mean: MeanAllocation, mean_id: int, mu: float):
@@ -697,34 +710,23 @@ def run_stochastic(cfg: ExperimentConfig, out_dir, workers: int = 1) -> dict:
     _write_csv(
         out_dir / "baseline.csv",
         ["eta", "mean_id", "F_success_p1", "F_avg_p1", "J_index"]
-        + [f"gamma_{i + 1}" for i in range(n)],
+        + [f"gamma_{i + 1}" for i in range(n)] + ["t", "r"],
         baseline_rows,
     )
-    _write_csv(out_dir / "records.csv", csv_header(n), [rec for res in results for rec in res[3]])
 
     # Realization panel at the box operating point, mean vector 0.
-    box_design = next((res[4] for res in results if res[4] is not None), None)
+    box_design = next((res[3] for res in results if res[3] is not None), None)
     panels = _run_task(_boxplot_task, (cfg, 0, means[0].lam, z, box_design))
-    box_rows, cv_rows, alloc_rows, kde_rows = [], [], [], []
-    alloc_rows.append([0, "", 0.0, *means[0].lam])
-    variances = {}
+    box_rows, alloc_rows, kde_rows = [], [[0, "", 0.0, *means[0].lam]], []
     for mu, rows, cluster in panels:
         box_rows.extend(rows)
-        v = cluster_variance(means[0], cluster)
-        variances[mu] = v
-        cv_rows.append([0, mu, v])
         for rid, x in enumerate(cluster):
             alloc_rows.append([0, rid, mu, *x.lam])
-    # Per-mean cluster variances across all means for the KDE panel.
-    all_v = {mu: [variances[mu]] for mu in cfg.mu}
-    for mu in sorted(cfg.mu):
-        for mean_id, mean in enumerate(means[1:], start=1):
-            v = cluster_variance(mean, _box_realizations(cfg, mean, mean_id, mu))
-            cv_rows.append([mean_id, mu, v])
-            all_v[mu].append(v)
-    cv_rows.sort(key=lambda r: (r[1], r[0]))
+    # Cluster variances of every mean vector, and their density per mu.
+    cv_rows = [[mean_id, mu, cluster_variance(mean, _box_realizations(cfg, mean, mean_id, mu))]
+               for mu in sorted(cfg.mu) for mean_id, mean in enumerate(means)]
     for mu in cfg.mu:
-        vals = all_v[mu]
+        vals = [v for _, mu_v, v in cv_rows if mu_v == mu]
         if len(vals) >= 2:
             hi = max(max(vals) * 1.05, 1e-6)
             grid, dens = empirical_density(vals, (0.0, hi))
@@ -745,8 +747,8 @@ def run_stochastic(cfg: ExperimentConfig, out_dir, workers: int = 1) -> dict:
     )
 
     files = [
-        "gain_heatmap.csv", "gain_samples.csv", "baseline.csv", "records.csv",
-        "boxplot.csv", "cluster_variance.csv", "cv_kde.csv", "allocations.csv",
+        "gain_heatmap.csv", "gain_samples.csv", "baseline.csv", "boxplot.csv",
+        "cluster_variance.csv", "cv_kde.csv", "allocations.csv",
     ]
     if n >= 2:
         _write_crosstalk_csv(out_dir / "crosstalk.csv", cfg)

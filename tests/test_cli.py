@@ -44,6 +44,15 @@ def tiny_stoch_cfg(**overrides):
     return cfg
 
 
+# (list key, value, index of the first repeat) for every list key
+REPEATS = [
+    ("N", [1, 2, 1], 2), ("Z", [1, 0.6, 1.0], 2), ("Lambda_x", [0.2, 0.2], 1),
+    ("eta", [0.5, 0.5], 1), ("p", [1, 0.8, 1.0], 2), ("mu", [0.5, 1, 1.0], 2),
+    ("channel_symmetry", ["symmetric", "asymmetric", "symmetric"], 2),
+    ("strategies", ["dir", "pur", "dir"], 2),
+]
+
+
 class TestConfigValidation:
     def test_missing_key_paths(self):
         with pytest.raises(ConfigError) as err:
@@ -123,6 +132,27 @@ class TestConfigValidation:
         argv = ["stochastic", "--config", str(cfg_path), "--out", str(tmp_path / "x")]
         assert cli.main(argv) == 2
         assert f"config error: $.{key}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, index", REPEATS, ids=[key for key, *_ in REPEATS])
+    def test_repeated_list_entry(self, tmp_path, capsys, key, value, index):
+        # a repeat would count its samples twice; 1 and 1.0 are one value
+        if key == "mu":
+            cfg = tiny_stoch_cfg(mu=value)
+        elif key == "Lambda_x":
+            cfg = tiny_fixed_cfg(regime="scaling", Lambda_x=value)
+        else:
+            cfg = tiny_fixed_cfg(**{key: value})
+        path = f"$.{key}[{index}]"
+        with pytest.raises(ConfigError) as err:
+            experiments.validate_config(cfg)
+        assert err.value.path == path
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        argv = [cfg["regime"].replace("_", "-"), "--config", str(cfg_path),
+                "--out", str(tmp_path / "x")]
+        assert cli.main(argv) == 2
+        assert f"config error: {path}: " in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_json_syntax_error_line(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -354,25 +384,35 @@ class TestStochasticRun:
         assert float(by_p["1"][4]) == 0.0
         for name in (
             "baseline.csv", "boxplot.csv", "cluster_variance.csv",
-            "cv_kde.csv", "allocations.csv", "gain_samples.csv", "records.csv",
+            "cv_kde.csv", "allocations.csv", "gain_samples.csv",
         ):
             assert (tmp_path / "out" / name).exists()
+        assert not (tmp_path / "out" / "records.csv").exists()  # each sample is written once
 
-    def test_records_match_gain_samples(self, tmp_path):
-        # records.csv carries each gain sample in the stochastic run context
-        cfg = experiments.validate_config(tiny_stoch_cfg(p=[0.5, 0.8], eta=[0.5, 0.8]))
+    def test_baseline_modes(self, tmp_path):
+        # baseline.csv ends with each design's transmit and receive modes:
+        # every mode is received in index order, and transmission runs over
+        # the modes from least to most depolarized (ties by index)
+        n = 3
+        cfg = experiments.validate_config(tiny_stoch_cfg(
+            N=n, Z=1.2, p=[0.5, 0.8], eta=[0.5, 0.8], num_mean_vectors=3))
         experiments.run_stochastic(cfg, tmp_path / "out")
         tables = {}
-        for name in ("records", "gain_samples"):
+        for name in ("baseline", "allocations"):
             with open(tmp_path / "out" / f"{name}.csv", newline="") as fh:
-                tables[name] = list(csv.DictReader(fh))
-        records, samples = tables["records"], tables["gain_samples"]
-        assert len(records) == len(samples) == 2 * 3 * 2 * 3  # eta, p, mean, realization
-        for rec, sample in zip(records, samples):
-            for col in ("eta", "p", "mean_id", "realization_id", "F_avg", "p_real"):
-                assert rec["p_target" if col == "p" else col] == sample[col], col
-            assert (rec["strategy"], rec["regime"], rec["mu"]) == ("div", "stochastic", "0.5")
-            assert rec["N"] == rec["M"] == rec["K"] == "2"
+                tables[name] = list(csv.reader(fh))
+        header, *rows = tables["baseline"]
+        assert header[-2:] == ["t", "r"]
+        assert len(rows) == 2 * 3  # eta, mean
+        lam = [float(x) for x in tables["allocations"][1][3:]]
+        assert tables["allocations"][1][:3] == ["0", "", "0"]  # the mean row of mean 0
+        by_lam = ";".join(str(i + 1) for i in sorted(range(n), key=lambda i: (lam[i], i)))
+        for row in rows:
+            t, r = row[-2:]
+            assert r == "1;2;3"
+            assert sorted(t.split(";")) == ["1", "2", "3"]
+            if row[1] == "0":
+                assert t == by_lam
 
     def test_mu_zero_like_degenerate(self, tmp_path):
         cfg = experiments.validate_config(
@@ -459,8 +499,26 @@ class TestStochasticRun:
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert cli.main(["stochastic", "--config", str(cfg_path), "--out", str(out_a)]) == 0
         assert cli.main(["stochastic", "--config", str(cfg_path), "--out", str(out_b)]) == 0
-        for name in ("gain_heatmap.csv", "records.csv", "allocations.csv"):
+        for name in ("gain_heatmap.csv", "gain_samples.csv", "baseline.csv", "allocations.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["fixed-z", "scaling", "stochastic", "boundary"])
+def test_run_writes_what_its_manifest_lists(tmp_path, command):
+    # the output directory holds the manifest's files and the manifest, no more
+    out = tmp_path / "out"
+    if command == "boundary":
+        argv = ["boundary", "--m", "2", "--resolution", "0.25", "--out", str(out)]
+    else:
+        cfg = {"fixed-z": tiny_fixed_cfg(),
+               "scaling": tiny_fixed_cfg(regime="scaling", Lambda_x=[0.3]),
+               "stochastic": tiny_stoch_cfg()}[command]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        argv = [command, "--config", str(cfg_path), "--out", str(out)]
+    assert cli.main(argv) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(p.name for p in out.iterdir()) == sorted([*manifest["files"], "manifest.json"])
 
 
 class TestBoundaryAndValidate:

@@ -31,6 +31,7 @@ EXTERNAL_FIELDS = {
     ("sdp", "SdpSolution", "y"): "tests/test_sdp.py",
     ("sdp", "SdpSolution", "gap"): "tests/test_sdp.py",
     ("sdp", "SdpSolution", "iteration_log"): "tests/test_sdp.py",
+    ("sdp", "SdpSolution", "iterations"): "perfbench/tracer.py",
 }
 # The report of the waiting ``sdp.verify``: its caller is to read these.
 WAITING_FIELDS = {
