@@ -64,9 +64,7 @@ def _load(args, expected_regime: str):
     if cfg.regime != expected_regime:
         raise ConfigError("$.regime", f"config is {cfg.regime!r}, subcommand needs {expected_regime!r}")
     if args.seed is not None:
-        raw = dict(cfg.raw)
-        raw["seed"] = args.seed
-        cfg = experiments.validate_config(raw, profile=args.profile)
+        cfg = experiments.validate_config({**cfg.raw, "seed": args.seed}, profile=args.profile)
     out = args.out or cfg.output_dir
     if not out:
         raise ConfigError("$.output_dir", "no output directory (config key or --out)")

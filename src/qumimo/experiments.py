@@ -23,34 +23,35 @@ An error inside a task is re-raised as ``QumimoError`` naming the task
 and its coordinates (in a chunk, the first task that fails when run
 alone).
 
-Config schema (JSON object; keys marked (s) are stochastic-only,
-(f) fixed_z-only, (x) scaling-only)::
+Config schema: a JSON object with the keys of ``CONFIG_KEYS``, the one list
+of keys; any other key is a ``ConfigError`` at its own path, and a key of
+another regime is ignored.  The entries of a list are distinct: an entry
+equal to an earlier one (``1`` and ``1.0`` are equal) is a ``ConfigError``
+at its own index.  Keys marked (s) are stochastic-only, (f) fixed_z-only,
+(x) scaling-only::
 
     regime             "fixed_z" | "scaling" | "stochastic"
     N                  (f,x) list of mode counts (M = K = N per point);
                        (s) single int
-    Z                  (f) list of total budgets; (s) single float
+    Z                  (f) list of total budgets; (s) single float in (0, N]
     Lambda_x           (x) list of per-branch budgets (Z = N * Lambda_x)
+    mu                 (s) fluctuation strengths for the realization panel
+    num_realizations   (s) R >= 2, realizations per mean vector (default 50)
     eta                list of crosstalk strengths in [0, 1]
     delta              spatial decay exponent, > 0
     p                  list of purification success probabilities in (0, 1]
-    mu                 (s) fluctuation strengths for the realization panel
-    heatmap_mu         (s) fluctuation strength of the gain heatmap
-                       (default 0.5)
-    box_p, box_eta     (s) operating point of the realization panel
-                       (defaults 0.8, 0.8)
     channel_symmetry   list from {"symmetric", "asymmetric"}; ignored by
                        the stochastic regime (always asymmetric means)
-    num_mean_vectors   L, mean allocations per cell
-    num_realizations   (s) R, realizations per mean vector
+    num_mean_vectors   L, mean allocations per cell (default 50)
     strategies         subset of {dir, pur, div, sym, blind}; ignored by
                        the stochastic regime, which always evaluates div
                        and dir
     seed               master seed (unsigned 64-bit)
+    heatmap_mu         (s, checked in every regime) fluctuation strength
+                       of the gain heatmap (default 0.5)
+    box_p, box_eta     (s, checked in every regime) operating point of
+                       the realization panel (defaults 0.8, 0.8)
     output_dir         optional default output directory
-
-The entries of a list are distinct: an entry equal to an earlier one
-(``1`` and ``1.0`` are equal) is a ``ConfigError`` at its own index.
 
 Stochastic-regime semantics: instantaneous realizations are unknown to
 both endpoints, so the cloning asymmetry, mode selection and decoders
@@ -135,136 +136,109 @@ class ExperimentConfig:
     raw: dict = field(default_factory=dict, repr=False)
 
 
-def _require(cfg: dict, key: str, path: str = "$"):
-    if key not in cfg:
-        raise ConfigError(f"{path}.{key}", "missing required key")
-    return cfg[key]
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _check_list(value, key, pred, what, path="$"):
-    if not isinstance(value, (list, tuple)) or not value:
-        raise ConfigError(f"{path}.{key}", "expected a nonempty list")
-    for i, x in enumerate(value):
-        if not pred(x):
-            raise ConfigError(f"{path}.{key}[{i}]", f"expected {what}, got {x!r}")
-    return tuple(value)
+# A finite number that converts to a float: NaN, Infinity and an int
+# beyond the float range (float(x) would raise) are rejected.
+def _is_num(x) -> bool:
+    return (_is_int(x) and abs(x) <= sys.float_info.max
+            or isinstance(x, float) and math.isfinite(x))
 
 
-def _distinct(key: str, values) -> tuple:
-    """``values`` as a tuple, with no entry equal to an earlier one."""
-    values = tuple(values)
-    for i, x in enumerate(values):
-        if x in values[:i]:
-            raise ConfigError(f"$.{key}[{i}]", f"repeats an earlier entry, {x!r}")
-    return values
+def _one_of(names: tuple) -> tuple:
+    return lambda x, v: x in names, f"one of {names}", False
+
+
+# Checks of a config value or list entry: (accepts(x, the values checked
+# so far), what it accepts, formatted with those values, read as a float).
+_POSITIVE = (lambda x, v: _is_num(x) and x > 0, "a positive number", True)
+_UNIT = (lambda x, v: _is_num(x) and 0 <= x <= 1, "a number in [0, 1]", True)
+_PROB = (lambda x, v: _is_num(x) and 0 < x <= 1, "a number in (0, 1]", True)
+_MODES = (lambda x, v: _is_int(x) and 1 <= x <= v["n_cap"],
+          "an int in 1..{n_cap} (profile {profile})", False)
+GRID = ("fixed_z", "scaling")
+STOCHASTIC = ("stochastic",)
+REQUIRED = object()
+# The one list of config keys, in the order they are checked: (key, the
+# regimes that check it, its default or REQUIRED, a nonempty list of
+# distinct entries (else a scalar), the check).  N and Z have one row per
+# regime group; a stochastic Z is checked against its N, before mu.  The
+# cluster variance of a mean vector needs two realizations.
+CONFIG_KEYS = (
+    ("regime", REGIMES, REQUIRED, False, _one_of(REGIMES)),
+    ("N", GRID, REQUIRED, True, _MODES),
+    ("N", STOCHASTIC, REQUIRED, False, _MODES),
+    ("Z", ("fixed_z",), REQUIRED, True, _POSITIVE),
+    ("Z", STOCHASTIC, REQUIRED, False,
+     (lambda x, v: _is_num(x) and 0 < x <= v["N"], "a number in (0, N] = (0, {N}]", True)),
+    ("Lambda_x", ("scaling",), REQUIRED, True, _PROB),
+    ("mu", STOCHASTIC, [0.25, 0.5, 0.75, 1.0], True, _POSITIVE),
+    ("num_realizations", STOCHASTIC, 50, False,
+     (lambda x, v: _is_int(x) and x >= 2, "an int >= 2", False)),
+    ("eta", REGIMES, REQUIRED, True, _UNIT),
+    ("delta", REGIMES, REQUIRED, False, _POSITIVE),
+    ("p", REGIMES, REQUIRED, True, _PROB),
+    ("channel_symmetry", REGIMES, ["asymmetric"], True, _one_of(SYMMETRY_CLASSES)),
+    ("num_mean_vectors", REGIMES, 50, False,
+     (lambda x, v: _is_int(x) and x >= 1, "a positive int", False)),
+    ("strategies", REGIMES, list(STRATEGIES), True, _one_of(STRATEGIES)),
+    ("seed", REGIMES, REQUIRED, False,
+     (lambda x, v: _is_int(x) and 0 <= x < 2 ** 64, "an unsigned 64-bit int", False)),
+    ("heatmap_mu", REGIMES, 0.5, False, _POSITIVE),
+    ("box_p", REGIMES, 0.8, False, _PROB),
+    ("box_eta", REGIMES, 0.8, False, _UNIT),
+    ("output_dir", REGIMES, None, False,
+     (lambda x, v: x is None or isinstance(x, str), "a string path", False)),
+)
 
 
 def validate_config(cfg: dict, profile: str = "ci") -> ExperimentConfig:
-    """Fail-fast validation with JSON-path-precise messages."""
+    """Fail-fast validation against ``CONFIG_KEYS``, with JSON-path-precise
+    messages: a key no row names is an error, a key of another regime is
+    ignored."""
     if profile not in ("ci", "full"):
         raise ConfigError("$profile", f"unknown profile {profile!r}")
     if not isinstance(cfg, dict):
         raise ConfigError("$", "config must be a JSON object")
-    regime = _require(cfg, "regime")
-    if regime not in REGIMES:
-        raise ConfigError("$.regime", f"must be one of {REGIMES}, got {regime!r}")
+    known = {row[0] for row in CONFIG_KEYS}
+    for key in cfg:
+        if key not in known:
+            raise ConfigError(f"$.{key}", "unknown key")
 
-    n_cap = 4 if profile == "ci" else 5
-    # A finite number that converts to a float: NaN, Infinity and an int
-    # beyond the float range (float(x) would raise) are rejected.
-    is_num = lambda x: (isinstance(x, int) and not isinstance(x, bool)
-                        and abs(x) <= sys.float_info.max
-                        or isinstance(x, float) and math.isfinite(x))
-    is_int = lambda x: isinstance(x, int) and not isinstance(x, bool)
+    v = {"n_cap": 4 if profile == "ci" else 5, "profile": profile}
+    for key, regimes, default, is_list, (check, expected, as_float) in CONFIG_KEYS:
+        if "regime" in v and v["regime"] not in regimes:
+            continue
+        value = cfg.get(key, default)
+        if value is REQUIRED:
+            raise ConfigError(f"$.{key}", "missing required key")
+        expected = expected.format(**v)
+        if not is_list:
+            if not check(value, v):
+                raise ConfigError(f"$.{key}", f"expected {expected}, got {value!r}")
+            v[key] = float(value) if as_float else value
+            continue
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ConfigError(f"$.{key}", "expected a nonempty list")
+        for i, x in enumerate(value):
+            if not check(x, v):
+                raise ConfigError(f"$.{key}[{i}]", f"expected {expected}, got {x!r}")
+        value = tuple(float(x) if as_float else x for x in value)
+        for i, x in enumerate(value):
+            if x in value[:i]:
+                raise ConfigError(f"$.{key}[{i}]", f"repeats an earlier entry, {x!r}")
+        v[key] = value
 
-    if regime == "stochastic":
-        n_val = _require(cfg, "N")
-        if not is_int(n_val):
-            raise ConfigError("$.N", "stochastic regime takes a single integer N")
-        if not 1 <= n_val <= n_cap:
-            raise ConfigError("$.N", f"N={n_val} outside 1..{n_cap} (profile {profile})")
-        n_list = (n_val,)
-        z_val = _require(cfg, "Z")
-        if not is_num(z_val) or not 0 < float(z_val) <= n_val:
-            raise ConfigError("$.Z", f"Z must lie in (0, N]={n_val}, got {z_val!r}")
-        z_list = (float(z_val),)
-        lambda_x = ()
-        mu = _check_list(
-            cfg.get("mu", [0.25, 0.5, 0.75, 1.0]), "mu", lambda x: is_num(x) and x > 0,
-            "a positive number",
-        )
-        mu = _distinct("mu", (float(x) for x in mu))
-        num_real = cfg.get("num_realizations", 50)
-        if not is_int(num_real) or num_real < 1:
-            raise ConfigError("$.num_realizations", f"expected positive int, got {num_real!r}")
-    else:
-        n_raw = _require(cfg, "N")
-        n_list = _distinct("N", _check_list(
-            n_raw, "N", lambda x: is_int(x) and 1 <= x <= n_cap,
-            f"an int in 1..{n_cap} (profile {profile})",
-        ))
-        if regime == "fixed_z":
-            z_list = _check_list(
-                _require(cfg, "Z"), "Z", lambda x: is_num(x) and x > 0, "a positive number"
-            )
-            z_list = _distinct("Z", (float(z) for z in z_list))
-            lambda_x = ()
-        else:
-            lambda_x = _check_list(
-                _require(cfg, "Lambda_x"), "Lambda_x",
-                lambda x: is_num(x) and 0 < x <= 1, "a number in (0, 1]",
-            )
-            lambda_x = _distinct("Lambda_x", (float(x) for x in lambda_x))
-            z_list = ()
-        mu, num_real = (), 0
-
-    eta = _check_list(
-        _require(cfg, "eta"), "eta", lambda x: is_num(x) and 0 <= x <= 1, "a number in [0, 1]"
-    )
-    eta = _distinct("eta", (float(x) for x in eta))
-    delta = _require(cfg, "delta")
-    if not is_num(delta) or delta <= 0:
-        raise ConfigError("$.delta", f"expected a positive number, got {delta!r}")
-    p = _check_list(
-        _require(cfg, "p"), "p", lambda x: is_num(x) and 0 < x <= 1, "a number in (0, 1]"
-    )
-    p = _distinct("p", (float(x) for x in p))
-
-    sym = _distinct("channel_symmetry", _check_list(
-        cfg.get("channel_symmetry", ["asymmetric"]), "channel_symmetry",
-        lambda x: x in SYMMETRY_CLASSES, f"one of {SYMMETRY_CLASSES}",
-    ))
-    num_means = cfg.get("num_mean_vectors", 50)
-    if not is_int(num_means) or num_means < 1:
-        raise ConfigError("$.num_mean_vectors", f"expected positive int, got {num_means!r}")
-    strategies = _distinct("strategies", _check_list(
-        cfg.get("strategies", list(STRATEGIES)), "strategies",
-        lambda x: x in STRATEGIES, f"one of {STRATEGIES}",
-    ))
-    seed = _require(cfg, "seed")
-    if not is_int(seed) or not 0 <= seed < 2 ** 64:
-        raise ConfigError("$.seed", f"expected unsigned 64-bit int, got {seed!r}")
-
-    heatmap_mu = cfg.get("heatmap_mu", 0.5)
-    if not is_num(heatmap_mu) or heatmap_mu <= 0:
-        raise ConfigError("$.heatmap_mu", f"expected a positive number, got {heatmap_mu!r}")
-    box_p = cfg.get("box_p", 0.8)
-    if not is_num(box_p) or not 0 < box_p <= 1:
-        raise ConfigError("$.box_p", f"expected a number in (0, 1], got {box_p!r}")
-    box_eta = cfg.get("box_eta", 0.8)
-    if not is_num(box_eta) or not 0 <= box_eta <= 1:
-        raise ConfigError("$.box_eta", f"expected a number in [0, 1], got {box_eta!r}")
-
-    out_dir = cfg.get("output_dir")
-    if out_dir is not None and not isinstance(out_dir, str):
-        raise ConfigError("$.output_dir", "expected a string path")
-
+    as_tuple = lambda x: x if isinstance(x, tuple) else (x,)
     return ExperimentConfig(
-        regime=regime, n_list=n_list, z_list=z_list, lambda_x=lambda_x,
-        eta=eta, delta=float(delta), p=p, mu=mu, heatmap_mu=float(heatmap_mu),
-        box_p=float(box_p), box_eta=float(box_eta), channel_symmetry=sym,
-        num_mean_vectors=num_means, num_realizations=num_real,
-        strategies=strategies, seed=seed, output_dir=out_dir, raw=dict(cfg),
+        regime=v["regime"], n_list=as_tuple(v["N"]), z_list=as_tuple(v.get("Z", ())),
+        lambda_x=v.get("Lambda_x", ()), eta=v["eta"], delta=v["delta"], p=v["p"],
+        mu=v.get("mu", ()), heatmap_mu=v["heatmap_mu"], box_p=v["box_p"], box_eta=v["box_eta"],
+        channel_symmetry=v["channel_symmetry"], num_mean_vectors=v["num_mean_vectors"],
+        num_realizations=v.get("num_realizations", 0), strategies=v["strategies"],
+        seed=v["seed"], output_dir=v["output_dir"], raw=dict(cfg),
     )
 
 
@@ -374,10 +348,9 @@ def _eval_cells(tasks):
     ``mean_id`` is the first mean vector of the cell with this lambda; it
     only names the task in an error."""
     jobs = []
-    for cfg, sym, z, lx, n, eta, mean_id, lam in tasks:
+    for cfg, *_, eta, _, lam in tasks:
         chan = _channel(cfg, eta, lam)
-        jobs += [(s, chan, 1 if s in ("dir", "pur") else n, 1 if s == "dir" else n, cfg.p)
-                 for s in cfg.strategies]
+        jobs += [(s, chan, cfg.p) for s in cfg.strategies]
     by_job = iter(run_strategies(jobs))
     out = []
     for cfg, *_ in tasks:

@@ -1,13 +1,14 @@
 """End-to-end evaluation of the five transmission strategies.
 
-Strategies (all sharing the same channel and decoder machinery):
+Strategies (all sharing the same channel and decoder machinery), with the
+clone count M and receive count K that follow from the channel's N modes:
 
-* ``dir``   - one copy on the best branch, deterministic receive, no map.
-* ``pur``   - one copy on the best branch, probabilistic K-mode purifier.
-* ``div``   - asymmetric clones with the asymmetry optimized from CSI.
-* ``sym``   - uniform clones, CSI-aware decoder.
+* ``dir``   - one copy on the best branch, deterministic receive, no map (1, 1).
+* ``pur``   - one copy on the best branch, probabilistic purifier (1, N).
+* ``div``   - asymmetric clones with the asymmetry optimized from CSI (N, N).
+* ``sym``   - uniform clones, CSI-aware decoder (N, N).
 * ``blind`` - uniform clones, the identity-channel-prior decoder in closed
-  form (``decoder.blind_choi``), at its realized acceptance probability.
+  form (``decoder.blind_choi``), at its realized acceptance probability (N, N).
 
 A strategy takes the channel (its ``ChannelParams`` included) and returns
 only what it computes: one ``FidelityRecord`` per p.  The run context of a
@@ -70,21 +71,18 @@ def select_modes(chan: Channel, m: int, k: Optional[int] = None, table=None):
     return t, tuple(ranked[:k])
 
 
-def run_strategy(strategy: str, chan: Channel, m: int, k: int, ps: tuple) -> list[FidelityRecord]:
+def run_strategy(strategy: str, chan: Channel, ps: tuple) -> list[FidelityRecord]:
     """Evaluate one strategy on one channel realization: :func:`run_strategies`
     on one job."""
-    return run_strategies([(strategy, chan, m, k, ps)])[0]
+    return run_strategies([(strategy, chan, ps)])[0]
 
 
-def _design(strategy: str, chan: Channel, m: int, k: int, uniform: dict):
+def _design(strategy: str, chan: Channel, uniform: dict):
     """``(t, r, gamma, surrogate, qr)`` of a cloning strategy.  ``uniform``
     holds the uniform-cloner cascades built so far, by channel and modes:
     ``sym`` and ``blind`` on one channel share one."""
-    if strategy == "pur" and m != 1:
-        raise ValueError("pur requires M = 1")
-    if strategy in ("sym", "blind") and m != k:
-        raise ValueError(f"{strategy} requires M = K")
-    t, r = select_modes(chan, m, k)
+    m = 1 if strategy == "pur" else chan.n
+    t, r = select_modes(chan, m, chan.n)
     if strategy == "div":
         opt = dec_mod.optimize_gamma(m, chan, t, r)
         return t, r, opt.gamma.gamma, opt.surrogate, opt.qr
@@ -97,7 +95,7 @@ def _design(strategy: str, chan: Channel, m: int, k: int, uniform: dict):
 
 
 def run_strategies(jobs) -> list[list[FidelityRecord]]:
-    """Evaluate many ``(strategy, chan, m, k, ps)`` jobs, one record list
+    """Evaluate many ``(strategy, chan, ps)`` jobs, one record list
     per job, one record per success probability in ``ps`` (``dir`` is
     deterministic: one record at p = 1).
 
@@ -108,16 +106,16 @@ def run_strategies(jobs) -> list[list[FidelityRecord]]:
     solved in one call (:func:`decoder.purification_sdps`).
     """
     designs, uniform = [], {}
-    for strategy, chan, m, k, _ in jobs:
+    for strategy, chan, _ in jobs:
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}")
-        designs.append(None if strategy == "dir" else _design(strategy, chan, m, k, uniform))
+        designs.append(None if strategy == "dir" else _design(strategy, chan, uniform))
     sols = iter(dec_mod.purification_sdps(
         (design[4], p) for (strategy, *_, ps), design in zip(jobs, designs)
         if strategy in ("pur", "div", "sym") for p in ps))
 
     out = []
-    for (strategy, chan, m, k, ps), design in zip(jobs, designs):
+    for (strategy, chan, ps), design in zip(jobs, designs):
         if strategy == "dir":
             table = branch_fidelities(chan)
             t, r = select_modes(chan, 1, table=table)
@@ -128,6 +126,7 @@ def run_strategies(jobs) -> list[list[FidelityRecord]]:
             )])
             continue
         t, r, gamma, surrogate, qr = design
+        m, k = len(t), len(r)
         j_index = asymmetry_index(clone_fidelities(gamma).fidelities)
         records = []
         for p in ps:

@@ -223,10 +223,8 @@ def criterion7_records():
                 ch = channel.channel_choi(params)
                 recs = {}
                 for s in ("dir", "pur", "div", "sym", "blind"):
-                    m = 1 if s in ("dir", "pur") else 3
-                    k = 1 if s == "dir" else 3
                     # dir is deterministic: its one record is at p = 1
-                    [recs[s]] = strategies.run_strategy(s, ch, m, k, (0.8,))
+                    [recs[s]] = strategies.run_strategy(s, ch, (0.8,))
                 rows.append((z, eta, mean_id, recs))
     return rows, time.time() - t0
 
@@ -292,13 +290,13 @@ def test_criterion_08_asymmetry_index_trend():
     js_asym = []
     for mean in means:
         ch = channel.channel_choi(channel.ChannelParams(n=3, eta=0.0, lam=mean.lam, delta=1.0))
-        js_asym.append(strategies.run_strategy("div", ch, 3, 3, (0.8,))[0].j_index)
+        js_asym.append(strategies.run_strategy("div", ch, (0.8,))[0].j_index)
     mean_asym = float(np.mean(js_asym))
     ok = abs(mean_asym - 1 / 3) <= 0.15
 
     # symmetric channels at eta = 0.8 (identical mean vectors, L = 50)
     params = channel.ChannelParams(n=3, eta=0.8, lam=(0.8, 0.8, 0.8), delta=1.0)
-    j_sym = strategies.run_strategy("div", channel.channel_choi(params), 3, 3, (0.8,))[0].j_index
+    j_sym = strategies.run_strategy("div", channel.channel_choi(params), (0.8,))[0].j_index
     js_sym = [j_sym] * 50
     mean_sym = float(np.mean(js_sym))
     ok &= mean_sym >= 0.8

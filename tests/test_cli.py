@@ -1,11 +1,16 @@
+import ast
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qumimo import cli, decoder, experiments, noise
 from qumimo.errors import ConfigError, QumimoError, SolverError
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def tiny_fixed_cfg(**overrides):
@@ -153,6 +158,62 @@ class TestConfigValidation:
         assert cli.main(argv) == 2
         assert f"config error: {path}: " in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("regime", ["fixed_z", "stochastic"])
+    @pytest.mark.parametrize("key", ["num_realisations", "heatmap-mu"])
+    def test_unknown_key(self, tmp_path, capsys, regime, key):
+        # a misspelt key would otherwise run with the default it meant to set
+        cfg = (tiny_fixed_cfg if regime == "fixed_z" else tiny_stoch_cfg)(**{key: 5})
+        with pytest.raises(ConfigError) as err:
+            experiments.validate_config(cfg)
+        assert err.value.path == f"$.{key}"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        argv = [regime.replace("_", "-"), "--config", str(cfg_path), "--out", str(tmp_path / "x")]
+        assert cli.main(argv) == 2
+        assert f"config error: $.{key}: unknown key" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_one_realization_rejected(self, tmp_path, capsys):
+        # the cluster variance of a mean vector needs two realizations
+        cfg = tiny_stoch_cfg(num_realizations=1)
+        with pytest.raises(ConfigError) as err:
+            experiments.validate_config(cfg)
+        assert err.value.path == "$.num_realizations"
+        assert experiments.validate_config(tiny_stoch_cfg(num_realizations=2)).num_realizations == 2
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        argv = ["stochastic", "--config", str(cfg_path), "--out", str(tmp_path / "x")]
+        assert cli.main(argv) == 2
+        assert "config error: $.num_realizations: " in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_shipped_and_benchmark_configs_validate(self):
+        # the configs in configs/ and the benchmark's regime workloads
+        # (perfbench/workload.py REGIMES, which adds a seed per round)
+        paths = sorted((ROOT / "configs").glob("*.json"))
+        assert paths
+        for path in paths:
+            experiments.load_config(path, profile="ci")
+        tree = ast.parse((ROOT / "perfbench" / "workload.py").read_text())
+        [regimes] = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                     and any(isinstance(t, ast.Name) and t.id == "REGIMES" for t in node.targets)]
+        workloads = ast.literal_eval(regimes)
+        assert workloads
+        for command, base in workloads.values():
+            cfg = experiments.validate_config(dict(base, seed=2 ** 63 + 1), profile="ci")
+            assert cfg.regime == command.replace("-", "_")
+
+    def test_docstring_lists_every_key(self):
+        # the schema in the module docstring names the keys CONFIG_KEYS names
+        doc = experiments.__doc__
+        schema = doc[doc.index("Config schema"):doc.index("Stochastic-regime semantics")]
+        listed = []
+        for line in schema.splitlines():
+            match = re.match(r"^    (\S.*?)  ", line)
+            if match:
+                listed += match.group(1).split(", ")
+        assert listed == list(dict.fromkeys(row[0] for row in experiments.CONFIG_KEYS))
 
     def test_json_syntax_error_line(self, tmp_path):
         path = tmp_path / "bad.json"

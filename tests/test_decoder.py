@@ -507,7 +507,7 @@ class TestOptimizeGamma:
         # surrogate ignores p: one search serves every p, so the records
         # of one channel carry one gamma
         params = channel.ChannelParams(n=2, eta=0.4, lam=(0.5, 0.2), delta=1.0)
-        recs = strategies.run_strategy("div", channel.channel_choi(params), 2, 2, (0.5, 0.9))
+        recs = strategies.run_strategy("div", channel.channel_choi(params), (0.5, 0.9))
         assert [r.p_target for r in recs] == [0.5, 0.9]
         assert recs[0].gamma == recs[1].gamma
         assert recs[0].surrogate == recs[1].surrogate
@@ -675,11 +675,6 @@ class TestBlind:
             assert np.max(np.abs(j - p * PHI_UNNORM)) < 1e-12
             assert decoder.evaluate_decoder(j, identity_qr())[:2] == pytest.approx((p, 1.0))
 
-    def test_requires_square(self):
-        params = channel.ChannelParams(n=2, eta=0.0, lam=(0.1, 0.1), delta=1.0)
-        with pytest.raises(ValueError, match="blind requires M = K"):
-            strategies.run_strategy("blind", channel.channel_choi(params), 2, 1, (0.8,))
-
     def test_contracts(self):
         # feasible, and optimal: the identity-prior SDP is the oracle
         for m in range(1, 6):
@@ -733,6 +728,6 @@ class TestBlind:
             params = channel.ChannelParams(n=m, eta=float(rng.uniform(0, 1)),
                                            lam=tuple(rng.uniform(0, 1, m)), delta=1.0)
             ch = channel.channel_choi(params)
-            records = strategies.run_strategy("blind", ch, m, m, (0.5, 0.8, 1.0))
+            records = strategies.run_strategy("blind", ch, (0.5, 0.8, 1.0))
             assert [rec.p_target for rec in records] == [0.5, 0.8, 1.0]
             assert all(rec.p_real <= rec.p_target + 1e-12 for rec in records)

@@ -129,12 +129,12 @@ class TestSelectModes:
 class TestRunStrategy:
     def test_dir_identity_channel(self):
         params = channel.ChannelParams(n=2, eta=0.0, lam=(0.0, 0.0), delta=1.0)
-        [rec] = strategies.run_strategy("dir", channel.channel_choi(params), 1, 1, (1.0,))
+        [rec] = strategies.run_strategy("dir", channel.channel_choi(params), (1.0,))
         assert abs(rec.f_avg - 1.0) < 1e-6
 
     def test_dir_analytic(self):
         params = channel.ChannelParams(n=2, eta=0.0, lam=(0.2, 0.6), delta=1.0)
-        [rec] = strategies.run_strategy("dir", channel.channel_choi(params), 1, 1, (1.0,))
+        [rec] = strategies.run_strategy("dir", channel.channel_choi(params), (1.0,))
         assert abs(rec.f_avg - 0.9) < 1e-8  # 1 - lam_min / 2
 
     def test_dir_reads_branch_table_once(self, monkeypatch):
@@ -143,7 +143,7 @@ class TestRunStrategy:
         table = channel.branch_fidelities
         monkeypatch.setattr(strategies, "branch_fidelities", lambda c: calls.append(c) or table(c))
         params = channel.ChannelParams(n=4, eta=0.5, lam=(0.3, 0.1, 0.6, 0.2), delta=1.0)
-        (rec,) = strategies.run_strategy("dir", channel.channel_choi(params), 1, 1, (0.8,))
+        (rec,) = strategies.run_strategy("dir", channel.channel_choi(params), (0.8,))
         assert len(calls) == 1
         t, r = strategies.select_modes(calls[0], 1)
         assert (rec.t, rec.r) == (t, r) and rec.f_avg == table(calls[0])[t[0] - 1, r[0] - 1]
@@ -151,8 +151,7 @@ class TestRunStrategy:
     def test_f_avg_identity(self):
         params = channel.ChannelParams(n=2, eta=0.5, lam=(0.4, 0.2), delta=1.0)
         for s in ("pur", "sym", "div"):
-            m = 1 if s == "pur" else 2
-            [rec] = strategies.run_strategy(s, channel.channel_choi(params), m, 2, (0.8,))
+            [rec] = strategies.run_strategy(s, channel.channel_choi(params), (0.8,))
             assert abs(rec.f_avg - (0.8 * rec.f_success + 0.1)) < 1e-10
             assert 0.5 - 1e-6 <= rec.f_avg <= 1 + 1e-6
 
@@ -164,10 +163,10 @@ class TestRunStrategy:
                 delta=1.0,
             )
             ch = channel.channel_choi(params)
-            [div] = strategies.run_strategy("div", ch, 2, 2, (0.8,))
-            [sym] = strategies.run_strategy("sym", ch, 2, 2, (0.8,))
-            [pur] = strategies.run_strategy("pur", ch, 1, 2, (0.8,))
-            [blind] = strategies.run_strategy("blind", ch, 2, 2, (0.8,))
+            [div] = strategies.run_strategy("div", ch, (0.8,))
+            [sym] = strategies.run_strategy("sym", ch, (0.8,))
+            [pur] = strategies.run_strategy("pur", ch, (0.8,))
+            [blind] = strategies.run_strategy("blind", ch, (0.8,))
             assert div.f_avg >= sym.f_avg - 1e-6
             # dominance over one copy holds for the design surrogate (the
             # search scores the single-branch vertex), not at the operating p
@@ -177,14 +176,14 @@ class TestRunStrategy:
     def test_symmetric_channel_invariant_under_mode_relabeling(self):
         base = channel.ChannelParams(n=3, eta=0.5, lam=(0.4, 0.2, 0.3), delta=1.0)
         rolled = channel.ChannelParams(n=3, eta=0.5, lam=(0.2, 0.3, 0.4), delta=1.0)
-        [a] = strategies.run_strategy("sym", channel.channel_choi(base), 3, 3, (0.8,))
-        [b] = strategies.run_strategy("sym", channel.channel_choi(rolled), 3, 3, (0.8,))
+        [a] = strategies.run_strategy("sym", channel.channel_choi(base), (0.8,))
+        [b] = strategies.run_strategy("sym", channel.channel_choi(rolled), (0.8,))
         # cyclic relabeling of a circulant channel leaves fidelity unchanged
         assert abs(a.f_avg - b.f_avg) < 1e-8
 
     def test_blind_reports_realized_probability(self):
         params = channel.ChannelParams(n=2, eta=0.3, lam=(0.5, 0.2), delta=1.0)
-        [rec] = strategies.run_strategy("blind", channel.channel_choi(params), 2, 2, (0.8,))
+        [rec] = strategies.run_strategy("blind", channel.channel_choi(params), (0.8,))
         assert rec.p_target == 0.8
         assert 0.0 <= rec.p_real <= 1.0
         assert abs(rec.f_avg - (rec.p_real * rec.f_success + (1 - rec.p_real) / 2)) < 1e-9
@@ -195,26 +194,26 @@ class TestRunStrategy:
         params = channel.ChannelParams(n=2, eta=0.3, lam=(0.5, 0.2), delta=1.0)
         ch = channel.channel_choi(params)
         ps = (0.5, 0.8, 1.0)
-        for s, m, k in (("pur", 1, 2), ("div", 2, 2), ("sym", 2, 2), ("blind", 2, 2)):
-            recs = strategies.run_strategy(s, ch, m, k, ps)
+        for s in ("pur", "div", "sym", "blind"):
+            recs = strategies.run_strategy(s, ch, ps)
             assert [r.p_target for r in recs] == list(ps)
             for p, rec in zip(ps, recs):
-                assert [rec] == strategies.run_strategy(s, ch, m, k, (p,))
-        [rec] = strategies.run_strategy("dir", ch, 1, 1, ps)
-        assert rec.p_target == rec.p_real == 1.0
+                assert [rec] == strategies.run_strategy(s, ch, (p,))
+            # M and K follow from the name: pur sends one copy, the rest N
+            assert (recs[0].m, recs[0].k) == ((1, 2) if s == "pur" else (2, 2))
+        [rec] = strategies.run_strategy("dir", ch, ps)
+        assert rec.p_target == rec.p_real == 1.0 and (rec.m, rec.k) == (1, 1)
 
-    def test_rejects_bad_combo(self):
+    def test_rejects_unknown_strategy(self):
         params = channel.ChannelParams(n=2, eta=0.0, lam=(0.1, 0.1), delta=1.0)
         with pytest.raises(ValueError):
-            strategies.run_strategy("pur", channel.channel_choi(params), 2, 2, (0.8,))
-        with pytest.raises(ValueError):
-            strategies.run_strategy("nope", channel.channel_choi(params), 1, 1, (1.0,))
+            strategies.run_strategy("nope", channel.channel_choi(params), (1.0,))
 
 
 class TestRecordsCsv:
     def test_stable_schema(self, tmp_path):
         params = channel.ChannelParams(n=2, eta=0.0, lam=(0.2, 0.4), delta=1.0)
-        [rec] = strategies.run_strategy("sym", channel.channel_choi(params), 2, 2, (0.8,))
+        [rec] = strategies.run_strategy("sym", channel.channel_choi(params), (0.8,))
         path = tmp_path / "records.csv"
         row = experiments.csv_row(rec, 3, 2, 0.6, "fixed_z", 0.0, 1.0, mean_id=0, seed=7)
         experiments._write_csv(path, experiments.csv_header(3), [row])
