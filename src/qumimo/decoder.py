@@ -15,6 +15,10 @@ convention is pinned by the identity-channel sanity value of exactly 1.
 Dropping the partial-trace dominance yields a generalized Rayleigh
 quotient whose top eigenvalue upper-bounds the SDP for every p.
 The blind baseline's decoder needs no SDP: :func:`blind_choi`.
+
+``Qt`` and ``Rt`` are block-diagonal by SU(2) spin on one real frame
+(:func:`_frame`); the decoder SDP is solved, and the gamma search scored,
+on those blocks.
 """
 
 from __future__ import annotations
@@ -29,9 +33,9 @@ from .channel import Channel, source_weights
 from .cloner import (
     AsymmetryVector,
     ClonerChoi,
+    _fidelities,
     _stinespring_basis,
     clone_amplitudes,
-    clone_fidelities,
     cloner_choi,
     simplex_grid,
 )
@@ -41,8 +45,10 @@ from .tensor import I2, PSD_SUPPORT_TOL, SWAP2, dagger, schur_weyl_basis
 
 SURROGATE_TIE_TOL = 1e-6
 GRID_STEP_DENOM = 20
-# Lattice points per scoring batch: 4 MB of stacked Qt at K = 5 (0.35 GB unchunked).
-SCORE_CHUNK = 128
+# Lattice points per scoring batch.  At K = 5 the widest spin block is
+# 9 x 9, so a batch stacks 1.3 MB per block array; an N = M = 5 search
+# peaks at 52 MB RSS this way, 76 MB with the 10,626 points in one batch.
+SCORE_CHUNK = 2048
 POLISH_DENOM = 640
 # Polish steps this close to the best step tie: above the float64 rounding
 # of the surrogate (up to 7e-13 on crosstalk-only M = 4 channels), far
@@ -100,6 +106,9 @@ def compose_effective_map(encoder: ClonerChoi, chan: Channel, t, r) -> Effective
     marginal of the depolarized cloner on the clones in s, its legs ordered
     by s and padded with I/2.  Source tuples that place the same clones on
     the same legs share one term.
+
+    ``encoder.choi`` may carry a leading stack axis; a single Choi is a
+    stack of one, and an entry's cascade does not depend on its stack.
     """
     t = tuple(int(x) for x in t)
     r = tuple(int(x) for x in r)
@@ -112,15 +121,16 @@ def compose_effective_map(encoder: ClonerChoi, chan: Channel, t, r) -> Effective
     if any(not 1 <= x <= n for x in t + r):
         raise ValueError(f"mode indices outside 1..{n}")
 
-    jt = encoder.choi
+    lead = encoder.choi.shape[:-2]
+    jt = encoder.choi.reshape(-1, 2 ** (m + 1), 2 ** (m + 1))
     for c, mode in enumerate(t, start=1):
         # Depolarize clone c: (1 - lam) J + lam Tr_c J (x) I/2 on its leg.
         lam = chan.params.lam[mode - 1]
-        x = jt.reshape(2 ** c, 2, 2 ** (m - c), 2 ** c, 2, 2 ** (m - c))
-        half_tr = lam / 2.0 * (x[:, 0, :, :, 0] + x[:, 1, :, :, 1])
+        x = jt.reshape(-1, 2 ** c, 2, 2 ** (m - c), 2 ** c, 2, 2 ** (m - c))
+        half_tr = lam / 2.0 * (x[:, :, 0, :, :, 0] + x[:, :, 1, :, :, 1])
         x = (1.0 - lam) * x
-        x[:, 0, :, :, 0] += half_tr
-        x[:, 1, :, :, 1] += half_tr
+        x[:, :, 0, :, :, 0] += half_tr
+        x[:, :, 1, :, :, 1] += half_tr
         jt = x
 
     # A pattern holds, per receive leg, the clone its source carries (0: I/2).
@@ -137,26 +147,30 @@ def compose_effective_map(encoder: ClonerChoi, chan: Channel, t, r) -> Effective
     pads = int((patterns == 0).sum(axis=1).max())
     q = m + 1 + pads
     pad = np.eye(2 ** pads) / 2 ** pads
-    jt = (jt.reshape(2 ** (m + 1), 1, 2 ** (m + 1), 1) * pad[:, None]).reshape((2,) * (2 * q))
-    out = np.zeros((2,) * (2 * k + 2))
+    jt = jt.reshape(-1, 2 ** (m + 1), 1, 2 ** (m + 1), 1) * pad[:, None]
+    jt = jt.reshape(-1, *(2,) * (2 * q))
+    out = np.zeros((len(jt),) + (2,) * (2 * k + 2))
     for pattern, weight in zip(patterns.tolist(), weights):
         free = iter(range(m + 1, q))
         ket = [0] + [c if c else next(free) for c in pattern]
         bra = [q + a if a in ket else a for a in range(q)]
-        out += weight * np.einsum(jt, list(range(q)) + bra, ket + [q + a for a in ket])
+        out += weight * np.einsum(jt, [..., *range(q), *bra], [..., *ket, *(q + a for a in ket)])
     dk = 2 ** k
-    return EffectiveMap(choi=out.reshape(2 * dk, 2 * dk), k=k)
+    return EffectiveMap(choi=out.reshape(lead + (2 * dk, 2 * dk)), k=k)
 
 
 def build_qr(emap: EffectiveMap) -> QROperators:
-    """Haar-averaged operators of the cascade, input transpose folded in."""
+    """Haar-averaged operators of the cascade, input transpose folded in;
+    a leading stack axis of ``emap.choi`` carries over to both."""
     dk = 2 ** emap.k
-    jl4 = emap.choi.reshape(2, dk, 2, dk)
+    lead = emap.choi.shape[:-2]
+    jl4 = emap.choi.reshape(lead + (2, dk, 2, dk))
     w4 = TWIRL_SECOND_MOMENT.reshape(2, 2, 2, 2)
-    q4 = np.einsum("iojp,irjs->orps", jl4, w4)
-    qt = q4.transpose(2, 1, 0, 3).reshape(2 * dk, 2 * dk)
-    sigma = np.einsum("iojp,ij->op", jl4, I2 / 2.0)
-    rt = np.kron(sigma.T, I2)
+    q4 = np.einsum("...iojp,irjs->...orps", jl4, w4)
+    qt = q4.swapaxes(-4, -2).reshape(lead + (2 * dk, 2 * dk))
+    sigma = np.einsum("...iojp,ij->...op", jl4, I2 / 2.0)
+    # Rt = sigma^T (x) I, one Kronecker product per stack entry.
+    rt = (sigma.swapaxes(-1, -2)[..., :, None, :, None] * I2[:, None, :]).reshape(qt.shape)
     qt = (qt + dagger(qt)) / 2.0
     rt = (rt + dagger(rt)) / 2.0
     return QROperators(qt=qt, rt=rt, k=emap.k)
@@ -293,18 +307,20 @@ def _frame(n: int, flip: int):
 
 
 def _lift(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return np.sum(w @ x @ w.transpose(0, 2, 1), axis=0)
+    """``sum_t w[t] X w[t]^T`` of X, or of each X of a stack."""
+    return np.sum(w @ x[..., None, :, :] @ w.transpose(0, 2, 1), axis=-3)
 
 
 def _reduce(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The adjoint of :func:`_lift`: ``(2j + 1) X_j`` on the commutant."""
-    return np.sum(w.transpose(0, 2, 1) @ x @ w, axis=0)
+    return np.sum(w.transpose(0, 2, 1) @ x[..., None, :, :] @ w, axis=-3)
 
 
 def covariant_operators(qr: QROperators):
     """``Qt`` and ``Rt`` reduced on the decoder's frame (the K-qubit leg
     flipped), and their largest entry off the commutant of
-    ``conj(U)^{(x)K} (x) U``, relative to ``max(1, largest entry)``."""
+    ``conj(U)^{(x)K} (x) U``, relative to ``max(1, largest entry)``, of
+    ``qr`` or of its whole stack."""
     w, paths = _frame(qr.k + 1, qr.k)
     two_j = np.array([path[-1] for path in paths])
     reduced, resid = [], 0.0
@@ -314,6 +330,29 @@ def covariant_operators(qr: QROperators):
         resid = max(resid, off / max(1.0, float(np.max(np.abs(x)))))
         reduced.append((red + dagger(red)) / 2.0)
     return reduced, resid
+
+
+def _covariant_blocks(qr: QROperators):
+    """The real reduced ``Qt`` and ``Rt`` that the decoder SDP and the gamma
+    search read; off the commutant, or with an imaginary part, by more
+    than ``COVARIANCE_TOL``: ``ValueError``."""
+    (c, r), resid = covariant_operators(qr)
+    if resid > COVARIANCE_TOL:
+        raise ValueError(f"Qt, Rt off the SU(2) commutant by {resid:.1e} (relative)")
+    imag = max(float(np.max(np.abs(x.imag))) / max(1.0, float(np.max(np.abs(x)))) for x in (c, r))
+    if imag > COVARIANCE_TOL:
+        raise ValueError(f"reduced Qt, Rt not real: imaginary part {imag:.1e} (relative)")
+    return c.real, r.real
+
+
+def _spin_blocks(qr: QROperators) -> list:
+    """``(Q_j, R_j)`` per spin j, with ``Qt = (+)_j Q_j (x) I_{2j+1}``
+    and ``Rt`` alike on the decoder's frame (:func:`_covariant_blocks`),
+    each with the stack axis of ``qr``."""
+    q, r = _covariant_blocks(qr)
+    two_j = np.array([path[-1] for path in _frame(qr.k + 1, qr.k)[1]])
+    idx = [np.flatnonzero(two_j == tj) for tj in np.unique(two_j)]
+    return [tuple(x[..., i[:, None], i] / (two_j[i[0]] + 1) for x in (q, r)) for i in idx]
 
 
 @functools.cache
@@ -343,13 +382,7 @@ def _covariant_rows(k: int) -> tuple:
 
 def _covariant_problem(qr: QROperators, p: float) -> sdp.SdpProblem:
     """The decoder SDP on the real reduced blocks of J and S."""
-    (c, r), resid = covariant_operators(qr)
-    if resid > COVARIANCE_TOL:
-        raise ValueError(f"Qt, Rt off the SU(2) commutant by {resid:.1e} (relative)")
-    imag = max(float(np.max(np.abs(x.imag))) / max(1.0, float(np.max(np.abs(x)))) for x in (c, r))
-    if imag > COVARIANCE_TOL:
-        raise ValueError(f"reduced Qt, Rt not real: imaginary part {imag:.1e} (relative)")
-    return _decoder_problem(c.real, r.real, _covariant_rows(qr.k), p)
+    return _decoder_problem(*_covariant_blocks(qr), _covariant_rows(qr.k), p)
 
 
 def evaluate_decoder(j: np.ndarray, qr: QROperators) -> tuple[float, float, float]:
@@ -381,10 +414,14 @@ def rayleigh_bound(qr: QROperators) -> float:
     ``Rt^{-1/2} Qt Rt^{-1/2}`` on the support of Rt, which dominates the
     SDP conditional fidelity for every p.
 
-    Scored by :func:`_surrogates` on ``sigma^T = Rt[::2, ::2]``: valid
-    because :func:`build_qr`, the only constructor of
-    :class:`QROperators`, forms ``Rt = sigma^T (x) I`` and makes both
-    operators Hermitian.
+    Scored by :func:`_surrogates` on the full operators, with
+    ``sigma^T = Rt[::2, ::2]``: valid because :func:`build_qr`, the only
+    constructor of :class:`QROperators`, forms ``Rt = sigma^T (x) I`` and
+    makes both operators Hermitian.  The gamma search scores on the spin
+    blocks instead (:func:`_lattice_surrogates`), which agree to rounding;
+    for one cascade already built, reducing it first costs more than it
+    saves (one BLAS thread, shared 2-core x86-64: 0.36 against 0.06 ms at
+    K = 2, 0.53 against 0.15 ms at K = 4).
     """
     return float(_surrogates(qr.qt[None], qr.rt[None, ::2, ::2])[0])
 
@@ -408,73 +445,89 @@ def evaluate_gamma_surrogate(gamma, chan: Channel, t, r) -> float:
     return rayleigh_bound(build_qr(compose_effective_map(cloner_choi(gamma), chan, t, r)))
 
 
-def _pair_weights(points) -> np.ndarray:
-    """Quadratic-form weights ``w_kl beta_k beta_l`` (k <= l) of each gamma."""
-    rows, cols = np.triu_indices(len(points[0]))
-    betas = np.array([clone_amplitudes(g).beta for g in points])
+def _pair_weights(betas: np.ndarray) -> np.ndarray:
+    """Quadratic-form weights ``w_kl beta_k beta_l`` (k <= l) per amplitude row."""
+    rows, cols = np.triu_indices(betas.shape[1])
     return np.where(rows == cols, 1.0, 2.0) * betas[:, rows] * betas[:, cols]
+
+
+def _amplitudes(points) -> np.ndarray:
+    return np.array([clone_amplitudes(g).beta for g in points])
 
 
 @functools.cache
 def _lattice(m: int):
     """The 1/20 simplex lattice plus the exact uniform point (which the
-    lattice misses at M = 3), and each point's quadratic-form weights."""
+    lattice misses at M = 3), each point's quadratic-form weights, and its
+    rank in the tie-break order of :func:`optimize_gamma`."""
     points = simplex_grid(m, GRID_STEP_DENOM)
     uniform = tuple([1.0 / m] * m)
     if uniform not in points:
         points.append(uniform)
-    return points, _pair_weights(points)
+    betas = _amplitudes(points)
+    order = sorted(range(len(points)),
+                   key=lambda i: (-asymmetry_index(_fidelities(betas[i])), points[i]))
+    return points, _pair_weights(betas), np.argsort(order)
 
 
-def _surrogate_pieces(m: int, chan: Channel, t, r):
-    """Stacked ``Qt_kl`` and ``sigma_kl^T`` (k <= l) of the cascade.
+def _surrogate_pieces(m: int, chan: Channel, t, r) -> list:
+    """Per-spin pieces ``(Q_j,kl, R_j,kl)`` (k <= l) of the cascade, stacked
+    over kl (:func:`_spin_blocks`).
 
     The cloner Choi is ``sum_{k<=l} w_kl beta_k beta_l J_kl`` with
-    ``J_kl = (B_k B_l^T + B_l B_k^T) / 2M``, and ``Qt`` and ``sigma``
-    (``Rt = sigma^T (x) I``) are linear in it, so both are quadratic forms
-    in the clone amplitudes built from these pieces.
+    ``J_kl = (B_k B_l^T + B_l B_k^T) / 2M``, and ``Qt`` and ``Rt`` are
+    linear in it, so both are quadratic forms in the clone amplitudes
+    built from these pieces, whose cascades are built as one stack.
     """
     basis = _stinespring_basis(m)
-    qts, sts = [], []
-    for k, l in zip(*np.triu_indices(m)):
-        outer = basis[k] @ basis[l].T
-        piece = ClonerChoi(choi=(outer + outer.T) / (2 * m), m=m, fidelities=())
-        qr = build_qr(compose_effective_map(piece, chan, t, r))
-        qts.append(qr.qt)
-        sts.append(qr.rt[::2, ::2])
-    return np.array(qts), np.array(sts)
+    k, l = np.triu_indices(m)
+    outer = basis[k] @ basis[l].swapaxes(1, 2)
+    pieces = ClonerChoi(choi=(outer + outer.swapaxes(1, 2)) / (2 * m), m=m, fidelities=())
+    return _spin_blocks(build_qr(compose_effective_map(pieces, chan, t, r)))
 
 
-def _surrogates(qts, sts) -> np.ndarray:
-    """The Rayleigh surrogate of each stacked pair ``(Qt, sigma^T)``, where
-    ``Rt = sigma^T (x) I``: the top eigenvalue of ``R^{-1/2} Qt R^{-1/2}``,
-    with the pseudo-inverse square root taken on ``sigma^T``.  Eigenvalues
-    at or below ``PSD_SUPPORT_TOL`` lie outside the support; one below
-    ``-PSD_SUPPORT_TOL`` raises :class:`NotPsdError`."""
-    ev, vec = np.linalg.eigh(sts)
+def _pinv_sqrt(r: np.ndarray):
+    """``R^{-1/2}`` on the support of each stacked Hermitian R, and whether
+    that support is nonempty.  Eigenvalues at or below ``PSD_SUPPORT_TOL``
+    lie outside it; one below ``-PSD_SUPPORT_TOL`` raises :class:`NotPsdError`."""
+    ev, vec = np.linalg.eigh(r)
     floor = ev[:, 0].min()
     if floor < -PSD_SUPPORT_TOL:
         raise NotPsdError(f"eigenvalue {floor:.3e} below -{PSD_SUPPORT_TOL:.1e}")
     inv_sqrt = np.where(ev > PSD_SUPPORT_TOL,
                         1.0 / np.sqrt(np.clip(ev, PSD_SUPPORT_TOL, None)), 0.0)
-    if not inv_sqrt.any(axis=1).all():
+    return (vec * inv_sqrt[:, None, :]) @ vec.conj().swapaxes(1, 2), inv_sqrt.any(axis=1)
+
+
+def _surrogates(qts, sts) -> np.ndarray:
+    """The Rayleigh surrogate of each stacked pair ``(Qt, sigma^T)``, where
+    ``Rt = sigma^T (x) I``: the top eigenvalue of ``R^{-1/2} Qt R^{-1/2}``,
+    the square root taken on ``sigma^T`` (:func:`_pinv_sqrt`)."""
+    s, support = _pinv_sqrt(sts)
+    if not support.all():
         raise ValueError("Rt has empty support")
-    s = (vec * inv_sqrt[:, None, :]) @ vec.conj().swapaxes(1, 2)
     rinv = (s[:, :, None, :, None] * I2[None, None, :, None, :]).reshape(qts.shape)
     return np.linalg.eigvalsh(rinv @ qts @ rinv)[:, -1]
 
 
-def _lattice_surrogates(weights, qts, sts) -> np.ndarray:
-    """:func:`_surrogates` of the cascade at every row of quadratic-form
-    weights, scored in chunks of ``SCORE_CHUNK`` rows, each chunk one BLAS
-    product on the flattened pieces."""
-    q_flat, s_flat = (x.reshape(len(x), -1) for x in (qts, sts))
+def _lattice_surrogates(weights, pieces) -> np.ndarray:
+    """The Rayleigh surrogate at every row of quadratic-form weights from
+    the per-spin pieces of :func:`_surrogate_pieces`: the largest over j of
+    the top eigenvalue of ``R_j^{-1/2} Q_j R_j^{-1/2}`` (:func:`_pinv_sqrt`),
+    :func:`_surrogates` block by block.  Rows are scored in chunks of
+    ``SCORE_CHUNK``, one BLAS product per block and chunk."""
+    flat = [(q.reshape(len(q), -1), r.reshape(len(r), -1), q.shape[1:]) for q, r in pieces]
     out = np.empty(len(weights))
     for lo in range(0, len(weights), SCORE_CHUNK):
         w = weights[lo:lo + SCORE_CHUNK]
-        qt = (w @ q_flat).reshape(len(w), *qts.shape[1:])
-        st = (w @ s_flat).reshape(len(w), *sts.shape[1:])
-        out[lo:lo + len(w)] = _surrogates(qt, st)
+        tops, support = [], np.zeros(len(w), dtype=bool)
+        for q, r, shape in flat:
+            rinv, block_support = _pinv_sqrt((w @ r).reshape(len(w), *shape))
+            tops.append(np.linalg.eigvalsh(rinv @ (w @ q).reshape(len(w), *shape) @ rinv)[:, -1])
+            support |= block_support
+        if not support.all():
+            raise ValueError("Rt has empty support")
+        out[lo:lo + len(w)] = np.max(tops, axis=0)
     return out
 
 
@@ -488,10 +541,12 @@ def _polish(start: tuple, pieces) -> tuple:
     m = len(start)
     counts = np.rint(np.asarray(start) * POLISH_DENOM).astype(int)
     edges = (np.eye(m, dtype=int)[:, None] - np.eye(m, dtype=int))[~np.eye(m, dtype=bool)]
-    best, step = _lattice_surrogates(_pair_weights([start]), *pieces)[0], POLISH_DENOM // 40
+    best = _lattice_surrogates(_pair_weights(_amplitudes([start])), pieces)[0]
+    step = POLISH_DENOM // 40
     while step:
         moves = [c for c in counts + step * edges if c.min() >= 0]
-        vals = _lattice_surrogates(_pair_weights([c / POLISH_DENOM for c in moves]), *pieces)
+        betas = _amplitudes([c / POLISH_DENOM for c in moves])
+        vals = _lattice_surrogates(_pair_weights(betas), pieces)
         if vals.max() > best + SURROGATE_TIE_TOL:
             first = int(np.flatnonzero(vals >= vals.max() - POLISH_TIE_TOL)[0])
             counts, best = moves[first], vals[first]
@@ -507,12 +562,14 @@ def optimize_gamma(m: int, chan: Channel, t, r) -> GammaOptimum:
     carries the cascade operators ``qr`` at gamma*; callers solve the
     decoder SDP on ``qr`` for each success probability they need.
 
-    Every M scores the 1/20 lattice plus the exact uniform point from the
-    cascade's quadratic-form pieces.  Points within 1e-6 of the best tie,
-    and the tie breaks toward the most uniform gamma (highest asymmetry
-    index), then lexicographically smallest.  At M >= 4 the winner is
-    polished off the lattice (``_polish``), where the lattice alone fell
-    up to 1.7e-4 short of a continuous search.
+    Every M scores the 1/20 lattice plus the exact uniform point on the
+    SU(2) spin blocks of the cascade's quadratic-form pieces
+    (:func:`_surrogate_pieces`).  Points within 1e-6 of the best tie, and
+    the tie breaks toward the most uniform gamma (highest asymmetry index),
+    then lexicographically smallest (ranks cached by :func:`_lattice`).
+    At M >= 4 the winner is polished off the lattice (``_polish``), where
+    the lattice alone fell up to 1.7e-4 short of a continuous search.  The
+    surrogate returned is :func:`rayleigh_bound` at gamma*.
 
     Dominance over the single-branch strategies holds for the surrogate,
     not at an operating p: the candidates include the single-branch
@@ -524,12 +581,11 @@ def optimize_gamma(m: int, chan: Channel, t, r) -> GammaOptimum:
     """
     if m > 5:
         raise ValueError("gamma optimization limited to M <= 5")
-    points, weights = _lattice(m)
+    points, weights, rank = _lattice(m)
     pieces = _surrogate_pieces(m, chan, t, r)
-    scores = _lattice_surrogates(weights, *pieces)
+    scores = _lattice_surrogates(weights, pieces)
     ties = np.flatnonzero(scores >= scores.max() - SURROGATE_TIE_TOL)
-    gamma_star = min((points[i] for i in ties),
-                     key=lambda g: (-asymmetry_index(clone_fidelities(g).fidelities), g))
+    gamma_star = points[ties[np.argmin(rank[ties])]]
     if m >= 4:
         gamma_star = _polish(gamma_star, pieces)
     qr = build_qr(compose_effective_map(cloner_choi(gamma_star), chan, t, r))

@@ -37,7 +37,8 @@ PHI_UNNORM = np.outer(I2.ravel(), I2.ravel())
 
 
 def dagger(x: np.ndarray) -> np.ndarray:
-    return x.conj().T
+    """Conjugate transpose of the last two axes (of each matrix of a stack)."""
+    return x.conj().swapaxes(-1, -2)
 
 
 def is_hermitian(x: np.ndarray) -> bool:

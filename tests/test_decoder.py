@@ -6,7 +6,7 @@ import pytest
 from qumimo import channel, cloner, decoder, sdp, strategies
 from qumimo.errors import NotPsdError
 from qumimo.metrics import asymmetry_index
-from qumimo.tensor import I2, PHI_UNNORM, dagger
+from qumimo.tensor import I2, PHI_UNNORM, SWAP2, dagger
 from reference_ops import (
     ModeSpace,
     depolarizing_choi_1q,
@@ -42,9 +42,9 @@ def lattice_channel(n, eta, lam):
 
 
 def assert_scorer_matches(m, ch, t, r, index=None):
-    points, weights = decoder._lattice(m)
+    points, weights, _ = decoder._lattice(m)
     index = range(len(points)) if index is None else index
-    scores = decoder._lattice_surrogates(weights[index], *decoder._surrogate_pieces(m, ch, t, r))
+    scores = decoder._lattice_surrogates(weights[index], decoder._surrogate_pieces(m, ch, t, r))
     for i, score in zip(index, scores):
         assert abs(score - decoder.evaluate_gamma_surrogate(points[i], ch, t, r)) < 1e-12
 
@@ -146,6 +146,73 @@ class TestBuildQR:
         se = terms.std(axis=0) / np.sqrt(n_samp)
         diff = np.abs(mean - qr.qt)
         assert np.all(diff <= 3.0 * np.abs(se) + 3e-4)
+
+
+def stacked_cascade(chois, m, ch, t, r):
+    enc = cloner.ClonerChoi(choi=chois, m=m, fidelities=())
+    return decoder.build_qr(decoder.compose_effective_map(enc, ch, t, r))
+
+
+def piece_chois(m):
+    basis = cloner._stinespring_basis(m)
+    out = []
+    for k, l in zip(*np.triu_indices(m)):
+        outer = basis[k] @ basis[l].T
+        out.append((outer + outer.T) / (2 * m))
+    return np.array(out)
+
+
+class TestStackedCascade:
+    """``compose_effective_map`` and ``build_qr`` on a stack of Choi
+    operators: each entry's cascade bit for bit what the single call
+    gives, whatever else is in the stack and wherever it sits."""
+
+    @pytest.mark.parametrize("n, m, k", [(1, 1, 1), (2, 2, 2), (2, 1, 2), (3, 3, 3), (3, 2, 1),
+                                         (4, 4, 4), (4, 3, 2), (5, 5, 5), (5, 4, 3)])
+    @pytest.mark.parametrize("eta", [0.0, 0.6])
+    def test_batch_invariance(self, n, m, k, eta):
+        rng = np.random.default_rng(100 * n + 10 * k + int(10 * eta))
+        ch = channel.channel_choi(channel.ChannelParams(
+            n=n, eta=eta, lam=tuple(rng.uniform(0, 1, n)), delta=float(rng.uniform(0.3, 2.0))))
+        t = tuple(int(x) + 1 for x in rng.permutation(n)[:m])
+        r = tuple(int(x) + 1 for x in rng.permutation(n)[:k])
+        # the surrogate pieces, and two cloners
+        chois = np.concatenate([piece_chois(m), [
+            cloner.cloner_choi(tuple(rng.dirichlet(np.ones(m)))).choi for _ in range(2)]])
+        alone = [decoder.build_qr(decoder.compose_effective_map(
+            cloner.ClonerChoi(choi=c, m=m, fidelities=()), ch, t, r)) for c in chois]
+        count = len(chois)
+        orders = [list(range(count)), list(range(count))[::-1], [count - 1, 0, 0], [1 % count]]
+        for order in orders:
+            qr = stacked_cascade(chois[order], m, ch, t, r)
+            assert qr.qt.shape[0] == len(order) and qr.k == k
+            for row, i in enumerate(order):
+                assert np.array_equal(qr.qt[row], alone[i].qt)
+                assert np.array_equal(qr.rt[row], alone[i].rt)
+        # a stack of one is the single call
+        one = stacked_cascade(chois[:1], m, ch, t, r)
+        assert one.qt.shape == (1,) + alone[0].qt.shape
+        assert np.array_equal(one.qt[0], alone[0].qt) and np.array_equal(one.rt[0], alone[0].rt)
+        # the stacked reduction is the per-entry one
+        stacked = decoder.covariant_operators(stacked_cascade(chois, m, ch, t, r))
+        for i, qr in enumerate(alone):
+            (c, rr), resid = decoder.covariant_operators(qr)
+            assert np.array_equal(stacked[0][0][i], c) and np.array_equal(stacked[0][1][i], rr)
+            assert resid <= stacked[1] <= 1e-12
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_surrogate_pieces_are_the_per_piece_cascades(self, m):
+        ch = lattice_channel(m, 0.5, tuple(np.linspace(0.1, 0.7, m)))
+        t, r = strategies.select_modes(ch, m)
+        per_piece = [decoder.build_qr(decoder.compose_effective_map(
+            cloner.ClonerChoi(choi=c, m=m, fidelities=()), ch, t, r)) for c in piece_chois(m)]
+        want = decoder._spin_blocks(decoder.QROperators(
+            qt=np.array([qr.qt for qr in per_piece]), rt=np.array([qr.rt for qr in per_piece]),
+            k=len(r)))
+        got = decoder._surrogate_pieces(m, ch, t, r)
+        assert len(got) == len(want)
+        for (q, rr), (q_want, r_want) in zip(got, want):
+            assert np.array_equal(q, q_want) and np.array_equal(rr, r_want)
 
 
 class TestPurificationSdp:
@@ -562,12 +629,12 @@ class TestOptimizeGamma:
         for seed in range(6):
             rng = np.random.default_rng(seed)
 
+            def bend(x):
+                f = rng.uniform(-1.0, 1.0, x.shape)
+                return x * (1.0 + 1e-15 * (f + f.swapaxes(-1, -2)) / 2)
+
             def perturbed(*args):
-                out = []
-                for x in exact(*args):
-                    f = rng.uniform(-1.0, 1.0, x.shape)
-                    out.append(x * (1.0 + 1e-15 * (f + f.swapaxes(-1, -2)) / 2))
-                return tuple(out)
+                return [(bend(q), bend(r)) for q, r in exact(*args)]
 
             monkeypatch.setattr(decoder, "_surrogate_pieces", perturbed)
             assert decoder.optimize_gamma(4, ch, modes, modes).gamma.gamma == want
@@ -577,9 +644,9 @@ def rescore_all_gamma(m, ch, t, r):
     """The search's choice with every point in the tie band rescored per
     point through ``evaluate_gamma_surrogate``, then polished at M >= 4:
     the reference for the tie rule on the lattice scores."""
-    points, weights = decoder._lattice(m)
+    points, weights, _ = decoder._lattice(m)
     pieces = decoder._surrogate_pieces(m, ch, t, r)
-    scores = decoder._lattice_surrogates(weights, *pieces)
+    scores = decoder._lattice_surrogates(weights, pieces)
     near = np.flatnonzero(scores >= scores.max() - decoder.SURROGATE_TIE_TOL - 1e-9)
     vals = {i: decoder.evaluate_gamma_surrogate(points[i], ch, t, r) for i in near}
     best = max(vals.values())
@@ -613,13 +680,37 @@ class TestTieRescoring:
         assert opt.surrogate == decoder.evaluate_gamma_surrogate(want, ch, t, r)
 
 
+SCORER_CHANNELS = [
+    (2, 1.0, (0.7, 0.2)),
+    (3, 0.0, (0.3, 0.3, 0.3)),
+    (3, 0.4, (0.0, 0.0, 0.0)),
+    (3, 1.0, (1.0, 1.0, 1.0)),
+]
+
+
 class TestLatticeScorer:
+    """The block scorer against ``rayleigh_bound`` on the full operators,
+    within 1e-12 on every channel, crosstalk-only M = 4 ones included."""
+
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_every_point_m_le_3(self, m):
         lam = (0.7, 0.2, 0.45)[:m]
         ch = lattice_channel(m, 0.7, lam)
         t, r = strategies.select_modes(ch, m)
         assert_scorer_matches(m, ch, t, r)
+
+    @pytest.mark.parametrize("m, eta, lam", SCORER_CHANNELS)
+    def test_every_point_more_channels(self, m, eta, lam):
+        # full crosstalk, equal-lambda, crosstalk-only and fully
+        # depolarized channels
+        ch = lattice_channel(m, eta, lam)
+        t, r = strategies.select_modes(ch, m)
+        assert_scorer_matches(m, ch, t, r)
+
+    def test_noiseless_rank_deficient(self):
+        # on a noiseless channel sigma loses rank at the uniform point;
+        # the support rule must still match rayleigh_bound's
+        assert_scorer_matches(2, lattice_channel(2, 0.0, (0.0, 0.0)), (1, 2), (1, 2))
 
     def test_m4_vertices_faces_interior(self):
         points = decoder._lattice(4)[0]
@@ -632,30 +723,76 @@ class TestLatticeScorer:
         t, r = strategies.select_modes(ch, 4)
         assert_scorer_matches(4, ch, t, r, index)
 
-    def test_noiseless_rank_deficient(self):
-        # on a noiseless channel sigma loses rank at the uniform point;
-        # the support rule must still match rayleigh_bound's
-        assert_scorer_matches(2, lattice_channel(2, 0.0, (0.0, 0.0)), (1, 2), (1, 2))
+    def test_m4_crosstalk_only(self):
+        # lambda = 0, eta > 0: sigma is nearly singular near the uniform point
+        points = decoder._lattice(4)[0]
+        index = [i for i, g in enumerate(points) if i % 8 == 0 or max(g) - min(g) <= 0.15]
+        modes = (1, 2, 3, 4)
+        assert_scorer_matches(4, lattice_channel(4, 0.6, (0.0,) * 4), modes, modes, index)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_blocks_lift_to_full_operators(self, k):
+        # Qt = (+)_j Q_j (x) I_{2j+1} and Rt alike, on the decoder's frame
+        qr, _ = random_cascade(np.random.default_rng(90 + k), n=k)
+        stacked = decoder.QROperators(qt=qr.qt[None], rt=qr.rt[None], k=k)
+        blocks = decoder._spin_blocks(stacked)
+        w, paths = decoder._frame(k + 1, k)
+        spin = np.array([path[-1] for path in paths])
+        assert len(blocks) == len(set(spin))
+        for side, full in enumerate((qr.qt, qr.rt)):
+            x = np.zeros((len(spin),) * 2)
+            for tj, block in zip(sorted(set(spin)), blocks):
+                idx = np.flatnonzero(spin == tj)
+                x[np.ix_(idx, idx)] = block[side][0]
+            assert np.max(np.abs(decoder._lift(w, x) - full)) < 1e-14
+
+    def test_pieces_off_commutant_raise(self, monkeypatch):
+        # the gamma search reduces its pieces through the decoder SDP's
+        # commutant check: a 1e-6 Hermitian perturbation of the stacked
+        # pieces raises instead of being scored
+        rng = np.random.default_rng(52)
+        qr, _ = random_cascade(rng, n=3)
+        bend = 1e-6 * random_hermitian(rng, 16).real
+        stacked = decoder.QROperators(qt=np.stack([qr.qt, qr.qt + bend]), rt=qr.rt[None], k=3)
+        with pytest.raises(ValueError, match="SU\\(2\\) commutant"):
+            decoder._spin_blocks(stacked)
+        build = decoder.build_qr
+
+        def bent_pieces(emap):
+            qr = build(emap)
+            if qr.qt.ndim == 2:
+                return qr
+            return decoder.QROperators(qt=qr.qt + bend, rt=qr.rt, k=qr.k)
+
+        monkeypatch.setattr(decoder, "build_qr", bent_pieces)
+        ch = lattice_channel(3, 0.5, (0.2, 0.4, 0.6))
+        with pytest.raises(ValueError, match="SU\\(2\\) commutant"):
+            decoder.optimize_gamma(3, ch, (1, 2, 3), (1, 2, 3))
 
 
-def score_with_sigma(route, sigma_t):
-    """The surrogate of the identity cascade's ``Qt`` against
-    ``Rt = sigma^T (x) I``, through the per-cascade or the lattice scorer."""
-    qt = identity_qr().qt
+def score_with_sigma(route, triplet, singlet):
+    """The surrogate of a K = 2 cascade's ``Qt`` against the covariant
+    ``Rt = sigma^T (x) I``, ``sigma^T`` with eigenvalue ``triplet`` on the
+    symmetric subspace and ``singlet`` on the antisymmetric one, through
+    the per-cascade or the block scorer."""
+    qt = random_cascade(np.random.default_rng(3), n=2)[0].qt
+    eye = np.eye(4)
+    rt = np.kron(triplet * (eye + SWAP2) / 2 + singlet * (eye - SWAP2) / 2, I2)
     if route == "rayleigh_bound":
-        return decoder.rayleigh_bound(decoder.QROperators(qt=qt, rt=np.kron(sigma_t, I2), k=1))
-    return decoder._lattice_surrogates(np.ones((1, 1)), qt[None], sigma_t[None])[0]
+        return decoder.rayleigh_bound(decoder.QROperators(qt=qt, rt=rt, k=2))
+    blocks = decoder._spin_blocks(decoder.QROperators(qt=qt[None], rt=rt[None], k=2))
+    return decoder._lattice_surrogates(np.ones((1, 1)), blocks)[0]
 
 
 @pytest.mark.parametrize("route", ["rayleigh_bound", "lattice"])
 class TestScorerGuards:
     def test_negative_eigenvalue_raises(self, route):
         with pytest.raises(NotPsdError):
-            score_with_sigma(route, np.diag([1.0, -1e-9]).astype(complex))
+            score_with_sigma(route, 1 / 3, -1e-9)
 
     def test_empty_support_raises(self, route):
         with pytest.raises(ValueError, match="Rt has empty support"):
-            score_with_sigma(route, np.zeros((2, 2), dtype=complex))
+            score_with_sigma(route, 0.0, 0.0)
 
 
 def prior_qr(m, eps=0.0):
