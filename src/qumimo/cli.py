@@ -119,15 +119,10 @@ def _run_checks(quick: bool) -> int:
     check("fluctuation moments", abs(xi.mean() - 1) < 0.02 and abs(xi.var() - 0.25) < 0.02,
           f"mean {xi.mean():.4f} var {xi.var():.4f}")
 
-    enc = cloner.cloner_choi((1.0,))
-    ch = channel.channel_choi(channel.ChannelParams(n=1, eta=0.0, lam=(0.0,), delta=1.0))
-    qr = decoder.build_qr(decoder.compose_effective_map(enc, ch, (1,), (1,)))
-    dec = decoder.purification_sdp(qr, 1.0)
-    check("decoder identity sanity", abs(dec.f_avg - 1.0) < 1e-6, f"F={dec.f_avg:.8f}")
-    ch = channel.channel_choi(channel.ChannelParams(n=1, eta=0.0, lam=(0.4,), delta=1.0))
-    qr = decoder.build_qr(decoder.compose_effective_map(enc, ch, (1,), (1,)))
-    dec = decoder.purification_sdp(qr, 1.0)
-    check("decoder depolarizing sanity", abs(dec.f_avg - 0.8) < 1e-6, f"F={dec.f_avg:.8f}")
+    for name, lam, want in (("identity", 0.0, 1.0), ("depolarizing", 0.4, 0.8)):
+        ch = channel.channel_choi(channel.ChannelParams(n=1, eta=0.0, lam=(lam,), delta=1.0))
+        dec = decoder.purification_sdp(decoder.design_at((1.0,), ch, (1,), (1,)).qr, 1.0)
+        check(f"decoder {name} sanity", abs(dec.f_avg - want) < 1e-6, f"F={dec.f_avg:.8f}")
 
     from . import sdp as sdp_mod
 
@@ -146,9 +141,8 @@ def _run_checks(quick: bool) -> int:
         params = channel.ChannelParams(n=n, eta=float(rng.uniform(0, 1)),
                                        lam=tuple(rng.uniform(0, 1, n)), delta=1.0)
         modes = tuple(range(1, n + 1))
-        qr = decoder.build_qr(decoder.compose_effective_map(
-            cloner.cloner_choi(tuple(rng.dirichlet(np.ones(n)))), channel.channel_choi(params),
-            modes, modes))
+        qr = decoder.design_at(tuple(rng.dirichlet(np.ones(n))), channel.channel_choi(params),
+                               modes, modes).qr
         reduced, resid = decoder.covariant_operators(qr)
         check(f"Qt, Rt on the SU(2) commutant, N = {n}", resid <= 1e-12, f"residual {resid:.1e}")
         check(f"reduced decoder data real, N = {n}", not any(map(np.iscomplexobj, reduced)),
@@ -164,8 +158,7 @@ def _run_checks(quick: bool) -> int:
     for m in (2, 3):
         modes = tuple(range(1, m + 1))
         prior = channel.channel_choi(channel.ChannelParams(n=m, eta=0.0, lam=(0.0,) * m, delta=1.0))
-        qr = decoder.build_qr(decoder.compose_effective_map(
-            cloner.cloner_choi(tuple([1 / m] * m)), prior, modes, modes))
+        qr = decoder.design_at(tuple([1 / m] * m), prior, modes, modes).qr
         for p in (0.8, 1.0):
             f_avg = decoder.evaluate_decoder(decoder.blind_choi(m, p), qr)[2]
             err = abs(f_avg - decoder.purification_sdp(qr, p).f_avg)

@@ -18,20 +18,22 @@ The blind baseline's decoder needs no SDP: :func:`blind_choi`.
 
 ``Qt`` and ``Rt`` are block-diagonal by SU(2) spin on one real frame
 (:func:`_frame`); the decoder SDP is solved, and the gamma search scored,
-on those blocks.
+on those blocks.  A channel's design (:class:`Design`) is built once, by
+:func:`design_at` or at gamma* by the gamma search; only the decoder SDP
+is solved per p.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
 from . import sdp
 from .channel import Channel, source_weights
 from .cloner import (
-    AsymmetryVector,
     ClonerChoi,
     _fidelities,
     _stinespring_basis,
@@ -89,10 +91,24 @@ class DecoderSolution:
 
 
 @dataclass(frozen=True)
-class GammaOptimum:
-    gamma: AsymmetryVector
-    surrogate: float
+class Design:
+    """The asymmetry ``gamma``, its cloner ``enc`` (which carries the clone
+    fidelities), the modes ``t`` and ``r``, and the cascade ``qr`` of
+    ``enc`` on them; ``surrogate`` is set by :func:`optimize_gamma` only."""
+
+    gamma: tuple
+    enc: ClonerChoi
+    t: tuple
+    r: tuple
     qr: QROperators
+    surrogate: Optional[float] = None
+
+
+def design_at(gamma, chan: Channel, t, r) -> Design:
+    """The design at ``gamma`` on transmit modes ``t`` and receive modes ``r``."""
+    enc = cloner_choi(gamma)
+    qr = build_qr(compose_effective_map(enc, chan, t, r))
+    return Design(tuple(float(x) for x in gamma), enc, tuple(t), tuple(r), qr)
 
 
 def compose_effective_map(encoder: ClonerChoi, chan: Channel, t, r) -> EffectiveMap:
@@ -442,7 +458,7 @@ def blind_choi(m: int, p: float) -> np.ndarray:
 
 
 def evaluate_gamma_surrogate(gamma, chan: Channel, t, r) -> float:
-    return rayleigh_bound(build_qr(compose_effective_map(cloner_choi(gamma), chan, t, r)))
+    return rayleigh_bound(design_at(gamma, chan, t, r).qr)
 
 
 def _pair_weights(betas: np.ndarray) -> np.ndarray:
@@ -555,12 +571,12 @@ def _polish(start: tuple, pieces) -> tuple:
     return tuple(float(c) / POLISH_DENOM for c in counts)
 
 
-def optimize_gamma(m: int, chan: Channel, t, r) -> GammaOptimum:
+def optimize_gamma(m: int, chan: Channel, t, r) -> Design:
     """Search the asymmetry simplex for the best Rayleigh surrogate.
 
-    The design is p-independent: one search per channel, whose result
-    carries the cascade operators ``qr`` at gamma*; callers solve the
-    decoder SDP on ``qr`` for each success probability they need.
+    The design is p-independent: one search per channel, which returns
+    :func:`design_at` gamma*; callers solve the decoder SDP on its ``qr``
+    for each success probability they need.
 
     Every M scores the 1/20 lattice plus the exact uniform point on the
     SU(2) spin blocks of the cascade's quadratic-form pieces
@@ -588,5 +604,5 @@ def optimize_gamma(m: int, chan: Channel, t, r) -> GammaOptimum:
     gamma_star = points[ties[np.argmin(rank[ties])]]
     if m >= 4:
         gamma_star = _polish(gamma_star, pieces)
-    qr = build_qr(compose_effective_map(cloner_choi(gamma_star), chan, t, r))
-    return GammaOptimum(AsymmetryVector(gamma_star), rayleigh_bound(qr), qr)
+    design = design_at(gamma_star, chan, t, r)
+    return replace(design, surrogate=rayleigh_bound(design.qr))

@@ -2,10 +2,12 @@
 
 ``run_grid_regime`` drives the fixed_z and scaling regimes and
 ``run_stochastic`` the stochastic one; both write every CSV through
-``_write_csv`` and a manifest.  One design per channel, decoders per p:
-the asymmetry search, the cloner and the cascade operators do not depend
-on p, so a task builds them once and solves one decoder SDP per p, and
-the realization panel is designed once for every mu.  A grid task is one
+``_write_csv`` and a manifest (``_write_manifest``).  One design per
+channel, decoders per p: a design (``decoder.Design``: the asymmetry, the
+cloner, the modes and the cascade operators) does not depend on p, so a
+task builds it once, through ``strategies.strategy_design`` in both
+regimes, and solves one decoder SDP per p; the realization panel is
+designed once for every mu.  A grid task is one
 distinct channel of a cell: a symmetric cell is one channel for every
 mean vector (as are most N = 1 draws), evaluated once at its first
 mean_id, and its rows are written once per mean_id with that mean_id's
@@ -24,11 +26,13 @@ and its coordinates (in a chunk, the first task that fails when run
 alone).
 
 Config schema: a JSON object with the keys of ``CONFIG_KEYS``, the one list
-of keys; any other key is a ``ConfigError`` at its own path, and a key of
-another regime is ignored.  The entries of a list are distinct: an entry
-equal to an earlier one (``1`` and ``1.0`` are equal) is a ``ConfigError``
-at its own index.  Keys marked (s) are stochastic-only, (f) fixed_z-only,
-(x) scaling-only::
+of keys; any other key is a ``ConfigError`` at its own path.  A key of
+another regime is ignored: a run names it on stderr and lists it in the
+manifest's ``ignored_keys`` (a sorted list, empty when none is).  The
+entries of a list are distinct: an entry equal to an earlier one (``1``
+and ``1.0`` are equal) is a ``ConfigError`` at its own index.  Keys
+marked (s) are stochastic-only, (g) read by the grid regimes fixed_z and
+scaling only, (f) fixed_z-only, (x) scaling-only::
 
     regime             "fixed_z" | "scaling" | "stochastic"
     N                  (f,x) list of mode counts (M = K = N per point);
@@ -40,24 +44,23 @@ at its own index.  Keys marked (s) are stochastic-only, (f) fixed_z-only,
     eta                list of crosstalk strengths in [0, 1]
     delta              spatial decay exponent, > 0
     p                  list of purification success probabilities in (0, 1]
-    channel_symmetry   list from {"symmetric", "asymmetric"}; ignored by
-                       the stochastic regime (always asymmetric means)
+    channel_symmetry   (g) list from {"symmetric", "asymmetric"}; the
+                       stochastic regime draws asymmetric means
     num_mean_vectors   L, mean allocations per cell (default 50)
-    strategies         subset of {dir, pur, div, sym, blind}; ignored by
-                       the stochastic regime, which always evaluates div
-                       and dir
+    strategies         (g) subset of {dir, pur, div, sym, blind}; the
+                       stochastic regime evaluates div and dir
     seed               master seed (unsigned 64-bit)
-    heatmap_mu         (s, checked in every regime) fluctuation strength
-                       of the gain heatmap (default 0.5)
-    box_p, box_eta     (s, checked in every regime) operating point of
-                       the realization panel (defaults 0.8, 0.8)
+    heatmap_mu         (s) fluctuation strength of the gain heatmap
+                       (default 0.5)
+    box_p, box_eta     (s) operating point of the realization panel
+                       (defaults 0.8, 0.8)
     output_dir         optional default output directory
 
 Stochastic-regime semantics: instantaneous realizations are unknown to
 both endpoints, so the cloning asymmetry, mode selection and decoders
-are designed on the *mean* channel (the only statistic available) and
-evaluated on each realization with their realized acceptance
-probability.  The gain
+are designed on the *mean* channel (the only statistic available), as
+the grid regimes design ``div``, and evaluated on each realization with
+their realized acceptance probability.  The gain
 heatmap column ``G`` compares conditional (success) fidelities of the
 probabilistic and deterministic designs on the same realization, so the
 p = 1 column is identically zero; ``G_avg`` carries the
@@ -88,7 +91,7 @@ import numpy as np
 from . import __version__
 from . import decoder as dec_mod
 from .channel import ChannelParams, branch_fidelities, channel_choi, coupling_report
-from .cloner import clone_fidelities, cloner_choi, feasible_boundary
+from .cloner import feasible_boundary
 from .errors import ConfigError, QumimoError
 from .metrics import asymmetry_index, empirical_density
 from .noise import (
@@ -100,7 +103,7 @@ from .noise import (
     sample_fluctuation,
     sample_mean_allocations,
 )
-from .strategies import STRATEGIES, FidelityRecord, run_strategies, select_modes
+from .strategies import STRATEGIES, FidelityRecord, run_strategies, select_modes, strategy_design
 
 REGIMES = ("fixed_z", "scaling", "stochastic")
 SYMMETRY_CLASSES = ("symmetric", "asymmetric")
@@ -124,15 +127,16 @@ class ExperimentConfig:
     delta: float
     p: tuple
     mu: tuple
-    heatmap_mu: float
-    box_p: float
-    box_eta: float
+    heatmap_mu: Optional[float]
+    box_p: Optional[float]
+    box_eta: Optional[float]
     channel_symmetry: tuple
     num_mean_vectors: int
     num_realizations: int
     strategies: tuple
     seed: int
     output_dir: Optional[str]
+    ignored_keys: tuple
     raw: dict = field(default_factory=dict, repr=False)
 
 
@@ -180,15 +184,15 @@ CONFIG_KEYS = (
     ("eta", REGIMES, REQUIRED, True, _UNIT),
     ("delta", REGIMES, REQUIRED, False, _POSITIVE),
     ("p", REGIMES, REQUIRED, True, _PROB),
-    ("channel_symmetry", REGIMES, ["asymmetric"], True, _one_of(SYMMETRY_CLASSES)),
+    ("channel_symmetry", GRID, ["asymmetric"], True, _one_of(SYMMETRY_CLASSES)),
     ("num_mean_vectors", REGIMES, 50, False,
      (lambda x, v: _is_int(x) and x >= 1, "a positive int", False)),
-    ("strategies", REGIMES, list(STRATEGIES), True, _one_of(STRATEGIES)),
+    ("strategies", GRID, list(STRATEGIES), True, _one_of(STRATEGIES)),
     ("seed", REGIMES, REQUIRED, False,
      (lambda x, v: _is_int(x) and 0 <= x < 2 ** 64, "an unsigned 64-bit int", False)),
-    ("heatmap_mu", REGIMES, 0.5, False, _POSITIVE),
-    ("box_p", REGIMES, 0.8, False, _PROB),
-    ("box_eta", REGIMES, 0.8, False, _UNIT),
+    ("heatmap_mu", STOCHASTIC, 0.5, False, _POSITIVE),
+    ("box_p", STOCHASTIC, 0.8, False, _PROB),
+    ("box_eta", STOCHASTIC, 0.8, False, _UNIT),
     ("output_dir", REGIMES, None, False,
      (lambda x, v: x is None or isinstance(x, str), "a string path", False)),
 )
@@ -197,7 +201,7 @@ CONFIG_KEYS = (
 def validate_config(cfg: dict, profile: str = "ci") -> ExperimentConfig:
     """Fail-fast validation against ``CONFIG_KEYS``, with JSON-path-precise
     messages: a key no row names is an error, a key of another regime is
-    ignored."""
+    ignored and listed in ``ignored_keys``."""
     if profile not in ("ci", "full"):
         raise ConfigError("$profile", f"unknown profile {profile!r}")
     if not isinstance(cfg, dict):
@@ -231,14 +235,16 @@ def validate_config(cfg: dict, profile: str = "ci") -> ExperimentConfig:
                 raise ConfigError(f"$.{key}[{i}]", f"repeats an earlier entry, {x!r}")
         v[key] = value
 
+    read = {key for key, regimes, *_ in CONFIG_KEYS if v["regime"] in regimes}
     as_tuple = lambda x: x if isinstance(x, tuple) else (x,)
     return ExperimentConfig(
         regime=v["regime"], n_list=as_tuple(v["N"]), z_list=as_tuple(v.get("Z", ())),
         lambda_x=v.get("Lambda_x", ()), eta=v["eta"], delta=v["delta"], p=v["p"],
-        mu=v.get("mu", ()), heatmap_mu=v["heatmap_mu"], box_p=v["box_p"], box_eta=v["box_eta"],
-        channel_symmetry=v["channel_symmetry"], num_mean_vectors=v["num_mean_vectors"],
-        num_realizations=v.get("num_realizations", 0), strategies=v["strategies"],
-        seed=v["seed"], output_dir=v["output_dir"], raw=dict(cfg),
+        mu=v.get("mu", ()), heatmap_mu=v.get("heatmap_mu"), box_p=v.get("box_p"),
+        box_eta=v.get("box_eta"), channel_symmetry=v.get("channel_symmetry", ()),
+        num_mean_vectors=v["num_mean_vectors"], num_realizations=v.get("num_realizations", 0),
+        strategies=v.get("strategies", ()), seed=v["seed"], output_dir=v["output_dir"],
+        ignored_keys=tuple(sorted(set(cfg) - read)), raw=dict(cfg),
     )
 
 
@@ -421,34 +427,43 @@ def _write_crosstalk_csv(path, cfg: ExperimentConfig) -> None:
     _write_csv(path, ["N", "eta", "delta", "i", "j", "P_ij"], rows)
 
 
-def _manifest(cfg: ExperimentConfig, out_dir, files, extra=None) -> dict:
-    manifest = {
+def _write_manifest(out_dir: Path, files, fields: dict) -> dict:
+    """The one manifest writer: ``fields`` and the SHA-256 of each of
+    ``files``, in ``manifest.json``."""
+    manifest = dict(fields, files={name: _hash_file(out_dir / name) for name in sorted(files)})
+    with open(out_dir / "manifest.json", "w") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+    return manifest
+
+
+def _start(cfg: ExperimentConfig, out_dir):
+    """A regime run's output directory and start time; the config keys it
+    ignores are named on stderr."""
+    if cfg.ignored_keys:
+        print(f"qumimo {cfg.regime}: ignored config keys of other regimes: "
+              f"{', '.join(cfg.ignored_keys)}", file=sys.stderr)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir, time.time()
+
+
+def _finish(cfg: ExperimentConfig, out_dir, files, t0, extra=None) -> dict:
+    return _write_manifest(out_dir, files, {
         "package_version": __version__,
         "regime": cfg.regime,
         "config": cfg.raw,
         "master_seed": cfg.seed,
         "task_seed_rule": SEED_RULE,
         "notes": {"crosstalk": CROSSTALK_NOTE},
-        "files": {name: _hash_file(out_dir / name) for name in sorted(files)},
-    }
-    if extra:
-        manifest.update(extra)
-    return manifest
-
-
-def _finish(cfg, out_dir, files, t0, extra=None) -> dict:
-    manifest = _manifest(cfg, out_dir, files, extra=extra)
-    manifest["timing"] = {"wall_clock_seconds": time.time() - t0, "finished_unix": time.time()}
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-    return manifest
+        "ignored_keys": list(cfg.ignored_keys),
+        **(extra or {}),
+        "timing": {"wall_clock_seconds": time.time() - t0, "finished_unix": time.time()},
+    })
 
 
 def run_grid_regime(cfg: ExperimentConfig, out_dir, workers: int = 1) -> dict:
     """Shared driver for the fixed_z and scaling regimes."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    t0 = time.time()
+    out_dir, t0 = _start(cfg, out_dir)
 
     # One task per distinct channel of a cell, run at the first mean_id
     # that draws it: a symmetric cell draws one lambda for every mean_id,
@@ -547,31 +562,16 @@ def _agg_sort_key(gkey):
 
 
 def _design_on_mean(cfg: ExperimentConfig, eta: float, mean: MeanAllocation, p_eval):
-    """Design gamma*, its cascade ``qr``, decoders (one per p) and modes on the mean."""
-    n = mean.n
-    chan = _channel(cfg, eta, mean.lam)
-    t, r = select_modes(chan, n)
-    opt = dec_mod.optimize_gamma(n, chan, t, r)
-    t_dir, r_dir = select_modes(chan, 1)
-    return {
-        "gamma": opt.gamma.gamma,
-        "enc": cloner_choi(opt.gamma.gamma),
-        "qr": opt.qr,
-        "decoders": dict(zip(p_eval, dec_mod.purification_sdps((opt.qr, p) for p in p_eval))),
-        "t": t,
-        "r": r,
-        "t_dir": t_dir,
-        "r_dir": r_dir,
-    }
+    """The ``div`` design on the mean channel (``strategies.strategy_design``)
+    and its decoders, one per p."""
+    design = strategy_design("div", _channel(cfg, eta, mean.lam))
+    return design, dict(zip(p_eval, dec_mod.purification_sdps((design.qr, p) for p in p_eval)))
 
 
-def _evaluate_on_realization(design, chan_x):
-    """Realized (acceptance, accepted-fidelity-mass) of each designed decoder
-    on the channel ``chan_x`` of one realization."""
-    qr_x = dec_mod.build_qr(
-        dec_mod.compose_effective_map(design["enc"], chan_x, design["t"], design["r"])
-    )
-    return {p: dec_mod.evaluate_decoder(dec.j, qr_x) for p, dec in design["decoders"].items()}
+def _realized_cascade(design: dec_mod.Design, chan_x):
+    """The cascade of a design's cloner and modes on the channel ``chan_x``
+    of one realization."""
+    return dec_mod.build_qr(dec_mod.compose_effective_map(design.enc, chan_x, design.t, design.r))
 
 
 def _stochastic_task(args):
@@ -580,21 +580,19 @@ def _stochastic_task(args):
     cfg, eta, mean_id, lam, z = args
     mean = MeanAllocation(lam=lam, z=z)
     p_eval = tuple(sorted(set(cfg.p) | {1.0}))
-    design = _design_on_mean(cfg, eta, mean, p_eval)
-    gamma = design["gamma"]
+    design, decoders = _design_on_mean(cfg, eta, mean, p_eval)
 
     # The p = 1 decoder on the cascade it was designed on.
-    _, base_fs, base_favg = dec_mod.evaluate_decoder(design["decoders"][1.0].j, design["qr"])
-    baseline_row = [eta, mean_id, base_fs, base_favg,
-                    asymmetry_index(clone_fidelities(gamma).fidelities), *gamma,
-                    _modes(design["t"]), _modes(design["r"])]
+    _, base_fs, base_favg = dec_mod.evaluate_decoder(decoders[1.0].j, design.qr)
+    baseline_row = [eta, mean_id, base_fs, base_favg, asymmetry_index(design.enc.fidelities),
+                    *design.gamma, _modes(design.t), _modes(design.r)]
 
     rows = []
     for rid in range(cfg.num_realizations):
         seed = derive_seed(cfg.seed, "stochastic", "xi", cfg.heatmap_mu, mean_id, rid)
         xi = sample_fluctuation(cfg.heatmap_mu, mean.n, make_rng(seed))
-        x = perturb_and_project(mean, xi)
-        evals = _evaluate_on_realization(design, _channel(cfg, eta, x.lam))
+        qr_x = _realized_cascade(design, _channel(cfg, eta, perturb_and_project(mean, xi).lam))
+        evals = {p: dec_mod.evaluate_decoder(dec.j, qr_x) for p, dec in decoders.items()}
         p1_real, p1_fs, p1_favg = evals[1.0]
         for p in p_eval:
             p_real, fs, favg = evals[p]
@@ -602,7 +600,7 @@ def _stochastic_task(args):
     # The realization panel's design, when this task already made it.
     box = None
     if eta == cfg.box_eta and mean_id == 0 and cfg.box_p in p_eval:
-        box = dict(design, decoders={cfg.box_p: design["decoders"][cfg.box_p]})
+        box = design, decoders
     return (eta, mean_id), baseline_row, rows, box
 
 
@@ -619,17 +617,18 @@ def _boxplot_task(args):
     """The realization panel around one mean vector: one design at the
     box operating point (made here unless a heatmap task passed it in),
     evaluated on the realizations of every mu."""
-    cfg, mean_id, lam, z, design = args
+    cfg, mean_id, lam, z, box = args
     mean = MeanAllocation(lam=lam, z=z)
-    design = design or _design_on_mean(cfg, cfg.box_eta, mean, (cfg.box_p,))
-    t_dir, r_dir = design["t_dir"][0], design["r_dir"][0]
+    design, decoders = box or _design_on_mean(cfg, cfg.box_eta, mean, (cfg.box_p,))
+    (t_dir,), (r_dir,) = select_modes(_channel(cfg, cfg.box_eta, lam), 1)
     panels = []
     for mu in sorted(cfg.mu):
         cluster = _box_realizations(cfg, mean, mean_id, mu)
         rows = []
         for rid, x in enumerate(cluster):
             chan_x = _channel(cfg, cfg.box_eta, x.lam)
-            p_real, fs, favg = _evaluate_on_realization(design, chan_x)[cfg.box_p]
+            qr_x = _realized_cascade(design, chan_x)
+            p_real, fs, favg = dec_mod.evaluate_decoder(decoders[cfg.box_p].j, qr_x)
             f_dir = float(branch_fidelities(chan_x)[t_dir - 1, r_dir - 1])
             rows.append([mu, rid, f_dir, fs, favg, p_real])
         panels.append((mu, rows, cluster))
@@ -639,9 +638,7 @@ def _boxplot_task(args):
 def run_stochastic(cfg: ExperimentConfig, out_dir, workers: int = 1) -> dict:
     if cfg.regime != "stochastic":
         raise ConfigError("$.regime", f"expected stochastic, got {cfg.regime}")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    t0 = time.time()
+    out_dir, t0 = _start(cfg, out_dir)
 
     n = cfg.n_list[0]
     z = cfg.z_list[0]
@@ -688,8 +685,8 @@ def run_stochastic(cfg: ExperimentConfig, out_dir, workers: int = 1) -> dict:
     )
 
     # Realization panel at the box operating point, mean vector 0.
-    box_design = next((res[3] for res in results if res[3] is not None), None)
-    panels = _run_task(_boxplot_task, (cfg, 0, means[0].lam, z, box_design))
+    box = next((res[3] for res in results if res[3] is not None), None)
+    panels = _run_task(_boxplot_task, (cfg, 0, means[0].lam, z, box))
     box_rows, alloc_rows, kde_rows = [], [[0, "", 0.0, *means[0].lam]], []
     for mu, rows, cluster in panels:
         box_rows.extend(rows)
@@ -745,12 +742,6 @@ def run_boundary(out_dir, m_values=(2, 3), resolution: float = 0.05) -> dict:
             rows,
         )
         files.append(name)
-    manifest = {
-        "package_version": __version__,
-        "emitter": "boundary",
-        "resolution": resolution,
-        "files": {name: _hash_file(out_dir / name) for name in sorted(files)},
-    }
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-    return manifest
+    return _write_manifest(out_dir, files, {
+        "package_version": __version__, "emitter": "boundary", "resolution": resolution,
+    })

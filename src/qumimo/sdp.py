@@ -43,7 +43,7 @@ else is in its stack or where.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -117,7 +117,6 @@ class SdpSolution:
     iterations: int
     value: float = 0.0
     dual_value: float = 0.0
-    iteration_log: list = field(default_factory=list)
     message: str = ""
 
 
@@ -222,7 +221,7 @@ class _Stack:
                     else value[rows])
 
 
-def _solution(st: _Stack, row: int, blocks, status, message, it, log) -> SdpSolution:
+def _solution(st: _Stack, row: int, blocks, status, message, it) -> SdpSolution:
     """Row ``row``'s result, in the maximize convention: its best iterate
     when optimal (a stop short of a certificate is accepted when the best
     iterate met ``SOFT_TOL``), else its last iterate."""
@@ -239,7 +238,6 @@ def _solution(st: _Stack, row: int, blocks, status, message, it, log) -> SdpSolu
             iterations=it,
             value=value,
             dual_value=dual_value,
-            iteration_log=log,
             message=message,
         )
     return SdpSolution(
@@ -248,7 +246,6 @@ def _solution(st: _Stack, row: int, blocks, status, message, it, log) -> SdpSolu
         status=status,
         gap=np.inf,
         iterations=it,
-        iteration_log=log,
         message=message,
     )
 
@@ -334,7 +331,6 @@ def solve_many(problems) -> list:
     # products.
     bufs = [(np.empty((len(b), m * d, d), dtype), np.empty((len(b), m, d, d), dtype))
             for d in dims]
-    logs = [[] for _ in problems]
     out = [None] * len(problems)
     it = 0
 
@@ -342,8 +338,7 @@ def solve_many(problems) -> list:
         """Finish the rows of ``stops`` (row: (status, message)), take them
         out of the stack, and return ``arrays`` without them."""
         for row, (status, message) in stops.items():
-            k = st.live[row]
-            out[k] = _solution(st, row, blocks, status, message, it, logs[k])
+            out[st.live[row]] = _solution(st, row, blocks, status, message, it)
         keep = np.ones(len(st.live), dtype=bool)
         keep[list(stops)] = False
         st.take(keep)
@@ -367,9 +362,6 @@ def solve_many(problems) -> list:
         dres = block_norm(st.c - (aty + st.s) / _col(st.tau)) / st.norm_c
         relgap = np.abs(pobj - dobj) / (1.0 + np.abs(pobj) + np.abs(dobj))
         merit = np.maximum(np.maximum(pres, dres), relgap)
-        for k, entry in zip(st.live, zip(*(v.tolist() for v in (pobj, dobj, relgap, pres,
-                                                                  dres, mu)))):
-            logs[k].append(entry)
 
         # The best iterate so far (iterates are never changed in place).
         better = merit < st.best_merit

@@ -10,10 +10,13 @@ clone count M and receive count K that follow from the channel's N modes:
 * ``blind`` - uniform clones, the identity-channel-prior decoder in closed
   form (``decoder.blind_choi``), at its realized acceptance probability (N, N).
 
-A strategy takes the channel (its ``ChannelParams`` included) and returns
-only what it computes: one ``FidelityRecord`` per p.  The run context of a
-record (budget, regime, mean and realization ids, seed) is held by the
-driver in ``experiments``, which also owns the ``records.csv`` layout.
+A cloning strategy's design on a channel (``decoder.Design``: gamma, the
+cloner, the modes and the cascade) is built by :func:`strategy_design`,
+which the stochastic regime also uses for its mean design.  A strategy
+takes the channel (its ``ChannelParams`` included) and returns only what
+it computes: one ``FidelityRecord`` per p.  The run context of a record
+(budget, regime, mean and realization ids, seed) is held by the driver in
+``experiments``, which also owns the ``records.csv`` layout.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from typing import Optional
 
 from . import decoder as dec_mod
 from .channel import Channel, branch_fidelities
-from .cloner import clone_fidelities, cloner_choi
 from .metrics import asymmetry_index
 
 STRATEGIES = ("dir", "pur", "div", "sym", "blind")
@@ -77,21 +79,20 @@ def run_strategy(strategy: str, chan: Channel, ps: tuple) -> list[FidelityRecord
     return run_strategies([(strategy, chan, ps)])[0]
 
 
-def _design(strategy: str, chan: Channel, uniform: dict):
-    """``(t, r, gamma, surrogate, qr)`` of a cloning strategy.  ``uniform``
-    holds the uniform-cloner cascades built so far, by channel and modes:
-    ``sym`` and ``blind`` on one channel share one."""
+def strategy_design(strategy: str, chan: Channel, uniform: Optional[dict] = None):
+    """The ``decoder.Design`` of a cloning strategy on ``chan``: ``div``
+    through the gamma search, the others at the uniform gamma.  ``uniform``
+    holds the uniform designs built so far, by channel and modes: ``sym``
+    and ``blind`` on one channel share one."""
     m = 1 if strategy == "pur" else chan.n
     t, r = select_modes(chan, m, chan.n)
     if strategy == "div":
-        opt = dec_mod.optimize_gamma(m, chan, t, r)
-        return t, r, opt.gamma.gamma, opt.surrogate, opt.qr
-    gamma = tuple([1.0 / m] * m)
+        return dec_mod.optimize_gamma(m, chan, t, r)
+    uniform = {} if uniform is None else uniform
     key = (chan.params, t, r)
     if key not in uniform:
-        uniform[key] = dec_mod.build_qr(
-            dec_mod.compose_effective_map(cloner_choi(gamma), chan, t, r))
-    return t, r, gamma, None, uniform[key]
+        uniform[key] = dec_mod.design_at(tuple([1.0 / m] * m), chan, t, r)
+    return uniform[key]
 
 
 def run_strategies(jobs) -> list[list[FidelityRecord]]:
@@ -99,19 +100,20 @@ def run_strategies(jobs) -> list[list[FidelityRecord]]:
     per job, one record per success probability in ``ps`` (``dir`` is
     deterministic: one record at p = 1).
 
-    The modes, the cloner, the cascade operators and, for ``div``, the
-    gamma search depend on the channel only: every job's design is built
-    first, once.  Then each (job, p) adds one decoder SDP (``blind``: one
-    evaluation of its closed-form decoder, no SDP), and all of them are
-    solved in one call (:func:`decoder.purification_sdps`).
+    The design (:func:`strategy_design`) depends on the channel only:
+    every job's design is built first, once, and its cloner carries the
+    clone fidelities of the J index.  Then each (job, p) adds one decoder
+    SDP (``blind``: one evaluation of its closed-form decoder, no SDP),
+    and all of them are solved in one call
+    (:func:`decoder.purification_sdps`).
     """
     designs, uniform = [], {}
     for strategy, chan, _ in jobs:
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}")
-        designs.append(None if strategy == "dir" else _design(strategy, chan, uniform))
+        designs.append(None if strategy == "dir" else strategy_design(strategy, chan, uniform))
     sols = iter(dec_mod.purification_sdps(
-        (design[4], p) for (strategy, *_, ps), design in zip(jobs, designs)
+        (design.qr, p) for (strategy, *_, ps), design in zip(jobs, designs)
         if strategy in ("pur", "div", "sym") for p in ps))
 
     out = []
@@ -125,22 +127,22 @@ def run_strategies(jobs) -> list[list[FidelityRecord]]:
                 j_index=1.0, gamma=(1.0,), t=t, r=r,
             )])
             continue
-        t, r, gamma, surrogate, qr = design
-        m, k = len(t), len(r)
-        j_index = asymmetry_index(clone_fidelities(gamma).fidelities)
+        m, k = len(design.t), len(design.r)
+        j_index = asymmetry_index(design.enc.fidelities)
         records = []
         for p in ps:
             if strategy == "blind":
-                p_real, f_success, f_avg = dec_mod.evaluate_decoder(dec_mod.blind_choi(m, p), qr)
+                p_real, f_success, f_avg = dec_mod.evaluate_decoder(
+                    dec_mod.blind_choi(m, p), design.qr)
             else:
                 sol = next(sols)
                 p_real, f_success, f_avg = p, sol.f_success, sol.f_avg
                 if strategy == "div":
-                    p_real = dec_mod.evaluate_decoder(sol.j, qr)[0]
+                    p_real = dec_mod.evaluate_decoder(sol.j, design.qr)[0]
             records.append(FidelityRecord(
                 strategy=strategy, m=m, k=k, p_target=p, p_real=p_real, f_avg=f_avg,
-                f_success=f_success, j_index=j_index, gamma=gamma, t=t, r=r,
-                surrogate=surrogate,
+                f_success=f_success, j_index=j_index, gamma=design.gamma, t=design.t,
+                r=design.r, surrogate=design.surrogate,
             ))
         out.append(records)
     return out

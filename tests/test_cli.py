@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qumimo import cli, decoder, experiments, noise
+from qumimo import cli, cloner, decoder, experiments, noise, strategies
 from qumimo.errors import ConfigError, QumimoError, SolverError
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -98,6 +98,42 @@ class TestConfigValidation:
     def test_grid_ignores_stochastic_keys(self):
         cfg = experiments.validate_config(tiny_fixed_cfg(mu=["x"], num_realizations="y"))
         assert cfg.mu == () and cfg.num_realizations == 0
+
+    def test_scaling_run_lists_ignored_keys(self, tmp_path, capsys):
+        # keys of other regimes are accepted unchecked (a bad box_p too)
+        # and named once on stderr and, sorted, in the manifest
+        cfg = {"regime": "scaling", "N": [1, 2], "Lambda_x": [0.3], "eta": [0.5], "delta": 1.0,
+               "p": [0.8], "num_mean_vectors": 1, "strategies": ["dir", "sym"], "seed": 5,
+               "box_p": 7, "mu": [0.5], "Z": [1.0]}
+        assert experiments.validate_config(cfg).ignored_keys == ("Z", "box_p", "mu")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli.main(["scaling", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["qumimo scaling: ignored config keys of other regimes: Z, box_p, mu"]
+        manifest = json.loads((tmp_path / "x" / "manifest.json").read_text())
+        assert manifest["ignored_keys"] == ["Z", "box_p", "mu"]
+        # none ignored: an empty list, and nothing on stderr
+        read = {k: v for k, v in cfg.items() if k not in ("Z", "box_p", "mu")}
+        cfg_path.write_text(json.dumps(read))
+        assert cli.main(["scaling", "--config", str(cfg_path), "--out", str(tmp_path / "y")]) == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads((tmp_path / "y" / "manifest.json").read_text())["ignored_keys"] == []
+
+    def test_stochastic_run_lists_ignored_keys(self, tmp_path, capsys):
+        # the stochastic regime reads neither strategies nor channel_symmetry
+        cfg = tiny_stoch_cfg(channel_symmetry=["bogus"], Lambda_x=[0.2], num_realizations=2)
+        assert experiments.validate_config(cfg).ignored_keys == (
+            "Lambda_x", "channel_symmetry", "strategies")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        argv = ["stochastic", "--config", str(cfg_path), "--out", str(tmp_path / "x")]
+        assert cli.main(argv) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["qumimo stochastic: ignored config keys of other regimes: "
+                       "Lambda_x, channel_symmetry, strategies"]
+        manifest = json.loads((tmp_path / "x" / "manifest.json").read_text())
+        assert manifest["ignored_keys"] == ["Lambda_x", "channel_symmetry", "strategies"]
 
     def test_bad_scalar_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -524,6 +560,49 @@ class TestStochasticRun:
         for name in ("boxplot.csv", "allocations.csv", "cluster_variance.csv", "cv_kde.csv"):
             fresh = (tmp_path / "fresh" / name).read_bytes()
             assert (tmp_path / "reused" / name).read_bytes() == fresh, name
+
+    def test_no_amplitudes_outside_the_mean_designs(self, tmp_path, monkeypatch):
+        # a design's cloner carries its clone fidelities: the baseline J
+        # index, the realizations and the panel solve no gamma's amplitudes
+        calls, inside = [], [False]
+        amplitudes, design = cloner.clone_amplitudes, experiments._design_on_mean
+
+        def counted(gamma):
+            calls.append(inside[0])
+            return amplitudes(gamma)
+
+        def designing(*args):
+            inside[0] = True
+            try:
+                return design(*args)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(cloner, "clone_amplitudes", counted)
+        monkeypatch.setattr(decoder, "clone_amplitudes", counted)
+        monkeypatch.setattr(experiments, "_design_on_mean", designing)
+        cfg = experiments.validate_config(tiny_stoch_cfg(eta=[0.5, 0.8], p=[0.8, 1.0]))
+        experiments.run_stochastic(cfg, tmp_path / "out")
+        assert True in calls and False not in calls
+
+    def test_mean_design_is_the_div_design(self):
+        # the stochastic regime designs a mean channel as the grid regimes
+        # design div on it: gamma, modes, Qt, Rt and decoders bit for bit
+        cfg = experiments.validate_config(tiny_stoch_cfg(N=3, Z=1.2))
+        mean = experiments._mean_vectors(cfg, "asymmetric", 1.2, 3)[1]
+        p_eval = (0.5, 0.8, 1.0)
+        design, decoders = experiments._design_on_mean(cfg, 0.5, mean, p_eval)
+        chan = experiments._channel(cfg, 0.5, mean.lam)
+        div = strategies.strategy_design("div", chan)
+        [recs] = strategies.run_strategies([("div", chan, p_eval)])
+        assert design.gamma == div.gamma == recs[0].gamma
+        assert (design.t, design.r) == (div.t, div.r) == (recs[0].t, recs[0].r)
+        for x, y in ((design.qr.qt, div.qr.qt), (design.qr.rt, div.qr.rt)):
+            assert np.array_equal(x, y)
+        sols = decoder.purification_sdps((div.qr, p) for p in p_eval)
+        for p, rec, sol in zip(p_eval, recs, sols):
+            assert np.array_equal(decoders[p].j, sol.j)
+            assert (decoders[p].f_success, decoders[p].f_avg) == (rec.f_success, rec.f_avg)
 
     def test_mu_spelling_invariant(self, tmp_path):
         # "mu": [1] and [1.0] name one fluctuation strength and draw the

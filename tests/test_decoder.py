@@ -546,8 +546,28 @@ class TestOptimizeGamma:
         for vertex in ((1.0, 0.0), (0.0, 1.0)):
             assert abs(decoder.evaluate_gamma_surrogate(vertex, ch, (1, 2), (1, 2)) - 1.0) < 1e-6
         # deterministic result
-        b = decoder.optimize_gamma(2, ch, (1, 2), (1, 2)).gamma.gamma
-        assert opt.gamma.gamma == b
+        b = decoder.optimize_gamma(2, ch, (1, 2), (1, 2)).gamma
+        assert opt.gamma == b
+
+    def test_design_at_is_the_one_constructor(self):
+        # the search returns design_at(gamma*) with its surrogate; a point's
+        # surrogate is rayleigh_bound of design_at's cascade, bit for bit,
+        # and its cloner carries the clone fidelities
+        ch = channel.channel_choi(
+            channel.ChannelParams(n=3, eta=0.6, lam=(0.1, 0.3, 0.6), delta=1.0))
+        t, r = (1, 2, 3), (1, 2, 3)
+        opt = decoder.optimize_gamma(3, ch, t, r)
+        at = decoder.design_at(opt.gamma, ch, t, r)
+        assert (at.gamma, at.t, at.r, at.surrogate) == (opt.gamma, t, r, None)
+        assert np.array_equal(at.qr.qt, opt.qr.qt) and np.array_equal(at.qr.rt, opt.qr.rt)
+        assert opt.surrogate == decoder.rayleigh_bound(opt.qr)
+        rng = np.random.default_rng(5)
+        for g in [tuple(rng.dirichlet(np.ones(3))) for _ in range(4)] + [(1.0, 0.0, 0.0)]:
+            design = decoder.design_at(g, ch, t, r)
+            assert decoder.evaluate_gamma_surrogate(g, ch, t, r) == decoder.rayleigh_bound(
+                design.qr)
+            assert design.enc.fidelities == cloner.clone_fidelities(g).fidelities
+            assert type(design.gamma) is tuple and design.gamma == tuple(g)
 
     def test_symmetric_channel_prefers_uniform_tie(self):
         # strongly mixed symmetric three-branch channel: the surrogate
@@ -556,7 +576,7 @@ class TestOptimizeGamma:
             channel.ChannelParams(n=3, eta=0.8, lam=(0.8, 0.8, 0.8), delta=1.0)
         )
         opt = decoder.optimize_gamma(3, ch, (1, 2, 3), (1, 2, 3))
-        assert np.allclose(opt.gamma.gamma, (1 / 3, 1 / 3, 1 / 3))
+        assert np.allclose(opt.gamma, (1 / 3, 1 / 3, 1 / 3))
 
     def test_returns_cascade_at_optimum(self):
         # the design carries the cascade operators at gamma*, from which
@@ -565,7 +585,7 @@ class TestOptimizeGamma:
             channel.ChannelParams(n=2, eta=0.4, lam=(0.5, 0.2), delta=1.0)
         )
         opt = decoder.optimize_gamma(2, ch, (2, 1), (1, 2))
-        enc = cloner.cloner_choi(opt.gamma.gamma)
+        enc = cloner.cloner_choi(opt.gamma)
         want = decoder.build_qr(decoder.compose_effective_map(enc, ch, (2, 1), (1, 2)))
         assert np.array_equal(opt.qr.qt, want.qt) and np.array_equal(opt.qr.rt, want.rt)
         assert decoder.rayleigh_bound(opt.qr) == opt.surrogate
@@ -590,7 +610,7 @@ class TestOptimizeGamma:
         ties = [g for g, v in zip(points, vals) if v >= max(vals) - decoder.SURROGATE_TIE_TOL]
         start = min(ties, key=lambda g: (-asymmetry_index(cloner.clone_fidelities(g).fidelities), g))
         opt = decoder.optimize_gamma(4, ch, t, r)
-        assert opt.gamma.gamma == decoder._polish(start, decoder._surrogate_pieces(4, ch, t, r))
+        assert opt.gamma == decoder._polish(start, decoder._surrogate_pieces(4, ch, t, r))
         assert opt.surrogate >= max(vals) - 1e-12
         again = decoder.optimize_gamma(4, ch, t, r)
         assert again.gamma == opt.gamma and again.surrogate == opt.surrogate
@@ -623,7 +643,7 @@ class TestOptimizeGamma:
         # 1e-15 relative must not move gamma* to the mirror design
         ch = channel.channel_choi(channel.ChannelParams(n=4, eta=0.3, lam=(0.2,) * 4, delta=2.0))
         modes = (1, 2, 3, 4)
-        want = decoder.optimize_gamma(4, ch, modes, modes).gamma.gamma
+        want = decoder.optimize_gamma(4, ch, modes, modes).gamma
         exact = decoder._surrogate_pieces
 
         for seed in range(6):
@@ -637,7 +657,7 @@ class TestOptimizeGamma:
                 return [(bend(q), bend(r)) for q, r in exact(*args)]
 
             monkeypatch.setattr(decoder, "_surrogate_pieces", perturbed)
-            assert decoder.optimize_gamma(4, ch, modes, modes).gamma.gamma == want
+            assert decoder.optimize_gamma(4, ch, modes, modes).gamma == want
 
 
 def rescore_all_gamma(m, ch, t, r):
@@ -676,7 +696,7 @@ class TestTieRescoring:
             t, r = strategies.select_modes(ch, n)
         want = rescore_all_gamma(n, ch, t, r)
         opt = decoder.optimize_gamma(n, ch, t, r)
-        assert opt.gamma.gamma == want
+        assert opt.gamma == want
         assert opt.surrogate == decoder.evaluate_gamma_surrogate(want, ch, t, r)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qumimo import channel, experiments, metrics, strategies
+from qumimo import channel, cloner, decoder, experiments, metrics, strategies
 from qumimo.errors import UndefinedIndexError
 
 
@@ -208,6 +208,33 @@ class TestRunStrategy:
         params = channel.ChannelParams(n=2, eta=0.0, lam=(0.1, 0.1), delta=1.0)
         with pytest.raises(ValueError):
             strategies.run_strategy("nope", channel.channel_choi(params), (1.0,))
+
+
+class TestDesignOnce:
+    def test_no_amplitudes_after_the_designs(self, monkeypatch):
+        # every job's design is built before the decoder SDPs, and its
+        # cloner carries the clone fidelities of the J index: after that
+        # no gamma's amplitudes are solved again
+        calls, marks = [], []
+        amplitudes, sdps = cloner.clone_amplitudes, decoder.purification_sdps
+
+        def counted(gamma):
+            calls.append(gamma)
+            return amplitudes(gamma)
+
+        def marked(pairs):
+            marks.append(len(calls))
+            return sdps(pairs)
+
+        monkeypatch.setattr(cloner, "clone_amplitudes", counted)
+        monkeypatch.setattr(decoder, "clone_amplitudes", counted)
+        monkeypatch.setattr(decoder, "purification_sdps", marked)
+        ch = channel.channel_choi(
+            channel.ChannelParams(n=3, eta=0.5, lam=(0.1, 0.4, 0.7), delta=1.0))
+        recs = strategies.run_strategies([(s, ch, (0.8, 1.0)) for s in strategies.STRATEGIES])
+        assert [len(r) for r in recs] == [1, 2, 2, 2, 2]
+        assert len(marks) == 1 and marks[0] > 0
+        assert len(calls) == marks[0]
 
 
 class TestRecordsCsv:
