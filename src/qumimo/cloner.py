@@ -104,8 +104,9 @@ def clone_amplitudes(gamma) -> CloneAmplitudes:
     )
 
 
-def _fidelities(beta: np.ndarray) -> tuple:
-    return tuple(float(x) for x in 1.0 / 3.0 + (beta + beta.sum()) ** 2 / 6.0)
+def _fidelities(beta: np.ndarray) -> np.ndarray:
+    """The clone fidelities of each amplitude vector (rows on the last axis)."""
+    return 1.0 / 3.0 + (beta + beta.sum(axis=-1, keepdims=True)) ** 2 / 6.0
 
 
 def clone_fidelities(gamma) -> CloneFidelityVector:
@@ -114,7 +115,7 @@ def clone_fidelities(gamma) -> CloneFidelityVector:
     ``1/3 + (sum_j beta_j)^2 / 6``, at least the maximally mixed 1/2."""
     gamma = _as_gamma(gamma)
     beta = np.asarray(clone_amplitudes(gamma).beta)
-    return CloneFidelityVector(fidelities=_fidelities(beta), gamma=gamma)
+    return CloneFidelityVector(fidelities=tuple(_fidelities(beta).tolist()), gamma=gamma)
 
 
 @functools.cache
@@ -153,7 +154,7 @@ def cloner_choi(gamma) -> ClonerChoi:
     x = np.tensordot(beta, _stinespring_basis(m), axes=1)
     _validate_cloner(x, m)
     j = x @ x.T / m
-    return ClonerChoi(choi=j, m=m, fidelities=_fidelities(beta))
+    return ClonerChoi(choi=j, m=m, fidelities=tuple(_fidelities(beta).tolist()))
 
 
 def _clone_marginals(x: np.ndarray, m: int) -> np.ndarray:

@@ -481,8 +481,8 @@ def _lattice(m: int):
     if uniform not in points:
         points.append(uniform)
     betas = _amplitudes(points)
-    order = sorted(range(len(points)),
-                   key=lambda i: (-asymmetry_index(_fidelities(betas[i])), points[i]))
+    index = asymmetry_index(_fidelities(betas))
+    order = sorted(range(len(points)), key=lambda i: (-index[i], points[i]))
     return points, _pair_weights(betas), np.argsort(order)
 
 

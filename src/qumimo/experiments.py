@@ -574,6 +574,15 @@ def _realized_cascade(design: dec_mod.Design, chan_x):
     return dec_mod.build_qr(dec_mod.compose_effective_map(design.enc, chan_x, design.t, design.r))
 
 
+def _realizations(cfg: ExperimentConfig, mean: MeanAllocation, mean_id: int, mu: float,
+                  tag: str) -> list:
+    """The realizations around one mean vector at strength mu: the
+    heatmap's (tag ``"xi"``) or the panel's (``"box-xi"``)."""
+    return [perturb_and_project(mean, sample_fluctuation(mu, mean.n, make_rng(
+        derive_seed(cfg.seed, "stochastic", tag, mu, mean_id, rid))))
+        for rid in range(cfg.num_realizations)]
+
+
 def _stochastic_task(args):
     """The heatmap rows of one (eta, mean vector): its ``baseline.csv`` row
     and its gain samples."""
@@ -588,10 +597,8 @@ def _stochastic_task(args):
                     *design.gamma, _modes(design.t), _modes(design.r)]
 
     rows = []
-    for rid in range(cfg.num_realizations):
-        seed = derive_seed(cfg.seed, "stochastic", "xi", cfg.heatmap_mu, mean_id, rid)
-        xi = sample_fluctuation(cfg.heatmap_mu, mean.n, make_rng(seed))
-        qr_x = _realized_cascade(design, _channel(cfg, eta, perturb_and_project(mean, xi).lam))
+    for rid, x in enumerate(_realizations(cfg, mean, mean_id, cfg.heatmap_mu, "xi")):
+        qr_x = _realized_cascade(design, _channel(cfg, eta, x.lam))
         evals = {p: dec_mod.evaluate_decoder(dec.j, qr_x) for p, dec in decoders.items()}
         p1_real, p1_fs, p1_favg = evals[1.0]
         for p in p_eval:
@@ -604,15 +611,6 @@ def _stochastic_task(args):
     return (eta, mean_id), baseline_row, rows, box
 
 
-def _box_realizations(cfg: ExperimentConfig, mean: MeanAllocation, mean_id: int, mu: float):
-    """Realizations of the panel around one mean vector at strength mu."""
-    cluster = []
-    for rid in range(cfg.num_realizations):
-        seed = derive_seed(cfg.seed, "stochastic", "box-xi", mu, mean_id, rid)
-        cluster.append(perturb_and_project(mean, sample_fluctuation(mu, mean.n, make_rng(seed))))
-    return cluster
-
-
 def _boxplot_task(args):
     """The realization panel around one mean vector: one design at the
     box operating point (made here unless a heatmap task passed it in),
@@ -623,7 +621,7 @@ def _boxplot_task(args):
     (t_dir,), (r_dir,) = select_modes(_channel(cfg, cfg.box_eta, lam), 1)
     panels = []
     for mu in sorted(cfg.mu):
-        cluster = _box_realizations(cfg, mean, mean_id, mu)
+        cluster = _realizations(cfg, mean, mean_id, mu, "box-xi")
         rows = []
         for rid, x in enumerate(cluster):
             chan_x = _channel(cfg, cfg.box_eta, x.lam)
@@ -693,7 +691,8 @@ def run_stochastic(cfg: ExperimentConfig, out_dir, workers: int = 1) -> dict:
         for rid, x in enumerate(cluster):
             alloc_rows.append([0, rid, mu, *x.lam])
     # Cluster variances of every mean vector, and their density per mu.
-    cv_rows = [[mean_id, mu, cluster_variance(mean, _box_realizations(cfg, mean, mean_id, mu))]
+    cv_rows = [[mean_id, mu,
+                cluster_variance(mean, _realizations(cfg, mean, mean_id, mu, "box-xi"))]
                for mu in sorted(cfg.mu) for mean_id, mean in enumerate(means)]
     for mu in cfg.mu:
         vals = [v for _, mu_v, v in cv_rows if mu_v == mu]

@@ -10,25 +10,32 @@ DENSITY_GRID_POINTS = 512
 BANDWIDTH_FLOOR = 1e-3
 
 
-def asymmetry_index(fidelities) -> float:
+def asymmetry_index(fidelities):
     """Jain-style fairness of a clone-fidelity vector.
 
     Contributions are rescaled as ``F~ = ((F - 1/2) / (1/2)) * F`` so that
     branches at or below the maximally mixed baseline are suppressed
     (negative values clamp to zero).  Returns a value in ``[1/M, 1]``:
     ``1/M`` for a single useful branch, 1 when all branches contribute
-    equally.
+    equally.  Given vectors as rows on the last axis, returns one index per
+    row, each row checked as a vector would be.
     """
     f = np.asarray(fidelities, dtype=float)
-    if f.ndim != 1 or f.size == 0:
-        raise ValueError("fidelity vector must be one-dimensional and nonempty")
-    if np.any(f < -1e-9) or np.any(f > 1.0 + 1e-9):
-        raise ValueError(f"fidelities outside [0, 1]: {f}")
-    eff = np.clip((f - 0.5) / 0.5, 0.0, None) * f
-    denom = float(np.sum(eff ** 2))
-    if denom <= 0.0:
+    if f.ndim == 0 or f.shape[-1] == 0:
+        raise ValueError("fidelity vector must be nonempty, its entries on the last axis")
+    rows = f.reshape(-1, f.shape[-1])
+    outside = ((rows < -1e-9) | (rows > 1.0 + 1e-9)).any(axis=1)
+    if outside.any():
+        raise ValueError(f"fidelities outside [0, 1]: {rows[outside][0]}")
+    eff = np.clip((rows - 0.5) / 0.5, 0.0, None) * rows
+    denom = (eff ** 2).sum(axis=1)
+    if (denom <= 0.0).any():
         raise UndefinedIndexError("all branches at or below the mixed baseline")
-    return float(np.sum(eff) ** 2 / (f.size * denom))
+    # Squared one by one as Python floats, as the index of one vector
+    # always was: NumPy's array square differs in the last bit on a few.
+    num = np.array([x ** 2 for x in eff.sum(axis=1).tolist()])
+    index = num / (rows.shape[1] * denom)
+    return float(index[0]) if f.ndim == 1 else index.reshape(f.shape[:-1])
 
 
 def silverman_bandwidth(values: np.ndarray) -> float:

@@ -29,9 +29,11 @@ Such a problem takes about ten iterations, and on blocks this small an
 iteration's time goes to NumPy's per-call overhead.  So :func:`solve_many`
 runs a stack of problems of one shape in one iteration: every iterate,
 and every scalar of the method (tau, kappa, mu, sigma, the step lengths,
-the merit, the best iterate, the Schur jitter), gains a leading axis of
-one row per problem, and a problem leaves the stack when it stops, with
-the status, message and iteration count it would get alone.
+the merit, the Schur jitter), gains a leading axis of one row per
+problem, and a problem leaves the stack when it stops, with the status,
+message and iteration count it would get alone.  One certificate stands
+behind an ``optimal`` status: the iterate returned is the one whose
+merit met ``TOL``, and its value and dual value are that iterate's own.
 :func:`solve` is the stack of one.  The stack is batch invariant: every
 matrix product is a product per problem (a stacked ``matmul``, never one
 product across problems), every reduction stays within one problem's
@@ -60,13 +62,9 @@ UNBOUNDED = "unbounded"
 MAX_ITER = "max_iter"
 
 # Merit (worst of the relative primal and dual residuals and gap) at
-# which an iterate is optimal, and at which the best iterate of a
-# stalled iteration is accepted instead.
+# which an iterate is optimal.
 TOL = 1e-8
-SOFT_TOL = 1e-7
 ITERATION_CAP = 200
-# The message of a solve accepted at SOFT_TOL.
-SOFT_ACCEPT = "accepted best iterate at relaxed tolerance"
 
 
 @dataclass
@@ -113,7 +111,6 @@ class SdpSolution:
     X_blocks: list
     y: np.ndarray
     status: str
-    gap: float
     iterations: int
     value: float = 0.0
     dual_value: float = 0.0
@@ -148,10 +145,10 @@ def _block_diag(blocks) -> np.ndarray:
     return out
 
 
-def _a_apply(a_conj: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``A(X)``: ``Re Tr[A_i X]`` for every row i of every problem, from the
-    conjugated flat stacks (rows of ``conj(A_i)``) and Hermitian iterates."""
-    return (a_conj @ x.reshape(len(x), -1, 1))[..., 0].real
+def _a_apply(a_flat: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``A(X)``: ``Re Tr[A_i X] = Re <A_i, conj(X)>`` for every row i of
+    every problem, from the flat stacks and Hermitian iterates."""
+    return (a_flat @ x.conj().reshape(len(x), -1, 1))[..., 0].real
 
 
 def _a_adjoint(y: np.ndarray, a_flat: np.ndarray) -> np.ndarray:
@@ -190,13 +187,12 @@ def _jitter(schur: np.ndarray) -> float:
 @dataclass
 class _Stack:
     """The problems of a stack still iterating, one row each: the row's
-    position in the stack (``live``), its data, its iterate and its best
-    iterate so far."""
+    position in the stack (``live``), its data, its iterate and that
+    iterate's primal and dual objectives."""
 
     live: np.ndarray
     c: np.ndarray
     a: np.ndarray
-    a_conj: np.ndarray
     a_blocks: list
     rhs: np.ndarray
     norm_b: np.ndarray
@@ -207,12 +203,8 @@ class _Stack:
     dual: np.ndarray
     tau: np.ndarray
     kappa: np.ndarray
-    best_merit: np.ndarray
-    best_x: np.ndarray
-    best_dual: np.ndarray
-    best_tau: np.ndarray
-    best_pobj: np.ndarray
-    best_dobj: np.ndarray
+    pobj: np.ndarray
+    dobj: np.ndarray
 
     def take(self, rows) -> None:
         for f in fields(self):
@@ -222,29 +214,24 @@ class _Stack:
 
 
 def _solution(st: _Stack, row: int, blocks, status, message, it) -> SdpSolution:
-    """Row ``row``'s result, in the maximize convention: its best iterate
-    when optimal (a stop short of a certificate is accepted when the best
-    iterate met ``SOFT_TOL``), else its last iterate."""
-    if status == MAX_ITER and st.best_merit[row] <= SOFT_TOL:
-        status, message = OPTIMAL, SOFT_ACCEPT
+    """Row ``row``'s result, in the maximize convention: when optimal, the
+    iterate that met ``TOL`` scaled by 1/tau, with its own primal and dual
+    values; else its last iterate as it stands."""
     if status == OPTIMAL:
-        x_best, tau_best = st.best_x[row], st.best_tau[row]
-        value, dual_value = -float(st.best_pobj[row]), -float(st.best_dobj[row])
+        tau = st.tau[row]
         return SdpSolution(
-            X_blocks=[x_best[s, s] / tau_best for s in blocks],
-            y=-st.best_dual[row] / tau_best,
+            X_blocks=[st.x[row][s, s] / tau for s in blocks],
+            y=-st.dual[row] / tau,
             status=OPTIMAL,
-            gap=abs(value - dual_value),
             iterations=it,
-            value=value,
-            dual_value=dual_value,
+            value=-float(st.pobj[row]),
+            dual_value=-float(st.dobj[row]),
             message=message,
         )
     return SdpSolution(
         X_blocks=[st.x[row][s, s] for s in blocks],
         y=-st.dual[row],
         status=status,
-        gap=np.inf,
         iterations=it,
         message=message,
     )
@@ -262,12 +249,12 @@ def solve_many(problems) -> list:
 
     Each problem iterates until an optimal certificate (merit at most
     ``TOL``), an infeasibility/unboundedness flag, lost definiteness, a
-    collapsed step or ``ITERATION_CAP`` iterations, and then leaves the
-    stack.  If its iteration stalls in numerical noise after effectively
-    converging, its best iterate is accepted as optimal provided it meets
-    ``SOFT_TOL`` (the certificate tolerances promised on an optimal
-    status).  The residual norms behind the merit and the infeasibility
-    flags are taken per block, the worst block counting.
+    collapsed step, a failed Schur factorization or ``ITERATION_CAP``
+    iterations, and then leaves the stack.  Only the certificate gives
+    ``optimal``, and the solution returned is the iterate that met it;
+    every other stop but the two flags is ``max_iter``.  The residual
+    norms behind the merit and the infeasibility flags are taken per
+    block, the worst block counting.
 
     Every matrix product is a product per problem (a stacked ``matmul``)
     and every reduction runs within one problem's row, so a problem's
@@ -317,14 +304,12 @@ def solve_many(problems) -> list:
     xi_p = np.maximum(1.0, np.abs(b).max(axis=1))
     xi_d = np.maximum(1.0, block_norm(c) / np.sqrt(max(dims)))
     st = _Stack(
-        live=np.arange(len(b)), c=c, a=a, a_conj=a.conj(), a_blocks=a_blocks, rhs=b,
+        live=np.arange(len(b)), c=c, a=a, a_blocks=a_blocks, rhs=b,
         norm_b=np.maximum(1.0, np.sqrt((b * b).sum(axis=1))),
         norm_c=np.maximum(1.0, block_norm(c)),
         norm_a=np.maximum(1.0, np.abs(a).max(axis=(1, 2))),
         x=_col(xi_p) * eye, s=_col(xi_d) * eye, dual=np.zeros(b.shape),
-        tau=ones, kappa=ones,
-        best_merit=np.full(len(b), np.inf), best_x=np.zeros(c.shape, dtype), best_dual=0 * b,
-        best_tau=ones, best_pobj=0 * ones, best_dobj=0 * ones,
+        tau=ones, kappa=ones, pobj=0 * ones, dobj=0 * ones,
     )
     # The Schur products, m matrices per problem and block, are written
     # into buffers made once: fresh arrays of that size cost more than the
@@ -346,7 +331,7 @@ def solve_many(problems) -> list:
 
     for it in range(1, ITERATION_CAP + 1):
         # Residuals of the homogeneous model.
-        ax = _a_apply(st.a_conj, st.x)
+        ax = _a_apply(st.a, st.x)
         aty = _a_adjoint(st.dual, st.a).reshape(st.x.shape)
         rp = st.rhs * st.tau[:, None] - ax
         rd = st.c * _col(st.tau) - aty - st.s
@@ -356,38 +341,22 @@ def solve_many(problems) -> list:
         mu = (_dot(st.x, st.s) + st.tau * st.kappa) / (nu + 1.0)
 
         # Normalized convergence checks.
-        pobj, dobj = cx / st.tau, by / st.tau
+        st.pobj, st.dobj = cx / st.tau, by / st.tau
         r_p = st.rhs - ax / st.tau[:, None]
         pres = np.sqrt((r_p * r_p).sum(axis=1)) / st.norm_b
         dres = block_norm(st.c - (aty + st.s) / _col(st.tau)) / st.norm_c
-        relgap = np.abs(pobj - dobj) / (1.0 + np.abs(pobj) + np.abs(dobj))
+        relgap = np.abs(st.pobj - st.dobj) / (1.0 + np.abs(st.pobj) + np.abs(st.dobj))
         merit = np.maximum(np.maximum(pres, dres), relgap)
 
-        # The best iterate so far (iterates are never changed in place).
-        better = merit < st.best_merit
-        if better.all():
-            st.best_merit, st.best_x, st.best_dual = merit, st.x, st.dual
-            st.best_tau, st.best_pobj, st.best_dobj = st.tau, pobj, dobj
-        elif better.any():
-            st.best_merit = np.where(better, merit, st.best_merit)
-            st.best_x = np.where(_col(better), st.x, st.best_x)
-            st.best_dual = np.where(better[:, None], st.dual, st.best_dual)
-            st.best_tau = np.where(better, st.tau, st.best_tau)
-            st.best_pobj = np.where(better, pobj, st.best_pobj)
-            st.best_dobj = np.where(better, dobj, st.best_dobj)
-
-        # Optimal; past the best point into numerical noise; or flagged by
-        # the homogeneous embedding as infeasible or unbounded.
+        # Optimal, or flagged by the homogeneous embedding as infeasible or
+        # unbounded.
         optimal = merit <= TOL
-        noise = (st.best_merit <= SOFT_TOL) & (merit > 10.0 * st.best_merit)
         flagged = (st.tau <= 1e-9 * np.maximum(1.0, st.kappa)) | (
             (mu <= TOL * 1e-4) & (st.tau <= 1e-7 * st.kappa))
         stops = {}
-        for row in np.flatnonzero(optimal | noise | flagged).tolist():
+        for row in np.flatnonzero(optimal | flagged).tolist():
             if optimal[row]:
                 stops[row] = OPTIMAL, ""
-            elif noise[row]:
-                stops[row] = OPTIMAL, SOFT_ACCEPT
             elif (by[row] > 0 and block_norm(aty + st.s)[row]
                   <= 1e-6 * st.norm_a[row] * max(1.0, by[row])):
                 stops[row] = INFEASIBLE, "dual improving ray found"
@@ -453,11 +422,11 @@ def solve_many(problems) -> list:
         # The sigma-independent parts of the direction.
         x, s, c, b, tau, kappa = st.x, st.s, st.c, st.rhs, st.tau, st.kappa
         wc = _herm(x @ c @ sinv)
-        awc = _a_apply(st.a_conj, wc)
+        awc = _a_apply(st.a, wc)
         cwc = _dot(c, wc)
         b_awc = b - awc
         wrd = _herm(x @ rd @ sinv)
-        rp_wrd = rp + _a_apply(st.a_conj, wrd)
+        rp_wrd = rp + _a_apply(st.a, wrd)
         wcrd = _dot(wc, rd)
         xs_mat = x @ s
 
@@ -491,7 +460,7 @@ def solve_many(problems) -> list:
         # Predictor (sigma = 0): its Schur system and h's in one solve.
         rc_aff = -xs_mat
         e_aff = _herm(rc_aff @ sinv)
-        gh = np.linalg.solve(schur, np.stack([rp_wrd - _a_apply(st.a_conj, e_aff), awc + b], -1))
+        gh = np.linalg.solve(schur, np.stack([rp_wrd - _a_apply(st.a, e_aff), awc + b], -1))
         h = gh[..., 1]
         den = (b_awc * h).sum(axis=1) + cwc + kappa / tau
         den = np.where(np.abs(den) > 1e-14, den, np.inf)  # dtau = 0 where den vanishes
@@ -508,7 +477,7 @@ def solve_many(problems) -> list:
         rc = _col(sigma * mu) * eye - xs_mat - dxa @ dsa
         e = _herm(rc @ sinv)
         g = np.linalg.solve(schur, ((1.0 - sigma)[:, None] * rp_wrd
-                                    - _a_apply(st.a_conj, e))[..., None])[..., 0]
+                                    - _a_apply(st.a, e))[..., None])[..., 0]
         rc_tau = sigma * mu - tk - dtaua * dkappaa
         dx, dy, ds, dtau, dkappa = direction(sigma, rc, rc_tau, e, g)
         alpha = max_alpha(dx, ds, dtau, dkappa)
@@ -537,8 +506,8 @@ def verify(problem: SdpProblem, solution: SdpSolution, tol: float = 1e-7) -> Ver
     iterates: the residuals are ``A(X) - rhs``.
     """
     m = len(problem.rhs)
-    a_conj = _block_diag(problem.constraints).reshape(1, m, -1).conj()
-    res = _a_apply(a_conj, _block_diag(solution.X_blocks)[None])[0] - problem.rhs
+    a_flat = _block_diag(problem.constraints).reshape(1, m, -1)
+    res = _a_apply(a_flat, _block_diag(solution.X_blocks)[None])[0] - problem.rhs
     floors = [float(np.linalg.eigvalsh(x)[0]) if x.size else 0.0 for x in solution.X_blocks]
     pval = float(
         sum(

@@ -29,7 +29,6 @@ EXTERNAL_FIELDS = {
     ("cloner", "CloneAmplitudes", "perron_value"): "tests/test_cloner.py",
     ("cloner", "CloneAmplitudes", "perron_vector"): "tests/test_cloner.py",
     ("sdp", "SdpSolution", "y"): "tests/test_sdp.py",
-    ("sdp", "SdpSolution", "gap"): "tests/test_sdp.py",
     ("sdp", "SdpSolution", "iterations"): "perfbench/tracer.py",
 }
 # The report of the waiting ``sdp.verify``: its caller is to read these.

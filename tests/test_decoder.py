@@ -308,8 +308,8 @@ def row_image(w, e):
 def apply_rows(problem, blocks):
     """``A(X)`` of ``problem`` on ``blocks``, as the solver reads it on the
     merged block-diagonal stack (a stack of one problem)."""
-    a_conj = sdp._block_diag(problem.constraints).reshape(1, len(problem.rhs), -1).conj()
-    return sdp._a_apply(a_conj, sdp._block_diag(blocks)[None])[0]
+    a_flat = sdp._block_diag(problem.constraints).reshape(1, len(problem.rhs), -1)
+    return sdp._a_apply(a_flat, sdp._block_diag(blocks)[None])[0]
 
 
 def adjoint_blocks(problem, y):
@@ -698,6 +698,15 @@ class TestTieRescoring:
         opt = decoder.optimize_gamma(n, ch, t, r)
         assert opt.gamma == want
         assert opt.surrogate == decoder.evaluate_gamma_surrogate(want, ch, t, r)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_lattice_ranks_follow_per_point_rule(self, m):
+        # the ranks come from one array evaluation of the asymmetry index,
+        # and order the points as each point's own index would
+        points, _, rank = decoder._lattice(m)
+        order = sorted(range(len(points)), key=lambda i: (
+            -asymmetry_index(cloner.clone_fidelities(points[i]).fidelities), points[i]))
+        assert np.array_equal(rank, np.argsort(order))
 
 
 SCORER_CHANNELS = [

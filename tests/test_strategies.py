@@ -39,6 +39,19 @@ class TestAsymmetryIndex:
         with pytest.raises(UndefinedIndexError):
             metrics.asymmetry_index([0.5, 0.4])
 
+    def test_rows(self):
+        # rows on the last axis: one index per row, equal to the vector's,
+        # and each row checked as a vector is
+        rng = np.random.default_rng(1)
+        f = rng.uniform(0.5 + 1e-6, 1.0, (4, 5, 3))
+        got = metrics.asymmetry_index(f)
+        assert got.shape == (4, 5)
+        assert all(got[i, j] == metrics.asymmetry_index(f[i, j]) for i in range(4) for j in range(5))
+        with pytest.raises(UndefinedIndexError):
+            metrics.asymmetry_index([[0.9, 0.8], [0.5, 0.4]])
+        with pytest.raises(ValueError, match="outside"):
+            metrics.asymmetry_index([[0.9, 0.8], [0.9, 1.2]])
+
 
 class TestEmpiricalDensity:
     def test_peaks_at_degenerate_value(self):
