@@ -12,6 +12,7 @@ the weights of the source tuples those modes read
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -113,18 +114,29 @@ def source_weights(chan: Channel, r) -> tuple[np.ndarray, np.ndarray]:
 
     Under permutation pi receive mode ``r_j`` reads source mode
     ``s_j = pi^{-1}(r_j)``, so ``W_s = (1 - eta) [s = r] + eta sum_{pi:
-    pi^{-1}(r) = s} w_pi``.  Tuples of zero weight are dropped; the weights
-    sum to 1.
+    pi^{-1}(r) = s} w_pi``, the sums cached (:func:`_source_table`).  Tuples
+    of zero weight are dropped; the weights sum to 1.
     """
-    n, eta = chan.n, chan.params.eta
-    shape = (n,) * len(r)
-    r0 = np.asarray(r, dtype=int) - 1
-    inv = np.argsort(np.array(chan.ensemble.perms), axis=1)
-    code = np.ravel_multi_index(inv[:, r0].T, shape)
-    w = eta * np.bincount(code, weights=chan.ensemble.weights, minlength=n ** len(r))
-    w[np.ravel_multi_index(r0, shape)] += 1.0 - eta
+    src, mass, home = _source_table(chan.ensemble, tuple(int(x) for x in r))
+    w = chan.params.eta * mass
+    w[home] += 1.0 - chan.params.eta
     nz = np.flatnonzero(w)
-    return np.stack(np.unravel_index(nz, shape), axis=1) + 1, w[nz]
+    return src[nz], w[nz]
+
+
+@functools.cache
+def _source_table(ensemble: PermutationEnsemble, r: tuple) -> tuple:
+    """Read-only: the source tuples of ``r`` that ``ensemble`` reads, and
+    ``r`` (row ``home``), raveled in order, and each one's summed ``w_pi``."""
+    shape = (len(ensemble.perms[0]),) * len(r)
+    r0 = np.asarray(r) - 1
+    code = np.ravel_multi_index(np.argsort(np.array(ensemble.perms), axis=1)[:, r0].T, shape)
+    codes = np.array(sorted({*code.tolist(), int(np.ravel_multi_index(r0, shape))}))
+    mass = np.bincount(code, weights=ensemble.weights, minlength=np.prod(shape))[codes]
+    src = np.stack(np.unravel_index(codes, shape), axis=1) + 1
+    for x in (src, mass):
+        x.setflags(write=False)
+    return src, mass, int(np.searchsorted(codes, np.ravel_multi_index(r0, shape)))
 
 
 def branch_fidelities(chan: Channel) -> np.ndarray:

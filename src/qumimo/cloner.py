@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
@@ -47,16 +47,11 @@ class AsymmetryVector:
             raise SimplexError(f"negative gamma component in {self.gamma}")
         if abs(g.sum() - 1.0) > SIMPLEX_TOL:
             raise SimplexError(f"gamma sums to {g.sum():.12f}, expected 1")
-        object.__setattr__(self, "gamma", tuple(float(x) for x in g))
+        object.__setattr__(self, "gamma", tuple(g.tolist()))
 
     @property
     def m(self) -> int:
         return len(self.gamma)
-
-    @property
-    def alpha(self) -> np.ndarray:
-        g = np.asarray(self.gamma)
-        return g / g.sum()
 
 
 @dataclass(frozen=True)
@@ -84,24 +79,28 @@ def _as_gamma(gamma) -> AsymmetryVector:
 
 
 def clone_amplitudes(gamma) -> CloneAmplitudes:
-    """Stinespring amplitudes from the Perron eigenvector of the weight
-    matrix ``A = alpha 1^T + diag(alpha)``.
+    """One gamma's :func:`_amplitude_rows`: ``sum(beta^2) + sum(beta)^2 = 2``."""
+    beta, value, vector = _amplitude_rows([_as_gamma(gamma).gamma])
+    return CloneAmplitudes(tuple(beta[0]), float(value[0]), tuple(vector[0]))
 
-    ``A`` is similar to the symmetric ``S = sqrt(alpha) sqrt(alpha)^T +
-    diag(alpha)`` through ``diag(sqrt(alpha))``, so the Perron vector is
-    ``sqrt(alpha) * |v|`` for the top eigenvector ``v`` of ``S``; a clone
-    with zero weight gets amplitude zero.  The returned vector satisfies
-    ``sum(beta^2) + sum(beta)^2 = 2``.
-    """
-    gamma = _as_gamma(gamma)
-    root = np.sqrt(np.clip(gamma.alpha, 0.0, None))
-    w, v = np.linalg.eigh(np.outer(root, root) + np.diag(root * root))
-    u = root * np.abs(v[:, -1])
-    u /= np.linalg.norm(u)
-    beta = np.sqrt(2.0 / (u.sum() ** 2 + 1.0)) * u
-    return CloneAmplitudes(
-        beta=tuple(beta), perron_value=float(w[-1]), perron_vector=tuple(u)
-    )
+
+def _amplitude_rows(gammas) -> tuple:
+    """Stinespring amplitudes, Perron value and Perron vector per row of
+    ``gammas`` (alpha: the row normalized).  ``A = alpha 1^T + diag(alpha)``
+    is similar to ``S = sqrt(alpha) sqrt(alpha)^T + diag(alpha)``, so its
+    Perron vector is ``sqrt(alpha) |v|`` (zero on a zero weight), v the top
+    eigenvector of S (one stacked ``eigh``); norms and sums are per-row floats."""
+    g = np.asarray(gammas, dtype=float)
+    root = np.sqrt(np.clip(g / g.sum(axis=1, keepdims=True), 0.0, None))
+    s = root[:, :, None] * root[:, None, :]
+    s.reshape(len(s), -1)[:, :: root.shape[1] + 1] *= 2.0  # + diag(alpha), exactly
+    w, v = np.linalg.eigh(s)
+    u = root * np.abs(v[:, :, -1])
+    scale = []
+    for row in u:
+        row /= math.sqrt(row.dot(row))
+        scale.append(math.sqrt(2.0 / (float(row.sum()) ** 2 + 1.0)))
+    return np.array(scale)[:, None] * u, w[:, -1], u
 
 
 def _fidelities(beta: np.ndarray) -> np.ndarray:
@@ -130,7 +129,7 @@ def _stinespring_basis(m: int) -> np.ndarray:
             if bits[0] != bits[k + 1]:
                 continue
             w = sum(bits[1:]) - bits[k + 1]
-            basis[k, row, w] = 1.0 / np.sqrt(comb(m - 1, w))
+            basis[k, row, w] = 1.0 / np.sqrt(math.comb(m - 1, w))
     return basis
 
 
@@ -157,34 +156,38 @@ def cloner_choi(gamma) -> ClonerChoi:
     return ClonerChoi(choi=j, m=m, fidelities=tuple(_fidelities(beta).tolist()))
 
 
+@functools.cache
+def _isotropy_tables(m: int) -> tuple:
+    """Read-only: ``rows[k - 1]``, the rows of the factor that clone k's
+    marginal reads, and the projector of row-major 4 x 4 operators onto the
+    complement of span{I_4, Phi}, the residual of a least-squares fit."""
+    index = np.arange(2 ** (m + 1))
+    rows = np.stack([index.reshape(2, 2 ** (k - 1), 2, -1).transpose(0, 2, 1, 3).reshape(4, -1)
+                     for k in range(1, m + 1)])
+    span = np.stack([np.eye(4).ravel() / 2, (PHI_UNNORM - np.eye(4) / 2).ravel() / np.sqrt(3)])
+    tables = rows, np.eye(16) - span.T @ span
+    for x in tables:
+        x.setflags(write=False)
+    return tables
+
+
 def _clone_marginals(x: np.ndarray, m: int) -> np.ndarray:
-    """The (input, clone k) marginals ``Tr_{clones != k} X X^T / M`` of the
-    Choi with Stinespring factor ``x``, k = 1..M, as an ``M x 4 x 4`` array:
-    one contraction of ``x`` each, the traced clones and the ancilla
-    summed together."""
-    out = np.empty((m, 4, 4))
-    for k in range(1, m + 1):
-        y = x.reshape(2, 2 ** (k - 1), 2, -1).transpose(0, 2, 1, 3).reshape(4, -1)
-        out[k - 1] = y @ y.T / m
-    return out
+    """The (input, clone k) marginals ``Tr_{clones != k} X X^T / M``, k = 1..M,
+    of Stinespring factor ``x``: one gather of its rows, one stacked product."""
+    y = x[_isotropy_tables(m)[0]].reshape(m, 4, -1)
+    return y @ y.swapaxes(1, 2) / m
 
 
 def _validate_cloner(x: np.ndarray, m: int) -> None:
     """Check the cloner with Stinespring factor ``x`` (``J = x x^T / M``):
-    trace preservation, ``Tr_out J = X_2 X_2^T / M = I_2`` with
-    ``X_2 = x.reshape(2, -1)``, and an isotropic (input, clone) marginal
-    for every clone.  J is a Gram matrix, so its eigenvalues are squared
-    singular values of ``x / sqrt(M)`` and no eigenvalue floor is checked."""
+    ``Tr_out J = X_2 X_2^T / M = I_2`` (``X_2 = x.reshape(2, -1)``) and
+    isotropic (input, clone) marginals, read by one fixed projector
+    (:func:`_isotropy_tables`); J is a Gram matrix, so no eigenvalue floor."""
     x2 = x.reshape(2, -1)
     if np.max(np.abs(x2 @ x2.T / m - I2)) > 1e-8:
         raise ValueError("cloner Choi violates trace preservation")
-    # Isotropic marginals: each (input, clone) pair lies in span{Phi, I4},
-    # fitted by least squares (Gram matrix of I4 and Phi: [[4, 2], [2, 4]]).
-    margs = _clone_marginals(x, m)
-    v = np.stack([np.trace(margs, axis1=1, axis2=2), np.einsum("ab,kab->k", PHI_UNNORM, margs)])
-    c_i, c_phi = np.linalg.solve(np.array([[4.0, 2.0], [2.0, 4.0]]), v)
-    resid = margs - c_i[:, None, None] * np.eye(4) - c_phi[:, None, None] * PHI_UNNORM
-    bad = np.flatnonzero(np.abs(resid).max(axis=(1, 2)) > 1e-7)
+    resid = _clone_marginals(x, m).reshape(m, 16) @ _isotropy_tables(m)[1]
+    bad = np.flatnonzero(np.abs(resid).max(axis=1) > 1e-7)
     if bad.size:
         raise ValueError(f"clone {bad[0] + 1} marginal not isotropic")
 

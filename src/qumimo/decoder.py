@@ -35,9 +35,9 @@ from . import sdp
 from .channel import Channel, source_weights
 from .cloner import (
     ClonerChoi,
+    _amplitude_rows,
     _fidelities,
     _stinespring_basis,
-    clone_amplitudes,
     cloner_choi,
     simplex_grid,
 )
@@ -121,7 +121,9 @@ def compose_effective_map(encoder: ClonerChoi, chan: Channel, t, r) -> Effective
     the clone on mode ``s_j``, or I/2 where ``s_j`` carries no clone: the
     marginal of the depolarized cloner on the clones in s, its legs ordered
     by s and padded with I/2.  Source tuples that place the same clones on
-    the same legs share one term.
+    the same legs share one term (a pattern), a gather by leg maps
+    (:func:`_gather_plan`): at K = N a leg permutation of the padded Choi,
+    else of one partial trace per traced set.
 
     ``encoder.choi`` may carry a leading stack axis; a single Choi is a
     stack of one, and an entry's cascade does not depend on its stack.
@@ -154,25 +156,52 @@ def compose_effective_map(encoder: ClonerChoi, chan: Channel, t, r) -> Effective
     clone_on = np.zeros(n + 1, dtype=int)
     clone_on[list(t)] = np.arange(1, m + 1)
     src, w = source_weights(chan, r)
-    shape = (m + 1,) * k
-    weights = np.bincount(np.ravel_multi_index(clone_on[src].T, shape), weights=w)
+    weights = np.bincount(np.ravel_multi_index(clone_on[src].T, (m + 1,) * k), weights=w)
     nz = np.flatnonzero(weights)
-    patterns, weights = np.stack(np.unravel_index(nz, shape), axis=1), weights[nz]
-    # Legs m + 1 .. q - 1 carry the I/2 the patterns need; leg a is einsum
-    # label a on the ket side and q + a on the bra side, or a when traced.
-    pads = int((patterns == 0).sum(axis=1).max())
-    q = m + 1 + pads
-    pad = np.eye(2 ** pads) / 2 ** pads
+    q, traced, terms = _gather_plan(m, k, tuple(nz.tolist()))
+    pad = np.eye(2 ** (q - m - 1)) / 2 ** (q - m - 1)
     jt = jt.reshape(-1, 2 ** (m + 1), 1, 2 ** (m + 1), 1) * pad[:, None]
-    jt = jt.reshape(-1, *(2,) * (2 * q))
-    out = np.zeros((len(jt),) + (2,) * (2 * k + 2))
-    for pattern, weight in zip(patterns.tolist(), weights):
+    sources = [_trace_legs(jt.reshape(-1, *(2,) * (2 * q)), gone) for gone in traced]
+    d = 2 ** (k + 1)
+    out = np.zeros((d, d, len(jt)))
+    rows, buf = np.empty_like(out), np.empty_like(out)
+    for (which, legs), weight in zip(terms, weights[nz].tolist()):
+        sources[which].take(legs, axis=0, out=rows, mode="clip")  # in range by construction
+        rows.take(legs, axis=1, out=buf, mode="clip")
+        buf *= weight
+        out += buf
+    return EffectiveMap(choi=out.transpose(2, 0, 1).reshape(lead + (d, d)), k=k)
+
+
+@functools.cache
+def _gather_plan(m: int, k: int, codes: tuple) -> tuple:
+    """``(q, traced, terms)`` for patterns ``codes`` (raveled, base M + 1):
+    the padded Choi's leg count, each traced leg set once, and per pattern
+    its traced set and its read-only leg map ``legs`` of 2^(K+1) entries:
+    output entry (i, j) reads entry ``(legs[i], legs[j])`` of that trace."""
+    patterns = np.stack(np.unravel_index(codes, (m + 1,) * k), axis=1).tolist()
+    q = m + 1 + max(pattern.count(0) for pattern in patterns)
+    traced, which, ranks = {}, [], []
+    for pattern in patterns:
         free = iter(range(m + 1, q))
         ket = [0] + [c if c else next(free) for c in pattern]
-        bra = [q + a if a in ket else a for a in range(q)]
-        out += weight * np.einsum(jt, [..., *range(q), *bra], [..., *ket, *(q + a for a in ket)])
-    dk = 2 ** k
-    return EffectiveMap(choi=out.reshape(lead + (2 * dk, 2 * dk)), k=k)
+        ranks.append(np.argsort(np.argsort(ket)))
+        which.append(traced.setdefault(tuple(a for a in range(q) if a not in ket), len(traced)))
+    bits = np.arange(2 ** (k + 1))[:, None] >> np.arange(k, -1, -1) & 1  # output legs
+    legs = (1 << (k - np.array(ranks))) @ bits.T
+    legs.setflags(write=False)
+    return q, tuple(traced), tuple(zip(which, legs))
+
+
+def _trace_legs(x: np.ndarray, gone: tuple) -> np.ndarray:
+    """The stack ``x`` on q qubits (2q axes of 2) with legs ``gone`` traced
+    out, the stack axis last."""
+    q = (x.ndim - 1) // 2
+    order = [a for a in range(q) if a not in gone] + list(gone)
+    x = x.transpose(*(1 + a for a in order), *(1 + q + a for a in order), 0)
+    dk, dg = 2 ** (q - len(gone)), 2 ** len(gone)
+    x = np.trace(x.reshape(dk, dg, dk, dg, -1), axis1=1, axis2=3)
+    return np.ascontiguousarray(x)
 
 
 def build_qr(emap: EffectiveMap) -> QROperators:
@@ -467,10 +496,6 @@ def _pair_weights(betas: np.ndarray) -> np.ndarray:
     return np.where(rows == cols, 1.0, 2.0) * betas[:, rows] * betas[:, cols]
 
 
-def _amplitudes(points) -> np.ndarray:
-    return np.array([clone_amplitudes(g).beta for g in points])
-
-
 @functools.cache
 def _lattice(m: int):
     """The 1/20 simplex lattice plus the exact uniform point (which the
@@ -480,7 +505,7 @@ def _lattice(m: int):
     uniform = tuple([1.0 / m] * m)
     if uniform not in points:
         points.append(uniform)
-    betas = _amplitudes(points)
+    betas = _amplitude_rows(points)[0]
     index = asymmetry_index(_fidelities(betas))
     order = sorted(range(len(points)), key=lambda i: (-index[i], points[i]))
     return points, _pair_weights(betas), np.argsort(order)
@@ -557,11 +582,11 @@ def _polish(start: tuple, pieces) -> tuple:
     m = len(start)
     counts = np.rint(np.asarray(start) * POLISH_DENOM).astype(int)
     edges = (np.eye(m, dtype=int)[:, None] - np.eye(m, dtype=int))[~np.eye(m, dtype=bool)]
-    best = _lattice_surrogates(_pair_weights(_amplitudes([start])), pieces)[0]
+    best = _lattice_surrogates(_pair_weights(_amplitude_rows([start])[0]), pieces)[0]
     step = POLISH_DENOM // 40
     while step:
         moves = [c for c in counts + step * edges if c.min() >= 0]
-        betas = _amplitudes([c / POLISH_DENOM for c in moves])
+        betas = _amplitude_rows([c / POLISH_DENOM for c in moves])[0]
         vals = _lattice_surrogates(_pair_weights(betas), pieces)
         if vals.max() > best + SURROGATE_TIE_TOL:
             first = int(np.flatnonzero(vals >= vals.max() - POLISH_TIE_TOL)[0])

@@ -11,7 +11,10 @@ eps or less off the optimum).
 The result is checked on its Choi (:func:`validate_cloner_choi`:
 eigenvalue floor, trace preservation and isotropic marginals by partial
 traces); the run-time cloner checks the last two on its Stinespring
-factor, where the first cannot fail.
+factor, where the first cannot fail.  :func:`least_squares_factor_check`
+is the earlier route of that factor check, which the run-time projector
+is tested against, and :func:`per_point_amplitudes` the earlier
+one-gamma-at-a-time amplitude route, which the stacked rows are.
 """
 
 from __future__ import annotations
@@ -157,3 +160,38 @@ def cloner_choi_sdp(gamma) -> ClonerChoi:
     validate_cloner_choi(j, m, space)
     fids = tuple(float(np.real(np.trace(j @ g))) for g in g_ops)
     return ClonerChoi(choi=j, m=m, fidelities=fids)
+
+
+def least_squares_factor_check(x: np.ndarray, m: int) -> None:
+    """The earlier form of ``cloner._validate_cloner``: trace preservation
+    on the Stinespring factor ``x``, then each (input, clone k) marginal
+    from its own contraction of ``x`` and fitted by least squares in
+    span{I4, Phi} (Gram matrix [[4, 2], [2, 4]]), with the same tolerances
+    and messages."""
+    x2 = x.reshape(2, -1)
+    if np.max(np.abs(x2 @ x2.T / m - I2)) > 1e-8:
+        raise ValueError("cloner Choi violates trace preservation")
+    margs = np.empty((m, 4, 4))
+    for k in range(1, m + 1):
+        y = x.reshape(2, 2 ** (k - 1), 2, -1).transpose(0, 2, 1, 3).reshape(4, -1)
+        margs[k - 1] = y @ y.T / m
+    v = np.stack([np.trace(margs, axis1=1, axis2=2), np.einsum("ab,kab->k", PHI_UNNORM, margs)])
+    c_i, c_phi = np.linalg.solve(np.array([[4.0, 2.0], [2.0, 4.0]]), v)
+    resid = margs - c_i[:, None, None] * np.eye(4) - c_phi[:, None, None] * PHI_UNNORM
+    bad = np.flatnonzero(np.abs(resid).max(axis=(1, 2)) > 1e-7)
+    if bad.size:
+        raise ValueError(f"clone {bad[0] + 1} marginal not isotropic")
+
+
+def per_point_amplitudes(gamma) -> tuple:
+    """``(beta, perron_value, perron_vector)`` of one gamma by the earlier
+    per-point route of ``cloner.clone_amplitudes``: the top eigenvector of
+    ``sqrt(alpha) sqrt(alpha)^T + diag(alpha)``, scaled by ``sqrt(alpha)``,
+    normalized by ``np.linalg.norm`` and scaled by NumPy scalar arithmetic."""
+    g = np.asarray(_as_gamma(gamma).gamma)
+    root = np.sqrt(np.clip(g / g.sum(), 0.0, None))
+    w, v = np.linalg.eigh(np.outer(root, root) + np.diag(root * root))
+    u = root * np.abs(v[:, -1])
+    u /= np.linalg.norm(u)
+    beta = np.sqrt(2.0 / (u.sum() ** 2 + 1.0)) * u
+    return tuple(beta), float(w[-1]), tuple(u)

@@ -12,7 +12,8 @@ compose -> ``build_qr`` route to one branch fidelity, and the dense
 channel route: the 4^N x 4^N channel Choi, its action on states, its
 partial-trace branch table and the link product with the cloner, which
 ``channel.source_weights`` and ``decoder.compose_effective_map`` replace
-on 1 + K qubits.
+on 1 + K qubits, and that cascade's earlier route, one ``einsum`` per
+source pattern, which the gather plan replaces.
 """
 
 from __future__ import annotations
@@ -337,3 +338,48 @@ def dense_compose(encoder: cloner.ClonerChoi, j_chan: np.ndarray, n: int, t, r) 
     axes = [0] + [1 + p for p in pos] + [half] + [half + 1 + p for p in pos]
     dk = 2 ** len(r)
     return tens.transpose(axes).reshape(2 * dk, 2 * dk)
+
+
+def einsum_compose(encoder: cloner.ClonerChoi, chan: channel.Channel, t, r) -> np.ndarray:
+    """The cascade Choi of ``decoder.compose_effective_map`` by its earlier
+    route, one ``einsum`` per source pattern on the I/2-padded cloner Choi:
+    the run-time gather plan is checked against it bit for bit where every
+    pattern keeps every leg (K = N), and to rounding where patterns trace
+    legs."""
+    n, m = chan.n, encoder.m
+    lead = encoder.choi.shape[:-2]
+    jt = encoder.choi.reshape(-1, 2 ** (m + 1), 2 ** (m + 1))
+    for c, mode in enumerate(t, start=1):
+        # Depolarize clone c: (1 - lam) J + lam Tr_c J (x) I/2 on its leg.
+        lam = chan.params.lam[mode - 1]
+        x = jt.reshape(-1, 2 ** c, 2, 2 ** (m - c), 2 ** c, 2, 2 ** (m - c))
+        half_tr = lam / 2.0 * (x[:, :, 0, :, :, 0] + x[:, :, 1, :, :, 1])
+        x = (1.0 - lam) * x
+        x[:, :, 0, :, :, 0] += half_tr
+        x[:, :, 1, :, :, 1] += half_tr
+        jt = x
+
+    # A pattern holds, per receive leg, the clone its source carries (0: I/2).
+    k = len(r)
+    clone_on = np.zeros(n + 1, dtype=int)
+    clone_on[list(t)] = np.arange(1, m + 1)
+    src, w = channel.source_weights(chan, r)
+    shape = (m + 1,) * k
+    weights = np.bincount(np.ravel_multi_index(clone_on[src].T, shape), weights=w)
+    nz = np.flatnonzero(weights)
+    patterns, weights = np.stack(np.unravel_index(nz, shape), axis=1), weights[nz]
+    # Legs m + 1 .. q - 1 carry the I/2 the patterns need; leg a is einsum
+    # label a on the ket side and q + a on the bra side, or a when traced.
+    pads = int((patterns == 0).sum(axis=1).max())
+    q = m + 1 + pads
+    pad = np.eye(2 ** pads) / 2 ** pads
+    jt = jt.reshape(-1, 2 ** (m + 1), 1, 2 ** (m + 1), 1) * pad[:, None]
+    jt = jt.reshape(-1, *(2,) * (2 * q))
+    out = np.zeros((len(jt),) + (2,) * (2 * k + 2))
+    for pattern, weight in zip(patterns.tolist(), weights):
+        free = iter(range(m + 1, q))
+        ket = [0] + [c if c else next(free) for c in pattern]
+        bra = [q + a if a in ket else a for a in range(q)]
+        out += weight * np.einsum(jt, [..., *range(q), *bra], [..., *ket, *(q + a for a in ket)])
+    dk = 2 ** k
+    return out.reshape(lead + (2 * dk, 2 * dk))

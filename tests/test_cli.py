@@ -564,12 +564,13 @@ class TestStochasticRun:
     def test_no_amplitudes_outside_the_mean_designs(self, tmp_path, monkeypatch):
         # a design's cloner carries its clone fidelities: the baseline J
         # index, the realizations and the panel solve no gamma's amplitudes
+        # (every amplitude, one gamma's or a lattice's, is an amplitude row)
         calls, inside = [], [False]
-        amplitudes, design = cloner.clone_amplitudes, experiments._design_on_mean
+        amplitudes, design = cloner._amplitude_rows, experiments._design_on_mean
 
-        def counted(gamma):
+        def counted(gammas):
             calls.append(inside[0])
-            return amplitudes(gamma)
+            return amplitudes(gammas)
 
         def designing(*args):
             inside[0] = True
@@ -578,8 +579,8 @@ class TestStochasticRun:
             finally:
                 inside[0] = False
 
-        monkeypatch.setattr(cloner, "clone_amplitudes", counted)
-        monkeypatch.setattr(decoder, "clone_amplitudes", counted)
+        monkeypatch.setattr(cloner, "_amplitude_rows", counted)
+        monkeypatch.setattr(decoder, "_amplitude_rows", counted)
         monkeypatch.setattr(experiments, "_design_on_mean", designing)
         cfg = experiments.validate_config(tiny_stoch_cfg(eta=[0.5, 0.8], p=[0.8, 1.0]))
         experiments.run_stochastic(cfg, tmp_path / "out")

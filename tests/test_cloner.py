@@ -14,7 +14,7 @@ def weight_matrix(gamma) -> np.ndarray:
     """Rank-one-plus-diagonal weight matrix ``alpha 1^T + diag(alpha)``,
     whose Perron pair ``clone_amplitudes`` returns."""
     gamma = cloner.AsymmetryVector(tuple(gamma))
-    alpha = gamma.alpha
+    alpha = np.asarray(gamma.gamma) / sum(gamma.gamma)
     return np.outer(alpha, np.ones(gamma.m)) + np.diag(alpha)
 
 
@@ -79,6 +79,22 @@ class TestWeightMatrix:
 
 
 class TestCloneAmplitudes:
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_rows_match_the_per_point_route(self, m):
+        # the stacked form gives the earlier one-gamma-at-a-time arithmetic
+        # bit for bit on the gamma search's lattice, faces and polish grid
+        rng = np.random.default_rng(30 + m)
+        points = cloner.simplex_grid(m, 20) + face_points(m)
+        points += [tuple(c / 640 for c in rng.multinomial(640, rng.dirichlet(np.ones(m))))
+                   for _ in range(200)]
+        beta, value, vector = cloner._amplitude_rows(points)
+        for i, g in enumerate(points):
+            want = oracle.per_point_amplitudes(g)
+            assert (tuple(beta[i]), float(value[i]), tuple(vector[i])) == want
+            if i % 50 == 0:
+                one = cloner.clone_amplitudes(g)
+                assert (one.beta, one.perron_value, one.perron_vector) == want
+
     def test_symmetric_two(self):
         # power iteration on [[1,.5],[.5,1]] gives u = (1,1)/sqrt(2);
         # scale sqrt(2/((sqrt2)^2+1)) = sqrt(2/3)
@@ -230,6 +246,22 @@ class TestFactorCheck:
         x[[1, 2]] = x[[2, 1]]
         with pytest.raises(ValueError, match="marginal not isotropic"):
             cloner._validate_cloner(x, m)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_rejects_rotated_clone_leg(self, m):
+        # a small real rotation of one clone's leg acts on the output alone,
+        # so Tr_out J = I_2 holds, but it breaks that clone's isotropy; the
+        # projector and the earlier least-squares fit both name that clone
+        rng = np.random.default_rng(40 + m)
+        x = stinespring_factor(tuple(rng.dirichlet(np.ones(m))))
+        for check in (cloner._validate_cloner, oracle.least_squares_factor_check):
+            check(x, m)
+        k = int(rng.integers(1, m + 1))
+        c, s = np.cos(0.01), np.sin(0.01)
+        rotated = (np.array([[c, -s], [s, c]]) @ x.reshape(2 ** k, 2, -1)).reshape(x.shape)
+        for check in (cloner._validate_cloner, oracle.least_squares_factor_check):
+            with pytest.raises(ValueError, match=f"^clone {k} marginal not isotropic$"):
+                check(rotated, m)
 
     def test_marginals_match_partial_trace(self):
         rng = np.random.default_rng(17)

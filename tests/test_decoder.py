@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import numpy as np
@@ -10,6 +11,7 @@ from qumimo.tensor import I2, PHI_UNNORM, SWAP2, dagger
 from reference_ops import (
     ModeSpace,
     depolarizing_choi_1q,
+    einsum_compose,
     haar_qubit,
     partial_trace,
     projector,
@@ -214,6 +216,69 @@ class TestStackedCascade:
         for (q, rr), (q_want, r_want) in zip(got, want):
             assert np.array_equal(q, q_want) and np.array_equal(rr, r_want)
 
+
+class TestGatherPlan:
+    """The cascade's gather plan against its earlier route, one ``einsum``
+    per source pattern (``reference_ops.einsum_compose``)."""
+
+    @staticmethod
+    def random_channel(n, eta, rng):
+        return channel.channel_choi(channel.ChannelParams(
+            n=n, eta=eta, lam=tuple(rng.uniform(0, 1, n)), delta=float(rng.uniform(0.3, 2.0))))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 1.0])
+    def test_bitwise_at_k_equal_n(self, n, eta):
+        # every pattern keeps every leg: a pure leg permutation, the same
+        # bits as the einsum, on one cloner and on the gamma search's pieces
+        rng = np.random.default_rng(10 * n + int(10 * eta))
+        ch = self.random_channel(n, eta, rng)
+        for m in sorted({1, n}):
+            t = tuple(int(x) + 1 for x in rng.permutation(n)[:m])
+            for choi in (cloner.cloner_choi(tuple(rng.dirichlet(np.ones(m)))).choi, piece_chois(m)):
+                enc = cloner.ClonerChoi(choi=choi, m=m, fidelities=())
+                got = decoder.compose_effective_map(enc, ch, t, tuple(range(1, n + 1))).choi
+                assert np.array_equal(got, einsum_compose(enc, ch, t, tuple(range(1, n + 1))))
+
+    def test_traced_legs_agree(self):
+        # K < N or M < N: patterns trace clones or pad legs
+        rng = np.random.default_rng(61)
+        for n in (2, 3, 4, 5):
+            for _ in range(8):
+                ch = self.random_channel(n, float(rng.uniform(0, 1)), rng)
+                m = int(rng.integers(1, n + 1))
+                k = int(rng.integers(1, n if m == n else n + 1))
+                t = tuple(int(x) + 1 for x in rng.permutation(n)[:m])
+                r = tuple(int(x) + 1 for x in rng.permutation(n)[:k])
+                enc = cloner.cloner_choi(tuple(rng.dirichlet(np.ones(m))))
+                got = decoder.compose_effective_map(enc, ch, t, r).choi
+                assert np.max(np.abs(got - einsum_compose(enc, ch, t, r))) <= 1e-15
+
+    def test_plan_stays_small(self):
+        # N = 6, M = 5, K = 6 at eta > 0: one pattern per permutation, the
+        # sixth mode's I/2 on one leg; the plan is the one the cascade uses
+        ch = channel.channel_choi(channel.ChannelParams(
+            n=6, eta=0.5, lam=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6), delta=1.0))
+        enc = cloner.cloner_choi((0.2,) * 5)
+        decoder.compose_effective_map(enc, ch, (1, 2, 3, 4, 5), (1, 2, 3, 4, 5, 6))
+        perms = np.array(list(itertools.permutations(range(6))))
+        codes = tuple(sorted(np.ravel_multi_index(perms.T, (6,) * 6).tolist()))
+        hits = decoder._gather_plan.cache_info().hits
+        q, traced, terms = decoder._gather_plan(5, 6, codes)
+        assert decoder._gather_plan.cache_info().hits == hits + 1
+        assert (q, traced, len(terms)) == (7, ((),), 720)
+        assert sum(legs.nbytes for _, legs in terms) < 4 * 2 ** 20
+
+    def test_cached_tables_are_read_only(self):
+        ch = channel.channel_choi(channel.ChannelParams(
+            n=3, eta=0.5, lam=(0.1, 0.2, 0.3), delta=1.0))
+        _, _, terms = decoder._gather_plan(2, 2, (5, 7))
+        tables = [legs for _, legs in terms]
+        tables += list(channel._source_table(ch.ensemble, (1, 2))[:2])
+        tables += list(cloner._isotropy_tables(3))
+        for table in tables:
+            with pytest.raises(ValueError, match="read-only"):
+                table.flat[0] = 0
 
 class TestPurificationSdp:
     def test_identity_p1(self):

@@ -227,20 +227,21 @@ class TestDesignOnce:
     def test_no_amplitudes_after_the_designs(self, monkeypatch):
         # every job's design is built before the decoder SDPs, and its
         # cloner carries the clone fidelities of the J index: after that
-        # no gamma's amplitudes are solved again
+        # no gamma's amplitudes are solved again (every amplitude, one
+        # gamma's or a lattice's, is an amplitude row)
         calls, marks = [], []
-        amplitudes, sdps = cloner.clone_amplitudes, decoder.purification_sdps
+        amplitudes, sdps = cloner._amplitude_rows, decoder.purification_sdps
 
-        def counted(gamma):
-            calls.append(gamma)
-            return amplitudes(gamma)
+        def counted(gammas):
+            calls.append(gammas)
+            return amplitudes(gammas)
 
         def marked(pairs):
             marks.append(len(calls))
             return sdps(pairs)
 
-        monkeypatch.setattr(cloner, "clone_amplitudes", counted)
-        monkeypatch.setattr(decoder, "clone_amplitudes", counted)
+        monkeypatch.setattr(cloner, "_amplitude_rows", counted)
+        monkeypatch.setattr(decoder, "_amplitude_rows", counted)
         monkeypatch.setattr(decoder, "purification_sdps", marked)
         ch = channel.channel_choi(
             channel.ChannelParams(n=3, eta=0.5, lam=(0.1, 0.4, 0.7), delta=1.0))
