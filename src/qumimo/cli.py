@@ -141,12 +141,14 @@ def _run_checks(quick: bool) -> int:
         params = channel.ChannelParams(n=n, eta=float(rng.uniform(0, 1)),
                                        lam=tuple(rng.uniform(0, 1, n)), delta=1.0)
         modes = tuple(range(1, n + 1))
-        qr = decoder.design_at(tuple(rng.dirichlet(np.ones(n))), channel.channel_choi(params),
-                               modes, modes).qr
-        reduced, resid = decoder.covariant_operators(qr)
+        emap = decoder.compose_effective_map(cloner.cloner_choi(tuple(rng.dirichlet(np.ones(n)))),
+                                             channel.channel_choi(params), modes, modes)
+        qr = decoder.build_qr(emap)
+        resid = max(float(np.max(np.abs(x - y))) / max(1.0, float(np.max(np.abs(x))))
+                    for x, y in zip(decoder.full_operators(emap), decoder.lift_operators(qr)))
         check(f"Qt, Rt on the SU(2) commutant, N = {n}", resid <= 1e-12, f"residual {resid:.1e}")
-        check(f"reduced decoder data real, N = {n}", not any(map(np.iscomplexobj, reduced)),
-              f"dtype {reduced[0].dtype}")
+        check(f"reduced decoder data real, N = {n}",
+              not any(map(np.iscomplexobj, (qr.qt, qr.rt))), f"dtype {qr.qt.dtype}")
         # p < 1 carries the slack block; p = 1 drops it.
         for p in (0.8, 1.0):
             dense = sdp_mod.solve(decoder.dense_purification_problem(qr, p))

@@ -119,7 +119,7 @@ def clone_fidelities(gamma) -> CloneFidelityVector:
 
 @functools.cache
 def _stinespring_basis(m: int) -> np.ndarray:
-    """``B[k]`` is ``|Phi>_{in,k} (x) sum_w |D_w>_{clones != k} |w>_anc``
+    """Read-only: ``B[k]`` is ``|Phi>_{in,k} (x) sum_w |D_w>_{clones != k} |w>_anc``
     as a ``2^(m+1) x m`` array (input and clones as rows, ancilla as
     columns), with ``D_w`` the normalized weight-w Dicke state."""
     basis = np.zeros((m, 2 ** (m + 1), m))
@@ -130,6 +130,7 @@ def _stinespring_basis(m: int) -> np.ndarray:
                 continue
             w = sum(bits[1:]) - bits[k + 1]
             basis[k, row, w] = 1.0 / np.sqrt(math.comb(m - 1, w))
+    basis.setflags(write=False)
     return basis
 
 

@@ -17,10 +17,11 @@ quotient whose top eigenvalue upper-bounds the SDP for every p.
 The blind baseline's decoder needs no SDP: :func:`blind_choi`.
 
 ``Qt`` and ``Rt`` are block-diagonal by SU(2) spin on one real frame
-(:func:`_frame`); the decoder SDP is solved, and the gamma search scored,
-on those blocks.  A channel's design (:class:`Design`) is built once, by
-:func:`design_at` or at gamma* by the gamma search; only the decoder SDP
-is solved per p.
+(:func:`_frame`), the only form :func:`build_qr` returns: every reader
+works on those blocks, a decoder is its reduced Choi, and only the
+reference routes lift back (:func:`lift_operators`).  A channel's design
+(:class:`Design`) is built once, by :func:`design_at` or at gamma* by the
+gamma search; only the decoder SDP is solved per p.
 """
 
 from __future__ import annotations
@@ -57,10 +58,6 @@ POLISH_DENOM = 640
 # below SURROGATE_TIE_TOL.
 POLISH_TIE_TOL = 1e-10
 
-# Largest entry of Qt or Rt off the SU(2) commutant, and largest
-# imaginary part of their reduced blocks, relative to max(1, largest
-# entry), that the decoder SDP accepts.
-COVARIANCE_TOL = 1e-10
 # The real spin flip: FLIP conj(U) FLIP^T = U for U in SU(2).
 FLIP = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -78,6 +75,10 @@ class EffectiveMap:
 
 @dataclass(frozen=True)
 class QROperators:
+    """``Qt = (+)_j Q_j (x) I_{2j+1}`` and ``Rt`` alike, reduced on the
+    decoder's frame (:func:`_frame`) to the real ``(+)_j (2j + 1) Q_j``, so
+    ``Tr[J Qt] = Tr[X qt]`` for ``J = (+)_j X_j (x) I_{2j+1}``."""
+
     qt: np.ndarray
     rt: np.ndarray
     k: int
@@ -204,9 +205,10 @@ def _trace_legs(x: np.ndarray, gone: tuple) -> np.ndarray:
     return np.ascontiguousarray(x)
 
 
-def build_qr(emap: EffectiveMap) -> QROperators:
-    """Haar-averaged operators of the cascade, input transpose folded in;
-    a leading stack axis of ``emap.choi`` carries over to both."""
+def full_operators(emap: EffectiveMap) -> tuple:
+    """The Haar-averaged ``Qt`` and ``Rt`` of the cascade on the full
+    2^(K+1)-square space, input transpose folded in; a leading stack axis
+    of ``emap.choi`` carries over to both."""
     dk = 2 ** emap.k
     lead = emap.choi.shape[:-2]
     jl4 = emap.choi.reshape(lead + (2, dk, 2, dk))
@@ -216,15 +218,33 @@ def build_qr(emap: EffectiveMap) -> QROperators:
     sigma = np.einsum("...iojp,ij->...op", jl4, I2 / 2.0)
     # Rt = sigma^T (x) I, one Kronecker product per stack entry.
     rt = (sigma.swapaxes(-1, -2)[..., :, None, :, None] * I2[:, None, :]).reshape(qt.shape)
-    qt = (qt + dagger(qt)) / 2.0
-    rt = (rt + dagger(rt)) / 2.0
+    return (qt + dagger(qt)) / 2.0, (rt + dagger(rt)) / 2.0
+
+
+def build_qr(emap: EffectiveMap) -> QROperators:
+    """:func:`full_operators` reduced (:class:`QROperators`), masked to the
+    spin blocks and symmetrized.  The decoder SDP keeps only real units
+    (:func:`_covariant_rows`), so the cascade must be real."""
+    if np.iscomplexobj(emap.choi):
+        raise ValueError("cascade Choi not real")
+    w, paths = _frame(emap.k + 1, emap.k)
+    two_j = np.array([path[-1] for path in paths])
+    x = _reduce(w, np.stack(full_operators(emap))) * (two_j[:, None] == two_j)
+    qt, rt = (x + x.swapaxes(-1, -2)) / 2.0
     return QROperators(qt=qt, rt=rt, k=emap.k)
+
+
+def lift_operators(qr: QROperators) -> tuple:
+    """The full ``Qt`` and ``Rt`` of the blocks, for the reference routes."""
+    w, paths = _frame(qr.k + 1, qr.k)
+    dim = np.array([path[-1] + 1 for path in paths])
+    return _lift(w, qr.qt / dim), _lift(w, qr.rt / dim)
 
 
 @functools.cache
 def _hermitian_basis(d: int) -> np.ndarray:
-    """The ``d^2 x d x d`` stack of Hermitian units: ``E_kk``, then
-    ``E_kl + E_lk`` and ``i E_kl - i E_lk`` for each pair k < l in
+    """Read-only: the ``d^2 x d x d`` stack of Hermitian units: ``E_kk``,
+    then ``E_kl + E_lk`` and ``i E_kl - i E_lk`` for each pair k < l in
     row-major order."""
     basis = np.zeros((d * d, d, d), dtype=complex)
     diag = np.arange(d)
@@ -233,16 +253,18 @@ def _hermitian_basis(d: int) -> np.ndarray:
     sym = d + 2 * np.arange(len(k))
     basis[sym, k, l] = basis[sym, l, k] = 1.0
     basis[sym + 1, k, l], basis[sym + 1, l, k] = 1j, -1j
+    basis.setflags(write=False)
     return basis
 
 
 def dense_purification_problem(qr: QROperators, p: float) -> sdp.SdpProblem:
-    """The decoder SDP of :func:`purification_sdp` on the full space, one
-    row of ``Tr_B J + S = I`` per Hermitian unit: the reference route
-    that ``qumimo validate`` and the tests solve it against."""
+    """The decoder SDP of :func:`purification_sdp` on the full space
+    (:func:`lift_operators`), one row of ``Tr_B J + S = I`` per Hermitian
+    unit: the reference route that ``qumimo validate`` and the tests solve
+    it against."""
     h = _hermitian_basis(2 ** qr.k)
     rows = (np.kron(h, I2), h, np.trace(h, axis1=1, axis2=2).real)
-    return _decoder_problem(qr.qt, qr.rt, rows, p)
+    return _decoder_problem(*lift_operators(qr), rows, p)
 
 
 def _decoder_problem(c: np.ndarray, r: np.ndarray, rows, p: float) -> sdp.SdpProblem:
@@ -286,10 +308,9 @@ def purification_sdp(qr: QROperators, p: float) -> DecoderSolution:
     (p = 1 / p = 0.8, best of seven rounds on twelve random cascades), in
     a stack of one: 4.9 / 5.7 ms at K = 2, 6.0 / 7.3 ms at K = 3,
     6.7 / 10 ms at K = 4 and 7.4 / 11 ms at K = 5; in a stack of twelve:
-    0.63 / 0.77, 0.85 / 1.3, 1.3 / 2.8 and 4.2 / 7.6 ms.  ``Qt`` or ``Rt``
-    off the commutant, or reduced blocks with
-    an imaginary part, by more than ``COVARIANCE_TOL`` raise
-    ``ValueError``; the full ``J`` is rebuilt and validated.
+    0.63 / 0.77, 0.85 / 1.3, 1.3 / 2.8 and 4.2 / 7.6 ms.  The decoder
+    returned, ``DecoderSolution.j``, is the reduced J, checked on the
+    blocks (:func:`_validate_decoder`).
     """
     return purification_sdps([(qr, p)])[0]
 
@@ -319,11 +340,11 @@ def purification_sdps(pairs) -> list:
     for (qr, p), sol in zip(pairs, sols):
         if sol.status != sdp.OPTIMAL:
             raise SolverError(sol.status, f"purification SDP: {sol.message}")
-        j = _lift(_frame(qr.k + 1, qr.k)[0], sol.X_blocks[0])
-        f_success = float(np.real(np.trace(j @ qr.qt))) / p
-        _validate_decoder(j, qr, p)
+        x = sol.X_blocks[0]
+        f_success = float(np.vdot(x, qr.qt)) / p
+        _validate_decoder(x, qr, p)
         out.append(DecoderSolution(
-            j=j,
+            j=x,
             f_success=f_success,
             f_avg=p * f_success + (1.0 - p) / 2.0,
         ))
@@ -334,8 +355,8 @@ def purification_sdps(pairs) -> list:
 def _frame(n: int, flip: int):
     """``(w, paths)``: the Schur-Weyl basis of n qubits
     (:func:`tensor.schur_weyl_basis`), its first ``flip`` qubits mapped by
-    ``FLIP^T`` (``FLIP`` takes ``conj(U)`` to ``U``), cut into ``w[t]``,
-    whose column a is the vector of path ``paths[a]`` (spin j) at
+    ``FLIP^T`` (``FLIP`` takes ``conj(U)`` to ``U``), cut into read-only
+    ``w[t]``, whose column a is the vector of path ``paths[a]`` (spin j) at
     ``m = j - t`` (zero for t > 2j).  All of it is real.  An operator on
     the commutant of ``conj(U)^{(x)flip} (x) U^{(x)(n - flip)}`` is
     ``sum_t w[t] X w[t]^T`` for one X, block-diagonal by spin: ``X_j`` on
@@ -348,6 +369,7 @@ def _frame(n: int, flip: int):
     w = np.zeros((two_j.max() + 1, 2 ** n, len(two_j)))
     for t in range(len(w)):
         w[t][:, two_j >= t] = basis[:, (first + t)[two_j >= t]]
+    w.setflags(write=False)
     return w, tuple(path for _, paths in blocks for path in paths)
 
 
@@ -361,56 +383,26 @@ def _reduce(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.sum(w.transpose(0, 2, 1) @ x[..., None, :, :] @ w, axis=-3)
 
 
-def covariant_operators(qr: QROperators):
-    """``Qt`` and ``Rt`` reduced on the decoder's frame (the K-qubit leg
-    flipped), and their largest entry off the commutant of
-    ``conj(U)^{(x)K} (x) U``, relative to ``max(1, largest entry)``, of
-    ``qr`` or of its whole stack."""
-    w, paths = _frame(qr.k + 1, qr.k)
-    two_j = np.array([path[-1] for path in paths])
-    reduced, resid = [], 0.0
-    for x in (qr.qt, qr.rt):
-        red = _reduce(w, x) * (two_j[:, None] == two_j)
-        off = float(np.max(np.abs(x - _lift(w, red / (two_j[:, None] + 1)))))
-        resid = max(resid, off / max(1.0, float(np.max(np.abs(x)))))
-        reduced.append((red + dagger(red)) / 2.0)
-    return reduced, resid
-
-
-def _covariant_blocks(qr: QROperators):
-    """The real reduced ``Qt`` and ``Rt`` that the decoder SDP and the gamma
-    search read; off the commutant, or with an imaginary part, by more
-    than ``COVARIANCE_TOL``: ``ValueError``."""
-    (c, r), resid = covariant_operators(qr)
-    if resid > COVARIANCE_TOL:
-        raise ValueError(f"Qt, Rt off the SU(2) commutant by {resid:.1e} (relative)")
-    imag = max(float(np.max(np.abs(x.imag))) / max(1.0, float(np.max(np.abs(x)))) for x in (c, r))
-    if imag > COVARIANCE_TOL:
-        raise ValueError(f"reduced Qt, Rt not real: imaginary part {imag:.1e} (relative)")
-    return c.real, r.real
-
-
-def _spin_blocks(qr: QROperators) -> list:
-    """``(Q_j, R_j)`` per spin j, with ``Qt = (+)_j Q_j (x) I_{2j+1}``
-    and ``Rt`` alike on the decoder's frame (:func:`_covariant_blocks`),
-    each with the stack axis of ``qr``."""
-    q, r = _covariant_blocks(qr)
+def _per_spin(qr: QROperators) -> list:
+    """``(Q_j, R_j)`` per spin j, ascending, with the stack axis of ``qr``:
+    its blocks divided by 2j + 1, so their eigenvalues are those of ``Qt``
+    and ``Rt``."""
     two_j = np.array([path[-1] for path in _frame(qr.k + 1, qr.k)[1]])
-    idx = [np.flatnonzero(two_j == tj) for tj in np.unique(two_j)]
-    return [tuple(x[..., i[:, None], i] / (two_j[i[0]] + 1) for x in (q, r)) for i in idx]
+    return [tuple(x[..., two_j == tj, :][..., two_j == tj] / (tj + 1) for x in (qr.qt, qr.rt))
+            for tj in sorted(set(two_j.tolist()))]
 
 
 @functools.cache
 def _covariant_rows(k: int) -> tuple:
-    """``Tr_B J + S = I`` on the commutant, stacked: ``(A, E, Tr E)`` over
-    the real symmetric units E within one spin block of S, ``Tr[A J] =
-    Tr[E Tr_B J]`` on the reduced blocks; the antisymmetric units' rows
-    vanish on the real J and S of real data, so they are left out.  A
-    path of J extends a path of S by one spin-1/2, so ``Tr_B (J_j (x)
-    I_{2j+1})`` adds ``(2j+1)/(2j'+1)`` times the part of ``J_j`` on the
+    """Read-only ``((A, E, Tr E), P)``: ``Tr_B J + S = I`` on the commutant,
+    stacked over the real symmetric units E within one spin block of S,
+    ``Tr[A J] = Tr[E Tr_B J]`` on the reduced blocks; the antisymmetric
+    units' rows vanish on the real J and S of real data, so they are left
+    out.  A path of J extends a path of S by one spin-1/2, so ``Tr_B (J_j
+    (x) I_{2j+1})`` adds ``(2j+1)/(2j'+1)`` times the part of ``J_j`` on the
     paths through spin j' to ``S_j'``, and the rest cancels (Schur's
-    lemma): ``A = P^T E P``, P the weighted path-prefix map, masked to
-    the spin blocks of J.
+    lemma): ``Tr_B J`` is ``P J P^T`` on the spin blocks of S, and ``A =
+    P^T E P``, P the weighted path-prefix map, masked to those of J.
     """
     paths_j, paths_s = _frame(k + 1, k)[1], _frame(k, k)[1]
     row = {path: i for i, path in enumerate(paths_s)}
@@ -422,34 +414,40 @@ def _covariant_rows(k: int) -> tuple:
     in_block = ~units[:, spin_s[:, None] != spin_s].any(axis=1)
     e = units[in_block & ~units.imag.any(axis=(1, 2))].real
     a = (prefix.T @ e @ prefix) * (spin_j[:, None] == spin_j)
-    return a, e, np.trace(e, axis1=1, axis2=2)
+    rows = a, e, np.trace(e, axis1=1, axis2=2)
+    for x in rows + (prefix,):
+        x.setflags(write=False)
+    return rows, prefix
 
 
 def _covariant_problem(qr: QROperators, p: float) -> sdp.SdpProblem:
     """The decoder SDP on the real reduced blocks of J and S."""
-    return _decoder_problem(*_covariant_blocks(qr), _covariant_rows(qr.k), p)
+    return _decoder_problem(qr.qt, qr.rt, _covariant_rows(qr.k)[0], p)
 
 
 def evaluate_decoder(j: np.ndarray, qr: QROperators) -> tuple[float, float, float]:
-    """``(p_real, f_success, f_avg)`` of decoder Choi ``j`` on the cascade
-    ``qr``: realized acceptance, heralded fidelity and averaged fidelity
-    (a rejected run counts as the maximally mixed output)."""
-    p_real = float(np.real(np.trace(j @ qr.rt)))
-    accepted = float(np.real(np.trace(j @ qr.qt)))
+    """``(p_real, f_success, f_avg)`` of the reduced decoder ``j`` on ``qr``:
+    realized acceptance, heralded fidelity and averaged fidelity (a rejected
+    run counts as the maximally mixed output), ``Tr[J Qt] = <j, qt>``."""
+    p_real = float(np.vdot(j, qr.rt))
+    accepted = float(np.vdot(j, qr.qt))
     f_success = accepted / p_real if p_real > 1e-12 else 0.5
     return p_real, f_success, accepted + (1.0 - p_real) / 2.0
 
 
 def _validate_decoder(j: np.ndarray, qr: QROperators, p: float) -> None:
+    """The reduced decoder ``j`` is a decoder of ``qr`` at p: ``J >= 0``,
+    ``Tr_B J <= I`` (on the spin blocks of S, :func:`_covariant_rows`) and
+    ``Tr[J Rt] = p``."""
     floor = float(np.linalg.eigvalsh(j)[0])
     if floor < -1e-8:
         raise ValueError(f"decoder Choi eigenvalue floor {floor:.2e}")
-    da = j.shape[0] // 2
-    tr_b = np.trace(j.reshape(da, 2, da, 2), axis1=1, axis2=3)
-    top = float(np.linalg.eigvalsh((tr_b + dagger(tr_b)) / 2)[-1])
+    prefix = _covariant_rows(qr.k)[1]
+    spin = np.array([path[-1] for path in _frame(qr.k, qr.k)[1]])
+    top = float(np.linalg.eigvalsh(prefix @ j @ prefix.T * (spin[:, None] == spin))[-1])
     if top > 1.0 + 1e-7:
         raise ValueError(f"decoder violates Tr_B J <= I by {top - 1.0:.2e}")
-    acc = float(np.real(np.trace(j @ qr.rt)))
+    acc = float(np.vdot(j, qr.rt))
     if abs(acc - p) > 1e-7:
         raise ValueError(f"acceptance probability {acc:.9f} != target {p}")
 
@@ -459,34 +457,37 @@ def rayleigh_bound(qr: QROperators) -> float:
     ``Rt^{-1/2} Qt Rt^{-1/2}`` on the support of Rt, which dominates the
     SDP conditional fidelity for every p.
 
-    Scored by :func:`_surrogates` on the full operators, with
-    ``sigma^T = Rt[::2, ::2]``: valid because :func:`build_qr`, the only
-    constructor of :class:`QROperators`, forms ``Rt = sigma^T (x) I`` and
-    makes both operators Hermitian.  The gamma search scores on the spin
-    blocks instead (:func:`_lattice_surrogates`), which agree to rounding;
-    for one cascade already built, reducing it first costs more than it
-    saves (one BLAS thread, shared 2-core x86-64: 0.36 against 0.06 ms at
-    K = 2, 0.53 against 0.15 ms at K = 4).
+    Scored on ``(+)_j Q_j`` and ``(+)_j R_j`` (:class:`QROperators`,
+    block j divided by 2j + 1), whose eigenvalues are those of ``Qt`` and
+    ``Rt``, as :func:`_lattice_surrogates` scores block by block.  One
+    BLAS thread, shared 2-core x86-64 (best of three runs of 5 x 200
+    calls): 33 / 35 / 42 / 70 µs at K = 2 / 3 / 4 / 5, against 36 / 48 /
+    86 / 295 µs on the full 2^(K+1)-square operators.
     """
-    return float(_surrogates(qr.qt[None], qr.rt[None, ::2, ::2])[0])
+    dim = np.array([path[-1] + 1 for path in _frame(qr.k + 1, qr.k)[1]])
+    rinv, support = _pinv_sqrt((qr.rt / dim)[None])
+    if not support.all():
+        raise ValueError("Rt has empty support")
+    return float(np.linalg.eigvalsh(rinv[0] @ (qr.qt / dim) @ rinv[0])[-1])
 
 
 def blind_choi(m: int, p: float) -> np.ndarray:
-    """The blind decoder (K = M), optimal under an identity-channel prior:
-    ``p (2j+1)/(2j'+1)`` on each path of :func:`_frame` from a K-qubit
-    spin j to its lowest spin j', the universal purifier (Keyl and Werner,
-    Ann. Henri Poincare 2, 1 (2001)), so ``Tr_B J = p I`` on that spin.
-    At p = 1 every path has it; at p < 1 only Sym^M does, which makes
-    ``p (M+1)/M Pi_{(M-1)/2}`` there and rejection elsewhere."""
+    """The reduced blind decoder (K = M), optimal under an identity-channel
+    prior: ``p (2j+1)/(2j'+1)`` on each path of :func:`_frame` from a
+    K-qubit spin j to its lowest spin j', the universal purifier (Keyl and
+    Werner, Ann. Henri Poincare 2, 1 (2001)), so ``Tr_B J = p I`` on that
+    spin.  At p = 1 every path has it; at p < 1 only Sym^M does, which
+    makes ``p (M+1)/M Pi_{(M-1)/2}`` there and rejection elsewhere."""
     if not 0.0 < p <= 1.0:
         raise ValueError(f"success probability {p} outside (0, 1]")
-    w, paths = _frame(m + 1, m)
-    x = [p * (a[-2] + 1) / (a[-1] + 1) if a[-1] == abs(a[-2] - 1)
-         and (p == 1.0 or a[:-1] == tuple(range(1, m + 1))) else 0.0 for a in paths]
-    return _lift(w, np.diag(x))
+    paths = _frame(m + 1, m)[1]
+    return np.diag([p * (a[-2] + 1) / (a[-1] + 1) if a[-1] == abs(a[-2] - 1)
+                    and (p == 1.0 or a[:-1] == tuple(range(1, m + 1))) else 0.0 for a in paths])
 
 
 def evaluate_gamma_surrogate(gamma, chan: Channel, t, r) -> float:
+    """:func:`rayleigh_bound` of :func:`design_at` gamma: one point of the
+    gamma search scored alone, to 1e-12 its :func:`_lattice_surrogates`."""
     return rayleigh_bound(design_at(gamma, chan, t, r).qr)
 
 
@@ -498,9 +499,9 @@ def _pair_weights(betas: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _lattice(m: int):
-    """The 1/20 simplex lattice plus the exact uniform point (which the
-    lattice misses at M = 3), each point's quadratic-form weights, and its
-    rank in the tie-break order of :func:`optimize_gamma`."""
+    """Read-only: the 1/20 simplex lattice plus the exact uniform point
+    (which the lattice misses at M = 3), each point's quadratic-form
+    weights, and its rank in the tie-break order of :func:`optimize_gamma`."""
     points = simplex_grid(m, GRID_STEP_DENOM)
     uniform = tuple([1.0 / m] * m)
     if uniform not in points:
@@ -508,12 +509,15 @@ def _lattice(m: int):
     betas = _amplitude_rows(points)[0]
     index = asymmetry_index(_fidelities(betas))
     order = sorted(range(len(points)), key=lambda i: (-index[i], points[i]))
-    return points, _pair_weights(betas), np.argsort(order)
+    weights, rank = _pair_weights(betas), np.argsort(order)
+    weights.setflags(write=False)
+    rank.setflags(write=False)
+    return tuple(points), weights, rank
 
 
 def _surrogate_pieces(m: int, chan: Channel, t, r) -> list:
     """Per-spin pieces ``(Q_j,kl, R_j,kl)`` (k <= l) of the cascade, stacked
-    over kl (:func:`_spin_blocks`).
+    over kl (:func:`_per_spin`).
 
     The cloner Choi is ``sum_{k<=l} w_kl beta_k beta_l J_kl`` with
     ``J_kl = (B_k B_l^T + B_l B_k^T) / 2M``, and ``Qt`` and ``Rt`` are
@@ -524,7 +528,7 @@ def _surrogate_pieces(m: int, chan: Channel, t, r) -> list:
     k, l = np.triu_indices(m)
     outer = basis[k] @ basis[l].swapaxes(1, 2)
     pieces = ClonerChoi(choi=(outer + outer.swapaxes(1, 2)) / (2 * m), m=m, fidelities=())
-    return _spin_blocks(build_qr(compose_effective_map(pieces, chan, t, r)))
+    return _per_spin(build_qr(compose_effective_map(pieces, chan, t, r)))
 
 
 def _pinv_sqrt(r: np.ndarray):
@@ -540,23 +544,12 @@ def _pinv_sqrt(r: np.ndarray):
     return (vec * inv_sqrt[:, None, :]) @ vec.conj().swapaxes(1, 2), inv_sqrt.any(axis=1)
 
 
-def _surrogates(qts, sts) -> np.ndarray:
-    """The Rayleigh surrogate of each stacked pair ``(Qt, sigma^T)``, where
-    ``Rt = sigma^T (x) I``: the top eigenvalue of ``R^{-1/2} Qt R^{-1/2}``,
-    the square root taken on ``sigma^T`` (:func:`_pinv_sqrt`)."""
-    s, support = _pinv_sqrt(sts)
-    if not support.all():
-        raise ValueError("Rt has empty support")
-    rinv = (s[:, :, None, :, None] * I2[None, None, :, None, :]).reshape(qts.shape)
-    return np.linalg.eigvalsh(rinv @ qts @ rinv)[:, -1]
-
-
 def _lattice_surrogates(weights, pieces) -> np.ndarray:
     """The Rayleigh surrogate at every row of quadratic-form weights from
     the per-spin pieces of :func:`_surrogate_pieces`: the largest over j of
-    the top eigenvalue of ``R_j^{-1/2} Q_j R_j^{-1/2}`` (:func:`_pinv_sqrt`),
-    :func:`_surrogates` block by block.  Rows are scored in chunks of
-    ``SCORE_CHUNK``, one BLAS product per block and chunk."""
+    the top eigenvalue of ``R_j^{-1/2} Q_j R_j^{-1/2}`` (:func:`_pinv_sqrt`).
+    Rows are scored in chunks of ``SCORE_CHUNK``, one BLAS product per
+    block and chunk."""
     flat = [(q.reshape(len(q), -1), r.reshape(len(r), -1), q.shape[1:]) for q, r in pieces]
     out = np.empty(len(weights))
     for lo in range(0, len(weights), SCORE_CHUNK):

@@ -379,7 +379,7 @@ def solve_many(problems) -> list:
         try:
             chol = [np.linalg.cholesky(xs[..., blk, blk]) for blk in blocks]
         except np.linalg.LinAlgError:
-            ok = np.array([_is_pd(v) for v in xs])
+            ok = np.array([all(_is_pd(v[:, blk, blk]) for blk in blocks) for v in xs])
             stops = {row: (MAX_ITER, "iterate lost positive definiteness")
                      for row in np.flatnonzero(~ok).tolist()}
             xs = np.where(_col(ok)[..., None], xs, eye)

@@ -52,7 +52,7 @@ def schur_weyl_basis(n: int) -> tuple[np.ndarray, tuple]:
     coupling (Bacon, Chuang and Harrow, PRL 97, 170502 (2006)), in closed
     form: no eigensolver, so reruns give the same bytes.
 
-    Returns ``(v, blocks)``: ``v`` is orthogonal, its columns ordered by
+    Returns ``(v, blocks)``: ``v`` is orthogonal and read-only, its columns ordered by
     ``blocks = ((2j, paths), ...)`` (highest spin first), then by
     Yamanouchi path (the spins ``2 j_1, ..., 2 j_n`` of the first 1, ...,
     n qubits), then ``m = j, ..., -j`` (Condon-Shortley phases, ``|0>``
@@ -87,4 +87,5 @@ def schur_weyl_basis(n: int) -> tuple[np.ndarray, tuple]:
     blocks = [(tj, tuple(sorted(p for p in states if p[-1] == tj)))
               for tj in sorted({p[-1] for p in states}, reverse=True)]
     v = np.vstack([states[p] for _, paths in blocks for p in paths]).T
+    v.setflags(write=False)
     return v, tuple(blocks)

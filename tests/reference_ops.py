@@ -6,14 +6,22 @@ space and its generic partial trace (the program traces the legs of its
 own fixed layouts with ``reshape`` and ``trace``), Haar sampling for
 Monte Carlo checks, the permutation unitaries behind the channel's
 crosstalk symmetry, the Kraus set of the depolarizing map, the rank-one
-witness of the Rayleigh bound on the full ``Rt`` (the reference for
-``decoder.rayleigh_bound``, which scores on ``sigma^T``), the
-compose -> ``build_qr`` route to one branch fidelity, and the dense
+witness of the Rayleigh bound on the lifted ``Qt`` and ``Rt`` (the
+reference for ``decoder.rayleigh_bound``, which scores on spin blocks),
+the compose -> full-operator route to one branch fidelity, the dense
 channel route: the 4^N x 4^N channel Choi, its action on states, its
 partial-trace branch table and the link product with the cloner, which
 ``channel.source_weights`` and ``decoder.compose_effective_map`` replace
 on 1 + K qubits, and that cascade's earlier route, one ``einsum`` per
 source pattern, which the gather plan replaces.
+
+The full-space route of the Haar operators is kept here as the oracle of
+the spin blocks that ``decoder.build_qr`` returns: :class:`FullQR` holds
+the full ``Qt`` and ``Rt``, :func:`covariant_operators` and
+:func:`spin_blocks` are the earlier run-time reduction (with its check
+that the operators lie on the SU(2) commutant), and
+:func:`validate_full_decoder` is the earlier full-space check of a
+decoder, against which the block check is tested.
 """
 
 from __future__ import annotations
@@ -197,12 +205,14 @@ def choi_from_kraus(kraus) -> np.ndarray:
 
 def rank_one_certificate(qr: decoder.QROperators, p: float) -> np.ndarray:
     """Relaxation witness ``p R^{-1/2} |v><v| R^{-1/2}``, with ``v`` the top
-    eigenvector of ``R^{-1/2} Qt R^{-1/2}`` on the full ``Rt``; PSD and on
-    budget, but free to violate the partial-trace dominance."""
-    rinv = psd_sqrt_pinv(qr.rt)
-    mat = rinv @ qr.qt @ rinv
+    eigenvector of ``R^{-1/2} Qt R^{-1/2}`` on the full ``Rt``, both lifted
+    from the blocks ``qr``; PSD and on budget, but free to violate the
+    partial-trace dominance."""
+    qt, rt = decoder.lift_operators(qr)
+    rinv = psd_sqrt_pinv(rt)
+    mat = rinv @ qt @ rinv
     _, vecs = hermitian_eig((mat + dagger(mat)) / 2.0)
-    v = support_projector(qr.rt) @ vecs[:, -1]
+    v = support_projector(rt) @ vecs[:, -1]
     nrm = np.linalg.norm(v)
     if nrm > 0:
         v = v / nrm
@@ -214,7 +224,88 @@ def branch_fidelity_via_compose(chan, t_mode: int, r_mode: int) -> float:
     M = 1 cloner composed with the channel, Haar operators, then
     ``Tr[Phi Qt]`` for the received qubit used as it is."""
     emap = decoder.compose_effective_map(cloner.cloner_choi((1.0,)), chan, (t_mode,), (r_mode,))
-    return float(np.real(np.trace(PHI_UNNORM @ decoder.build_qr(emap).qt)))
+    return float(np.real(np.trace(PHI_UNNORM @ decoder.full_operators(emap)[0])))
+
+
+# Largest entry of Qt or Rt off the SU(2) commutant, and largest imaginary
+# part of their reduced blocks, relative to max(1, largest entry), that
+# the earlier run-time reduction accepted.
+COVARIANCE_TOL = 1e-10
+
+
+@dataclass(frozen=True)
+class FullQR:
+    """The full 2^(K+1)-square ``Qt`` and ``Rt`` of a cascade (or of a
+    stack of them), as ``decoder.build_qr`` returned them before it
+    returned spin blocks."""
+
+    qt: np.ndarray
+    rt: np.ndarray
+    k: int
+
+
+def full_qr(emap: decoder.EffectiveMap) -> FullQR:
+    return FullQR(*decoder.full_operators(emap), k=emap.k)
+
+
+def covariant_operators(qr: FullQR):
+    """``Qt`` and ``Rt`` reduced on the decoder's frame (the K-qubit leg
+    flipped), and their largest entry off the commutant of
+    ``conj(U)^{(x)K} (x) U``, relative to ``max(1, largest entry)``, of
+    ``qr`` or of its whole stack."""
+    w, paths = decoder._frame(qr.k + 1, qr.k)
+    two_j = np.array([path[-1] for path in paths])
+    reduced, resid = [], 0.0
+    for x in (qr.qt, qr.rt):
+        red = decoder._reduce(w, x) * (two_j[:, None] == two_j)
+        off = float(np.max(np.abs(x - decoder._lift(w, red / (two_j[:, None] + 1)))))
+        resid = max(resid, off / max(1.0, float(np.max(np.abs(x)))))
+        reduced.append((red + dagger(red)) / 2.0)
+    return reduced, resid
+
+
+def covariant_blocks(qr: FullQR):
+    """The real reduced ``Qt`` and ``Rt``; off the commutant, or with an
+    imaginary part, by more than ``COVARIANCE_TOL``: ``ValueError``."""
+    (c, r), resid = covariant_operators(qr)
+    if resid > COVARIANCE_TOL:
+        raise ValueError(f"Qt, Rt off the SU(2) commutant by {resid:.1e} (relative)")
+    imag = max(float(np.max(np.abs(x.imag))) / max(1.0, float(np.max(np.abs(x)))) for x in (c, r))
+    if imag > COVARIANCE_TOL:
+        raise ValueError(f"reduced Qt, Rt not real: imaginary part {imag:.1e} (relative)")
+    return c.real, r.real
+
+
+def spin_blocks(qr: FullQR) -> list:
+    """``(Q_j, R_j)`` per spin j, with ``Qt = (+)_j Q_j (x) I_{2j+1}``
+    and ``Rt`` alike on the decoder's frame (:func:`covariant_blocks`),
+    each with the stack axis of ``qr``."""
+    q, r = covariant_blocks(qr)
+    two_j = np.array([path[-1] for path in decoder._frame(qr.k + 1, qr.k)[1]])
+    idx = [np.flatnonzero(two_j == tj) for tj in np.unique(two_j)]
+    return [tuple(x[..., i[:, None], i] / (two_j[i[0]] + 1) for x in (q, r)) for i in idx]
+
+
+def lift_decoder(j: np.ndarray, k: int) -> np.ndarray:
+    """The full Choi ``(+)_j X_j (x) I_{2j+1}`` of a reduced decoder."""
+    return decoder._lift(decoder._frame(k + 1, k)[0], j)
+
+
+def validate_full_decoder(j: np.ndarray, rt: np.ndarray, p: float) -> None:
+    """The full-space check of a decoder Choi ``j`` on the full ``Rt``:
+    ``J >= 0``, ``Tr_B J <= I`` and ``Tr[J Rt] = p``, each to the
+    tolerance of ``decoder._validate_decoder``."""
+    floor = float(np.linalg.eigvalsh(j)[0])
+    if floor < -1e-8:
+        raise ValueError(f"decoder Choi eigenvalue floor {floor:.2e}")
+    da = j.shape[0] // 2
+    tr_b = np.trace(j.reshape(da, 2, da, 2), axis1=1, axis2=3)
+    top = float(np.linalg.eigvalsh((tr_b + dagger(tr_b)) / 2)[-1])
+    if top > 1.0 + 1e-7:
+        raise ValueError(f"decoder violates Tr_B J <= I by {top - 1.0:.2e}")
+    acc = float(np.real(np.trace(j @ rt)))
+    if abs(acc - p) > 1e-7:
+        raise ValueError(f"acceptance probability {acc:.9f} != target {p}")
 
 
 def depolarizing_choi_1q(lam: float) -> np.ndarray:

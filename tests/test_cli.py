@@ -662,6 +662,26 @@ def test_run_writes_what_its_manifest_lists(tmp_path, command):
     assert sorted(p.name for p in out.iterdir()) == sorted([*manifest["files"], "manifest.json"])
 
 
+VALIDATE_CHECKS = [
+    "cloner symmetric M=2",
+    "cloner symmetric M=3",
+    "cloner symmetric M=4",
+    "amplitude identity",
+    "channel source weights + cascade trace preserving",
+    "fluctuation moments",
+    "decoder identity sanity",
+    "decoder depolarizing sanity",
+    "sdp eigenvalue oracle",
+    *(name for k in (2, 3) for name in (
+        f"Qt, Rt on the SU(2) commutant, N = {k}",
+        f"reduced decoder data real, N = {k}",
+        f"decoder SDP: covariant blocks = dense, K = {k}, p = 0.8",
+        f"decoder SDP: covariant blocks = dense, K = {k}, p = 1")),
+    *(f"blind decoder: closed form = identity-prior SDP, M = {m}, p = {p}"
+      for m in (2, 3) for p in ("0.8", "1")),
+]
+
+
 class TestBoundaryAndValidate:
     def test_boundary_files(self, tmp_path):
         assert cli.main(["boundary", "--m", "2", "--resolution", "0.25", "--out", str(tmp_path)]) == 0
@@ -680,6 +700,29 @@ class TestBoundaryAndValidate:
                 assert f"[PASS] decoder SDP: covariant blocks = dense, K = {k}, p = {p}" in out
         assert "[PASS] Qt, Rt on the SU(2) commutant, N = 3" in out
         assert "[PASS] reduced decoder data real, N = 3" in out
+
+    def test_validate_prints_every_check(self, capsys):
+        # no check drops out of the suite unnoticed
+        assert cli.main(["validate", "--quick"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split("  (")[0] for line in lines[:-1]] == [
+            f"[PASS] {name}" for name in VALIDATE_CHECKS]
+        assert lines[-1] == "all checks passed"
+
+    def test_validate_flags_operators_off_the_commutant(self, monkeypatch, capsys):
+        # the commutant line compares the lifted blocks with the full
+        # operators: a cascade whose Qt leaves the commutant fails it
+        full = decoder.full_operators
+
+        def bent(emap):
+            qt, rt = full(emap)
+            return qt + 1e-6 * np.diag(np.arange(qt.shape[-1]) % 3), rt
+
+        monkeypatch.setattr(decoder, "full_operators", bent)
+        assert cli.main(["validate", "--quick"]) == 1
+        out = capsys.readouterr().out
+        for n in (2, 3):
+            assert f"[FAIL] Qt, Rt on the SU(2) commutant, N = {n}" in out
 
     def test_wrong_regime_subcommand(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

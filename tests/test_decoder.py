@@ -4,18 +4,25 @@ import time
 import numpy as np
 import pytest
 
-from qumimo import channel, cloner, decoder, sdp, strategies
+from qumimo import channel, cloner, decoder, sdp, strategies, tensor
 from qumimo.errors import NotPsdError
 from qumimo.metrics import asymmetry_index
 from qumimo.tensor import I2, PHI_UNNORM, SWAP2, dagger
 from reference_ops import (
+    FullQR,
     ModeSpace,
+    covariant_blocks,
+    covariant_operators,
     depolarizing_choi_1q,
     einsum_compose,
+    full_qr,
     haar_qubit,
+    lift_decoder,
     partial_trace,
     projector,
     rank_one_certificate,
+    spin_blocks,
+    validate_full_decoder,
 )
 
 
@@ -37,6 +44,14 @@ def random_cascade(rng, n=2):
     ch = channel.channel_choi(params)
     emap = decoder.compose_effective_map(enc, ch, tuple(range(1, m + 1)), tuple(range(1, n + 1)))
     return decoder.build_qr(emap), emap
+
+
+def lift_residual(emap):
+    """The largest entry of the lifted blocks of ``emap``'s cascade off its
+    full ``Qt`` and ``Rt``, relative to ``max(1, largest entry)``."""
+    lifted = decoder.lift_operators(decoder.build_qr(emap))
+    return max(float(np.max(np.abs(x - y))) / max(1.0, float(np.max(np.abs(x))))
+               for x, y in zip(decoder.full_operators(emap), lifted))
 
 
 def lattice_channel(n, eta, lam):
@@ -99,7 +114,8 @@ class TestCompose:
         assert time.perf_counter() - start < 1.0
         tr_out = partial_trace(emap.choi, ModeSpace.qubits(range(7)), (0,))
         assert np.max(np.abs(tr_out - I2)) < 1e-12
-        assert decoder.covariant_operators(decoder.build_qr(emap))[1] <= 1e-12
+        assert covariant_operators(full_qr(emap))[1] <= 1e-12
+        assert lift_residual(emap) <= 1e-14
 
     def test_rejects_overlap(self):
         enc = cloner.cloner_choi((0.5, 0.5))
@@ -110,11 +126,11 @@ class TestCompose:
 
 class TestBuildQR:
     def test_identity_values(self):
-        qr = identity_qr()
-        assert np.max(np.abs(qr.qt - (np.eye(4) + PHI_UNNORM) / 6.0)) < 1e-7
-        assert np.max(np.abs(qr.rt - np.eye(4) / 2.0)) < 1e-7
+        qt, rt = decoder.lift_operators(identity_qr())
+        assert np.max(np.abs(qt - (np.eye(4) + PHI_UNNORM) / 6.0)) < 1e-7
+        assert np.max(np.abs(rt - np.eye(4) / 2.0)) < 1e-7
         # transpose-convention regression: max eigenvalue 1/2, ratio 1
-        assert abs(np.linalg.eigvalsh(qr.qt)[-1] - 0.5) < 1e-7
+        assert abs(np.linalg.eigvalsh(qt)[-1] - 0.5) < 1e-7
 
     def test_traces(self):
         rng = np.random.default_rng(1)
@@ -146,7 +162,7 @@ class TestBuildQR:
             terms[s] = np.kron(lam_out.T, rho)
         mean = terms.mean(axis=0)
         se = terms.std(axis=0) / np.sqrt(n_samp)
-        diff = np.abs(mean - qr.qt)
+        diff = np.abs(mean - decoder.lift_operators(qr)[0])
         assert np.all(diff <= 3.0 * np.abs(se) + 3e-4)
 
 
@@ -195,20 +211,20 @@ class TestStackedCascade:
         one = stacked_cascade(chois[:1], m, ch, t, r)
         assert one.qt.shape == (1,) + alone[0].qt.shape
         assert np.array_equal(one.qt[0], alone[0].qt) and np.array_equal(one.rt[0], alone[0].rt)
-        # the stacked reduction is the per-entry one
-        stacked = decoder.covariant_operators(stacked_cascade(chois, m, ch, t, r))
-        for i, qr in enumerate(alone):
-            (c, rr), resid = decoder.covariant_operators(qr)
-            assert np.array_equal(stacked[0][0][i], c) and np.array_equal(stacked[0][1][i], rr)
-            assert resid <= stacked[1] <= 1e-12
+        # the stacked blocks are the full-space route's reduction, bit for bit
+        emap = decoder.compose_effective_map(
+            cloner.ClonerChoi(choi=chois, m=m, fidelities=()), ch, t, r)
+        (c, rr), resid = covariant_operators(full_qr(emap))
+        qr = decoder.build_qr(emap)
+        assert np.array_equal(qr.qt, c) and np.array_equal(qr.rt, rr) and resid <= 1e-12
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_surrogate_pieces_are_the_per_piece_cascades(self, m):
         ch = lattice_channel(m, 0.5, tuple(np.linspace(0.1, 0.7, m)))
         t, r = strategies.select_modes(ch, m)
-        per_piece = [decoder.build_qr(decoder.compose_effective_map(
+        per_piece = [full_qr(decoder.compose_effective_map(
             cloner.ClonerChoi(choi=c, m=m, fidelities=()), ch, t, r)) for c in piece_chois(m)]
-        want = decoder._spin_blocks(decoder.QROperators(
+        want = spin_blocks(FullQR(
             qt=np.array([qr.qt for qr in per_piece]), rt=np.array([qr.rt for qr in per_piece]),
             k=len(r)))
         got = decoder._surrogate_pieces(m, ch, t, r)
@@ -285,7 +301,7 @@ class TestPurificationSdp:
         qr = identity_qr()
         sol = decoder.purification_sdp(qr, 1.0)
         assert abs(sol.f_avg - 1.0) < 1e-6
-        assert np.max(np.abs(sol.j - PHI_UNNORM)) < 1e-4
+        assert np.max(np.abs(lift_decoder(sol.j, 1) - PHI_UNNORM)) < 1e-4
 
     def test_depolarizing_p1(self):
         enc = cloner.cloner_choi((1.0,))
@@ -315,7 +331,7 @@ class TestPurificationSdp:
                     row.append(u @ unit @ dagger(u))
                 blocks.append(row)
             j_u = np.block(blocks)
-            best = max(best, float(np.real(np.trace(j_u @ qr.qt))))
+            best = max(best, float(np.real(np.trace(j_u @ decoder.lift_operators(qr)[0]))))
         sol = decoder.purification_sdp(qr, 1.0)
         assert sol.f_avg >= best - 1e-9
 
@@ -337,11 +353,14 @@ class TestPurificationSdp:
         rng = np.random.default_rng(6)
         qr, _ = random_cascade(rng, n=2)
         sol = decoder.purification_sdp(qr, 0.7)
-        da = qr.qt.shape[0] // 2
-        assert abs(np.real(np.trace(sol.j @ qr.rt)) - 0.7) < 1e-7
-        tr_b = np.trace(sol.j.reshape(da, 2, da, 2), axis1=1, axis2=3)
+        j = lift_decoder(sol.j, qr.k)
+        qt, rt = decoder.lift_operators(qr)
+        da = qt.shape[0] // 2
+        assert abs(np.real(np.trace(j @ rt)) - 0.7) < 1e-7
+        assert abs(np.real(np.trace(j @ qt)) - 0.7 * sol.f_success) < 1e-10
+        tr_b = np.trace(j.reshape(da, 2, da, 2), axis1=1, axis2=3)
         assert np.linalg.eigvalsh((tr_b + dagger(tr_b)) / 2)[-1] <= 1 + 1e-7
-        assert np.linalg.eigvalsh(sol.j)[0] >= -1e-8
+        assert np.linalg.eigvalsh(j)[0] >= -1e-8
         assert abs(sol.f_avg - (0.7 * sol.f_success + 0.3 / 2)) < 1e-10
 
     def test_rejects_bad_p(self):
@@ -406,7 +425,7 @@ class TestPartialTraceOperator:
         rng = np.random.default_rng(10 + k)
         qr, _ = random_cascade(rng, n=k)
         (w_j, paths_j), (w_s, paths_s) = decoder._frame(k + 1, k), decoder._frame(k, k)
-        units = decoder._covariant_rows(k)[1]
+        units = decoder._covariant_rows(k)[0][1]
         reduced = decoder._covariant_problem(qr, p)
         dense = decoder.dense_purification_problem(qr, p)
         x_red = [random_reduced(rng, paths_j), random_reduced(rng, paths_s)]
@@ -434,7 +453,7 @@ class TestPartialTraceOperator:
         for k in (1, 2, 3):
             qr, _ = random_cascade(rng, n=k)
             w_j, w_s = decoder._frame(k + 1, k)[0], decoder._frame(k, k)[0]
-            units = decoder._covariant_rows(k)[1]
+            units = decoder._covariant_rows(k)[0][1]
             reduced = decoder._covariant_problem(qr, p)
             dense = decoder.dense_purification_problem(qr, p)
             for _ in range(3):
@@ -487,20 +506,28 @@ class TestPartialTraceOperator:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_rejects_non_covariant(self, k):
-        # a generic Hermitian perturbation of 1e-6 leaves the commutant;
-        # the route raises instead of solving another problem
+        # a generic Hermitian perturbation of 1e-6 leaves the commutant:
+        # the blocks cannot carry it, and the lifted blocks' residual (the
+        # lossless sweep's and qumimo validate's measure) shows it
         rng = np.random.default_rng(50 + k)
-        qr, _ = random_cascade(rng, n=k)
-        assert decoder.covariant_operators(qr)[1] < 1e-14
-        bent = decoder.QROperators(qt=qr.qt + 1e-6 * random_hermitian(rng, 2 ** (k + 1)),
-                                   rt=qr.rt, k=k)
-        for p in (0.8, 1.0):
+        _, emap = random_cascade(rng, n=k)
+        assert lift_residual(emap) < 1e-14
+        bend = 1e-6 * random_hermitian(rng, 2 ** (k + 1)).real
+        full = decoder.full_operators
+
+        def bent(emap):
+            qt, rt = full(emap)
+            return qt + bend, rt
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(decoder, "full_operators", bent)
+            assert lift_residual(emap) > 1e-7
             with pytest.raises(ValueError, match="SU\\(2\\) commutant"):
-                decoder.purification_sdp(bent, p)
+                covariant_blocks(full_qr(emap))
 
     def test_k5_decoder(self):
-        # K = 5: real blocks 20 + 10 wide, 27 constraints; the full J passes
-        # _validate_decoder and stays under the Rayleigh surrogate
+        # K = 5: real blocks 20 + 10 wide, 27 constraints; the lifted J
+        # passes the full-space check and stays under the Rayleigh surrogate
         rng = np.random.default_rng(55)
         qr, _ = random_cascade(rng, n=5)
         ray = decoder.rayleigh_bound(qr)
@@ -508,8 +535,8 @@ class TestPartialTraceOperator:
         assert [len(c) for c in problem.objective] == [20, 10] and len(problem.rhs) == 27
         for p in (0.8, 1.0):
             dec = decoder.purification_sdp(qr, p)
-            decoder._validate_decoder(dec.j, qr, p)
-            assert dec.j.shape == (64, 64)
+            assert dec.j.shape == (20, 20)
+            validate_full_decoder(lift_decoder(dec.j, 5), decoder.lift_operators(qr)[1], p)
             assert dec.f_success <= ray + 1e-7
 
 
@@ -532,30 +559,124 @@ class TestRealData:
         params = channel.ChannelParams(n=k, eta=eta, lam=tuple(rng.uniform(0, 1, k)), delta=1.0)
         enc = cloner.cloner_choi(tuple(rng.dirichlet(np.ones(k))))
         modes = tuple(range(1, k + 1))
-        qr = decoder.build_qr(
-            decoder.compose_effective_map(enc, channel.channel_choi(params), modes, modes))
-        reduced, resid = decoder.covariant_operators(qr)
-        assert resid < 1e-12
+        emap = decoder.compose_effective_map(enc, channel.channel_choi(params), modes, modes)
+        qr = decoder.build_qr(emap)
+        full = full_qr(emap)
+        assert covariant_operators(full)[1] < 1e-12
         # real dtype: the imaginary part is exactly 0, not small
-        for x in (qr.qt, qr.rt, *reduced, decoder.purification_sdp(qr, 0.8).j):
+        for x in (full.qt, full.rt, qr.qt, qr.rt, decoder.purification_sdp(qr, 0.8).j):
             assert not np.iscomplexobj(x)
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_rejects_imaginary_part_on_commutant(self, k):
-        # i A, A real antisymmetric inside one spin block, lifts onto the
-        # commutant: it passes the commutant check and fails the realness one
+        # i A, A real antisymmetric inside one spin block, lifted: a
+        # Hermitian imaginary part, which the real units of the decoder SDP
+        # cannot see, so build_qr refuses a cascade that carries one
         rng = np.random.default_rng(70 + k)
-        qr, _ = random_cascade(rng, n=k)
+        _, emap = random_cascade(rng, n=k)
         w, paths = decoder._frame(k + 1, k)
         spin = np.array([path[-1] for path in paths])
         a, b = np.flatnonzero(spin == np.flatnonzero(np.bincount(spin) >= 2)[0])[:2]
         anti = np.zeros((len(spin),) * 2)
         anti[a, b], anti[b, a] = 1.0, -1.0
-        bent = decoder.QROperators(qt=qr.qt + 1e-6 * decoder._lift(w, 1j * anti), rt=qr.rt, k=k)
-        assert decoder.covariant_operators(bent)[1] < 1e-14
-        for p in (0.8, 1.0):
-            with pytest.raises(ValueError, match="not real"):
-                decoder.purification_sdp(bent, p)
+        bent = decoder.EffectiveMap(choi=emap.choi + 1e-6 * decoder._lift(w, 1j * anti), k=k)
+        with pytest.raises(ValueError, match="not real"):
+            decoder.build_qr(bent)
+
+
+def sweep():
+    """The seeded channels of the block-route sweep: N = 1..5, M in {1, N},
+    eta in {0, 0.3, 0.8, 1}, every mode received (K = N), as at run time."""
+    rng = np.random.default_rng(2600)
+    for n in range(1, 6):
+        for m in sorted({1, n}):
+            for eta in (0.0, 0.3, 0.8, 1.0):
+                ch = channel.channel_choi(channel.ChannelParams(
+                    n=n, eta=eta, lam=tuple(rng.uniform(0, 1, n)),
+                    delta=float(rng.uniform(0.3, 2.0))))
+                t = tuple(int(x) + 1 for x in rng.permutation(n)[:m])
+                yield m, ch, t, tuple(range(1, n + 1)), tuple(rng.dirichlet(np.ones(m)))
+
+
+class TestBlockRoute:
+    """``build_qr`` returns spin blocks only: they are the earlier full-space
+    route's reduction bit for bit (``reference_ops.covariant_operators``
+    and ``spin_blocks``), and they lose nothing (lifted, they are the full
+    operators), which is where the earlier per-solve commutant check went."""
+
+    def test_bitwise_and_lossless_on_sweep(self):
+        count = 0
+        for m, ch, t, r, gamma in sweep():
+            emap = decoder.compose_effective_map(cloner.cloner_choi(gamma), ch, t, r)
+            qr = decoder.build_qr(emap)
+            c, rr = covariant_blocks(full_qr(emap))
+            assert np.array_equal(qr.qt, c) and np.array_equal(qr.rt, rr)
+            rows = decoder._covariant_rows(len(r))[0]
+            for p in (0.8, 1.0):
+                got = decoder._covariant_problem(qr, p)
+                want = decoder._decoder_problem(c, rr, rows, p)
+                assert all(np.array_equal(x, y) for x, y in zip(got.objective, want.objective))
+                assert all(np.array_equal(x, y)
+                           for x, y in zip(got.constraints, want.constraints))
+                assert np.array_equal(got.rhs, want.rhs)
+            assert lift_residual(emap) <= 1e-14
+            pieces = cloner.ClonerChoi(choi=piece_chois(m), m=m, fidelities=())
+            piece_map = decoder.compose_effective_map(pieces, ch, t, r)
+            got = decoder._surrogate_pieces(m, ch, t, r)
+            want = spin_blocks(full_qr(piece_map))
+            assert len(got) == len(want)
+            for (q, rr), (q_want, r_want) in zip(got, want):
+                assert np.array_equal(q, q_want) and np.array_equal(rr, r_want)
+            assert lift_residual(piece_map) <= 1e-14
+            count += 1
+        assert count == 36
+
+    def test_block_check_is_the_full_space_check(self):
+        # _validate_decoder on the blocks accepts and refuses what the
+        # full-space check of the lifted decoder does, for the same reason
+        rng = np.random.default_rng(2601)
+        for k in (1, 2, 3, 4):
+            qr, _ = random_cascade(rng, n=k)
+            rt = decoder.lift_operators(qr)[1]
+            for p in (0.6, 1.0):
+                x = decoder.purification_sdp(qr, p).j
+                j = lift_decoder(x, k)
+                da = len(j) // 2
+                top = np.linalg.eigvalsh(np.trace(j.reshape(da, 2, da, 2), axis1=1, axis2=3))[-1]
+                over = x * (1 + 1e-6) / top
+                cases = [(x, p, None), (x, p + 1e-6, "acceptance"),
+                         (over, float(np.vdot(over, qr.rt)), "Tr_B J <= I"),
+                         (x - 1e-6 * np.eye(len(x)), p, "eigenvalue floor")]
+                for y, p_check, match in cases:
+                    if match is None:
+                        decoder._validate_decoder(y, qr, p_check)
+                        validate_full_decoder(lift_decoder(y, k), rt, p_check)
+                        continue
+                    with pytest.raises(ValueError, match=match):
+                        decoder._validate_decoder(y, qr, p_check)
+                    with pytest.raises(ValueError, match=match):
+                        validate_full_decoder(lift_decoder(y, k), rt, p_check)
+
+    def test_rayleigh_bound_is_the_full_space_bound(self):
+        # the padded stack of blocks against the top eigenvalue of
+        # Rt^{-1/2} Qt Rt^{-1/2} on the lifted operators
+        rng = np.random.default_rng(2602)
+        for k in (1, 2, 3, 4, 5):
+            qr, _ = random_cascade(rng, n=k)
+            qt, rt = decoder.lift_operators(qr)
+            s, _ = decoder._pinv_sqrt(rt[None])
+            want = np.linalg.eigvalsh(s[0] @ qt @ s[0])[-1]
+            assert abs(decoder.rayleigh_bound(qr) - want) < 1e-12
+
+
+def test_cached_arrays_are_read_only():
+    arrays = [cloner._stinespring_basis(3), decoder._frame(3, 2)[0], *decoder._covariant_rows(2)[0],
+              decoder._covariant_rows(2)[1], decoder._hermitian_basis(4), *decoder._lattice(3)[1:],
+              tensor.schur_weyl_basis(3)[0]]
+    for x in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            x.flat[0] = 0
+    assert type(decoder._lattice(3)[0]) is tuple
 
 
 class TestRayleigh:
@@ -590,9 +711,10 @@ class TestRankOneCertificate:
             p = float(rng.uniform(0.2, 1.0))
             j_ray = rank_one_certificate(qr, p)
             ray = decoder.rayleigh_bound(qr)
+            qt, rt = decoder.lift_operators(qr)
             assert np.linalg.eigvalsh(j_ray)[0] >= -1e-12
-            assert abs(np.real(np.trace(j_ray @ qr.rt)) - p) < 1e-9
-            assert abs(np.real(np.trace(j_ray @ qr.qt)) / p - ray) < 1e-9
+            assert abs(np.real(np.trace(j_ray @ rt)) - p) < 1e-9
+            assert abs(np.real(np.trace(j_ray @ qt)) / p - ray) < 1e-9
 
 
 class TestOptimizeGamma:
@@ -827,41 +949,17 @@ class TestLatticeScorer:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_blocks_lift_to_full_operators(self, k):
         # Qt = (+)_j Q_j (x) I_{2j+1} and Rt alike, on the decoder's frame
-        qr, _ = random_cascade(np.random.default_rng(90 + k), n=k)
-        stacked = decoder.QROperators(qt=qr.qt[None], rt=qr.rt[None], k=k)
-        blocks = decoder._spin_blocks(stacked)
+        qr, emap = random_cascade(np.random.default_rng(90 + k), n=k)
+        blocks = decoder._per_spin(qr)
         w, paths = decoder._frame(k + 1, k)
         spin = np.array([path[-1] for path in paths])
         assert len(blocks) == len(set(spin))
-        for side, full in enumerate((qr.qt, qr.rt)):
+        for side, full in enumerate(decoder.full_operators(emap)):
             x = np.zeros((len(spin),) * 2)
             for tj, block in zip(sorted(set(spin)), blocks):
                 idx = np.flatnonzero(spin == tj)
-                x[np.ix_(idx, idx)] = block[side][0]
+                x[np.ix_(idx, idx)] = block[side]
             assert np.max(np.abs(decoder._lift(w, x) - full)) < 1e-14
-
-    def test_pieces_off_commutant_raise(self, monkeypatch):
-        # the gamma search reduces its pieces through the decoder SDP's
-        # commutant check: a 1e-6 Hermitian perturbation of the stacked
-        # pieces raises instead of being scored
-        rng = np.random.default_rng(52)
-        qr, _ = random_cascade(rng, n=3)
-        bend = 1e-6 * random_hermitian(rng, 16).real
-        stacked = decoder.QROperators(qt=np.stack([qr.qt, qr.qt + bend]), rt=qr.rt[None], k=3)
-        with pytest.raises(ValueError, match="SU\\(2\\) commutant"):
-            decoder._spin_blocks(stacked)
-        build = decoder.build_qr
-
-        def bent_pieces(emap):
-            qr = build(emap)
-            if qr.qt.ndim == 2:
-                return qr
-            return decoder.QROperators(qt=qr.qt + bend, rt=qr.rt, k=qr.k)
-
-        monkeypatch.setattr(decoder, "build_qr", bent_pieces)
-        ch = lattice_channel(3, 0.5, (0.2, 0.4, 0.6))
-        with pytest.raises(ValueError, match="SU\\(2\\) commutant"):
-            decoder.optimize_gamma(3, ch, (1, 2, 3), (1, 2, 3))
 
 
 def score_with_sigma(route, triplet, singlet):
@@ -871,10 +969,13 @@ def score_with_sigma(route, triplet, singlet):
     the per-cascade or the block scorer."""
     qt = random_cascade(np.random.default_rng(3), n=2)[0].qt
     eye = np.eye(4)
-    rt = np.kron(triplet * (eye + SWAP2) / 2 + singlet * (eye - SWAP2) / 2, I2)
+    w, paths = decoder._frame(3, 2)
+    spin = np.array([path[-1] for path in paths])
+    rt = decoder._reduce(w, np.kron(triplet * (eye + SWAP2) / 2 + singlet * (eye - SWAP2) / 2, I2))
+    qr = decoder.QROperators(qt=qt, rt=rt * (spin[:, None] == spin), k=2)
     if route == "rayleigh_bound":
-        return decoder.rayleigh_bound(decoder.QROperators(qt=qt, rt=rt, k=2))
-    blocks = decoder._spin_blocks(decoder.QROperators(qt=qt[None], rt=rt[None], k=2))
+        return decoder.rayleigh_bound(qr)
+    blocks = [(q[None], r[None]) for q, r in decoder._per_spin(qr)]
     return decoder._lattice_surrogates(np.ones((1, 1)), blocks)[0]
 
 
@@ -903,7 +1004,7 @@ class TestBlind:
         # one clone: the closed form accepts with p and passes the qubit
         for p in (0.5, 1.0):
             j = decoder.blind_choi(1, p)
-            assert np.max(np.abs(j - p * PHI_UNNORM)) < 1e-12
+            assert np.max(np.abs(lift_decoder(j, 1) - p * PHI_UNNORM)) < 1e-12
             assert decoder.evaluate_decoder(j, identity_qr())[:2] == pytest.approx((p, 1.0))
 
     def test_contracts(self):
@@ -913,6 +1014,7 @@ class TestBlind:
             for p in (0.2, 0.5, 0.8, 1.0):
                 j = decoder.blind_choi(m, p)
                 decoder._validate_decoder(j, qr, p)
+                validate_full_decoder(lift_decoder(j, m), decoder.lift_operators(qr)[1], p)
                 sol = decoder.purification_sdp(qr, p)
                 assert abs(np.trace(j @ qr.qt) - p * sol.f_success) < 1e-7
 

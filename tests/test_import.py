@@ -49,3 +49,17 @@ def test_scipy_not_imported_at_run_time():
         "import sys, qumimo, qumimo.cli; print('scipy' in sys.modules)", {})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_strategies_do_not_import_numpy_ma():
+    # np.unique and np.union1d import numpy.ma, about 1.2 MB more resident
+    # memory in every process; no strategy's run-time path calls them
+    proc = import_in_fresh_process(
+        "import sys\n"
+        "from qumimo import channel, strategies\n"
+        "ch = channel.channel_choi(channel.ChannelParams(n=3, eta=0.6, lam=(0.1, 0.3, 0.5),"
+        " delta=1.0))\n"
+        "strategies.run_strategies([(s, ch, (0.8, 1.0)) for s in strategies.STRATEGIES])\n"
+        "print(sorted(strategies.STRATEGIES), 'numpy.ma' in sys.modules)", {})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['blind', 'dir', 'div', 'pur', 'sym'] False"

@@ -120,9 +120,8 @@ class TestProblemFormat:
         enc = cloner.cloner_choi((0.2, 0.3, 0.5))
         params = channel.ChannelParams(n=3, eta=0.6, lam=(0.1, 0.3, 0.2), delta=1.0)
         chan = channel.channel_choi(params)
-        qr = decoder.build_qr(decoder.compose_effective_map(enc, chan, (1, 2, 3), (1, 2, 3)))
-        (c, _), _ = decoder.covariant_operators(qr)
-        a, e, _ = decoder._covariant_rows(3)
+        c = decoder.build_qr(decoder.compose_effective_map(enc, chan, (1, 2, 3), (1, 2, 3))).qt
+        a, e, _ = decoder._covariant_rows(3)[0]
         view = np.trace(e.astype(complex), axis1=1, axis2=2).real
         assert not view.flags.c_contiguous
         sol_view = sdp.solve(sdp.SdpProblem([c], [a], view))
@@ -240,6 +239,33 @@ class TestStack:
             with pytest.raises(ValueError, match="must share"):
                 sdp.solve_many([base, other])
         assert sdp.solve_many([]) == []
+
+    def test_block_that_does_not_factor_leaves_the_stack(self, monkeypatch):
+        # a row whose merged [X, S] factors but one of whose blocks does
+        # not: it ends max_iter, and no LinAlgError escapes the stack.  The
+        # factorization is patched to refuse one row's J block (2 x 6 x 6
+        # at K = 3) at the third iteration, wherever that block is met
+        probs = decoder_problems(3, 0.6, 3, seed=26)
+        alone = [sdp.solve(prob) for prob in probs]
+        cholesky, bad, calls = np.linalg.cholesky, [], [0]
+
+        def refusing(x):
+            if x.ndim == 4 and x.shape[-1] == 6:
+                calls[0] += 1
+                if calls[0] == 3:
+                    bad.append(x[1].copy())
+            if bad and any(v.shape == bad[0].shape and np.array_equal(v, bad[0])
+                           for v in (x, *x.reshape(-1, *x.shape[-3:]))):
+                raise np.linalg.LinAlgError("not positive definite")
+            return cholesky(x)
+
+        monkeypatch.setattr(np.linalg, "cholesky", refusing)
+        sols = sdp.solve_many(probs)
+        assert bad and sols[1].status == sdp.MAX_ITER
+        assert sols[1].message == "iterate lost positive definiteness"
+        assert sols[1].iterations == 3
+        for i in (0, 2):
+            assert_same_solution(sols[i], alone[i])
 
     def test_unreachable_tol_is_not_optimal(self, monkeypatch):
         # no iterate meets TOL = 0, so no problem is certified: each ends
