@@ -5,9 +5,9 @@ eta, permutes the modes: ``(1 - eta) D + eta sum_pi w_pi P_pi o D``,
 with product weights ``w_pi`` from a spatial coupling kernel.  Under pi
 the value on mode i moves to mode ``pi(i)``, so receive mode j reads
 source mode ``pi^{-1}(j)``, and depolarization keeps the I/2 of an
-unused mode.  A cascade that keeps K receive modes therefore needs only
-the weights of the source tuples those modes read
-(:func:`source_weights`), never the 4^N x 4^N channel Choi.
+unused mode.  A cascade onto all N modes is therefore one Choi read
+under a weighted set of mode permutations
+(``decoder.compose_effective_map``), never the 4^N x 4^N channel Choi.
 """
 
 from __future__ import annotations
@@ -47,6 +47,9 @@ class ChannelParams:
 
 @dataclass(frozen=True)
 class PermutationEnsemble:
+    """The mode permutations pi (``pi[i - 1]`` is where mode i goes), the
+    identity first, and their weights."""
+
     perms: tuple
     weights: tuple
 
@@ -105,38 +108,14 @@ def channel_choi(params: ChannelParams) -> Channel:
     permutation ensemble of the crosstalk."""
     if params.n == 1:
         return Channel(params, PermutationEnsemble(perms=((1,),), weights=(1.0,)))
-    return Channel(params, permutation_weights(coupling_kernel(params.n, params.delta)))
-
-
-def source_weights(chan: Channel, r) -> tuple[np.ndarray, np.ndarray]:
-    """``(src, w)``: the distinct source tuples of receive modes ``r``, one
-    per row of ``src`` (1-indexed), and their weights.
-
-    Under permutation pi receive mode ``r_j`` reads source mode
-    ``s_j = pi^{-1}(r_j)``, so ``W_s = (1 - eta) [s = r] + eta sum_{pi:
-    pi^{-1}(r) = s} w_pi``, the sums cached (:func:`_source_table`).  Tuples
-    of zero weight are dropped; the weights sum to 1.
-    """
-    src, mass, home = _source_table(chan.ensemble, tuple(int(x) for x in r))
-    w = chan.params.eta * mass
-    w[home] += 1.0 - chan.params.eta
-    nz = np.flatnonzero(w)
-    return src[nz], w[nz]
+    return Channel(params, _ensemble(params.n, params.delta))
 
 
 @functools.cache
-def _source_table(ensemble: PermutationEnsemble, r: tuple) -> tuple:
-    """Read-only: the source tuples of ``r`` that ``ensemble`` reads, and
-    ``r`` (row ``home``), raveled in order, and each one's summed ``w_pi``."""
-    shape = (len(ensemble.perms[0]),) * len(r)
-    r0 = np.asarray(r) - 1
-    code = np.ravel_multi_index(np.argsort(np.array(ensemble.perms), axis=1)[:, r0].T, shape)
-    codes = np.array(sorted({*code.tolist(), int(np.ravel_multi_index(r0, shape))}))
-    mass = np.bincount(code, weights=ensemble.weights, minlength=np.prod(shape))[codes]
-    src = np.stack(np.unravel_index(codes, shape), axis=1) + 1
-    for x in (src, mass):
-        x.setflags(write=False)
-    return src, mass, int(np.searchsorted(codes, np.ravel_multi_index(r0, shape)))
+def _ensemble(n: int, delta: float) -> PermutationEnsemble:
+    """The permutation ensemble of (N, delta), shared by every channel
+    that differs from another only in eta or lambda."""
+    return permutation_weights(coupling_kernel(n, delta))
 
 
 def branch_fidelities(chan: Channel) -> np.ndarray:
@@ -145,14 +124,15 @@ def branch_fidelities(chan: Channel) -> np.ndarray:
     Entry ``[t - 1, j - 1]`` belongs to the qubit map from input mode t,
     the other inputs fed I/2, to output mode j alone.  Mode j reads mode
     t, depolarized by ``lam_t`` (average fidelity ``1 - lam_t / 2``), with
-    probability ``q_tj``, the weight of the source tuple ``(t,)`` of
-    receive mode j, and otherwise a mode fed I/2 (fidelity 1/2).
+    probability ``q_tj = (1 - eta) [t = j] + eta sum_{pi(t) = j} w_pi``,
+    and otherwise a mode fed I/2 (fidelity 1/2).
     """
-    n = chan.n
-    q = np.zeros((n, n))
-    for j in range(1, n + 1):
-        src, w = source_weights(chan, (j,))
-        q[src[:, 0] - 1, j - 1] = w
+    n, eta = chan.n, chan.params.eta
+    mass = np.zeros((n, n))
+    np.add.at(mass, (np.arange(n), np.array(chan.ensemble.perms) - 1),
+              np.array(chan.ensemble.weights)[:, None])
+    q = eta * mass
+    q[np.diag_indices(n)] += 1.0 - eta
     f_read = 1.0 - np.asarray(chan.params.lam) / 2.0
     return q * f_read[:, None] + (1.0 - q) / 2.0
 

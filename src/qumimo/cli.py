@@ -91,8 +91,8 @@ def _run_checks(quick: bool) -> int:
     )
     check("amplitude identity", worst < 1e-9, f"worst {worst:.1e}")
 
-    # The channel in factored form: every receive tuple's source weights
-    # are a distribution, and the cascade built from them preserves trace.
+    # For every receive ordering the cascade's weights are a distribution
+    # and its dense Choi preserves trace; fewer receive modes are refused.
     draws = 3 if quick else 10
     ok, worst = True, 0.0
     for _ in range(draws):
@@ -104,15 +104,19 @@ def _run_checks(quick: bool) -> int:
         ch = channel.channel_choi(params)
         m = int(rng.integers(1, n + 1))
         enc = cloner.cloner_choi(tuple(rng.dirichlet(np.ones(m))))
-        t = tuple(int(x) + 1 for x in rng.permutation(n)[:m])
-        for k in range(1, n + 1):
-            for r in itertools.permutations(range(1, n + 1), k):
-                w = channel.source_weights(ch, r)[1]
-                ok &= bool(w.min() >= 0.0 and abs(w.sum() - 1.0) < 1e-12)
-                j = decoder.compose_effective_map(enc, ch, t, r).choi
-                tp = np.trace(j.reshape(2, 2 ** k, 2, 2 ** k), axis1=1, axis2=3)
+        for t in itertools.permutations(range(1, n + 1), m):
+            for r in itertools.permutations(range(1, n + 1)):
+                emap = decoder.compose_effective_map(enc, ch, t, r)
+                ok &= bool(emap.weights.min() >= 0.0 and abs(emap.weights.sum() - 1.0) < 1e-12)
+                j = decoder.dense_cascade(emap)
+                tp = np.trace(j.reshape(2, 2 ** n, 2, 2 ** n), axis1=1, axis2=3)
                 worst = max(worst, float(np.max(np.abs(tp - np.eye(2)))))
-    check("channel source weights + cascade trace preserving", ok and worst < 1e-12,
+            try:
+                decoder.compose_effective_map(enc, ch, t, r[:-1])
+                ok = False
+            except ValueError:
+                pass
+    check("cascade weights + trace preserving, K < N refused", ok and worst < 1e-12,
           f"worst |Tr_out J - I| {worst:.1e}")
 
     xi = noise.sample_fluctuation(0.5, 10_000 if quick else 100_000, noise.make_rng(7))

@@ -27,13 +27,14 @@ gamma search; only the decoder SDP is solved per p.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from . import sdp
-from .channel import Channel, source_weights
+from .channel import Channel
 from .cloner import (
     ClonerChoi,
     _amplitude_rows,
@@ -67,9 +68,12 @@ TWIRL_SECOND_MOMENT = (np.eye(4) + SWAP2) / 6.0
 
 @dataclass(frozen=True)
 class EffectiveMap:
-    """Choi of the encoder-channel cascade restricted to receive modes."""
+    """The cascade ``sum_s weights[s] P_s j0 P_s^T`` on (input) (x) (K = N
+    receive legs), over the leg permutations of :func:`_leg_table`; ``j0``
+    (:func:`compose_effective_map`) may carry a leading stack axis."""
 
-    choi: np.ndarray
+    j0: np.ndarray
+    weights: np.ndarray
     k: int
 
 
@@ -113,32 +117,24 @@ def design_at(gamma, chan: Channel, t, r) -> Design:
 
 
 def compose_effective_map(encoder: ClonerChoi, chan: Channel, t, r) -> EffectiveMap:
-    """The Choi of the encoder-channel cascade on (input) (x) (receive
-    modes ``r``), built on 1 + K qubits.
+    """The cascade of ``encoder`` on transmit modes ``t`` and a receive
+    ordering ``r`` of all N modes (else :class:`ValueError`).
 
-    Clone k goes to mode ``t_k`` and is depolarized there by ``lam_{t_k}``;
-    every other mode carries I/2, which the channel keeps.  For each source
-    tuple s of ``r`` (:func:`channel.source_weights`) receive leg j holds
-    the clone on mode ``s_j``, or I/2 where ``s_j`` carries no clone: the
-    marginal of the depolarized cloner on the clones in s, its legs ordered
-    by s and padded with I/2.  Source tuples that place the same clones on
-    the same legs share one term (a pattern), a gather by leg maps
-    (:func:`_gather_plan`): at K = N a leg permutation of the padded Choi,
-    else of one partial trace per traced set.
-
-    ``encoder.choi`` may carry a leading stack axis; a single Choi is a
-    stack of one, and an entry's cascade does not depend on its stack.
+    ``j0`` holds clone c on leg c, depolarized by ``lam_{t_c}``, and I/2 on
+    legs M+1..N, the other modes in index order.  Under the channel's
+    permutation pi, mode i is read by the receive leg of ``pi(i)`` in
+    ``r``: one leg permutation of ``j0``, weighted ``eta w_pi``, plus
+    ``1 - eta`` at the identity.  ``encoder.choi`` may carry a leading
+    stack axis; an entry's cascade does not depend on its stack.
     """
     t = tuple(int(x) for x in t)
     r = tuple(int(x) for x in r)
     n = chan.n
     m = encoder.m
-    if len(t) != m or len(set(t)) != m:
-        raise ValueError(f"transmit modes {t} must be {m} distinct indices")
-    if len(set(r)) != len(r) or not r:
-        raise ValueError(f"receive modes {r} must be distinct and nonempty")
-    if any(not 1 <= x <= n for x in t + r):
-        raise ValueError(f"mode indices outside 1..{n}")
+    if len(t) != m or len(set(t)) != m or any(not 1 <= x <= n for x in t):
+        raise ValueError(f"transmit modes {t} must be {m} distinct indices in 1..{n}")
+    if sorted(r) != list(range(1, n + 1)):
+        raise ValueError(f"receive modes {r} must be an ordering of all {n} modes")
 
     lead = encoder.choi.shape[:-2]
     jt = encoder.choi.reshape(-1, 2 ** (m + 1), 2 ** (m + 1))
@@ -151,67 +147,66 @@ def compose_effective_map(encoder: ClonerChoi, chan: Channel, t, r) -> Effective
         x[:, :, 0, :, :, 0] += half_tr
         x[:, :, 1, :, :, 1] += half_tr
         jt = x
+    pad = np.eye(2 ** (n - m)) / 2 ** (n - m)
+    j0 = jt.reshape(-1, 2 ** (m + 1), 1, 2 ** (m + 1), 1) * pad[:, None]
 
-    # A pattern holds, per receive leg, the clone its source carries (0: I/2).
-    k = len(r)
-    clone_on = np.zeros(n + 1, dtype=int)
-    clone_on[list(t)] = np.arange(1, m + 1)
-    src, w = source_weights(chan, r)
-    weights = np.bincount(np.ravel_multi_index(clone_on[src].T, (m + 1,) * k), weights=w)
-    nz = np.flatnonzero(weights)
-    q, traced, terms = _gather_plan(m, k, tuple(nz.tolist()))
-    pad = np.eye(2 ** (q - m - 1)) / 2 ** (q - m - 1)
-    jt = jt.reshape(-1, 2 ** (m + 1), 1, 2 ** (m + 1), 1) * pad[:, None]
-    sources = [_trace_legs(jt.reshape(-1, *(2,) * (2 * q)), gone) for gone in traced]
-    d = 2 ** (k + 1)
-    out = np.zeros((d, d, len(jt)))
-    rows, buf = np.empty_like(out), np.empty_like(out)
-    for (which, legs), weight in zip(terms, weights[nz].tolist()):
-        sources[which].take(legs, axis=0, out=rows, mode="clip")  # in range by construction
-        rows.take(legs, axis=1, out=buf, mode="clip")
-        buf *= weight
-        out += buf
-    return EffectiveMap(choi=out.transpose(2, 0, 1).reshape(lead + (d, d)), k=k)
+    # Under pi leg c lands on slot[pi(modes[c])]; the identity comes first.
+    modes = np.array(t + tuple(x for x in range(1, n + 1) if x not in t))
+    slot = np.zeros(n + 1, dtype=int)
+    slot[list(r)] = np.arange(n)
+    codes = _leg_table(n)[0]
+    tau = slot[np.array(chan.ensemble.perms)[:, modes - 1]]
+    rows = np.searchsorted(codes, tau @ n ** np.arange(n - 1, -1, -1))
+    eta = chan.params.eta
+    weights = np.bincount(rows, weights=eta * np.asarray(chan.ensemble.weights),
+                          minlength=len(codes))
+    weights[rows[0]] += 1.0 - eta
+    return EffectiveMap(j0=j0.reshape(lead + (2 ** (n + 1),) * 2), weights=weights, k=n)
 
 
 @functools.cache
-def _gather_plan(m: int, k: int, codes: tuple) -> tuple:
-    """``(q, traced, terms)`` for patterns ``codes`` (raveled, base M + 1):
-    the padded Choi's leg count, each traced leg set once, and per pattern
-    its traced set and its read-only leg map ``legs`` of 2^(K+1) entries:
-    output entry (i, j) reads entry ``(legs[i], legs[j])`` of that trace."""
-    patterns = np.stack(np.unravel_index(codes, (m + 1,) * k), axis=1).tolist()
-    q = m + 1 + max(pattern.count(0) for pattern in patterns)
-    traced, which, ranks = {}, [], []
-    for pattern in patterns:
-        free = iter(range(m + 1, q))
-        ket = [0] + [c if c else next(free) for c in pattern]
-        ranks.append(np.argsort(np.argsort(ket)))
-        which.append(traced.setdefault(tuple(a for a in range(q) if a not in ket), len(traced)))
-    bits = np.arange(2 ** (k + 1))[:, None] >> np.arange(k, -1, -1) & 1  # output legs
-    legs = (1 << (k - np.array(ranks))) @ bits.T
-    legs.setflags(write=False)
-    return q, tuple(traced), tuple(zip(which, legs))
+def _leg_table(k: int) -> tuple:
+    """Read-only ``(codes, legs, blocks)`` of the K! leg permutations tau,
+    lexicographic (``j0`` leg c lands on receive leg ``tau_c``): the raveled
+    taus; per tau, the map by which output entry i reads ``j0`` entry
+    ``legs[s][i]``; per spin of :func:`_frame` below the symmetric one
+    (which every tau fixes), its path slice and ``D_j(s) = w[0]^T
+    w[0][idx_s]`` on it, raveled, as (K, (K - 1)!, d^2).
+    Leg permutations commute with SU(2), so they act on the spin blocks by
+    these orthogonal matrices (Bacon, Chuang and Harrow, PRL 97, 170502
+    (2006))."""
+    taus = np.array(list(itertools.permutations(range(k))))
+    codes = taus @ k ** np.arange(k - 1, -1, -1)
+    bits = np.arange(2 ** k)[:, None] >> np.arange(k - 1, -1, -1) & 1
+    idx = (bits[:, taus] @ (1 << np.arange(k - 1, -1, -1))).T
+    w, paths = _frame(k + 1, k)
+    d = w[0].T @ w[0][(2 * idx[:, :, None] + np.arange(2)).reshape(len(taus), -1)]
+    two_j = [path[-1] for path in paths]
+    blocks = []
+    for tj in sorted(set(two_j), reverse=True)[1:]:
+        at = slice(two_j.index(tj), two_j.index(tj) + two_j.count(tj))
+        blocks.append((at, d[:, at, at].reshape(k, -1, (at.stop - at.start) ** 2)))
+    legs = np.hstack([idx, idx + 2 ** k])
+    for x in (codes, legs, *(a for _, a in blocks)):
+        x.setflags(write=False)
+    return codes, legs, tuple(blocks)
 
 
-def _trace_legs(x: np.ndarray, gone: tuple) -> np.ndarray:
-    """The stack ``x`` on q qubits (2q axes of 2) with legs ``gone`` traced
-    out, the stack axis last."""
-    q = (x.ndim - 1) // 2
-    order = [a for a in range(q) if a not in gone] + list(gone)
-    x = x.transpose(*(1 + a for a in order), *(1 + q + a for a in order), 0)
-    dk, dg = 2 ** (q - len(gone)), 2 ** len(gone)
-    x = np.trace(x.reshape(dk, dg, dk, dg, -1), axis1=1, axis2=3)
-    return np.ascontiguousarray(x)
+def dense_cascade(emap: EffectiveMap) -> np.ndarray:
+    """The cascade Choi on 2^(K+1), term by term: the reference route."""
+    legs = _leg_table(emap.k)[1]
+    out = np.zeros_like(emap.j0)
+    for s in np.flatnonzero(emap.weights):
+        out += emap.weights[s] * emap.j0[..., legs[s][:, None], legs[s]]
+    return out
 
 
-def full_operators(emap: EffectiveMap) -> tuple:
-    """The Haar-averaged ``Qt`` and ``Rt`` of the cascade on the full
-    2^(K+1)-square space, input transpose folded in; a leading stack axis
-    of ``emap.choi`` carries over to both."""
-    dk = 2 ** emap.k
-    lead = emap.choi.shape[:-2]
-    jl4 = emap.choi.reshape(lead + (2, dk, 2, dk))
+def _twirl(choi: np.ndarray, k: int) -> tuple:
+    """The Haar-averaged ``Qt`` and ``Rt`` of a (stack of) cascade Choi on
+    1 + K qubits, input transpose folded in."""
+    dk = 2 ** k
+    lead = choi.shape[:-2]
+    jl4 = choi.reshape(lead + (2, dk, 2, dk))
     w4 = TWIRL_SECOND_MOMENT.reshape(2, 2, 2, 2)
     q4 = np.einsum("...iojp,irjs->...orps", jl4, w4)
     qt = q4.swapaxes(-4, -2).reshape(lead + (2 * dk, 2 * dk))
@@ -221,16 +216,35 @@ def full_operators(emap: EffectiveMap) -> tuple:
     return (qt + dagger(qt)) / 2.0, (rt + dagger(rt)) / 2.0
 
 
+def full_operators(emap: EffectiveMap) -> tuple:
+    """The full ``Qt`` and ``Rt`` of :func:`dense_cascade`, the reference of
+    :func:`build_qr` in ``qumimo validate`` and the tests."""
+    return _twirl(dense_cascade(emap), emap.k)
+
+
 def build_qr(emap: EffectiveMap) -> QROperators:
-    """:func:`full_operators` reduced (:class:`QROperators`), masked to the
-    spin blocks and symmetrized.  The decoder SDP keeps only real units
-    (:func:`_covariant_rows`), so the cascade must be real."""
-    if np.iscomplexobj(emap.choi):
+    """The reduced ``Qt`` and ``Rt`` of the cascade (:class:`QROperators`):
+    ``j0`` twirled and reduced once, then ``X_j -> sum_s w_s D_j(s) X_j
+    D_j(s)^T`` on each spin block below the symmetric one
+    (:func:`_leg_table`) as ``G = sum_s w_s D_j(s) (x) D_j(s)`` applied to
+    the block, then symmetrized.  G is
+    summed over the K chunks of rows that share ``tau_1``, then over the
+    chunks: one K!-long sum lost up to 8.6e-15 (relative to a long-double
+    G) at K = 6, two levels 1.6e-15.  The decoder SDP keeps only real
+    units (:func:`_covariant_rows`), so the cascade must be real."""
+    if np.iscomplexobj(emap.j0):
         raise ValueError("cascade Choi not real")
-    w, paths = _frame(emap.k + 1, emap.k)
-    two_j = np.array([path[-1] for path in paths])
-    x = _reduce(w, np.stack(full_operators(emap))) * (two_j[:, None] == two_j)
-    qt, rt = (x + x.swapaxes(-1, -2)) / 2.0
+    x = _reduce(_frame(emap.k + 1, emap.k)[0], np.stack(_twirl(emap.j0, emap.k)))
+    out = np.zeros_like(x)
+    out[..., 0, 0] = x[..., 0, 0]
+    w = emap.weights.reshape(emap.k, 1, -1)
+    for at, a in _leg_table(emap.k)[2]:
+        d = at.stop - at.start
+        g = ((a.swapaxes(1, 2) * w) @ a).sum(axis=0).reshape(d, d, d, d).transpose(0, 2, 1, 3)
+        block = x[..., at, at]
+        # One product per stack entry, for bits independent of the stack.
+        out[..., at, at] = (g.reshape(d * d, -1) @ block.reshape(-1, d * d, 1)).reshape(block.shape)
+    qt, rt = (out + out.swapaxes(-1, -2)) / 2.0
     return QROperators(qt=qt, rt=rt, k=emap.k)
 
 

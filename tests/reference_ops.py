@@ -8,12 +8,14 @@ Monte Carlo checks, the permutation unitaries behind the channel's
 crosstalk symmetry, the Kraus set of the depolarizing map, the rank-one
 witness of the Rayleigh bound on the lifted ``Qt`` and ``Rt`` (the
 reference for ``decoder.rayleigh_bound``, which scores on spin blocks),
-the compose -> full-operator route to one branch fidelity, the dense
-channel route: the 4^N x 4^N channel Choi, its action on states, its
-partial-trace branch table and the link product with the cloner, which
-``channel.source_weights`` and ``decoder.compose_effective_map`` replace
-on 1 + K qubits, and that cascade's earlier route, one ``einsum`` per
-source pattern, which the gather plan replaces.
+the dense route to one branch fidelity, the dense channel route: the
+4^N x 4^N channel Choi, its action on states, its partial-trace branch
+table and the link product with the cloner (:func:`dense_compose`),
+which ``decoder.compose_effective_map`` replaces by one padded cloner
+read under the channel's leg permutations, and the earlier route of the
+cascade on 1 + K qubits: the weights of the source tuples that receive
+modes read (:func:`source_weights`) and one ``einsum`` per source
+pattern (:func:`einsum_compose`), the pattern oracle at every K.
 
 The full-space route of the Haar operators is kept here as the oracle of
 the spin blocks that ``decoder.build_qr`` returns: :class:`FullQR` holds
@@ -220,11 +222,13 @@ def rank_one_certificate(qr: decoder.QROperators, p: float) -> np.ndarray:
 
 
 def branch_fidelity_via_compose(chan, t_mode: int, r_mode: int) -> float:
-    """One single-branch fidelity through the full N-mode cascade: the
-    M = 1 cloner composed with the channel, Haar operators, then
-    ``Tr[Phi Qt]`` for the received qubit used as it is."""
-    emap = decoder.compose_effective_map(cloner.cloner_choi((1.0,)), chan, (t_mode,), (r_mode,))
-    return float(np.real(np.trace(PHI_UNNORM @ decoder.full_operators(emap)[0])))
+    """One single-branch fidelity through the dense cascade: the M = 1
+    cloner linked with the dense channel Choi (:func:`dense_compose`),
+    receive mode ``r_mode`` kept, its Haar ``Qt``, then ``Tr[Phi Qt]`` for
+    the received qubit used as it is."""
+    choi = dense_compose(cloner.cloner_choi((1.0,)), dense_channel_choi(chan.params), chan.n,
+                         (t_mode,), (r_mode,))
+    return float(np.real(np.trace(PHI_UNNORM @ decoder._twirl(choi, 1)[0])))
 
 
 # Largest entry of Qt or Rt off the SU(2) commutant, and largest imaginary
@@ -392,8 +396,7 @@ def dense_branch_fidelities(j: np.ndarray, n: int) -> np.ndarray:
 
 
 def dense_compose(encoder: cloner.ClonerChoi, j_chan: np.ndarray, n: int, t, r) -> np.ndarray:
-    """The cascade Choi of ``decoder.compose_effective_map`` by the link
-    product over the N-mode space: clone k routed to mode ``t_k``, unused
+    """The cascade Choi by the link product over the N-mode space: clone k routed to mode ``t_k``, unused
     modes fed I/2, the dense channel Choi applied, every mode outside
     ``r`` traced out, the kept legs ordered by r."""
     m = encoder.m
@@ -431,12 +434,34 @@ def dense_compose(encoder: cloner.ClonerChoi, j_chan: np.ndarray, n: int, t, r) 
     return tens.transpose(axes).reshape(2 * dk, 2 * dk)
 
 
+def source_weights(chan: channel.Channel, r) -> tuple[np.ndarray, np.ndarray]:
+    """``(src, w)``: the distinct source tuples of receive modes ``r``, one
+    per row of ``src`` (1-indexed), and their weights.
+
+    Under permutation pi receive mode ``r_j`` reads source mode
+    ``s_j = pi^{-1}(r_j)``, so ``W_s = (1 - eta) [s = r] + eta sum_{pi:
+    pi^{-1}(r) = s} w_pi``.  Tuples of zero weight are dropped; the
+    weights sum to 1.
+    """
+    ens, eta = chan.ensemble, chan.params.eta
+    shape = (chan.n,) * len(r)
+    r0 = np.asarray(r) - 1
+    code = np.ravel_multi_index(np.argsort(np.array(ens.perms), axis=1)[:, r0].T, shape)
+    home = int(np.ravel_multi_index(r0, shape))
+    codes = np.array(sorted({*code.tolist(), home}))
+    w = eta * np.bincount(code, weights=ens.weights, minlength=np.prod(shape))[codes]
+    w[np.searchsorted(codes, home)] += 1.0 - eta
+    nz = np.flatnonzero(w)
+    return np.stack(np.unravel_index(codes[nz], shape), axis=1) + 1, w[nz]
+
+
 def einsum_compose(encoder: cloner.ClonerChoi, chan: channel.Channel, t, r) -> np.ndarray:
     """The cascade Choi of ``decoder.compose_effective_map`` by its earlier
-    route, one ``einsum`` per source pattern on the I/2-padded cloner Choi:
-    the run-time gather plan is checked against it bit for bit where every
-    pattern keeps every leg (K = N), and to rounding where patterns trace
-    legs."""
+    route, one ``einsum`` per source pattern (the clones that the source
+    tuples of :func:`source_weights` put on each receive leg) on the
+    I/2-padded cloner Choi; at K < N patterns trace legs.  The spin blocks
+    of the run-time route are checked against its twirl at N = 6, where
+    the dense channel Choi is 4^6 square."""
     n, m = chan.n, encoder.m
     lead = encoder.choi.shape[:-2]
     jt = encoder.choi.reshape(-1, 2 ** (m + 1), 2 ** (m + 1))
@@ -454,7 +479,7 @@ def einsum_compose(encoder: cloner.ClonerChoi, chan: channel.Channel, t, r) -> n
     k = len(r)
     clone_on = np.zeros(n + 1, dtype=int)
     clone_on[list(t)] = np.arange(1, m + 1)
-    src, w = channel.source_weights(chan, r)
+    src, w = source_weights(chan, r)
     shape = (m + 1,) * k
     weights = np.bincount(np.ravel_multi_index(clone_on[src].T, shape), weights=w)
     nz = np.flatnonzero(weights)

@@ -18,6 +18,7 @@ asymmetry comes from the p-independent surrogate (see
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -81,8 +82,11 @@ def test_criterion_02_amplitude_identity():
 
 
 def test_criterion_03_channel_contracts():
-    # The dense channel Choi of the test oracle is CPTP and unital; the
-    # factored route reads each receive tuple's sources from a distribution.
+    # The dense channel Choi of the test oracle is CPTP and unital; in the
+    # factored route, which mode reads which is doubly stochastic: the
+    # branch mixing q_tj (read through the branch table of the same
+    # channel without depolarization, F = (1 + q) / 2) has no negative
+    # entry, and its rows and columns sum to 1.
     rng = np.random.default_rng(1003)
     ok = True
     for _ in range(100):
@@ -97,10 +101,10 @@ def test_criterion_03_channel_contracts():
         ok &= bool(np.max(np.abs(tr_out - np.eye(2 ** n))) < 1e-8)
         ident = np.eye(2 ** n) / 2 ** n
         ok &= bool(np.max(np.abs(apply_choi(ch, ident) - ident)) < 1e-8)
-        chan = channel.channel_choi(params)
-        for r in ((1,), tuple(range(n, 0, -1))):
-            w = channel.source_weights(chan, r)[1]
-            ok &= bool(w.min() > 0.0 and abs(w.sum() - 1.0) < 1e-12)
+        noiseless = channel.channel_choi(replace(params, lam=(0.0,) * n))
+        q = 2.0 * channel.branch_fidelities(noiseless) - 1.0
+        ok &= bool(q.min() >= 0.0)
+        ok &= bool(max(np.max(np.abs(q.sum(axis=a) - 1.0)) for a in (0, 1)) < 1e-12)
     # eta = 0 factorization: marginal fidelity 1 - lam_i / 2
     for _ in range(10):
         n = int(rng.integers(2, 5))

@@ -20,6 +20,7 @@ from reference_ops import (
     partial_trace,
     permutation_unitary,
     projector,
+    source_weights,
 )
 
 
@@ -111,6 +112,16 @@ class TestPermutationWeights:
         ident = ens.perms.index((1, 2, 3))
         assert ens.weights[ident] > 0.99
         assert ens.weights[ident] == max(ens.weights)
+
+    def test_one_ensemble_per_n_and_delta(self):
+        # channels that differ only in eta or lambda share one ensemble
+        # object, the identity first
+        a = channel.channel_choi(channel.ChannelParams(n=4, eta=0.3, lam=(0.1,) * 4, delta=0.7))
+        b = channel.channel_choi(channel.ChannelParams(n=4, eta=0.9, lam=(0.5,) * 4, delta=0.7))
+        c = channel.channel_choi(channel.ChannelParams(n=4, eta=0.3, lam=(0.1,) * 4, delta=0.8))
+        assert a.ensemble is b.ensemble and a.ensemble is not c.ensemble
+        assert a.ensemble == channel.permutation_weights(channel.coupling_kernel(4, 0.7))
+        assert a.ensemble.perms[0] == (1, 2, 3, 4)
 
 
 class TestPermutationUnitary:
@@ -286,13 +297,15 @@ class TestBranchFidelities:
 
 
 class TestSourceWeights:
+    """The source-tuple weights of the pattern oracle (``einsum_compose``)."""
+
     def test_distribution_over_distinct_tuples(self):
         rng = np.random.default_rng(13)
         for n in (1, 2, 3, 4):
             ch = channel.channel_choi(rand_params(rng, n=n))
             for k in range(1, n + 1):
                 for r in itertools.permutations(range(1, n + 1), k):
-                    src, w = channel.source_weights(ch, r)
+                    src, w = source_weights(ch, r)
                     assert src.shape == (len(w), k)
                     assert len({tuple(s) for s in src}) == len(src)
                     assert all(len(set(s)) == k for s in src)
@@ -301,20 +314,20 @@ class TestSourceWeights:
     def test_single_mode_and_no_crosstalk_read_r(self):
         for params in (channel.ChannelParams(n=1, eta=0.6, lam=(0.3,), delta=1.0),
                        channel.ChannelParams(n=3, eta=0.0, lam=(0.3,) * 3, delta=1.0)):
-            src, w = channel.source_weights(channel.channel_choi(params), (1,))
+            src, w = source_weights(channel.channel_choi(params), (1,))
             assert src.tolist() == [[1]] and w.tolist() == [1.0]
 
     def test_uniform_two_mode_swap(self):
         # delta -> 0 at eta = 1: identity and swap, half each
         ch = channel.channel_choi(channel.ChannelParams(n=2, eta=1.0, lam=(0.0, 0.0), delta=1e-12))
-        src, w = channel.source_weights(ch, (1, 2))
+        src, w = source_weights(ch, (1, 2))
         assert src.tolist() == [[1, 2], [2, 1]]
         assert np.allclose(w, 0.5, atol=1e-12)
 
 
 class TestDenseOracle:
-    """The factored cascade against the link product with the dense
-    channel Choi of the test oracle."""
+    """The factored cascade, every mode received in a random order, against
+    the link product with the dense channel Choi of the test oracle."""
 
     def test_compose_sweep(self):
         rng = np.random.default_rng(14)
@@ -326,8 +339,8 @@ class TestDenseOracle:
                 chan, dense = channel.channel_choi(params), dense_channel_choi(params)
                 for m in range(1, n + 1):
                     enc = cloner.cloner_choi(tuple(rng.dirichlet(np.ones(m))))
-                    for k in range(1, n + 1):
+                    for _ in range(2):
                         t = tuple(int(x) + 1 for x in rng.permutation(n)[:m])
-                        r = tuple(int(x) + 1 for x in rng.permutation(n)[:k])
-                        got = decoder.compose_effective_map(enc, chan, t, r).choi
+                        r = tuple(int(x) + 1 for x in rng.permutation(n))
+                        got = decoder.dense_cascade(decoder.compose_effective_map(enc, chan, t, r))
                         assert np.max(np.abs(got - dense_compose(enc, dense, n, t, r))) < 1e-14

@@ -667,7 +667,7 @@ VALIDATE_CHECKS = [
     "cloner symmetric M=3",
     "cloner symmetric M=4",
     "amplitude identity",
-    "channel source weights + cascade trace preserving",
+    "cascade weights + trace preserving, K < N refused",
     "fluctuation moments",
     "decoder identity sanity",
     "decoder depolarizing sanity",

@@ -1,4 +1,4 @@
-import itertools
+import math
 import time
 
 import numpy as np
@@ -13,6 +13,8 @@ from reference_ops import (
     ModeSpace,
     covariant_blocks,
     covariant_operators,
+    dense_channel_choi,
+    dense_compose,
     depolarizing_choi_1q,
     einsum_compose,
     full_qr,
@@ -71,7 +73,7 @@ class TestCompose:
         enc = cloner.cloner_choi((1.0,))
         ch = channel.channel_choi(channel.ChannelParams(n=1, eta=0.0, lam=(0.0,), delta=1.0))
         emap = decoder.compose_effective_map(enc, ch, (1,), (1,))
-        assert np.max(np.abs(emap.choi - PHI_UNNORM)) < 1e-6
+        assert np.max(np.abs(decoder.dense_cascade(emap) - PHI_UNNORM)) < 1e-6
 
     def test_single_branch_marginal(self):
         # marginal factorization oracle: mode 1 carries dep(0.4), mode 2 is noise
@@ -79,9 +81,9 @@ class TestCompose:
         ch = channel.channel_choi(
             channel.ChannelParams(n=2, eta=0.0, lam=(0.4, 0.77), delta=1.0)
         )
-        emap = decoder.compose_effective_map(enc, ch, (1,), (1,))
-        want = depolarizing_choi_1q(0.4)
-        assert np.max(np.abs(emap.choi - want)) < 1e-8
+        emap = decoder.compose_effective_map(enc, ch, (1,), (1, 2))
+        marginal = partial_trace(decoder.dense_cascade(emap), ModeSpace.qubits(range(3)), (0, 1))
+        assert np.max(np.abs(marginal - depolarizing_choi_1q(0.4))) < 1e-8
 
     def test_transmit_mode_routing(self):
         # clone routed to mode 2 and received there sees dep(0.1)
@@ -89,9 +91,9 @@ class TestCompose:
         ch = channel.channel_choi(
             channel.ChannelParams(n=2, eta=0.0, lam=(0.9, 0.1), delta=1.0)
         )
-        emap = decoder.compose_effective_map(enc, ch, (2,), (2,))
-        want = depolarizing_choi_1q(0.1)
-        assert np.max(np.abs(emap.choi - want)) < 1e-8
+        emap = decoder.compose_effective_map(enc, ch, (2,), (2, 1))
+        marginal = partial_trace(decoder.dense_cascade(emap), ModeSpace.qubits(range(3)), (0, 1))
+        assert np.max(np.abs(marginal - depolarizing_choi_1q(0.1))) < 1e-8
 
     def test_cptp_contract(self):
         rng = np.random.default_rng(0)
@@ -99,12 +101,12 @@ class TestCompose:
             qr, emap = random_cascade(rng, n=int(rng.integers(1, 4)))
             k = emap.k
             space = ModeSpace.qubits(range(1, k + 2))
-            tr_out = partial_trace(emap.choi, space, (1,))
+            tr_out = partial_trace(decoder.dense_cascade(emap), space, (1,))
             assert np.max(np.abs(tr_out - I2)) < 1e-8
 
     def test_six_modes(self):
-        # No dense route reaches N = 6: its channel Choi is 4096 x 4096,
-        # gathered once per each of 720 permutations.
+        # No dense channel route reaches N = 6: its channel Choi is
+        # 4096 x 4096, gathered once per each of 720 permutations.
         params = channel.ChannelParams(
             n=6, eta=0.8, lam=tuple(np.linspace(0.05, 0.55, 6)), delta=1.0)
         enc = cloner.cloner_choi(tuple(np.random.default_rng(15).dirichlet(np.ones(5))))
@@ -112,7 +114,7 @@ class TestCompose:
         emap = decoder.compose_effective_map(
             enc, channel.channel_choi(params), (2, 4, 6, 1, 3), (6, 1, 5, 2, 4, 3))
         assert time.perf_counter() - start < 1.0
-        tr_out = partial_trace(emap.choi, ModeSpace.qubits(range(7)), (0,))
+        tr_out = partial_trace(decoder.dense_cascade(emap), ModeSpace.qubits(range(7)), (0,))
         assert np.max(np.abs(tr_out - I2)) < 1e-12
         assert covariant_operators(full_qr(emap))[1] <= 1e-12
         assert lift_residual(emap) <= 1e-14
@@ -122,6 +124,30 @@ class TestCompose:
         ch = channel.channel_choi(channel.ChannelParams(n=2, eta=0.0, lam=(0.1, 0.1), delta=1.0))
         with pytest.raises(ValueError):
             decoder.compose_effective_map(enc, ch, (1, 1), (1, 2))
+
+    @pytest.mark.parametrize("r", [(1, 2), (2,), (1, 1, 2), (1, 2, 2), (1, 2, 4), (0, 1, 2)])
+    def test_receive_modes_are_an_ordering_of_all_modes(self, r):
+        # K < N, a repeated mode, a mode outside 1..N
+        enc = cloner.cloner_choi((0.5, 0.5))
+        ch = channel.channel_choi(channel.ChannelParams(n=3, eta=0.5, lam=(0.1,) * 3, delta=1.0))
+        with pytest.raises(ValueError, match="ordering of all 3 modes"):
+            decoder.compose_effective_map(enc, ch, (1, 2), r)
+
+    def test_one_weight_per_leg_permutation(self):
+        # every ensemble permutation, and the identity at 1 - eta, reads j0
+        # under its own leg permutation: K! nonnegative weights summing to 1
+        rng = np.random.default_rng(16)
+        for n in (1, 2, 3, 4):
+            for eta in (0.0, 0.4, 1.0):
+                ch = channel.channel_choi(channel.ChannelParams(
+                    n=n, eta=eta, lam=tuple(rng.uniform(0, 1, n)), delta=0.8))
+                gamma = (1.0,) if n == 1 else (0.3, 0.7)
+                t = tuple(int(x) + 1 for x in rng.permutation(n)[:len(gamma)])
+                r = tuple(int(x) + 1 for x in rng.permutation(n))
+                w = decoder.compose_effective_map(cloner.cloner_choi(gamma), ch, t, r).weights
+                assert w.shape == (len(ch.ensemble.perms),) and w.min() >= 0.0
+                assert abs(w.sum() - 1.0) < 1e-12
+                assert np.count_nonzero(w) == (1 if eta == 0.0 else len(w))
 
 
 class TestBuildQR:
@@ -152,7 +178,7 @@ class TestBuildQR:
         rng = np.random.default_rng(2)
         qr, emap = random_cascade(rng, n=2)
         dk = 2 ** emap.k
-        j4 = emap.choi.reshape(2, dk, 2, dk)
+        j4 = decoder.dense_cascade(emap).reshape(2, dk, 2, dk)
         n_samp = 10_000
         terms = np.empty((n_samp, 2 * dk, 2 * dk), dtype=complex)
         for s in range(n_samp):
@@ -197,13 +223,19 @@ class TestStackedCascade:
         # the surrogate pieces, and two cloners
         chois = np.concatenate([piece_chois(m), [
             cloner.cloner_choi(tuple(rng.dirichlet(np.ones(m)))).choi for _ in range(2)]])
+        if k < n:
+            # a stack, like one cascade, is refused fewer than all N
+            # receive modes; the rest runs on an ordering of all N
+            with pytest.raises(ValueError, match="ordering of all"):
+                stacked_cascade(chois, m, ch, t, r)
+            r += tuple(x for x in range(1, n + 1) if x not in r)
         alone = [decoder.build_qr(decoder.compose_effective_map(
             cloner.ClonerChoi(choi=c, m=m, fidelities=()), ch, t, r)) for c in chois]
         count = len(chois)
         orders = [list(range(count)), list(range(count))[::-1], [count - 1, 0, 0], [1 % count]]
         for order in orders:
             qr = stacked_cascade(chois[order], m, ch, t, r)
-            assert qr.qt.shape[0] == len(order) and qr.k == k
+            assert qr.qt.shape[0] == len(order) and qr.k == n
             for row, i in enumerate(order):
                 assert np.array_equal(qr.qt[row], alone[i].qt)
                 assert np.array_equal(qr.rt[row], alone[i].rt)
@@ -211,90 +243,106 @@ class TestStackedCascade:
         one = stacked_cascade(chois[:1], m, ch, t, r)
         assert one.qt.shape == (1,) + alone[0].qt.shape
         assert np.array_equal(one.qt[0], alone[0].qt) and np.array_equal(one.rt[0], alone[0].rt)
-        # the stacked blocks are the full-space route's reduction, bit for bit
+        # the stacked blocks are the full-space route's reduction
         emap = decoder.compose_effective_map(
             cloner.ClonerChoi(choi=chois, m=m, fidelities=()), ch, t, r)
         (c, rr), resid = covariant_operators(full_qr(emap))
         qr = decoder.build_qr(emap)
-        assert np.array_equal(qr.qt, c) and np.array_equal(qr.rt, rr) and resid <= 1e-12
+        assert relative_gap((qr.qt, qr.rt), (c, rr)) <= 1e-14 and resid <= 1e-12
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_surrogate_pieces_are_the_per_piece_cascades(self, m):
+        # bit for bit the single cascades of the pieces, and to 1e-14 their
+        # full-space route
         ch = lattice_channel(m, 0.5, tuple(np.linspace(0.1, 0.7, m)))
         t, r = strategies.select_modes(ch, m)
-        per_piece = [full_qr(decoder.compose_effective_map(
-            cloner.ClonerChoi(choi=c, m=m, fidelities=()), ch, t, r)) for c in piece_chois(m)]
-        want = spin_blocks(FullQR(
-            qt=np.array([qr.qt for qr in per_piece]), rt=np.array([qr.rt for qr in per_piece]),
-            k=len(r)))
+        maps = [decoder.compose_effective_map(
+            cloner.ClonerChoi(choi=c, m=m, fidelities=()), ch, t, r) for c in piece_chois(m)]
+        alone = [decoder.build_qr(emap) for emap in maps]
+        want = decoder._per_spin(decoder.QROperators(
+            qt=np.array([qr.qt for qr in alone]), rt=np.array([qr.rt for qr in alone]), k=len(r)))
+        full = [full_qr(emap) for emap in maps]
+        full_want = spin_blocks(FullQR(
+            qt=np.array([qr.qt for qr in full]), rt=np.array([qr.rt for qr in full]), k=len(r)))
         got = decoder._surrogate_pieces(m, ch, t, r)
-        assert len(got) == len(want)
-        for (q, rr), (q_want, r_want) in zip(got, want):
+        assert len(got) == len(want) == len(full_want)
+        for (q, rr), (q_want, r_want), pair in zip(got, want, full_want):
             assert np.array_equal(q, q_want) and np.array_equal(rr, r_want)
+            assert relative_gap((q, rr), pair) <= 1e-14
 
 
-class TestGatherPlan:
-    """The cascade's gather plan against its earlier route, one ``einsum``
-    per source pattern (``reference_ops.einsum_compose``)."""
+def pattern_route_blocks(chois: np.ndarray, k: int) -> tuple:
+    """The reduced ``Qt`` and ``Rt`` of cascade Chois on 1 + K qubits by the
+    earlier route: the full twirl, then ``_reduce``, mask and symmetrize
+    (``reference_ops.covariant_operators``)."""
+    return covariant_operators(FullQR(*decoder._twirl(chois, k), k=k))[0]
+
+
+def relative_gap(got, want) -> float:
+    """The largest entry of ``got - want`` over pairs of arrays, relative to
+    the largest entry of ``want``."""
+    return max(float(np.max(np.abs(x - y))) / float(np.max(np.abs(y))) for x, y in zip(got, want))
+
+
+class TestSpinCascade:
+    """The spin blocks of one padded cloner under the leg permutations of
+    the channel (``build_qr`` of ``compose_effective_map``) against the
+    earlier route: the cascade Choi by the dense channel (``dense_compose``)
+    or one ``einsum`` per source pattern (``einsum_compose``), twirled,
+    reduced, masked and symmetrized."""
 
     @staticmethod
     def random_channel(n, eta, rng):
-        return channel.channel_choi(channel.ChannelParams(
-            n=n, eta=eta, lam=tuple(rng.uniform(0, 1, n)), delta=float(rng.uniform(0.3, 2.0))))
+        return channel.ChannelParams(
+            n=n, eta=eta, lam=tuple(rng.uniform(0, 1, n)), delta=float(rng.uniform(0.3, 2.0)))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("eta", [0.0, 0.3, 1.0])
-    def test_bitwise_at_k_equal_n(self, n, eta):
-        # every pattern keeps every leg: a pure leg permutation, the same
-        # bits as the einsum, on one cloner and on the gamma search's pieces
+    def test_lossless_against_pattern_route(self, n, eta):
+        # random transmit modes and receive orderings, one cloner and the
+        # gamma search's pieces
         rng = np.random.default_rng(10 * n + int(10 * eta))
-        ch = self.random_channel(n, eta, rng)
+        params = self.random_channel(n, eta, rng)
+        ch, dense = channel.channel_choi(params), dense_channel_choi(params)
         for m in sorted({1, n}):
             t = tuple(int(x) + 1 for x in rng.permutation(n)[:m])
-            for choi in (cloner.cloner_choi(tuple(rng.dirichlet(np.ones(m)))).choi, piece_chois(m)):
-                enc = cloner.ClonerChoi(choi=choi, m=m, fidelities=())
-                got = decoder.compose_effective_map(enc, ch, t, tuple(range(1, n + 1))).choi
-                assert np.array_equal(got, einsum_compose(enc, ch, t, tuple(range(1, n + 1))))
+            r = tuple(int(x) + 1 for x in rng.permutation(n))
+            for chois in (cloner.cloner_choi(tuple(rng.dirichlet(np.ones(m)))).choi[None],
+                          piece_chois(m)):
+                enc = cloner.ClonerChoi(choi=chois, m=m, fidelities=())
+                qr = decoder.build_qr(decoder.compose_effective_map(enc, ch, t, r))
+                want = np.array([dense_compose(cloner.ClonerChoi(choi=c, m=m, fidelities=()),
+                                               dense, n, t, r) for c in chois]).real
+                assert relative_gap((qr.qt, qr.rt), pattern_route_blocks(want, n)) <= 1e-14
 
-    def test_traced_legs_agree(self):
-        # K < N or M < N: patterns trace clones or pad legs
-        rng = np.random.default_rng(61)
-        for n in (2, 3, 4, 5):
-            for _ in range(8):
-                ch = self.random_channel(n, float(rng.uniform(0, 1)), rng)
-                m = int(rng.integers(1, n + 1))
-                k = int(rng.integers(1, n if m == n else n + 1))
-                t = tuple(int(x) + 1 for x in rng.permutation(n)[:m])
-                r = tuple(int(x) + 1 for x in rng.permutation(n)[:k])
-                enc = cloner.cloner_choi(tuple(rng.dirichlet(np.ones(m))))
-                got = decoder.compose_effective_map(enc, ch, t, r).choi
-                assert np.max(np.abs(got - einsum_compose(enc, ch, t, r))) <= 1e-15
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 1.0])
+    def test_lossless_at_six_modes(self, eta):
+        # N = 6, M = 5: the pieces and one cloner, against the pattern oracle
+        rng = np.random.default_rng(66 + int(10 * eta))
+        ch = channel.channel_choi(self.random_channel(6, eta, rng))
+        t = tuple(int(x) + 1 for x in rng.permutation(6)[:5])
+        r = tuple(int(x) + 1 for x in rng.permutation(6))
+        gamma = tuple(rng.dirichlet(np.ones(5)))
+        chois = np.concatenate([piece_chois(5), [cloner.cloner_choi(gamma).choi]])
+        enc = cloner.ClonerChoi(choi=chois, m=5, fidelities=())
+        emap = decoder.compose_effective_map(enc, ch, t, r)
+        want = einsum_compose(enc, ch, t, r)
+        assert np.max(np.abs(decoder.dense_cascade(emap) - want)) <= 1e-15
+        qr = decoder.build_qr(emap)
+        assert relative_gap((qr.qt, qr.rt), pattern_route_blocks(want, 6)) <= 1e-14
 
-    def test_plan_stays_small(self):
-        # N = 6, M = 5, K = 6 at eta > 0: one pattern per permutation, the
-        # sixth mode's I/2 on one leg; the plan is the one the cascade uses
-        ch = channel.channel_choi(channel.ChannelParams(
-            n=6, eta=0.5, lam=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6), delta=1.0))
-        enc = cloner.cloner_choi((0.2,) * 5)
-        decoder.compose_effective_map(enc, ch, (1, 2, 3, 4, 5), (1, 2, 3, 4, 5, 6))
-        perms = np.array(list(itertools.permutations(range(6))))
-        codes = tuple(sorted(np.ravel_multi_index(perms.T, (6,) * 6).tolist()))
-        hits = decoder._gather_plan.cache_info().hits
-        q, traced, terms = decoder._gather_plan(5, 6, codes)
-        assert decoder._gather_plan.cache_info().hits == hits + 1
-        assert (q, traced, len(terms)) == (7, ((),), 720)
-        assert sum(legs.nbytes for _, legs in terms) < 4 * 2 ** 20
+    def test_leg_table_acts_on_the_spin_blocks(self):
+        # D_j(s) is orthogonal, and the identity is the first row
+        for k in (1, 2, 3, 4):
+            codes, legs, blocks = decoder._leg_table(k)
+            assert len(codes) == len(legs) == math.factorial(k)
+            assert np.array_equal(legs[0], np.arange(2 ** (k + 1)))
+            for at, a in blocks:
+                d = at.stop - at.start
+                ds = a.reshape(-1, d, d)
+                assert np.max(np.abs(ds @ ds.swapaxes(1, 2) - np.eye(d))) < 1e-14
+                assert np.max(np.abs(ds[0] - np.eye(d))) < 1e-14
 
-    def test_cached_tables_are_read_only(self):
-        ch = channel.channel_choi(channel.ChannelParams(
-            n=3, eta=0.5, lam=(0.1, 0.2, 0.3), delta=1.0))
-        _, _, terms = decoder._gather_plan(2, 2, (5, 7))
-        tables = [legs for _, legs in terms]
-        tables += list(channel._source_table(ch.ensemble, (1, 2))[:2])
-        tables += list(cloner._isotropy_tables(3))
-        for table in tables:
-            with pytest.raises(ValueError, match="read-only"):
-                table.flat[0] = 0
 
 class TestPurificationSdp:
     def test_identity_p1(self):
@@ -579,7 +627,8 @@ class TestRealData:
         a, b = np.flatnonzero(spin == np.flatnonzero(np.bincount(spin) >= 2)[0])[:2]
         anti = np.zeros((len(spin),) * 2)
         anti[a, b], anti[b, a] = 1.0, -1.0
-        bent = decoder.EffectiveMap(choi=emap.choi + 1e-6 * decoder._lift(w, 1j * anti), k=k)
+        bent = decoder.EffectiveMap(j0=emap.j0 + 1e-6 * decoder._lift(w, 1j * anti),
+                                    weights=emap.weights, k=k)
         with pytest.raises(ValueError, match="not real"):
             decoder.build_qr(bent)
 
@@ -600,33 +649,30 @@ def sweep():
 
 class TestBlockRoute:
     """``build_qr`` returns spin blocks only: they are the earlier full-space
-    route's reduction bit for bit (``reference_ops.covariant_operators``
-    and ``spin_blocks``), and they lose nothing (lifted, they are the full
-    operators), which is where the earlier per-solve commutant check went."""
+    route's reduction to 1e-14 (``reference_ops.covariant_operators`` and
+    ``spin_blocks``), the stacked pieces are each piece's own cascade bit
+    for bit, and they lose nothing (lifted, they are the full operators),
+    which is where the earlier per-solve commutant check went."""
 
     def test_bitwise_and_lossless_on_sweep(self):
         count = 0
         for m, ch, t, r, gamma in sweep():
             emap = decoder.compose_effective_map(cloner.cloner_choi(gamma), ch, t, r)
             qr = decoder.build_qr(emap)
-            c, rr = covariant_blocks(full_qr(emap))
-            assert np.array_equal(qr.qt, c) and np.array_equal(qr.rt, rr)
-            rows = decoder._covariant_rows(len(r))[0]
-            for p in (0.8, 1.0):
-                got = decoder._covariant_problem(qr, p)
-                want = decoder._decoder_problem(c, rr, rows, p)
-                assert all(np.array_equal(x, y) for x, y in zip(got.objective, want.objective))
-                assert all(np.array_equal(x, y)
-                           for x, y in zip(got.constraints, want.constraints))
-                assert np.array_equal(got.rhs, want.rhs)
+            assert relative_gap((qr.qt, qr.rt), covariant_blocks(full_qr(emap))) <= 1e-14
             assert lift_residual(emap) <= 1e-14
             pieces = cloner.ClonerChoi(choi=piece_chois(m), m=m, fidelities=())
             piece_map = decoder.compose_effective_map(pieces, ch, t, r)
             got = decoder._surrogate_pieces(m, ch, t, r)
+            alone = [decoder.build_qr(decoder.compose_effective_map(
+                cloner.ClonerChoi(choi=c, m=m, fidelities=()), ch, t, r)) for c in piece_chois(m)]
+            bits = decoder._per_spin(decoder.QROperators(
+                qt=np.array([x.qt for x in alone]), rt=np.array([x.rt for x in alone]), k=len(r)))
             want = spin_blocks(full_qr(piece_map))
-            assert len(got) == len(want)
-            for (q, rr), (q_want, r_want) in zip(got, want):
-                assert np.array_equal(q, q_want) and np.array_equal(rr, r_want)
+            assert len(got) == len(bits) == len(want)
+            for pair, pair_bits, pair_want in zip(got, bits, want):
+                assert all(np.array_equal(x, y) for x, y in zip(pair, pair_bits))
+                assert relative_gap(pair, pair_want) <= 1e-14
             assert lift_residual(piece_map) <= 1e-14
             count += 1
         assert count == 36
@@ -670,9 +716,11 @@ class TestBlockRoute:
 
 
 def test_cached_arrays_are_read_only():
+    codes, legs, blocks = decoder._leg_table(3)
     arrays = [cloner._stinespring_basis(3), decoder._frame(3, 2)[0], *decoder._covariant_rows(2)[0],
               decoder._covariant_rows(2)[1], decoder._hermitian_basis(4), *decoder._lattice(3)[1:],
-              tensor.schur_weyl_basis(3)[0]]
+              tensor.schur_weyl_basis(3)[0], codes, legs,
+              *(a for _, a in blocks), *cloner._isotropy_tables(3)]
     for x in arrays:
         with pytest.raises(ValueError, match="read-only"):
             x.flat[0] = 0
