@@ -344,6 +344,18 @@ class TestSpinCascade:
                 assert np.max(np.abs(ds[0] - np.eye(d))) < 1e-14
 
 
+class TestGatherPlan:
+    def test_cached_tables_are_read_only(self):
+        # the tables the cascade gathers through: the per-K leg table with
+        # its spin-block D_j(s), and the cloner's isotropy tables
+        for k in (1, 3, 4):
+            codes, legs, blocks = decoder._leg_table(k)
+            tables = [codes, legs, *(a for _, a in blocks), *cloner._isotropy_tables(k)]
+            for table in tables:
+                with pytest.raises(ValueError, match="read-only"):
+                    table.flat[0] = 0
+
+
 class TestPurificationSdp:
     def test_identity_p1(self):
         qr = identity_qr()
@@ -716,11 +728,9 @@ class TestBlockRoute:
 
 
 def test_cached_arrays_are_read_only():
-    codes, legs, blocks = decoder._leg_table(3)
     arrays = [cloner._stinespring_basis(3), decoder._frame(3, 2)[0], *decoder._covariant_rows(2)[0],
               decoder._covariant_rows(2)[1], decoder._hermitian_basis(4), *decoder._lattice(3)[1:],
-              tensor.schur_weyl_basis(3)[0], codes, legs,
-              *(a for _, a in blocks), *cloner._isotropy_tables(3)]
+              tensor.schur_weyl_basis(3)[0]]
     for x in arrays:
         with pytest.raises(ValueError, match="read-only"):
             x.flat[0] = 0
