@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,10 +48,17 @@ class ChannelParams:
 @dataclass(frozen=True)
 class PermutationEnsemble:
     """The mode permutations pi (``pi[i - 1]`` is where mode i goes), the
-    identity first, and their weights."""
+    identity first, and their weights; ``table`` holds the permutations as
+    one read-only integer array."""
 
     perms: tuple
     weights: tuple
+    table: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        table = np.array(self.perms)
+        table.flags.writeable = False
+        object.__setattr__(self, "table", table)
 
 
 @dataclass(frozen=True)
@@ -106,8 +113,6 @@ def permutation_weights(c: np.ndarray) -> PermutationEnsemble:
 def channel_choi(params: ChannelParams) -> Channel:
     """The channel of ``params`` in factored form: the parameters and the
     permutation ensemble of the crosstalk."""
-    if params.n == 1:
-        return Channel(params, PermutationEnsemble(perms=((1,),), weights=(1.0,)))
     return Channel(params, _ensemble(params.n, params.delta))
 
 
@@ -115,6 +120,8 @@ def channel_choi(params: ChannelParams) -> Channel:
 def _ensemble(n: int, delta: float) -> PermutationEnsemble:
     """The permutation ensemble of (N, delta), shared by every channel
     that differs from another only in eta or lambda."""
+    if n == 1:
+        return PermutationEnsemble(perms=((1,),), weights=(1.0,))
     return permutation_weights(coupling_kernel(n, delta))
 
 
@@ -129,7 +136,7 @@ def branch_fidelities(chan: Channel) -> np.ndarray:
     """
     n, eta = chan.n, chan.params.eta
     mass = np.zeros((n, n))
-    np.add.at(mass, (np.arange(n), np.array(chan.ensemble.perms) - 1),
+    np.add.at(mass, (np.arange(n), chan.ensemble.table - 1),
               np.array(chan.ensemble.weights)[:, None])
     q = eta * mass
     q[np.diag_indices(n)] += 1.0 - eta

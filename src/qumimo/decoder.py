@@ -155,7 +155,7 @@ def compose_effective_map(encoder: ClonerChoi, chan: Channel, t, r) -> Effective
     slot = np.zeros(n + 1, dtype=int)
     slot[list(r)] = np.arange(n)
     codes = _leg_table(n)[0]
-    tau = slot[np.array(chan.ensemble.perms)[:, modes - 1]]
+    tau = slot[chan.ensemble.table[:, modes - 1]]
     rows = np.searchsorted(codes, tau @ n ** np.arange(n - 1, -1, -1))
     eta = chan.params.eta
     weights = np.bincount(rows, weights=eta * np.asarray(chan.ensemble.weights),
@@ -320,9 +320,9 @@ def purification_sdp(qr: QROperators, p: float) -> DecoderSolution:
     many problems are solved as one stack (:func:`purification_sdps`).
     With one BLAS thread on a shared 2-core x86-64 machine a problem cost
     (p = 1 / p = 0.8, best of seven rounds on twelve random cascades), in
-    a stack of one: 4.9 / 5.7 ms at K = 2, 6.0 / 7.3 ms at K = 3,
-    6.7 / 10 ms at K = 4 and 7.4 / 11 ms at K = 5; in a stack of twelve:
-    0.63 / 0.77, 0.85 / 1.3, 1.3 / 2.8 and 4.2 / 7.6 ms.  The decoder
+    a stack of one: 2.1 / 2.6 ms at K = 2, 2.1 / 3.0 ms at K = 3,
+    2.5 / 4.1 ms at K = 4 and 5.5 / 7.1 ms at K = 5; in a stack of twelve:
+    0.27 / 0.40, 0.37 / 0.54, 0.67 / 1.3 and 2.5 / 4.5 ms.  The decoder
     returned, ``DecoderSolution.j``, is the reduced J, checked on the
     blocks (:func:`_validate_decoder`).
     """

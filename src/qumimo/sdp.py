@@ -6,9 +6,15 @@ Solves problems of the form
     subject to  sum_b Tr[A_{i,b} X_b] = b_i      (i = 1..m)
                 X_b >= 0                          (PSD blocks)
 
-via a homogeneous self-dual primal-dual interior-point method (HKM
-search direction, Mehrotra predictor-corrector, step fraction 0.98 to
-the cone boundary), paired by ``<A, X> = Re Tr[A X]``.
+that are feasible and bounded, such as the decoder problem, by a
+primal-dual path-following interior-point method: the HKM search
+direction (Helmberg, Rendl, Vanderbei and Wolkowicz, SIAM J. Optim. 6,
+342 (1996)), Mehrotra's predictor-corrector and a step fraction of 0.98
+to the cone boundary, paired by ``<A, X> = Re Tr[A X]``.  It starts from
+scaled identities ``X = xi_p I``, ``S = xi_d I`` and ``y = 0``, and each
+step targets the primal and dual residuals ``b - A(X)`` and ``C - A*(y)
+- S`` as they stand.  A problem that is infeasible or unbounded is never
+certified: it ends ``max_iter``, as does any other stall.
 
 A problem holds its constraints as one dense ``m x d x d`` stack per
 block, row i of every stack and ``rhs[i]`` making constraint i (a row
@@ -28,10 +34,10 @@ caps the total block width.
 Such a problem takes about ten iterations, and on blocks this small an
 iteration's time goes to NumPy's per-call overhead.  So :func:`solve_many`
 runs a stack of problems of one shape in one iteration: every iterate,
-and every scalar of the method (tau, kappa, mu, sigma, the step lengths,
-the merit, the Schur jitter), gains a leading axis of one row per
-problem, and a problem leaves the stack when it stops, with the status,
-message and iteration count it would get alone.  One certificate stands
+and every scalar of the method (mu, sigma, the step lengths, the merit,
+the Schur jitter), gains a leading axis of one row per problem, and a
+problem leaves the stack when it stops, with the status, message and
+iteration count it would get alone.  One certificate stands
 behind an ``optimal`` status: the iterate returned is the one whose
 merit met ``TOL``, and its value and dual value are that iterate's own.
 :func:`solve` is the stack of one.  The stack is batch invariant: every
@@ -57,13 +63,11 @@ from .tensor import HERMITIAN_RTOL, is_hermitian
 MAX_DIM = 256
 
 OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
 MAX_ITER = "max_iter"
 
 # Merit (worst of the relative primal and dual residuals and gap) at
 # which an iterate is optimal.
-TOL = 1e-8
+TOL = 1e-9
 ITERATION_CAP = 200
 
 
@@ -187,8 +191,7 @@ def _jitter(schur: np.ndarray) -> float:
 @dataclass
 class _Stack:
     """The problems of a stack still iterating, one row each: the row's
-    position in the stack (``live``), its data, its iterate and that
-    iterate's primal and dual objectives."""
+    position in the stack (``live``), its data and its iterate."""
 
     live: np.ndarray
     c: np.ndarray
@@ -197,14 +200,9 @@ class _Stack:
     rhs: np.ndarray
     norm_b: np.ndarray
     norm_c: np.ndarray
-    norm_a: np.ndarray
     x: np.ndarray
     s: np.ndarray
     dual: np.ndarray
-    tau: np.ndarray
-    kappa: np.ndarray
-    pobj: np.ndarray
-    dobj: np.ndarray
 
     def take(self, rows) -> None:
         for f in fields(self):
@@ -214,25 +212,16 @@ class _Stack:
 
 
 def _solution(st: _Stack, row: int, blocks, status, message, it) -> SdpSolution:
-    """Row ``row``'s result, in the maximize convention: when optimal, the
-    iterate that met ``TOL`` scaled by 1/tau, with its own primal and dual
-    values; else its last iterate as it stands."""
-    if status == OPTIMAL:
-        tau = st.tau[row]
-        return SdpSolution(
-            X_blocks=[st.x[row][s, s] / tau for s in blocks],
-            y=-st.dual[row] / tau,
-            status=OPTIMAL,
-            iterations=it,
-            value=-float(st.pobj[row]),
-            dual_value=-float(st.dobj[row]),
-            message=message,
-        )
+    """Row ``row``'s iterate, in the maximize convention, with its own
+    primal and dual values."""
+    one = slice(row, row + 1)
     return SdpSolution(
         X_blocks=[st.x[row][s, s] for s in blocks],
         y=-st.dual[row],
         status=status,
         iterations=it,
+        value=-float(_dot(st.c[one], st.x[one])[0]),
+        dual_value=-float((st.rhs[one] * st.dual[one]).sum(axis=1)[0]),
         message=message,
     )
 
@@ -248,12 +237,11 @@ def solve_many(problems) -> list:
     in order.
 
     Each problem iterates until an optimal certificate (merit at most
-    ``TOL``), an infeasibility/unboundedness flag, lost definiteness, a
-    collapsed step, a failed Schur factorization or ``ITERATION_CAP``
-    iterations, and then leaves the stack.  Only the certificate gives
-    ``optimal``, and the solution returned is the iterate that met it;
-    every other stop but the two flags is ``max_iter``.  The residual
-    norms behind the merit and the infeasibility flags are taken per
+    ``TOL``), lost definiteness, a collapsed step, a failed Schur
+    factorization or ``ITERATION_CAP`` iterations, and then leaves the
+    stack.  Only the certificate gives ``optimal``, and the solution
+    returned is the iterate that met it; every other stop is
+    ``max_iter``.  The residual norms behind the merit are taken per
     block, the worst block counting.
 
     Every matrix product is a product per problem (a stacked ``matmul``)
@@ -275,7 +263,6 @@ def solve_many(problems) -> list:
                 or np.result_type(*prob.objective, *prob.constraints) != dtype):
             raise ValueError("the problems of a stack must share their block sizes, "
                              "constraint count and dtype")
-    nu = float(n)
     edges = np.cumsum([0] + dims)
     blocks = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
     # Column k marks the entries of block k: a product with it sums a
@@ -300,16 +287,13 @@ def solve_many(problems) -> list:
     a = a.reshape(-1, m, n * n)
     b = np.stack([p.rhs for p in problems])
     eye = np.eye(n, dtype=dtype)
-    ones = np.ones(len(b))
     xi_p = np.maximum(1.0, np.abs(b).max(axis=1))
     xi_d = np.maximum(1.0, block_norm(c) / np.sqrt(max(dims)))
     st = _Stack(
         live=np.arange(len(b)), c=c, a=a, a_blocks=a_blocks, rhs=b,
         norm_b=np.maximum(1.0, np.sqrt((b * b).sum(axis=1))),
         norm_c=np.maximum(1.0, block_norm(c)),
-        norm_a=np.maximum(1.0, np.abs(a).max(axis=(1, 2))),
         x=_col(xi_p) * eye, s=_col(xi_d) * eye, dual=np.zeros(b.shape),
-        tau=ones, kappa=ones, pobj=0 * ones, dobj=0 * ones,
     )
     # The Schur products, m matrices per problem and block, are written
     # into buffers made once: fresh arrays of that size cost more than the
@@ -330,46 +314,20 @@ def solve_many(problems) -> list:
         return [v[keep] for v in arrays]
 
     for it in range(1, ITERATION_CAP + 1):
-        # Residuals of the homogeneous model.
-        ax = _a_apply(st.a, st.x)
-        aty = _a_adjoint(st.dual, st.a).reshape(st.x.shape)
-        rp = st.rhs * st.tau[:, None] - ax
-        rd = st.c * _col(st.tau) - aty - st.s
-        cx = _dot(st.c, st.x)
-        by = (st.rhs * st.dual).sum(axis=1)
-        rg = by - cx - st.kappa
-        mu = (_dot(st.x, st.s) + st.tau * st.kappa) / (nu + 1.0)
-
-        # Normalized convergence checks.
-        st.pobj, st.dobj = cx / st.tau, by / st.tau
-        r_p = st.rhs - ax / st.tau[:, None]
-        pres = np.sqrt((r_p * r_p).sum(axis=1)) / st.norm_b
-        dres = block_norm(st.c - (aty + st.s) / _col(st.tau)) / st.norm_c
-        relgap = np.abs(st.pobj - st.dobj) / (1.0 + np.abs(st.pobj) + np.abs(st.dobj))
+        # Primal and dual residuals, and the merit.
+        rp = st.rhs - _a_apply(st.a, st.x)
+        rd = st.c - _a_adjoint(st.dual, st.a).reshape(st.x.shape) - st.s
+        mu = _dot(st.x, st.s) / n
+        pobj, dobj = _dot(st.c, st.x), (st.rhs * st.dual).sum(axis=1)
+        pres = np.sqrt((rp * rp).sum(axis=1)) / st.norm_b
+        dres = block_norm(rd) / st.norm_c
+        relgap = np.abs(pobj - dobj) / (1.0 + np.abs(pobj) + np.abs(dobj))
         merit = np.maximum(np.maximum(pres, dres), relgap)
-
-        # Optimal, or flagged by the homogeneous embedding as infeasible or
-        # unbounded.
-        optimal = merit <= TOL
-        flagged = (st.tau <= 1e-9 * np.maximum(1.0, st.kappa)) | (
-            (mu <= TOL * 1e-4) & (st.tau <= 1e-7 * st.kappa))
-        stops = {}
-        for row in np.flatnonzero(optimal | flagged).tolist():
-            if optimal[row]:
-                stops[row] = OPTIMAL, ""
-            elif (by[row] > 0 and block_norm(aty + st.s)[row]
-                  <= 1e-6 * st.norm_a[row] * max(1.0, by[row])):
-                stops[row] = INFEASIBLE, "dual improving ray found"
-            elif (cx[row] < 0 and np.linalg.norm(ax[row])
-                  <= 1e-6 * st.norm_a[row] * max(1.0, -cx[row])):
-                stops[row] = UNBOUNDED, "primal improving ray found"
-            else:
-                stops[row] = MAX_ITER, "tau collapsed without certificate"
-        if stops:
-            rp, rd, rg, mu = leave(stops, rp, rd, rg, mu)
+        optimal = np.flatnonzero(merit <= TOL).tolist()
+        if optimal:
+            rp, rd, mu = leave({row: (OPTIMAL, "") for row in optimal}, rp, rd, mu)
             if not len(st.live):
                 break
-
         # X and S factored once, block by block: L^-1 of both serve S^-1
         # and the step lengths.  A row that cannot be factored leaves the
         # stack; its factors are those of I until then, so that the others
@@ -411,92 +369,59 @@ def solve_many(problems) -> list:
             for row in np.flatnonzero(np.isnan(jitter)).tolist():
                 stops.setdefault(row, (MAX_ITER, "Schur complement not positive definite"))
         if stops:
-            rp, rd, rg, mu, linv, linv_h, sinv, schur, jitter = leave(
-                stops, rp, rd, rg, mu, linv, linv_h, sinv, schur, jitter)
+            rp, rd, mu, linv, linv_h, sinv, schur, jitter = leave(
+                stops, rp, rd, mu, linv, linv_h, sinv, schur, jitter)
             if not len(st.live):
                 break
         # Its systems are solved by LU: an explicit inverse lost the primal
         # residual near the optimum.
         schur = schur + _col(jitter) * np.eye(m)
 
-        # The sigma-independent parts of the direction.
-        x, s, c, b, tau, kappa = st.x, st.s, st.c, st.rhs, st.tau, st.kappa
-        wc = _herm(x @ c @ sinv)
-        awc = _a_apply(st.a, wc)
-        cwc = _dot(c, wc)
-        b_awc = b - awc
-        wrd = _herm(x @ rd @ sinv)
-        rp_wrd = rp + _a_apply(st.a, wrd)
-        wcrd = _dot(wc, rd)
+        # The HKM direction for a complementarity residual rc: dS = rd -
+        # A*(dy), dX = herm((rc - X dS) S^-1), and A(dX) = rp gives the
+        # Schur system M dy = rp + A(herm(X rd S^-1)) - A(herm(rc S^-1)).
+        x, s = st.x, st.s
+        rp_wrd = rp + _a_apply(st.a, _herm(x @ rd @ sinv))
         xs_mat = x @ s
 
-        tk = tau * kappa
+        def direction(rc):
+            rhs = rp_wrd - _a_apply(st.a, _herm(rc @ sinv))
+            dy = np.linalg.solve(schur, rhs[..., None])[..., 0]
+            ds = rd - _a_adjoint(dy, st.a).reshape(x.shape)
+            return _herm((rc - x @ ds) @ sinv), dy, ds
 
-        def direction(sigma, rc, rc_tau, e, g):
-            """The step at centering sigma, from ``rc`` (``rc_tau``), the
-            complementarity residual of X, S (tau, kappa), ``e = herm(rc
-            S^-1)`` and g, the Schur system's solution for it."""
-            scale = 1.0 - sigma
-            num = (-scale * rg + _dot(c, e) - scale * wcrd + rc_tau / tau
-                   - (b_awc * g).sum(axis=1))
-            dtau = num / den
-            dy = g + h * dtau[:, None]
-            ds = c * _col(dtau) - _a_adjoint(dy, st.a).reshape(x.shape) + _col(scale) * rd
-            dx = _herm((rc - x @ ds) @ sinv)
-            dkappa = (rc_tau - kappa * dtau) / tau
-            return dx, dy, ds, dtau, dkappa
-
-        def max_alpha(dx, ds, dtau, dkappa):
+        def max_alpha(dx, ds):
             """0.98 of the step to the boundary of the cones, at most 1."""
             # Smallest eigenvalue of L^-1 dM L^-H over X and S at once, per
             # block: the matrix is block-diagonal, and eigvalsh is cubic.
             scaled = _herm(linv @ np.stack([dx, ds], axis=1) @ linv_h)
             lam_min = functools.reduce(np.minimum, (
                 np.linalg.eigvalsh(scaled[..., blk, blk])[..., 0].min(axis=1) for blk in blocks))
-            rate = np.minimum(np.minimum(np.where(lam_min < -1e-14, lam_min, 0.0), dtau / tau),
-                              dkappa / kappa)
-            return -0.98 / np.minimum(rate, -0.98)
+            return -0.98 / np.minimum(np.where(lam_min < -1e-14, lam_min, 0.0), -0.98)
 
-        # Predictor (sigma = 0): its Schur system and h's in one solve.
-        rc_aff = -xs_mat
-        e_aff = _herm(rc_aff @ sinv)
-        gh = np.linalg.solve(schur, np.stack([rp_wrd - _a_apply(st.a, e_aff), awc + b], -1))
-        h = gh[..., 1]
-        den = (b_awc * h).sum(axis=1) + cwc + kappa / tau
-        den = np.where(np.abs(den) > 1e-14, den, np.inf)  # dtau = 0 where den vanishes
-        dxa, _, dsa, dtaua, dkappaa = direction(np.zeros(len(tau)), rc_aff, -tk, e_aff, gh[..., 0])
-        alpha_aff = max_alpha(dxa, dsa, dtaua, dkappaa)
-        xs_aff = _dot(x + _col(alpha_aff) * dxa, s + _col(alpha_aff) * dsa)
-        mu_aff = (xs_aff + (tau + alpha_aff * dtaua) * (kappa + alpha_aff * dkappaa)) / (
-            nu + 1.0
-        )
-        ratio = np.maximum(mu_aff, 0.0) / mu
+        # Predictor (sigma = 0), then the corrector at Mehrotra's sigma.
+        dxa, _, dsa = direction(-xs_mat)
+        alpha_aff = _col(max_alpha(dxa, dsa))
+        ratio = np.maximum(_dot(x + alpha_aff * dxa, s + alpha_aff * dsa) / n, 0.0) / mu
         sigma = np.minimum(np.maximum(ratio * ratio * ratio, 1e-8), 1.0 - 1e-8)
-
-        # Corrector.
-        rc = _col(sigma * mu) * eye - xs_mat - dxa @ dsa
-        e = _herm(rc @ sinv)
-        g = np.linalg.solve(schur, ((1.0 - sigma)[:, None] * rp_wrd
-                                    - _a_apply(st.a, e))[..., None])[..., 0]
-        rc_tau = sigma * mu - tk - dtaua * dkappaa
-        dx, dy, ds, dtau, dkappa = direction(sigma, rc, rc_tau, e, g)
-        alpha = max_alpha(dx, ds, dtau, dkappa)
-        collapsed = np.flatnonzero(alpha <= 1e-9).tolist()
+        dx, dy, ds = direction(_col(sigma * mu) * eye - xs_mat - dxa @ dsa)
+        alpha = max_alpha(dx, ds)
+        collapsed = np.flatnonzero(~(alpha > 1e-9)).tolist()  # NaN collapses too
         if collapsed:
-            dx, dy, ds, dtau, dkappa, alpha = leave(
+            dx, dy, ds, alpha = leave(
                 {row: (MAX_ITER, "step length collapsed") for row in collapsed},
-                dx, dy, ds, dtau, dkappa, alpha)
+                dx, dy, ds, alpha)
             if not len(st.live):
                 break
 
         st.x = _herm(st.x + _col(alpha) * dx)
         st.s = _herm(st.s + _col(alpha) * ds)
         st.dual = st.dual + alpha[:, None] * dy
-        st.tau = st.tau + alpha * dtau
-        st.kappa = st.kappa + alpha * dkappa
     else:
         leave({row: (MAX_ITER, "") for row in range(len(st.live))})
     return out
+
+
 
 
 def verify(problem: SdpProblem, solution: SdpSolution, tol: float = 1e-7) -> VerifyReport:

@@ -122,6 +122,10 @@ class TestPermutationWeights:
         assert a.ensemble is b.ensemble and a.ensemble is not c.ensemble
         assert a.ensemble == channel.permutation_weights(channel.coupling_kernel(4, 0.7))
         assert a.ensemble.perms[0] == (1, 2, 3, 4)
+        # the permutations as one read-only integer array, made with the
+        # ensemble
+        assert np.array_equal(a.ensemble.table, a.ensemble.perms)
+        assert a.ensemble.table.dtype.kind == "i" and not a.ensemble.table.flags.writeable
 
 
 class TestPermutationUnitary:
