@@ -35,12 +35,12 @@ class ChannelParams:
             raise DimensionLimitError(f"mode count {self.n} outside 1..{MAX_MODES}")
         if not (0.0 <= self.eta <= 1.0):
             raise ValueError(f"eta {self.eta} outside [0, 1]")
-        if self.delta <= 0:
-            raise ValueError(f"delta {self.delta} must be positive")
+        if not 0.0 < self.delta < np.inf:
+            raise ValueError(f"delta {self.delta} must be positive and finite")
         lam = tuple(float(x) for x in self.lam)
         if len(lam) != self.n:
             raise ValueError(f"lambda vector length {len(lam)} != N={self.n}")
-        if any(x < 0.0 or x > 1.0 for x in lam):
+        if not all(0.0 <= x <= 1.0 for x in lam):
             raise ValueError(f"lambda components outside [0, 1]: {lam}")
         object.__setattr__(self, "lam", lam)
 
@@ -83,8 +83,8 @@ def coupling_kernel(n: int, delta: float) -> np.ndarray:
     """Row-stochastic spatial coupling, exponential in circular distance."""
     if n < 2:
         raise ValueError("coupling kernel needs at least 2 modes")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0.0 < delta < np.inf:
+        raise ValueError("delta must be positive and finite")
     d = np.array(
         [[circular_distance(i, j, n) for j in range(n)] for i in range(n)], dtype=float
     )

@@ -43,9 +43,9 @@ class AsymmetryVector:
         g = np.asarray(self.gamma, dtype=float)
         if g.ndim != 1 or g.size < 1:
             raise SimplexError("gamma must be a nonempty vector")
-        if np.any(g < -SIMPLEX_TOL):
-            raise SimplexError(f"negative gamma component in {self.gamma}")
-        if abs(g.sum() - 1.0) > SIMPLEX_TOL:
+        if not np.all(g >= -SIMPLEX_TOL):
+            raise SimplexError(f"negative or NaN gamma component in {self.gamma}")
+        if not abs(g.sum() - 1.0) <= SIMPLEX_TOL:
             raise SimplexError(f"gamma sums to {g.sum():.12f}, expected 1")
         object.__setattr__(self, "gamma", tuple(g.tolist()))
 
@@ -185,10 +185,10 @@ def _validate_cloner(x: np.ndarray, m: int) -> None:
     isotropic (input, clone) marginals, read by one fixed projector
     (:func:`_isotropy_tables`); J is a Gram matrix, so no eigenvalue floor."""
     x2 = x.reshape(2, -1)
-    if np.max(np.abs(x2 @ x2.T / m - I2)) > 1e-8:
+    if not np.max(np.abs(x2 @ x2.T / m - I2)) <= 1e-8:
         raise ValueError("cloner Choi violates trace preservation")
     resid = _clone_marginals(x, m).reshape(m, 16) @ _isotropy_tables(m)[1]
-    bad = np.flatnonzero(np.abs(resid).max(axis=1) > 1e-7)
+    bad = np.flatnonzero(~(np.abs(resid).max(axis=1) <= 1e-7))
     if bad.size:
         raise ValueError(f"clone {bad[0] + 1} marginal not isotropic")
 

@@ -454,15 +454,15 @@ def _validate_decoder(j: np.ndarray, qr: QROperators, p: float) -> None:
     ``Tr_B J <= I`` (on the spin blocks of S, :func:`_covariant_rows`) and
     ``Tr[J Rt] = p``."""
     floor = float(np.linalg.eigvalsh(j)[0])
-    if floor < -1e-8:
+    if not floor >= -1e-8:
         raise ValueError(f"decoder Choi eigenvalue floor {floor:.2e}")
     prefix = _covariant_rows(qr.k)[1]
     spin = np.array([path[-1] for path in _frame(qr.k, qr.k)[1]])
     top = float(np.linalg.eigvalsh(prefix @ j @ prefix.T * (spin[:, None] == spin))[-1])
-    if top > 1.0 + 1e-7:
+    if not top <= 1.0 + 1e-7:
         raise ValueError(f"decoder violates Tr_B J <= I by {top - 1.0:.2e}")
     acc = float(np.vdot(j, qr.rt))
-    if abs(acc - p) > 1e-7:
+    if not abs(acc - p) <= 1e-7:
         raise ValueError(f"acceptance probability {acc:.9f} != target {p}")
 
 

@@ -6,18 +6,21 @@
 channel, decoders per p: a design (``decoder.Design``: the asymmetry, the
 cloner, the modes and the cascade operators) does not depend on p, so a
 task builds it once, through ``strategies.strategy_design`` in both
-regimes, and solves one decoder SDP per p; the realization panel is
-designed once for every mu.  A grid task is one
-distinct channel of a cell: a symmetric cell is one channel for every
-mean vector (as are most N = 1 draws), evaluated once at its first
-mean_id, and its rows are written once per mean_id with that mean_id's
-seed.  A pool task is a chunk of up to ``TASK_CHUNK`` grid tasks, whose
-designs are built first and whose decoder SDPs are then solved in one
-batched call (``strategies.run_strategies``); a task's arithmetic does not
-depend on its chunk, so the bytes do not depend on the worker count.  The
+regimes, and solves one decoder SDP per p; the realization panel builds
+its own design at (``box_eta``, mean vector 0, ``box_p``), once for every
+mu.  A grid task is one distinct channel of a cell: a symmetric cell is
+one channel for every mean vector (as are most N = 1 draws), evaluated
+once at its first mean_id, and its rows are written once per mean_id
+with that mean_id's seed.  A stochastic task is one (eta, mean vector) of the gain heatmap.
+In both regimes a pool task is a chunk of up to ``TASK_CHUNK`` tasks
+(``_run_chunks``), whose designs are built first and whose decoder SDPs
+are then solved in one batched call; a task's arithmetic does not depend
+on its chunk, so the bytes do not depend on the worker count.  The
 strategies return only what they compute; ``run_grid_regime`` holds the
 run context and writes it into ``records.csv`` (``csv_header``).
-``run_stochastic`` writes each gain sample once, in ``gain_samples.csv``.
+``run_stochastic`` writes each gain sample once, in ``gain_samples.csv``,
+and draws each panel cluster once: the cluster variances read every
+cluster, the panel and ``allocations.csv`` mean vector 0's.
 Configs are single JSON documents (schema below).  Every sampled object
 derives its seed from the master seed and its task coordinates through
 SHA-256, so outputs are byte-identical across runs and worker counts.
@@ -366,41 +369,42 @@ def _eval_cells(tasks):
     return out
 
 
-def _eval_cell(task):
-    """One grid task alone."""
-    return _eval_cells([task])[0]
-
-
 # Names of the task fields after the config, per pool worker.
 _TASK_FIELDS = {
-    "_eval_cell": ("symmetry", "Z", "lambda_x", "N", "eta", "mean_id", "lambda"),
-    "_stochastic_task": ("eta", "mean_id", "lambda", "Z"),
-    "_boxplot_task": ("mean_id", "lambda", "Z"),
+    "_eval_cells": ("symmetry", "Z", "lambda_x", "N", "eta", "mean_id", "lambda"),
+    "_heatmap_tasks": ("eta", "mean_id", "lambda", "Z"),
+    "_boxplot_tasks": ("mean_id", "lambda", "Z"),
 }
 
 
-def _run_task(worker, task):
-    """Run one task; an error is re-raised naming the task."""
+def _run_chunk(worker, chunk):
+    """One pool task: ``worker`` on a chunk of tasks in one call.  On an
+    error each task is run alone, and the first that fails is named with
+    its coordinates: a task's arithmetic does not depend on the rest of its
+    chunk, so it fails alone as it failed there."""
     try:
-        return worker(task)
+        return worker(chunk)
     except Exception as exc:
         name = worker.__name__
-        coords = ", ".join(f"{k}={v!r}" for k, v in zip(_TASK_FIELDS[name], task[1:]))
-        raise QumimoError(f"{name}({coords}) failed: {type(exc).__name__}: {exc}") from exc
-
-
-def _run_chunk(chunk):
-    """One pool task of a grid regime: a chunk of grid tasks in one call.
-    On an error each task is run alone, and the first that fails is named:
-    a task's arithmetic does not depend on the rest of its chunk, so it
-    fails alone as it failed there."""
-    try:
-        return _eval_cells(chunk)
-    except Exception as exc:
         for task in chunk:
-            _run_task(_eval_cell, task)
-        raise QumimoError(f"a chunk of {len(chunk)} grid tasks failed, and none of them "
+            try:
+                worker([task])
+            except Exception as alone:
+                coords = ", ".join(f"{k}={v!r}" for k, v in zip(_TASK_FIELDS[name], task[1:]))
+                raise QumimoError(
+                    f"{name}({coords}) failed: {type(alone).__name__}: {alone}") from alone
+        raise QumimoError(f"a chunk of {len(chunk)} {name} tasks failed, and none of them "
                           f"fails alone: {type(exc).__name__}: {exc}") from exc
+
+
+def _run_chunks(worker, tasks, workers: int) -> list:
+    """``worker``'s output for every task, in order.  A pool task is a chunk
+    of at most ``TASK_CHUNK`` tasks (``_run_chunk``), and no worker is left
+    without one."""
+    size = max(1, min(TASK_CHUNK, -(-len(tasks) // workers)))
+    chunks = [tasks[lo:lo + size] for lo in range(0, len(tasks), size)]
+    run = functools.partial(_run_chunk, worker)
+    return [out for outs in _run_pool(chunks, run, workers) for out in outs]
 
 
 def _run_pool(tasks, run, workers: int):
@@ -479,15 +483,13 @@ def run_grid_regime(cfg: ExperimentConfig, out_dir, workers: int = 1) -> dict:
                 tasks.append((cfg, sym, z, lx, n, eta, mean_id, mean.lam))
                 mean_ids.append([])
             mean_ids[task_of[mean.lam]].append(mean_id)
-    # A pool task is a chunk of at most TASK_CHUNK grid tasks, whose
-    # decoders are solved together, and no worker is left without one.
-    size = max(1, min(TASK_CHUNK, -(-len(tasks) // workers)))
-    chunks = [tasks[lo:lo + size] for lo in range(0, len(tasks), size)]
-    records = [recs for out in _run_pool(chunks, _run_chunk, workers) for recs in out]
+    # The decoders of a chunk of tasks are solved together.  A run holds
+    # one regime, so lambda_x is None on every key or a float on every key.
+    records = _run_chunks(_eval_cells, tasks, workers)
     results = sorted(
         ((task[1:6] + (mean_id,), recs)
          for task, ids, recs in zip(tasks, mean_ids, records) for mean_id in ids),
-        key=lambda kr: _cell_sort_key(kr[0]),
+        key=lambda kr: kr[0],
     )
 
     # records.csv in its run context, and the records grouped per cell
@@ -507,7 +509,7 @@ def run_grid_regime(cfg: ExperimentConfig, out_dir, workers: int = 1) -> dict:
         sym, z, lx, n, eta, p, strategy = gkey
         f_mean, f_se = _mean_se([r.f_avg for r in recs])
         agg_rows.append([
-            sym, z, "" if lx is None else lx, n, n, eta, p, strategy, f_mean, f_se,
+            sym, z, lx, n, n, eta, p, strategy, f_mean, f_se,
             float(np.mean([r.f_success for r in recs])),
             float(np.mean([r.j_index for r in recs])), len(recs),
         ])
@@ -532,7 +534,7 @@ def run_grid_regime(cfg: ExperimentConfig, out_dir, workers: int = 1) -> dict:
                 continue
             grid, dens = empirical_density(js, (1.0 / n, 1.0))
             for x, d in zip(grid, dens):
-                dens_rows.append([sym, z, "" if lx is None else lx, n, eta, p, x, d])
+                dens_rows.append([sym, z, lx, n, eta, p, x, d])
         _write_csv(
             out_dir / "jdensity.csv",
             ["symmetry", "Z", "lambda_x", "N", "eta", "p", "x", "density"],
@@ -547,25 +549,12 @@ def run_grid_regime(cfg: ExperimentConfig, out_dir, workers: int = 1) -> dict:
     return _finish(cfg, out_dir, files, t0, extra={"skipped_cells": skipped})
 
 
-def _cell_sort_key(key):
-    sym, z, lx, n, eta, mean_id = key
-    return (sym, z, -1.0 if lx is None else lx, n, eta, mean_id)
-
-
 def _agg_sort_key(gkey):
-    sym, z, lx, n, eta, p, strategy = gkey
-    return (sym, z, -1.0 if lx is None else lx, n, eta, p, STRATEGIES.index(strategy))
+    return gkey[:-1] + (STRATEGIES.index(gkey[-1]),)
 
 
 # ---------------------------------------------------------------------------
 # Stochastic regime
-
-
-def _design_on_mean(cfg: ExperimentConfig, eta: float, mean: MeanAllocation, p_eval):
-    """The ``div`` design on the mean channel (``strategies.strategy_design``)
-    and its decoders, one per p."""
-    design = strategy_design("div", _channel(cfg, eta, mean.lam))
-    return design, dict(zip(p_eval, dec_mod.purification_sdps((design.qr, p) for p in p_eval)))
 
 
 def _realized_cascade(design: dec_mod.Design, chan_x):
@@ -583,54 +572,51 @@ def _realizations(cfg: ExperimentConfig, mean: MeanAllocation, mean_id: int, mu:
         for rid in range(cfg.num_realizations)]
 
 
-def _stochastic_task(args):
-    """The heatmap rows of one (eta, mean vector): its ``baseline.csv`` row
-    and its gain samples."""
-    cfg, eta, mean_id, lam, z = args
-    mean = MeanAllocation(lam=lam, z=z)
-    p_eval = tuple(sorted(set(cfg.p) | {1.0}))
-    design, decoders = _design_on_mean(cfg, eta, mean, p_eval)
-
-    # The p = 1 decoder on the cascade it was designed on.
-    _, base_fs, base_favg = dec_mod.evaluate_decoder(decoders[1.0].j, design.qr)
-    baseline_row = [eta, mean_id, base_fs, base_favg, asymmetry_index(design.enc.fidelities),
-                    *design.gamma, _modes(design.t), _modes(design.r)]
-
-    rows = []
-    for rid, x in enumerate(_realizations(cfg, mean, mean_id, cfg.heatmap_mu, "xi")):
-        qr_x = _realized_cascade(design, _channel(cfg, eta, x.lam))
-        evals = {p: dec_mod.evaluate_decoder(dec.j, qr_x) for p, dec in decoders.items()}
-        p1_real, p1_fs, p1_favg = evals[1.0]
-        for p in p_eval:
-            p_real, fs, favg = evals[p]
-            rows.append([eta, p, mean_id, rid, fs - p1_fs, favg - p1_favg, fs, favg, p_real])
-    # The realization panel's design, when this task already made it.
-    box = None
-    if eta == cfg.box_eta and mean_id == 0 and cfg.box_p in p_eval:
-        box = design, decoders
-    return (eta, mean_id), baseline_row, rows, box
-
-
-def _boxplot_task(args):
-    """The realization panel around one mean vector: one design at the
-    box operating point (made here unless a heatmap task passed it in),
-    evaluated on the realizations of every mu."""
-    cfg, mean_id, lam, z, box = args
-    mean = MeanAllocation(lam=lam, z=z)
-    design, decoders = box or _design_on_mean(cfg, cfg.box_eta, mean, (cfg.box_p,))
-    (t_dir,), (r_dir,) = select_modes(_channel(cfg, cfg.box_eta, lam), 1)
-    panels = []
-    for mu in sorted(cfg.mu):
-        cluster = _realizations(cfg, mean, mean_id, mu, "box-xi")
+def _heatmap_tasks(tasks):
+    """A chunk of (eta, mean vector) tasks of the gain heatmap: the ``div``
+    design on each mean channel (``strategies.strategy_design``), then the
+    decoders of every task and p in one batched solve.  Per task, its
+    ``baseline.csv`` row and its gain samples."""
+    p_eval = tuple(sorted(set(tasks[0][0].p) | {1.0}))
+    designs = [strategy_design("div", _channel(cfg, eta, lam)) for cfg, eta, _, lam, _ in tasks]
+    sols = iter(dec_mod.purification_sdps((d.qr, p) for d in designs for p in p_eval))
+    out = []
+    for (cfg, eta, mean_id, lam, z), design in zip(tasks, designs):
+        decoders = {p: next(sols) for p in p_eval}
+        # The p = 1 decoder on the cascade it was designed on.
+        _, base_fs, base_favg = dec_mod.evaluate_decoder(decoders[1.0].j, design.qr)
+        baseline_row = [eta, mean_id, base_fs, base_favg, asymmetry_index(design.enc.fidelities),
+                        *design.gamma, _modes(design.t), _modes(design.r)]
         rows = []
+        mean = MeanAllocation(lam=lam, z=z)
+        for rid, x in enumerate(_realizations(cfg, mean, mean_id, cfg.heatmap_mu, "xi")):
+            qr_x = _realized_cascade(design, _channel(cfg, eta, x.lam))
+            evals = {p: dec_mod.evaluate_decoder(dec.j, qr_x) for p, dec in decoders.items()}
+            p1_real, p1_fs, p1_favg = evals[1.0]
+            for p in p_eval:
+                p_real, fs, favg = evals[p]
+                rows.append([eta, p, mean_id, rid, fs - p1_fs, favg - p1_favg, fs, favg, p_real])
+        out.append((baseline_row, rows))
+    return out
+
+
+def _boxplot_tasks(tasks):
+    """The realization panel around one mean vector, run as a chunk of one
+    task: one ``div`` design and decoder at the box operating point,
+    evaluated on the task's clusters, one per mu."""
+    [(cfg, mean_id, lam, z, clusters)] = tasks
+    chan = _channel(cfg, cfg.box_eta, lam)
+    design = strategy_design("div", chan)
+    [dec] = dec_mod.purification_sdps([(design.qr, cfg.box_p)])
+    (t_dir,), (r_dir,) = select_modes(chan, 1)
+    rows = []
+    for mu, cluster in clusters:
         for rid, x in enumerate(cluster):
             chan_x = _channel(cfg, cfg.box_eta, x.lam)
-            qr_x = _realized_cascade(design, chan_x)
-            p_real, fs, favg = dec_mod.evaluate_decoder(decoders[cfg.box_p].j, qr_x)
+            p_real, fs, favg = dec_mod.evaluate_decoder(dec.j, _realized_cascade(design, chan_x))
             f_dir = float(branch_fidelities(chan_x)[t_dir - 1, r_dir - 1])
             rows.append([mu, rid, f_dir, fs, favg, p_real])
-        panels.append((mu, rows, cluster))
-    return panels
+    return [rows]
 
 
 def run_stochastic(cfg: ExperimentConfig, out_dir, workers: int = 1) -> dict:
@@ -642,17 +628,16 @@ def run_stochastic(cfg: ExperimentConfig, out_dir, workers: int = 1) -> dict:
     z = cfg.z_list[0]
     means = _mean_vectors(cfg, "asymmetric", z, n)
 
-    # Gain heatmap over (p, eta) grids.
+    # Gain heatmap over (p, eta) grids, its rows in (eta, mean_id) order.
     tasks = [
         (cfg, eta, mean_id, mean.lam, z)
-        for eta in cfg.eta
+        for eta in sorted(cfg.eta)
         for mean_id, mean in enumerate(means)
     ]
-    results = _run_pool(tasks, functools.partial(_run_task, _stochastic_task), workers)
-    results.sort(key=lambda out: out[0])
-
-    baseline_rows = [res[1] for res in results]
-    gain_rows = [row for res in results for row in res[2]]
+    baseline_rows, gain_rows = [], []
+    for baseline_row, rows in _run_chunks(_heatmap_tasks, tasks, workers):
+        baseline_rows.append(baseline_row)
+        gain_rows += rows
 
     # Gain samples per (eta, p), in row order.
     by_cell: dict = {}
@@ -682,18 +667,20 @@ def run_stochastic(cfg: ExperimentConfig, out_dir, workers: int = 1) -> dict:
         baseline_rows,
     )
 
-    # Realization panel at the box operating point, mean vector 0.
-    box = next((res[3] for res in results if res[3] is not None), None)
-    panels = _run_task(_boxplot_task, (cfg, 0, means[0].lam, z, box))
-    box_rows, alloc_rows, kde_rows = [], [[0, "", 0.0, *means[0].lam]], []
-    for mu, rows, cluster in panels:
-        box_rows.extend(rows)
-        for rid, x in enumerate(cluster):
-            alloc_rows.append([0, rid, mu, *x.lam])
-    # Cluster variances of every mean vector, and their density per mu.
-    cv_rows = [[mean_id, mu,
-                cluster_variance(mean, _realizations(cfg, mean, mean_id, mu, "box-xi"))]
-               for mu in sorted(cfg.mu) for mean_id, mean in enumerate(means)]
+    # Cluster variances of every mean vector: each cluster is drawn once,
+    # and only mean vector 0's are kept, for the realization panel at the
+    # box operating point and for allocations.csv.
+    clusters, cv_rows = [], []
+    for mu in sorted(cfg.mu):
+        for mean_id, mean in enumerate(means):
+            cluster = _realizations(cfg, mean, mean_id, mu, "box-xi")
+            cv_rows.append([mean_id, mu, cluster_variance(mean, cluster)])
+            if mean_id == 0:
+                clusters.append((mu, cluster))
+    [box_rows] = _run_chunk(_boxplot_tasks, [(cfg, 0, means[0].lam, z, clusters)])
+    alloc_rows = [[0, "", 0.0, *means[0].lam]] + [
+        [0, rid, mu, *x.lam] for mu, cluster in clusters for rid, x in enumerate(cluster)]
+    kde_rows = []
     for mu in cfg.mu:
         vals = [v for _, mu_v, v in cv_rows if mu_v == mu]
         if len(vals) >= 2:

@@ -24,7 +24,7 @@ def asymmetry_index(fidelities):
     if f.ndim == 0 or f.shape[-1] == 0:
         raise ValueError("fidelity vector must be nonempty, its entries on the last axis")
     rows = f.reshape(-1, f.shape[-1])
-    outside = ((rows < -1e-9) | (rows > 1.0 + 1e-9)).any(axis=1)
+    outside = ~((rows >= -1e-9) & (rows <= 1.0 + 1e-9)).all(axis=1)
     if outside.any():
         raise ValueError(f"fidelities outside [0, 1]: {rows[outside][0]}")
     eff = np.clip((rows - 0.5) / 0.5, 0.0, None) * rows

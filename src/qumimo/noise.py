@@ -38,9 +38,10 @@ class MeanAllocation:
 
     def __post_init__(self):
         lam = tuple(float(x) for x in self.lam)
-        if any(x < -FEASIBILITY_TOL or x > 1.0 + FEASIBILITY_TOL for x in lam):
+        if not all(-FEASIBILITY_TOL <= x <= 1.0 + FEASIBILITY_TOL for x in lam):
             raise ValueError(f"allocation outside [0,1]^N: {lam}")
-        if abs(sum(lam) - self.z) > FEASIBILITY_TOL * max(1.0, self.z):
+        if not (np.isfinite(self.z)
+                and abs(sum(lam) - self.z) <= FEASIBILITY_TOL * max(1.0, self.z)):
             raise ValueError(f"allocation sums to {sum(lam)}, expected {self.z}")
         object.__setattr__(self, "lam", lam)
 
@@ -51,8 +52,8 @@ class MeanAllocation:
 
 def gamma_shape(mu: float) -> float:
     """Gamma shape giving the product of two unit-mean factors variance mu^2."""
-    if mu <= 0:
-        raise ValueError(f"fluctuation strength must be positive, got {mu}")
+    if not 0.0 < mu < np.inf:
+        raise ValueError(f"fluctuation strength must be positive and finite, got {mu}")
     return (1.0 + np.sqrt(1.0 + mu * mu)) / (mu * mu)
 
 

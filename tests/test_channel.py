@@ -251,6 +251,19 @@ class TestChannelChoi:
         with pytest.raises(DimensionLimitError):
             channel.ChannelParams(n=7, eta=0.1, lam=(0.1,) * 7, delta=1.0)
 
+    @pytest.mark.parametrize("eta, lam, delta, match", [
+        (float("nan"), (0.1, 0.2), 1.0, "eta"),
+        (0.5, (float("nan"), 0.2), 1.0, "lambda"),
+        (0.5, (0.1, 0.2), float("nan"), "delta"),
+        (0.5, (0.1, 0.2), float("inf"), "delta"),
+    ])
+    def test_rejects_non_finite(self, eta, lam, delta, match):
+        with pytest.raises(ValueError, match=match):
+            channel.ChannelParams(n=2, eta=eta, lam=lam, delta=delta)
+        if match == "delta":
+            with pytest.raises(ValueError, match=match):
+                channel.coupling_kernel(2, delta)
+
 
 class TestCouplingReport:
     def test_limits(self):

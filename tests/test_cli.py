@@ -1,4 +1,5 @@
 import ast
+import collections
 import csv
 import json
 import re
@@ -520,16 +521,22 @@ class TestStochasticRun:
         f_dir = [float(r.split(",")[2]) for r in box]
         assert max(f_dir) - min(f_dir) < 1e-6  # realizations collapse onto the mean
 
+    @staticmethod
+    def _count_designs(monkeypatch):
+        """The eta of every design the stochastic regime builds."""
+        designs = []
+        design = experiments.strategy_design
+
+        def counted(strategy, chan):
+            designs.append(chan.params.eta)
+            return design(strategy, chan)
+
+        monkeypatch.setattr(experiments, "strategy_design", counted)
+        return designs
+
     def test_box_panel_designed_once(self, tmp_path, monkeypatch):
         # the panel's design does not depend on mu: one design serves all
-        designs = []
-        design = experiments._design_on_mean
-
-        def counted(cfg, eta, mean, p_eval):
-            designs.append(eta)
-            return design(cfg, eta, mean, p_eval)
-
-        monkeypatch.setattr(experiments, "_design_on_mean", counted)
+        designs = self._count_designs(monkeypatch)
         cfg = experiments.validate_config(tiny_stoch_cfg(mu=[0.5, 1.0]))
         experiments.run_stochastic(cfg, tmp_path / "out")
         # one design per heatmap task (eta 0.5, two means), one for the
@@ -538,35 +545,44 @@ class TestStochasticRun:
         box = (tmp_path / "out" / "boxplot.csv").read_text().strip().splitlines()[1:]
         assert [r.split(",")[0] for r in box] == ["0.5"] * 3 + ["1"] * 3
 
-    def test_box_panel_reuses_heatmap_design(self, tmp_path, monkeypatch):
-        # with box_eta among the heatmap's eta and box_p among its p, the
-        # heatmap task of (box_eta, mean 0) already made the panel's design
-        designs = []
-        design = experiments._design_on_mean
-
-        def counted(cfg, eta, mean, p_eval):
-            designs.append(eta)
-            return design(cfg, eta, mean, p_eval)
-
-        monkeypatch.setattr(experiments, "_design_on_mean", counted)
+    def test_box_panel_independent_of_heatmap_eta(self, tmp_path, monkeypatch):
+        # the panel builds its own design, also when box_eta is among the
+        # heatmap's eta and box_p among its p, and writes the same bytes
+        # as a run whose heatmap has no task at box_eta
+        designs = self._count_designs(monkeypatch)
         cfg = experiments.validate_config(tiny_stoch_cfg(eta=[0.5, 0.8], mu=[0.5, 1.0]))
-        experiments.run_stochastic(cfg, tmp_path / "reused")
-        assert designs == [0.5, 0.5, 0.8, 0.8]
-        # the panel does not depend on the heatmap's eta: a run that makes
-        # its own design writes the same bytes
+        experiments.run_stochastic(cfg, tmp_path / "shared")
+        assert designs == [0.5, 0.5, 0.8, 0.8, 0.8]
         cfg = experiments.validate_config(tiny_stoch_cfg(eta=[0.5], mu=[0.5, 1.0]))
         experiments.run_stochastic(cfg, tmp_path / "fresh")
-        assert designs[4:] == [0.5, 0.5, 0.8]
         for name in ("boxplot.csv", "allocations.csv", "cluster_variance.csv", "cv_kde.csv"):
             fresh = (tmp_path / "fresh" / name).read_bytes()
-            assert (tmp_path / "reused" / name).read_bytes() == fresh, name
+            assert (tmp_path / "shared" / name).read_bytes() == fresh, name
+
+    def test_each_cluster_drawn_once(self, tmp_path, monkeypatch):
+        # the cluster variances, the panel and allocations.csv read one draw
+        # of each (mean_id, mu) panel cluster; the heatmap draws its
+        # realizations once per (eta, mean vector) task
+        drawn = collections.Counter()
+        draw = experiments._realizations
+
+        def counted(cfg, mean, mean_id, mu, tag):
+            drawn[tag, mu, mean_id] += 1
+            return draw(cfg, mean, mean_id, mu, tag)
+
+        monkeypatch.setattr(experiments, "_realizations", counted)
+        cfg = experiments.validate_config(
+            tiny_stoch_cfg(eta=[0.5, 0.8], mu=[0.5, 1.0], num_mean_vectors=3))
+        experiments.run_stochastic(cfg, tmp_path / "out")
+        assert drawn == {**{("box-xi", mu, m): 1 for mu in (0.5, 1.0) for m in range(3)},
+                         **{("xi", 0.5, m): 2 for m in range(3)}}
 
     def test_no_amplitudes_outside_the_mean_designs(self, tmp_path, monkeypatch):
         # a design's cloner carries its clone fidelities: the baseline J
         # index, the realizations and the panel solve no gamma's amplitudes
         # (every amplitude, one gamma's or a lattice's, is an amplitude row)
         calls, inside = [], [False]
-        amplitudes, design = cloner._amplitude_rows, experiments._design_on_mean
+        amplitudes, design = cloner._amplitude_rows, experiments.strategy_design
 
         def counted(gammas):
             calls.append(inside[0])
@@ -581,29 +597,39 @@ class TestStochasticRun:
 
         monkeypatch.setattr(cloner, "_amplitude_rows", counted)
         monkeypatch.setattr(decoder, "_amplitude_rows", counted)
-        monkeypatch.setattr(experiments, "_design_on_mean", designing)
+        monkeypatch.setattr(experiments, "strategy_design", designing)
         cfg = experiments.validate_config(tiny_stoch_cfg(eta=[0.5, 0.8], p=[0.8, 1.0]))
         experiments.run_stochastic(cfg, tmp_path / "out")
         assert True in calls and False not in calls
 
-    def test_mean_design_is_the_div_design(self):
+    def test_mean_design_is_the_div_design(self, monkeypatch):
         # the stochastic regime designs a mean channel as the grid regimes
         # design div on it: gamma, modes, Qt, Rt and decoders bit for bit
-        cfg = experiments.validate_config(tiny_stoch_cfg(N=3, Z=1.2))
+        cfg = experiments.validate_config(tiny_stoch_cfg(N=3, Z=1.2, p=[0.5, 0.8]))
         mean = experiments._mean_vectors(cfg, "asymmetric", 1.2, 3)[1]
         p_eval = (0.5, 0.8, 1.0)
-        design, decoders = experiments._design_on_mean(cfg, 0.5, mean, p_eval)
         chan = experiments._channel(cfg, 0.5, mean.lam)
         div = strategies.strategy_design("div", chan)
         [recs] = strategies.run_strategies([("div", chan, p_eval)])
-        assert design.gamma == div.gamma == recs[0].gamma
-        assert (design.t, design.r) == (div.t, div.r) == (recs[0].t, recs[0].r)
-        for x, y in ((design.qr.qt, div.qr.qt), (design.qr.rt, div.qr.rt)):
-            assert np.array_equal(x, y)
-        sols = decoder.purification_sdps((div.qr, p) for p in p_eval)
-        for p, rec, sol in zip(p_eval, recs, sols):
-            assert np.array_equal(decoders[p].j, sol.j)
-            assert (decoders[p].f_success, decoders[p].f_avg) == (rec.f_success, rec.f_avg)
+        div_sols = decoder.purification_sdps((div.qr, p) for p in p_eval)
+        solved = []
+        solve = decoder.purification_sdps
+
+        def recorded(pairs):
+            pairs = list(pairs)
+            solved.extend(zip(pairs, solve(pairs)))
+            return [sol for _, sol in solved[-len(pairs):]]
+
+        monkeypatch.setattr(decoder, "purification_sdps", recorded)
+        [(baseline, _)] = experiments._heatmap_tasks([(cfg, 0.5, 1, mean.lam, 1.2)])
+        assert tuple(baseline[5:8]) == div.gamma == recs[0].gamma
+        assert baseline[8:] == [experiments._modes(div.t), experiments._modes(div.r)]
+        assert (div.t, div.r) == (recs[0].t, recs[0].r)
+        assert [p for (_, p), _ in solved] == list(p_eval)
+        for ((qr, _), sol), rec, div_sol in zip(solved, recs, div_sols):
+            assert np.array_equal(qr.qt, div.qr.qt) and np.array_equal(qr.rt, div.qr.rt)
+            assert np.array_equal(sol.j, div_sol.j)
+            assert (sol.f_success, sol.f_avg) == (rec.f_success, rec.f_avg)
 
     def test_mu_spelling_invariant(self, tmp_path):
         # "mu": [1] and [1.0] name one fluctuation strength and draw the
@@ -616,23 +642,24 @@ class TestStochasticRun:
             assert int_bytes == (tmp_path / "float" / name).read_bytes(), name
 
     def test_worker_count_invariance(self, tmp_path):
-        # eta 0.8 = box_eta: the panel's design comes back from a pool worker
+        # six heatmap tasks: one chunk at one worker, chunks of three at
+        # two and of two at three; eta 0.8 = box_eta
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(tiny_stoch_cfg(p=[0.8, 1.0], mu=[0.5, 1.0], eta=[0.5, 0.8])))
-        out_1, out_2 = tmp_path / "w1", tmp_path / "w2"
-        assert cli.main(["stochastic", "--config", str(cfg_path), "--out", str(out_1)]) == 0
-        assert cli.main(
-            ["stochastic", "--config", str(cfg_path), "--out", str(out_2), "--workers", "2"]
-        ) == 0
-        names = sorted(p.name for p in out_1.glob("*.csv"))
-        assert names == sorted(p.name for p in out_2.glob("*.csv"))
-        for name in names:
-            assert (out_1 / name).read_bytes() == (out_2 / name).read_bytes(), name
-        man_1 = json.loads((out_1 / "manifest.json").read_text())
-        man_2 = json.loads((out_2 / "manifest.json").read_text())
-        man_1.pop("timing")
-        man_2.pop("timing")
-        assert man_1 == man_2
+        cfg_path.write_text(json.dumps(tiny_stoch_cfg(
+            p=[0.8, 1.0], mu=[0.5, 1.0], eta=[0.5, 0.8], num_mean_vectors=3)))
+        outs = [tmp_path / f"w{w}" for w in (1, 2, 3)]
+        for w, out in zip((1, 2, 3), outs):
+            assert cli.main(["stochastic", "--config", str(cfg_path), "--out", str(out),
+                             "--workers", str(w)]) == 0
+        names = sorted(p.name for p in outs[0].glob("*.csv"))
+        manifests = []
+        for out in outs:
+            assert names == sorted(p.name for p in out.glob("*.csv"))
+            for name in names:
+                assert (outs[0] / name).read_bytes() == (out / name).read_bytes(), name
+            manifests.append(json.loads((out / "manifest.json").read_text()))
+            manifests[-1].pop("timing")
+        assert manifests[0] == manifests[1] == manifests[2]
 
     def test_determinism(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -794,7 +821,7 @@ class TestTaskErrors:
                 "--workers", workers]
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: _eval_cell(symmetry='asymmetric', Z=0.6, "
+        assert err.startswith("error: _eval_cells(symmetry='asymmetric', Z=0.6, "
                               "lambda_x=None, N=2, eta=0.5, mean_id=0, lambda=(")
         assert "SolverError: purification SDP: stalled" in err
 
@@ -826,12 +853,45 @@ class TestTaskErrors:
         assert cli.main(argv) == 1
         assert chunks[0][:2] == [1, 2]
         err = capsys.readouterr().err
-        assert err.startswith("error: _eval_cell(symmetry='asymmetric', Z=0.6, "
+        assert err.startswith("error: _eval_cells(symmetry='asymmetric', Z=0.6, "
                               "lambda_x=None, N=2, eta=0.5, mean_id=0, lambda=(")
         assert "SolverError: purification SDP: stalled" in err
 
     def test_stochastic_error_names_task(self, tmp_path, monkeypatch):
         monkeypatch.setattr(decoder, "purification_sdps", self._failing_sdp)
         cfg = experiments.validate_config(tiny_stoch_cfg())
-        with pytest.raises(QumimoError, match=r"^_stochastic_task\(eta=0\.5, mean_id=0, "):
+        with pytest.raises(QumimoError, match=r"^_heatmap_tasks\(eta=0\.5, mean_id=0, "):
             experiments.run_stochastic(cfg, tmp_path / "out")
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_stochastic_error_in_second_task_of_chunk(self, tmp_path, monkeypatch, capsys,
+                                                      workers):
+        # only mean vector 1's design fails, and it is the second task of
+        # the first chunk (four tasks at one worker, two at two)
+        cfg = tiny_stoch_cfg(num_mean_vectors=4)
+        lam = experiments._mean_vectors(experiments.validate_config(cfg), "asymmetric", 0.8, 2)[1].lam
+        design = experiments.strategy_design
+
+        def failing(strategy, chan):
+            if chan.params.lam == lam:
+                raise SolverError("max_iter", "gamma search: stalled")
+            return design(strategy, chan)
+
+        chunks = []
+        run_pool = experiments._run_pool
+
+        def recorded(tasks, run, workers):
+            chunks.extend([task[2] for task in chunk] for chunk in tasks)
+            return run_pool(tasks, run, workers)
+
+        monkeypatch.setattr(experiments, "strategy_design", failing)
+        monkeypatch.setattr(experiments, "_run_pool", recorded)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        argv = ["stochastic", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                "--workers", workers]
+        assert cli.main(argv) == 1
+        assert chunks[0][:2] == [0, 1]
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: _heatmap_tasks(eta=0.5, mean_id=1, lambda={lam!r}, Z=0.8) "
+            "failed: SolverError: gamma search: stalled")

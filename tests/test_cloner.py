@@ -64,6 +64,17 @@ class TestWeightMatrix:
         with pytest.raises(SimplexError):
             weight_matrix((1.2, -0.2))
 
+    def test_nan_is_off_the_simplex(self):
+        for gamma in ((float("nan"), 1.0), (0.5, 0.5, float("nan"))):
+            with pytest.raises(SimplexError):
+                cloner.AsymmetryVector(gamma)
+            with pytest.raises(SimplexError):
+                cloner.cloner_choi(gamma)
+
+    def test_nan_factor_fails_the_cloner_check(self):
+        with pytest.raises(ValueError, match="trace preservation"):
+            cloner._validate_cloner(np.full((8, 4), np.nan), 2)
+
     def test_perron_pair(self):
         # the eigen-solve of the symmetric similar matrix returns the
         # Perron pair of A itself, faces included

@@ -715,6 +715,12 @@ class TestBlockRoute:
                     with pytest.raises(ValueError, match=match):
                         validate_full_decoder(lift_decoder(y, k), rt, p_check)
 
+    def test_nan_decoder_is_refused(self):
+        # NaN fails every comparison: each check is written so that it fails
+        qr, _ = random_cascade(np.random.default_rng(2602), n=1)
+        with pytest.raises(ValueError, match="eigenvalue floor"):
+            decoder._validate_decoder(np.full((2, 2), np.nan), qr, 0.8)
+
     def test_rayleigh_bound_is_the_full_space_bound(self):
         # the padded stack of blocks against the top eigenvalue of
         # Rt^{-1/2} Qt Rt^{-1/2} on the lifted operators

@@ -24,6 +24,11 @@ class TestGammaShape:
         with pytest.raises(ValueError):
             noise.gamma_shape(0.0)
 
+    @pytest.mark.parametrize("mu", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, mu):
+        with pytest.raises(ValueError, match="positive and finite"):
+            noise.gamma_shape(mu)
+
 
 class TestFluctuations:
     def test_positive(self):
@@ -61,6 +66,14 @@ class TestMeanAllocations:
     def test_infeasible_budget(self):
         with pytest.raises(ValueError):
             noise.sample_mean_allocations(2, 2.5, 1, noise.make_rng(4))
+
+    @pytest.mark.parametrize("lam, z", [
+        ((float("nan"), 0.5), 1.0), ((0.5, 0.5), float("nan")), ((0.5, 0.5), float("inf"))])
+    def test_rejects_nan(self, lam, z):
+        # a NaN compares False with every bound, so each check is written
+        # to fail on it
+        with pytest.raises(ValueError, match="allocation"):
+            noise.MeanAllocation(lam=lam, z=z)
 
 
 class TestProjection:

@@ -39,6 +39,10 @@ class TestAsymmetryIndex:
         with pytest.raises(UndefinedIndexError):
             metrics.asymmetry_index([0.5, 0.4])
 
+    def test_nan_fidelity_refused(self):
+        with pytest.raises(ValueError, match="outside"):
+            metrics.asymmetry_index([float("nan"), 0.9])
+
     def test_rows(self):
         # rows on the last axis: one index per row, equal to the vector's,
         # and each row checked as a vector is
