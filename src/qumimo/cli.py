@@ -35,6 +35,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _resolution(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value <= 0.25:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"expected a resolution in (0, 0.25], got {text}")
+    return value
+
+
 def _add_run_args(sub):
     sub.add_argument("--config", required=True, help="JSON experiment config")
     sub.add_argument("--seed", type=int, default=None, help="override config seed")
@@ -51,8 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("fixed-z", "scaling", "stochastic"):
         _add_run_args(subs.add_parser(name))
     boundary = subs.add_parser("boundary")
-    boundary.add_argument("--m", type=int, nargs="+", default=[2, 3])
-    boundary.add_argument("--resolution", type=float, default=0.05)
+    boundary.add_argument("--m", type=int, nargs="+", choices=(2, 3), default=[2, 3])
+    boundary.add_argument("--resolution", type=_resolution, default=0.05)
     boundary.add_argument("--out", required=True)
     validate = subs.add_parser("validate")
     validate.add_argument("--quick", action="store_true", help="smaller sample counts")
@@ -133,9 +140,9 @@ def _run_checks(quick: bool) -> int:
     ok = True
     for _ in range(2 if quick else 5):
         n = int(rng.integers(4, 17))
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        c = (a + a.conj().T) / 2
-        prob = sdp_mod.SdpProblem([c], [np.eye(n, dtype=complex)[None]], [1.0])
+        a = rng.standard_normal((n, n))
+        c = (a + a.T) / 2
+        prob = sdp_mod.SdpProblem([c], [np.eye(n)[None]], [1.0])
         sol = sdp_mod.solve(prob)
         ok &= sol.status == sdp_mod.OPTIMAL
         ok &= abs(sol.value - np.linalg.eigvalsh(c)[-1]) < 1e-7

@@ -230,10 +230,7 @@ def build_qr(emap: EffectiveMap) -> QROperators:
     the block, then symmetrized.  G is
     summed over the K chunks of rows that share ``tau_1``, then over the
     chunks: one K!-long sum lost up to 8.6e-15 (relative to a long-double
-    G) at K = 6, two levels 1.6e-15.  The decoder SDP keeps only real
-    units (:func:`_covariant_rows`), so the cascade must be real."""
-    if np.iscomplexobj(emap.j0):
-        raise ValueError("cascade Choi not real")
+    G) at K = 6, two levels 1.6e-15."""
     x = _reduce(_frame(emap.k + 1, emap.k)[0], np.stack(_twirl(emap.j0, emap.k)))
     out = np.zeros_like(x)
     out[..., 0, 0] = x[..., 0, 0]
@@ -256,28 +253,28 @@ def lift_operators(qr: QROperators) -> tuple:
 
 
 @functools.cache
-def _hermitian_basis(d: int) -> np.ndarray:
-    """Read-only: the ``d^2 x d x d`` stack of Hermitian units: ``E_kk``,
-    then ``E_kl + E_lk`` and ``i E_kl - i E_lk`` for each pair k < l in
-    row-major order."""
-    basis = np.zeros((d * d, d, d), dtype=complex)
+def _symmetric_basis(d: int) -> np.ndarray:
+    """Read-only: the ``d(d+1)/2 x d x d`` stack of real symmetric units:
+    ``E_kk``, then ``E_kl + E_lk`` for each pair k < l in row-major order."""
+    k, l = np.triu_indices(d, 1)
+    basis = np.zeros((d + len(k), d, d))
     diag = np.arange(d)
     basis[diag, diag, diag] = 1.0
-    k, l = np.triu_indices(d, 1)
-    sym = d + 2 * np.arange(len(k))
+    sym = d + np.arange(len(k))
     basis[sym, k, l] = basis[sym, l, k] = 1.0
-    basis[sym + 1, k, l], basis[sym + 1, l, k] = 1j, -1j
     basis.setflags(write=False)
     return basis
 
 
 def dense_purification_problem(qr: QROperators, p: float) -> sdp.SdpProblem:
     """The decoder SDP of :func:`purification_sdp` on the full space
-    (:func:`lift_operators`), one row of ``Tr_B J + S = I`` per Hermitian
-    unit: the reference route that ``qumimo validate`` and the tests solve
-    it against."""
-    h = _hermitian_basis(2 ** qr.k)
-    rows = (np.kron(h, I2), h, np.trace(h, axis1=1, axis2=2).real)
+    (:func:`lift_operators`), one row of ``Tr_B J + S = I`` per real
+    symmetric unit: the reference route that ``qumimo validate`` and the
+    tests solve it against.  Its data are real, so the mean of a complex
+    optimum and its conjugate is a real one, and the real problem has the
+    complex problem's value."""
+    h = _symmetric_basis(2 ** qr.k)
+    rows = (np.kron(h, I2), h, np.trace(h, axis1=1, axis2=2))
     return _decoder_problem(*lift_operators(qr), rows, p)
 
 
@@ -314,10 +311,10 @@ def purification_sdp(qr: QROperators, p: float) -> DecoderSolution:
     imposed on the ``S_j`` (:func:`_covariant_rows`).  The cascade and
     the frame are real, so the blocks are real symmetric and only the
     real symmetric units of that equality are kept.  At K = 4 the solver
-    sees real blocks 10 + 6 wide and 11 constraints, where the same
-    problem on the full space (:func:`dense_purification_problem`) has
-    complex blocks 32 + 16 and 257.  A solve is about ten iterations, and
-    many problems are solved as one stack (:func:`purification_sdps`).
+    sees blocks 10 + 6 wide and 11 constraints, where the same problem on
+    the full space (:func:`dense_purification_problem`) has blocks 32 + 16
+    and 137.  A solve is about ten iterations, and many problems are
+    solved as one stack (:func:`purification_sdps`).
     With one BLAS thread on a shared 2-core x86-64 machine a problem cost
     (p = 1 / p = 0.8, best of seven rounds on twelve random cascades), in
     a stack of one: 2.1 / 2.6 ms at K = 2, 2.1 / 3.0 ms at K = 3,
@@ -410,13 +407,13 @@ def _per_spin(qr: QROperators) -> list:
 def _covariant_rows(k: int) -> tuple:
     """Read-only ``((A, E, Tr E), P)``: ``Tr_B J + S = I`` on the commutant,
     stacked over the real symmetric units E within one spin block of S,
-    ``Tr[A J] = Tr[E Tr_B J]`` on the reduced blocks; the antisymmetric
-    units' rows vanish on the real J and S of real data, so they are left
-    out.  A path of J extends a path of S by one spin-1/2, so ``Tr_B (J_j
-    (x) I_{2j+1})`` adds ``(2j+1)/(2j'+1)`` times the part of ``J_j`` on the
-    paths through spin j' to ``S_j'``, and the rest cancels (Schur's
-    lemma): ``Tr_B J`` is ``P J P^T`` on the spin blocks of S, and ``A =
-    P^T E P``, P the weighted path-prefix map, masked to those of J.
+    ``Tr[A J] = Tr[E Tr_B J]`` on the reduced blocks (J and S are real
+    symmetric, so no other units are needed).  A path of J extends a path
+    of S by one spin-1/2, so ``Tr_B (J_j (x) I_{2j+1})`` adds
+    ``(2j+1)/(2j'+1)`` times the part of ``J_j`` on the paths through spin
+    j' to ``S_j'``, and the rest cancels (Schur's lemma): ``Tr_B J`` is
+    ``P J P^T`` on the spin blocks of S, and ``A = P^T E P``, P the
+    weighted path-prefix map, masked to those of J.
     """
     paths_j, paths_s = _frame(k + 1, k)[1], _frame(k, k)[1]
     row = {path: i for i, path in enumerate(paths_s)}
@@ -424,9 +421,8 @@ def _covariant_rows(k: int) -> tuple:
     for a, path in enumerate(paths_j):
         prefix[row[path[:-1]], a] = np.sqrt((path[-1] + 1) / (path[-2] + 1))
     spin_j, spin_s = (np.array([path[-1] for path in ps]) for ps in (paths_j, paths_s))
-    units = _hermitian_basis(len(paths_s))
-    in_block = ~units[:, spin_s[:, None] != spin_s].any(axis=1)
-    e = units[in_block & ~units.imag.any(axis=(1, 2))].real
+    units = _symmetric_basis(len(paths_s))
+    e = units[~units[:, spin_s[:, None] != spin_s].any(axis=1)]
     a = (prefix.T @ e @ prefix) * (spin_j[:, None] == spin_j)
     rows = a, e, np.trace(e, axis1=1, axis2=2)
     for x in rows + (prefix,):

@@ -1,4 +1,4 @@
-"""Semidefinite programming over symmetric and Hermitian cones.
+"""Semidefinite programming over real symmetric cones.
 
 Solves problems of the form
 
@@ -10,7 +10,7 @@ that are feasible and bounded, such as the decoder problem, by a
 primal-dual path-following interior-point method: the HKM search
 direction (Helmberg, Rendl, Vanderbei and Wolkowicz, SIAM J. Optim. 6,
 342 (1996)), Mehrotra's predictor-corrector and a step fraction of 0.98
-to the cone boundary, paired by ``<A, X> = Re Tr[A X]``.  It starts from
+to the cone boundary, paired by ``<A, X> = Tr[A X]``.  It starts from
 scaled identities ``X = xi_p I``, ``S = xi_d I`` and ``y = 0``, and each
 step targets the primal and dual residuals ``b - A(X)`` and ``C - A*(y)
 - S`` as they stand.  A problem that is infeasible or unbounded is never
@@ -22,14 +22,13 @@ that leaves a block out is zero there).  The solver merges the blocks
 into one block-diagonal iterate, so ``A(X)`` and ``A*(y)`` are one
 matrix product each on the flattened stack, while the steps whose cost
 is cubic in the width (factorizations, eigenvalues, the Schur matrix)
-go block by block.  It works in the dtype of the data: real symmetric
-``float64`` when every objective and constraint block is real, complex
-Hermitian ``complex128`` otherwise.  The dual vector and the Schur
-system are real either way.  That suits
-problems with few constraints on small blocks, such as the decoder
-problem after its symmetry reduction (``decoder.purification_sdp``: real
-blocks of at most 20 + 10 and 27 constraints at K = 5).  ``MAX_DIM``
-caps the total block width.
+go block by block.  All data are real symmetric ``float64``, as are
+the decoder's (the cascade, the cloner and the Schur-Weyl frame are
+real): :class:`SdpProblem` refuses complex data, which a cast would
+silently truncate.  That suits problems with few constraints on small
+blocks, such as the decoder problem after its symmetry reduction
+(``decoder.purification_sdp``: blocks of at most 20 + 10 and 27
+constraints at K = 5).  ``MAX_DIM`` caps the total block width.
 
 Such a problem takes about ten iterations, and on blocks this small an
 iteration's time goes to NumPy's per-call overhead.  So :func:`solve_many`
@@ -73,21 +72,25 @@ ITERATION_CAP = 200
 
 @dataclass
 class SdpProblem:
-    """Block SDP in maximize form with Hermitian data: ``constraints[b]``
-    is block b's ``m x d_b x d_b`` stack (zero where a constraint leaves
-    the block out), ``rhs`` the m right-hand sides.  Both are kept as
-    contiguous copies: the solver's reductions round by memory layout, so
-    a strided ``rhs`` would move the last bits of a solve."""
+    """Block SDP in maximize form with real symmetric data (complex data
+    raise :class:`TypeError`): ``constraints[b]`` is block b's ``m x d_b x
+    d_b`` stack (zero where a constraint leaves the block out), ``rhs`` the
+    m right-hand sides.  Both are kept as contiguous ``float64`` copies:
+    the solver's reductions round by memory layout, so a strided ``rhs``
+    would move the last bits of a solve."""
 
     objective: Sequence[np.ndarray]
     constraints: Sequence[np.ndarray]
     rhs: np.ndarray
 
     def __post_init__(self):
+        for name, data in (("objective", self.objective), ("constraints", self.constraints),
+                           ("rhs", [self.rhs])):
+            if any(map(np.iscomplexobj, data)):
+                raise TypeError(f"{name} data complex: the solver takes real data only")
         self.rhs = np.array(self.rhs, dtype=float)
-        self.objective = [np.asarray(c, dtype=np.result_type(c, float)) for c in self.objective]
-        self.constraints = [np.ascontiguousarray(a, dtype=np.result_type(a, float))
-                            for a in self.constraints]
+        self.objective = [np.asarray(c, dtype=float) for c in self.objective]
+        self.constraints = [np.ascontiguousarray(a, dtype=float) for a in self.constraints]
         if self.rhs.ndim != 1:
             raise ValueError(f"rhs has shape {self.rhs.shape}, expected a vector")
         if len(self.constraints) != len(self.objective):
@@ -98,16 +101,16 @@ class SdpProblem:
             if c.shape != (dim, dim):
                 raise ValueError(f"objective block {b} has shape {c.shape}, expected square")
             if not is_hermitian(c):
-                raise NotHermitianError(f"objective block {b} not Hermitian")
+                raise NotHermitianError(f"objective block {b} not symmetric")
             if a.shape != (m, dim, dim):
                 raise ValueError(f"constraint stack {b} has shape {a.shape}, "
                                  f"expected {(m, dim, dim)}")
             # One check per stack, each row held to is_hermitian's tolerance.
             scale = np.maximum(1.0, np.abs(a).max(axis=(1, 2), initial=0.0))
-            skew = np.abs(a - a.swapaxes(1, 2).conj()).max(axis=(1, 2), initial=0.0)
+            skew = np.abs(a - a.swapaxes(1, 2)).max(axis=(1, 2), initial=0.0)
             bad = np.flatnonzero(skew > HERMITIAN_RTOL * scale)
             if bad.size:
-                raise NotHermitianError(f"constraint {bad[0]} block {b} not Hermitian")
+                raise NotHermitianError(f"constraint {bad[0]} block {b} not symmetric")
 
 
 @dataclass
@@ -132,15 +135,15 @@ class VerifyReport:
     psd_floor: float
 
 
-def _herm(v: np.ndarray) -> np.ndarray:
-    return (v + v.swapaxes(-1, -2).conj()) / 2.0
+def _sym(v: np.ndarray) -> np.ndarray:
+    return (v + v.swapaxes(-1, -2)) / 2.0
 
 
 def _block_diag(blocks) -> np.ndarray:
     """The blocks (square matrices, or ``m x d x d`` stacks) on the
-    diagonal of one matrix (or stack), in the dtype of their data."""
+    diagonal of one matrix (or stack)."""
     n = sum(x.shape[-1] for x in blocks)
-    out = np.zeros(blocks[0].shape[:-2] + (n, n), dtype=np.result_type(*blocks, float))
+    out = np.zeros(blocks[0].shape[:-2] + (n, n))
     lo = 0
     for x in blocks:
         hi = lo + x.shape[-1]
@@ -150,9 +153,9 @@ def _block_diag(blocks) -> np.ndarray:
 
 
 def _a_apply(a_flat: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``A(X)``: ``Re Tr[A_i X] = Re <A_i, conj(X)>`` for every row i of
-    every problem, from the flat stacks and Hermitian iterates."""
-    return (a_flat @ x.conj().reshape(len(x), -1, 1))[..., 0].real
+    """``A(X)``: ``Tr[A_i X] = <A_i, X>`` for every row i of every
+    problem, from the flat stacks and symmetric iterates."""
+    return (a_flat @ x.reshape(len(x), -1, 1))[..., 0]
 
 
 def _a_adjoint(y: np.ndarray, a_flat: np.ndarray) -> np.ndarray:
@@ -161,8 +164,8 @@ def _a_adjoint(y: np.ndarray, a_flat: np.ndarray) -> np.ndarray:
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``Re <u, v>`` of every problem."""
-    return (u.conj() * v).sum(axis=(1, 2)).real
+    """``<u, v>`` of every problem."""
+    return (u * v).sum(axis=(1, 2))
 
 
 def _col(v: np.ndarray) -> np.ndarray:
@@ -232,8 +235,8 @@ def solve(problem: SdpProblem) -> SdpSolution:
 
 
 def solve_many(problems) -> list:
-    """Solve a stack of problems of one shape (block sizes, constraint
-    count and dtype) in one interior-point run; one solution per problem,
+    """Solve a stack of problems of one shape (block sizes and constraint
+    count) in one interior-point run; one solution per problem,
     in order.
 
     Each problem iterates until an optimal certificate (merit at most
@@ -257,12 +260,10 @@ def solve_many(problems) -> list:
         raise DimensionLimitError(f"total block dimension {n} exceeds {MAX_DIM}")
     if m == 0:
         raise ValueError("at least one equality constraint is required")
-    dtype = np.result_type(*problems[0].objective, *problems[0].constraints)
     for prob in problems[1:]:
-        if ([len(c) for c in prob.objective] != dims or len(prob.rhs) != m
-                or np.result_type(*prob.objective, *prob.constraints) != dtype):
-            raise ValueError("the problems of a stack must share their block sizes, "
-                             "constraint count and dtype")
+        if [len(c) for c in prob.objective] != dims or len(prob.rhs) != m:
+            raise ValueError("the problems of a stack must share their block sizes "
+                             "and constraint count")
     edges = np.cumsum([0] + dims)
     blocks = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
     # Column k marks the entries of block k: a product with it sums a
@@ -272,13 +273,13 @@ def solve_many(problems) -> list:
                          for k in range(len(dims))], axis=1).astype(float)
 
     def block_norm(v):
-        sq = (v.conj() * v).real.reshape(len(v), 1, n * n)
+        sq = (v * v).reshape(len(v), 1, n * n)
         return np.sqrt((sq @ in_block).max(axis=(1, 2)))
 
     # Maximize <C_ext, X> == minimize <-C_ext, X>, on the merged block,
     # each problem's blocks written in place.
-    c = np.zeros((len(problems), n, n), dtype)
-    a = np.zeros((len(problems), m, n, n), dtype)
+    c = np.zeros((len(problems), n, n))
+    a = np.zeros((len(problems), m, n, n))
     for i, prob in enumerate(problems):
         for blk, obj, con in zip(blocks, prob.objective, prob.constraints):
             c[i, blk, blk] = -obj
@@ -286,7 +287,7 @@ def solve_many(problems) -> list:
     a_blocks = [a[:, :, blk, blk].copy() for blk in blocks]
     a = a.reshape(-1, m, n * n)
     b = np.stack([p.rhs for p in problems])
-    eye = np.eye(n, dtype=dtype)
+    eye = np.eye(n)
     xi_p = np.maximum(1.0, np.abs(b).max(axis=1))
     xi_d = np.maximum(1.0, block_norm(c) / np.sqrt(max(dims)))
     st = _Stack(
@@ -298,8 +299,7 @@ def solve_many(problems) -> list:
     # The Schur products, m matrices per problem and block, are written
     # into buffers made once: fresh arrays of that size cost more than the
     # products.
-    bufs = [(np.empty((len(b), m * d, d), dtype), np.empty((len(b), m, d, d), dtype))
-            for d in dims]
+    bufs = [(np.empty((len(b), m * d, d)), np.empty((len(b), m, d, d))) for d in dims]
     out = [None] * len(problems)
     it = 0
 
@@ -342,15 +342,15 @@ def solve_many(problems) -> list:
                      for row in np.flatnonzero(~ok).tolist()}
             xs = np.where(_col(ok)[..., None], xs, eye)
             chol = [np.linalg.cholesky(xs[..., blk, blk]) for blk in blocks]
-        linv = np.zeros(xs.shape, dtype)
+        linv = np.zeros(xs.shape)
         for blk, factor in zip(blocks, chol):
             linv[..., blk, blk] = np.linalg.inv(factor)
-        linv_h = linv.swapaxes(-1, -2).conj()
-        sinv = linv_h[:, 1] @ linv[:, 1]
+        linv_t = linv.swapaxes(-1, -2)
+        sinv = linv_t[:, 1] @ linv[:, 1]
 
-        # The HKM Schur matrix Re Tr[A_i X A_j S^-1], summed over blocks of
+        # The HKM Schur matrix Tr[A_i X A_j S^-1], summed over blocks of
         # the inner products of the stacked A_i X and S^-1 A_j (the
-        # conjugate transpose of A_j S^-1), jittered until its Cholesky
+        # transpose of A_j S^-1), jittered until its Cholesky
         # factorization succeeds.
         rows = len(st.live)
         schur = 0.0
@@ -359,8 +359,8 @@ def solve_many(problems) -> list:
                                 out=ax_buf[:rows])
             sa = np.matmul(sinv[:, None, blk, blk], a_blk, out=sa_buf[:rows])
             schur = schur + (ax_rows.reshape(rows, m, d * d)
-                             @ sa.reshape(rows, m, d * d).conj().swapaxes(1, 2))
-        schur = _herm(schur.real)
+                             @ sa.reshape(rows, m, d * d).swapaxes(1, 2))
+        schur = _sym(schur)
         jitter = np.zeros(rows)
         try:
             np.linalg.cholesky(schur)
@@ -369,8 +369,8 @@ def solve_many(problems) -> list:
             for row in np.flatnonzero(np.isnan(jitter)).tolist():
                 stops.setdefault(row, (MAX_ITER, "Schur complement not positive definite"))
         if stops:
-            rp, rd, mu, linv, linv_h, sinv, schur, jitter = leave(
-                stops, rp, rd, mu, linv, linv_h, sinv, schur, jitter)
+            rp, rd, mu, linv, linv_t, sinv, schur, jitter = leave(
+                stops, rp, rd, mu, linv, linv_t, sinv, schur, jitter)
             if not len(st.live):
                 break
         # Its systems are solved by LU: an explicit inverse lost the primal
@@ -378,23 +378,23 @@ def solve_many(problems) -> list:
         schur = schur + _col(jitter) * np.eye(m)
 
         # The HKM direction for a complementarity residual rc: dS = rd -
-        # A*(dy), dX = herm((rc - X dS) S^-1), and A(dX) = rp gives the
-        # Schur system M dy = rp + A(herm(X rd S^-1)) - A(herm(rc S^-1)).
+        # A*(dy), dX = sym((rc - X dS) S^-1), and A(dX) = rp gives the
+        # Schur system M dy = rp + A(sym(X rd S^-1)) - A(sym(rc S^-1)).
         x, s = st.x, st.s
-        rp_wrd = rp + _a_apply(st.a, _herm(x @ rd @ sinv))
+        rp_wrd = rp + _a_apply(st.a, _sym(x @ rd @ sinv))
         xs_mat = x @ s
 
         def direction(rc):
-            rhs = rp_wrd - _a_apply(st.a, _herm(rc @ sinv))
+            rhs = rp_wrd - _a_apply(st.a, _sym(rc @ sinv))
             dy = np.linalg.solve(schur, rhs[..., None])[..., 0]
             ds = rd - _a_adjoint(dy, st.a).reshape(x.shape)
-            return _herm((rc - x @ ds) @ sinv), dy, ds
+            return _sym((rc - x @ ds) @ sinv), dy, ds
 
         def max_alpha(dx, ds):
             """0.98 of the step to the boundary of the cones, at most 1."""
-            # Smallest eigenvalue of L^-1 dM L^-H over X and S at once, per
+            # Smallest eigenvalue of L^-1 dM L^-T over X and S at once, per
             # block: the matrix is block-diagonal, and eigvalsh is cubic.
-            scaled = _herm(linv @ np.stack([dx, ds], axis=1) @ linv_h)
+            scaled = _sym(linv @ np.stack([dx, ds], axis=1) @ linv_t)
             lam_min = functools.reduce(np.minimum, (
                 np.linalg.eigvalsh(scaled[..., blk, blk])[..., 0].min(axis=1) for blk in blocks))
             return -0.98 / np.minimum(np.where(lam_min < -1e-14, lam_min, 0.0), -0.98)
@@ -414,14 +414,12 @@ def solve_many(problems) -> list:
             if not len(st.live):
                 break
 
-        st.x = _herm(st.x + _col(alpha) * dx)
-        st.s = _herm(st.s + _col(alpha) * ds)
+        st.x = _sym(st.x + _col(alpha) * dx)
+        st.s = _sym(st.s + _col(alpha) * ds)
         st.dual = st.dual + alpha[:, None] * dy
     else:
         leave({row: (MAX_ITER, "") for row in range(len(st.live))})
     return out
-
-
 
 
 def verify(problem: SdpProblem, solution: SdpSolution, tol: float = 1e-7) -> VerifyReport:
@@ -434,12 +432,7 @@ def verify(problem: SdpProblem, solution: SdpSolution, tol: float = 1e-7) -> Ver
     a_flat = _block_diag(problem.constraints).reshape(1, m, -1)
     res = _a_apply(a_flat, _block_diag(solution.X_blocks)[None])[0] - problem.rhs
     floors = [float(np.linalg.eigvalsh(x)[0]) if x.size else 0.0 for x in solution.X_blocks]
-    pval = float(
-        sum(
-            np.real(np.trace(c @ x))
-            for c, x in zip(problem.objective, solution.X_blocks)
-        )
-    )
+    pval = float(sum(np.trace(c @ x) for c, x in zip(problem.objective, solution.X_blocks)))
     gap = abs(pval - solution.dual_value)
     feasible = bool(np.max(np.abs(res)) <= tol and min(floors) >= -1e-8)
     return VerifyReport(

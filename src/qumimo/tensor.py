@@ -3,10 +3,8 @@
 Conventions used throughout the package:
 
 * Operators are dense ``float64`` numpy arrays: every map of the
-  pipeline, and the Schur-Weyl frame, is real.  An operator is
-  ``complex128`` only where its data is complex (the Hermitian units of
-  the dense decoder problem, complex test data).  The SDP solver works
-  in the dtype it is given.
+  pipeline, the Schur-Weyl frame and every SDP's data are real, and the
+  SDP solver refuses complex data.
 * A multi-qubit operator lives on the tensor product of its qubits with
   qubit 1 as the *most significant* factor, i.e. the basis index of
   ``|a_1 ... a_n>`` is ``sum_i a_i * 2**(n-i)``.  This matches the order

@@ -28,7 +28,8 @@ from qumimo import sdp
 from qumimo.cloner import ClonerChoi, _as_gamma
 from qumimo.errors import DimensionLimitError, SolverError
 from qumimo.tensor import I2, PHI_UNNORM, dagger
-from reference_ops import PAULIS, ModeSpace, _as_tensor, kron, partial_trace, perm_basis_map
+from reference_ops import (SIGMA_X, SIGMA_Z, ModeSpace, _as_tensor, kron, partial_trace,
+                           perm_basis_map)
 
 FIDELITY_TIEBREAK_EPS = 1e-6
 TWIRL_MAX_QUBITS = 6
@@ -53,7 +54,7 @@ def embed_two_qubit(op4: np.ndarray, n: int, i: int, j: int) -> np.ndarray:
         raise ValueError(f"invalid qubit pair ({i}, {j}) for n={n}")
     rest = [q for q in range(1, n + 1) if q not in (i, j)]
     # Build on position order (i, j, rest...) then relabel positions.
-    base = kron(op4, np.eye(2 ** (n - 2), dtype=complex))
+    base = kron(op4, np.eye(2 ** (n - 2)))
     perm = [0] * n
     perm[0] = i
     perm[1] = j
@@ -73,7 +74,7 @@ def fidelity_functionals(m: int) -> list[np.ndarray]:
     identity elsewhere; the partial transpose of the two-qubit twirl
     identity is already folded in.
     """
-    pair = (np.eye(4, dtype=complex) + PHI_UNNORM) / 6.0
+    pair = (np.eye(4) + PHI_UNNORM) / 6.0
     return [embed_two_qubit(pair, m + 1, 1, k + 1) for k in range(1, m + 1)]
 
 
@@ -108,7 +109,7 @@ def twirl_permutation_algebra(j: np.ndarray, n: int) -> np.ndarray:
     basis = np.arange(dim)
     overlaps = j[maps, basis[None, :]].sum(axis=1)
     coeff = gram_pinv @ overlaps
-    out = np.zeros_like(j, dtype=complex)
+    out = np.zeros_like(j)
     for qmap, x in zip(maps, coeff):
         out[qmap, basis] += x
     return out
@@ -138,7 +139,9 @@ def validate_cloner_choi(j: np.ndarray, m: int, space: ModeSpace) -> None:
 
 def cloner_choi_sdp(gamma) -> ClonerChoi:
     """Covariant Choi operator of the gamma-weighted optimal cloner, by SDP
-    and permutation-algebra twirl."""
+    and permutation-algebra twirl.  The SDP is real: ``Tr_out J = I_2`` is
+    imposed on its I, sigma_x and sigma_z components, as the sigma_y one
+    vanishes on every real symmetric J."""
     gamma = _as_gamma(gamma)
     m = gamma.m
     g_ops = fidelity_functionals(m)
@@ -146,8 +149,9 @@ def cloner_choi_sdp(gamma) -> ClonerChoi:
         (gamma.gamma[k] + FIDELITY_TIEBREAK_EPS) * g_ops[k] for k in range(m)
     )
     dim_out = 2 ** m
-    constraints = np.array([np.kron(pauli, np.eye(dim_out, dtype=complex)) for pauli in PAULIS])
-    rhs = [2.0 if a == 0 else 0.0 for a in range(len(PAULIS))]
+    constraints = np.array([np.kron(pauli, np.eye(dim_out))
+                            for pauli in (I2, SIGMA_X.real, SIGMA_Z.real)])
+    rhs = [2.0, 0.0, 0.0]
     problem = sdp.SdpProblem(objective=[objective], constraints=[constraints], rhs=rhs)
     sol = sdp.solve(problem)
     if sol.status != sdp.OPTIMAL:

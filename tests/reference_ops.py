@@ -44,7 +44,6 @@ DEFAULT_DIM_CAP = 2 ** 14
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULIS = (I2, SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 
 class LabelError(QumimoError, KeyError):

@@ -561,8 +561,8 @@ class TestStochasticRun:
 
     def test_each_cluster_drawn_once(self, tmp_path, monkeypatch):
         # the cluster variances, the panel and allocations.csv read one draw
-        # of each (mean_id, mu) panel cluster; the heatmap draws its
-        # realizations once per (eta, mean vector) task
+        # of each (mean_id, mu) panel cluster; the heatmap draws each mean
+        # vector's realizations once, for every eta
         drawn = collections.Counter()
         draw = experiments._realizations
 
@@ -575,7 +575,7 @@ class TestStochasticRun:
             tiny_stoch_cfg(eta=[0.5, 0.8], mu=[0.5, 1.0], num_mean_vectors=3))
         experiments.run_stochastic(cfg, tmp_path / "out")
         assert drawn == {**{("box-xi", mu, m): 1 for mu in (0.5, 1.0) for m in range(3)},
-                         **{("xi", 0.5, m): 2 for m in range(3)}}
+                         **{("xi", 0.5, m): 1 for m in range(3)}}
 
     def test_no_amplitudes_outside_the_mean_designs(self, tmp_path, monkeypatch):
         # a design's cloner carries its clone fidelities: the baseline J
@@ -621,7 +621,8 @@ class TestStochasticRun:
             return [sol for _, sol in solved[-len(pairs):]]
 
         monkeypatch.setattr(decoder, "purification_sdps", recorded)
-        [(baseline, _)] = experiments._heatmap_tasks([(cfg, 0.5, 1, mean.lam, 1.2)])
+        xi = experiments._realizations(cfg, mean, 1, cfg.heatmap_mu, "xi")
+        [(baseline, _)] = experiments._heatmap_tasks([(cfg, 0.5, 1, mean.lam, 1.2, xi)])
         assert tuple(baseline[5:8]) == div.gamma == recs[0].gamma
         assert baseline[8:] == [experiments._modes(div.t), experiments._modes(div.r)]
         assert (div.t, div.r) == (recs[0].t, recs[0].r)
@@ -717,6 +718,18 @@ class TestBoundaryAndValidate:
         assert len(lines) == 1 + 5  # steps=4 -> 5 lattice points
         values = {tuple(np.round([float(x) for x in ln.split(",")[2:]], 6)) for ln in lines[1:]}
         assert (1.0, 0.5) in values and (0.5, 1.0) in values
+
+    @pytest.mark.parametrize("argv", [["--resolution", "0.5"], ["--resolution", "0"],
+                                      ["--resolution", "nan"], ["--m", "4"]],
+                             ids=["resolution-0.5", "resolution-0", "resolution-nan", "m-4"])
+    def test_boundary_rejects_bad_arguments(self, tmp_path, capsys, argv):
+        # an invalid argument exits 2 with a usage message, before any output
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["boundary", *argv, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "usage: qumimo boundary" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_validate_quick(self, capsys):
         assert cli.main(["validate", "--quick"]) == 0

@@ -431,22 +431,16 @@ class TestPurificationSdp:
             decoder.purification_sdp(qr, 1.2)
 
 
-def random_hermitian(rng, n):
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return (a + dagger(a)) / 2
-
-
-def hermitian_coords(g):
-    """Coefficients of a Hermitian ``g`` in ``decoder._hermitian_basis``
-    order: the diagonal, then ``(Re g_kl, Im g_kl)`` for each k < l."""
-    ku, lu = np.triu_indices(len(g), 1)
-    return np.concatenate([np.diag(g).real, np.stack([g[ku, lu].real, g[ku, lu].imag], 1).ravel()])
+def symmetric_coords(g):
+    """Coefficients of a real symmetric ``g`` in ``decoder._symmetric_basis``
+    order: the diagonal, then ``g_kl`` for each k < l."""
+    return np.concatenate([np.diag(g), g[np.triu_indices(len(g), 1)]])
 
 
 def row_image(w, e):
     """``e`` lifted to the full space, and ``2j + 1`` of the block it sits in."""
     g = decoder._lift(w, e)
-    return g, float(np.real(np.trace(g @ g) / np.trace(e @ e)))
+    return g, float(np.trace(g @ g) / np.trace(e @ e))
 
 
 def apply_rows(problem, blocks):
@@ -464,10 +458,10 @@ def adjoint_blocks(problem, y):
 
 
 def random_reduced(rng, paths):
-    """A random Hermitian matrix on the spin blocks of a frame's paths."""
+    """A random real symmetric matrix on the spin blocks of a frame's paths."""
     spin = np.array([path[-1] for path in paths])
-    x = rng.standard_normal((len(spin),) * 2) + 1j * rng.standard_normal((len(spin),) * 2)
-    return (x + dagger(x)) * (spin[:, None] == spin[None, :])
+    x = rng.standard_normal((len(spin),) * 2)
+    return (x + x.T) * (spin[:, None] == spin[None, :])
 
 
 class TestPartialTraceOperator:
@@ -480,8 +474,8 @@ class TestPartialTraceOperator:
     @pytest.mark.parametrize("p", [0.6, 1.0])
     def test_matches_dense_operator(self, k, p):
         # row i of the reduced A(X) is Tr[lift(E_i) (Tr_B J + S)] / (2j + 1)
-        # on the lifted blocks, read off the dense route's real symmetric
-        # unit rows (lift(E_i) is real); the objective and the Rt row agree too
+        # on the lifted blocks, read off the dense route's unit rows
+        # (lift(E_i) is real symmetric); the objective and the Rt row agree too
         rng = np.random.default_rng(10 + k)
         qr, _ = random_cascade(rng, n=k)
         (w_j, paths_j), (w_s, paths_s) = decoder._frame(k + 1, k), decoder._frame(k, k)
@@ -493,22 +487,20 @@ class TestPartialTraceOperator:
         nb = len(reduced.objective)
         got = apply_rows(reduced, x_red[:nb])
         want = apply_rows(dense, x_full[:nb])
-        nh = 4 ** k
-        real = ~decoder._hermitian_basis(2 ** k).imag.any(axis=(1, 2))
+        nh = 2 ** k * (2 ** k + 1) // 2
         for i, e in enumerate(units):
             g, d = row_image(w_s, e)
-            assert abs(got[i] - want[:nh][real] @ hermitian_coords(g)[real] / d) < 1e-11
+            assert abs(got[i] - want[:nh] @ symmetric_coords(g) / d) < 1e-11
         assert len(got) == len(units) + (p < 1.0)
         if p < 1.0:
             assert abs(got[-1] - want[-1]) < 1e-11
-        assert abs(np.vdot(reduced.objective[0], x_red[0]).real
-                   - np.vdot(dense.objective[0], x_full[0]).real) < 1e-11
+        assert abs(np.vdot(reduced.objective[0], x_red[0])
+                   - np.vdot(dense.objective[0], x_full[0])) < 1e-11
 
     @pytest.mark.parametrize("p", [0.6, 1.0])
     def test_adjoint(self, p):
         # the reduced A*(y) is the reduction of the dense A* at the
-        # full-space image of y (on the real symmetric unit rows), block
-        # by block
+        # full-space image of y, block by block
         rng = np.random.default_rng(20)
         for k in (1, 2, 3):
             qr, _ = random_cascade(rng, n=k)
@@ -519,9 +511,10 @@ class TestPartialTraceOperator:
             for _ in range(3):
                 y = rng.standard_normal(len(reduced.rhs))
                 y_full = np.zeros(len(dense.rhs))
+                nh = 2 ** k * (2 ** k + 1) // 2
                 for yi, e in zip(y, units):
                     g, d = row_image(w_s, e)
-                    y_full[:4 ** k] += yi * hermitian_coords(g) / d
+                    y_full[:nh] += yi * symmetric_coords(g) / d
                 if p < 1.0:
                     y_full[-1] = y[-1]
                 got = adjoint_blocks(reduced, y)
@@ -566,13 +559,14 @@ class TestPartialTraceOperator:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_rejects_non_covariant(self, k):
-        # a generic Hermitian perturbation of 1e-6 leaves the commutant:
+        # a generic symmetric perturbation of 1e-6 leaves the commutant:
         # the blocks cannot carry it, and the lifted blocks' residual (the
         # lossless sweep's and qumimo validate's measure) shows it
         rng = np.random.default_rng(50 + k)
         _, emap = random_cascade(rng, n=k)
         assert lift_residual(emap) < 1e-14
-        bend = 1e-6 * random_hermitian(rng, 2 ** (k + 1)).real
+        a = rng.standard_normal((2 ** (k + 1),) * 2)
+        bend = 1e-6 * (a + a.T) / 2
         full = decoder.full_operators
 
         def bent(emap):
@@ -631,7 +625,7 @@ class TestRealData:
     def test_rejects_imaginary_part_on_commutant(self, k):
         # i A, A real antisymmetric inside one spin block, lifted: a
         # Hermitian imaginary part, which the real units of the decoder SDP
-        # cannot see, so build_qr refuses a cascade that carries one
+        # cannot see, so the SDP of a cascade that carries one is refused
         rng = np.random.default_rng(70 + k)
         _, emap = random_cascade(rng, n=k)
         w, paths = decoder._frame(k + 1, k)
@@ -641,8 +635,10 @@ class TestRealData:
         anti[a, b], anti[b, a] = 1.0, -1.0
         bent = decoder.EffectiveMap(j0=emap.j0 + 1e-6 * decoder._lift(w, 1j * anti),
                                     weights=emap.weights, k=k)
-        with pytest.raises(ValueError, match="not real"):
-            decoder.build_qr(bent)
+        qr = decoder.build_qr(bent)
+        assert np.iscomplexobj(qr.qt)
+        with pytest.raises(TypeError, match="data complex"):
+            decoder.purification_sdp(qr, 0.8)
 
 
 def sweep():
@@ -735,7 +731,7 @@ class TestBlockRoute:
 
 def test_cached_arrays_are_read_only():
     arrays = [cloner._stinespring_basis(3), decoder._frame(3, 2)[0], *decoder._covariant_rows(2)[0],
-              decoder._covariant_rows(2)[1], decoder._hermitian_basis(4), *decoder._lattice(3)[1:],
+              decoder._covariant_rows(2)[1], decoder._symmetric_basis(4), *decoder._lattice(3)[1:],
               tensor.schur_weyl_basis(3)[0]]
     for x in arrays:
         with pytest.raises(ValueError, match="read-only"):

@@ -3,37 +3,36 @@ import pytest
 
 from qumimo import channel, cloner, decoder, sdp
 from qumimo.errors import DimensionLimitError, NotHermitianError, SolverError
-from qumimo.tensor import dagger
 from reference_ops import SIGMA_X
 
 
-def random_hermitian(rng, n):
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return (a + dagger(a)) / 2
+def random_symmetric(rng, n):
+    a = rng.standard_normal((n, n))
+    return (a + a.T) / 2
 
 
 def lambda_max_problem(c):
     n = c.shape[0]
-    return sdp.SdpProblem(objective=[c], constraints=[np.eye(n, dtype=complex)[None]], rhs=[1.0])
+    return sdp.SdpProblem(objective=[c], constraints=[np.eye(n)[None]], rhs=[1.0])
 
 
 class TestSolve:
     def test_rejects_non_hermitian(self):
-        bad = np.array([[0, 1], [0, 0]], dtype=complex)
+        bad = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(NotHermitianError):
             lambda_max_problem(bad)
         with pytest.raises(NotHermitianError):
-            sdp.SdpProblem([np.eye(2, dtype=complex)], [bad[None]], [1.0])
+            sdp.SdpProblem([np.eye(2)], [bad[None]], [1.0])
 
     def test_diagonal_objective(self):
-        sol = sdp.solve(lambda_max_problem(np.diag([1.0, 2.0]).astype(complex)))
+        sol = sdp.solve(lambda_max_problem(np.diag([1.0, 2.0])))
         assert sol.status == sdp.OPTIMAL
         assert abs(sol.value - 2.0) < 1e-7
         x = sol.X_blocks[0]
         assert abs(x[1, 1] - 1.0) < 1e-6 and abs(x[0, 0]) < 1e-6
 
     def test_sigma_x_objective(self):
-        sol = sdp.solve(lambda_max_problem(SIGMA_X))
+        sol = sdp.solve(lambda_max_problem(SIGMA_X.real))
         assert sol.status == sdp.OPTIMAL
         assert abs(sol.value - 1.0) < 1e-7
 
@@ -41,7 +40,7 @@ class TestSolve:
         rng = np.random.default_rng(1)
         for _ in range(50):
             n = int(rng.integers(4, 33))
-            c = random_hermitian(rng, n)
+            c = random_symmetric(rng, n)
             sol = sdp.solve(lambda_max_problem(c))
             lam = np.linalg.eigvalsh(c)[-1]  # independent eigen-oracle
             assert sol.status == sdp.OPTIMAL
@@ -50,17 +49,13 @@ class TestSolve:
     # the solver assumes a feasible, bounded problem: on one that is not,
     # no iterate meets TOL, so it is never reported optimal
     def test_infeasible(self):
-        prob = sdp.SdpProblem(
-            [np.zeros((3, 3), dtype=complex)], [np.eye(3, dtype=complex)[None]], [-1.0]
-        )
+        prob = sdp.SdpProblem([np.zeros((3, 3))], [np.eye(3)[None]], [-1.0])
         sol = sdp.solve(prob)
         assert sol.status == sdp.MAX_ITER
         assert sol.message
 
     def test_unbounded(self):
-        prob = sdp.SdpProblem(
-            [np.eye(2, dtype=complex)], [np.diag([1.0, -1.0]).astype(complex)[None]], [0.0]
-        )
+        prob = sdp.SdpProblem([np.eye(2)], [np.diag([1.0, -1.0])[None]], [0.0])
         sol = sdp.solve(prob)
         assert sol.status == sdp.MAX_ITER
         assert sol.message
@@ -68,16 +63,16 @@ class TestSolve:
     def test_multiblock_coupling(self):
         # maximize Tr[C X] s.t. Tr[X] + Tr[S] = 1 with both PSD:
         # optimum puts all mass on the larger top-eigenvalue block.
-        c = np.diag([1.0, 3.0]).astype(complex)
-        eye = np.eye(2, dtype=complex)[None]
-        prob = sdp.SdpProblem([c, np.zeros((2, 2), dtype=complex)], [eye, eye], [1.0])
+        c = np.diag([1.0, 3.0])
+        eye = np.eye(2)[None]
+        prob = sdp.SdpProblem([c, np.zeros((2, 2))], [eye, eye], [1.0])
         sol = sdp.solve(prob)
         assert sol.status == sdp.OPTIMAL
         assert abs(sol.value - 3.0) < 1e-7
 
     def test_scaling_invariance_of_argmax(self):
         rng = np.random.default_rng(2)
-        c = random_hermitian(rng, 6)
+        c = random_symmetric(rng, 6)
         sol1 = sdp.solve(lambda_max_problem(c))
         sol5 = sdp.solve(lambda_max_problem(5.0 * c))
         assert abs(sol5.value - 5.0 * sol1.value) < 1e-6
@@ -88,7 +83,7 @@ class TestSolve:
         # its primal and dual objectives, on the eigenvalue problems and on
         # the covariant decoder problems
         rng = np.random.default_rng(3)
-        probs = [lambda_max_problem(random_hermitian(rng, n)) for n in (2, 5, 8, 12)]
+        probs = [lambda_max_problem(random_symmetric(rng, n)) for n in (2, 5, 8, 12)]
         probs += [prob for k in range(1, 6) for p in (0.6, 1.0)
                   for prob in decoder_problems(k, p, 2, seed=40 + 10 * k + int(10 * p))]
         for prob in probs:
@@ -100,14 +95,14 @@ class TestSolve:
     def test_dimension_cap(self):
         n = 300  # total block dimension 300 > 256
         with pytest.raises(DimensionLimitError):
-            sdp.solve(lambda_max_problem(np.eye(n, dtype=complex)))
+            sdp.solve(lambda_max_problem(np.eye(n)))
 
 
 class TestProblemFormat:
     def test_rejects_mismatched_shapes(self):
-        eye2 = np.eye(2, dtype=complex)
+        eye2 = np.eye(2)
         with pytest.raises(ValueError, match="constraint stack 0"):
-            sdp.SdpProblem([eye2], [np.eye(3, dtype=complex)[None]], [1.0])
+            sdp.SdpProblem([eye2], [np.eye(3)[None]], [1.0])
         with pytest.raises(ValueError, match="constraint stack 0"):
             sdp.SdpProblem([eye2], [np.stack([eye2, eye2])], [1.0])
         with pytest.raises(ValueError, match="one constraint stack per objective block"):
@@ -116,11 +111,20 @@ class TestProblemFormat:
             sdp.SdpProblem([eye2], [eye2[None]], [[1.0]])
 
     def test_rejects_non_hermitian_row(self):
-        eye2 = np.eye(2, dtype=complex)
-        bad = np.array([[0, 1], [0, 0]], dtype=complex)
+        eye2 = np.eye(2)
+        bad = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(NotHermitianError, match="constraint 1 block 1"):
             sdp.SdpProblem([eye2, eye2], [np.stack([eye2, eye2]), np.stack([eye2, bad])],
                            [1.0, 2.0])
+
+    @pytest.mark.parametrize("field", ["objective", "constraints", "rhs"])
+    def test_rejects_complex_data(self, field):
+        # complex data, even with a zero imaginary part, are refused: a cast
+        # to float64 would drop an imaginary part with only a warning
+        data = {"objective": [np.eye(2)], "constraints": [np.eye(2)[None]], "rhs": [1.0]}
+        data[field] = [x + 0j for x in data[field]]
+        with pytest.raises(TypeError, match=f"{field} data complex"):
+            sdp.SdpProblem(**data)
 
     def test_strided_rhs_solves_bit_for_bit(self):
         # The K = 3 decoder problem at p = 1, its rhs the traces of its
@@ -144,7 +148,7 @@ class TestProblemFormat:
 class TestVerify:
     def test_reports_clean_solution(self):
         rng = np.random.default_rng(4)
-        c = random_hermitian(rng, 8)
+        c = random_symmetric(rng, 8)
         prob = lambda_max_problem(c)
         sol = sdp.solve(prob)
         report = sdp.verify(prob, sol)
@@ -155,7 +159,7 @@ class TestVerify:
 
     def test_flags_constructed_violation(self):
         rng = np.random.default_rng(5)
-        c = random_hermitian(rng, 4)
+        c = random_symmetric(rng, 4)
         prob = lambda_max_problem(c)
         sol = sdp.solve(prob)
         bad = sdp.SdpSolution(
@@ -205,14 +209,15 @@ class TestStack:
                 assert_same_solution(sol, alone[i])
 
     def test_batch_invariance_complex(self):
-        # the complex Hermitian (dense) route: the full-space decoder problem
+        # the dense route: the full-space decoder problem, 8 + 4 wide with
+        # 11 rows
         probs = [decoder.dense_purification_problem(qr, 0.7) for qr in (
             decoder.build_qr(decoder.compose_effective_map(
                 cloner.cloner_choi(g), channel.channel_choi(channel.ChannelParams(
                     n=2, eta=eta, lam=lam, delta=1.0)), (1, 2), (1, 2)))
             for g, eta, lam in [((0.3, 0.7), 0.4, (0.1, 0.5)), ((0.5, 0.5), 0.9, (0.3, 0.2)),
                                 ((0.8, 0.2), 0.0, (0.6, 0.05))])]
-        assert all(np.iscomplexobj(prob.constraints[0]) for prob in probs)
+        assert all(prob.constraints[0].shape == (11, 8, 8) for prob in probs)
         alone = [sdp.solve(prob) for prob in probs]
         for order in ([0, 1, 2], [2, 0, 1, 0]):
             for i, sol in zip(order, sdp.solve_many([probs[i] for i in order])):
@@ -223,10 +228,10 @@ class TestStack:
         # same shape: the two end max_iter, the feasible keep their optima,
         # and every row is bit for bit its solve alone
         rng = np.random.default_rng(6)
-        eye = np.eye(3, dtype=complex)
-        infeasible = sdp.SdpProblem([np.zeros((3, 3), dtype=complex)], [eye[None]], [-1.0])
-        unbounded = sdp.SdpProblem([eye], [np.diag([1.0, -1.0, 0.0]).astype(complex)[None]], [0.0])
-        feasible = [lambda_max_problem(random_hermitian(rng, 3)) for _ in range(3)]
+        eye = np.eye(3)
+        infeasible = sdp.SdpProblem([np.zeros((3, 3))], [eye[None]], [-1.0])
+        unbounded = sdp.SdpProblem([eye], [np.diag([1.0, -1.0, 0.0])[None]], [0.0])
+        feasible = [lambda_max_problem(random_symmetric(rng, 3)) for _ in range(3)]
         stack = [feasible[0], infeasible, feasible[1], unbounded, feasible[2]]
         sols = sdp.solve_many(stack)
         assert [s.status for s in sols] == [sdp.OPTIMAL, sdp.MAX_ITER, sdp.OPTIMAL,
@@ -237,12 +242,11 @@ class TestStack:
             assert_same_solution(sol, sdp.solve(prob))
 
     def test_rejects_mixed_shapes(self):
-        eye2, eye3 = np.eye(2, dtype=complex), np.eye(3, dtype=complex)
+        eye2, eye3 = np.eye(2), np.eye(3)
         base = sdp.SdpProblem([eye2], [eye2[None]], [1.0])
         others = [
             sdp.SdpProblem([eye3], [eye3[None]], [1.0]),  # block size
             sdp.SdpProblem([eye2], [np.stack([eye2, eye2])], [1.0, 2.0]),  # constraints
-            sdp.SdpProblem([eye2.real], [eye2.real[None]], [1.0]),  # dtype
             sdp.SdpProblem([eye2, eye2], [eye2[None], eye2[None]], [1.0]),  # blocks
         ]
         for other in others:
@@ -283,7 +287,7 @@ class TestStack:
         # alone, and the decoder raises rather than use such a map
         monkeypatch.setattr(sdp, "TOL", 0.0)
         rng = np.random.default_rng(7)
-        probs = [lambda_max_problem(random_hermitian(rng, 6)) for _ in range(3)]
+        probs = [lambda_max_problem(random_symmetric(rng, 6)) for _ in range(3)]
         for prob, sol in zip(probs, sdp.solve_many(probs)):
             assert sol.status == sdp.MAX_ITER
             assert sol.message
