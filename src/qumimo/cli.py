@@ -35,13 +35,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _resolution(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value <= 0.25:  # NaN fails too
-        raise argparse.ArgumentTypeError(f"expected a resolution in (0, 0.25], got {text}")
-    return value
-
-
 def _add_run_args(sub):
     sub.add_argument("--config", required=True, help="JSON experiment config")
     sub.add_argument("--seed", type=int, default=None, help="override config seed")
@@ -58,9 +51,11 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("fixed-z", "scaling", "stochastic"):
         _add_run_args(subs.add_parser(name))
     boundary = subs.add_parser("boundary")
-    boundary.add_argument("--m", type=int, nargs="+", choices=(2, 3), default=[2, 3])
-    boundary.add_argument("--resolution", type=_resolution, default=0.05)
+    boundary.add_argument("--m", type=int, nargs="+", default=[2, 3])
+    boundary.add_argument("--resolution", type=float, default=0.05)
     boundary.add_argument("--out", required=True)
+    # cloner.feasible_boundary checks --m and --resolution before any output
+    boundary.set_defaults(usage_error=boundary.error)
     validate = subs.add_parser("validate")
     validate.add_argument("--quick", action="store_true", help="smaller sample counts")
     return parser
@@ -191,8 +186,11 @@ def main(argv=None) -> int:
                    else experiments.run_grid_regime)
             manifest = run(cfg, out, workers=args.workers)
         elif args.command == "boundary":
-            manifest = experiments.run_boundary(args.out, m_values=tuple(args.m),
-                                                resolution=args.resolution)
+            try:
+                manifest = experiments.run_boundary(args.out, m_values=tuple(args.m),
+                                                    resolution=args.resolution)
+            except ValueError as exc:
+                args.usage_error(str(exc))
         elif args.command == "validate":
             return _run_checks(args.quick)
         else:  # pragma: no cover

@@ -212,6 +212,6 @@ def feasible_boundary(m: int, grid_resolution: float) -> list[CloneFidelityVecto
     if m not in (2, 3):
         raise ValueError(f"boundary enumeration supports M in {{2, 3}}, got {m}")
     if not (0.0 < grid_resolution <= 0.25):
-        raise ValueError("grid_resolution must lie in (0, 0.25]")
+        raise ValueError(f"grid_resolution must lie in (0, 0.25], got {grid_resolution}")
     steps = int(round(1.0 / grid_resolution))
     return [clone_fidelities(pt) for pt in simplex_grid(m, steps)]

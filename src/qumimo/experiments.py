@@ -19,9 +19,8 @@ on its chunk, so the bytes do not depend on the worker count.  The
 strategies return only what they compute; ``run_grid_regime`` holds the
 run context and writes it into ``records.csv`` (``csv_header``).
 ``run_stochastic`` writes each gain sample once, in ``gain_samples.csv``,
-and draws each cluster once: a mean vector's heatmap realizations serve
-every eta, the cluster variances read every panel cluster, the panel and
-``allocations.csv`` mean vector 0's.
+and draws each panel cluster once: the cluster variances read every
+cluster, the panel and ``allocations.csv`` mean vector 0's.
 Configs are single JSON documents (schema below).  Every sampled object
 derives its seed from the master seed and its task coordinates through
 SHA-256, so outputs are byte-identical across runs and worker counts.
@@ -574,23 +573,23 @@ def _realizations(cfg: ExperimentConfig, mean: MeanAllocation, mean_id: int, mu:
 
 
 def _heatmap_tasks(tasks):
-    """A chunk of (eta, mean vector) tasks of the gain heatmap, each with
-    the mean vector's realizations: the ``div`` design on each mean channel
-    (``strategies.strategy_design``), then the decoders of every task and p
-    in one batched solve.  Per task, its ``baseline.csv`` row and its gain
-    samples."""
+    """A chunk of (eta, mean vector) tasks of the gain heatmap: the ``div``
+    design on each mean channel (``strategies.strategy_design``), then the
+    decoders of every task and p in one batched solve.  Per task, its
+    ``baseline.csv`` row and its gain samples."""
     p_eval = tuple(sorted(set(tasks[0][0].p) | {1.0}))
-    designs = [strategy_design("div", _channel(cfg, eta, lam)) for cfg, eta, _, lam, *_ in tasks]
+    designs = [strategy_design("div", _channel(cfg, eta, lam)) for cfg, eta, _, lam, _ in tasks]
     sols = iter(dec_mod.purification_sdps((d.qr, p) for d in designs for p in p_eval))
     out = []
-    for (cfg, eta, mean_id, lam, _, cluster), design in zip(tasks, designs):
+    for (cfg, eta, mean_id, lam, z), design in zip(tasks, designs):
         decoders = {p: next(sols) for p in p_eval}
         # The p = 1 decoder on the cascade it was designed on.
         _, base_fs, base_favg = dec_mod.evaluate_decoder(decoders[1.0].j, design.qr)
         baseline_row = [eta, mean_id, base_fs, base_favg, asymmetry_index(design.enc.fidelities),
                         *design.gamma, _modes(design.t), _modes(design.r)]
         rows = []
-        for rid, x in enumerate(cluster):
+        mean = MeanAllocation(lam=lam, z=z)
+        for rid, x in enumerate(_realizations(cfg, mean, mean_id, cfg.heatmap_mu, "xi")):
             qr_x = _realized_cascade(design, _channel(cfg, eta, x.lam))
             evals = {p: dec_mod.evaluate_decoder(dec.j, qr_x) for p, dec in decoders.items()}
             p1_real, p1_fs, p1_favg = evals[1.0]
@@ -629,12 +628,9 @@ def run_stochastic(cfg: ExperimentConfig, out_dir, workers: int = 1) -> dict:
     z = cfg.z_list[0]
     means = _mean_vectors(cfg, "asymmetric", z, n)
 
-    # Gain heatmap over (p, eta) grids, its rows in (eta, mean_id) order; a
-    # mean vector's realizations do not depend on eta, so are drawn once.
-    xi = [_realizations(cfg, mean, mean_id, cfg.heatmap_mu, "xi")
-          for mean_id, mean in enumerate(means)]
+    # Gain heatmap over (p, eta) grids, its rows in (eta, mean_id) order.
     tasks = [
-        (cfg, eta, mean_id, mean.lam, z, xi[mean_id])
+        (cfg, eta, mean_id, mean.lam, z)
         for eta in sorted(cfg.eta)
         for mean_id, mean in enumerate(means)
     ]
@@ -717,14 +713,14 @@ def run_stochastic(cfg: ExperimentConfig, out_dir, workers: int = 1) -> dict:
 
 
 def run_boundary(out_dir, m_values=(2, 3), resolution: float = 0.05) -> dict:
-    """Cloning trade-off surfaces as CSV, one file per clone count."""
+    """Cloning trade-off surfaces as CSV, one file per clone count; every
+    surface is built, and its arguments checked, before any output."""
+    surfaces = {m: feasible_boundary(m, resolution) for m in m_values}
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     files = []
-    for m in m_values:
-        rows = []
-        for fv in feasible_boundary(m, resolution):
-            rows.append(list(fv.gamma.gamma) + list(fv.fidelities))
+    for m, surface in surfaces.items():
+        rows = [list(fv.gamma.gamma) + list(fv.fidelities) for fv in surface]
         name = f"boundary_M{m}.csv"
         _write_csv(
             out_dir / name,

@@ -561,8 +561,8 @@ class TestStochasticRun:
 
     def test_each_cluster_drawn_once(self, tmp_path, monkeypatch):
         # the cluster variances, the panel and allocations.csv read one draw
-        # of each (mean_id, mu) panel cluster; the heatmap draws each mean
-        # vector's realizations once, for every eta
+        # of each (mean_id, mu) panel cluster; the heatmap draws its
+        # realizations once per (eta, mean vector) task
         drawn = collections.Counter()
         draw = experiments._realizations
 
@@ -575,7 +575,7 @@ class TestStochasticRun:
             tiny_stoch_cfg(eta=[0.5, 0.8], mu=[0.5, 1.0], num_mean_vectors=3))
         experiments.run_stochastic(cfg, tmp_path / "out")
         assert drawn == {**{("box-xi", mu, m): 1 for mu in (0.5, 1.0) for m in range(3)},
-                         **{("xi", 0.5, m): 1 for m in range(3)}}
+                         **{("xi", 0.5, m): 2 for m in range(3)}}
 
     def test_no_amplitudes_outside_the_mean_designs(self, tmp_path, monkeypatch):
         # a design's cloner carries its clone fidelities: the baseline J
@@ -621,8 +621,7 @@ class TestStochasticRun:
             return [sol for _, sol in solved[-len(pairs):]]
 
         monkeypatch.setattr(decoder, "purification_sdps", recorded)
-        xi = experiments._realizations(cfg, mean, 1, cfg.heatmap_mu, "xi")
-        [(baseline, _)] = experiments._heatmap_tasks([(cfg, 0.5, 1, mean.lam, 1.2, xi)])
+        [(baseline, _)] = experiments._heatmap_tasks([(cfg, 0.5, 1, mean.lam, 1.2)])
         assert tuple(baseline[5:8]) == div.gamma == recs[0].gamma
         assert baseline[8:] == [experiments._modes(div.t), experiments._modes(div.r)]
         assert (div.t, div.r) == (recs[0].t, recs[0].r)

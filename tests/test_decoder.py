@@ -549,6 +549,14 @@ class TestPartialTraceOperator:
         ref = sdp.solve(decoder.dense_purification_problem(qr, p))
         assert abs(dec.f_success * p - ref.value) < 1e-7
 
+    @pytest.mark.parametrize("p, value", [(0.8, 0.5822981591901222), (1.0, 0.7237125498041763)])
+    def test_dense_route_reaches_complex_optimum_k3(self, p, value):
+        # the optimum over complex Hermitian J of test_matches_dense_route_k3's
+        # cascade, from the earlier dense route on all 65 Hermitian units:
+        # keeping only the real symmetric units loses nothing
+        qr, _ = random_cascade(np.random.default_rng(33), n=3)
+        assert abs(sdp.solve(decoder.dense_purification_problem(qr, p)).value - value) < 1e-9
+
     def test_every_solve_is_validated(self, monkeypatch):
         calls = []
         monkeypatch.setattr(decoder, "_validate_decoder", lambda *a: calls.append(a))
