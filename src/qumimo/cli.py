@@ -74,7 +74,7 @@ def _load(args, expected_regime: str):
 
 
 def _run_checks(quick: bool) -> int:
-    from . import channel, cloner, decoder, noise
+    from . import channel, cloner, decoder, noise, sdp
 
     failures = 0
 
@@ -94,7 +94,9 @@ def _run_checks(quick: bool) -> int:
     check("amplitude identity", worst < 1e-9, f"worst {worst:.1e}")
 
     # For every receive ordering the cascade's weights are a distribution
-    # and its dense Choi preserves trace; fewer receive modes are refused.
+    # and it preserves trace; fewer receive modes are refused.  Leg
+    # permutations leave Tr_out alone, so the cascade's Tr_out is the
+    # weights' sum times that of j0.
     draws = 3 if quick else 10
     ok, worst = True, 0.0
     for _ in range(draws):
@@ -110,9 +112,8 @@ def _run_checks(quick: bool) -> int:
             for r in itertools.permutations(range(1, n + 1)):
                 emap = decoder.compose_effective_map(enc, ch, t, r)
                 ok &= bool(emap.weights.min() >= 0.0 and abs(emap.weights.sum() - 1.0) < 1e-12)
-                j = decoder.dense_cascade(emap)
-                tp = np.trace(j.reshape(2, 2 ** n, 2, 2 ** n), axis1=1, axis2=3)
-                worst = max(worst, float(np.max(np.abs(tp - np.eye(2)))))
+                tp = np.trace(emap.j0.reshape(2, 2 ** n, 2, 2 ** n), axis1=1, axis2=3)
+                worst = max(worst, float(np.max(np.abs(emap.weights.sum() * tp - np.eye(2)))))
             try:
                 decoder.compose_effective_map(enc, ch, t, r[:-1])
                 ok = False
@@ -125,23 +126,19 @@ def _run_checks(quick: bool) -> int:
     check("fluctuation moments", abs(xi.mean() - 1) < 0.02 and abs(xi.var() - 0.25) < 0.02,
           f"mean {xi.mean():.4f} var {xi.var():.4f}")
 
-    for name, lam, want in (("identity", 0.0, 1.0), ("depolarizing", 0.4, 0.8)):
-        ch = channel.channel_choi(channel.ChannelParams(n=1, eta=0.0, lam=(lam,), delta=1.0))
-        dec = decoder.purification_sdp(decoder.design_at((1.0,), ch, (1,), (1,)).qr, 1.0)
+    sanity = (("identity", 0.0, 1.0), ("depolarizing", 0.4, 0.8))
+    decs = decoder.purification_sdps(
+        (decoder.design_at((1.0,), channel.channel_choi(channel.ChannelParams(
+            n=1, eta=0.0, lam=(lam,), delta=1.0)), (1,), (1,)).qr, 1.0) for _, lam, _ in sanity)
+    for (name, _, want), dec in zip(sanity, decs):
         check(f"decoder {name} sanity", abs(dec.f_avg - want) < 1e-6, f"F={dec.f_avg:.8f}")
 
-    from . import sdp as sdp_mod
-
-    ok = True
-    for _ in range(2 if quick else 5):
-        n = int(rng.integers(4, 17))
-        a = rng.standard_normal((n, n))
-        c = (a + a.T) / 2
-        prob = sdp_mod.SdpProblem([c], [np.eye(n)[None]], [1.0])
-        sol = sdp_mod.solve(prob)
-        ok &= sol.status == sdp_mod.OPTIMAL
-        ok &= abs(sol.value - np.linalg.eigvalsh(c)[-1]) < 1e-7
-    check("sdp eigenvalue oracle", ok)
+    n = int(rng.integers(4, 17))
+    cs = [(a + a.T) / 2 for a in rng.standard_normal((2 if quick else 5, n, n))]
+    sols = sdp.solve_many([sdp.SdpProblem([c], [np.eye(n)[None]], [1.0]) for c in cs])
+    check("sdp eigenvalue oracle", all(
+        sol.status == sdp.OPTIMAL and abs(sol.value - np.linalg.eigvalsh(c)[-1]) < 1e-7
+        for c, sol in zip(cs, sols)), f"one stack, n = {n}")
 
     for n in (2, 3):
         params = channel.ChannelParams(n=n, eta=float(rng.uniform(0, 1)),
@@ -150,28 +147,20 @@ def _run_checks(quick: bool) -> int:
         emap = decoder.compose_effective_map(cloner.cloner_choi(tuple(rng.dirichlet(np.ones(n)))),
                                              channel.channel_choi(params), modes, modes)
         qr = decoder.build_qr(emap)
-        resid = max(float(np.max(np.abs(x - y))) / max(1.0, float(np.max(np.abs(x))))
-                    for x, y in zip(decoder.full_operators(emap), decoder.lift_operators(qr)))
-        check(f"Qt, Rt on the SU(2) commutant, N = {n}", resid <= 1e-12, f"residual {resid:.1e}")
         check(f"reduced decoder data real, N = {n}",
               not any(map(np.iscomplexobj, (qr.qt, qr.rt))), f"dtype {qr.qt.dtype}")
-        # p < 1 carries the slack block; p = 1 drops it.
-        for p in (0.8, 1.0):
-            dense = sdp_mod.solve(decoder.dense_purification_problem(qr, p))
-            err = abs(decoder.purification_sdp(qr, p).f_success * p - dense.value)
-            check(f"decoder SDP: covariant blocks = dense, K = {n}, p = {p:g}",
-                  dense.status == sdp_mod.OPTIMAL and err < 1e-7, f"|dF| {err:.1e}")
 
     # The blind decoder's closed form reaches the SDP optimum on its prior.
+    cases = []
     for m in (2, 3):
         modes = tuple(range(1, m + 1))
         prior = channel.channel_choi(channel.ChannelParams(n=m, eta=0.0, lam=(0.0,) * m, delta=1.0))
         qr = decoder.design_at(tuple([1 / m] * m), prior, modes, modes).qr
-        for p in (0.8, 1.0):
-            f_avg = decoder.evaluate_decoder(decoder.blind_choi(m, p), qr)[2]
-            err = abs(f_avg - decoder.purification_sdp(qr, p).f_avg)
-            check(f"blind decoder: closed form = identity-prior SDP, M = {m}, p = {p:g}",
-                  err < 1e-7, f"|dF| {err:.1e}")
+        cases += [(m, qr, p) for p in (0.8, 1.0)]
+    for (m, qr, p), dec in zip(cases, decoder.purification_sdps((qr, p) for _, qr, p in cases)):
+        err = abs(decoder.evaluate_decoder(decoder.blind_choi(m, p), qr)[2] - dec.f_avg)
+        check(f"blind decoder: closed form = identity-prior SDP, M = {m}, p = {p:g}",
+              err < 1e-7, f"|dF| {err:.1e}")
 
     print(f"{failures} failure(s)" if failures else "all checks passed")
     return 1 if failures else 0

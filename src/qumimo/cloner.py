@@ -204,14 +204,21 @@ def simplex_grid(m: int, steps: int) -> list[tuple]:
     return sorted(set(pts))
 
 
+def boundary_steps(grid_resolution: float) -> int:
+    """Lattice steps per unit of the boundary grid for ``grid_resolution``
+    in (0, 0.25]: the grid samples multiples of ``1 / steps``, the nearest
+    such step to the resolution asked for."""
+    if not (0.0 < grid_resolution <= 0.25):
+        raise ValueError(f"grid_resolution must lie in (0, 0.25], got {grid_resolution}")
+    return int(round(1.0 / grid_resolution))
+
+
 def feasible_boundary(m: int, grid_resolution: float) -> list[CloneFidelityVector]:
-    """Fidelity trade-off surface sampled on a simplex grid.
+    """Fidelity trade-off surface sampled on a simplex grid
+    (:func:`boundary_steps`).
 
     Every emitted point dominates the maximally mixed baseline of 1/2.
     """
     if m not in (2, 3):
         raise ValueError(f"boundary enumeration supports M in {{2, 3}}, got {m}")
-    if not (0.0 < grid_resolution <= 0.25):
-        raise ValueError(f"grid_resolution must lie in (0, 0.25], got {grid_resolution}")
-    steps = int(round(1.0 / grid_resolution))
-    return [clone_fidelities(pt) for pt in simplex_grid(m, steps)]
+    return [clone_fidelities(pt) for pt in simplex_grid(m, boundary_steps(grid_resolution))]

@@ -19,7 +19,7 @@ The blind baseline's decoder needs no SDP: :func:`blind_choi`.
 ``Qt`` and ``Rt`` are block-diagonal by SU(2) spin on one real frame
 (:func:`_frame`), the only form :func:`build_qr` returns: every reader
 works on those blocks, a decoder is its reduced Choi, and only the
-reference routes lift back (:func:`lift_operators`).  A channel's design
+test references lift them back to the full space.  A channel's design
 (:class:`Design`) is built once, by :func:`design_at` or at gamma* by the
 gamma search; only the decoder SDP is solved per p.
 """
@@ -192,15 +192,6 @@ def _leg_table(k: int) -> tuple:
     return codes, legs, tuple(blocks)
 
 
-def dense_cascade(emap: EffectiveMap) -> np.ndarray:
-    """The cascade Choi on 2^(K+1), term by term: the reference route."""
-    legs = _leg_table(emap.k)[1]
-    out = np.zeros_like(emap.j0)
-    for s in np.flatnonzero(emap.weights):
-        out += emap.weights[s] * emap.j0[..., legs[s][:, None], legs[s]]
-    return out
-
-
 def _twirl(choi: np.ndarray, k: int) -> tuple:
     """The Haar-averaged ``Qt`` and ``Rt`` of a (stack of) cascade Choi on
     1 + K qubits, input transpose folded in."""
@@ -214,12 +205,6 @@ def _twirl(choi: np.ndarray, k: int) -> tuple:
     # Rt = sigma^T (x) I, one Kronecker product per stack entry.
     rt = (sigma.swapaxes(-1, -2)[..., :, None, :, None] * I2[:, None, :]).reshape(qt.shape)
     return (qt + dagger(qt)) / 2.0, (rt + dagger(rt)) / 2.0
-
-
-def full_operators(emap: EffectiveMap) -> tuple:
-    """The full ``Qt`` and ``Rt`` of :func:`dense_cascade`, the reference of
-    :func:`build_qr` in ``qumimo validate`` and the tests."""
-    return _twirl(dense_cascade(emap), emap.k)
 
 
 def build_qr(emap: EffectiveMap) -> QROperators:
@@ -245,13 +230,6 @@ def build_qr(emap: EffectiveMap) -> QROperators:
     return QROperators(qt=qt, rt=rt, k=emap.k)
 
 
-def lift_operators(qr: QROperators) -> tuple:
-    """The full ``Qt`` and ``Rt`` of the blocks, for the reference routes."""
-    w, paths = _frame(qr.k + 1, qr.k)
-    dim = np.array([path[-1] + 1 for path in paths])
-    return _lift(w, qr.qt / dim), _lift(w, qr.rt / dim)
-
-
 @functools.cache
 def _symmetric_basis(d: int) -> np.ndarray:
     """Read-only: the ``d(d+1)/2 x d x d`` stack of real symmetric units:
@@ -264,18 +242,6 @@ def _symmetric_basis(d: int) -> np.ndarray:
     basis[sym, k, l] = basis[sym, l, k] = 1.0
     basis.setflags(write=False)
     return basis
-
-
-def dense_purification_problem(qr: QROperators, p: float) -> sdp.SdpProblem:
-    """The decoder SDP of :func:`purification_sdp` on the full space
-    (:func:`lift_operators`), one row of ``Tr_B J + S = I`` per real
-    symmetric unit: the reference route that ``qumimo validate`` and the
-    tests solve it against.  Its data are real, so the mean of a complex
-    optimum and its conjugate is a real one, and the real problem has the
-    complex problem's value."""
-    h = _symmetric_basis(2 ** qr.k)
-    rows = (np.kron(h, I2), h, np.trace(h, axis1=1, axis2=2))
-    return _decoder_problem(*lift_operators(qr), rows, p)
 
 
 def _decoder_problem(c: np.ndarray, r: np.ndarray, rows, p: float) -> sdp.SdpProblem:
@@ -294,7 +260,13 @@ def _decoder_problem(c: np.ndarray, r: np.ndarray, rows, p: float) -> sdp.SdpPro
 
 
 def purification_sdp(qr: QROperators, p: float) -> DecoderSolution:
-    """Optimal probabilistic purification map at success probability p.
+    """:func:`purification_sdps` of one pair: the stack of one."""
+    return purification_sdps([(qr, p)])[0]
+
+
+def purification_sdps(pairs) -> list:
+    """Optimal probabilistic purification maps of many ``(qr, p)`` pairs,
+    in order, one per success probability p.
 
     Maximizes ``Tr[J Qt]`` over decoder Choi matrices ``J >= 0`` with
     ``Tr[J Rt] = p`` and ``Tr_B J <= I``, the dominance encoded with a PSD
@@ -312,22 +284,9 @@ def purification_sdp(qr: QROperators, p: float) -> DecoderSolution:
     the frame are real, so the blocks are real symmetric and only the
     real symmetric units of that equality are kept.  At K = 4 the solver
     sees blocks 10 + 6 wide and 11 constraints, where the same problem on
-    the full space (:func:`dense_purification_problem`) has blocks 32 + 16
-    and 137.  A solve is about ten iterations, and many problems are
-    solved as one stack (:func:`purification_sdps`).
-    With one BLAS thread on a shared 2-core x86-64 machine a problem cost
-    (p = 1 / p = 0.8, best of seven rounds on twelve random cascades), in
-    a stack of one: 2.1 / 2.6 ms at K = 2, 2.1 / 3.0 ms at K = 3,
-    2.5 / 4.1 ms at K = 4 and 5.5 / 7.1 ms at K = 5; in a stack of twelve:
-    0.27 / 0.40, 0.37 / 0.54, 0.67 / 1.3 and 2.5 / 4.5 ms.  The decoder
-    returned, ``DecoderSolution.j``, is the reduced J, checked on the
-    blocks (:func:`_validate_decoder`).
-    """
-    return purification_sdps([(qr, p)])[0]
-
-
-def purification_sdps(pairs) -> list:
-    """:func:`purification_sdp` of many ``(qr, p)`` pairs, in order.
+    the full space has blocks 32 + 16 and 137.  The decoder returned,
+    ``DecoderSolution.j``, is the reduced J, checked on the blocks
+    (:func:`_validate_decoder`).
 
     The problems of one shape (one K, and whether p = 1) are solved as one
     stack (:func:`sdp.solve_many`), whose arithmetic per problem does not
@@ -384,13 +343,9 @@ def _frame(n: int, flip: int):
     return w, tuple(path for _, paths in blocks for path in paths)
 
 
-def _lift(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``sum_t w[t] X w[t]^T`` of X, or of each X of a stack."""
-    return np.sum(w @ x[..., None, :, :] @ w.transpose(0, 2, 1), axis=-3)
-
-
 def _reduce(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The adjoint of :func:`_lift`: ``(2j + 1) X_j`` on the commutant."""
+    """``(2j + 1) X_j`` on the commutant: the adjoint of the lift
+    ``sum_t w[t] X w[t]^T`` (:func:`_frame`)."""
     return np.sum(w.transpose(0, 2, 1) @ x[..., None, :, :] @ w, axis=-3)
 
 
@@ -469,10 +424,7 @@ def rayleigh_bound(qr: QROperators) -> float:
 
     Scored on ``(+)_j Q_j`` and ``(+)_j R_j`` (:class:`QROperators`,
     block j divided by 2j + 1), whose eigenvalues are those of ``Qt`` and
-    ``Rt``, as :func:`_lattice_surrogates` scores block by block.  One
-    BLAS thread, shared 2-core x86-64 (best of three runs of 5 x 200
-    calls): 33 / 35 / 42 / 70 µs at K = 2 / 3 / 4 / 5, against 36 / 48 /
-    86 / 295 µs on the full 2^(K+1)-square operators.
+    ``Rt``, as :func:`_lattice_surrogates` scores block by block.
     """
     dim = np.array([path[-1] + 1 for path in _frame(qr.k + 1, qr.k)[1]])
     rinv, support = _pinv_sqrt((qr.rt / dim)[None])

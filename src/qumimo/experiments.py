@@ -94,7 +94,7 @@ import numpy as np
 from . import __version__
 from . import decoder as dec_mod
 from .channel import ChannelParams, branch_fidelities, channel_choi, coupling_report
-from .cloner import feasible_boundary
+from .cloner import boundary_steps, feasible_boundary
 from .errors import ConfigError, QumimoError
 from .metrics import asymmetry_index, empirical_density
 from .noise import (
@@ -714,7 +714,8 @@ def run_stochastic(cfg: ExperimentConfig, out_dir, workers: int = 1) -> dict:
 
 def run_boundary(out_dir, m_values=(2, 3), resolution: float = 0.05) -> dict:
     """Cloning trade-off surfaces as CSV, one file per clone count; every
-    surface is built, and its arguments checked, before any output."""
+    surface is built, and its arguments checked, before any output.  The
+    manifest records the grid step sampled, ``1 / boundary_steps``."""
     surfaces = {m: feasible_boundary(m, resolution) for m in m_values}
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -729,5 +730,6 @@ def run_boundary(out_dir, m_values=(2, 3), resolution: float = 0.05) -> dict:
         )
         files.append(name)
     return _write_manifest(out_dir, files, {
-        "package_version": __version__, "emitter": "boundary", "resolution": resolution,
+        "package_version": __version__, "emitter": "boundary",
+        "resolution": 1 / boundary_steps(resolution),
     })

@@ -124,32 +124,8 @@ class SdpSolution:
     message: str = ""
 
 
-@dataclass
-class VerifyReport:
-    constraint_residuals: np.ndarray
-    min_eigenvalues: list
-    primal_value: float
-    dual_value: float
-    gap: float
-    feasible: bool
-    psd_floor: float
-
-
 def _sym(v: np.ndarray) -> np.ndarray:
     return (v + v.swapaxes(-1, -2)) / 2.0
-
-
-def _block_diag(blocks) -> np.ndarray:
-    """The blocks (square matrices, or ``m x d x d`` stacks) on the
-    diagonal of one matrix (or stack)."""
-    n = sum(x.shape[-1] for x in blocks)
-    out = np.zeros(blocks[0].shape[:-2] + (n, n))
-    lo = 0
-    for x in blocks:
-        hi = lo + x.shape[-1]
-        out[..., lo:hi, lo:hi] = x
-        lo = hi
-    return out
 
 
 def _a_apply(a_flat: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -421,26 +397,3 @@ def solve_many(problems) -> list:
         leave({row: (MAX_ITER, "") for row in range(len(st.live))})
     return out
 
-
-def verify(problem: SdpProblem, solution: SdpSolution, tol: float = 1e-7) -> VerifyReport:
-    """Recompute feasibility residuals and eigenvalue floors from scratch.
-
-    Uses only the problem data and the returned blocks, not the solver's
-    iterates: the residuals are ``A(X) - rhs``.
-    """
-    m = len(problem.rhs)
-    a_flat = _block_diag(problem.constraints).reshape(1, m, -1)
-    res = _a_apply(a_flat, _block_diag(solution.X_blocks)[None])[0] - problem.rhs
-    floors = [float(np.linalg.eigvalsh(x)[0]) if x.size else 0.0 for x in solution.X_blocks]
-    pval = float(sum(np.trace(c @ x) for c, x in zip(problem.objective, solution.X_blocks)))
-    gap = abs(pval - solution.dual_value)
-    feasible = bool(np.max(np.abs(res)) <= tol and min(floors) >= -1e-8)
-    return VerifyReport(
-        constraint_residuals=res,
-        min_eigenvalues=floors,
-        primal_value=pval,
-        dual_value=solution.dual_value,
-        gap=gap,
-        feasible=feasible,
-        psd_floor=min(floors),
-    )

@@ -18,12 +18,17 @@ modes read (:func:`source_weights`) and one ``einsum`` per source
 pattern (:func:`einsum_compose`), the pattern oracle at every K.
 
 The full-space route of the Haar operators is kept here as the oracle of
-the spin blocks that ``decoder.build_qr`` returns: :class:`FullQR` holds
-the full ``Qt`` and ``Rt``, :func:`covariant_operators` and
-:func:`spin_blocks` are the earlier run-time reduction (with its check
-that the operators lie on the SU(2) commutant), and
-:func:`validate_full_decoder` is the earlier full-space check of a
-decoder, against which the block check is tested.
+the spin blocks that ``decoder.build_qr`` returns: :func:`dense_cascade`
+sums the cascade term by term, :func:`full_operators` twirls it,
+:func:`lift` and :func:`lift_operators` take spin blocks back to the full
+space, :class:`FullQR` holds the full ``Qt`` and ``Rt``,
+:func:`covariant_operators` and :func:`spin_blocks` are the earlier
+run-time reduction (with its check that the operators lie on the SU(2)
+commutant), and :func:`validate_full_decoder` is the earlier full-space
+check of a decoder, against which the block check is tested.
+:func:`dense_purification_problem` is the decoder SDP on the full space,
+the reference of the covariant problem that ``decoder.purification_sdps``
+solves, and :func:`block_diag` merges SDP blocks as the solver does.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from typing import Iterable
 
 import numpy as np
 
-from qumimo import channel, cloner, decoder
+from qumimo import channel, cloner, decoder, sdp
 from qumimo.errors import DimensionLimitError, NotHermitianError, NotPsdError, QumimoError
 from qumimo.tensor import I2, PHI_UNNORM, PSD_SUPPORT_TOL, dagger, is_hermitian
 
@@ -209,7 +214,7 @@ def rank_one_certificate(qr: decoder.QROperators, p: float) -> np.ndarray:
     eigenvector of ``R^{-1/2} Qt R^{-1/2}`` on the full ``Rt``, both lifted
     from the blocks ``qr``; PSD and on budget, but free to violate the
     partial-trace dominance."""
-    qt, rt = decoder.lift_operators(qr)
+    qt, rt = lift_operators(qr)
     rinv = psd_sqrt_pinv(rt)
     mat = rinv @ qt @ rinv
     _, vecs = hermitian_eig((mat + dagger(mat)) / 2.0)
@@ -230,6 +235,58 @@ def branch_fidelity_via_compose(chan, t_mode: int, r_mode: int) -> float:
     return float(np.real(np.trace(PHI_UNNORM @ decoder._twirl(choi, 1)[0])))
 
 
+def dense_cascade(emap: decoder.EffectiveMap) -> np.ndarray:
+    """The cascade Choi on 2^(K+1), term by term: ``sum_s w_s P_s j0
+    P_s^T`` over the leg permutations of ``decoder._leg_table``."""
+    legs = decoder._leg_table(emap.k)[1]
+    out = np.zeros_like(emap.j0)
+    for s in np.flatnonzero(emap.weights):
+        out += emap.weights[s] * emap.j0[..., legs[s][:, None], legs[s]]
+    return out
+
+
+def full_operators(emap: decoder.EffectiveMap) -> tuple:
+    """The full ``Qt`` and ``Rt`` of :func:`dense_cascade`."""
+    return decoder._twirl(dense_cascade(emap), emap.k)
+
+
+def lift(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``sum_t w[t] X w[t]^T`` of X, or of each X of a stack: the adjoint
+    of ``decoder._reduce``."""
+    return np.sum(w @ x[..., None, :, :] @ w.transpose(0, 2, 1), axis=-3)
+
+
+def lift_operators(qr: decoder.QROperators) -> tuple:
+    """The full ``Qt`` and ``Rt`` of the spin blocks ``qr``."""
+    w, paths = decoder._frame(qr.k + 1, qr.k)
+    dim = np.array([path[-1] + 1 for path in paths])
+    return lift(w, qr.qt / dim), lift(w, qr.rt / dim)
+
+
+def dense_purification_problem(qr: decoder.QROperators, p: float) -> sdp.SdpProblem:
+    """The decoder SDP of ``decoder.purification_sdps`` on the full space
+    (:func:`lift_operators`), one row of ``Tr_B J + S = I`` per real
+    symmetric unit.  Its data are real, so the mean of a complex optimum
+    and its conjugate is a real one, and the real problem has the complex
+    problem's value."""
+    h = decoder._symmetric_basis(2 ** qr.k)
+    rows = (np.kron(h, I2), h, np.trace(h, axis1=1, axis2=2))
+    return decoder._decoder_problem(*lift_operators(qr), rows, p)
+
+
+def block_diag(blocks) -> np.ndarray:
+    """The blocks (square matrices, or ``m x d x d`` stacks) on the
+    diagonal of one matrix (or stack), as the solver merges them."""
+    n = sum(x.shape[-1] for x in blocks)
+    out = np.zeros(blocks[0].shape[:-2] + (n, n))
+    lo = 0
+    for x in blocks:
+        hi = lo + x.shape[-1]
+        out[..., lo:hi, lo:hi] = x
+        lo = hi
+    return out
+
+
 # Largest entry of Qt or Rt off the SU(2) commutant, and largest imaginary
 # part of their reduced blocks, relative to max(1, largest entry), that
 # the earlier run-time reduction accepted.
@@ -248,7 +305,7 @@ class FullQR:
 
 
 def full_qr(emap: decoder.EffectiveMap) -> FullQR:
-    return FullQR(*decoder.full_operators(emap), k=emap.k)
+    return FullQR(*full_operators(emap), k=emap.k)
 
 
 def covariant_operators(qr: FullQR):
@@ -261,7 +318,7 @@ def covariant_operators(qr: FullQR):
     reduced, resid = [], 0.0
     for x in (qr.qt, qr.rt):
         red = decoder._reduce(w, x) * (two_j[:, None] == two_j)
-        off = float(np.max(np.abs(x - decoder._lift(w, red / (two_j[:, None] + 1)))))
+        off = float(np.max(np.abs(x - lift(w, red / (two_j[:, None] + 1)))))
         resid = max(resid, off / max(1.0, float(np.max(np.abs(x)))))
         reduced.append((red + dagger(red)) / 2.0)
     return reduced, resid
@@ -291,7 +348,7 @@ def spin_blocks(qr: FullQR) -> list:
 
 def lift_decoder(j: np.ndarray, k: int) -> np.ndarray:
     """The full Choi ``(+)_j X_j (x) I_{2j+1}`` of a reduced decoder."""
-    return decoder._lift(decoder._frame(k + 1, k)[0], j)
+    return lift(decoder._frame(k + 1, k)[0], j)
 
 
 def validate_full_decoder(j: np.ndarray, rt: np.ndarray, p: float) -> None:

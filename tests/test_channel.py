@@ -12,6 +12,7 @@ from reference_ops import (
     branch_fidelity_via_compose,
     choi_from_kraus,
     dense_branch_fidelities,
+    dense_cascade,
     dense_channel_choi,
     dense_compose,
     depolarizing_choi_1q,
@@ -344,7 +345,10 @@ class TestSourceWeights:
 
 class TestDenseOracle:
     """The factored cascade, every mode received in a random order, against
-    the link product with the dense channel Choi of the test oracle."""
+    the link product with the dense channel Choi of the test oracle; and
+    ``Tr_out`` of the cascade against the weights' sum times ``Tr_out j0``
+    (leg permutations leave ``Tr_out`` alone), the identity by which
+    ``qumimo validate`` checks trace preservation without the cascade."""
 
     def test_compose_sweep(self):
         rng = np.random.default_rng(14)
@@ -359,5 +363,9 @@ class TestDenseOracle:
                     for _ in range(2):
                         t = tuple(int(x) + 1 for x in rng.permutation(n)[:m])
                         r = tuple(int(x) + 1 for x in rng.permutation(n))
-                        got = decoder.dense_cascade(decoder.compose_effective_map(enc, chan, t, r))
+                        emap = decoder.compose_effective_map(enc, chan, t, r)
+                        got = dense_cascade(emap)
                         assert np.max(np.abs(got - dense_compose(enc, dense, n, t, r))) < 1e-14
+                        tr_out = [np.trace(x.reshape(2, 2 ** n, 2, 2 ** n), axis1=1, axis2=3)
+                                  for x in (got, emap.j0)]
+                        assert np.max(np.abs(tr_out[0] - emap.weights.sum() * tr_out[1])) < 1e-14

@@ -13,14 +13,16 @@ import qumimo
 SRC = Path(qumimo.__file__).resolve().parent
 ROOT = Path(__file__).resolve().parents[1]
 
-# Not called yet; a sampled per-run check (ROADMAP item 4) is to wire it in.
-WAITING = {("sdp", "verify")}
 # Called from outside src/ only, by the named file: the benchmark's
 # gamma_scan_m4 workload scores fresh asymmetry points through it.
-# ``run_strategy`` is the one-job form of ``run_strategies``: the tests
-# evaluate single strategies through it, and the benchmark's tracer wraps it.
+# ``run_strategy``, ``purification_sdp`` and ``solve`` are the one-job forms
+# of ``run_strategies``, ``purification_sdps`` and ``solve_many``: the tests
+# and the benchmark's workload call them, and the benchmark's tracer wraps
+# them until it wraps the stacked forms (ROADMAP item 1).
 EXTERNAL = {
     ("decoder", "evaluate_gamma_surrogate"): "perfbench/workload.py",
+    ("decoder", "purification_sdp"): "perfbench/workload.py",
+    ("sdp", "solve"): "tests/test_sdp.py",
     ("strategies", "run_strategy"): "tests/test_strategies.py",
 }
 
@@ -29,13 +31,8 @@ EXTERNAL_FIELDS = {
     ("cloner", "CloneAmplitudes", "perron_value"): "tests/test_cloner.py",
     ("cloner", "CloneAmplitudes", "perron_vector"): "tests/test_cloner.py",
     ("sdp", "SdpSolution", "y"): "tests/test_sdp.py",
+    ("sdp", "SdpSolution", "dual_value"): "tests/test_sdp.py",
     ("sdp", "SdpSolution", "iterations"): "perfbench/tracer.py",
-}
-# The report of the waiting ``sdp.verify``: its caller is to read these.
-WAITING_FIELDS = {
-    ("sdp", "VerifyReport", name) for name in (
-        "constraint_residuals", "min_eigenvalues", "primal_value", "gap", "feasible", "psd_floor",
-    )
 }
 
 
@@ -79,14 +76,8 @@ def _definitions_and_references():
 
 def test_no_unreferenced_definitions():
     defs, refs = _definitions_and_references()
-    unreferenced = sorted(f"{m}.{n}" for m, n in defs - refs - WAITING - EXTERNAL.keys())
+    unreferenced = sorted(f"{m}.{n}" for m, n in defs - refs - EXTERNAL.keys())
     assert not unreferenced, f"defined in src/qumimo but called nowhere in src/: {unreferenced}"
-
-
-def test_waiting_list_is_current():
-    defs, refs = _definitions_and_references()
-    assert WAITING <= defs
-    assert not WAITING & refs, "a waiting helper now has a caller; drop it from WAITING"
 
 
 def test_external_list_is_current():
@@ -162,17 +153,12 @@ def test_dataclass_fields_are_read():
     in ``src/`` counts as a read of every field called ``gap``."""
     reads = _src_reads()
     unread = sorted(".".join(key[1:]) for key in _dataclass_fields()
-                    if key[2] not in reads and key not in EXTERNAL_FIELDS.keys() | WAITING_FIELDS)
+                    if key[2] not in reads and key not in EXTERNAL_FIELDS)
     assert not unread, f"dataclass fields read nowhere in src/: {unread}"
 
 
 def test_field_lists_are_current():
     fields, reads = _dataclass_fields(), _src_reads()
-    assert ("sdp", "verify") in WAITING
-    for key in WAITING_FIELDS:
-        assert key in fields
-        name = ".".join(key[1:])
-        assert key[2] not in reads, f"{name} is now read in src/; drop it from WAITING_FIELDS"
     for key, reader in EXTERNAL_FIELDS.items():
         name = ".".join(key[1:])
         assert key in fields

@@ -8,18 +8,25 @@ from qumimo import channel, cloner, decoder, sdp, strategies, tensor
 from qumimo.errors import NotPsdError
 from qumimo.metrics import asymmetry_index
 from qumimo.tensor import I2, PHI_UNNORM, SWAP2, dagger
+import reference_ops
 from reference_ops import (
     FullQR,
     ModeSpace,
+    block_diag,
     covariant_blocks,
     covariant_operators,
+    dense_cascade,
     dense_channel_choi,
     dense_compose,
+    dense_purification_problem,
     depolarizing_choi_1q,
     einsum_compose,
+    full_operators,
     full_qr,
     haar_qubit,
+    lift,
     lift_decoder,
+    lift_operators,
     partial_trace,
     projector,
     rank_one_certificate,
@@ -51,9 +58,9 @@ def random_cascade(rng, n=2):
 def lift_residual(emap):
     """The largest entry of the lifted blocks of ``emap``'s cascade off its
     full ``Qt`` and ``Rt``, relative to ``max(1, largest entry)``."""
-    lifted = decoder.lift_operators(decoder.build_qr(emap))
+    lifted = lift_operators(decoder.build_qr(emap))
     return max(float(np.max(np.abs(x - y))) / max(1.0, float(np.max(np.abs(x))))
-               for x, y in zip(decoder.full_operators(emap), lifted))
+               for x, y in zip(reference_ops.full_operators(emap), lifted))
 
 
 def lattice_channel(n, eta, lam):
@@ -73,7 +80,7 @@ class TestCompose:
         enc = cloner.cloner_choi((1.0,))
         ch = channel.channel_choi(channel.ChannelParams(n=1, eta=0.0, lam=(0.0,), delta=1.0))
         emap = decoder.compose_effective_map(enc, ch, (1,), (1,))
-        assert np.max(np.abs(decoder.dense_cascade(emap) - PHI_UNNORM)) < 1e-6
+        assert np.max(np.abs(dense_cascade(emap) - PHI_UNNORM)) < 1e-6
 
     def test_single_branch_marginal(self):
         # marginal factorization oracle: mode 1 carries dep(0.4), mode 2 is noise
@@ -82,7 +89,7 @@ class TestCompose:
             channel.ChannelParams(n=2, eta=0.0, lam=(0.4, 0.77), delta=1.0)
         )
         emap = decoder.compose_effective_map(enc, ch, (1,), (1, 2))
-        marginal = partial_trace(decoder.dense_cascade(emap), ModeSpace.qubits(range(3)), (0, 1))
+        marginal = partial_trace(dense_cascade(emap), ModeSpace.qubits(range(3)), (0, 1))
         assert np.max(np.abs(marginal - depolarizing_choi_1q(0.4))) < 1e-8
 
     def test_transmit_mode_routing(self):
@@ -92,7 +99,7 @@ class TestCompose:
             channel.ChannelParams(n=2, eta=0.0, lam=(0.9, 0.1), delta=1.0)
         )
         emap = decoder.compose_effective_map(enc, ch, (2,), (2, 1))
-        marginal = partial_trace(decoder.dense_cascade(emap), ModeSpace.qubits(range(3)), (0, 1))
+        marginal = partial_trace(dense_cascade(emap), ModeSpace.qubits(range(3)), (0, 1))
         assert np.max(np.abs(marginal - depolarizing_choi_1q(0.1))) < 1e-8
 
     def test_cptp_contract(self):
@@ -101,7 +108,7 @@ class TestCompose:
             qr, emap = random_cascade(rng, n=int(rng.integers(1, 4)))
             k = emap.k
             space = ModeSpace.qubits(range(1, k + 2))
-            tr_out = partial_trace(decoder.dense_cascade(emap), space, (1,))
+            tr_out = partial_trace(dense_cascade(emap), space, (1,))
             assert np.max(np.abs(tr_out - I2)) < 1e-8
 
     def test_six_modes(self):
@@ -114,7 +121,7 @@ class TestCompose:
         emap = decoder.compose_effective_map(
             enc, channel.channel_choi(params), (2, 4, 6, 1, 3), (6, 1, 5, 2, 4, 3))
         assert time.perf_counter() - start < 1.0
-        tr_out = partial_trace(decoder.dense_cascade(emap), ModeSpace.qubits(range(7)), (0,))
+        tr_out = partial_trace(dense_cascade(emap), ModeSpace.qubits(range(7)), (0,))
         assert np.max(np.abs(tr_out - I2)) < 1e-12
         assert covariant_operators(full_qr(emap))[1] <= 1e-12
         assert lift_residual(emap) <= 1e-14
@@ -152,7 +159,7 @@ class TestCompose:
 
 class TestBuildQR:
     def test_identity_values(self):
-        qt, rt = decoder.lift_operators(identity_qr())
+        qt, rt = lift_operators(identity_qr())
         assert np.max(np.abs(qt - (np.eye(4) + PHI_UNNORM) / 6.0)) < 1e-7
         assert np.max(np.abs(rt - np.eye(4) / 2.0)) < 1e-7
         # transpose-convention regression: max eigenvalue 1/2, ratio 1
@@ -178,7 +185,7 @@ class TestBuildQR:
         rng = np.random.default_rng(2)
         qr, emap = random_cascade(rng, n=2)
         dk = 2 ** emap.k
-        j4 = decoder.dense_cascade(emap).reshape(2, dk, 2, dk)
+        j4 = dense_cascade(emap).reshape(2, dk, 2, dk)
         n_samp = 10_000
         terms = np.empty((n_samp, 2 * dk, 2 * dk), dtype=complex)
         for s in range(n_samp):
@@ -188,7 +195,7 @@ class TestBuildQR:
             terms[s] = np.kron(lam_out.T, rho)
         mean = terms.mean(axis=0)
         se = terms.std(axis=0) / np.sqrt(n_samp)
-        diff = np.abs(mean - decoder.lift_operators(qr)[0])
+        diff = np.abs(mean - lift_operators(qr)[0])
         assert np.all(diff <= 3.0 * np.abs(se) + 3e-4)
 
 
@@ -327,7 +334,7 @@ class TestSpinCascade:
         enc = cloner.ClonerChoi(choi=chois, m=5, fidelities=())
         emap = decoder.compose_effective_map(enc, ch, t, r)
         want = einsum_compose(enc, ch, t, r)
-        assert np.max(np.abs(decoder.dense_cascade(emap) - want)) <= 1e-15
+        assert np.max(np.abs(dense_cascade(emap) - want)) <= 1e-15
         qr = decoder.build_qr(emap)
         assert relative_gap((qr.qt, qr.rt), pattern_route_blocks(want, 6)) <= 1e-14
 
@@ -391,7 +398,7 @@ class TestPurificationSdp:
                     row.append(u @ unit @ dagger(u))
                 blocks.append(row)
             j_u = np.block(blocks)
-            best = max(best, float(np.real(np.trace(j_u @ decoder.lift_operators(qr)[0]))))
+            best = max(best, float(np.real(np.trace(j_u @ lift_operators(qr)[0]))))
         sol = decoder.purification_sdp(qr, 1.0)
         assert sol.f_avg >= best - 1e-9
 
@@ -414,7 +421,7 @@ class TestPurificationSdp:
         qr, _ = random_cascade(rng, n=2)
         sol = decoder.purification_sdp(qr, 0.7)
         j = lift_decoder(sol.j, qr.k)
-        qt, rt = decoder.lift_operators(qr)
+        qt, rt = lift_operators(qr)
         da = qt.shape[0] // 2
         assert abs(np.real(np.trace(j @ rt)) - 0.7) < 1e-7
         assert abs(np.real(np.trace(j @ qt)) - 0.7 * sol.f_success) < 1e-10
@@ -439,20 +446,20 @@ def symmetric_coords(g):
 
 def row_image(w, e):
     """``e`` lifted to the full space, and ``2j + 1`` of the block it sits in."""
-    g = decoder._lift(w, e)
+    g = lift(w, e)
     return g, float(np.trace(g @ g) / np.trace(e @ e))
 
 
 def apply_rows(problem, blocks):
     """``A(X)`` of ``problem`` on ``blocks``, as the solver reads it on the
     merged block-diagonal stack (a stack of one problem)."""
-    a_flat = sdp._block_diag(problem.constraints).reshape(1, len(problem.rhs), -1)
-    return sdp._a_apply(a_flat, sdp._block_diag(blocks)[None])[0]
+    a_flat = block_diag(problem.constraints).reshape(1, len(problem.rhs), -1)
+    return sdp._a_apply(a_flat, block_diag(blocks)[None])[0]
 
 
 def adjoint_blocks(problem, y):
     """``A*(y)`` of ``problem`` on the merged stack, cut into its blocks."""
-    merged = np.tensordot(y, sdp._block_diag(problem.constraints), axes=1)
+    merged = np.tensordot(y, block_diag(problem.constraints), axes=1)
     edges = np.cumsum([0] + [len(c) for c in problem.objective])
     return [merged[lo:hi, lo:hi] for lo, hi in zip(edges[:-1], edges[1:])]
 
@@ -481,9 +488,9 @@ class TestPartialTraceOperator:
         (w_j, paths_j), (w_s, paths_s) = decoder._frame(k + 1, k), decoder._frame(k, k)
         units = decoder._covariant_rows(k)[0][1]
         reduced = decoder._covariant_problem(qr, p)
-        dense = decoder.dense_purification_problem(qr, p)
+        dense = dense_purification_problem(qr, p)
         x_red = [random_reduced(rng, paths_j), random_reduced(rng, paths_s)]
-        x_full = [decoder._lift(w_j, x_red[0]), decoder._lift(w_s, x_red[1])]
+        x_full = [lift(w_j, x_red[0]), lift(w_s, x_red[1])]
         nb = len(reduced.objective)
         got = apply_rows(reduced, x_red[:nb])
         want = apply_rows(dense, x_full[:nb])
@@ -507,7 +514,7 @@ class TestPartialTraceOperator:
             w_j, w_s = decoder._frame(k + 1, k)[0], decoder._frame(k, k)[0]
             units = decoder._covariant_rows(k)[0][1]
             reduced = decoder._covariant_problem(qr, p)
-            dense = decoder.dense_purification_problem(qr, p)
+            dense = dense_purification_problem(qr, p)
             for _ in range(3):
                 y = rng.standard_normal(len(reduced.rhs))
                 y_full = np.zeros(len(dense.rhs))
@@ -529,7 +536,7 @@ class TestPartialTraceOperator:
             qr, _ = random_cascade(rng, n=int(rng.integers(1, 3)))
             for p in (0.2, 0.5, 0.8, 1.0):
                 dec = decoder.purification_sdp(qr, p)
-                ref = sdp.solve(decoder.dense_purification_problem(qr, p))
+                ref = sdp.solve(dense_purification_problem(qr, p))
                 worst = max(worst, abs(dec.f_success * p - ref.value))
         assert worst < 1e-7
 
@@ -538,7 +545,7 @@ class TestPartialTraceOperator:
         rng = np.random.default_rng(33)
         qr, _ = random_cascade(rng, n=3)
         dec = decoder.purification_sdp(qr, p)
-        ref = sdp.solve(decoder.dense_purification_problem(qr, p))
+        ref = sdp.solve(dense_purification_problem(qr, p))
         assert abs(dec.f_success * p - ref.value) < 1e-7
 
     @pytest.mark.parametrize("p", [0.2, 0.5, 0.8, 1.0])
@@ -546,7 +553,7 @@ class TestPartialTraceOperator:
         rng = np.random.default_rng(44)
         qr, _ = random_cascade(rng, n=4)
         dec = decoder.purification_sdp(qr, p)
-        ref = sdp.solve(decoder.dense_purification_problem(qr, p))
+        ref = sdp.solve(dense_purification_problem(qr, p))
         assert abs(dec.f_success * p - ref.value) < 1e-7
 
     @pytest.mark.parametrize("p, value", [(0.8, 0.5822981591901222), (1.0, 0.7237125498041763)])
@@ -555,7 +562,7 @@ class TestPartialTraceOperator:
         # cascade, from the earlier dense route on all 65 Hermitian units:
         # keeping only the real symmetric units loses nothing
         qr, _ = random_cascade(np.random.default_rng(33), n=3)
-        assert abs(sdp.solve(decoder.dense_purification_problem(qr, p)).value - value) < 1e-9
+        assert abs(sdp.solve(dense_purification_problem(qr, p)).value - value) < 1e-9
 
     def test_every_solve_is_validated(self, monkeypatch):
         calls = []
@@ -569,20 +576,20 @@ class TestPartialTraceOperator:
     def test_rejects_non_covariant(self, k):
         # a generic symmetric perturbation of 1e-6 leaves the commutant:
         # the blocks cannot carry it, and the lifted blocks' residual (the
-        # lossless sweep's and qumimo validate's measure) shows it
+        # lossless sweep's measure) shows it
         rng = np.random.default_rng(50 + k)
         _, emap = random_cascade(rng, n=k)
         assert lift_residual(emap) < 1e-14
         a = rng.standard_normal((2 ** (k + 1),) * 2)
         bend = 1e-6 * (a + a.T) / 2
-        full = decoder.full_operators
+        full = reference_ops.full_operators
 
         def bent(emap):
             qt, rt = full(emap)
             return qt + bend, rt
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(decoder, "full_operators", bent)
+            mp.setattr(reference_ops, "full_operators", bent)
             assert lift_residual(emap) > 1e-7
             with pytest.raises(ValueError, match="SU\\(2\\) commutant"):
                 covariant_blocks(full_qr(emap))
@@ -598,7 +605,7 @@ class TestPartialTraceOperator:
         for p in (0.8, 1.0):
             dec = decoder.purification_sdp(qr, p)
             assert dec.j.shape == (20, 20)
-            validate_full_decoder(lift_decoder(dec.j, 5), decoder.lift_operators(qr)[1], p)
+            validate_full_decoder(lift_decoder(dec.j, 5), lift_operators(qr)[1], p)
             assert dec.f_success <= ray + 1e-7
 
 
@@ -641,7 +648,7 @@ class TestRealData:
         a, b = np.flatnonzero(spin == np.flatnonzero(np.bincount(spin) >= 2)[0])[:2]
         anti = np.zeros((len(spin),) * 2)
         anti[a, b], anti[b, a] = 1.0, -1.0
-        bent = decoder.EffectiveMap(j0=emap.j0 + 1e-6 * decoder._lift(w, 1j * anti),
+        bent = decoder.EffectiveMap(j0=emap.j0 + 1e-6 * lift(w, 1j * anti),
                                     weights=emap.weights, k=k)
         qr = decoder.build_qr(bent)
         assert np.iscomplexobj(qr.qt)
@@ -699,7 +706,7 @@ class TestBlockRoute:
         rng = np.random.default_rng(2601)
         for k in (1, 2, 3, 4):
             qr, _ = random_cascade(rng, n=k)
-            rt = decoder.lift_operators(qr)[1]
+            rt = lift_operators(qr)[1]
             for p in (0.6, 1.0):
                 x = decoder.purification_sdp(qr, p).j
                 j = lift_decoder(x, k)
@@ -731,7 +738,7 @@ class TestBlockRoute:
         rng = np.random.default_rng(2602)
         for k in (1, 2, 3, 4, 5):
             qr, _ = random_cascade(rng, n=k)
-            qt, rt = decoder.lift_operators(qr)
+            qt, rt = lift_operators(qr)
             s, _ = decoder._pinv_sqrt(rt[None])
             want = np.linalg.eigvalsh(s[0] @ qt @ s[0])[-1]
             assert abs(decoder.rayleigh_bound(qr) - want) < 1e-12
@@ -779,7 +786,7 @@ class TestRankOneCertificate:
             p = float(rng.uniform(0.2, 1.0))
             j_ray = rank_one_certificate(qr, p)
             ray = decoder.rayleigh_bound(qr)
-            qt, rt = decoder.lift_operators(qr)
+            qt, rt = lift_operators(qr)
             assert np.linalg.eigvalsh(j_ray)[0] >= -1e-12
             assert abs(np.real(np.trace(j_ray @ rt)) - p) < 1e-9
             assert abs(np.real(np.trace(j_ray @ qt)) / p - ray) < 1e-9
@@ -1022,12 +1029,12 @@ class TestLatticeScorer:
         w, paths = decoder._frame(k + 1, k)
         spin = np.array([path[-1] for path in paths])
         assert len(blocks) == len(set(spin))
-        for side, full in enumerate(decoder.full_operators(emap)):
+        for side, full in enumerate(full_operators(emap)):
             x = np.zeros((len(spin),) * 2)
             for tj, block in zip(sorted(set(spin)), blocks):
                 idx = np.flatnonzero(spin == tj)
                 x[np.ix_(idx, idx)] = block[side]
-            assert np.max(np.abs(decoder._lift(w, x) - full)) < 1e-14
+            assert np.max(np.abs(lift(w, x) - full)) < 1e-14
 
 
 def score_with_sigma(route, triplet, singlet):
@@ -1082,7 +1089,7 @@ class TestBlind:
             for p in (0.2, 0.5, 0.8, 1.0):
                 j = decoder.blind_choi(m, p)
                 decoder._validate_decoder(j, qr, p)
-                validate_full_decoder(lift_decoder(j, m), decoder.lift_operators(qr)[1], p)
+                validate_full_decoder(lift_decoder(j, m), lift_operators(qr)[1], p)
                 sol = decoder.purification_sdp(qr, p)
                 assert abs(np.trace(j @ qr.qt) - p * sol.f_success) < 1e-7
 
@@ -1120,10 +1127,10 @@ class TestBlind:
             assert f_blind <= csi.f_avg + 1e-6
 
     def test_run_strategy_solves_no_sdp(self, monkeypatch):
-        def no_solve(problem):
+        def no_solve(problems):
             raise AssertionError("blind solved an SDP")
 
-        monkeypatch.setattr(sdp, "solve", no_solve)
+        monkeypatch.setattr(sdp, "solve_many", no_solve)
         rng = np.random.default_rng(4)
         for m in (2, 3):
             params = channel.ChannelParams(n=m, eta=float(rng.uniform(0, 1)),

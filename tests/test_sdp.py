@@ -3,7 +3,7 @@ import pytest
 
 from qumimo import channel, cloner, decoder, sdp
 from qumimo.errors import DimensionLimitError, NotHermitianError, SolverError
-from reference_ops import SIGMA_X
+from reference_ops import SIGMA_X, dense_purification_problem
 
 
 def random_symmetric(rng, n):
@@ -145,31 +145,6 @@ class TestProblemFormat:
         assert np.array_equal(sol_view.X_blocks[0], sol_copy.X_blocks[0])
 
 
-class TestVerify:
-    def test_reports_clean_solution(self):
-        rng = np.random.default_rng(4)
-        c = random_symmetric(rng, 8)
-        prob = lambda_max_problem(c)
-        sol = sdp.solve(prob)
-        report = sdp.verify(prob, sol)
-        assert report.feasible
-        assert report.gap <= 1e-6
-        assert len(report.constraint_residuals) == 1
-        assert report.psd_floor >= -1e-8
-
-    def test_flags_constructed_violation(self):
-        rng = np.random.default_rng(5)
-        c = random_symmetric(rng, 4)
-        prob = lambda_max_problem(c)
-        sol = sdp.solve(prob)
-        bad = sdp.SdpSolution(
-            X_blocks=[sol.X_blocks[0] + 0.1 * np.eye(4)],
-            y=sol.y, status=sdp.OPTIMAL,
-            iterations=sol.iterations, value=sol.value, dual_value=sol.dual_value,
-        )
-        assert not sdp.verify(prob, bad).feasible
-
-
 def decoder_problems(k, p, count, seed):
     """Covariant decoder problems of random K-mode cascades at p."""
     rng = np.random.default_rng(seed)
@@ -211,7 +186,7 @@ class TestStack:
     def test_batch_invariance_complex(self):
         # the dense route: the full-space decoder problem, 8 + 4 wide with
         # 11 rows
-        probs = [decoder.dense_purification_problem(qr, 0.7) for qr in (
+        probs = [dense_purification_problem(qr, 0.7) for qr in (
             decoder.build_qr(decoder.compose_effective_map(
                 cloner.cloner_choi(g), channel.channel_choi(channel.ChannelParams(
                     n=2, eta=eta, lam=lam, delta=1.0)), (1, 2), (1, 2)))
