@@ -27,7 +27,7 @@ the decoder's (the cascade, the cloner and the Schur-Weyl frame are
 real): :class:`SdpProblem` refuses complex data, which a cast would
 silently truncate.  That suits problems with few constraints on small
 blocks, such as the decoder problem after its symmetry reduction
-(``decoder.purification_sdp``: blocks of at most 20 + 10 and 27
+(``decoder.purification_sdps``: blocks of at most 20 + 10 and 27
 constraints at K = 5).  ``MAX_DIM`` caps the total block width.
 
 Such a problem takes about ten iterations, and on blocks this small an

@@ -21,7 +21,6 @@ from reference_ops import (
     dense_purification_problem,
     depolarizing_choi_1q,
     einsum_compose,
-    full_operators,
     full_qr,
     haar_qubit,
     lift,
@@ -1029,7 +1028,7 @@ class TestLatticeScorer:
         w, paths = decoder._frame(k + 1, k)
         spin = np.array([path[-1] for path in paths])
         assert len(blocks) == len(set(spin))
-        for side, full in enumerate(full_operators(emap)):
+        for side, full in enumerate(reference_ops.full_operators(emap)):
             x = np.zeros((len(spin),) * 2)
             for tj, block in zip(sorted(set(spin)), blocks):
                 idx = np.flatnonzero(spin == tj)
