@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, experiments
+from . import __version__, cloner, experiments
 from .errors import ConfigError, QumimoError
 
 
@@ -52,7 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
         _add_run_args(subs.add_parser(name))
     boundary = subs.add_parser("boundary")
     boundary.add_argument("--m", type=int, nargs="+", default=[2, 3])
-    boundary.add_argument("--resolution", type=float, default=0.05)
+    boundary.add_argument("--resolution", type=float, default=0.05, help="grid step in (0, 0.25], "
+                          f"as 1/round(1/RESOLUTION), at most {cloner.MAX_BOUNDARY_STEPS} steps")
     boundary.add_argument("--out", required=True)
     # cloner.feasible_boundary checks --m and --resolution before any output
     boundary.set_defaults(usage_error=boundary.error)
@@ -74,7 +75,7 @@ def _load(args, expected_regime: str):
 
 
 def _run_checks(quick: bool) -> int:
-    from . import channel, cloner, decoder, noise, sdp
+    from . import channel, decoder, noise, sdp
 
     failures = 0
 
@@ -135,7 +136,7 @@ def _run_checks(quick: bool) -> int:
 
     n = int(rng.integers(4, 17))
     cs = [(a + a.T) / 2 for a in rng.standard_normal((2 if quick else 5, n, n))]
-    sols = sdp.solve_many([sdp.SdpProblem([c], [np.eye(n)[None]], [1.0]) for c in cs])
+    sols = sdp.solve_many([cs], [np.eye(n)[None]], np.ones((len(cs), 1)))
     check("sdp eigenvalue oracle", all(
         sol.status == sdp.OPTIMAL and abs(sol.value - np.linalg.eigvalsh(c)[-1]) < 1e-7
         for c, sol in zip(cs, sols)), f"one stack, n = {n}")

@@ -31,6 +31,8 @@ from .errors import DimensionLimitError, SimplexError
 from .tensor import I2, PHI_UNNORM
 
 SIMPLEX_TOL = 1e-10
+# Most lattice steps per unit of the boundary grid: 20,301 points at M = 3.
+MAX_BOUNDARY_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -57,8 +59,6 @@ class AsymmetryVector:
 @dataclass(frozen=True)
 class CloneAmplitudes:
     beta: tuple
-    perron_value: float
-    perron_vector: tuple
 
 
 @dataclass(frozen=True)
@@ -80,27 +80,25 @@ def _as_gamma(gamma) -> AsymmetryVector:
 
 def clone_amplitudes(gamma) -> CloneAmplitudes:
     """One gamma's :func:`_amplitude_rows`: ``sum(beta^2) + sum(beta)^2 = 2``."""
-    beta, value, vector = _amplitude_rows([_as_gamma(gamma).gamma])
-    return CloneAmplitudes(tuple(beta[0]), float(value[0]), tuple(vector[0]))
+    return CloneAmplitudes(tuple(_amplitude_rows([_as_gamma(gamma).gamma])[0]))
 
 
-def _amplitude_rows(gammas) -> tuple:
-    """Stinespring amplitudes, Perron value and Perron vector per row of
-    ``gammas`` (alpha: the row normalized).  ``A = alpha 1^T + diag(alpha)``
-    is similar to ``S = sqrt(alpha) sqrt(alpha)^T + diag(alpha)``, so its
+def _amplitude_rows(gammas) -> np.ndarray:
+    """Stinespring amplitudes per row of ``gammas`` (alpha: the row
+    normalized), the scaled Perron vector of ``A = alpha 1^T + diag(alpha)``.
+    A is similar to ``S = sqrt(alpha) sqrt(alpha)^T + diag(alpha)``, so its
     Perron vector is ``sqrt(alpha) |v|`` (zero on a zero weight), v the top
     eigenvector of S (one stacked ``eigh``); norms and sums are per-row floats."""
     g = np.asarray(gammas, dtype=float)
     root = np.sqrt(np.clip(g / g.sum(axis=1, keepdims=True), 0.0, None))
     s = root[:, :, None] * root[:, None, :]
     s.reshape(len(s), -1)[:, :: root.shape[1] + 1] *= 2.0  # + diag(alpha), exactly
-    w, v = np.linalg.eigh(s)
-    u = root * np.abs(v[:, :, -1])
+    u = root * np.abs(np.linalg.eigh(s)[1][:, :, -1])
     scale = []
     for row in u:
         row /= math.sqrt(row.dot(row))
         scale.append(math.sqrt(2.0 / (float(row.sum()) ** 2 + 1.0)))
-    return np.array(scale)[:, None] * u, w[:, -1], u
+    return np.array(scale)[:, None] * u
 
 
 def _fidelities(beta: np.ndarray) -> np.ndarray:
@@ -207,10 +205,15 @@ def simplex_grid(m: int, steps: int) -> list[tuple]:
 def boundary_steps(grid_resolution: float) -> int:
     """Lattice steps per unit of the boundary grid for ``grid_resolution``
     in (0, 0.25]: the grid samples multiples of ``1 / steps``, the nearest
-    such step to the resolution asked for."""
+    such step to the resolution asked for, with at most
+    ``MAX_BOUNDARY_STEPS`` steps."""
     if not (0.0 < grid_resolution <= 0.25):
         raise ValueError(f"grid_resolution must lie in (0, 0.25], got {grid_resolution}")
-    return int(round(1.0 / grid_resolution))
+    steps = int(round(1.0 / grid_resolution))
+    if steps > MAX_BOUNDARY_STEPS:
+        raise ValueError(f"grid_resolution {grid_resolution} asks for {steps} steps, "
+                         f"more than {MAX_BOUNDARY_STEPS}")
+    return steps
 
 
 def feasible_boundary(m: int, grid_resolution: float) -> list[CloneFidelityVector]:

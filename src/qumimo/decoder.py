@@ -244,19 +244,19 @@ def _symmetric_basis(d: int) -> np.ndarray:
     return basis
 
 
-def _decoder_problem(c: np.ndarray, r: np.ndarray, rows, p: float) -> sdp.SdpProblem:
-    """Maximize ``Tr[c J]`` with ``Tr[A_i J] + Tr[E_i S] = rhs_i`` for the
-    stacked rows ``(A, E, rhs)`` and ``Tr[r J] = p``, J block 0 and S
-    block 1; at p = 1, ``Tr[A_i J] = rhs_i`` alone."""
-    a, e, rhs = rows
-    if p == 1.0:
-        return sdp.SdpProblem([c], [a], rhs)
+def _decoder_problem(qts, rts, rows, ps) -> tuple:
+    """The decoder SDPs of matching ``qts``, ``rts`` and ``ps`` as one stack
+    (:func:`sdp.solve_many`'s arguments): maximize ``Tr[qt J]`` with ``Tr[A_i
+    J] + Tr[E_i S] = rhs_i`` for the shared rows ``(A, E, rhs)`` and ``Tr[rt
+    J] = p``, J block 0 and S block 1; at p = 1, ``Tr[A_i J] = rhs_i`` alone."""
+    (a, e, rhs), qts, rts = rows, np.asarray(qts), np.asarray(rts)
+    rhs = np.broadcast_to(rhs, (len(ps), len(rhs)))
+    if all(p == 1.0 for p in ps):
+        return [qts], [a], rhs
     ws = e.shape[1]
-    return sdp.SdpProblem(
-        [c, np.zeros((ws, ws))],
-        [np.concatenate([a, r[None]]), np.concatenate([e, np.zeros((1, ws, ws))])],
-        np.append(rhs, p),
-    )
+    return ([qts, np.zeros((ws, ws))],
+            [np.concatenate([np.broadcast_to(a, (len(ps),) + a.shape), rts[:, None]], axis=1),
+             np.concatenate([e, np.zeros((1, ws, ws))])], np.column_stack([rhs, ps]))
 
 
 def purification_sdp(qr: QROperators, p: float) -> DecoderSolution:
@@ -289,25 +289,26 @@ def purification_sdps(pairs) -> list:
     (:func:`_validate_decoder`).
 
     The problems of one shape (one K, and whether p = 1) are solved as one
-    stack (:func:`sdp.solve_many`), whose arithmetic per problem does not
-    depend on the rest of the stack, so a pair's solution is the same
-    whatever it is solved with.  The first pair without an optimal
-    certificate raises :class:`SolverError`.
+    stack that shares K's constraint tables (:func:`_decoder_problem`),
+    whose arithmetic per problem does not depend on the rest of the stack,
+    so a pair's solution is the same whatever it is solved with.  The
+    first pair without an optimal certificate raises :class:`SolverError`.
     """
-    pairs = list(pairs)
-    for _, p in pairs:
+    pairs, shapes = list(pairs), {}
+    for i, (qr, p) in enumerate(pairs):
         if not 0.0 < p <= 1.0:
             raise ValueError(f"success probability {p} outside (0, 1]")
-    shapes = {}
-    for i, (qr, p) in enumerate(pairs):
         shapes.setdefault((qr.k, p == 1.0), []).append(i)
-    sols = [None] * len(pairs)
-    for idx in shapes.values():
-        for i, sol in zip(idx, sdp.solve_many([_covariant_problem(*pairs[i]) for i in idx])):
-            sols[i] = sol
+    sols = {}
+    for (k, _), idx in shapes.items():
+        qrs, ps = zip(*(pairs[i] for i in idx))
+        stack = _decoder_problem([qr.qt for qr in qrs], [qr.rt for qr in qrs],
+                                 _covariant_rows(k)[0], ps)
+        sols.update(zip(idx, sdp.solve_many(*stack)))
 
     out = []
-    for (qr, p), sol in zip(pairs, sols):
+    for i, (qr, p) in enumerate(pairs):
+        sol = sols[i]
         if sol.status != sdp.OPTIMAL:
             raise SolverError(sol.status, f"purification SDP: {sol.message}")
         x = sol.X_blocks[0]
@@ -385,11 +386,6 @@ def _covariant_rows(k: int) -> tuple:
     return rows, prefix
 
 
-def _covariant_problem(qr: QROperators, p: float) -> sdp.SdpProblem:
-    """The decoder SDP on the real reduced blocks of J and S."""
-    return _decoder_problem(qr.qt, qr.rt, _covariant_rows(qr.k)[0], p)
-
-
 def evaluate_decoder(j: np.ndarray, qr: QROperators) -> tuple[float, float, float]:
     """``(p_real, f_success, f_avg)`` of the reduced decoder ``j`` on ``qr``:
     realized acceptance, heralded fidelity and averaged fidelity (a rejected
@@ -420,17 +416,13 @@ def _validate_decoder(j: np.ndarray, qr: QROperators, p: float) -> None:
 def rayleigh_bound(qr: QROperators) -> float:
     """Spectral relaxation of the decoder problem: the top eigenvalue of
     ``Rt^{-1/2} Qt Rt^{-1/2}`` on the support of Rt, which dominates the
-    SDP conditional fidelity for every p.
-
-    Scored on ``(+)_j Q_j`` and ``(+)_j R_j`` (:class:`QROperators`,
-    block j divided by 2j + 1), whose eigenvalues are those of ``Qt`` and
-    ``Rt``, as :func:`_lattice_surrogates` scores block by block.
-    """
+    SDP conditional fidelity for every p, from ``(+)_j Q_j`` and ``(+)_j
+    R_j`` (block j of :class:`QROperators` over 2j + 1, the same spectra)."""
     dim = np.array([path[-1] + 1 for path in _frame(qr.k + 1, qr.k)[1]])
-    rinv, support = _pinv_sqrt((qr.rt / dim)[None])
+    top, support = _rayleigh_tops((qr.qt / dim)[None], (qr.rt / dim)[None])
     if not support.all():
         raise ValueError("Rt has empty support")
-    return float(np.linalg.eigvalsh(rinv[0] @ (qr.qt / dim) @ rinv[0])[-1])
+    return float(top[0])
 
 
 def blind_choi(m: int, p: float) -> np.ndarray:
@@ -468,7 +460,7 @@ def _lattice(m: int):
     uniform = tuple([1.0 / m] * m)
     if uniform not in points:
         points.append(uniform)
-    betas = _amplitude_rows(points)[0]
+    betas = _amplitude_rows(points)
     index = asymmetry_index(_fidelities(betas))
     order = sorted(range(len(points)), key=lambda i: (-index[i], points[i]))
     weights, rank = _pair_weights(betas), np.argsort(order)
@@ -493,23 +485,24 @@ def _surrogate_pieces(m: int, chan: Channel, t, r) -> list:
     return _per_spin(build_qr(compose_effective_map(pieces, chan, t, r)))
 
 
-def _pinv_sqrt(r: np.ndarray):
-    """``R^{-1/2}`` on the support of each stacked Hermitian R, and whether
-    that support is nonempty.  Eigenvalues at or below ``PSD_SUPPORT_TOL``
-    lie outside it; one below ``-PSD_SUPPORT_TOL`` raises :class:`NotPsdError`."""
+def _rayleigh_tops(q: np.ndarray, r: np.ndarray):
+    """The top eigenvalue of ``R^{-1/2} Q R^{-1/2}`` per stacked Q and R, on
+    R's support (eigenvalues above ``PSD_SUPPORT_TOL``; one below its
+    negative raises :class:`NotPsdError`), and whether that support is nonempty."""
     ev, vec = np.linalg.eigh(r)
     floor = ev[:, 0].min()
     if floor < -PSD_SUPPORT_TOL:
         raise NotPsdError(f"eigenvalue {floor:.3e} below -{PSD_SUPPORT_TOL:.1e}")
     inv_sqrt = np.where(ev > PSD_SUPPORT_TOL,
                         1.0 / np.sqrt(np.clip(ev, PSD_SUPPORT_TOL, None)), 0.0)
-    return (vec * inv_sqrt[:, None, :]) @ vec.conj().swapaxes(1, 2), inv_sqrt.any(axis=1)
+    rinv = (vec * inv_sqrt[:, None, :]) @ vec.conj().swapaxes(1, 2)
+    return np.linalg.eigvalsh(rinv @ q @ rinv)[:, -1], inv_sqrt.any(axis=1)
 
 
 def _lattice_surrogates(weights, pieces) -> np.ndarray:
     """The Rayleigh surrogate at every row of quadratic-form weights from
     the per-spin pieces of :func:`_surrogate_pieces`: the largest over j of
-    the top eigenvalue of ``R_j^{-1/2} Q_j R_j^{-1/2}`` (:func:`_pinv_sqrt`).
+    the top eigenvalue of ``R_j^{-1/2} Q_j R_j^{-1/2}`` (:func:`_rayleigh_tops`).
     Rows are scored in chunks of ``SCORE_CHUNK``, one BLAS product per
     block and chunk."""
     flat = [(q.reshape(len(q), -1), r.reshape(len(r), -1), q.shape[1:]) for q, r in pieces]
@@ -518,8 +511,9 @@ def _lattice_surrogates(weights, pieces) -> np.ndarray:
         w = weights[lo:lo + SCORE_CHUNK]
         tops, support = [], np.zeros(len(w), dtype=bool)
         for q, r, shape in flat:
-            rinv, block_support = _pinv_sqrt((w @ r).reshape(len(w), *shape))
-            tops.append(np.linalg.eigvalsh(rinv @ (w @ q).reshape(len(w), *shape) @ rinv)[:, -1])
+            top, block_support = _rayleigh_tops((w @ q).reshape(len(w), *shape),
+                                                (w @ r).reshape(len(w), *shape))
+            tops.append(top)
             support |= block_support
         if not support.all():
             raise ValueError("Rt has empty support")
@@ -537,11 +531,11 @@ def _polish(start: tuple, pieces) -> tuple:
     m = len(start)
     counts = np.rint(np.asarray(start) * POLISH_DENOM).astype(int)
     edges = (np.eye(m, dtype=int)[:, None] - np.eye(m, dtype=int))[~np.eye(m, dtype=bool)]
-    best = _lattice_surrogates(_pair_weights(_amplitude_rows([start])[0]), pieces)[0]
+    best = _lattice_surrogates(_pair_weights(_amplitude_rows([start])), pieces)[0]
     step = POLISH_DENOM // 40
     while step:
         moves = [c for c in counts + step * edges if c.min() >= 0]
-        betas = _amplitude_rows([c / POLISH_DENOM for c in moves])[0]
+        betas = _amplitude_rows([c / POLISH_DENOM for c in moves])
         vals = _lattice_surrogates(_pair_weights(betas), pieces)
         if vals.max() > best + SURROGATE_TIE_TOL:
             first = int(np.flatnonzero(vals >= vals.max() - POLISH_TIE_TOL)[0])

@@ -16,29 +16,30 @@ step targets the primal and dual residuals ``b - A(X)`` and ``C - A*(y)
 - S`` as they stand.  A problem that is infeasible or unbounded is never
 certified: it ends ``max_iter``, as does any other stall.
 
-A problem holds its constraints as one dense ``m x d x d`` stack per
-block, row i of every stack and ``rhs[i]`` making constraint i (a row
-that leaves a block out is zero there).  The solver merges the blocks
-into one block-diagonal iterate, so ``A(X)`` and ``A*(y)`` are one
-matrix product each on the flattened stack, while the steps whose cost
-is cubic in the width (factorizations, eigenvalues, the Schur matrix)
-go block by block.  All data are real symmetric ``float64``, as are
-the decoder's (the cascade, the cloner and the Schur-Weyl frame are
-real): :class:`SdpProblem` refuses complex data, which a cast would
-silently truncate.  That suits problems with few constraints on small
-blocks, such as the decoder problem after its symmetry reduction
-(``decoder.purification_sdps``: blocks of at most 20 + 10 and 27
-constraints at K = 5).  ``MAX_DIM`` caps the total block width.
+A problem holds, per block, its objective and a dense ``m x d x d``
+stack of constraint matrices, row i of every block and ``rhs[i]`` making
+constraint i (a row that leaves a block out is zero there).  The solver
+merges the blocks into one block-diagonal iterate, so ``A(X)`` and
+``A*(y)`` are one matrix product each on the flattened stack, while the
+steps whose cost is cubic in the width (factorizations, eigenvalues, the
+Schur matrix) go block by block.  All data are real symmetric
+``float64``, as are the decoder's (the cascade, the cloner and the
+Schur-Weyl frame are real): the solver refuses complex data, which a
+cast would silently truncate.  That suits problems with few constraints
+on small blocks, such as the decoder problem after its symmetry
+reduction (``decoder.purification_sdps``: blocks of at most 20 + 10 and
+27 constraints at K = 5).  ``MAX_DIM`` caps the total block width.
 
 Such a problem takes about ten iterations, and on blocks this small an
 iteration's time goes to NumPy's per-call overhead.  So :func:`solve_many`
-runs a stack of problems of one shape in one iteration: every iterate,
-and every scalar of the method (mu, sigma, the step lengths, the merit,
-the Schur jitter), gains a leading axis of one row per problem, and a
-problem leaves the stack when it stops, with the status, message and
-iteration count it would get alone.  One certificate stands
-behind an ``optimal`` status: the iterate returned is the one whose
-merit met ``TOL``, and its value and dual value are that iterate's own.
+runs a stack of problems of one shape (each block's data shared by the
+stack or given per problem) in one iteration: every iterate, and every
+scalar of the method (mu, sigma, the step lengths, the merit, the Schur
+jitter), gains a leading axis of one row per problem, and a problem
+leaves the stack when it stops, with the status, message and iteration
+count it would get alone.  One certificate stands behind an ``optimal``
+status: the iterate returned is the one whose merit met ``TOL``, and its
+value and dual value are that iterate's own.
 :func:`solve` is the stack of one.  The stack is batch invariant: every
 matrix product is a product per problem (a stacked ``matmul``, never one
 product across problems), every reduction stays within one problem's
@@ -51,12 +52,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, fields
-from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionLimitError, NotHermitianError
-from .tensor import HERMITIAN_RTOL, is_hermitian
+from .tensor import HERMITIAN_RTOL
 
 # Largest total block dimension the solver accepts.
 MAX_DIM = 256
@@ -68,49 +68,6 @@ MAX_ITER = "max_iter"
 # which an iterate is optimal.
 TOL = 1e-9
 ITERATION_CAP = 200
-
-
-@dataclass
-class SdpProblem:
-    """Block SDP in maximize form with real symmetric data (complex data
-    raise :class:`TypeError`): ``constraints[b]`` is block b's ``m x d_b x
-    d_b`` stack (zero where a constraint leaves the block out), ``rhs`` the
-    m right-hand sides.  Both are kept as contiguous ``float64`` copies:
-    the solver's reductions round by memory layout, so a strided ``rhs``
-    would move the last bits of a solve."""
-
-    objective: Sequence[np.ndarray]
-    constraints: Sequence[np.ndarray]
-    rhs: np.ndarray
-
-    def __post_init__(self):
-        for name, data in (("objective", self.objective), ("constraints", self.constraints),
-                           ("rhs", [self.rhs])):
-            if any(map(np.iscomplexobj, data)):
-                raise TypeError(f"{name} data complex: the solver takes real data only")
-        self.rhs = np.array(self.rhs, dtype=float)
-        self.objective = [np.asarray(c, dtype=float) for c in self.objective]
-        self.constraints = [np.ascontiguousarray(a, dtype=float) for a in self.constraints]
-        if self.rhs.ndim != 1:
-            raise ValueError(f"rhs has shape {self.rhs.shape}, expected a vector")
-        if len(self.constraints) != len(self.objective):
-            raise ValueError("one constraint stack per objective block required")
-        m = len(self.rhs)
-        for b, (c, a) in enumerate(zip(self.objective, self.constraints)):
-            dim = len(c)
-            if c.shape != (dim, dim):
-                raise ValueError(f"objective block {b} has shape {c.shape}, expected square")
-            if not is_hermitian(c):
-                raise NotHermitianError(f"objective block {b} not symmetric")
-            if a.shape != (m, dim, dim):
-                raise ValueError(f"constraint stack {b} has shape {a.shape}, "
-                                 f"expected {(m, dim, dim)}")
-            # One check per stack, each row held to is_hermitian's tolerance.
-            scale = np.maximum(1.0, np.abs(a).max(axis=(1, 2), initial=0.0))
-            skew = np.abs(a - a.swapaxes(1, 2)).max(axis=(1, 2), initial=0.0)
-            bad = np.flatnonzero(skew > HERMITIAN_RTOL * scale)
-            if bad.size:
-                raise NotHermitianError(f"constraint {bad[0]} block {b} not symmetric")
 
 
 @dataclass
@@ -205,15 +162,27 @@ def _solution(st: _Stack, row: int, blocks, status, message, it) -> SdpSolution:
     )
 
 
-def solve(problem: SdpProblem) -> SdpSolution:
-    """:func:`solve_many` on a stack of one problem."""
-    return solve_many([problem])[0]
+def _asymmetric(x: np.ndarray) -> np.ndarray:
+    """Indices of the matrices of ``x`` not symmetric to ``HERMITIAN_RTOL``."""
+    scale = np.maximum(1.0, np.abs(x).max(axis=(-2, -1), initial=0.0))
+    skew = np.abs(x - x.swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    return np.argwhere(~(skew <= HERMITIAN_RTOL * scale))
 
 
-def solve_many(problems) -> list:
+def solve(objective, constraints, rhs) -> SdpSolution:
+    """:func:`solve_many` on a stack of one: ``rhs`` a vector, no stack axes."""
+    return solve_many(objective, constraints, np.asarray(rhs)[None])[0]
+
+
+def solve_many(objective, constraints, rhs) -> list:
     """Solve a stack of problems of one shape (block sizes and constraint
-    count) in one interior-point run; one solution per problem,
-    in order.
+    count) in one interior-point run; one solution per row of ``rhs``,
+    the P x m right-hand sides, in order.
+
+    Block b's ``objective[b]`` and ``constraints[b]`` hold one ``d x d``
+    and one ``m x d x d`` entry per problem, or one the whole stack shares.
+    Complex data raise :class:`TypeError`, bad shapes :class:`ValueError`
+    and a non-symmetric matrix :class:`NotHermitianError`, once per stack.
 
     Each problem iterates until an optimal certificate (merit at most
     ``TOL``), lost definiteness, a collapsed step, a failed Schur
@@ -227,19 +196,32 @@ def solve_many(problems) -> list:
     and every reduction runs within one problem's row, so a problem's
     arithmetic does not depend on what else is in its stack.
     """
-    problems = list(problems)
-    if not problems:
-        return []
-    dims = [len(c) for c in problems[0].objective]
-    n, m = sum(dims), len(problems[0].rhs)
+    for name, data in (("objective", objective), ("constraints", constraints), ("rhs", [rhs])):
+        if any(map(np.iscomplexobj, data)):
+            raise TypeError(f"{name} data complex: the solver takes real data only")
+    b = np.asarray(rhs, dtype=float)
+    if b.ndim != 2 or not b.shape[1]:
+        raise ValueError(f"rhs has shape {b.shape}, expected problems x constraints (at least one)")
+    if len(constraints) != len(objective):
+        raise ValueError("one constraint stack per objective block required")
+    count, m = b.shape
+    objective = [np.asarray(c, dtype=float) for c in objective]
+    constraints = [np.asarray(a, dtype=float) for a in constraints]
+    dims = [c.shape[-1] if c.ndim else 0 for c in objective]
+    for k, (c, a, d) in enumerate(zip(objective, constraints, dims)):
+        if c.shape not in ((d, d), (count, d, d)) or a.shape not in ((m, d, d), (count, m, d, d)):
+            raise ValueError(f"objective block {k} has shape {c.shape} and constraint stack {k} "
+                             f"{a.shape}, expected {(d, d)} and {(m, d, d)}, or {count} of each")
+        if len(_asymmetric(c)):
+            raise NotHermitianError(f"objective block {k} not symmetric")
+        bad = _asymmetric(a)
+        if len(bad):
+            raise NotHermitianError(f"constraint {bad[0][-1]} block {k} not symmetric")
+    n = sum(dims)
     if n > MAX_DIM:
         raise DimensionLimitError(f"total block dimension {n} exceeds {MAX_DIM}")
-    if m == 0:
-        raise ValueError("at least one equality constraint is required")
-    for prob in problems[1:]:
-        if [len(c) for c in prob.objective] != dims or len(prob.rhs) != m:
-            raise ValueError("the problems of a stack must share their block sizes "
-                             "and constraint count")
+    if not count:
+        return []
     edges = np.cumsum([0] + dims)
     blocks = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
     # Column k marks the entries of block k: a product with it sums a
@@ -253,16 +235,14 @@ def solve_many(problems) -> list:
         return np.sqrt((sq @ in_block).max(axis=(1, 2)))
 
     # Maximize <C_ext, X> == minimize <-C_ext, X>, on the merged block,
-    # each problem's blocks written in place.
-    c = np.zeros((len(problems), n, n))
-    a = np.zeros((len(problems), m, n, n))
-    for i, prob in enumerate(problems):
-        for blk, obj, con in zip(blocks, prob.objective, prob.constraints):
-            c[i, blk, blk] = -obj
-            a[i, :, blk, blk] = con
+    # every problem's blocks written in place (a shared block broadcast).
+    c = np.zeros((count, n, n))
+    a = np.zeros((count, m, n, n))
+    for blk, obj, con in zip(blocks, objective, constraints):
+        c[:, blk, blk] = -obj
+        a[:, :, blk, blk] = con
     a_blocks = [a[:, :, blk, blk].copy() for blk in blocks]
     a = a.reshape(-1, m, n * n)
-    b = np.stack([p.rhs for p in problems])
     eye = np.eye(n)
     xi_p = np.maximum(1.0, np.abs(b).max(axis=1))
     xi_d = np.maximum(1.0, block_norm(c) / np.sqrt(max(dims)))
@@ -276,7 +256,7 @@ def solve_many(problems) -> list:
     # into buffers made once: fresh arrays of that size cost more than the
     # products.
     bufs = [(np.empty((len(b), m * d, d)), np.empty((len(b), m, d, d))) for d in dims]
-    out = [None] * len(problems)
+    out = [None] * count
     it = 0
 
     def leave(stops, *arrays):

@@ -1,4 +1,4 @@
-"""Shared qubit constants, Hermitian helpers and the Schur-Weyl basis.
+"""Shared qubit constants, the conjugate transpose and the Schur-Weyl basis.
 
 Conventions used throughout the package:
 
@@ -37,11 +37,6 @@ PHI_UNNORM = np.outer(I2.ravel(), I2.ravel())
 def dagger(x: np.ndarray) -> np.ndarray:
     """Conjugate transpose of the last two axes (of each matrix of a stack)."""
     return x.conj().swapaxes(-1, -2)
-
-
-def is_hermitian(x: np.ndarray) -> bool:
-    scale = max(1.0, float(np.max(np.abs(x))) if x.size else 0.0)
-    return bool(np.max(np.abs(x - dagger(x))) <= HERMITIAN_RTOL * scale)
 
 
 @functools.cache

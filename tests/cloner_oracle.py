@@ -152,8 +152,7 @@ def cloner_choi_sdp(gamma) -> ClonerChoi:
     constraints = np.array([np.kron(pauli, np.eye(dim_out))
                             for pauli in (I2, SIGMA_X.real, SIGMA_Z.real)])
     rhs = [2.0, 0.0, 0.0]
-    problem = sdp.SdpProblem(objective=[objective], constraints=[constraints], rhs=rhs)
-    sol = sdp.solve(problem)
+    sol = sdp.solve([objective], [constraints], rhs)
     if sol.status != sdp.OPTIMAL:
         raise SolverError(sol.status, f"cloner SDP failed: {sol.message}")
 
@@ -188,14 +187,12 @@ def least_squares_factor_check(x: np.ndarray, m: int) -> None:
 
 
 def per_point_amplitudes(gamma) -> tuple:
-    """``(beta, perron_value, perron_vector)`` of one gamma by the earlier
-    per-point route of ``cloner.clone_amplitudes``: the top eigenvector of
+    """``beta`` of one gamma by the earlier per-point route of
+    ``cloner.clone_amplitudes``: the top eigenvector of
     ``sqrt(alpha) sqrt(alpha)^T + diag(alpha)``, scaled by ``sqrt(alpha)``,
     normalized by ``np.linalg.norm`` and scaled by NumPy scalar arithmetic."""
     g = np.asarray(_as_gamma(gamma).gamma)
     root = np.sqrt(np.clip(g / g.sum(), 0.0, None))
-    w, v = np.linalg.eigh(np.outer(root, root) + np.diag(root * root))
-    u = root * np.abs(v[:, -1])
+    u = root * np.abs(np.linalg.eigh(np.outer(root, root) + np.diag(root * root))[1][:, -1])
     u /= np.linalg.norm(u)
-    beta = np.sqrt(2.0 / (u.sum() ** 2 + 1.0)) * u
-    return tuple(beta), float(w[-1]), tuple(u)
+    return tuple(np.sqrt(2.0 / (u.sum() ** 2 + 1.0)) * u)

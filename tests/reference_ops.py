@@ -26,9 +26,10 @@ space, :class:`FullQR` holds the full ``Qt`` and ``Rt``,
 run-time reduction (with its check that the operators lie on the SU(2)
 commutant), and :func:`validate_full_decoder` is the earlier full-space
 check of a decoder, against which the block check is tested.
-:func:`dense_purification_problem` is the decoder SDP on the full space,
+:func:`dense_purification_stack` is the decoder SDP on the full space,
 the reference of the covariant problem that ``decoder.purification_sdps``
-solves, and :func:`block_diag` merges SDP blocks as the solver does.
+solves (:func:`covariant_stack`), :func:`stack_entry` cuts a problem
+from a stack and :func:`block_diag` merges blocks as the solver does.
 """
 
 from __future__ import annotations
@@ -38,9 +39,9 @@ from typing import Iterable
 
 import numpy as np
 
-from qumimo import channel, cloner, decoder, sdp
+from qumimo import channel, cloner, decoder
 from qumimo.errors import DimensionLimitError, NotHermitianError, NotPsdError, QumimoError
-from qumimo.tensor import I2, PHI_UNNORM, PSD_SUPPORT_TOL, dagger, is_hermitian
+from qumimo.tensor import HERMITIAN_RTOL, I2, PHI_UNNORM, PSD_SUPPORT_TOL, dagger
 
 # Any single constructed matrix is capped at this dimension so that a
 # misconfigured reference fails loudly instead of thrashing memory.
@@ -142,10 +143,9 @@ def hermitian_eig(x: np.ndarray):
     rejected rather than silently symmetrized.
     """
     x = np.asarray(x, dtype=complex)
-    if not is_hermitian(x):
-        raise NotHermitianError(
-            f"matrix deviates from Hermiticity by {np.max(np.abs(x - dagger(x))):.3e}"
-        )
+    skew = np.max(np.abs(x - dagger(x)))
+    if not skew <= HERMITIAN_RTOL * max(1.0, float(np.max(np.abs(x))) if x.size else 0.0):
+        raise NotHermitianError(f"matrix deviates from Hermiticity by {skew:.3e}")
     return np.linalg.eigh((x + dagger(x)) / 2.0)
 
 
@@ -263,15 +263,29 @@ def lift_operators(qr: decoder.QROperators) -> tuple:
     return lift(w, qr.qt / dim), lift(w, qr.rt / dim)
 
 
-def dense_purification_problem(qr: decoder.QROperators, p: float) -> sdp.SdpProblem:
-    """The decoder SDP of ``decoder.purification_sdps`` on the full space
-    (:func:`lift_operators`), one row of ``Tr_B J + S = I`` per real
-    symmetric unit.  Its data are real, so the mean of a complex optimum
-    and its conjugate is a real one, and the real problem has the complex
-    problem's value."""
-    h = decoder._symmetric_basis(2 ** qr.k)
+def covariant_stack(qrs, p: float) -> tuple:
+    """The decoder SDPs of ``qrs`` (one K) at p on their spin blocks, as
+    ``decoder.purification_sdps`` stacks them for ``sdp.solve_many``."""
+    return decoder._decoder_problem([qr.qt for qr in qrs], [qr.rt for qr in qrs],
+                                    decoder._covariant_rows(qrs[0].k)[0], [p] * len(qrs))
+
+
+def dense_purification_stack(qrs, p: float) -> tuple:
+    """:func:`covariant_stack` on the full space (:func:`lift_operators`),
+    one row of ``Tr_B J + S = I`` per real symmetric unit.  The data are
+    real, so the mean of a complex optimum and its conjugate is a real
+    one, and the real problem has the complex problem's value."""
+    h = decoder._symmetric_basis(2 ** qrs[0].k)
     rows = (np.kron(h, I2), h, np.trace(h, axis1=1, axis2=2))
-    return decoder._decoder_problem(*lift_operators(qr), rows, p)
+    return decoder._decoder_problem(*zip(*map(lift_operators, qrs)), rows, [p] * len(qrs))
+
+
+def stack_entry(stack, i: int) -> tuple:
+    """Problem i of a stack as ``sdp.solve``'s arguments: its entry of each
+    stacked block, and the shared blocks."""
+    objective, constraints, rhs = stack
+    return ([c[i] if c.ndim == 3 else c for c in objective],
+            [a[i] if a.ndim == 4 else a for a in constraints], rhs[i])
 
 
 def block_diag(blocks) -> np.ndarray:

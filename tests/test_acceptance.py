@@ -176,15 +176,14 @@ def test_criterion_05_sdp_oracle():
         n = int(rng.integers(4, 33))
         a = rng.standard_normal((n, n))
         c = (a + a.T) / 2
-        prob = sdp.SdpProblem([c], [np.eye(n)[None]], [1.0])
-        sol = sdp.solve(prob)
+        sol = sdp.solve([c], [np.eye(n)[None]], [1.0])
         err = abs(sol.value - np.linalg.eigvalsh(c)[-1])
         worst = max(worst, err)
         ok &= sol.status == sdp.OPTIMAL and err < 1e-7
     # an infeasible and an unbounded problem are never certified optimal
-    infeas = sdp.solve(sdp.SdpProblem([np.zeros((3, 3))], [np.eye(3)[None]], [-1.0]))
+    infeas = sdp.solve([np.zeros((3, 3))], [np.eye(3)[None]], [-1.0])
     ok &= infeas.status == sdp.MAX_ITER
-    unbnd = sdp.solve(sdp.SdpProblem([np.eye(2)], [np.diag([1.0, -1.0])[None]], [0.0]))
+    unbnd = sdp.solve([np.eye(2)], [np.diag([1.0, -1.0])[None]], [0.0])
     ok &= unbnd.status == sdp.MAX_ITER
     assert report("criterion 5: SDP oracle equivalence", ok, f"worst {worst:.2e}")
 

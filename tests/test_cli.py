@@ -723,10 +723,13 @@ class TestBoundaryAndValidate:
         assert json.loads((tmp_path / "manifest.json").read_text())["resolution"] == 1 / 7
 
     @pytest.mark.parametrize("argv", [["--resolution", "0.5"], ["--resolution", "0"],
-                                      ["--resolution", "nan"], ["--m", "4"]],
-                             ids=["resolution-0.5", "resolution-0", "resolution-nan", "m-4"])
+                                      ["--resolution", "nan"], ["--resolution", "1e-4"],
+                                      ["--m", "4"]],
+                             ids=["resolution-0.5", "resolution-0", "resolution-nan",
+                                  "resolution-1e-4", "m-4"])
     def test_boundary_rejects_bad_arguments(self, tmp_path, capsys, argv):
-        # an invalid argument exits 2 with a usage message, before any output
+        # an invalid argument exits 2 with a usage message, before any output;
+        # 1e-4 asks for 10,000 steps, past the cap (50,015,001 points at M = 3)
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
             cli.main(["boundary", *argv, "--out", str(out)])

@@ -12,7 +12,7 @@ UNIT3 = 1.0 / np.sqrt(3.0)
 
 def weight_matrix(gamma) -> np.ndarray:
     """Rank-one-plus-diagonal weight matrix ``alpha 1^T + diag(alpha)``,
-    whose Perron pair ``clone_amplitudes`` returns."""
+    whose Perron vector ``clone_amplitudes`` scales to ``beta``."""
     gamma = cloner.AsymmetryVector(tuple(gamma))
     alpha = np.asarray(gamma.gamma) / sum(gamma.gamma)
     return np.outer(alpha, np.ones(gamma.m)) + np.diag(alpha)
@@ -77,16 +77,18 @@ class TestWeightMatrix:
 
     def test_perron_pair(self):
         # the eigen-solve of the symmetric similar matrix returns the
-        # Perron pair of A itself, faces included
+        # Perron pair of A itself, faces included: beta is a nonnegative
+        # eigenvector of A whose eigenvalue is A's spectral radius
         rng = np.random.default_rng(12)
         points = [tuple(rng.dirichlet(np.ones(m))) for m in (1, 2, 3, 4, 5) for _ in range(20)]
         points += [g for m in (2, 3, 4, 5) for g in face_points(m)]
         for g in points:
-            amp = cloner.clone_amplitudes(g)
-            u = np.asarray(amp.perron_vector)
-            assert np.all(u >= 0) and abs(np.linalg.norm(u) - 1.0) < 1e-12
-            assert np.max(np.abs(weight_matrix(g) @ u - amp.perron_value * u)) < 1e-12
-            assert amp.perron_value >= np.max(np.abs(np.linalg.eigvals(weight_matrix(g)))) - 1e-12
+            beta = np.asarray(cloner.clone_amplitudes(g).beta)
+            u = beta / np.linalg.norm(beta)
+            value = u @ weight_matrix(g) @ u
+            assert np.all(u >= 0)
+            assert np.max(np.abs(weight_matrix(g) @ u - value * u)) < 1e-12
+            assert value >= np.max(np.abs(np.linalg.eigvals(weight_matrix(g)))) - 1e-12
 
 
 class TestCloneAmplitudes:
@@ -98,13 +100,12 @@ class TestCloneAmplitudes:
         points = cloner.simplex_grid(m, 20) + face_points(m)
         points += [tuple(c / 640 for c in rng.multinomial(640, rng.dirichlet(np.ones(m))))
                    for _ in range(200)]
-        beta, value, vector = cloner._amplitude_rows(points)
+        beta = cloner._amplitude_rows(points)
         for i, g in enumerate(points):
             want = oracle.per_point_amplitudes(g)
-            assert (tuple(beta[i]), float(value[i]), tuple(vector[i])) == want
+            assert tuple(beta[i]) == want
             if i % 50 == 0:
-                one = cloner.clone_amplitudes(g)
-                assert (one.beta, one.perron_value, one.perron_vector) == want
+                assert cloner.clone_amplitudes(g).beta == want
 
     def test_symmetric_two(self):
         # power iteration on [[1,.5],[.5,1]] gives u = (1,1)/sqrt(2);
@@ -367,6 +368,12 @@ class TestFeasibleBoundary:
             cloner.feasible_boundary(4, 0.05)
         with pytest.raises(ValueError):
             cloner.feasible_boundary(2, 0.5)
+
+    def test_step_cap(self):
+        cap = cloner.MAX_BOUNDARY_STEPS
+        assert cloner.boundary_steps(1 / cap) == cap
+        with pytest.raises(ValueError, match=f"more than {cap}"):
+            cloner.boundary_steps(1 / (cap + 1))
 
 
 class TestClosedFormConvention:

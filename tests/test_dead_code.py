@@ -16,9 +16,10 @@ ROOT = Path(__file__).resolve().parents[1]
 # Called from outside src/ only, by the named file: the benchmark's
 # gamma_scan_m4 workload scores fresh asymmetry points through it.
 # ``run_strategy``, ``purification_sdp`` and ``solve`` are the one-job forms
-# of ``run_strategies``, ``purification_sdps`` and ``solve_many``: the tests
-# and the benchmark's workload call them, and the benchmark's tracer wraps
-# them until it wraps the stacked forms (ROADMAP item 1).
+# of ``run_strategies``, ``purification_sdps`` and ``solve_many`` (``solve``
+# takes one problem's blocks and rhs, without a stack axis): the tests and
+# the benchmark's workload call them, and the benchmark's tracer wraps them
+# until it wraps the stacked forms (ROADMAP item 1).
 EXTERNAL = {
     ("decoder", "evaluate_gamma_surrogate"): "perfbench/workload.py",
     ("decoder", "purification_sdp"): "perfbench/workload.py",
@@ -28,8 +29,6 @@ EXTERNAL = {
 
 # Dataclass fields read outside src/ only, by the named file.
 EXTERNAL_FIELDS = {
-    ("cloner", "CloneAmplitudes", "perron_value"): "tests/test_cloner.py",
-    ("cloner", "CloneAmplitudes", "perron_vector"): "tests/test_cloner.py",
     ("sdp", "SdpSolution", "y"): "tests/test_sdp.py",
     ("sdp", "SdpSolution", "dual_value"): "tests/test_sdp.py",
     ("sdp", "SdpSolution", "iterations"): "perfbench/tracer.py",

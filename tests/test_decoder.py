@@ -15,10 +15,11 @@ from reference_ops import (
     block_diag,
     covariant_blocks,
     covariant_operators,
+    covariant_stack,
     dense_cascade,
     dense_channel_choi,
     dense_compose,
-    dense_purification_problem,
+    dense_purification_stack,
     depolarizing_choi_1q,
     einsum_compose,
     full_qr,
@@ -30,6 +31,7 @@ from reference_ops import (
     projector,
     rank_one_certificate,
     spin_blocks,
+    stack_entry,
     validate_full_decoder,
 )
 
@@ -449,17 +451,17 @@ def row_image(w, e):
     return g, float(np.trace(g @ g) / np.trace(e @ e))
 
 
-def apply_rows(problem, blocks):
-    """``A(X)`` of ``problem`` on ``blocks``, as the solver reads it on the
-    merged block-diagonal stack (a stack of one problem)."""
-    a_flat = block_diag(problem.constraints).reshape(1, len(problem.rhs), -1)
+def apply_rows(constraints, blocks):
+    """``A(X)`` of one problem's ``constraints`` on ``blocks``, as the solver
+    reads it on the merged block-diagonal stack (a stack of one problem)."""
+    a_flat = block_diag(constraints).reshape(1, len(constraints[0]), -1)
     return sdp._a_apply(a_flat, block_diag(blocks)[None])[0]
 
 
-def adjoint_blocks(problem, y):
-    """``A*(y)`` of ``problem`` on the merged stack, cut into its blocks."""
-    merged = np.tensordot(y, block_diag(problem.constraints), axes=1)
-    edges = np.cumsum([0] + [len(c) for c in problem.objective])
+def adjoint_blocks(constraints, y):
+    """``A*(y)`` of one problem's ``constraints``, cut into its blocks."""
+    merged = np.tensordot(y, block_diag(constraints), axes=1)
+    edges = np.cumsum([0] + [a.shape[-1] for a in constraints])
     return [merged[lo:hi, lo:hi] for lo, hi in zip(edges[:-1], edges[1:])]
 
 
@@ -486,13 +488,13 @@ class TestPartialTraceOperator:
         qr, _ = random_cascade(rng, n=k)
         (w_j, paths_j), (w_s, paths_s) = decoder._frame(k + 1, k), decoder._frame(k, k)
         units = decoder._covariant_rows(k)[0][1]
-        reduced = decoder._covariant_problem(qr, p)
-        dense = dense_purification_problem(qr, p)
+        reduced = stack_entry(covariant_stack([qr], p), 0)
+        dense = stack_entry(dense_purification_stack([qr], p), 0)
         x_red = [random_reduced(rng, paths_j), random_reduced(rng, paths_s)]
         x_full = [lift(w_j, x_red[0]), lift(w_s, x_red[1])]
-        nb = len(reduced.objective)
-        got = apply_rows(reduced, x_red[:nb])
-        want = apply_rows(dense, x_full[:nb])
+        nb = len(reduced[0])
+        got = apply_rows(reduced[1], x_red[:nb])
+        want = apply_rows(dense[1], x_full[:nb])
         nh = 2 ** k * (2 ** k + 1) // 2
         for i, e in enumerate(units):
             g, d = row_image(w_s, e)
@@ -500,8 +502,7 @@ class TestPartialTraceOperator:
         assert len(got) == len(units) + (p < 1.0)
         if p < 1.0:
             assert abs(got[-1] - want[-1]) < 1e-11
-        assert abs(np.vdot(reduced.objective[0], x_red[0])
-                   - np.vdot(dense.objective[0], x_full[0])) < 1e-11
+        assert abs(np.vdot(reduced[0][0], x_red[0]) - np.vdot(dense[0][0], x_full[0])) < 1e-11
 
     @pytest.mark.parametrize("p", [0.6, 1.0])
     def test_adjoint(self, p):
@@ -512,19 +513,19 @@ class TestPartialTraceOperator:
             qr, _ = random_cascade(rng, n=k)
             w_j, w_s = decoder._frame(k + 1, k)[0], decoder._frame(k, k)[0]
             units = decoder._covariant_rows(k)[0][1]
-            reduced = decoder._covariant_problem(qr, p)
-            dense = dense_purification_problem(qr, p)
+            reduced = stack_entry(covariant_stack([qr], p), 0)
+            dense = stack_entry(dense_purification_stack([qr], p), 0)
             for _ in range(3):
-                y = rng.standard_normal(len(reduced.rhs))
-                y_full = np.zeros(len(dense.rhs))
+                y = rng.standard_normal(len(reduced[2]))
+                y_full = np.zeros(len(dense[2]))
                 nh = 2 ** k * (2 ** k + 1) // 2
                 for yi, e in zip(y, units):
                     g, d = row_image(w_s, e)
                     y_full[:nh] += yi * symmetric_coords(g) / d
                 if p < 1.0:
                     y_full[-1] = y[-1]
-                got = adjoint_blocks(reduced, y)
-                want = adjoint_blocks(dense, y_full)
+                got = adjoint_blocks(reduced[1], y)
+                want = adjoint_blocks(dense[1], y_full)
                 for w, a, b in zip((w_j, w_s), got, want):
                     assert np.max(np.abs(a - decoder._reduce(w, b))) < 1e-12
 
@@ -535,7 +536,7 @@ class TestPartialTraceOperator:
             qr, _ = random_cascade(rng, n=int(rng.integers(1, 3)))
             for p in (0.2, 0.5, 0.8, 1.0):
                 dec = decoder.purification_sdp(qr, p)
-                ref = sdp.solve(dense_purification_problem(qr, p))
+                ref = sdp.solve_many(*dense_purification_stack([qr], p))[0]
                 worst = max(worst, abs(dec.f_success * p - ref.value))
         assert worst < 1e-7
 
@@ -544,7 +545,7 @@ class TestPartialTraceOperator:
         rng = np.random.default_rng(33)
         qr, _ = random_cascade(rng, n=3)
         dec = decoder.purification_sdp(qr, p)
-        ref = sdp.solve(dense_purification_problem(qr, p))
+        ref = sdp.solve_many(*dense_purification_stack([qr], p))[0]
         assert abs(dec.f_success * p - ref.value) < 1e-7
 
     @pytest.mark.parametrize("p", [0.2, 0.5, 0.8, 1.0])
@@ -552,7 +553,7 @@ class TestPartialTraceOperator:
         rng = np.random.default_rng(44)
         qr, _ = random_cascade(rng, n=4)
         dec = decoder.purification_sdp(qr, p)
-        ref = sdp.solve(dense_purification_problem(qr, p))
+        ref = sdp.solve_many(*dense_purification_stack([qr], p))[0]
         assert abs(dec.f_success * p - ref.value) < 1e-7
 
     @pytest.mark.parametrize("p, value", [(0.8, 0.5822981591901222), (1.0, 0.7237125498041763)])
@@ -561,7 +562,7 @@ class TestPartialTraceOperator:
         # cascade, from the earlier dense route on all 65 Hermitian units:
         # keeping only the real symmetric units loses nothing
         qr, _ = random_cascade(np.random.default_rng(33), n=3)
-        assert abs(sdp.solve(dense_purification_problem(qr, p)).value - value) < 1e-9
+        assert abs(sdp.solve_many(*dense_purification_stack([qr], p))[0].value - value) < 1e-9
 
     def test_every_solve_is_validated(self, monkeypatch):
         calls = []
@@ -599,8 +600,8 @@ class TestPartialTraceOperator:
         rng = np.random.default_rng(55)
         qr, _ = random_cascade(rng, n=5)
         ray = decoder.rayleigh_bound(qr)
-        problem = decoder._covariant_problem(qr, 0.8)
-        assert [len(c) for c in problem.objective] == [20, 10] and len(problem.rhs) == 27
+        objective, _, rhs = stack_entry(covariant_stack([qr], 0.8), 0)
+        assert [len(c) for c in objective] == [20, 10] and len(rhs) == 27
         for p in (0.8, 1.0):
             dec = decoder.purification_sdp(qr, p)
             assert dec.j.shape == (20, 20)
@@ -738,8 +739,7 @@ class TestBlockRoute:
         for k in (1, 2, 3, 4, 5):
             qr, _ = random_cascade(rng, n=k)
             qt, rt = lift_operators(qr)
-            s, _ = decoder._pinv_sqrt(rt[None])
-            want = np.linalg.eigvalsh(s[0] @ qt @ s[0])[-1]
+            want = decoder._rayleigh_tops(qt[None], rt[None])[0][0]
             assert abs(decoder.rayleigh_bound(qr) - want) < 1e-12
 
 
