@@ -142,14 +142,16 @@ def _run_checks(quick: bool) -> int:
         for c, sol in zip(cs, sols)), f"one stack, n = {n}")
 
     for n in (2, 3):
-        params = channel.ChannelParams(n=n, eta=float(rng.uniform(0, 1)),
-                                       lam=tuple(rng.uniform(0, 1, n)), delta=1.0)
-        modes = tuple(range(1, n + 1))
-        emap = decoder.compose_effective_map(cloner.cloner_choi(tuple(rng.dirichlet(np.ones(n)))),
-                                             channel.channel_choi(params), modes, modes)
-        qr = decoder.build_qr(emap)
+        ch = channel.channel_choi(channel.ChannelParams(
+            n=n, eta=float(rng.uniform(0, 1)), lam=tuple(rng.uniform(0, 1, n)),
+            delta=float(rng.uniform(0.3, 2))))
+        t, r = (tuple(int(x) + 1 for x in rng.permutation(n)) for _ in range(2))
+        design = decoder.design_at(tuple(rng.dirichlet(np.ones(n))), ch, t, r)
+        qr = decoder.build_qr(decoder.compose_effective_map(design.enc, ch, t, r))
         check(f"reduced decoder data real, N = {n}",
               not any(map(np.iscomplexobj, (qr.qt, qr.rt))), f"dtype {qr.qt.dtype}")
+        err = max(np.max(np.abs(design.qr.qt - qr.qt)), np.max(np.abs(design.qr.rt - qr.rt)))
+        check(f"design polynomial = cascade, N = {n}", err < 1e-13, f"worst {err:.1e}")
 
     # The blind decoder's closed form reaches the SDP optimum on its prior.
     cases = []

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionLimitError, SimplexError
-from .tensor import I2, PHI_UNNORM
+from .tensor import I2, PHI_UNNORM, read_only
 
 SIMPLEX_TOL = 1e-10
 # Most lattice steps per unit of the boundary grid: 20,301 points at M = 3.
@@ -72,6 +72,7 @@ class ClonerChoi:
     choi: np.ndarray
     m: int
     fidelities: tuple
+    beta: np.ndarray | None = None  # the Stinespring amplitudes; None for a stack
 
 
 def _as_gamma(gamma) -> AsymmetryVector:
@@ -128,8 +129,7 @@ def _stinespring_basis(m: int) -> np.ndarray:
                 continue
             w = sum(bits[1:]) - bits[k + 1]
             basis[k, row, w] = 1.0 / np.sqrt(math.comb(m - 1, w))
-    basis.setflags(write=False)
-    return basis
+    return read_only(basis)
 
 
 def cloner_choi(gamma) -> ClonerChoi:
@@ -139,7 +139,8 @@ def cloner_choi(gamma) -> ClonerChoi:
     and ``X = sum_k beta_k B_k`` its ``2^(M+1) x M`` Stinespring factor
     (:func:`_stinespring_basis`).
 
-    Its clone fidelities are ``clone_fidelities(gamma)``.  The build is
+    Its clone fidelities are ``clone_fidelities(gamma)``, from the amplitudes
+    ``beta`` it carries (one :func:`_amplitude_rows` solve).  The build is
     checked on ``X`` (:func:`_validate_cloner`); the check on the Choi
     itself (spectrum, partial traces) belongs to the test oracle, which
     runs it on its SDP-built cloner.
@@ -148,11 +149,11 @@ def cloner_choi(gamma) -> ClonerChoi:
     m = gamma.m
     if m > 5:
         raise DimensionLimitError(f"cloner limited to M <= 5, got {m}")
-    beta = np.asarray(clone_amplitudes(gamma).beta)
-    x = np.tensordot(beta, _stinespring_basis(m), axes=1)
+    beta = _amplitude_rows([gamma.gamma])[0]
+    x = (beta @ _stinespring_basis(m).reshape(m, -1)).reshape(2 ** (m + 1), m)
     _validate_cloner(x, m)
-    j = x @ x.T / m
-    return ClonerChoi(choi=j, m=m, fidelities=tuple(_fidelities(beta).tolist()))
+    return ClonerChoi(choi=x @ x.T / m, m=m, fidelities=tuple(_fidelities(beta).tolist()),
+                      beta=beta)
 
 
 @functools.cache
@@ -164,10 +165,7 @@ def _isotropy_tables(m: int) -> tuple:
     rows = np.stack([index.reshape(2, 2 ** (k - 1), 2, -1).transpose(0, 2, 1, 3).reshape(4, -1)
                      for k in range(1, m + 1)])
     span = np.stack([np.eye(4).ravel() / 2, (PHI_UNNORM - np.eye(4) / 2).ravel() / np.sqrt(3)])
-    tables = rows, np.eye(16) - span.T @ span
-    for x in tables:
-        x.setflags(write=False)
-    return tables
+    return read_only(rows, np.eye(16) - span.T @ span)
 
 
 def _clone_marginals(x: np.ndarray, m: int) -> np.ndarray:

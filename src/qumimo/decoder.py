@@ -21,7 +21,8 @@ The blind baseline's decoder needs no SDP: :func:`blind_choi`.
 works on those blocks, a decoder is its reduced Choi, and only the
 test references lift them back to the full space.  A channel's design
 (:class:`Design`) is built once, by :func:`design_at` or at gamma* by the
-gamma search; only the decoder SDP is solved per p.
+gamma search, from the corner table of its (M, N) (:func:`_corner_table`);
+only the decoder SDP is solved per p.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from . import sdp
-from .channel import Channel
+from .channel import Channel, ChannelParams, channel_choi
 from .cloner import (
     ClonerChoi,
     _amplitude_rows,
@@ -45,7 +46,7 @@ from .cloner import (
 )
 from .errors import NotPsdError, SolverError
 from .metrics import asymmetry_index
-from .tensor import I2, PSD_SUPPORT_TOL, SWAP2, dagger, schur_weyl_basis
+from .tensor import I2, PSD_SUPPORT_TOL, SWAP2, dagger, read_only, schur_weyl_basis
 
 SURROGATE_TIE_TOL = 1e-6
 GRID_STEP_DENOM = 20
@@ -112,8 +113,15 @@ class Design:
 def design_at(gamma, chan: Channel, t, r) -> Design:
     """The design at ``gamma`` on transmit modes ``t`` and receive modes ``r``."""
     enc = cloner_choi(gamma)
-    qr = build_qr(compose_effective_map(enc, chan, t, r))
-    return Design(tuple(float(x) for x in gamma), enc, tuple(t), tuple(r), qr)
+    qt, rt = _table_cascades(enc.m, chan, t, r, [chan.params.lam], enc.beta)[0, :, 0]
+    return Design(tuple(float(x) for x in gamma), enc, tuple(t), tuple(r),
+                  QROperators(qt=qt, rt=rt, k=chan.n))
+
+
+def realized_cascades(design: Design, chan: Channel, lams) -> list:
+    """The cascades of ``design`` on ``chan``, one per row of ``lams`` as lambda."""
+    qt, rt = _table_cascades(design.enc.m, chan, design.t, design.r, lams, design.enc.beta)[0]
+    return [QROperators(qt=q, rt=x, k=chan.n) for q, x in zip(qt, rt)]
 
 
 def compose_effective_map(encoder: ClonerChoi, chan: Channel, t, r) -> EffectiveMap:
@@ -127,20 +135,13 @@ def compose_effective_map(encoder: ClonerChoi, chan: Channel, t, r) -> Effective
     ``1 - eta`` at the identity.  ``encoder.choi`` may carry a leading
     stack axis; an entry's cascade does not depend on its stack.
     """
-    t = tuple(int(x) for x in t)
-    r = tuple(int(x) for x in r)
-    n = chan.n
-    m = encoder.m
-    if len(t) != m or len(set(t)) != m or any(not 1 <= x <= n for x in t):
-        raise ValueError(f"transmit modes {t} must be {m} distinct indices in 1..{n}")
-    if sorted(r) != list(range(1, n + 1)):
-        raise ValueError(f"receive modes {r} must be an ordering of all {n} modes")
-
+    n, m = chan.n, encoder.m
+    weights = _leg_weights(chan, m, t, r)
     lead = encoder.choi.shape[:-2]
     jt = encoder.choi.reshape(-1, 2 ** (m + 1), 2 ** (m + 1))
     for c, mode in enumerate(t, start=1):
         # Depolarize clone c: (1 - lam) J + lam Tr_c J (x) I/2 on its leg.
-        lam = chan.params.lam[mode - 1]
+        lam = chan.params.lam[int(mode) - 1]
         x = jt.reshape(-1, 2 ** c, 2, 2 ** (m - c), 2 ** c, 2, 2 ** (m - c))
         half_tr = lam / 2.0 * (x[:, :, 0, :, :, 0] + x[:, :, 1, :, :, 1])
         x = (1.0 - lam) * x
@@ -149,7 +150,16 @@ def compose_effective_map(encoder: ClonerChoi, chan: Channel, t, r) -> Effective
         jt = x
     pad = np.eye(2 ** (n - m)) / 2 ** (n - m)
     j0 = jt.reshape(-1, 2 ** (m + 1), 1, 2 ** (m + 1), 1) * pad[:, None]
+    return EffectiveMap(j0=j0.reshape(lead + (2 ** (n + 1),) * 2), weights=weights, k=n)
 
+
+def _leg_weights(chan: Channel, m: int, t, r) -> np.ndarray:
+    """The weights of :func:`compose_effective_map`, its modes checked."""
+    t, r, n = tuple(int(x) for x in t), tuple(int(x) for x in r), chan.n
+    if len(t) != m or len(set(t)) != m or any(not 1 <= x <= n for x in t):
+        raise ValueError(f"transmit modes {t} must be {m} distinct indices in 1..{n}")
+    if sorted(r) != list(range(1, n + 1)):
+        raise ValueError(f"receive modes {r} must be an ordering of all {n} modes")
     # Under pi leg c lands on slot[pi(modes[c])]; the identity comes first.
     modes = np.array(t + tuple(x for x in range(1, n + 1) if x not in t))
     slot = np.zeros(n + 1, dtype=int)
@@ -161,7 +171,7 @@ def compose_effective_map(encoder: ClonerChoi, chan: Channel, t, r) -> Effective
     weights = np.bincount(rows, weights=eta * np.asarray(chan.ensemble.weights),
                           minlength=len(codes))
     weights[rows[0]] += 1.0 - eta
-    return EffectiveMap(j0=j0.reshape(lead + (2 ** (n + 1),) * 2), weights=weights, k=n)
+    return weights
 
 
 @functools.cache
@@ -187,8 +197,7 @@ def _leg_table(k: int) -> tuple:
         at = slice(two_j.index(tj), two_j.index(tj) + two_j.count(tj))
         blocks.append((at, d[:, at, at].reshape(k, -1, (at.stop - at.start) ** 2)))
     legs = np.hstack([idx, idx + 2 ** k])
-    for x in (codes, legs, *(a for _, a in blocks)):
-        x.setflags(write=False)
+    read_only(codes, legs, *(a for _, a in blocks))
     return codes, legs, tuple(blocks)
 
 
@@ -209,25 +218,27 @@ def _twirl(choi: np.ndarray, k: int) -> tuple:
 
 def build_qr(emap: EffectiveMap) -> QROperators:
     """The reduced ``Qt`` and ``Rt`` of the cascade (:class:`QROperators`):
-    ``j0`` twirled and reduced once, then ``X_j -> sum_s w_s D_j(s) X_j
-    D_j(s)^T`` on each spin block below the symmetric one
-    (:func:`_leg_table`) as ``G = sum_s w_s D_j(s) (x) D_j(s)`` applied to
-    the block, then symmetrized.  G is
-    summed over the K chunks of rows that share ``tau_1``, then over the
-    chunks: one K!-long sum lost up to 8.6e-15 (relative to a long-double
-    G) at K = 6, two levels 1.6e-15."""
+    ``j0`` twirled and reduced once, then leg-permuted (:func:`_permute_legs`)."""
     x = _reduce(_frame(emap.k + 1, emap.k)[0], np.stack(_twirl(emap.j0, emap.k)))
+    qt, rt = _permute_legs(x, emap.weights, emap.k)
+    return QROperators(qt=qt, rt=rt, k=emap.k)
+
+
+def _permute_legs(x: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
+    """``X_j -> sum_s w_s D_j(s) X_j D_j(s)^T`` on the spin blocks of ``x``
+    below the symmetric one (:func:`_leg_table`), as ``G = sum_s w_s D_j(s)
+    (x) D_j(s)`` on the block, then symmetrized.  G is summed per ``tau_1``,
+    then over those K sums: 1.6e-15 lost at K = 6, 8.6e-15 in one sum."""
     out = np.zeros_like(x)
     out[..., 0, 0] = x[..., 0, 0]
-    w = emap.weights.reshape(emap.k, 1, -1)
-    for at, a in _leg_table(emap.k)[2]:
+    w = weights.reshape(k, 1, -1)
+    for at, a in _leg_table(k)[2]:
         d = at.stop - at.start
         g = ((a.swapaxes(1, 2) * w) @ a).sum(axis=0).reshape(d, d, d, d).transpose(0, 2, 1, 3)
         block = x[..., at, at]
         # One product per stack entry, for bits independent of the stack.
         out[..., at, at] = (g.reshape(d * d, -1) @ block.reshape(-1, d * d, 1)).reshape(block.shape)
-    qt, rt = (out + out.swapaxes(-1, -2)) / 2.0
-    return QROperators(qt=qt, rt=rt, k=emap.k)
+    return (out + out.swapaxes(-1, -2)) / 2.0
 
 
 @functools.cache
@@ -240,8 +251,7 @@ def _symmetric_basis(d: int) -> np.ndarray:
     basis[diag, diag, diag] = 1.0
     sym = d + np.arange(len(k))
     basis[sym, k, l] = basis[sym, l, k] = 1.0
-    basis.setflags(write=False)
-    return basis
+    return read_only(basis)
 
 
 def _decoder_problem(qts, rts, rows, ps) -> tuple:
@@ -340,8 +350,7 @@ def _frame(n: int, flip: int):
     w = np.zeros((two_j.max() + 1, 2 ** n, len(two_j)))
     for t in range(len(w)):
         w[t][:, two_j >= t] = basis[:, (first + t)[two_j >= t]]
-    w.setflags(write=False)
-    return w, tuple(path for _, paths in blocks for path in paths)
+    return read_only(w), tuple(path for _, paths in blocks for path in paths)
 
 
 def _reduce(w: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -380,10 +389,8 @@ def _covariant_rows(k: int) -> tuple:
     units = _symmetric_basis(len(paths_s))
     e = units[~units[:, spin_s[:, None] != spin_s].any(axis=1)]
     a = (prefix.T @ e @ prefix) * (spin_j[:, None] == spin_j)
-    rows = a, e, np.trace(e, axis1=1, axis2=2)
-    for x in rows + (prefix,):
-        x.setflags(write=False)
-    return rows, prefix
+    *rows, prefix = read_only(a, e, np.trace(e, axis1=1, axis2=2), prefix)
+    return tuple(rows), prefix
 
 
 def evaluate_decoder(j: np.ndarray, qr: QROperators) -> tuple[float, float, float]:
@@ -418,11 +425,17 @@ def rayleigh_bound(qr: QROperators) -> float:
     ``Rt^{-1/2} Qt Rt^{-1/2}`` on the support of Rt, which dominates the
     SDP conditional fidelity for every p, from ``(+)_j Q_j`` and ``(+)_j
     R_j`` (block j of :class:`QROperators` over 2j + 1, the same spectra)."""
-    dim = np.array([path[-1] + 1 for path in _frame(qr.k + 1, qr.k)[1]])
+    dim = _spin_dims(qr.k)
     top, support = _rayleigh_tops((qr.qt / dim)[None], (qr.rt / dim)[None])
     if not support.all():
         raise ValueError("Rt has empty support")
     return float(top[0])
+
+
+@functools.cache
+def _spin_dims(k: int) -> np.ndarray:
+    """Read-only ``2j + 1`` per path of :func:`_frame` (K + 1 qubits)."""
+    return read_only(np.array([path[-1] + 1 for path in _frame(k + 1, k)[1]]))
 
 
 def blind_choi(m: int, p: float) -> np.ndarray:
@@ -447,8 +460,15 @@ def evaluate_gamma_surrogate(gamma, chan: Channel, t, r) -> float:
 
 def _pair_weights(betas: np.ndarray) -> np.ndarray:
     """Quadratic-form weights ``w_kl beta_k beta_l`` (k <= l) per amplitude row."""
-    rows, cols = np.triu_indices(betas.shape[1])
-    return np.where(rows == cols, 1.0, 2.0) * betas[:, rows] * betas[:, cols]
+    rows, cols, w = _pairs(betas.shape[1])
+    return w * betas[:, rows] * betas[:, cols]
+
+
+@functools.cache
+def _pairs(m: int) -> tuple:
+    """Read-only ``(k, l, w_kl)`` of the pairs k <= l, ``w_kl`` 1 if k = l, else 2."""
+    rows, cols = np.triu_indices(m)
+    return read_only(rows, cols, np.where(rows == cols, 1.0, 2.0))
 
 
 @functools.cache
@@ -463,26 +483,47 @@ def _lattice(m: int):
     betas = _amplitude_rows(points)
     index = asymmetry_index(_fidelities(betas))
     order = sorted(range(len(points)), key=lambda i: (-index[i], points[i]))
-    weights, rank = _pair_weights(betas), np.argsort(order)
-    weights.setflags(write=False)
-    rank.setflags(write=False)
+    weights, rank = read_only(_pair_weights(betas), np.argsort(order))
     return tuple(points), weights, rank
 
 
 def _surrogate_pieces(m: int, chan: Channel, t, r) -> list:
     """Per-spin pieces ``(Q_j,kl, R_j,kl)`` (k <= l) of the cascade, stacked
-    over kl (:func:`_per_spin`).
+    over kl (:func:`_per_spin`): ``Qt`` and ``Rt`` are linear in the cloner
+    Choi ``sum_{k<=l} w_kl beta_k beta_l J_kl``, ``J_kl = (B_k B_l^T + B_l
+    B_k^T) / 2M``, so quadratic forms in the clone amplitudes."""
+    x = _table_cascades(m, chan, t, r, [chan.params.lam])[:, :, 0]
+    return _per_spin(QROperators(qt=x[:, 0], rt=x[:, 1], k=chan.n))
 
-    The cloner Choi is ``sum_{k<=l} w_kl beta_k beta_l J_kl`` with
-    ``J_kl = (B_k B_l^T + B_l B_k^T) / 2M``, and ``Qt`` and ``Rt`` are
-    linear in it, so both are quadratic forms in the clone amplitudes
-    built from these pieces, whose cascades are built as one stack.
-    """
-    basis = _stinespring_basis(m)
-    k, l = np.triu_indices(m)
+
+@functools.cache
+def _corner_table(m: int, n: int) -> np.ndarray:
+    """Read-only ``C[kl, q, S]``: :func:`build_qr` (q = 0 for ``Qt``) of the
+    cascade of piece kl (:func:`_surrogate_pieces`), lambda 1 on the clones
+    in S (clone 1 the top bit) and 0 on the rest, I/2 on legs M+1..N, no
+    crosstalk.  Depolarizing is linear in lambda, so a cascade is ``sum_S
+    prod_{c in S} lambda_c prod_{c not in S} (1 - lambda_c) C[S]``, leg-permuted."""
+    basis, (k, l, _) = _stinespring_basis(m), _pairs(m)
     outer = basis[k] @ basis[l].swapaxes(1, 2)
     pieces = ClonerChoi(choi=(outer + outer.swapaxes(1, 2)) / (2 * m), m=m, fidelities=())
-    return _per_spin(build_qr(compose_effective_map(pieces, chan, t, r)))
+    modes, corners = tuple(range(1, n + 1)), []
+    for s in itertools.product((0.0, 1.0), repeat=m):
+        chan = channel_choi(ChannelParams(n=n, eta=0.0, lam=s + (0.0,) * (n - m), delta=1.0))
+        corners.append(build_qr(compose_effective_map(pieces, chan, modes[:m], modes)))
+    return read_only(np.array([(c.qt, c.rt) for c in corners]).transpose(2, 1, 0, 3, 4).copy())
+
+
+def _table_cascades(m: int, chan: Channel, t, r, lams, beta=None) -> np.ndarray:
+    """``[kl, q, row]`` (q = 0 for ``Qt``): the cascade on ``t`` and ``r`` of ``chan``,
+    lambda ``lams[row]``, of piece kl, or with ``beta`` of its cloner alone (kl = 0)."""
+    weights, table = _leg_weights(chan, m, t, r), _corner_table(m, chan.n)
+    kl, _, s, d, _ = table.shape
+    if beta is not None:
+        table = _pair_weights(beta[None]) @ table.reshape(kl, -1)
+    lam = np.asarray(lams, dtype=float)[:, [int(x) - 1 for x in t], None]
+    bits = (np.arange(s) >> np.arange(m - 1, -1, -1)[:, None] & 1).astype(bool)
+    x = np.where(bits, lam, 1.0 - lam).prod(axis=1) @ table.reshape(-1, 2, s, d * d)
+    return _permute_legs(x.reshape(x.shape[:3] + (d, d)), weights, chan.n)
 
 
 def _rayleigh_tops(q: np.ndarray, r: np.ndarray):

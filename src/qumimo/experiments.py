@@ -557,12 +557,6 @@ def _agg_sort_key(gkey):
 # Stochastic regime
 
 
-def _realized_cascade(design: dec_mod.Design, chan_x):
-    """The cascade of a design's cloner and modes on the channel ``chan_x``
-    of one realization."""
-    return dec_mod.build_qr(dec_mod.compose_effective_map(design.enc, chan_x, design.t, design.r))
-
-
 def _realizations(cfg: ExperimentConfig, mean: MeanAllocation, mean_id: int, mu: float,
                   tag: str) -> list:
     """The realizations around one mean vector at strength mu: the
@@ -588,9 +582,9 @@ def _heatmap_tasks(tasks):
         baseline_row = [eta, mean_id, base_fs, base_favg, asymmetry_index(design.enc.fidelities),
                         *design.gamma, _modes(design.t), _modes(design.r)]
         rows = []
-        mean = MeanAllocation(lam=lam, z=z)
-        for rid, x in enumerate(_realizations(cfg, mean, mean_id, cfg.heatmap_mu, "xi")):
-            qr_x = _realized_cascade(design, _channel(cfg, eta, x.lam))
+        xs = _realizations(cfg, MeanAllocation(lam=lam, z=z), mean_id, cfg.heatmap_mu, "xi")
+        qrs = dec_mod.realized_cascades(design, _channel(cfg, eta, lam), [x.lam for x in xs])
+        for rid, qr_x in enumerate(qrs):
             evals = {p: dec_mod.evaluate_decoder(dec.j, qr_x) for p, dec in decoders.items()}
             p1_real, p1_fs, p1_favg = evals[1.0]
             for p in p_eval:
@@ -609,13 +603,13 @@ def _boxplot_tasks(tasks):
     design = strategy_design("div", chan)
     [dec] = dec_mod.purification_sdps([(design.qr, cfg.box_p)])
     (t_dir,), (r_dir,) = select_modes(chan, 1)
+    qrs = iter(dec_mod.realized_cascades(design, chan, [x.lam for _, c in clusters for x in c]))
     rows = []
     for mu, cluster in clusters:
         for rid, x in enumerate(cluster):
-            chan_x = _channel(cfg, cfg.box_eta, x.lam)
-            p_real, fs, favg = dec_mod.evaluate_decoder(dec.j, _realized_cascade(design, chan_x))
-            f_dir = float(branch_fidelities(chan_x)[t_dir - 1, r_dir - 1])
-            rows.append([mu, rid, f_dir, fs, favg, p_real])
+            p_real, fs, favg = dec_mod.evaluate_decoder(dec.j, next(qrs))
+            f_dir = branch_fidelities(_channel(cfg, cfg.box_eta, x.lam))[t_dir - 1, r_dir - 1]
+            rows.append([mu, rid, float(f_dir), fs, favg, p_real])
     return [rows]
 
 

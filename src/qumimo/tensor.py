@@ -34,6 +34,13 @@ SWAP2 = np.array(
 PHI_UNNORM = np.outer(I2.ravel(), I2.ravel())
 
 
+def read_only(*arrays):
+    """The arrays (one alone, else their tuple), made read-only for caching."""
+    for x in arrays:
+        x.setflags(write=False)
+    return arrays[0] if len(arrays) == 1 else arrays
+
+
 def dagger(x: np.ndarray) -> np.ndarray:
     """Conjugate transpose of the last two axes (of each matrix of a stack)."""
     return x.conj().swapaxes(-1, -2)
@@ -79,6 +86,4 @@ def schur_weyl_basis(n: int) -> tuple[np.ndarray, tuple]:
         states = grown
     blocks = [(tj, tuple(sorted(p for p in states if p[-1] == tj)))
               for tj in sorted({p[-1] for p in states}, reverse=True)]
-    v = np.vstack([states[p] for _, paths in blocks for p in paths]).T
-    v.setflags(write=False)
-    return v, tuple(blocks)
+    return read_only(np.vstack([states[p] for _, paths in blocks for p in paths]).T), tuple(blocks)

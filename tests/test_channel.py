@@ -369,3 +369,25 @@ class TestDenseOracle:
                         tr_out = [np.trace(x.reshape(2, 2 ** n, 2, 2 ** n), axis1=1, axis2=3)
                                   for x in (got, emap.j0)]
                         assert np.max(np.abs(tr_out[0] - emap.weights.sum() * tr_out[1])) < 1e-14
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("eta", [0.0, 0.37, 1.0])
+    def test_design_route_sweep(self, n, eta):
+        # a design's blocks and its realizations' (the corner table
+        # contracted, then leg-permuted) are build_qr of their cascades:
+        # random lambda, a corner of the lambda cube, random modes
+        rng = np.random.default_rng(20 * n + int(100 * eta))
+        delta = float(rng.uniform(0.2, 3.0))
+        lams = [tuple(rng.uniform(0, 1, n)) for _ in range(2)] + [
+            tuple(float(x) for x in rng.integers(0, 2, n))]
+        chans = [channel.channel_choi(channel.ChannelParams(n=n, eta=eta, lam=lam, delta=delta))
+                 for lam in lams]
+        for m in sorted({1, n}):
+            t = tuple(int(x) + 1 for x in rng.permutation(n)[:m])
+            r = tuple(int(x) + 1 for x in rng.permutation(n))
+            design = decoder.design_at(tuple(rng.dirichlet(np.ones(m))), chans[0], t, r)
+            got = [design.qr, *decoder.realized_cascades(design, chans[0], lams[1:])]
+            for qr, ch in zip(got, chans):
+                want = decoder.build_qr(decoder.compose_effective_map(design.enc, ch, t, r))
+                assert np.max(np.abs(qr.qt - want.qt)) < 1e-14
+                assert np.max(np.abs(qr.rt - want.rt)) < 1e-14

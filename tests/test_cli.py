@@ -323,15 +323,15 @@ class TestFixedZRun:
 
     def test_sym_and_blind_share_one_cascade(self, tmp_path, monkeypatch):
         # sym and blind use the uniform cloner on the same modes: a task
-        # that runs both composes that cascade once
+        # that runs both builds that design, and so its cascade, once
         calls = []
-        compose = decoder.compose_effective_map
+        design = decoder.design_at
 
         def counted(*args):
             calls.append(args)
-            return compose(*args)
+            return design(*args)
 
-        monkeypatch.setattr(decoder, "compose_effective_map", counted)
+        monkeypatch.setattr(decoder, "design_at", counted)
         for names, per_task in ((["sym"], 1), (["blind"], 1), (["sym", "blind"], 1),
                                 (["pur", "sym", "blind"], 2)):
             calls.clear()
@@ -699,7 +699,8 @@ VALIDATE_CHECKS = [
     "decoder identity sanity",
     "decoder depolarizing sanity",
     "sdp eigenvalue oracle",
-    *(f"reduced decoder data real, N = {k}" for k in (2, 3)),
+    *(line for k in (2, 3) for line in (f"reduced decoder data real, N = {k}",
+                                        f"design polynomial = cascade, N = {k}")),
     *(f"blind decoder: closed form = identity-prior SDP, M = {m}, p = {p}"
       for m in (2, 3) for p in ("0.8", "1")),
 ]
@@ -754,7 +755,8 @@ class TestBoundaryAndValidate:
 
     def test_validate_flags_a_cascade_off_trace(self, monkeypatch, capsys):
         # the cascade line reads Tr_out of j0: a j0 whose trace is off by
-        # 1e-9 fails it, and validate exits 1
+        # 1e-9 fails it, and validate exits 1.  The corner tables are built
+        # from the bent j0 too (so designs agree with it) and dropped after
         compose = decoder.compose_effective_map
 
         def bent(*args):
@@ -762,7 +764,11 @@ class TestBoundaryAndValidate:
             return decoder.EffectiveMap(j0=emap.j0 * (1 + 1e-9), weights=emap.weights, k=emap.k)
 
         monkeypatch.setattr(decoder, "compose_effective_map", bent)
-        assert cli.main(["validate", "--quick"]) == 1
+        decoder._corner_table.cache_clear()
+        try:
+            assert cli.main(["validate", "--quick"]) == 1
+        finally:
+            decoder._corner_table.cache_clear()
         out = capsys.readouterr().out
         assert "[FAIL] cascade weights + trace preserving, K < N refused" in out
         assert out.count("[FAIL]") == 1
@@ -771,6 +777,35 @@ class TestBoundaryAndValidate:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(tiny_fixed_cfg()))
         assert cli.main(["stochastic", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
+
+
+class TestCornerTables:
+    """Designs, the gamma search and the realizations contract the corner
+    tables cached per (M, N): once those exist, no cascade is built."""
+
+    def test_designs_run_on_cached_tables(self, monkeypatch):
+        cfg = experiments.validate_config(tiny_stoch_cfg(N=3, Z=1.2, p=[0.8]))
+        mean = experiments._mean_vectors(cfg, "asymmetric", 1.2, 3)[0]
+        ch = experiments._channel(cfg, 0.5, mean.lam)
+        t, r = strategies.select_modes(ch, 3)
+
+        def run():
+            return (decoder.design_at((0.2, 0.3, 0.5), ch, t, r),
+                    decoder.design_at((1.0,), ch, t[:1], r),
+                    decoder.optimize_gamma(3, ch, t, r),
+                    experiments._heatmap_tasks([(cfg, 0.5, 0, mean.lam, 1.2)]))
+
+        def refuse(*args):
+            raise AssertionError("a cascade built outside the corner tables")
+
+        *designs, heat = run()
+        monkeypatch.setattr(decoder, "compose_effective_map", refuse)
+        monkeypatch.setattr(decoder, "build_qr", refuse)
+        *again, heat_again = run()
+        for a, b in zip(designs, again):
+            assert a.gamma == b.gamma and a.surrogate == b.surrogate
+            assert np.array_equal(a.qr.qt, b.qr.qt) and np.array_equal(a.qr.rt, b.qr.rt)
+        assert heat_again == heat
 
 
 class TestWorkerPool:

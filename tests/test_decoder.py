@@ -132,6 +132,9 @@ class TestCompose:
         ch = channel.channel_choi(channel.ChannelParams(n=2, eta=0.0, lam=(0.1, 0.1), delta=1.0))
         with pytest.raises(ValueError):
             decoder.compose_effective_map(enc, ch, (1, 1), (1, 2))
+        # a design checks its modes as its cascade does
+        with pytest.raises(ValueError, match="transmit modes"):
+            decoder.design_at((0.5, 0.5), ch, (1, 1), (1, 2))
 
     @pytest.mark.parametrize("r", [(1, 2), (2,), (1, 1, 2), (1, 2, 2), (1, 2, 4), (0, 1, 2)])
     def test_receive_modes_are_an_ordering_of_all_modes(self, r):
@@ -140,6 +143,8 @@ class TestCompose:
         ch = channel.channel_choi(channel.ChannelParams(n=3, eta=0.5, lam=(0.1,) * 3, delta=1.0))
         with pytest.raises(ValueError, match="ordering of all 3 modes"):
             decoder.compose_effective_map(enc, ch, (1, 2), r)
+        with pytest.raises(ValueError, match="ordering of all 3 modes"):
+            decoder.design_at((0.5, 0.5), ch, (1, 2), r)
 
     def test_one_weight_per_leg_permutation(self):
         # every ensemble permutation, and the identity at 1 - eta, reads j0
@@ -260,8 +265,9 @@ class TestStackedCascade:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_surrogate_pieces_are_the_per_piece_cascades(self, m):
-        # bit for bit the single cascades of the pieces, and to 1e-14 their
-        # full-space route
+        # to 1e-14 the single cascades of the pieces (the corner table's
+        # contraction against compose_effective_map and build_qr), and
+        # their full-space route
         ch = lattice_channel(m, 0.5, tuple(np.linspace(0.1, 0.7, m)))
         t, r = strategies.select_modes(ch, m)
         maps = [decoder.compose_effective_map(
@@ -275,7 +281,7 @@ class TestStackedCascade:
         got = decoder._surrogate_pieces(m, ch, t, r)
         assert len(got) == len(want) == len(full_want)
         for (q, rr), (q_want, r_want), pair in zip(got, want, full_want):
-            assert np.array_equal(q, q_want) and np.array_equal(rr, r_want)
+            assert relative_gap((q, rr), (q_want, r_want)) <= 1e-14
             assert relative_gap((q, rr), pair) <= 1e-14
 
 
@@ -355,10 +361,12 @@ class TestSpinCascade:
 class TestGatherPlan:
     def test_cached_tables_are_read_only(self):
         # the tables the cascade gathers through: the per-K leg table with
-        # its spin-block D_j(s), and the cloner's isotropy tables
+        # its spin-block D_j(s), the cloner's isotropy tables, and the
+        # corner table every design contracts
         for k in (1, 3, 4):
             codes, legs, blocks = decoder._leg_table(k)
-            tables = [codes, legs, *(a for _, a in blocks), *cloner._isotropy_tables(k)]
+            tables = [codes, legs, *(a for _, a in blocks), *cloner._isotropy_tables(k),
+                      decoder._corner_table(min(k, 2), k)]
             for table in tables:
                 with pytest.raises(ValueError, match="read-only"):
                     table.flat[0] = 0
@@ -673,8 +681,8 @@ def sweep():
 class TestBlockRoute:
     """``build_qr`` returns spin blocks only: they are the earlier full-space
     route's reduction to 1e-14 (``reference_ops.covariant_operators`` and
-    ``spin_blocks``), the stacked pieces are each piece's own cascade bit
-    for bit, and they lose nothing (lifted, they are the full operators),
+    ``spin_blocks``), the stacked pieces are each piece's own cascade to
+    1e-14, and they lose nothing (lifted, they are the full operators),
     which is where the earlier per-solve commutant check went."""
 
     def test_bitwise_and_lossless_on_sweep(self):
@@ -694,7 +702,7 @@ class TestBlockRoute:
             want = spin_blocks(full_qr(piece_map))
             assert len(got) == len(bits) == len(want)
             for pair, pair_bits, pair_want in zip(got, bits, want):
-                assert all(np.array_equal(x, y) for x, y in zip(pair, pair_bits))
+                assert relative_gap(pair, pair_bits) <= 1e-14
                 assert relative_gap(pair, pair_want) <= 1e-14
             assert lift_residual(piece_map) <= 1e-14
             count += 1
@@ -746,7 +754,7 @@ class TestBlockRoute:
 def test_cached_arrays_are_read_only():
     arrays = [cloner._stinespring_basis(3), decoder._frame(3, 2)[0], *decoder._covariant_rows(2)[0],
               decoder._covariant_rows(2)[1], decoder._symmetric_basis(4), *decoder._lattice(3)[1:],
-              tensor.schur_weyl_basis(3)[0]]
+              tensor.schur_weyl_basis(3)[0], decoder._spin_dims(3), *decoder._pairs(3)]
     for x in arrays:
         with pytest.raises(ValueError, match="read-only"):
             x.flat[0] = 0
@@ -840,15 +848,16 @@ class TestOptimizeGamma:
         assert np.allclose(opt.gamma, (1 / 3, 1 / 3, 1 / 3))
 
     def test_returns_cascade_at_optimum(self):
-        # the design carries the cascade operators at gamma*, from which
-        # the surrogate is read and every per-p decoder is solved
+        # the design carries the cascade operators at gamma* (to 1e-14 the
+        # cascade of its cloner), from which the surrogate is read and
+        # every per-p decoder is solved
         ch = channel.channel_choi(
             channel.ChannelParams(n=2, eta=0.4, lam=(0.5, 0.2), delta=1.0)
         )
         opt = decoder.optimize_gamma(2, ch, (2, 1), (1, 2))
         enc = cloner.cloner_choi(opt.gamma)
         want = decoder.build_qr(decoder.compose_effective_map(enc, ch, (2, 1), (1, 2)))
-        assert np.array_equal(opt.qr.qt, want.qt) and np.array_equal(opt.qr.rt, want.rt)
+        assert relative_gap((opt.qr.qt, opt.qr.rt), (want.qt, want.rt)) <= 1e-14
         assert decoder.rayleigh_bound(opt.qr) == opt.surrogate
 
     def test_argmax_invariant_in_p(self):
