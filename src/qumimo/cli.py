@@ -10,9 +10,10 @@ Subcommands::
 
 Grid/stochastic runs write plot-ready CSV plus manifest.json into the
 output directory; `validate` executes the built-in invariant suite and
-exits nonzero on any failure.  Exit status: 2 for an invalid config or
-argument, 1 when a run fails (a failed task is named by its
-coordinates), else 0.
+exits nonzero on any failure.  Exit status: 2 for an invalid or
+unreadable config or an invalid argument, 1 when a run fails (a failed
+task is named by its coordinates) or cannot write its outputs, else 0;
+either ends in one line on stderr.
 """
 
 from __future__ import annotations
@@ -190,7 +191,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except QumimoError as exc:
+    except (QumimoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(json.dumps({k: manifest[k] for k in ("files",) if k in manifest}, indent=2))

@@ -11,16 +11,17 @@ its own design at (``box_eta``, mean vector 0, ``box_p``), once for every
 mu.  A grid task is one distinct channel of a cell: a symmetric cell is
 one channel for every mean vector (as are most N = 1 draws), evaluated
 once at its first mean_id, and its rows are written once per mean_id
-with that mean_id's seed.  A stochastic task is one (eta, mean vector) of the gain heatmap.
+with that mean_id's seed.  A stochastic task is one mean vector, with one
+design per eta, its realizations and panel clusters drawn once.
 In both regimes a pool task is a chunk of up to ``TASK_CHUNK`` tasks
 (``_run_chunks``), whose designs are built first and whose decoder SDPs
 are then solved in one batched call; a task's arithmetic does not depend
 on its chunk, so the bytes do not depend on the worker count.  The
 strategies return only what they compute; ``run_grid_regime`` holds the
 run context and writes it into ``records.csv`` (``csv_header``).
-``run_stochastic`` writes each gain sample once, in ``gain_samples.csv``,
-and draws each panel cluster once: the cluster variances read every
-cluster, the panel and ``allocations.csv`` mean vector 0's.
+``run_stochastic`` draws nothing: it writes each gain sample once, in
+``gain_samples.csv``, every cluster's variance, and mean vector 0's
+panel and ``allocations.csv``.
 Configs are single JSON documents (schema below).  Every sampled object
 derives its seed from the master seed and its task coordinates through
 SHA-256, so outputs are byte-identical across runs and worker counts.
@@ -77,9 +78,9 @@ realization_id)`` (``"box-xi"`` and the panel's mu for the panel).
 
 from __future__ import annotations
 
-import csv
 import functools
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -112,11 +113,12 @@ REGIMES = ("fixed_z", "scaling", "stochastic")
 SYMMETRY_CLASSES = ("symmetric", "asymmetric")
 SEED_RULE = "sha256('|'.join(repr(part) for part in (master_seed, *coords)))[:8 bytes, little-endian]"
 CROSSTALK_NOTE = "P = (1 - eta) * I + eta * C; reporting-only mode-level mixing model"
-# Grid tasks per pool task, their decoder SDPs solved as stacks.  With
-# all five strategies (three solve SDPs) 8 tasks make stacks of up to 24
+# Tasks per pool task, their decoder SDPs solved as stacks.  With all
+# five strategies (three solve SDPs) 8 grid tasks make stacks of up to 24
 # problems per (K, p), where a K <= 4 problem costs a fifth to two fifths
 # of a one-problem solve (CHANGES.md), and configs/fixed_z.json's 262
-# tasks still split into 33 chunks to keep two workers evenly loaded.
+# tasks still split into 33 chunks to keep two workers evenly loaded; 8
+# stochastic tasks (mean vectors, 5 eta each) make stacks of 40 per p.
 TASK_CHUNK = 8
 
 
@@ -252,29 +254,34 @@ def validate_config(cfg: dict, profile: str = "ci") -> ExperimentConfig:
 
 
 def load_config(path, profile: str = "ci") -> ExperimentConfig:
-    with open(path) as fh:
-        try:
+    """The UTF-8 JSON config at ``path``; an unreadable file is a ``ConfigError``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"$ (line {exc.lineno}, col {exc.colno})", exc.msg) from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"$ (line {exc.lineno}, col {exc.colno})", exc.msg) from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        why = getattr(exc, "strerror", None) or exc
+        raise ConfigError("$", f"cannot read {path}: {why}") from exc
     return validate_config(raw, profile=profile)
 
 
 def _fmt(x) -> str:
-    if x is None or x == "":
-        return ""
     if isinstance(x, float):
         return format(x, ".12g")
-    return str(x)
+    return "" if x is None else str(x)
 
 
 def _write_csv(path, header, rows) -> None:
-    """The one CSV writer: floats as ``.12g``, ``None`` as an empty field."""
+    """The one CSV writer: ``_fmt`` fields joined by commas, CRLF line ends
+    (no field holds a comma, quote or line break).  ``rows`` is a list of
+    rows or a float64 array, read in blocks of 4,096 rows as Python floats."""
+    if isinstance(rows, np.ndarray):
+        rows = (row for block in np.split(rows, range(4096, len(rows), 4096))
+                for row in block.tolist())
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+        for row in itertools.chain([header], rows):
+            fh.write(",".join(map(_fmt, row)) + "\r\n")
 
 
 def _mean_se(values) -> tuple:
@@ -372,8 +379,7 @@ def _eval_cells(tasks):
 # Names of the task fields after the config, per pool worker.
 _TASK_FIELDS = {
     "_eval_cells": ("symmetry", "Z", "lambda_x", "N", "eta", "mean_id", "lambda"),
-    "_heatmap_tasks": ("eta", "mean_id", "lambda", "Z"),
-    "_boxplot_tasks": ("mean_id", "lambda", "Z"),
+    "_mean_vector_tasks": ("mean_id", "lambda", "Z"),
 }
 
 
@@ -566,51 +572,60 @@ def _realizations(cfg: ExperimentConfig, mean: MeanAllocation, mean_id: int, mu:
         for rid in range(cfg.num_realizations)]
 
 
-def _heatmap_tasks(tasks):
-    """A chunk of (eta, mean vector) tasks of the gain heatmap: the ``div``
-    design on each mean channel (``strategies.strategy_design``), then the
-    decoders of every task and p in one batched solve.  Per task, its
-    ``baseline.csv`` row and its gain samples."""
-    p_eval = tuple(sorted(set(tasks[0][0].p) | {1.0}))
-    designs = [strategy_design("div", _channel(cfg, eta, lam)) for cfg, eta, _, lam, _ in tasks]
+def _mean_vector_tasks(tasks):
+    """A chunk of mean-vector tasks of the stochastic regime: the ``div``
+    design on each mean channel at every eta, then the decoders of every
+    design and p in one batched solve.  Per task: per eta in sorted order,
+    its ``baseline.csv`` row and its gain samples on its realizations (drawn
+    once) as one float64 array, rows in (realization, p) order; its cluster
+    variances in sorted mu order; and mean vector 0's panel, else None."""
+    cfg = tasks[0][0]
+    p_eval = tuple(sorted(set(cfg.p) | {1.0}))
+    etas = sorted(cfg.eta)
+    chans = [_channel(cfg, eta, lam) for _, _, lam, _ in tasks for eta in etas]
+    designs = [strategy_design("div", chan) for chan in chans]
     sols = iter(dec_mod.purification_sdps((d.qr, p) for d in designs for p in p_eval))
-    out = []
-    for (cfg, eta, mean_id, lam, z), design in zip(tasks, designs):
-        decoders = {p: next(sols) for p in p_eval}
-        # The p = 1 decoder on the cascade it was designed on.
-        _, base_fs, base_favg = dec_mod.evaluate_decoder(decoders[1.0].j, design.qr)
-        baseline_row = [eta, mean_id, base_fs, base_favg, asymmetry_index(design.enc.fidelities),
-                        *design.gamma, _modes(design.t), _modes(design.r)]
-        rows = []
-        xs = _realizations(cfg, MeanAllocation(lam=lam, z=z), mean_id, cfg.heatmap_mu, "xi")
-        qrs = dec_mod.realized_cascades(design, _channel(cfg, eta, lam), [x.lam for x in xs])
-        for rid, qr_x in enumerate(qrs):
-            evals = {p: dec_mod.evaluate_decoder(dec.j, qr_x) for p, dec in decoders.items()}
-            p1_real, p1_fs, p1_favg = evals[1.0]
-            for p in p_eval:
-                p_real, fs, favg = evals[p]
-                rows.append([eta, p, mean_id, rid, fs - p1_fs, favg - p1_favg, fs, favg, p_real])
-        out.append((baseline_row, rows))
+    designed, out = iter(zip(chans, designs)), []
+    for cfg, mean_id, lam, z in tasks:
+        mean = MeanAllocation(lam=lam, z=z)
+        lams = [x.lam for x in _realizations(cfg, mean, mean_id, cfg.heatmap_mu, "xi")]
+        heat = []
+        for eta, (chan, design) in zip(etas, designed):
+            js = [next(sols).j for _ in p_eval]
+            # The p = 1 decoder (p_eval's last) on the cascade it was designed on.
+            _, base_fs, base_favg = dec_mod.evaluate_decoder(js[-1], design.qr)
+            baseline_row = [eta, mean_id, base_fs, base_favg, asymmetry_index(
+                design.enc.fidelities), *design.gamma, _modes(design.t), _modes(design.r)]
+            p_real, fs, favg = np.array([
+                [dec_mod.evaluate_decoder(j, qr_x) for j in js]
+                for qr_x in dec_mod.realized_cascades(design, chan, lams)]).transpose(2, 0, 1)
+            cols = (eta, np.array(p_eval), mean_id, np.arange(len(lams))[:, None],
+                    fs - fs[:, -1:], favg - favg[:, -1:], fs, favg, p_real)
+            heat.append((baseline_row, np.stack(np.broadcast_arrays(*cols), -1).reshape(-1, 9)))
+        clusters = [(mu, _realizations(cfg, mean, mean_id, mu, "box-xi"))
+                    for mu in sorted(cfg.mu)]
+        cvs = [cluster_variance(mean, cluster) for _, cluster in clusters]
+        out.append((heat, cvs, _panel(cfg, mean, clusters) if mean_id == 0 else None))
     return out
 
 
-def _boxplot_tasks(tasks):
-    """The realization panel around one mean vector, run as a chunk of one
-    task: one ``div`` design and decoder at the box operating point,
-    evaluated on the task's clusters, one per mu."""
-    [(cfg, mean_id, lam, z, clusters)] = tasks
-    chan = _channel(cfg, cfg.box_eta, lam)
+def _panel(cfg: ExperimentConfig, mean: MeanAllocation, clusters) -> tuple:
+    """The realization panel around one mean vector: one ``div`` design and
+    decoder at the box operating point, evaluated on its clusters, one per
+    mu.  Its ``boxplot.csv`` and ``allocations.csv`` rows."""
+    chan = _channel(cfg, cfg.box_eta, mean.lam)
     design = strategy_design("div", chan)
     [dec] = dec_mod.purification_sdps([(design.qr, cfg.box_p)])
     (t_dir,), (r_dir,) = select_modes(chan, 1)
     qrs = iter(dec_mod.realized_cascades(design, chan, [x.lam for _, c in clusters for x in c]))
-    rows = []
+    box_rows, alloc_rows = [], [[0, "", 0.0, *mean.lam]]
     for mu, cluster in clusters:
         for rid, x in enumerate(cluster):
             p_real, fs, favg = dec_mod.evaluate_decoder(dec.j, next(qrs))
             f_dir = branch_fidelities(_channel(cfg, cfg.box_eta, x.lam))[t_dir - 1, r_dir - 1]
-            rows.append([mu, rid, float(f_dir), fs, favg, p_real])
-    return [rows]
+            box_rows.append([mu, rid, float(f_dir), fs, favg, p_real])
+            alloc_rows.append([0, rid, mu, *x.lam])
+    return box_rows, alloc_rows
 
 
 def run_stochastic(cfg: ExperimentConfig, out_dir, workers: int = 1) -> dict:
@@ -621,38 +636,28 @@ def run_stochastic(cfg: ExperimentConfig, out_dir, workers: int = 1) -> dict:
     n = cfg.n_list[0]
     z = cfg.z_list[0]
     means = _mean_vectors(cfg, "asymmetric", z, n)
+    heats, cvs, panels = zip(*_run_chunks(
+        _mean_vector_tasks, [(cfg, mean_id, mean.lam, z) for mean_id, mean in enumerate(means)],
+        workers))
 
-    # Gain heatmap over (p, eta) grids, its rows in (eta, mean_id) order.
-    tasks = [
-        (cfg, eta, mean_id, mean.lam, z)
-        for eta in sorted(cfg.eta)
-        for mean_id, mean in enumerate(means)
-    ]
-    baseline_rows, gain_rows = [], []
-    for baseline_row, rows in _run_chunks(_heatmap_tasks, tasks, workers):
-        baseline_rows.append(baseline_row)
-        gain_rows += rows
-
-    # Gain samples per (eta, p), in row order.
-    by_cell: dict = {}
-    for row in gain_rows:
-        by_cell.setdefault((row[0], row[1]), []).append(row)
-    p_eval = tuple(sorted(set(cfg.p) | {1.0}))
+    # Baseline rows and gain samples in (eta, mean_id) order; the gain
+    # heatmap over (p, eta) grids.
+    by_eta = [heat[i] for i in range(len(cfg.eta)) for heat in heats]
+    baseline_rows = [row for row, _ in by_eta]
+    gains = np.concatenate([samples for _, samples in by_eta])
     heat_rows = []
     for eta in cfg.eta:
-        for p in p_eval:
-            sel = by_cell[eta, p]
-            g_mean, g_se = _mean_se([r[4] for r in sel])
-            heat_rows.append([p, eta, g_mean, g_se, float(np.mean([r[5] for r in sel])), len(sel)])
-    _write_csv(
-        out_dir / "gain_heatmap.csv",
-        ["p", "eta", "G", "G_se", "G_avg", "n_samples"], heat_rows,
-    )
+        for p in sorted(set(cfg.p) | {1.0}):
+            sel = gains[(gains[:, 0] == eta) & (gains[:, 1] == p)]
+            g_mean, g_se = _mean_se(sel[:, 4])
+            heat_rows.append([p, eta, g_mean, g_se, float(np.mean(sel[:, 5])), len(sel)])
+    _write_csv(out_dir / "gain_heatmap.csv", ["p", "eta", "G", "G_se", "G_avg", "n_samples"],
+               heat_rows)
     _write_csv(
         out_dir / "gain_samples.csv",
         ["eta", "p", "mean_id", "realization_id", "G", "G_avg",
          "F_success", "F_avg", "p_real"],
-        gain_rows,
+        gains,
     )
     _write_csv(
         out_dir / "baseline.csv",
@@ -661,19 +666,11 @@ def run_stochastic(cfg: ExperimentConfig, out_dir, workers: int = 1) -> dict:
         baseline_rows,
     )
 
-    # Cluster variances of every mean vector: each cluster is drawn once,
-    # and only mean vector 0's are kept, for the realization panel at the
-    # box operating point and for allocations.csv.
-    clusters, cv_rows = [], []
-    for mu in sorted(cfg.mu):
-        for mean_id, mean in enumerate(means):
-            cluster = _realizations(cfg, mean, mean_id, mu, "box-xi")
-            cv_rows.append([mean_id, mu, cluster_variance(mean, cluster)])
-            if mean_id == 0:
-                clusters.append((mu, cluster))
-    [box_rows] = _run_chunk(_boxplot_tasks, [(cfg, 0, means[0].lam, z, clusters)])
-    alloc_rows = [[0, "", 0.0, *means[0].lam]] + [
-        [0, rid, mu, *x.lam] for mu, cluster in clusters for rid, x in enumerate(cluster)]
+    # Every mean vector's cluster variances; mean vector 0's panel and
+    # allocations.csv.
+    cv_rows = [[mean_id, mu, task_cvs[i]] for i, mu in enumerate(sorted(cfg.mu))
+               for mean_id, task_cvs in enumerate(cvs)]
+    box_rows, alloc_rows = panels[0]
     kde_rows = []
     for mu in cfg.mu:
         vals = [v for _, mu_v, v in cv_rows if mu_v == mu]

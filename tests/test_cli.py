@@ -1,6 +1,7 @@
 import ast
 import collections
 import csv
+import functools
 import json
 import re
 from pathlib import Path
@@ -258,6 +259,85 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as err:
             experiments.load_config(path)
         assert "line 2" in str(err.value)
+
+
+class TestIOErrors:
+    """A config or an output path the run cannot use ends in one line on
+    stderr, not a traceback: exit 2 for the config, 1 for the outputs."""
+
+    @pytest.mark.parametrize("kind", ["missing", "not_utf8", "directory"])
+    def test_unreadable_config(self, tmp_path, capsys, kind):
+        path = tmp_path / "cfg.json"
+        if kind == "not_utf8":
+            path.write_bytes('{"regime": "fixed_\xe9"}'.encode("latin-1"))
+        elif kind == "directory":
+            path.mkdir()
+        with pytest.raises(ConfigError) as err:
+            experiments.load_config(path)
+        assert err.value.path == "$"
+        assert cli.main(["fixed-z", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"config error: $: cannot read {path}: ")
+
+    @pytest.mark.parametrize("command", ["fixed-z", "boundary"])
+    def test_unwritable_output(self, tmp_path, capsys, command):
+        # --out names a file, or a directory under one
+        (tmp_path / "file").write_text("")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_fixed_cfg(N=[1], strategies=["dir"])))
+        if command == "boundary":
+            argv = ["boundary", "--m", "2", "--resolution", "0.25",
+                    "--out", str(tmp_path / "file" / "sub")]
+        else:
+            argv = ["fixed-z", "--config", str(cfg_path), "--out", str(tmp_path / "file")]
+        assert cli.main(argv) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: [Errno ") and str(tmp_path / "file") in line
+
+
+def _csv_writer_bytes(path, header, rows) -> bytes:
+    """The bytes of the CSV writer before it built its lines itself: the
+    csv module's writer on the fields formatted by the same rules."""
+    def fmt(x):
+        if x is None or x == "":
+            return ""
+        return format(x, ".12g") if isinstance(x, float) else str(x)
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([fmt(x) for x in row])
+    return path.read_bytes()
+
+
+class TestWriteCsv:
+    def test_mixed_rows_as_csv_writer(self, tmp_path):
+        rows = [
+            [None, "", "div", 3, 0.1, np.float64(2.5e-17), "1;2;3", -0.0],
+            [1, None, "", 1e300, np.float64(1 / 3), 10 ** 13, "x", float(2 ** 53)],
+            [np.int64(7), 0.0, None, None, "", -1.25, True, 123456789.123456789],
+        ]
+        header = ["a", "b", "c", "d", "e", "f", "g", "h"]
+        experiments._write_csv(tmp_path / "new.csv", header, rows)
+        want = _csv_writer_bytes(tmp_path / "old.csv", header, rows)
+        assert (tmp_path / "new.csv").read_bytes() == want
+        assert b"\r\n" in want and b'"' not in want
+
+    def test_float_array_across_blocks(self, tmp_path):
+        # 4,096 rows make a block: 5,000 rows cross its boundary; the id
+        # columns are ints in a row list and integer-valued floats in the array
+        rng = np.random.default_rng(3)
+        n = 5000
+        ids = [(i // 50, i % 50) for i in range(n)]
+        values = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-20, 20, (n, 3))
+        rows = [[0.25, mean_id, rid, *map(float, v)] for (mean_id, rid), v in zip(ids, values)]
+        array = np.array(rows, dtype=np.float64)
+        header = ["eta", "mean_id", "realization_id", "G", "F", "p_real"]
+        experiments._write_csv(tmp_path / "new.csv", header, array)
+        want = _csv_writer_bytes(tmp_path / "old.csv", header, rows)
+        assert (tmp_path / "new.csv").read_bytes() == want
+        assert want.count(b"\r\n") == n + 1 and b",49,49," in want
 
 
 class TestFixedZRun:
@@ -552,7 +632,8 @@ class TestStochasticRun:
         designs = self._count_designs(monkeypatch)
         cfg = experiments.validate_config(tiny_stoch_cfg(eta=[0.5, 0.8], mu=[0.5, 1.0]))
         experiments.run_stochastic(cfg, tmp_path / "shared")
-        assert designs == [0.5, 0.5, 0.8, 0.8, 0.8]
+        # each mean vector's task designs at every eta, then the panel's
+        assert designs == [0.5, 0.8, 0.5, 0.8, 0.8]
         cfg = experiments.validate_config(tiny_stoch_cfg(eta=[0.5], mu=[0.5, 1.0]))
         experiments.run_stochastic(cfg, tmp_path / "fresh")
         for name in ("boxplot.csv", "allocations.csv", "cluster_variance.csv", "cv_kde.csv"):
@@ -562,7 +643,7 @@ class TestStochasticRun:
     def test_each_cluster_drawn_once(self, tmp_path, monkeypatch):
         # the cluster variances, the panel and allocations.csv read one draw
         # of each (mean_id, mu) panel cluster; the heatmap draws its
-        # realizations once per (eta, mean vector) task
+        # realizations once per mean vector and evaluates them at every eta
         drawn = collections.Counter()
         draw = experiments._realizations
 
@@ -575,7 +656,39 @@ class TestStochasticRun:
             tiny_stoch_cfg(eta=[0.5, 0.8], mu=[0.5, 1.0], num_mean_vectors=3))
         experiments.run_stochastic(cfg, tmp_path / "out")
         assert drawn == {**{("box-xi", mu, m): 1 for mu in (0.5, 1.0) for m in range(3)},
-                         **{("xi", 0.5, m): 2 for m in range(3)}}
+                         **{("xi", 0.5, m): 1 for m in range(3)}}
+
+    def test_draws_only_in_the_pool_worker(self, tmp_path, monkeypatch):
+        # the run makes one pool call, and every realization is drawn inside
+        # its tasks, which draw the heatmap's once per mean vector however
+        # many eta they evaluate: the parent draws nothing
+        drawn, workers, inside = [], [], [False]
+        draw, run_chunks = experiments._realizations, experiments._run_chunks
+
+        def counted(cfg, mean, mean_id, mu, tag):
+            drawn.append((tag, mean_id, inside[0]))
+            return draw(cfg, mean, mean_id, mu, tag)
+
+        def recorded(worker, tasks, n_workers):
+            @functools.wraps(worker)
+            def in_worker(chunk):
+                inside[0] = True
+                try:
+                    return worker(chunk)
+                finally:
+                    inside[0] = False
+
+            workers.append(worker.__name__)
+            return run_chunks(in_worker, tasks, n_workers)
+
+        monkeypatch.setattr(experiments, "_realizations", counted)
+        monkeypatch.setattr(experiments, "_run_chunks", recorded)
+        cfg = experiments.validate_config(
+            tiny_stoch_cfg(eta=[0.0, 0.5, 0.8], mu=[0.5, 1.0], num_mean_vectors=3))
+        experiments.run_stochastic(cfg, tmp_path / "out")
+        assert len(workers) == 1
+        assert [(tag, m) for tag, m, flag in drawn if not flag] == []
+        assert sorted(m for tag, m, _ in drawn if tag == "xi") == [0, 1, 2]
 
     def test_no_amplitudes_outside_the_mean_designs(self, tmp_path, monkeypatch):
         # a design's cloner carries its clone fidelities: the baseline J
@@ -604,7 +717,9 @@ class TestStochasticRun:
 
     def test_mean_design_is_the_div_design(self, monkeypatch):
         # the stochastic regime designs a mean channel as the grid regimes
-        # design div on it: gamma, modes, Qt, Rt and decoders bit for bit
+        # design div on it: gamma, modes, Qt, Rt and decoders bit for bit;
+        # mean vector 1's task solves its decoders in one call and runs no
+        # panel
         cfg = experiments.validate_config(tiny_stoch_cfg(N=3, Z=1.2, p=[0.5, 0.8]))
         mean = experiments._mean_vectors(cfg, "asymmetric", 1.2, 3)[1]
         p_eval = (0.5, 0.8, 1.0)
@@ -621,7 +736,8 @@ class TestStochasticRun:
             return [sol for _, sol in solved[-len(pairs):]]
 
         monkeypatch.setattr(decoder, "purification_sdps", recorded)
-        [(baseline, _)] = experiments._heatmap_tasks([(cfg, 0.5, 1, mean.lam, 1.2)])
+        [([(baseline, _)], _, panel)] = experiments._mean_vector_tasks([(cfg, 1, mean.lam, 1.2)])
+        assert panel is None
         assert tuple(baseline[5:8]) == div.gamma == recs[0].gamma
         assert baseline[8:] == [experiments._modes(div.t), experiments._modes(div.r)]
         assert (div.t, div.r) == (recs[0].t, recs[0].r)
@@ -642,8 +758,8 @@ class TestStochasticRun:
             assert int_bytes == (tmp_path / "float" / name).read_bytes(), name
 
     def test_worker_count_invariance(self, tmp_path):
-        # six heatmap tasks: one chunk at one worker, chunks of three at
-        # two and of two at three; eta 0.8 = box_eta
+        # three mean-vector tasks: one chunk at one worker, chunks of two
+        # and one at two, and of one at three; eta 0.8 = box_eta
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(tiny_stoch_cfg(
             p=[0.8, 1.0], mu=[0.5, 1.0], eta=[0.5, 0.8], num_mean_vectors=3)))
@@ -793,7 +909,7 @@ class TestCornerTables:
             return (decoder.design_at((0.2, 0.3, 0.5), ch, t, r),
                     decoder.design_at((1.0,), ch, t[:1], r),
                     decoder.optimize_gamma(3, ch, t, r),
-                    experiments._heatmap_tasks([(cfg, 0.5, 0, mean.lam, 1.2)]))
+                    experiments._mean_vector_tasks([(cfg, 0, mean.lam, 1.2)]))
 
         def refuse(*args):
             raise AssertionError("a cascade built outside the corner tables")
@@ -805,7 +921,11 @@ class TestCornerTables:
         for a, b in zip(designs, again):
             assert a.gamma == b.gamma and a.surrogate == b.surrogate
             assert np.array_equal(a.qr.qt, b.qr.qt) and np.array_equal(a.qr.rt, b.qr.rt)
-        assert heat_again == heat
+        # mean vector 0's task: the heatmap, the cluster variances and the panel
+        [([(baseline, gains)], cvs, panel)] = heat
+        [([(baseline_again, gains_again)], cvs_again, panel_again)] = heat_again
+        assert baseline_again == baseline and np.array_equal(gains_again, gains)
+        assert (cvs_again, panel_again) == (cvs, panel)
 
 
 class TestWorkerPool:
@@ -911,13 +1031,13 @@ class TestTaskErrors:
     def test_stochastic_error_names_task(self, tmp_path, monkeypatch):
         monkeypatch.setattr(decoder, "purification_sdps", self._failing_sdp)
         cfg = experiments.validate_config(tiny_stoch_cfg())
-        with pytest.raises(QumimoError, match=r"^_heatmap_tasks\(eta=0\.5, mean_id=0, "):
+        with pytest.raises(QumimoError, match=r"^_mean_vector_tasks\(mean_id=0, lambda=\("):
             experiments.run_stochastic(cfg, tmp_path / "out")
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_stochastic_error_in_second_task_of_chunk(self, tmp_path, monkeypatch, capsys,
                                                       workers):
-        # only mean vector 1's design fails, and it is the second task of
+        # only mean vector 1's designs fail, and it is the second task of
         # the first chunk (four tasks at one worker, two at two)
         cfg = tiny_stoch_cfg(num_mean_vectors=4)
         lam = experiments._mean_vectors(experiments.validate_config(cfg), "asymmetric", 0.8, 2)[1].lam
@@ -932,7 +1052,7 @@ class TestTaskErrors:
         run_pool = experiments._run_pool
 
         def recorded(tasks, run, workers):
-            chunks.extend([task[2] for task in chunk] for chunk in tasks)
+            chunks.extend([task[1] for task in chunk] for chunk in tasks)
             return run_pool(tasks, run, workers)
 
         monkeypatch.setattr(experiments, "strategy_design", failing)
@@ -944,5 +1064,5 @@ class TestTaskErrors:
         assert cli.main(argv) == 1
         assert chunks[0][:2] == [0, 1]
         assert capsys.readouterr().err.splitlines()[-1] == (
-            f"error: _heatmap_tasks(eta=0.5, mean_id=1, lambda={lam!r}, Z=0.8) "
+            f"error: _mean_vector_tasks(mean_id=1, lambda={lam!r}, Z=0.8) "
             "failed: SolverError: gamma search: stalled")
