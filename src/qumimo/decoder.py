@@ -19,10 +19,12 @@ The blind baseline's decoder needs no SDP: :func:`blind_choi`.
 ``Qt`` and ``Rt`` are block-diagonal by SU(2) spin on one real frame
 (:func:`_frame`), the only form :func:`build_qr` returns: every reader
 works on those blocks, a decoder is its reduced Choi, and only the
-test references lift them back to the full space.  A channel's design
-(:class:`Design`) is built once, by :func:`design_at` or at gamma* by the
-gamma search, from the corner table of its (M, N) (:func:`_corner_table`);
-only the decoder SDP is solved per p.
+test references lift them back to the full space.  They are quadratic
+forms in the clone amplitudes, whose pieces on a channel are contracted
+once from the corner table of its (M, N) (:func:`_corner_table`) and
+cached (:func:`_channel_pieces`): the gamma search scores them, and every
+design (:class:`Design`) is one product with them; only the decoder SDP
+is solved per p.
 """
 
 from __future__ import annotations
@@ -59,6 +61,8 @@ POLISH_DENOM = 640
 # of the surrogate (up to 7e-13 on crosstalk-only M = 4 channels), far
 # below SURROGATE_TIE_TOL.
 POLISH_TIE_TOL = 1e-10
+# Channels whose pieces stay cached: a task rereads only its own (16 KB each at N = M = 4).
+PIECE_CACHE_SIZE = 8
 
 # The real spin flip: FLIP conj(U) FLIP^T = U for U in SU(2).
 FLIP = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -111,11 +115,12 @@ class Design:
 
 
 def design_at(gamma, chan: Channel, t, r) -> Design:
-    """The design at ``gamma`` on transmit modes ``t`` and receive modes ``r``."""
-    enc = cloner_choi(gamma)
-    qt, rt = _table_cascades(enc.m, chan, t, r, [chan.params.lam], enc.beta)[0, :, 0]
-    return Design(tuple(float(x) for x in gamma), enc, tuple(t), tuple(r),
-                  QROperators(qt=qt, rt=rt, k=chan.n))
+    """The design at ``gamma`` on transmit modes ``t`` and receive modes ``r``:
+    its amplitude pairs (:func:`_pair_weights`) times the channel's pieces."""
+    enc, t, r = cloner_choi(gamma), tuple(t), tuple(r)
+    x = _channel_pieces(enc.m, chan.params, t, r)
+    qt, rt = (_pair_weights(enc.beta[None]) @ x.reshape(len(x), -1)).reshape(x.shape[1:])
+    return Design(tuple(float(g) for g in gamma), enc, t, r, QROperators(qt=qt, rt=rt, k=chan.n))
 
 
 def realized_cascades(design: Design, chan: Channel, lams) -> list:
@@ -454,7 +459,8 @@ def blind_choi(m: int, p: float) -> np.ndarray:
 
 def evaluate_gamma_surrogate(gamma, chan: Channel, t, r) -> float:
     """:func:`rayleigh_bound` of :func:`design_at` gamma: one point of the
-    gamma search scored alone, to 1e-12 its :func:`_lattice_surrogates`."""
+    gamma search scored alone, on the pieces the search reads, to 1e-12
+    its :func:`_lattice_surrogates`."""
     return rayleigh_bound(design_at(gamma, chan, t, r).qr)
 
 
@@ -488,18 +494,24 @@ def _lattice(m: int):
 
 
 def _surrogate_pieces(m: int, chan: Channel, t, r) -> list:
-    """Per-spin pieces ``(Q_j,kl, R_j,kl)`` (k <= l) of the cascade, stacked
-    over kl (:func:`_per_spin`): ``Qt`` and ``Rt`` are linear in the cloner
-    Choi ``sum_{k<=l} w_kl beta_k beta_l J_kl``, ``J_kl = (B_k B_l^T + B_l
-    B_k^T) / 2M``, so quadratic forms in the clone amplitudes."""
-    x = _table_cascades(m, chan, t, r, [chan.params.lam])[:, :, 0]
+    """:func:`_per_spin` of the channel's pieces (:func:`_channel_pieces`)."""
+    x = _channel_pieces(m, chan.params, tuple(t), tuple(r))
     return _per_spin(QROperators(qt=x[:, 0], rt=x[:, 1], k=chan.n))
+
+
+@functools.lru_cache(maxsize=PIECE_CACHE_SIZE)
+def _channel_pieces(m: int, params: ChannelParams, t: tuple, r: tuple) -> np.ndarray:
+    """Read-only ``[kl, q]`` (q = 0 for ``Qt``, k <= l): the cascade of cloner
+    piece kl on ``t`` and ``r`` of the channel of ``params``.  ``Qt`` and
+    ``Rt`` are linear in the cloner Choi ``sum_{k<=l} w_kl beta_k beta_l
+    J_kl``, ``J_kl = (B_k B_l^T + B_l B_k^T) / 2M``, quadratic in beta."""
+    return read_only(_table_cascades(m, channel_choi(params), t, r, [params.lam])[:, :, 0])
 
 
 @functools.cache
 def _corner_table(m: int, n: int) -> np.ndarray:
     """Read-only ``C[kl, q, S]``: :func:`build_qr` (q = 0 for ``Qt``) of the
-    cascade of piece kl (:func:`_surrogate_pieces`), lambda 1 on the clones
+    cascade of piece kl (:func:`_channel_pieces`), lambda 1 on the clones
     in S (clone 1 the top bit) and 0 on the rest, I/2 on legs M+1..N, no
     crosstalk.  Depolarizing is linear in lambda, so a cascade is ``sum_S
     prod_{c in S} lambda_c prod_{c not in S} (1 - lambda_c) C[S]``, leg-permuted."""
@@ -594,13 +606,14 @@ def optimize_gamma(m: int, chan: Channel, t, r) -> Design:
     for each success probability they need.
 
     Every M scores the 1/20 lattice plus the exact uniform point on the
-    SU(2) spin blocks of the cascade's quadratic-form pieces
-    (:func:`_surrogate_pieces`).  Points within 1e-6 of the best tie, and
-    the tie breaks toward the most uniform gamma (highest asymmetry index),
-    then lexicographically smallest (ranks cached by :func:`_lattice`).
-    At M >= 4 the winner is polished off the lattice (``_polish``), where
-    the lattice alone fell up to 1.7e-4 short of a continuous search.  The
-    surrogate returned is :func:`rayleigh_bound` at gamma*.
+    SU(2) spin blocks of the channel's cached quadratic-form pieces
+    (:func:`_surrogate_pieces` of :func:`_channel_pieces`).  Points within
+    1e-6 of the best tie, and the tie breaks toward the most uniform gamma
+    (highest asymmetry index), then lexicographically smallest (ranks
+    cached by :func:`_lattice`).  At M >= 4 the winner is polished off the
+    lattice (``_polish``), where the lattice alone fell up to 1.7e-4 short
+    of a continuous search.  The design returned contracts the same pieces
+    at gamma*, and its surrogate is :func:`rayleigh_bound` there.
 
     Dominance over the single-branch strategies holds for the surrogate,
     not at an operating p: the candidates include the single-branch

@@ -80,7 +80,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import json
 import math
 import sys
@@ -273,15 +272,17 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path, header, rows) -> None:
-    """The one CSV writer: ``_fmt`` fields joined by commas, CRLF line ends
-    (no field holds a comma, quote or line break).  ``rows`` is a list of
-    rows or a float64 array, read in blocks of 4,096 rows as Python floats."""
-    if isinstance(rows, np.ndarray):
-        rows = (row for block in np.split(rows, range(4096, len(rows), 4096))
-                for row in block.tolist())
+    """The one CSV writer: fields joined by commas, CRLF line ends (no field
+    holds a comma, quote or line break).  ``rows`` is a list of rows, fields
+    by ``_fmt``, or a float64 array, by ``_fmt``'s ``%.12g`` per 4,096 rows."""
     with open(path, "w", newline="") as fh:
-        for row in itertools.chain([header], rows):
-            fh.write(",".join(map(_fmt, row)) + "\r\n")
+        fh.write(",".join(header) + "\r\n")
+        if not isinstance(rows, np.ndarray):
+            fh.writelines(",".join(map(_fmt, row)) + "\r\n" for row in rows)
+            return
+        line = ",".join(["%.12g"] * rows.shape[1]) + "\r\n"
+        for block in np.split(rows, range(4096, len(rows), 4096)):
+            fh.write("".join(line % tuple(row) for row in block.tolist()))
 
 
 def _mean_se(values) -> tuple:

@@ -3,6 +3,7 @@ import collections
 import csv
 import functools
 import json
+import math
 import re
 from pathlib import Path
 
@@ -338,6 +339,19 @@ class TestWriteCsv:
         want = _csv_writer_bytes(tmp_path / "old.csv", header, rows)
         assert (tmp_path / "new.csv").read_bytes() == want
         assert want.count(b"\r\n") == n + 1 and b",49,49," in want
+
+    def test_array_template_is_fmt(self, tmp_path):
+        # the array's one %.12g template per row writes the bytes _fmt
+        # writes for the same Python floats
+        values = [0.0, -0.0, 3.0, -7.0, 12.0, 2.0 ** 53, 1e12, 123456789012.0, 1e-300, 1e300,
+                  -1e-300, -1e300, math.nan, math.inf, -math.inf, 5e-324, 1 / 3, -2.5e-17]
+        array = np.array(values * 3).reshape(-1, 6)
+        header = ["a", "b", "c", "d", "e", "f"]
+        experiments._write_csv(tmp_path / "array.csv", header, array)
+        experiments._write_csv(tmp_path / "rows.csv", header, array.tolist())
+        got = (tmp_path / "array.csv").read_bytes()
+        assert got == (tmp_path / "rows.csv").read_bytes()
+        assert b",-0," in got and b"nan" in got and b"1e-300" in got and b",12," in got
 
 
 class TestFixedZRun:
@@ -871,20 +885,25 @@ class TestBoundaryAndValidate:
 
     def test_validate_flags_a_cascade_off_trace(self, monkeypatch, capsys):
         # the cascade line reads Tr_out of j0: a j0 whose trace is off by
-        # 1e-9 fails it, and validate exits 1.  The corner tables are built
-        # from the bent j0 too (so designs agree with it) and dropped after
+        # 1e-9 fails it, and validate exits 1.  The corner tables and the
+        # channel pieces contracted from them are built from the bent j0
+        # too (so designs agree with it) and dropped after
         compose = decoder.compose_effective_map
 
         def bent(*args):
             emap = compose(*args)
             return decoder.EffectiveMap(j0=emap.j0 * (1 + 1e-9), weights=emap.weights, k=emap.k)
 
+        def clear():
+            decoder._corner_table.cache_clear()
+            decoder._channel_pieces.cache_clear()
+
         monkeypatch.setattr(decoder, "compose_effective_map", bent)
-        decoder._corner_table.cache_clear()
+        clear()
         try:
             assert cli.main(["validate", "--quick"]) == 1
         finally:
-            decoder._corner_table.cache_clear()
+            clear()
         out = capsys.readouterr().out
         assert "[FAIL] cascade weights + trace preserving, K < N refused" in out
         assert out.count("[FAIL]") == 1
@@ -926,6 +945,25 @@ class TestCornerTables:
         [([(baseline_again, gains_again)], cvs_again, panel_again)] = heat_again
         assert baseline_again == baseline and np.array_equal(gains_again, gains)
         assert (cvs_again, panel_again) == (cvs, panel)
+
+    def test_fixed_z_task_builds_its_pieces_once(self, monkeypatch):
+        # div's search, its design at gamma* and sym's design on the same
+        # (N, channel, modes) read one contraction of the corner table
+        cfg = experiments.validate_config(tiny_fixed_cfg(N=[3], strategies=["div", "sym"]))
+        mean = experiments._mean_vectors(cfg, "asymmetric", 0.6, 3)[0]
+        table_cascades, calls = decoder._table_cascades, []
+
+        def counted(*args):
+            calls.append(args)
+            return table_cascades(*args)
+
+        monkeypatch.setattr(decoder, "_table_cascades", counted)
+        decoder._channel_pieces.cache_clear()
+        [records] = experiments._eval_cells([(cfg, "asymmetric", 0.6, 0.2, 3, 0.5, 0, mean.lam)])
+        assert [rec.strategy for rec in records] == ["div", "sym"]
+        assert len(calls) == 1 and len(calls[0]) == 5
+        info = decoder._channel_pieces.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
 
 class TestWorkerPool:

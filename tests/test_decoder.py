@@ -930,6 +930,67 @@ class TestOptimizeGamma:
             assert decoder.optimize_gamma(4, ch, modes, modes).gamma == want
 
 
+class TestChannelPieces:
+    """Every design is its amplitude pairs times its channel's pieces,
+    cached per (M, channel, modes) (``_channel_pieces``): the gamma search
+    and the designs read one array."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_design_is_the_beta_first_cascade(self, n):
+        # within 1e-13 (relative) of the cloner's own cascade through the
+        # corner table, beta first, and of the full-space reference
+        rng = np.random.default_rng(3600 + n)
+        for eta in (0.3, 1.0):
+            ch = channel.channel_choi(channel.ChannelParams(
+                n=n, eta=eta, lam=tuple(rng.uniform(0, 1, n)), delta=float(rng.uniform(0.3, 2.0))))
+            for m in sorted({1, n - 1, n}):
+                t = tuple(int(x) + 1 for x in rng.permutation(n)[:m])
+                r = tuple(int(x) + 1 for x in rng.permutation(n))
+                design = decoder.design_at(tuple(rng.dirichlet(np.ones(m))), ch, t, r)
+                beta_first = decoder._table_cascades(
+                    m, ch, t, r, [ch.params.lam], design.enc.beta)[0, :, 0]
+                emap = decoder.compose_effective_map(design.enc, ch, t, r)
+                for want in (beta_first, covariant_blocks(full_qr(emap))):
+                    assert relative_gap((design.qr.qt, design.qr.rt), want) <= 1e-13
+
+    def test_search_returns_the_scored_matrix(self):
+        # optimize_gamma's design is the pieces its search scored, contracted
+        # at gamma*, bit for bit
+        ch = lattice_channel(4, 0.6, (0.15, 0.35, 0.5, 0.7))
+        t, r = strategies.select_modes(ch, 4)
+        opt = decoder.optimize_gamma(4, ch, t, r)
+        pieces = decoder._channel_pieces(4, ch.params, t, r)
+        want = decoder._pair_weights(opt.enc.beta[None]) @ pieces.reshape(len(pieces), -1)
+        assert np.array_equal(np.stack([opt.qr.qt, opt.qr.rt]), want.reshape(pieces.shape[1:]))
+        scored = decoder._per_spin(decoder.QROperators(qt=pieces[:, 0], rt=pieces[:, 1], k=4))
+        for got, pair in zip(decoder._surrogate_pieces(4, ch, t, r), scored):
+            assert all(np.array_equal(x, y) for x, y in zip(got, pair))
+        score = decoder._lattice_surrogates(decoder._pair_weights(opt.enc.beta[None]), scored)
+        assert abs(score[0] - opt.surrogate) < 1e-12
+
+    def test_cache_is_bounded_and_read_only(self):
+        size = decoder.PIECE_CACHE_SIZE
+        params = [channel.ChannelParams(n=2, eta=0.5, lam=(0.01 * i, 0.4), delta=1.0)
+                  for i in range(size + 1)]
+        decoder._channel_pieces.cache_clear()
+        for p in params:
+            decoder.design_at((0.3, 0.7), channel.channel_choi(p), (1, 2), (2, 1))
+        info = decoder._channel_pieces.cache_info()
+        assert (info.currsize, info.maxsize, info.misses) == (size, size, size + 1)
+        for p in params[1:]:
+            pieces = decoder._channel_pieces(2, p, (1, 2), (2, 1))
+            with pytest.raises(ValueError, match="read-only"):
+                pieces.flat[0] = 0
+        assert decoder._channel_pieces.cache_info().hits == info.hits + size
+        # the first channel was dropped; a bad call raises every time
+        decoder._channel_pieces(2, params[0], (1, 2), (2, 1))
+        assert decoder._channel_pieces.cache_info().misses == size + 2
+        for _ in range(2):
+            with pytest.raises(ValueError, match="transmit modes"):
+                decoder.design_at((0.3, 0.7), channel.channel_choi(params[1]), (1, 1), (1, 2))
+        assert decoder._channel_pieces.cache_info().currsize == size
+
+
 def rescore_all_gamma(m, ch, t, r):
     """The search's choice with every point in the tie band rescored per
     point through ``evaluate_gamma_surrogate``, then polished at M >= 4:
