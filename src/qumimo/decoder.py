@@ -24,7 +24,8 @@ forms in the clone amplitudes, whose pieces on a channel are contracted
 once from the corner table of its (M, N) (:func:`_corner_table`) and
 cached (:func:`_channel_pieces`): the gamma search scores them, and every
 design (:class:`Design`) is one product with them; only the decoder SDP
-is solved per p.
+is solved per p.  A design is read on realizations of its channel's
+lambda by traces with its corner cascades (:func:`realized_values`).
 """
 
 from __future__ import annotations
@@ -123,10 +124,18 @@ def design_at(gamma, chan: Channel, t, r) -> Design:
     return Design(tuple(float(g) for g in gamma), enc, t, r, QROperators(qt=qt, rt=rt, k=chan.n))
 
 
-def realized_cascades(design: Design, chan: Channel, lams) -> list:
-    """The cascades of ``design`` on ``chan``, one per row of ``lams`` as lambda."""
-    qt, rt = _table_cascades(design.enc.m, chan, design.t, design.r, lams, design.enc.beta)[0]
-    return [QROperators(qt=q, rt=x, k=chan.n) for q, x in zip(qt, rt)]
+def realized_values(design: Design, chan: Channel, lams, js) -> np.ndarray:
+    """``[3, row, decoder]``: :func:`evaluate_decoder` of each reduced decoder
+    of ``js`` on the cascade of ``design`` on ``chan`` at lambda ``lams[row]``:
+    the traces with the design's 2^M leg-permuted corner cascades
+    (:func:`_corner_table`), weighted per row (:func:`_corner_weights`)."""
+    m, table = design.enc.m, _corner_table(design.enc.m, chan.n)
+    kl, _, s, d, _ = table.shape
+    corners = (_pair_weights(design.enc.beta[None]) @ table.reshape(kl, -1)).reshape(2, s, d, d)
+    corners = _permute_legs(corners, _leg_weights(chan, m, design.t, design.r), chan.n)
+    traces = corners.reshape(2 * s, -1) @ np.reshape(js, (len(js), -1)).T
+    accepted, p_real = _corner_weights(lams, design.t, m) @ traces.reshape(2, s, -1)
+    return _decoder_values(p_real, accepted)
 
 
 def compose_effective_map(encoder: ClonerChoi, chan: Channel, t, r) -> EffectiveMap:
@@ -402,10 +411,15 @@ def evaluate_decoder(j: np.ndarray, qr: QROperators) -> tuple[float, float, floa
     """``(p_real, f_success, f_avg)`` of the reduced decoder ``j`` on ``qr``:
     realized acceptance, heralded fidelity and averaged fidelity (a rejected
     run counts as the maximally mixed output), ``Tr[J Qt] = <j, qt>``."""
-    p_real = float(np.vdot(j, qr.rt))
-    accepted = float(np.vdot(j, qr.qt))
-    f_success = accepted / p_real if p_real > 1e-12 else 0.5
-    return p_real, f_success, accepted + (1.0 - p_real) / 2.0
+    return tuple(_decoder_values(np.vdot(j, qr.rt), np.vdot(j, qr.qt)).tolist())
+
+
+def _decoder_values(p_real, accepted) -> np.ndarray:
+    """:func:`evaluate_decoder` stacked from the traces of decoders with
+    ``Rt`` and ``Qt``: ``f_success`` is 1/2 where ``p_real <= 1e-12``."""
+    ok = p_real > 1e-12
+    f_success = np.where(ok, accepted / np.where(ok, p_real, 1.0), 0.5)
+    return np.stack([p_real, f_success, accepted + (1.0 - p_real) / 2.0])
 
 
 def _validate_decoder(j: np.ndarray, qr: QROperators, p: float) -> None:
@@ -505,7 +519,10 @@ def _channel_pieces(m: int, params: ChannelParams, t: tuple, r: tuple) -> np.nda
     piece kl on ``t`` and ``r`` of the channel of ``params``.  ``Qt`` and
     ``Rt`` are linear in the cloner Choi ``sum_{k<=l} w_kl beta_k beta_l
     J_kl``, ``J_kl = (B_k B_l^T + B_l B_k^T) / 2M``, quadratic in beta."""
-    return read_only(_table_cascades(m, channel_choi(params), t, r, [params.lam])[:, :, 0])
+    weights, table = _leg_weights(channel_choi(params), m, t, r), _corner_table(m, params.n)
+    kl, _, s, d, _ = table.shape
+    x = _corner_weights([params.lam], t, m) @ table.reshape(kl, 2, s, d * d)
+    return read_only(_permute_legs(x.reshape(kl, 2, 1, d, d), weights, params.n)[:, :, 0])
 
 
 @functools.cache
@@ -525,17 +542,13 @@ def _corner_table(m: int, n: int) -> np.ndarray:
     return read_only(np.array([(c.qt, c.rt) for c in corners]).transpose(2, 1, 0, 3, 4).copy())
 
 
-def _table_cascades(m: int, chan: Channel, t, r, lams, beta=None) -> np.ndarray:
-    """``[kl, q, row]`` (q = 0 for ``Qt``): the cascade on ``t`` and ``r`` of ``chan``,
-    lambda ``lams[row]``, of piece kl, or with ``beta`` of its cloner alone (kl = 0)."""
-    weights, table = _leg_weights(chan, m, t, r), _corner_table(m, chan.n)
-    kl, _, s, d, _ = table.shape
-    if beta is not None:
-        table = _pair_weights(beta[None]) @ table.reshape(kl, -1)
+def _corner_weights(lams, t, m: int) -> np.ndarray:
+    """``[row, S]``: ``prod_{c in S} lambda_c prod_{c not in S} (1 - lambda_c)``,
+    lambda ``lams[row]`` of transmit mode ``t[c]`` on clone c, per corner S
+    of :func:`_corner_table`."""
     lam = np.asarray(lams, dtype=float)[:, [int(x) - 1 for x in t], None]
-    bits = (np.arange(s) >> np.arange(m - 1, -1, -1)[:, None] & 1).astype(bool)
-    x = np.where(bits, lam, 1.0 - lam).prod(axis=1) @ table.reshape(-1, 2, s, d * d)
-    return _permute_legs(x.reshape(x.shape[:3] + (d, d)), weights, chan.n)
+    bits = (np.arange(2 ** m) >> np.arange(m - 1, -1, -1)[:, None] & 1).astype(bool)
+    return np.where(bits, lam, 1.0 - lam).prod(axis=1)
 
 
 def _rayleigh_tops(q: np.ndarray, r: np.ndarray):

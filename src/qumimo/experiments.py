@@ -12,7 +12,8 @@ mu.  A grid task is one distinct channel of a cell: a symmetric cell is
 one channel for every mean vector (as are most N = 1 draws), evaluated
 once at its first mean_id, and its rows are written once per mean_id
 with that mean_id's seed.  A stochastic task is one mean vector, with one
-design per eta, its realizations and panel clusters drawn once.
+design per eta, its realizations and panel clusters drawn once as arrays
+of lambda rows, and one ``decoder.realized_values`` call per design.
 In both regimes a pool task is a chunk of up to ``TASK_CHUNK`` tasks
 (``_run_chunks``), whose designs are built first and whose decoder SDPs
 are then solved in one batched call; a task's arithmetic does not depend
@@ -73,7 +74,8 @@ deterministic fidelity on the mean vectors themselves, with each
 design's transmit and receive modes ``t`` and ``r``.  Realization
 ``realization_id`` of mean vector ``mean_id`` is drawn from seed
 ``derive_seed(seed, "stochastic", "xi", heatmap_mu, mean_id,
-realization_id)`` (``"box-xi"`` and the panel's mu for the panel).
+realization_id)`` (``"box-xi"`` and the panel's mu for the panel).  Every
+output lists eta and mu ascending, whatever the config's order.
 """
 
 from __future__ import annotations
@@ -102,7 +104,7 @@ from .noise import (
     cluster_variance,
     derive_seed,
     make_rng,
-    perturb_and_project,
+    project_capped_simplex,
     sample_fluctuation,
     sample_mean_allocations,
 )
@@ -243,8 +245,8 @@ def validate_config(cfg: dict, profile: str = "ci") -> ExperimentConfig:
     as_tuple = lambda x: x if isinstance(x, tuple) else (x,)
     return ExperimentConfig(
         regime=v["regime"], n_list=as_tuple(v["N"]), z_list=as_tuple(v.get("Z", ())),
-        lambda_x=v.get("Lambda_x", ()), eta=v["eta"], delta=v["delta"], p=v["p"],
-        mu=v.get("mu", ()), heatmap_mu=v.get("heatmap_mu"), box_p=v.get("box_p"),
+        lambda_x=v.get("Lambda_x", ()), eta=tuple(sorted(v["eta"])), delta=v["delta"], p=v["p"],
+        mu=tuple(sorted(v.get("mu", ()))), heatmap_mu=v.get("heatmap_mu"), box_p=v.get("box_p"),
         box_eta=v.get("box_eta"), channel_symmetry=v.get("channel_symmetry", ()),
         num_mean_vectors=v["num_mean_vectors"], num_realizations=v.get("num_realizations", 0),
         strategies=v.get("strategies", ()), seed=v["seed"], output_dir=v["output_dir"],
@@ -565,46 +567,44 @@ def _agg_sort_key(gkey):
 
 
 def _realizations(cfg: ExperimentConfig, mean: MeanAllocation, mean_id: int, mu: float,
-                  tag: str) -> list:
-    """The realizations around one mean vector at strength mu: the
-    heatmap's (tag ``"xi"``) or the panel's (``"box-xi"``)."""
-    return [perturb_and_project(mean, sample_fluctuation(mu, mean.n, make_rng(
-        derive_seed(cfg.seed, "stochastic", tag, mu, mean_id, rid))))
-        for rid in range(cfg.num_realizations)]
+                  tag: str) -> np.ndarray:
+    """The realizations around one mean vector at strength mu, the heatmap's
+    (tag ``"xi"``) or the panel's (``"box-xi"``): row ``rid`` is the mean
+    times its fluctuation, projected onto the mean's capped simplex."""
+    return np.array([project_capped_simplex(np.asarray(mean.lam) * sample_fluctuation(
+        mu, mean.n, make_rng(derive_seed(cfg.seed, "stochastic", tag, mu, mean_id, rid))), mean.z)
+        for rid in range(cfg.num_realizations)])
 
 
 def _mean_vector_tasks(tasks):
     """A chunk of mean-vector tasks of the stochastic regime: the ``div``
     design on each mean channel at every eta, then the decoders of every
-    design and p in one batched solve.  Per task: per eta in sorted order,
-    its ``baseline.csv`` row and its gain samples on its realizations (drawn
-    once) as one float64 array, rows in (realization, p) order; its cluster
-    variances in sorted mu order; and mean vector 0's panel, else None."""
+    design and p in one batched solve.  Per task: per eta, its
+    ``baseline.csv`` row and its gain samples on its realizations (drawn
+    once) as one float64 array in (realization, p) order, from one
+    ``decoder.realized_values`` call; its cluster variances per mu; and
+    mean vector 0's panel, else None."""
     cfg = tasks[0][0]
     p_eval = tuple(sorted(set(cfg.p) | {1.0}))
-    etas = sorted(cfg.eta)
-    chans = [_channel(cfg, eta, lam) for _, _, lam, _ in tasks for eta in etas]
+    chans = [_channel(cfg, eta, lam) for _, _, lam, _ in tasks for eta in cfg.eta]
     designs = [strategy_design("div", chan) for chan in chans]
     sols = iter(dec_mod.purification_sdps((d.qr, p) for d in designs for p in p_eval))
     designed, out = iter(zip(chans, designs)), []
     for cfg, mean_id, lam, z in tasks:
         mean = MeanAllocation(lam=lam, z=z)
-        lams = [x.lam for x in _realizations(cfg, mean, mean_id, cfg.heatmap_mu, "xi")]
+        lams = _realizations(cfg, mean, mean_id, cfg.heatmap_mu, "xi")
         heat = []
-        for eta, (chan, design) in zip(etas, designed):
+        for eta, (chan, design) in zip(cfg.eta, designed):
             js = [next(sols).j for _ in p_eval]
             # The p = 1 decoder (p_eval's last) on the cascade it was designed on.
             _, base_fs, base_favg = dec_mod.evaluate_decoder(js[-1], design.qr)
             baseline_row = [eta, mean_id, base_fs, base_favg, asymmetry_index(
                 design.enc.fidelities), *design.gamma, _modes(design.t), _modes(design.r)]
-            p_real, fs, favg = np.array([
-                [dec_mod.evaluate_decoder(j, qr_x) for j in js]
-                for qr_x in dec_mod.realized_cascades(design, chan, lams)]).transpose(2, 0, 1)
+            p_real, fs, favg = dec_mod.realized_values(design, chan, lams, js)
             cols = (eta, np.array(p_eval), mean_id, np.arange(len(lams))[:, None],
                     fs - fs[:, -1:], favg - favg[:, -1:], fs, favg, p_real)
             heat.append((baseline_row, np.stack(np.broadcast_arrays(*cols), -1).reshape(-1, 9)))
-        clusters = [(mu, _realizations(cfg, mean, mean_id, mu, "box-xi"))
-                    for mu in sorted(cfg.mu)]
+        clusters = [(mu, _realizations(cfg, mean, mean_id, mu, "box-xi")) for mu in cfg.mu]
         cvs = [cluster_variance(mean, cluster) for _, cluster in clusters]
         out.append((heat, cvs, _panel(cfg, mean, clusters) if mean_id == 0 else None))
     return out
@@ -613,19 +613,21 @@ def _mean_vector_tasks(tasks):
 def _panel(cfg: ExperimentConfig, mean: MeanAllocation, clusters) -> tuple:
     """The realization panel around one mean vector: one ``div`` design and
     decoder at the box operating point, evaluated on its clusters, one per
-    mu.  Its ``boxplot.csv`` and ``allocations.csv`` rows."""
+    mu, in one ``decoder.realized_values`` call.  Its ``boxplot.csv`` and
+    ``allocations.csv`` rows."""
     chan = _channel(cfg, cfg.box_eta, mean.lam)
     design = strategy_design("div", chan)
     [dec] = dec_mod.purification_sdps([(design.qr, cfg.box_p)])
     (t_dir,), (r_dir,) = select_modes(chan, 1)
-    qrs = iter(dec_mod.realized_cascades(design, chan, [x.lam for _, c in clusters for x in c]))
+    lams = np.concatenate([cluster for _, cluster in clusters])
+    values = iter(dec_mod.realized_values(design, chan, lams, [dec.j])[:, :, 0].T.tolist())
     box_rows, alloc_rows = [], [[0, "", 0.0, *mean.lam]]
     for mu, cluster in clusters:
-        for rid, x in enumerate(cluster):
-            p_real, fs, favg = dec_mod.evaluate_decoder(dec.j, next(qrs))
-            f_dir = branch_fidelities(_channel(cfg, cfg.box_eta, x.lam))[t_dir - 1, r_dir - 1]
+        for rid, lam in enumerate(cluster.tolist()):
+            p_real, fs, favg = next(values)
+            f_dir = branch_fidelities(_channel(cfg, cfg.box_eta, tuple(lam)))[t_dir - 1, r_dir - 1]
             box_rows.append([mu, rid, float(f_dir), fs, favg, p_real])
-            alloc_rows.append([0, rid, mu, *x.lam])
+            alloc_rows.append([0, rid, mu, *lam])
     return box_rows, alloc_rows
 
 
@@ -634,17 +636,21 @@ def run_stochastic(cfg: ExperimentConfig, out_dir, workers: int = 1) -> dict:
         raise ConfigError("$.regime", f"expected stochastic, got {cfg.regime}")
     out_dir, t0 = _start(cfg, out_dir)
 
-    n = cfg.n_list[0]
-    z = cfg.z_list[0]
+    n, z = cfg.n_list[0], cfg.z_list[0]
     means = _mean_vectors(cfg, "asymmetric", z, n)
     heats, cvs, panels = zip(*_run_chunks(
         _mean_vector_tasks, [(cfg, mean_id, mean.lam, z) for mean_id, mean in enumerate(means)],
         workers))
 
+    files = []
+
+    def write(name, header, rows):
+        _write_csv(out_dir / name, header, rows)
+        files.append(name)
+
     # Baseline rows and gain samples in (eta, mean_id) order; the gain
     # heatmap over (p, eta) grids.
     by_eta = [heat[i] for i in range(len(cfg.eta)) for heat in heats]
-    baseline_rows = [row for row, _ in by_eta]
     gains = np.concatenate([samples for _, samples in by_eta])
     heat_rows = []
     for eta in cfg.eta:
@@ -652,52 +658,28 @@ def run_stochastic(cfg: ExperimentConfig, out_dir, workers: int = 1) -> dict:
             sel = gains[(gains[:, 0] == eta) & (gains[:, 1] == p)]
             g_mean, g_se = _mean_se(sel[:, 4])
             heat_rows.append([p, eta, g_mean, g_se, float(np.mean(sel[:, 5])), len(sel)])
-    _write_csv(out_dir / "gain_heatmap.csv", ["p", "eta", "G", "G_se", "G_avg", "n_samples"],
-               heat_rows)
-    _write_csv(
-        out_dir / "gain_samples.csv",
-        ["eta", "p", "mean_id", "realization_id", "G", "G_avg",
-         "F_success", "F_avg", "p_real"],
-        gains,
-    )
-    _write_csv(
-        out_dir / "baseline.csv",
-        ["eta", "mean_id", "F_success_p1", "F_avg_p1", "J_index"]
-        + [f"gamma_{i + 1}" for i in range(n)] + ["t", "r"],
-        baseline_rows,
-    )
+    write("gain_heatmap.csv", ["p", "eta", "G", "G_se", "G_avg", "n_samples"], heat_rows)
+    write("gain_samples.csv", ["eta", "p", "mean_id", "realization_id", "G", "G_avg",
+                               "F_success", "F_avg", "p_real"], gains)
+    write("baseline.csv", ["eta", "mean_id", "F_success_p1", "F_avg_p1", "J_index"]
+          + [f"gamma_{i + 1}" for i in range(n)] + ["t", "r"], [row for row, _ in by_eta])
 
-    # Every mean vector's cluster variances; mean vector 0's panel and
-    # allocations.csv.
-    cv_rows = [[mean_id, mu, task_cvs[i]] for i, mu in enumerate(sorted(cfg.mu))
-               for mean_id, task_cvs in enumerate(cvs)]
+    # Every mean vector's cluster variances and their densities; mean
+    # vector 0's panel and allocations.csv.
     box_rows, alloc_rows = panels[0]
+    write("boxplot.csv", ["mu", "realization_id", "F_dir", "F_div_success", "F_div_avg",
+                          "p_real"], box_rows)
+    write("cluster_variance.csv", ["mean_id", "mu", "v"],
+          [[mean_id, mu, task_cvs[i]] for i, mu in enumerate(cfg.mu)
+           for mean_id, task_cvs in enumerate(cvs)])
     kde_rows = []
-    for mu in cfg.mu:
-        vals = [v for _, mu_v, v in cv_rows if mu_v == mu]
+    for mu, vals in zip(cfg.mu, zip(*cvs)):
         if len(vals) >= 2:
-            hi = max(max(vals) * 1.05, 1e-6)
-            grid, dens = empirical_density(vals, (0.0, hi))
-            for x, d in zip(grid, dens):
-                kde_rows.append([mu, x, d])
-
-    _write_csv(
-        out_dir / "boxplot.csv",
-        ["mu", "realization_id", "F_dir", "F_div_success", "F_div_avg", "p_real"],
-        box_rows,
-    )
-    _write_csv(out_dir / "cluster_variance.csv", ["mean_id", "mu", "v"], cv_rows)
-    _write_csv(out_dir / "cv_kde.csv", ["mu", "x", "density"], kde_rows)
-    _write_csv(
-        out_dir / "allocations.csv",
-        ["mean_id", "realization_id", "mu"] + [f"lambda_{i + 1}" for i in range(n)],
-        alloc_rows,
-    )
-
-    files = [
-        "gain_heatmap.csv", "gain_samples.csv", "baseline.csv", "boxplot.csv",
-        "cluster_variance.csv", "cv_kde.csv", "allocations.csv",
-    ]
+            grid, dens = empirical_density(vals, (0.0, max(max(vals) * 1.05, 1e-6)))
+            kde_rows += [[mu, x, d] for x, d in zip(grid, dens)]
+    write("cv_kde.csv", ["mu", "x", "density"], kde_rows)
+    write("allocations.csv", ["mean_id", "realization_id", "mu"]
+          + [f"lambda_{i + 1}" for i in range(n)], alloc_rows)
     if n >= 2:
         _write_crosstalk_csv(out_dir / "crosstalk.csv", cfg)
         files.append("crosstalk.csv")

@@ -4,7 +4,7 @@ Mean allocations live on the capped simplex
 ``A_Z = [0,1]^N intersect {sum = Z}`` and are drawn uniformly
 (Dirichlet with unit concentration, scaled).  Stochastic realizations
 multiply the mean by unit-mean Gamma-Gamma factors and project back
-onto ``A_Z``.
+onto ``A_Z`` (:func:`project_capped_simplex`), one lambda row each.
 
 All sampling goes through counter-based Philox generators so that
 streams derived from (seed, mean index, realization index) are
@@ -107,20 +107,12 @@ def sample_fluctuation(mu: float, n: int, rng: np.random.Generator) -> np.ndarra
     return g[0] * g[1]
 
 
-def perturb_and_project(mean: MeanAllocation, xi: np.ndarray) -> MeanAllocation:
-    xi = np.asarray(xi, dtype=float)
-    if xi.size != mean.n:
-        raise ValueError(f"fluctuation length {xi.size} != {mean.n}")
-    x = project_capped_simplex(np.asarray(mean.lam) * xi, mean.z)
-    return MeanAllocation(lam=tuple(x), z=mean.z)
-
-
-def cluster_variance(mean: MeanAllocation, realizations) -> float:
-    """Mean squared deviation of realizations from their mean allocation."""
-    if len(realizations) < 2:
+def cluster_variance(mean: MeanAllocation, lams) -> float:
+    """Mean squared deviation of realizations (rows of ``lams``) from their mean."""
+    if len(lams) < 2:
         raise ValueError("cluster variance needs at least two realizations")
     lam = np.asarray(mean.lam)
     sq = 0.0
-    for r in realizations:
-        sq += float(np.sum((np.asarray(r.lam) - lam) ** 2))
-    return sq / (len(realizations) * mean.n)
+    for row in np.asarray(lams, dtype=float):
+        sq += float(np.sum((row - lam) ** 2))
+    return sq / (len(lams) * mean.n)

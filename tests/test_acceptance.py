@@ -202,7 +202,7 @@ def test_criterion_06_sampler_moments():
         for alloc in noise.sample_mean_allocations(n, z, 200, rng):
             mean = alloc
             xi = noise.sample_fluctuation(0.5, n, rng)
-            out = np.asarray(noise.perturb_and_project(mean, xi).lam)
+            out = noise.project_capped_simplex(np.asarray(mean.lam) * xi, mean.z)
             ok &= abs(out.sum() - z) < 1e-10
             ok &= bool(np.all(out >= -1e-10) and np.all(out <= 1 + 1e-10))
     assert report("criterion 6: sampler moments", ok, "; ".join(details))

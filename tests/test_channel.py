@@ -373,9 +373,11 @@ class TestDenseOracle:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("eta", [0.0, 0.37, 1.0])
     def test_design_route_sweep(self, n, eta):
-        # a design's blocks and its realizations' (the corner table
-        # contracted, then leg-permuted) are build_qr of their cascades:
-        # random lambda, a corner of the lambda cube, random modes
+        # a design's blocks (its channel's pieces contracted) are build_qr of
+        # its cascade, and its realized values (its corner traces weighted
+        # per lambda row) are evaluate_decoder on build_qr of each realized
+        # cascade: random lambda, a corner of the lambda cube, random modes
+        # and random PSD decoders
         rng = np.random.default_rng(20 * n + int(100 * eta))
         delta = float(rng.uniform(0.2, 3.0))
         lams = [tuple(rng.uniform(0, 1, n)) for _ in range(2)] + [
@@ -386,8 +388,12 @@ class TestDenseOracle:
             t = tuple(int(x) + 1 for x in rng.permutation(n)[:m])
             r = tuple(int(x) + 1 for x in rng.permutation(n))
             design = decoder.design_at(tuple(rng.dirichlet(np.ones(m))), chans[0], t, r)
-            got = [design.qr, *decoder.realized_cascades(design, chans[0], lams[1:])]
-            for qr, ch in zip(got, chans):
-                want = decoder.build_qr(decoder.compose_effective_map(design.enc, ch, t, r))
-                assert np.max(np.abs(qr.qt - want.qt)) < 1e-14
-                assert np.max(np.abs(qr.rt - want.rt)) < 1e-14
+            want = [decoder.build_qr(decoder.compose_effective_map(design.enc, ch, t, r))
+                    for ch in chans]
+            assert np.max(np.abs(design.qr.qt - want[0].qt)) < 1e-14
+            assert np.max(np.abs(design.qr.rt - want[0].rt)) < 1e-14
+            vecs = np.linalg.qr(rng.normal(size=(3,) + design.qr.qt.shape))[0]
+            js = (vecs * rng.uniform(0, 1, (3, 1, len(vecs[0])))) @ vecs.swapaxes(1, 2)
+            got = decoder.realized_values(design, chans[0], np.array(lams), js)
+            ref = [[decoder.evaluate_decoder(j, qr) for j in js] for qr in want]
+            assert np.max(np.abs(got - np.transpose(ref, (2, 0, 1)))) < 1e-14

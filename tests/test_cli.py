@@ -791,6 +791,21 @@ class TestStochasticRun:
             manifests[-1].pop("timing")
         assert manifests[0] == manifests[1] == manifests[2]
 
+    def test_realizations_follow_the_seed_rule(self):
+        # row rid of a cluster, bit for bit: the mean times the fluctuation
+        # drawn from derive_seed(seed, "stochastic", tag, mu, mean_id, rid),
+        # projected onto the mean's capped simplex (some rows clip at 1)
+        cfg = experiments.validate_config(tiny_stoch_cfg(N=3, Z=2.4, num_realizations=6))
+        mean = experiments._mean_vectors(cfg, "asymmetric", 2.4, 3)[1]
+        for tag, mu in (("xi", 0.5), ("box-xi", 1.0)):
+            got = experiments._realizations(cfg, mean, 1, mu, tag)
+            assert got.dtype == np.float64 and got.shape == (6, 3)
+            for rid, row in enumerate(got):
+                rng = noise.make_rng(noise.derive_seed(99, "stochastic", tag, mu, 1, rid))
+                xi = noise.sample_fluctuation(mu, 3, rng)
+                want = noise.project_capped_simplex(np.asarray(mean.lam) * xi, 2.4)
+                assert row.tobytes() == want.tobytes()
+
     def test_determinism(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(tiny_stoch_cfg()))
@@ -817,6 +832,26 @@ def test_run_writes_what_its_manifest_lists(tmp_path, command):
     assert cli.main(argv) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert sorted(p.name for p in out.iterdir()) == sorted([*manifest["files"], "manifest.json"])
+
+
+@pytest.mark.parametrize("regime", ["fixed_z", "stochastic"])
+def test_eta_and_mu_ascending_in_every_output(tmp_path, regime):
+    # every file lists eta and mu in ascending order, whatever the config's
+    # order: an unsorted config writes the sorted config's bytes
+    def run(name, order):
+        eta, mu = [0.0, 0.6][::order], [0.5, 1.0][::order]
+        if regime == "fixed_z":
+            experiments.run_grid_regime(experiments.validate_config(
+                tiny_fixed_cfg(eta=eta, strategies=["dir", "div"])), tmp_path / name)
+        else:
+            experiments.run_stochastic(experiments.validate_config(
+                tiny_stoch_cfg(eta=eta, mu=mu)), tmp_path / name)
+        return {f.name: f.read_bytes() for f in sorted((tmp_path / name).glob("*.csv"))}
+
+    ascending, config_order = run("ascending", 1), run("config_order", -1)
+    assert "crosstalk.csv" in ascending
+    for name, data in ascending.items():
+        assert config_order[name] == data, name
 
 
 VALIDATE_CHECKS = [
@@ -946,22 +981,15 @@ class TestCornerTables:
         assert baseline_again == baseline and np.array_equal(gains_again, gains)
         assert (cvs_again, panel_again) == (cvs, panel)
 
-    def test_fixed_z_task_builds_its_pieces_once(self, monkeypatch):
+    def test_fixed_z_task_builds_its_pieces_once(self):
         # div's search, its design at gamma* and sym's design on the same
-        # (N, channel, modes) read one contraction of the corner table
+        # (N, channel, modes) read one contraction of the corner table: one
+        # miss of the channel's pieces, then hits
         cfg = experiments.validate_config(tiny_fixed_cfg(N=[3], strategies=["div", "sym"]))
         mean = experiments._mean_vectors(cfg, "asymmetric", 0.6, 3)[0]
-        table_cascades, calls = decoder._table_cascades, []
-
-        def counted(*args):
-            calls.append(args)
-            return table_cascades(*args)
-
-        monkeypatch.setattr(decoder, "_table_cascades", counted)
         decoder._channel_pieces.cache_clear()
         [records] = experiments._eval_cells([(cfg, "asymmetric", 0.6, 0.2, 3, 0.5, 0, mean.lam)])
         assert [rec.strategy for rec in records] == ["div", "sym"]
-        assert len(calls) == 1 and len(calls[0]) == 5
         info = decoder._channel_pieces.cache_info()
         assert (info.misses, info.hits) == (1, 2)
 

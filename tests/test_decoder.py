@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -937,8 +938,10 @@ class TestChannelPieces:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_design_is_the_beta_first_cascade(self, n):
-        # within 1e-13 (relative) of the cloner's own cascade through the
-        # corner table, beta first, and of the full-space reference
+        # the design's blocks are within 1e-13 (relative) of the full-space
+        # reference, and its realized values at its own lambda (the cloner's
+        # corner cascades, beta first, weighted) within 1e-14 of the
+        # evaluation of its blocks, for random PSD decoders
         rng = np.random.default_rng(3600 + n)
         for eta in (0.3, 1.0):
             ch = channel.channel_choi(channel.ChannelParams(
@@ -947,11 +950,14 @@ class TestChannelPieces:
                 t = tuple(int(x) + 1 for x in rng.permutation(n)[:m])
                 r = tuple(int(x) + 1 for x in rng.permutation(n))
                 design = decoder.design_at(tuple(rng.dirichlet(np.ones(m))), ch, t, r)
-                beta_first = decoder._table_cascades(
-                    m, ch, t, r, [ch.params.lam], design.enc.beta)[0, :, 0]
                 emap = decoder.compose_effective_map(design.enc, ch, t, r)
-                for want in (beta_first, covariant_blocks(full_qr(emap))):
-                    assert relative_gap((design.qr.qt, design.qr.rt), want) <= 1e-13
+                want = covariant_blocks(full_qr(emap))
+                assert relative_gap((design.qr.qt, design.qr.rt), want) <= 1e-13
+                vecs = np.linalg.qr(rng.normal(size=(2,) + design.qr.qt.shape))[0]
+                js = (vecs * rng.uniform(0, 1, (2, 1, len(vecs[0])))) @ vecs.swapaxes(1, 2)
+                got = decoder.realized_values(design, ch, [ch.params.lam], js)[:, 0]
+                ref = [decoder.evaluate_decoder(j, design.qr) for j in js]
+                assert np.max(np.abs(got - np.transpose(ref))) < 1e-14
 
     def test_search_returns_the_scored_matrix(self):
         # optimize_gamma's design is the pieces its search scored, contracted
@@ -991,6 +997,23 @@ class TestChannelPieces:
         assert decoder._channel_pieces.cache_info().currsize == size
 
 
+class TestRealizedValues:
+    def test_rejecting_decoder_reads_as_mixed(self):
+        # a decoder that rejects every run (J = 0) accepts with probability
+        # 0, and a rejected run counts as the maximally mixed output: both
+        # fidelities are 1/2, in the scalar and the realized form, with no
+        # division warning
+        ch = channel.channel_choi(channel.ChannelParams(n=2, eta=0.5, lam=(0.2, 0.6), delta=1.0))
+        design = decoder.design_at((0.3, 0.7), ch, (1, 2), (2, 1))
+        j = np.zeros_like(design.qr.qt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert decoder.evaluate_decoder(j, design.qr) == (0.0, 0.5, 0.5)
+            got = decoder.realized_values(design, ch, [(0.2, 0.6), (1.0, 0.0)], [j, j, j])
+        assert got.shape == (3, 2, 3)
+        assert got.tolist() == [[[v] * 3] * 2 for v in (0.0, 0.5, 0.5)]
+
+
 def rescore_all_gamma(m, ch, t, r):
     """The search's choice with every point in the tie band rescored per
     point through ``evaluate_gamma_surrogate``, then polished at M >= 4:
@@ -1017,7 +1040,6 @@ RULE_CHANNELS = [
     (4, 0.0, (0.0,) * 4, (1, 2, 3, 4), (1, 2, 3, 4)),
     (3, 1.0, (0.2, 0.55, 0.9), None, None),
 ]
-
 
 class TestTieRescoring:
     @pytest.mark.parametrize("n, eta, lam, t, r", RULE_CHANNELS)

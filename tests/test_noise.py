@@ -76,17 +76,23 @@ class TestMeanAllocations:
             noise.MeanAllocation(lam=lam, z=z)
 
 
+def perturbed(mean, xi):
+    """A realization around ``mean``: the mean times the fluctuation ``xi``,
+    projected onto the mean's capped simplex."""
+    return noise.project_capped_simplex(np.asarray(mean.lam) * xi, mean.z)
+
+
 class TestProjection:
     def test_no_perturbation_is_identity(self):
         mean = noise.MeanAllocation(lam=(0.4, 0.3, 0.3), z=1.0)
-        out = noise.perturb_and_project(mean, np.ones(3))
-        assert np.allclose(out.lam, mean.lam, atol=1e-15)
+        out = perturbed(mean, np.ones(3))
+        assert np.allclose(out, mean.lam, atol=1e-15)
 
     def test_documented_example(self):
         mean = noise.MeanAllocation(lam=(0.5, 0.25, 0.25), z=1.0)
-        out = noise.perturb_and_project(mean, np.array([2.0, 1.0, 1.0]))
+        out = perturbed(mean, np.array([2.0, 1.0, 1.0]))
         # raw (1.0, 0.25, 0.25) sums to 1.5; rescale by 2/3
-        assert np.allclose(out.lam, (2 / 3, 1 / 6, 1 / 6), atol=1e-12)
+        assert np.allclose(out, (2 / 3, 1 / 6, 1 / 6), atol=1e-12)
 
     def test_feasibility_sweep(self):
         rng = noise.make_rng(5)
@@ -97,8 +103,7 @@ class TestProjection:
             mean_vec = noise.project_capped_simplex(mean_vec, z)
             mean = noise.MeanAllocation(lam=tuple(mean_vec), z=z)
             xi = noise.sample_fluctuation(1.0, n, rng)
-            out = noise.perturb_and_project(mean, xi)
-            lam = np.asarray(out.lam)
+            lam = perturbed(mean, xi)
             assert abs(lam.sum() - z) < 1e-10
             assert np.all(lam >= -1e-12) and np.all(lam <= 1 + 1e-12)
 
@@ -106,30 +111,24 @@ class TestProjection:
 class TestClusterVariance:
     def test_zero_at_mean(self):
         mean = noise.MeanAllocation(lam=(0.4, 0.6), z=1.0)
-        reals = [mean, mean, mean]
-        assert noise.cluster_variance(mean, reals) == 0.0
+        assert noise.cluster_variance(mean, np.array([mean.lam] * 3)) == 0.0
 
     def test_hand_evaluated(self):
         mean = noise.MeanAllocation(lam=(0.4, 0.3, 0.3), z=1.0)
-        r1 = noise.MeanAllocation(lam=(0.5, 0.2, 0.3), z=1.0)
-        r2 = noise.MeanAllocation(lam=(0.3, 0.4, 0.3), z=1.0)
+        lams = np.array([(0.5, 0.2, 0.3), (0.3, 0.4, 0.3)])
         # each realization deviates by (+-0.1, -+0.1, 0): sum sq = 0.02 each
         want = (0.02 + 0.02) / (2 * 3)
-        assert abs(noise.cluster_variance(mean, [r1, r2]) - want) < 1e-12
+        assert abs(noise.cluster_variance(mean, lams) - want) < 1e-12
 
     def test_grows_with_mu(self):
         rng = noise.make_rng(6)
         means = noise.sample_mean_allocations(3, 1.0, 10, rng)
         v_small, v_large = [], []
         for mean in means:
-            small = [
-                noise.perturb_and_project(mean, noise.sample_fluctuation(0.25, 3, rng))
-                for _ in range(50)
-            ]
-            large = [
-                noise.perturb_and_project(mean, noise.sample_fluctuation(1.0, 3, rng))
-                for _ in range(50)
-            ]
+            small = np.array([perturbed(mean, noise.sample_fluctuation(0.25, 3, rng))
+                              for _ in range(50)])
+            large = np.array([perturbed(mean, noise.sample_fluctuation(1.0, 3, rng))
+                              for _ in range(50)])
             v_small.append(noise.cluster_variance(mean, small))
             v_large.append(noise.cluster_variance(mean, large))
         assert np.mean(v_large) > np.mean(v_small)
@@ -137,7 +136,7 @@ class TestClusterVariance:
     def test_needs_two(self):
         mean = noise.MeanAllocation(lam=(1.0,), z=1.0)
         with pytest.raises(ValueError):
-            noise.cluster_variance(mean, [mean])
+            noise.cluster_variance(mean, np.array([mean.lam]))
 
 
 class TestDeterminism:
