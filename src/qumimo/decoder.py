@@ -190,12 +190,12 @@ def _leg_weights(chan: Channel, m: int, t, r) -> np.ndarray:
 
 @functools.cache
 def _leg_table(k: int) -> tuple:
-    """Read-only ``(codes, legs, blocks)`` of the K! leg permutations tau,
+    """Read-only ``(codes, blocks)`` of the K! leg permutations tau,
     lexicographic (``j0`` leg c lands on receive leg ``tau_c``): the raveled
-    taus; per tau, the map by which output entry i reads ``j0`` entry
-    ``legs[s][i]``; per spin of :func:`_frame` below the symmetric one
-    (which every tau fixes), its path slice and ``D_j(s) = w[0]^T
-    w[0][idx_s]`` on it, raveled, as (K, (K - 1)!, d^2).
+    taus; per spin of :func:`_frame` below the symmetric one (which every
+    tau fixes), its path slice and ``D_j(s) = w[0]^T w[0][idx_s]`` on it,
+    raveled, as (K, (K - 1)!, d^2), where ket index i of tau's permuted
+    operator reads index ``idx_s[i]``.
     Leg permutations commute with SU(2), so they act on the spin blocks by
     these orthogonal matrices (Bacon, Chuang and Harrow, PRL 97, 170502
     (2006))."""
@@ -210,9 +210,8 @@ def _leg_table(k: int) -> tuple:
     for tj in sorted(set(two_j), reverse=True)[1:]:
         at = slice(two_j.index(tj), two_j.index(tj) + two_j.count(tj))
         blocks.append((at, d[:, at, at].reshape(k, -1, (at.stop - at.start) ** 2)))
-    legs = np.hstack([idx, idx + 2 ** k])
-    read_only(codes, legs, *(a for _, a in blocks))
-    return codes, legs, tuple(blocks)
+    read_only(codes, *(a for _, a in blocks))
+    return codes, tuple(blocks)
 
 
 def _twirl(choi: np.ndarray, k: int) -> tuple:
@@ -246,7 +245,7 @@ def _permute_legs(x: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
     out = np.zeros_like(x)
     out[..., 0, 0] = x[..., 0, 0]
     w = weights.reshape(k, 1, -1)
-    for at, a in _leg_table(k)[2]:
+    for at, a in _leg_table(k)[1]:
         d = at.stop - at.start
         g = ((a.swapaxes(1, 2) * w) @ a).sum(axis=0).reshape(d, d, d, d).transpose(0, 2, 1, 3)
         block = x[..., at, at]

@@ -11,9 +11,11 @@ its own design at (``box_eta``, mean vector 0, ``box_p``), once for every
 mu.  A grid task is one distinct channel of a cell: a symmetric cell is
 one channel for every mean vector (as are most N = 1 draws), evaluated
 once at its first mean_id, and its rows are written once per mean_id
-with that mean_id's seed.  A stochastic task is one mean vector, with one
-design per eta, its realizations and panel clusters drawn once as arrays
-of lambda rows, and one ``decoder.realized_values`` call per design.
+with that mean_id's seed.  A mean vector is a lambda tuple, a row of
+``noise.sample_mean_allocations``' array.  A stochastic task is one mean
+vector, with one design per eta, its realizations and panel clusters drawn
+once as arrays of lambda rows (each cluster projected onto the capped
+simplex in one call), and one ``decoder.realized_values`` call per design.
 In both regimes a pool task is a chunk of up to ``TASK_CHUNK`` tasks
 (``_run_chunks``), whose designs are built first and whose decoder SDPs
 are then solved in one batched call; a task's arithmetic does not depend
@@ -100,7 +102,6 @@ from .cloner import boundary_steps, feasible_boundary
 from .errors import ConfigError, QumimoError
 from .metrics import asymmetry_index, empirical_density
 from .noise import (
-    MeanAllocation,
     cluster_variance,
     derive_seed,
     make_rng,
@@ -330,15 +331,16 @@ def _hash_file(path) -> str:
     return h.hexdigest()
 
 
-def _mean_vectors(cfg: ExperimentConfig, sym: str, z: float, n: int):
+def _mean_vectors(cfg: ExperimentConfig, sym: str, z: float, n: int) -> list:
+    """The cell's mean vectors, one lambda tuple each."""
     # Seeded by (symmetry, Z, N) only, so regimes that land on the same
     # budget draw identical ensembles (scaling at Z = N * Lambda_x
     # coincides with fixed_z at that Z).
     if sym == "symmetric":
-        lam = tuple([z / n] * n)
-        return [MeanAllocation(lam=lam, z=z)] * cfg.num_mean_vectors
+        return [tuple([z / n] * n)] * cfg.num_mean_vectors
     seed = derive_seed(cfg.seed, "means", sym, round(z, 12), n)
-    return sample_mean_allocations(n, z, cfg.num_mean_vectors, make_rng(seed))
+    return list(map(tuple, sample_mean_allocations(
+        n, z, cfg.num_mean_vectors, make_rng(seed)).tolist()))
 
 
 def _grid_cells(cfg: ExperimentConfig):
@@ -486,12 +488,12 @@ def run_grid_regime(cfg: ExperimentConfig, out_dir, workers: int = 1) -> dict:
     tasks, mean_ids = [], []
     for sym, z, lx, n, eta in cells:
         task_of = {}
-        for mean_id, mean in enumerate(_mean_vectors(cfg, sym, z, n)):
-            if mean.lam not in task_of:
-                task_of[mean.lam] = len(tasks)
-                tasks.append((cfg, sym, z, lx, n, eta, mean_id, mean.lam))
+        for mean_id, lam in enumerate(_mean_vectors(cfg, sym, z, n)):
+            if lam not in task_of:
+                task_of[lam] = len(tasks)
+                tasks.append((cfg, sym, z, lx, n, eta, mean_id, lam))
                 mean_ids.append([])
-            mean_ids[task_of[mean.lam]].append(mean_id)
+            mean_ids[task_of[lam]].append(mean_id)
     # The decoders of a chunk of tasks are solved together.  A run holds
     # one regime, so lambda_x is None on every key or a float on every key.
     records = _run_chunks(_eval_cells, tasks, workers)
@@ -566,14 +568,17 @@ def _agg_sort_key(gkey):
 # Stochastic regime
 
 
-def _realizations(cfg: ExperimentConfig, mean: MeanAllocation, mean_id: int, mu: float,
+def _realizations(cfg: ExperimentConfig, lam: tuple, z: float, mean_id: int, mu: float,
                   tag: str) -> np.ndarray:
-    """The realizations around one mean vector at strength mu, the heatmap's
-    (tag ``"xi"``) or the panel's (``"box-xi"``): row ``rid`` is the mean
-    times its fluctuation, projected onto the mean's capped simplex."""
-    return np.array([project_capped_simplex(np.asarray(mean.lam) * sample_fluctuation(
-        mu, mean.n, make_rng(derive_seed(cfg.seed, "stochastic", tag, mu, mean_id, rid))), mean.z)
+    """The realizations around the mean vector ``lam`` (total ``z``) at
+    strength mu, the heatmap's (tag ``"xi"``) or the panel's
+    (``"box-xi"``): row ``rid`` is the mean times the fluctuation drawn
+    from its own seed; the rows are projected onto the capped simplex in
+    one call."""
+    xi = np.array([sample_fluctuation(
+        mu, len(lam), make_rng(derive_seed(cfg.seed, "stochastic", tag, mu, mean_id, rid)))
         for rid in range(cfg.num_realizations)])
+    return project_capped_simplex(np.asarray(lam) * xi, z)
 
 
 def _mean_vector_tasks(tasks):
@@ -591,8 +596,7 @@ def _mean_vector_tasks(tasks):
     sols = iter(dec_mod.purification_sdps((d.qr, p) for d in designs for p in p_eval))
     designed, out = iter(zip(chans, designs)), []
     for cfg, mean_id, lam, z in tasks:
-        mean = MeanAllocation(lam=lam, z=z)
-        lams = _realizations(cfg, mean, mean_id, cfg.heatmap_mu, "xi")
+        lams = _realizations(cfg, lam, z, mean_id, cfg.heatmap_mu, "xi")
         heat = []
         for eta, (chan, design) in zip(cfg.eta, designed):
             js = [next(sols).j for _ in p_eval]
@@ -604,30 +608,30 @@ def _mean_vector_tasks(tasks):
             cols = (eta, np.array(p_eval), mean_id, np.arange(len(lams))[:, None],
                     fs - fs[:, -1:], favg - favg[:, -1:], fs, favg, p_real)
             heat.append((baseline_row, np.stack(np.broadcast_arrays(*cols), -1).reshape(-1, 9)))
-        clusters = [(mu, _realizations(cfg, mean, mean_id, mu, "box-xi")) for mu in cfg.mu]
-        cvs = [cluster_variance(mean, cluster) for _, cluster in clusters]
-        out.append((heat, cvs, _panel(cfg, mean, clusters) if mean_id == 0 else None))
+        clusters = [(mu, _realizations(cfg, lam, z, mean_id, mu, "box-xi")) for mu in cfg.mu]
+        cvs = [cluster_variance(lam, cluster) for _, cluster in clusters]
+        out.append((heat, cvs, _panel(cfg, lam, clusters) if mean_id == 0 else None))
     return out
 
 
-def _panel(cfg: ExperimentConfig, mean: MeanAllocation, clusters) -> tuple:
-    """The realization panel around one mean vector: one ``div`` design and
-    decoder at the box operating point, evaluated on its clusters, one per
-    mu, in one ``decoder.realized_values`` call.  Its ``boxplot.csv`` and
-    ``allocations.csv`` rows."""
-    chan = _channel(cfg, cfg.box_eta, mean.lam)
+def _panel(cfg: ExperimentConfig, lam: tuple, clusters) -> tuple:
+    """The realization panel around the mean vector ``lam``: one ``div``
+    design and decoder at the box operating point, evaluated on its
+    clusters, one per mu, in one ``decoder.realized_values`` call.  Its
+    ``boxplot.csv`` and ``allocations.csv`` rows."""
+    chan = _channel(cfg, cfg.box_eta, lam)
     design = strategy_design("div", chan)
     [dec] = dec_mod.purification_sdps([(design.qr, cfg.box_p)])
     (t_dir,), (r_dir,) = select_modes(chan, 1)
     lams = np.concatenate([cluster for _, cluster in clusters])
     values = iter(dec_mod.realized_values(design, chan, lams, [dec.j])[:, :, 0].T.tolist())
-    box_rows, alloc_rows = [], [[0, "", 0.0, *mean.lam]]
+    box_rows, alloc_rows = [], [[0, "", 0.0, *lam]]
     for mu, cluster in clusters:
-        for rid, lam in enumerate(cluster.tolist()):
+        for rid, row in enumerate(cluster.tolist()):
             p_real, fs, favg = next(values)
-            f_dir = branch_fidelities(_channel(cfg, cfg.box_eta, tuple(lam)))[t_dir - 1, r_dir - 1]
+            f_dir = branch_fidelities(_channel(cfg, cfg.box_eta, tuple(row)))[t_dir - 1, r_dir - 1]
             box_rows.append([mu, rid, float(f_dir), fs, favg, p_real])
-            alloc_rows.append([0, rid, mu, *lam])
+            alloc_rows.append([0, rid, mu, *row])
     return box_rows, alloc_rows
 
 
@@ -639,7 +643,7 @@ def run_stochastic(cfg: ExperimentConfig, out_dir, workers: int = 1) -> dict:
     n, z = cfg.n_list[0], cfg.z_list[0]
     means = _mean_vectors(cfg, "asymmetric", z, n)
     heats, cvs, panels = zip(*_run_chunks(
-        _mean_vector_tasks, [(cfg, mean_id, mean.lam, z) for mean_id, mean in enumerate(means)],
+        _mean_vector_tasks, [(cfg, mean_id, lam, z) for mean_id, lam in enumerate(means)],
         workers))
 
     files = []
@@ -649,12 +653,14 @@ def run_stochastic(cfg: ExperimentConfig, out_dir, workers: int = 1) -> dict:
         files.append(name)
 
     # Baseline rows and gain samples in (eta, mean_id) order; the gain
-    # heatmap over (p, eta) grids.
+    # heatmap over (p, eta) grids, at the p every task evaluates (the
+    # config's and 1), read from the first task's samples.
     by_eta = [heat[i] for i in range(len(cfg.eta)) for heat in heats]
     gains = np.concatenate([samples for _, samples in by_eta])
+    p_eval = sorted(set(by_eta[0][1][:, 1].tolist()))
     heat_rows = []
     for eta in cfg.eta:
-        for p in sorted(set(cfg.p) | {1.0}):
+        for p in p_eval:
             sel = gains[(gains[:, 0] == eta) & (gains[:, 1] == p)]
             g_mean, g_se = _mean_se(sel[:, 4])
             heat_rows.append([p, eta, g_mean, g_se, float(np.mean(sel[:, 5])), len(sel)])

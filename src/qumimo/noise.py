@@ -1,10 +1,12 @@
 """Depolarization budget sampling and Gamma-Gamma channel fluctuations.
 
 Mean allocations live on the capped simplex
-``A_Z = [0,1]^N intersect {sum = Z}`` and are drawn uniformly
-(Dirichlet with unit concentration, scaled).  Stochastic realizations
-multiply the mean by unit-mean Gamma-Gamma factors and project back
-onto ``A_Z`` (:func:`project_capped_simplex`), one lambda row each.
+``A_Z = [0,1]^N intersect {sum = Z}``.  Every allocation is a lambda row
+of a float64 array: the mean vectors are drawn uniformly in one call
+(Dirichlet with unit concentration, scaled, then projected where a
+component exceeds 1), and stochastic realizations multiply a mean by
+unit-mean Gamma-Gamma factors and are projected back onto ``A_Z`` as
+rows (:func:`project_capped_simplex`, one call per cluster).
 
 All sampling goes through counter-based Philox generators so that
 streams derived from (seed, mean index, realization index) are
@@ -14,7 +16,6 @@ reproducible regardless of scheduling.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,25 +32,6 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-@dataclass(frozen=True)
-class MeanAllocation:
-    lam: tuple
-    z: float
-
-    def __post_init__(self):
-        lam = tuple(float(x) for x in self.lam)
-        if not all(-FEASIBILITY_TOL <= x <= 1.0 + FEASIBILITY_TOL for x in lam):
-            raise ValueError(f"allocation outside [0,1]^N: {lam}")
-        if not (np.isfinite(self.z)
-                and abs(sum(lam) - self.z) <= FEASIBILITY_TOL * max(1.0, self.z)):
-            raise ValueError(f"allocation sums to {sum(lam)}, expected {self.z}")
-        object.__setattr__(self, "lam", lam)
-
-    @property
-    def n(self) -> int:
-        return len(self.lam)
-
-
 def gamma_shape(mu: float) -> float:
     """Gamma shape giving the product of two unit-mean factors variance mu^2."""
     if not 0.0 < mu < np.inf:
@@ -58,46 +40,48 @@ def gamma_shape(mu: float) -> float:
 
 
 def project_capped_simplex(raw: np.ndarray, z: float) -> np.ndarray:
-    """Rescale to total ``z``, then clip to [0,1] redistributing the excess
-    proportionally among unclipped components (at most N passes)."""
-    raw = np.asarray(raw, dtype=float)
-    n = raw.size
+    """Each row of ``raw`` (an ``(R, N)`` array; a vector is one row)
+    rescaled to total ``z``, then clipped to [0,1] with the excess
+    redistributed proportionally among its unclipped components.  A pass
+    caps every component above 1 and rescales only the rows that gained a
+    cap (their free sum reads the capped entries as 0); a row whose free
+    components sum to 0 splits its remainder evenly.  At most N passes."""
+    x = np.array(raw, dtype=float, ndmin=2)
+    n = x.shape[1]
     if z > n + FEASIBILITY_TOL:
         raise ValueError(f"budget {z} infeasible for {n} modes")
-    total = raw.sum()
-    if total <= 0:
+    total = x.sum(axis=1, keepdims=True)
+    if not np.all(total > 0):
         raise ValueError("cannot project a nonpositive allocation")
-    x = raw * (z / total)
-    capped = np.zeros(n, dtype=bool)
+    x *= z / total
+    capped = np.zeros(x.shape, dtype=bool)
     for _ in range(n):
         over = ~capped & (x > 1.0)
-        if not over.any():
+        gained = over.any(axis=1, keepdims=True)
+        if not gained.any():
             break
         capped |= over
-        x[capped] = 1.0
         free = ~capped
-        remaining = z - float(capped.sum())
-        s = x[free].sum()
-        if s > 0:
-            x[free] *= remaining / s
-        elif free.any():
-            x[free] = remaining / int(free.sum())
+        remaining = z - capped.sum(axis=1, keepdims=True)
+        s = np.where(free, x, 0.0).sum(axis=1, keepdims=True)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fill = np.where(s > 0, x * (remaining / s), remaining / free.sum(axis=1, keepdims=True))
+        x = np.where(capped, 1.0, np.where(gained, fill, x))
     return np.clip(x, 0.0, 1.0)
 
 
 def sample_mean_allocations(
     n: int, z: float, count: int, rng: np.random.Generator
-) -> list[MeanAllocation]:
-    """Uniform (unit-concentration Dirichlet) draws on the capped simplex."""
+) -> np.ndarray:
+    """``count`` uniform (unit-concentration Dirichlet) draws on the capped
+    simplex, one float64 row each: the rows with a component above 1 are
+    projected (:func:`project_capped_simplex`)."""
     if not (0.0 < z <= n):
         raise ValueError(f"budget {z} outside (0, {n}]")
-    out = []
-    for _ in range(count):
-        raw = rng.dirichlet(np.ones(n)) * z
-        if np.any(raw > 1.0):
-            raw = project_capped_simplex(raw, z)
-        out.append(MeanAllocation(lam=tuple(raw), z=z))
-    return out
+    lams = rng.dirichlet(np.ones(n), size=count) * z
+    over = np.any(lams > 1.0, axis=1)
+    lams[over] = project_capped_simplex(lams[over], z)
+    return lams
 
 
 def sample_fluctuation(mu: float, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -107,12 +91,14 @@ def sample_fluctuation(mu: float, n: int, rng: np.random.Generator) -> np.ndarra
     return g[0] * g[1]
 
 
-def cluster_variance(mean: MeanAllocation, lams) -> float:
-    """Mean squared deviation of realizations (rows of ``lams``) from their mean."""
+def cluster_variance(lam, lams) -> float:
+    """Mean squared deviation of the realizations (rows of ``lams``) from
+    the mean vector ``lam`` they were drawn around, not from their sample
+    mean, per realization and component."""
     if len(lams) < 2:
         raise ValueError("cluster variance needs at least two realizations")
-    lam = np.asarray(mean.lam)
+    lam = np.asarray(lam, dtype=float)
     sq = 0.0
     for row in np.asarray(lams, dtype=float):
         sq += float(np.sum((row - lam) ** 2))
-    return sq / (len(lams) * mean.n)
+    return sq / (len(lams) * lam.size)

@@ -19,7 +19,8 @@ pattern (:func:`einsum_compose`), the pattern oracle at every K.
 
 The full-space route of the Haar operators is kept here as the oracle of
 the spin blocks that ``decoder.build_qr`` returns: :func:`dense_cascade`
-sums the cascade term by term, :func:`full_operators` twirls it,
+sums the cascade term by term (through the leg maps of
+:func:`leg_maps`), :func:`full_operators` twirls it,
 :func:`lift` and :func:`lift_operators` take spin blocks back to the full
 space, :class:`FullQR` holds the full ``Qt`` and ``Rt``,
 :func:`covariant_operators` and :func:`spin_blocks` are the earlier
@@ -30,16 +31,20 @@ check of a decoder, against which the block check is tested.
 the reference of the covariant problem that ``decoder.purification_sdps``
 solves (:func:`covariant_stack`), :func:`stack_entry` cuts a problem
 from a stack and :func:`block_diag` merges blocks as the solver does.
+
+:func:`project_one_row` is the earlier one-vector capped-simplex
+projection, the oracle of the row-wise ``noise.project_capped_simplex``.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from qumimo import channel, cloner, decoder
+from qumimo import channel, cloner, decoder, noise
 from qumimo.errors import DimensionLimitError, NotHermitianError, NotPsdError, QumimoError
 from qumimo.tensor import HERMITIAN_RTOL, I2, PHI_UNNORM, PSD_SUPPORT_TOL, dagger
 
@@ -235,10 +240,22 @@ def branch_fidelity_via_compose(chan, t_mode: int, r_mode: int) -> float:
     return float(np.real(np.trace(PHI_UNNORM @ decoder._twirl(choi, 1)[0])))
 
 
+def leg_maps(k: int) -> np.ndarray:
+    """Per leg permutation tau of ``decoder._leg_table(k)`` (the K! taus in
+    lexicographic order, ``j0`` leg c landing on receive leg ``tau_c``),
+    the map by which entry i of the permuted 2^(K+1) operator reads
+    ``j0`` entry ``legs[s][i]``."""
+    taus = np.array(list(itertools.permutations(range(k))))
+    bits = np.arange(2 ** k)[:, None] >> np.arange(k - 1, -1, -1) & 1
+    idx = (bits[:, taus] @ (1 << np.arange(k - 1, -1, -1))).T
+    return np.hstack([idx, idx + 2 ** k])
+
+
 def dense_cascade(emap: decoder.EffectiveMap) -> np.ndarray:
     """The cascade Choi on 2^(K+1), term by term: ``sum_s w_s P_s j0
-    P_s^T`` over the leg permutations of ``decoder._leg_table``."""
-    legs = decoder._leg_table(emap.k)[1]
+    P_s^T`` over the leg permutations of ``decoder._leg_table``
+    (:func:`leg_maps`)."""
+    legs = leg_maps(emap.k)
     out = np.zeros_like(emap.j0)
     for s in np.flatnonzero(emap.weights):
         out += emap.weights[s] * emap.j0[..., legs[s][:, None], legs[s]]
@@ -569,3 +586,34 @@ def einsum_compose(encoder: cloner.ClonerChoi, chan: channel.Channel, t, r) -> n
         out += weight * np.einsum(jt, [..., *range(q), *bra], [..., *ket, *(q + a for a in ket)])
     dk = 2 ** k
     return out.reshape(lead + (2 * dk, 2 * dk))
+
+
+def project_one_row(raw: np.ndarray, z: float) -> np.ndarray:
+    """The capped-simplex projection of one allocation vector, one pass
+    per newly capped set: the oracle of the row-wise
+    ``noise.project_capped_simplex``.  Rescale to total ``z``, then clip
+    to [0,1] redistributing the excess proportionally among unclipped
+    components (at most N passes)."""
+    raw = np.asarray(raw, dtype=float)
+    n = raw.size
+    if z > n + noise.FEASIBILITY_TOL:
+        raise ValueError(f"budget {z} infeasible for {n} modes")
+    total = raw.sum()
+    if total <= 0:
+        raise ValueError("cannot project a nonpositive allocation")
+    x = raw * (z / total)
+    capped = np.zeros(n, dtype=bool)
+    for _ in range(n):
+        over = ~capped & (x > 1.0)
+        if not over.any():
+            break
+        capped |= over
+        x[capped] = 1.0
+        free = ~capped
+        remaining = z - float(capped.sum())
+        s = x[free].sum()
+        if s > 0:
+            x[free] *= remaining / s
+        elif free.any():
+            x[free] = remaining / int(free.sum())
+    return np.clip(x, 0.0, 1.0)

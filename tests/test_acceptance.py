@@ -199,10 +199,9 @@ def test_criterion_06_sampler_moments():
         details.append(f"mu={mu}: {mean_err:.4f}/{var_err / (mu * mu):.3f}")
     rng = noise.make_rng(10061)
     for z, n in ((1.0, 3), (2.4, 3), (1.2, 3)):
-        for alloc in noise.sample_mean_allocations(n, z, 200, rng):
-            mean = alloc
+        for lam in noise.sample_mean_allocations(n, z, 200, rng):
             xi = noise.sample_fluctuation(0.5, n, rng)
-            out = noise.project_capped_simplex(np.asarray(mean.lam) * xi, mean.z)
+            [out] = noise.project_capped_simplex(lam * xi, z)
             ok &= abs(out.sum() - z) < 1e-10
             ok &= bool(np.all(out >= -1e-10) and np.all(out <= 1 + 1e-10))
     assert report("criterion 6: sampler moments", ok, "; ".join(details))
@@ -217,8 +216,8 @@ def criterion7_records():
         seed = noise.derive_seed(1007, "means", z)
         means = noise.sample_mean_allocations(3, z, 50, noise.make_rng(seed))
         for eta in (0.0, 0.5, 0.8):
-            for mean_id, mean in enumerate(means):
-                params = channel.ChannelParams(n=3, eta=eta, lam=mean.lam, delta=1.0)
+            for mean_id, lam in enumerate(means):
+                params = channel.ChannelParams(n=3, eta=eta, lam=lam, delta=1.0)
                 ch = channel.channel_choi(params)
                 recs = {}
                 for s in ("dir", "pur", "div", "sym", "blind"):
@@ -287,8 +286,8 @@ def test_criterion_08_asymmetry_index_trend():
     seed = noise.derive_seed(1008, "asym")
     means = noise.sample_mean_allocations(3, z, 50, noise.make_rng(seed))
     js_asym = []
-    for mean in means:
-        ch = channel.channel_choi(channel.ChannelParams(n=3, eta=0.0, lam=mean.lam, delta=1.0))
+    for lam in means:
+        ch = channel.channel_choi(channel.ChannelParams(n=3, eta=0.0, lam=lam, delta=1.0))
         js_asym.append(strategies.run_strategy("div", ch, (0.8,))[0].j_index)
     mean_asym = float(np.mean(js_asym))
     ok = abs(mean_asym - 1 / 3) <= 0.15

@@ -12,6 +12,7 @@ import pytest
 
 from qumimo import cli, cloner, decoder, experiments, noise, strategies
 from qumimo.errors import ConfigError, QumimoError, SolverError
+from reference_ops import project_one_row
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -661,9 +662,9 @@ class TestStochasticRun:
         drawn = collections.Counter()
         draw = experiments._realizations
 
-        def counted(cfg, mean, mean_id, mu, tag):
+        def counted(cfg, lam, z, mean_id, mu, tag):
             drawn[tag, mu, mean_id] += 1
-            return draw(cfg, mean, mean_id, mu, tag)
+            return draw(cfg, lam, z, mean_id, mu, tag)
 
         monkeypatch.setattr(experiments, "_realizations", counted)
         cfg = experiments.validate_config(
@@ -679,9 +680,9 @@ class TestStochasticRun:
         drawn, workers, inside = [], [], [False]
         draw, run_chunks = experiments._realizations, experiments._run_chunks
 
-        def counted(cfg, mean, mean_id, mu, tag):
+        def counted(cfg, lam, z, mean_id, mu, tag):
             drawn.append((tag, mean_id, inside[0]))
-            return draw(cfg, mean, mean_id, mu, tag)
+            return draw(cfg, lam, z, mean_id, mu, tag)
 
         def recorded(worker, tasks, n_workers):
             @functools.wraps(worker)
@@ -735,9 +736,9 @@ class TestStochasticRun:
         # mean vector 1's task solves its decoders in one call and runs no
         # panel
         cfg = experiments.validate_config(tiny_stoch_cfg(N=3, Z=1.2, p=[0.5, 0.8]))
-        mean = experiments._mean_vectors(cfg, "asymmetric", 1.2, 3)[1]
+        lam = experiments._mean_vectors(cfg, "asymmetric", 1.2, 3)[1]
         p_eval = (0.5, 0.8, 1.0)
-        chan = experiments._channel(cfg, 0.5, mean.lam)
+        chan = experiments._channel(cfg, 0.5, lam)
         div = strategies.strategy_design("div", chan)
         [recs] = strategies.run_strategies([("div", chan, p_eval)])
         div_sols = decoder.purification_sdps((div.qr, p) for p in p_eval)
@@ -750,7 +751,7 @@ class TestStochasticRun:
             return [sol for _, sol in solved[-len(pairs):]]
 
         monkeypatch.setattr(decoder, "purification_sdps", recorded)
-        [([(baseline, _)], _, panel)] = experiments._mean_vector_tasks([(cfg, 1, mean.lam, 1.2)])
+        [([(baseline, _)], _, panel)] = experiments._mean_vector_tasks([(cfg, 1, lam, 1.2)])
         assert panel is None
         assert tuple(baseline[5:8]) == div.gamma == recs[0].gamma
         assert baseline[8:] == [experiments._modes(div.t), experiments._modes(div.r)]
@@ -796,15 +797,18 @@ class TestStochasticRun:
         # drawn from derive_seed(seed, "stochastic", tag, mu, mean_id, rid),
         # projected onto the mean's capped simplex (some rows clip at 1)
         cfg = experiments.validate_config(tiny_stoch_cfg(N=3, Z=2.4, num_realizations=6))
-        mean = experiments._mean_vectors(cfg, "asymmetric", 2.4, 3)[1]
+        lam = experiments._mean_vectors(cfg, "asymmetric", 2.4, 3)[1]
+        clipped = 0
         for tag, mu in (("xi", 0.5), ("box-xi", 1.0)):
-            got = experiments._realizations(cfg, mean, 1, mu, tag)
+            got = experiments._realizations(cfg, lam, 2.4, 1, mu, tag)
             assert got.dtype == np.float64 and got.shape == (6, 3)
             for rid, row in enumerate(got):
                 rng = noise.make_rng(noise.derive_seed(99, "stochastic", tag, mu, 1, rid))
                 xi = noise.sample_fluctuation(mu, 3, rng)
-                want = noise.project_capped_simplex(np.asarray(mean.lam) * xi, 2.4)
+                want = project_one_row(np.asarray(lam) * xi, 2.4)
                 assert row.tobytes() == want.tobytes()
+                clipped += bool(np.any(row == 1.0))
+        assert clipped
 
     def test_determinism(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -955,15 +959,15 @@ class TestCornerTables:
 
     def test_designs_run_on_cached_tables(self, monkeypatch):
         cfg = experiments.validate_config(tiny_stoch_cfg(N=3, Z=1.2, p=[0.8]))
-        mean = experiments._mean_vectors(cfg, "asymmetric", 1.2, 3)[0]
-        ch = experiments._channel(cfg, 0.5, mean.lam)
+        lam = experiments._mean_vectors(cfg, "asymmetric", 1.2, 3)[0]
+        ch = experiments._channel(cfg, 0.5, lam)
         t, r = strategies.select_modes(ch, 3)
 
         def run():
             return (decoder.design_at((0.2, 0.3, 0.5), ch, t, r),
                     decoder.design_at((1.0,), ch, t[:1], r),
                     decoder.optimize_gamma(3, ch, t, r),
-                    experiments._mean_vector_tasks([(cfg, 0, mean.lam, 1.2)]))
+                    experiments._mean_vector_tasks([(cfg, 0, lam, 1.2)]))
 
         def refuse(*args):
             raise AssertionError("a cascade built outside the corner tables")
@@ -986,9 +990,9 @@ class TestCornerTables:
         # (N, channel, modes) read one contraction of the corner table: one
         # miss of the channel's pieces, then hits
         cfg = experiments.validate_config(tiny_fixed_cfg(N=[3], strategies=["div", "sym"]))
-        mean = experiments._mean_vectors(cfg, "asymmetric", 0.6, 3)[0]
+        lam = experiments._mean_vectors(cfg, "asymmetric", 0.6, 3)[0]
         decoder._channel_pieces.cache_clear()
-        [records] = experiments._eval_cells([(cfg, "asymmetric", 0.6, 0.2, 3, 0.5, 0, mean.lam)])
+        [records] = experiments._eval_cells([(cfg, "asymmetric", 0.6, 0.2, 3, 0.5, 0, lam)])
         assert [rec.strategy for rec in records] == ["div", "sym"]
         info = decoder._channel_pieces.cache_info()
         assert (info.misses, info.hits) == (1, 2)
@@ -1106,7 +1110,7 @@ class TestTaskErrors:
         # only mean vector 1's designs fail, and it is the second task of
         # the first chunk (four tasks at one worker, two at two)
         cfg = tiny_stoch_cfg(num_mean_vectors=4)
-        lam = experiments._mean_vectors(experiments.validate_config(cfg), "asymmetric", 0.8, 2)[1].lam
+        lam = experiments._mean_vectors(experiments.validate_config(cfg), "asymmetric", 0.8, 2)[1]
         design = experiments.strategy_design
 
         def failing(strategy, chan):

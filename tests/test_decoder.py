@@ -349,7 +349,8 @@ class TestSpinCascade:
     def test_leg_table_acts_on_the_spin_blocks(self):
         # D_j(s) is orthogonal, and the identity is the first row
         for k in (1, 2, 3, 4):
-            codes, legs, blocks = decoder._leg_table(k)
+            codes, blocks = decoder._leg_table(k)
+            legs = reference_ops.leg_maps(k)
             assert len(codes) == len(legs) == math.factorial(k)
             assert np.array_equal(legs[0], np.arange(2 ** (k + 1)))
             for at, a in blocks:
@@ -365,8 +366,8 @@ class TestGatherPlan:
         # its spin-block D_j(s), the cloner's isotropy tables, and the
         # corner table every design contracts
         for k in (1, 3, 4):
-            codes, legs, blocks = decoder._leg_table(k)
-            tables = [codes, legs, *(a for _, a in blocks), *cloner._isotropy_tables(k),
+            codes, blocks = decoder._leg_table(k)
+            tables = [codes, *(a for _, a in blocks), *cloner._isotropy_tables(k),
                       decoder._corner_table(min(k, 2), k)]
             for table in tables:
                 with pytest.raises(ValueError, match="read-only"):

@@ -1,7 +1,10 @@
+import collections
+
 import numpy as np
 import pytest
 
-from qumimo import experiments, noise
+from qumimo import channel, experiments, noise
+from reference_ops import project_one_row
 
 
 class TestGammaShape:
@@ -51,16 +54,16 @@ class TestMeanAllocations:
     def test_budget_respected(self):
         rng = noise.make_rng(2)
         for z, n in ((1.0, 3), (2.5, 3), (0.4, 2)):
-            for alloc in noise.sample_mean_allocations(n, z, 50, rng):
-                lam = np.asarray(alloc.lam)
+            lams = noise.sample_mean_allocations(n, z, 50, rng)
+            assert lams.dtype == np.float64 and lams.shape == (50, n)
+            for lam in lams:
                 assert abs(lam.sum() - z) < 1e-10
                 assert np.all(lam >= -1e-12) and np.all(lam <= 1 + 1e-12)
 
     def test_component_mean(self):
         # Dirichlet symmetry: each component averages Z/N
         rng = noise.make_rng(3)
-        allocs = noise.sample_mean_allocations(3, 1.0, 10_000, rng)
-        lam = np.array([a.lam for a in allocs])
+        lam = noise.sample_mean_allocations(3, 1.0, 10_000, rng)
         assert np.max(np.abs(lam.mean(axis=0) - 1 / 3)) < 0.01
 
     def test_infeasible_budget(self):
@@ -71,72 +74,131 @@ class TestMeanAllocations:
         ((float("nan"), 0.5), 1.0), ((0.5, 0.5), float("nan")), ((0.5, 0.5), float("inf"))])
     def test_rejects_nan(self, lam, z):
         # a NaN compares False with every bound, so each check is written
-        # to fail on it
-        with pytest.raises(ValueError, match="allocation"):
-            noise.MeanAllocation(lam=lam, z=z)
+        # to fail on it: the channel a lambda row parametrizes refuses a
+        # NaN component, the sampler a NaN or infinite budget (each case
+        # has one bad value, so exactly one of the two calls raises)
+        with pytest.raises(ValueError, match="lambda components|budget"):
+            channel.ChannelParams(n=2, eta=0.0, lam=lam, delta=1.0)
+            noise.sample_mean_allocations(2, z, 1, noise.make_rng(4))
+
+    def test_rows_are_the_per_draw_loop(self):
+        # one Dirichlet call of L rows, then one projection of the rows
+        # above the cap, bit for bit L single draws projected one by one
+        for seed in range(40):
+            for n in range(1, 7):
+                z = float(noise.make_rng(seed).uniform(0.05, n))
+                got = noise.sample_mean_allocations(n, z, 25, noise.make_rng(seed))
+                rng = noise.make_rng(seed)
+                want = []
+                for _ in range(25):
+                    raw = rng.dirichlet(np.ones(n)) * z
+                    want.append(project_one_row(raw, z) if np.any(raw > 1.0) else raw)
+                assert got.tobytes() == np.array(want).tobytes(), (seed, n)
 
 
-def perturbed(mean, xi):
-    """A realization around ``mean``: the mean times the fluctuation ``xi``,
-    projected onto the mean's capped simplex."""
-    return noise.project_capped_simplex(np.asarray(mean.lam) * xi, mean.z)
+def perturbed(lam, z, xi):
+    """Realizations around the mean vector ``lam``: the mean times the
+    fluctuations ``xi`` (one row each), projected onto the capped simplex."""
+    return noise.project_capped_simplex(np.asarray(lam) * xi, z)
 
 
 class TestProjection:
     def test_no_perturbation_is_identity(self):
-        mean = noise.MeanAllocation(lam=(0.4, 0.3, 0.3), z=1.0)
-        out = perturbed(mean, np.ones(3))
-        assert np.allclose(out, mean.lam, atol=1e-15)
+        lam = (0.4, 0.3, 0.3)
+        out = perturbed(lam, 1.0, np.ones((1, 3)))
+        assert np.allclose(out, [lam], atol=1e-15)
 
     def test_documented_example(self):
-        mean = noise.MeanAllocation(lam=(0.5, 0.25, 0.25), z=1.0)
-        out = perturbed(mean, np.array([2.0, 1.0, 1.0]))
+        out = perturbed((0.5, 0.25, 0.25), 1.0, np.array([[2.0, 1.0, 1.0]]))
         # raw (1.0, 0.25, 0.25) sums to 1.5; rescale by 2/3
-        assert np.allclose(out, (2 / 3, 1 / 6, 1 / 6), atol=1e-12)
+        assert np.allclose(out, [(2 / 3, 1 / 6, 1 / 6)], atol=1e-12)
 
     def test_feasibility_sweep(self):
         rng = noise.make_rng(5)
         for _ in range(1000):
             n = int(rng.integers(2, 6))
             z = float(rng.uniform(0.1, n))
-            mean_vec = rng.dirichlet(np.ones(n)) * z
-            mean_vec = noise.project_capped_simplex(mean_vec, z)
-            mean = noise.MeanAllocation(lam=tuple(mean_vec), z=z)
+            [mean] = noise.project_capped_simplex(rng.dirichlet(np.ones(n)) * z, z)
             xi = noise.sample_fluctuation(1.0, n, rng)
-            lam = perturbed(mean, xi)
+            [lam] = perturbed(mean, z, xi)
             assert abs(lam.sum() - z) < 1e-10
             assert np.all(lam >= -1e-12) and np.all(lam <= 1 + 1e-12)
+
+    def test_rows_are_the_one_row_projection(self):
+        # every row bitwise the one-row oracle, over N = 1..6, a budget up
+        # to N and Gamma-Gamma factors of mu = 0.25..2: rows that need no
+        # clip, rows clipped once and rows clipped over several passes
+        rng = noise.make_rng(7)
+        kinds = collections.Counter()
+        for n in range(1, 7):
+            for mu in (0.25, 1.0, 2.0):
+                for _ in range(40):
+                    z = float(rng.uniform(0.05, n))
+                    mean = noise.sample_mean_allocations(n, z, 1, rng)
+                    xi = np.array([noise.sample_fluctuation(mu, n, rng) for _ in range(30)])
+                    raw = mean * xi
+                    got = noise.project_capped_simplex(raw, z)
+                    assert got.shape == raw.shape
+                    for row, out in zip(raw, got):
+                        assert out.tobytes() == project_one_row(row, z).tobytes()
+                        # capped by the first pass, and in the end
+                        first = int(np.sum(row * (z / row.sum()) > 1.0))
+                        capped = int(np.sum(out == 1.0))
+                        kinds["none" if not capped else "one" if capped == first
+                              else "several"] += 1
+        assert kinds["none"] and kinds["one"] and kinds["several"]
+
+    def test_even_split_when_the_free_entries_are_zero(self):
+        # a row whose free entries are all 0 splits its remainder evenly,
+        # and a row beside it that needs no clip is only rescaled
+        raw = np.array([[5.0, 0.0, 0.0], [0.2, 0.3, 0.5], [0.0, 3.0, 1.0]])
+        got = noise.project_capped_simplex(raw, 1.5)
+        for row, out in zip(raw, got):
+            assert out.tobytes() == project_one_row(row, 1.5).tobytes()
+        assert got[0].tolist() == [1.0, 0.25, 0.25]
+        assert got[2].tolist() == [0.0, 1.0, 0.5]
+
+    def test_rejects_infeasible_rows(self):
+        with pytest.raises(ValueError, match="infeasible"):
+            noise.project_capped_simplex(np.ones((2, 2)), 2.5)
+        with pytest.raises(ValueError, match="nonpositive"):
+            noise.project_capped_simplex(np.array([[0.5, 0.5], [0.0, 0.0]]), 1.0)
 
 
 class TestClusterVariance:
     def test_zero_at_mean(self):
-        mean = noise.MeanAllocation(lam=(0.4, 0.6), z=1.0)
-        assert noise.cluster_variance(mean, np.array([mean.lam] * 3)) == 0.0
+        lam = (0.4, 0.6)
+        assert noise.cluster_variance(lam, np.array([lam] * 3)) == 0.0
 
     def test_hand_evaluated(self):
-        mean = noise.MeanAllocation(lam=(0.4, 0.3, 0.3), z=1.0)
+        lam = (0.4, 0.3, 0.3)
         lams = np.array([(0.5, 0.2, 0.3), (0.3, 0.4, 0.3)])
         # each realization deviates by (+-0.1, -+0.1, 0): sum sq = 0.02 each
         want = (0.02 + 0.02) / (2 * 3)
-        assert abs(noise.cluster_variance(mean, lams) - want) < 1e-12
+        assert abs(noise.cluster_variance(lam, lams) - want) < 1e-12
+
+    def test_deviation_from_the_mean_vector(self):
+        # the deviation is taken from the mean vector, not from the
+        # realizations' sample mean: two equal rows off the mean vary
+        lams = np.array([(0.5, 0.5), (0.5, 0.5)])
+        assert abs(noise.cluster_variance((0.4, 0.6), lams) - 0.01) < 1e-15
 
     def test_grows_with_mu(self):
         rng = noise.make_rng(6)
         means = noise.sample_mean_allocations(3, 1.0, 10, rng)
         v_small, v_large = [], []
-        for mean in means:
-            small = np.array([perturbed(mean, noise.sample_fluctuation(0.25, 3, rng))
-                              for _ in range(50)])
-            large = np.array([perturbed(mean, noise.sample_fluctuation(1.0, 3, rng))
-                              for _ in range(50)])
-            v_small.append(noise.cluster_variance(mean, small))
-            v_large.append(noise.cluster_variance(mean, large))
+        for lam in means:
+            small = perturbed(lam, 1.0, np.array(
+                [noise.sample_fluctuation(0.25, 3, rng) for _ in range(50)]))
+            large = perturbed(lam, 1.0, np.array(
+                [noise.sample_fluctuation(1.0, 3, rng) for _ in range(50)]))
+            v_small.append(noise.cluster_variance(lam, small))
+            v_large.append(noise.cluster_variance(lam, large))
         assert np.mean(v_large) > np.mean(v_small)
 
     def test_needs_two(self):
-        mean = noise.MeanAllocation(lam=(1.0,), z=1.0)
         with pytest.raises(ValueError):
-            noise.cluster_variance(mean, np.array([mean.lam]))
+            noise.cluster_variance((1.0,), np.array([(1.0,)]))
 
 
 class TestDeterminism:

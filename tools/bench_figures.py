@@ -6,15 +6,25 @@ interleaved pairs (the side that runs first alternates), every run in its
 own launcher process with one BLAS thread.  Per run it records the wall
 time of the command, the CPU time and the largest resident set of its
 processes (``getrusage(RUSAGE_CHILDREN)`` of the launcher, which waits
-for nothing else) and the SHA-256 of every output file.  The series at 1 and 2 workers, with their medians and
-quartiles, replace the config's entry in ``BENCH_figures.json`` at the
-repository root, which keeps one entry per config::
+for nothing else) and the SHA-256 of every output file.  The series at 1
+and 2 workers, with their medians and quartiles, replace the config's
+entry in ``BENCH_figures.json`` at the repository root, which keeps one
+entry per config::
 
     python tools/bench_figures.py PARENT_SRC --parent-commit C \\
         [--config configs/stochastic.json] [--pairs 5]
 
 ``PARENT_SRC`` holds the parent's ``qumimo`` package (the ``src/`` of a
 checkout of commit C).  Outputs go to a temporary directory.
+
+Per metric (all lower-is-better) the pairs are counted as ``wins``,
+``losses`` and ``ties`` of the change; a tie (equal values, common for
+``max_rss_mb`` at its 0.1 MB resolution) counts for neither side.  The
+metric's ``verdict`` reads ``better`` when the change wins at least nine
+tenths of the pairs and its median is below the parent's by more than the
+parent's interquartile range, ``worse`` when the parent wins that share
+and the change's median is above the parent's by more than that range,
+and ``unresolved`` otherwise.
 """
 
 from __future__ import annotations
@@ -72,6 +82,19 @@ def summary(values: list) -> dict:
             "iqr": round(q3 - q1, 4), "repeats": len(values)}
 
 
+def verdict(parent: list, change: list) -> dict:
+    """The pairs' wins, losses and ties of the change (lower is better) and
+    the verdict of the module docstring's rule."""
+    wins = sum(c < p for p, c in zip(parent, change))
+    losses = sum(c > p for p, c in zip(parent, change))
+    gap = statistics.median(change) - statistics.median(parent)
+    iqr = summary(parent)["iqr"]
+    share = 0.9 * len(parent)
+    return {"wins": wins, "losses": losses, "ties": len(parent) - wins - losses,
+            "verdict": "better" if wins >= share and gap < -iqr
+            else "worse" if losses >= share and gap > iqr else "unresolved"}
+
+
 def main(argv=None) -> int:
     if argv is None and sys.argv[1:2] == ["--launch"]:
         print(json.dumps(launch(sys.argv[2], sys.argv[3:])))
@@ -99,10 +122,10 @@ def main(argv=None) -> int:
                           file=sys.stderr)
             metrics = {}
             for name, unit in (("wall_s", "s"), ("cpu_s", "s"), ("max_rss_mb", "MB")):
-                metrics[name] = {"unit": unit, "better": "lower", **{
-                    side: summary([r[name] for r in runs[side]]) for side in runs}}
-                wins = sum(c[name] < p[name] for p, c in zip(runs["parent"], runs["change"]))
-                metrics[name]["change_wins"] = f"{wins}/{args.pairs}"
+                values = {side: [r[name] for r in runs[side]] for side in runs}
+                metrics[name] = {"unit": unit, "better": "lower",
+                                 **{side: summary(values[side]) for side in runs},
+                                 **verdict(values["parent"], values["change"])}
             hashes = {side: [r.pop("outputs") for r in runs[side]] for side in runs}
             series.append({
                 "workers": workers, "metrics": metrics,
